@@ -1,7 +1,8 @@
 """Command-line front end: integration, gap/HH bounds, expectations, divergences.
 
-Exit codes: 0 success, 1 usage error (bad flags, unparseable input), 2
-hypothesis failure (non-convex function, invalid density or distribution).
+Exit codes: 0 success, 1 usage error (bad flags, unparseable input, a
+function that cannot be evaluated on the interval), 2 hypothesis failure
+(non-convex function, invalid density or distribution).
 JSON reports are deterministic and expose enclosure endpoints verbatim
 (``integral.lo``, ``integral.hi``, ``remainder.lo``, ``remainder.hi``,
 ``cells``, ``certified``); no computation happens in the rendering layer.
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import divergence as div
 from . import expr, pointwise, probability, quadrature
-from .funcs import ConvexFunction, DomainError, Interval, NonConvexityError, check_convexity
+from .funcs import ConvexFunction, DomainError, EvaluationError, Interval, NonConvexityError, check_convexity
 
 
 class UsageError(Exception):
@@ -387,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"trapbound: error: {exc}", file=sys.stderr)
         return 1
-    except (expr.ParseError, DomainError, ValueError) as exc:
+    except (expr.ParseError, expr.EvalError, DomainError, EvaluationError, ValueError) as exc:
         print(f"trapbound: error: {exc}", file=sys.stderr)
         return 1
     except (HypothesisError, NonConvexityError) as exc:

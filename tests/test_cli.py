@@ -224,6 +224,15 @@ class TestExitCodes:
         assert code == 1
         assert "position" in err
 
+    def test_evaluation_error(self):
+        # x*log(x) cannot be evaluated at 0 by the expression evaluator
+        argv = [sys.executable, "-m", "trapbound", "integrate",
+                "--fn", "x*log(x)", "--interval", "0", "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("trapbound: error:")
+        assert "Traceback" not in proc.stderr
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "hh", "--fn", "x^2",
                                "--interval", "0", "1", "--format", "table")

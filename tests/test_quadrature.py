@@ -1,7 +1,8 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, default_catalog
@@ -245,6 +246,60 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             adaptive_integrate(EXP, eps=1e-6, max_cells=0)
 
+    def test_bisection_reuses_parent_samples(self):
+        # one f and two one-sided derivative calls per new cell midpoint, plus
+        # f at both ends and f'+(a), f'-(b) for the first cell
+        calls = {"f": 0, "df": 0}
+
+        def counted(key):
+            def fn(t):
+                calls[key] += 1
+                return math.exp(t)
+            return fn
+
+        f = ConvexFunction(EXP.domain, counted("f"), counted("df"), counted("df"), "exp")
+        for eps, max_cells in ((1e-6, 10_000), (1e-12, 100)):
+            calls.update(f=0, df=0)
+            res = adaptive_integrate(f, eps=eps, max_cells=max_cells)
+            assert calls["f"] == 2 * res.cells + 1
+            assert calls["df"] == 4 * res.cells
+
+    @pytest.mark.parametrize("f, truth", [
+        (EXP, math.e - 1.0),
+        (catalog("xlogx", (), Interval(0.0, 1.0)), -0.25),
+        (catalog("kink", (1.0, 0.3)), 0.5 * (0.3 ** 2 + 0.7 ** 2)),
+    ], ids=["exp", "xlogx", "kink"])
+    def test_containment_at_tight_eps(self, f, truth):
+        res = adaptive_integrate(f, eps=1e-10, max_cells=200_000)
+        assert res.converged
+        assert res.integral.width <= 1e-10
+        assert res.integral.contains(truth, slack=1e-12)
+        assert res.integral.lo == res.gn - res.remainder.hi
+        assert res.integral.hi == res.gn - res.remainder.lo
+
+    def test_supporting_lines_meet_at_kink(self):
+        # on [0, 0.5] the lines at 0 and 0.5 cross at the kink 0.3, so the
+        # first cell's lower bound is the integral itself
+        f = catalog("kink", (1.0, 0.3))
+        res = adaptive_integrate(f, eps=1.0)
+        assert res.cells == 1
+        assert res.integral.lo == pytest.approx(f.integral(), abs=1e-15)
+
+    def test_sandwich_halves_cells(self):
+        # the paper's bracket alone needs 4,932 cells here
+        res = adaptive_integrate(EXP, eps=1e-8)
+        assert res.converged
+        assert res.cells <= 2_500
+
+    def test_infinite_endpoint_value_stops_unconverged(self):
+        # -log t is +inf at 0: the cell touching 0 has an infinite bracket
+        # however often it is bisected
+        f = catalog("neg_log", (), Interval(0.0, 1.0))
+        res = adaptive_integrate(f, eps=1e-6)
+        assert not res.converged
+        assert res.cells == 1
+        assert res.integral.contains(1.0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -260,3 +315,23 @@ def test_remainder_contains_truth_property(idx, n, frac):
     rem = remainder_enclosure(f, Q)
     s = generalized_trapezoid(f, Q) - f.integral()
     assert rem.contains(s, slack=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    idx=st.integers(min_value=0, max_value=7),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    q=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_adaptive_cell_inside_paper_bracket_property(idx, p, q):
+    f = default_catalog()[idx]
+    a, b = f.domain.a, f.domain.b
+    u, v = sorted(a + (b - a) * x for x in (p, q))
+    assume(u < v)
+    cell = dataclasses.replace(f, domain=Interval(u, v))
+    # a one-cell budget reports the first cell's bracket as is
+    rem = adaptive_integrate(cell, eps=1.0, max_cells=1).remainder
+    paper = trapezoid_remainder_enclosure(cell, uniform_partition(cell.domain, 1))
+    # the two compute h^2 as h*h and h**2, which may differ in the last bit
+    assert paper.lo - 4 * math.ulp(paper.lo) <= rem.lo
+    assert rem.hi <= paper.hi + 4 * math.ulp(paper.hi)
