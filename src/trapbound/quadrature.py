@@ -272,20 +272,32 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     with the paper's bracket and the Hermite-Hadamard bracket [0, T - h f(m)].
     The latter needs no derivatives; it keeps cells touching a point with an
     infinite one-sided derivative (e.g. t*log t at 0) finite and refinable.
+
+    A cell with no float strictly inside it (its ends are adjacent floats)
+    cannot be bisected.  It samples nothing, is bracketed by
+    [0, min(paper hi, T - area under the endpoint supporting lines)], and
+    carries ``m = None``.
     """
     h = v - u
     w = 0.5 * h
     m = 0.5 * (u + v)
-    fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)
     t = 0.5 * (fu + fv) * h
-    # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
-    lo_p = max(0.125 * h * h * (dpm - dmm), 0.0)
     hi_p = math.inf if (dmv == math.inf or dpu == -math.inf) else 0.125 * h * h * (dmv - dpu)
-    lo, hi = lo_p, hi_p
-    if math.isfinite(t) and math.isfinite(fm):
-        hi_p = min(hi_p, t - h * fm)
-        lo = max(lo_p, t - 0.5 * w * (fu + 2.0 * fm + fv))
-        hi = min(hi_p, t - (_envelope_area(w, fu, dpu, fm, dmm) + _envelope_area(w, fm, dpm, fv, dmv)))
+    if not u < m < v:
+        m = fm = dpm = dmm = None
+        lo_p = lo = 0.0
+        hi = hi_p
+        if math.isfinite(t):
+            hi = min(hi_p, t - _envelope_area(h, fu, dpu, fv, dmv))
+    else:
+        fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)
+        # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
+        lo_p = max(0.125 * h * h * (dpm - dmm), 0.0)
+        lo, hi = lo_p, hi_p
+        if math.isfinite(t) and math.isfinite(fm):
+            hi_p = min(hi_p, t - h * fm)
+            lo = max(lo_p, t - 0.5 * w * (fu + 2.0 * fm + fv))
+            hi = min(hi_p, t - (_envelope_area(w, fu, dpu, fm, dmm) + _envelope_area(w, fm, dpm, fv, dmv)))
     if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
         raise ConvexityViolationError(
             f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
@@ -306,11 +318,13 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     cell's bracket is the tangent/chord sandwich of its samples intersected
     with the paper's bracket, so it is never wider than the paper's bracket
     that :func:`integrate` reports for the same cell.  A run over n cells
-    makes 2n + 1 calls to f and 4n to its one-sided derivatives.
+    makes 2n + 1 calls to f and 4n to its one-sided derivatives, fewer if
+    some cells are too narrow to bisect.
 
-    A spent budget, or a widest cell with an infinite bracket (f infinite at
-    an end of the domain), is reported via ``converged=False``, never an
-    exception; the enclosure stays valid either way.
+    A spent budget, a widest cell with an infinite bracket (f infinite at
+    an end of the domain), or cells too narrow to bisect in floating point
+    that leave the total above ``eps`` are reported via ``converged=False``,
+    never an exception; the enclosure stays valid either way.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -319,18 +333,24 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
 
     a, b = f.domain.a, f.domain.b
     cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b))
-    heap = [cell]
+    # cells too narrow to bisect keep their share of the totals but leave the heap
+    heap = [] if cell[10] is None else [cell]
+    settled = 0 if heap else 1
     total_t, total_lo, total_hi = cell[3:6]
 
-    while total_hi - total_lo > eps and len(heap) < max_cells:
-        if heap[0][0] == 0.0 or heap[0][0] == -math.inf:
-            break  # widest cell exact, or unbounded where f is infinite; bisection cannot help
+    # an infinite total means a cell is unbounded where f is infinite; bisection cannot help
+    while heap and eps < total_hi - total_lo < math.inf and len(heap) + settled < max_cells:
+        if heap[0][0] == 0.0:
+            break  # widest cell exact
         _, u, v, ct, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
         total_t -= ct
         total_lo -= clo
         total_hi -= chi
         for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm), _adaptive_cell(f, m, v, fm, fv, dpm, dmv)):
-            heapq.heappush(heap, cell)
+            if cell[10] is None:
+                settled += 1
+            else:
+                heapq.heappush(heap, cell)
             total_t += cell[3]
             total_lo += cell[4]
             total_hi += cell[5]
@@ -346,4 +366,4 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     if math.isnan(int_hi):
         int_hi = math.inf
     integral = Enclosure(int_lo, int_hi)
-    return QuadratureResult(total_t, remainder, integral, len(heap), converged)
+    return QuadratureResult(total_t, remainder, integral, len(heap) + settled, converged)

@@ -327,7 +327,8 @@ def test_adaptive_cell_inside_paper_bracket_property(idx, p, q):
     f = default_catalog()[idx]
     a, b = f.domain.a, f.domain.b
     u, v = sorted(a + (b - a) * x for x in (p, q))
-    assume(u < v)
+    # the paper's midpoint bracket needs a float strictly inside the cell
+    assume(u < 0.5 * (u + v) < v)
     cell = dataclasses.replace(f, domain=Interval(u, v))
     # a one-cell budget reports the first cell's bracket as is
     rem = adaptive_integrate(cell, eps=1.0, max_cells=1).remainder
@@ -335,3 +336,19 @@ def test_adaptive_cell_inside_paper_bracket_property(idx, p, q):
     # the two compute h^2 as h*h and h**2, which may differ in the last bit
     assert paper.lo - 4 * math.ulp(paper.lo) <= rem.lo
     assert rem.hi <= paper.hi + 4 * math.ulp(paper.hi)
+
+
+@pytest.mark.parametrize("idx", range(8))
+def test_adaptive_cell_one_ulp_wide(idx):
+    # no float lies strictly inside such a cell, so it is bracketed from its
+    # endpoint samples alone and never bisected (it used to raise DomainError)
+    f = default_catalog()[idx]
+    a, b = f.domain.a, f.domain.b
+    for u in (a, 0.5 * (a + b), math.nextafter(b, a)):
+        v = math.nextafter(u, b)
+        cell = dataclasses.replace(f, domain=Interval(u, v))
+        res = adaptive_integrate(cell, eps=1e-300)
+        assert res.cells == 1
+        assert res.remainder.lo == 0.0
+        assert 0.0 <= res.remainder.hi <= 0.125 * (v - u) ** 2 * (f.d_minus(v) - f.d_plus(u))
+        assert res.integral.hi == res.gn == 0.5 * (f(u) + f(v)) * (v - u)
