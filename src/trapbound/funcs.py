@@ -130,20 +130,6 @@ class ConvexityReport(NamedTuple):
     witness: Optional[tuple]
 
 
-def one_sided_derivative(f: ConvexFunction, x: float, side: str) -> float:
-    """Return f'-(x) or f'+(x) from the function's oracle.
-
-    ``side`` is ``"left"`` or ``"right"``.  The left derivative is defined on
-    (a, b], the right on [a, b); asking for the missing side at an endpoint is
-    a :class:`DomainError`.  May return +-inf.
-    """
-    if side == "right":
-        return f.d_plus(x)
-    if side == "left":
-        return f.d_minus(x)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def finite_difference_derivative(
     f,
     x: float,

@@ -65,9 +65,6 @@ class Enclosure:
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi))
-
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -128,12 +125,43 @@ class OptimalPointReport(NamedTuple):
     gap_upper: float
 
 
-def _weighted(weight: float, derivative: float) -> float:
-    # Zero-weighted terms are skipped so a potentially infinite endpoint
-    # derivative is never multiplied by zero (0 * inf = nan).
-    if weight == 0.0:
-        return 0.0
-    return weight * derivative
+def _gap_bracket(wl: float, wr: float, dpx: float, dmx: float, dpu: float, dmv: float) -> tuple:
+    """The paper's bracket for the gap of a cell [u, v] split at x:
+
+        (1/2)[wl f'+(x) - wr f'-(x)]  <=  gap  <=  (1/2)[wl f'-(v) - wr f'+(u)]
+
+    with weights wl = (v - x)^2 and wr = (x - u)^2 and the one-sided slopes
+    given as numbers.  The gap, Hermite-Hadamard, quadrature remainder and
+    expectation brackets of this package are all this one: at the midpoint
+    it is the 1/8 form (:func:`_midpoint_bracket`), and applied to a cdf it
+    bounds an expectation.
+
+    A zero weight drops its term, so its slope is never multiplied and may
+    stand for one that does not exist.  The two sides are independent: a
+    caller that needs one side passes 0.0 for the other side's slopes.
+    f'-(v) = +inf or f'+(u) = -inf makes the upper side +inf; an
+    indeterminate lower side (inf - inf) is -inf.
+    """
+    lo = 0.5 * ((wl * dpx if wl else 0.0) - (wr * dmx if wr else 0.0))
+    tl = wl * dmv if wl else 0.0
+    tr = wr * dpu if wr else 0.0
+    hi = math.inf if (tl == math.inf or tr == -math.inf) else 0.5 * (tl - tr)
+    return (-math.inf if math.isnan(lo) else lo), hi
+
+
+def _midpoint_bracket(h: float, dpm, dmm, dpu: float, dmv: float) -> tuple:
+    """:func:`_gap_bracket` at the midpoint m of a cell of width h, with the
+    weights h^2/4 of the exact midpoint: the 1/8 form of the trapezoid
+    remainder, from the slopes at m and the outward slopes at the ends.
+
+    A cell with no float strictly inside it has no midpoint to sample: its
+    midpoint slopes are None and the lower side is the Hermite-Hadamard
+    bound 0, which the bracket gives for equal midpoint slopes.
+    """
+    w = 0.25 * h * h
+    if dpm is None:
+        dpm = dmm = 0.0
+    return _gap_bracket(w, w, dpm, dmm, dpu, dmv)
 
 
 def _reference_integral(f: ConvexFunction, u: float, v: float, eps: float = 1e-10) -> float:
@@ -167,7 +195,7 @@ def lower_gap_bound(q: GapQuery) -> float:
     a, b = f.domain.a, f.domain.b
     if not a < x < b:
         raise DomainError(f"lower gap bound needs x strictly inside ({a}, {b}), got {x}")
-    return 0.5 * ((b - x) ** 2 * f.d_plus(x) - (x - a) ** 2 * f.d_minus(x))
+    return _gap_bracket((b - x) ** 2, (x - a) ** 2, f.d_plus(x), f.d_minus(x), 0.0, 0.0)[0]
 
 
 def upper_gap_bound(q: GapQuery) -> float:
@@ -177,11 +205,7 @@ def upper_gap_bound(q: GapQuery) -> float:
     """
     f, x = q.f, q.x
     a, b = f.domain.a, f.domain.b
-    t1 = _weighted((b - x) ** 2, f.d_minus(b))
-    t2 = _weighted((x - a) ** 2, f.d_plus(a))
-    if math.isinf(t1) or math.isinf(t2):
-        return math.inf
-    return 0.5 * (t1 - t2)
+    return _gap_bracket((b - x) ** 2, (x - a) ** 2, 0.0, 0.0, f.d_plus(a), f.d_minus(b))[1]
 
 
 def gap_enclosure(q: GapQuery) -> Enclosure:
@@ -197,14 +221,18 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
     """
     a, b = f.domain.a, f.domain.b
     m = f.domain.midpoint
-    lo = 0.125 * (f.d_plus(m) - f.d_minus(m)) * (b - a)
-    dmb = f.d_minus(b)
-    dpa = f.d_plus(a)
-    hi = math.inf if (math.isinf(dmb) or math.isinf(dpa)) else 0.125 * (dmb - dpa) * (b - a)
-    return Enclosure(lo, hi)
+    lo, hi = _midpoint_bracket(b - a, f.d_plus(m), f.d_minus(m), f.d_plus(a), f.d_minus(b))
+    return Enclosure(lo / (b - a), hi / (b - a))
 
 
-def _derivative_if_differentiable(f: ConvexFunction, x: float, tol: float) -> float:
+def _derivative(f: ConvexFunction, x: float, tol: float) -> float:
+    """f'(x), or the one side at an end of the domain; slopes that differ
+    beyond ``tol`` or an infinite one raise :class:`NotDifferentiableError`."""
+    a, b = f.domain.a, f.domain.b
+    if x <= a:
+        return f.d_plus(a)
+    if x >= b:
+        return f.d_minus(b)
     dp = f.d_plus(x)
     dm = f.d_minus(x)
     scale = max(1.0, abs(dp), abs(dm))
@@ -220,7 +248,7 @@ def differentiable_lower(f: ConvexFunction, x: float, tol: float = DEFAULT_TOL) 
     a, b = f.domain.a, f.domain.b
     if not a < x < b:
         raise DomainError(f"differentiable lower bound needs x in ({a}, {b}), got {x}")
-    d = _derivative_if_differentiable(f, x, tol)
+    d = _derivative(f, x, tol)
     return (b - a) * (0.5 * (a + b) - x) * d
 
 
@@ -238,7 +266,7 @@ def window_inequality(f: ConvexFunction, x: float, h: float) -> WindowReport:
         raise DomainError(
             f"window [{u}, {v}] not contained in [{f.domain.a}, {f.domain.b}]"
         )
-    lhs = 0.125 * h * h * (f.d_plus(x) - f.d_minus(x))
+    lhs = _midpoint_bracket(h, f.d_plus(x), f.d_minus(x), 0.0, 0.0)[0]
     rhs = h * 0.5 * (f(u) + f(v)) - _reference_integral(f, u, v)
     holds = 0.0 <= lhs + 1e-9 and lhs <= rhs + 1e-9
     return WindowReport(lhs, rhs, holds)

@@ -10,7 +10,9 @@ single-interval gap bounds applied to F give, for x in (a, b),
 
 (the upper bound also holds at x = a and x = b), using the identity
 integral_a^b F = b - E(X).  The one-sided limits are taken from inside
-[a, b]; limits from outside the support do not exist.
+[a, b]; limits from outside the support do not exist.  Both sides come from
+``pointwise._gap_bracket``, the kernel behind every gap bracket of the
+package (pointwise and quadrature too), fed the slopes of F.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .funcs import ConvexFunction, DomainError, Interval
-from .pointwise import Enclosure
+from .pointwise import Enclosure, _gap_bracket
 from .quadrature import adaptive_integrate
 
 #: Grid size of the monotone Riemann bracket used by the normalization check.
@@ -163,9 +165,7 @@ def validate_density(d: MonotoneDensity, gridpoints: int = 201, tol: float = 1e-
 
 def _upper(d: MonotoneDensity, x: float) -> float:
     a, b = d.domain.a, d.domain.b
-    t1 = 0.0 if x == b else (b - x) ** 2 * d.left_limit(b)
-    t2 = 0.0 if x == a else (x - a) ** 2 * d.right_limit(a)
-    return 0.5 * (t1 - t2) + x
+    return _gap_bracket((b - x) ** 2, (x - a) ** 2, 0.0, 0.0, d.right_limit(a), d.left_limit(b))[1] + x
 
 
 def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
@@ -173,7 +173,7 @@ def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
     a, b = d.domain.a, d.domain.b
     if not a < x < b:
         raise DomainError(f"split point must lie strictly inside ({a}, {b}), got {x}")
-    lo = 0.5 * ((b - x) ** 2 * d.right_limit(x) - (x - a) ** 2 * d.left_limit(x)) + x
+    lo = _gap_bracket((b - x) ** 2, (x - a) ** 2, d.right_limit(x), d.left_limit(x), 0.0, 0.0)[0] + x
     return ExpectationEnclosure(lo, _upper(d, x), x)
 
 

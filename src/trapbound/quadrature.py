@@ -6,13 +6,17 @@ For a partition a = x0 < ... < xn = b with intermediate points xi_i in
     G_n = sum_i (xi_i - x_i) f(x_i) + (x_{i+1} - xi_i) f(x_{i+1})
 
 and the remainder S_n = G_n - integral_a^b f is bracketed cell by cell with
-the single-interval bounds from :mod:`trapbound.pointwise`:
+the paper's single-interval bracket:
 
     lo = (1/2) sum_i [ (x_{i+1}-xi_i)^2 f'+(xi_i) - (xi_i-x_i)^2 f'-(xi_i) ]
     hi = (1/2) sum_i [ (x_{i+1}-xi_i)^2 f'-(x_{i+1}) - (xi_i-x_i)^2 f'+(x_i) ]
 
 With midpoint xi the rule is the classical trapezoid rule and the bracket
 specializes to the 1/8 form.  Fixed partitions report exactly this bracket.
+The paper's bracket of every cell, adaptive cells included, comes from the
+one kernel that :mod:`trapbound.pointwise` and :mod:`trapbound.probability`
+also use, ``pointwise._gap_bracket`` (in its 1/8 form,
+``pointwise._midpoint_bracket``).
 
 The adaptive integrator bisects the cell with the widest bracket until the
 total enclosure width meets a tolerance.  Its cells carry their samples (f at
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
-from .pointwise import Enclosure, NotDifferentiableError, _weighted
+from .pointwise import Enclosure, _derivative, _gap_bracket, _midpoint_bracket
 
 _MATCH_TOL = 1e-12
 
@@ -137,21 +141,20 @@ def generalized_trapezoid(f: ConvexFunction, P: Partition) -> float:
     return total
 
 
-def _cell_remainder_bounds(f: ConvexFunction, u: float, v: float, x: float) -> tuple:
-    # Lower bound needs one-sided derivatives at xi; zero-weighted terms are
-    # skipped so xi at a cell endpoint never evaluates an undefined side.
-    wl = (v - x) ** 2
-    wr = (x - u) ** 2
-    lo = 0.5 * (
-        (_weighted(wl, f.d_plus(x)) if wl else 0.0)
-        - (_weighted(wr, f.d_minus(x)) if wr else 0.0)
-    )
-    t1 = _weighted(wl, f.d_minus(v))
-    t2 = _weighted(wr, f.d_plus(u))
-    hi = math.inf if (t1 == math.inf or t2 == -math.inf) else 0.5 * (t1 - t2)
-    if math.isnan(lo):
-        lo = -math.inf
-    return lo, hi
+def _summed_brackets(f: ConvexFunction, P: Partition, tol: float, bracket) -> Enclosure:
+    """Sum of the per-cell brackets ``bracket(u, v, xi)`` over the cells of P."""
+    lo_sum = 0.0
+    hi_sum = 0.0
+    for i, (u, v, x) in enumerate(P.cells()):
+        lo, hi = bracket(u, v, x)
+        if lo > hi + tol * max(1.0, abs(lo), abs(hi)):
+            raise ConvexityViolationError(
+                f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
+                f"{f.label!r} is not convex there"
+            )
+        lo_sum += lo
+        hi_sum += hi
+    return Enclosure(min(lo_sum, hi_sum), hi_sum)
 
 
 def remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TOL) -> Enclosure:
@@ -162,18 +165,16 @@ def remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TO
     :class:`ConvexityViolationError` naming the cell.
     """
     _check_domain(f, P)
-    lo_sum = 0.0
-    hi_sum = 0.0
-    for i, (u, v, x) in enumerate(P.cells()):
-        lo, hi = _cell_remainder_bounds(f, u, v, x)
-        if lo > hi + tol * max(1.0, abs(lo), abs(hi)):
-            raise ConvexityViolationError(
-                f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
-                f"{f.label!r} is not convex there"
-            )
-        lo_sum += lo
-        hi_sum += hi
-    return Enclosure(min(lo_sum, hi_sum), hi_sum)
+
+    def bracket(u, v, x):
+        wl = (v - x) ** 2
+        wr = (x - u) ** 2
+        # a zero-weighted slope is not read: at xi = u or v it may not exist
+        dpx = f.d_plus(x) if wl else 0.0
+        dmx = f.d_minus(x) if wr else 0.0
+        return _gap_bracket(wl, wr, dpx, dmx, f.d_plus(u), f.d_minus(v))
+
+    return _summed_brackets(f, P, tol, bracket)
 
 
 def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TOL) -> Enclosure:
@@ -183,43 +184,22 @@ def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = 
           <= Q_n <=
         (1/8) sum [f'-(x_{i+1}) - f'+(x_i)] h_i^2
 
-    This is exactly the midpoint-xi specialization of
-    :func:`remainder_enclosure`; for differentiable f the upper side is the
-    familiar (1/8) sum [f'(x_{i+1}) - f'(x_i)] h_i^2.
+    This is the midpoint-xi specialization of :func:`remainder_enclosure`,
+    with the weights h_i^2/4 of the exact midpoint; for differentiable f the
+    upper side is the familiar (1/8) sum [f'(x_{i+1}) - f'(x_i)] h_i^2.  A
+    cell with no float strictly inside it is bracketed by
+    [0, (1/8)[f'-(x_{i+1}) - f'+(x_i)] h_i^2].
     """
     _check_domain(f, P)
     if not P.is_midpoint:
         raise ValueError("trapezoid remainder bracket requires midpoint intermediate points")
-    lo_sum = 0.0
-    hi_sum = 0.0
-    for i, (u, v, _) in enumerate(P.cells()):
-        h2 = (v - u) ** 2
+
+    def bracket(u, v, _):
         m = 0.5 * (u + v)
-        lo = 0.125 * h2 * (f.d_plus(m) - f.d_minus(m))
-        dmv = f.d_minus(v)
-        dpu = f.d_plus(u)
-        hi = math.inf if (dmv == math.inf or dpu == -math.inf) else 0.125 * h2 * (dmv - dpu)
-        if lo > hi + tol * max(1.0, abs(lo), abs(hi)):
-            raise ConvexityViolationError(
-                f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
-                f"{f.label!r} is not convex there"
-            )
-        lo_sum += lo
-        hi_sum += hi
-    return Enclosure(min(lo_sum, hi_sum), hi_sum)
+        dpm, dmm = (f.d_plus(m), f.d_minus(m)) if u < m < v else (None, None)
+        return _midpoint_bracket(v - u, dpm, dmm, f.d_plus(u), f.d_minus(v))
 
-
-def _derivative_at(f: ConvexFunction, x: float, tol: float) -> float:
-    a, b = f.domain.a, f.domain.b
-    if x <= a:
-        return f.d_plus(a)
-    if x >= b:
-        return f.d_minus(b)
-    dp = f.d_plus(x)
-    dm = f.d_minus(x)
-    if abs(dp - dm) > tol * max(1.0, abs(dp), abs(dm)):
-        raise NotDifferentiableError(f"{f.label!r} has a kink at xi = {x}: f'-={dm}, f'+={dp}")
-    return 0.5 * (dp + dm)
+    return _summed_brackets(f, P, tol, bracket)
 
 
 def differentiable_lower_remainder(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TOL) -> float:
@@ -227,7 +207,7 @@ def differentiable_lower_remainder(f: ConvexFunction, P: Partition, tol: float =
     _check_domain(f, P)
     total = 0.0
     for u, v, x in P.cells():
-        total += (0.5 * (u + v) - x) * (v - u) * _derivative_at(f, x, tol)
+        total += (0.5 * (u + v) - x) * (v - u) * _derivative(f, x, tol)
     return total
 
 
@@ -282,23 +262,23 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     w = 0.5 * h
     m = 0.5 * (u + v)
     t = 0.5 * (fu + fv) * h
-    hi_p = math.inf if (dmv == math.inf or dpu == -math.inf) else 0.125 * h * h * (dmv - dpu)
-    if not u < m < v:
+    if u < m < v:
+        fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)
+    else:
         m = fm = dpm = dmm = None
-        lo_p = lo = 0.0
-        hi = hi_p
+    lo_p, hi_p = _midpoint_bracket(h, dpm, dmm, dpu, dmv)
+    # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
+    lo_p = max(lo_p, 0.0)
+    lo, hi = lo_p, hi_p
+    if m is None:
         if math.isfinite(t):
             hi = min(hi_p, t - _envelope_area(h, fu, dpu, fv, dmv))
-    else:
-        fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)
-        # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
-        lo_p = max(0.125 * h * h * (dpm - dmm), 0.0)
-        lo, hi = lo_p, hi_p
-        if math.isfinite(t) and math.isfinite(fm):
-            hi_p = min(hi_p, t - h * fm)
-            lo = max(lo_p, t - 0.5 * w * (fu + 2.0 * fm + fv))
-            hi = min(hi_p, t - (_envelope_area(w, fu, dpu, fm, dmm) + _envelope_area(w, fm, dpm, fv, dmv)))
-    if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
+    elif math.isfinite(t) and math.isfinite(fm):
+        hi_p = min(hi_p, t - h * fm)
+        lo = max(lo_p, t - 0.5 * w * (fu + 2.0 * fm + fv))
+        hi = min(hi_p, t - (_envelope_area(w, fu, dpu, fm, dmm) + _envelope_area(w, fm, dpm, fv, dmv)))
+    # the tolerance is worked out only for an inverted bracket, which is rare
+    if lo > hi and lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
         raise ConvexityViolationError(
             f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
             f"{f.label!r} is not convex there"

@@ -10,7 +10,6 @@ from trapbound.funcs import (
     catalog,
     check_convexity,
     finite_difference_derivative,
-    one_sided_derivative,
 )
 
 
@@ -29,33 +28,33 @@ def test_interval_validation():
 class TestOneSidedDerivative:
     def test_kink_right(self):
         f = catalog("kink", (1.0, 0.5))
-        assert one_sided_derivative(f, 0.5, "right") == 1.0
+        assert f.d_plus(0.5) == 1.0
 
     def test_kink_left(self):
         f = catalog("kink", (1.0, 0.5))
-        assert one_sided_derivative(f, 0.5, "left") == -1.0
+        assert f.d_minus(0.5) == -1.0
 
     def test_smooth_point(self):
         f = catalog("quadratic")
-        assert one_sided_derivative(f, 0.5, "right") == 1.0
-        assert one_sided_derivative(f, 0.5, "left") == 1.0
+        assert f.d_plus(0.5) == 1.0
+        assert f.d_minus(0.5) == 1.0
 
     def test_endpoint_sides(self):
         f = catalog("quadratic")
-        assert one_sided_derivative(f, 0.0, "right") == 0.0
+        assert f.d_plus(0.0) == 0.0
         with pytest.raises(DomainError):
-            one_sided_derivative(f, 0.0, "left")
+            f.d_minus(0.0)
         with pytest.raises(DomainError):
-            one_sided_derivative(f, 1.0, "right")
+            f.d_plus(1.0)
 
     def test_outside_domain(self):
         f = catalog("quadratic")
         with pytest.raises(DomainError):
-            one_sided_derivative(f, 1.5, "left")
+            f.d_minus(1.5)
 
     def test_infinite_endpoint(self):
         f = catalog("neg_log")
-        assert one_sided_derivative(f, 0.0, "right") == -math.inf
+        assert f.d_plus(0.0) == -math.inf
 
 
 class TestFiniteDifference:

@@ -146,6 +146,14 @@ class TestHermiteHadamard:
         for f in test_catalog:
             assert hh_bounds(f).lo >= 0.0, f.label
 
+    def test_is_the_gap_bracket_at_the_midpoint(self, test_catalog):
+        for f in test_catalog:
+            h = f.domain.width
+            enc = hh_bounds(f)
+            g = gap_enclosure(GapQuery(f, f.domain.midpoint))
+            for side, ref in ((enc.lo, g.lo / h), (enc.hi, g.hi / h)):
+                assert abs(side - ref) <= 2 * math.ulp(ref), f.label
+
 
 class TestDifferentiableLower:
     def test_quadratic_off_center(self):

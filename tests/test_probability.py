@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from trapbound.funcs import DomainError, Interval
+from trapbound.funcs import ConvexFunction, DomainError, Interval
+from trapbound.pointwise import GapQuery, gap_enclosure
 from trapbound.probability import (
     InvalidDensityError,
     best_expectation_enclosure,
@@ -126,6 +127,16 @@ class TestExpectationEnclosure:
             mid = midpoint_expectation_enclosure(d)
             ref = expectation_enclosure(d, d.domain.midpoint)
             assert mid == ref, d.label
+
+    def test_is_the_gap_bracket_of_the_cdf(self, rng):
+        # E(X) = x + gap of F at x, and both come from the same bracket
+        for make in ALL:
+            d = make()
+            F = ConvexFunction(d.domain, d.cdf, d.right_limit, d.left_limit)
+            for x in (0.5, *(float(t) for t in rng.uniform(1e-6, 1.0 - 1e-6, size=20))):
+                enc = expectation_enclosure(d, x)
+                g = gap_enclosure(GapQuery(F, x))
+                assert (enc.lo, enc.hi) == (g.lo + x, g.hi + x), (d.label, x)
 
 
 class TestBestEnclosure:
