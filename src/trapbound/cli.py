@@ -64,17 +64,23 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
         raise DistributionLoadError(f"{path}: {exc}") from exc
 
     if fmt == "csv":
-        weights = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                weights.append(float(line))
-            except ValueError:
-                raise DistributionLoadError(
-                    f"{path}: line {lineno}: not a number: {line!r}"
-                ) from None
+        lines = text.splitlines()
+        try:
+            # float() ignores surrounding whitespace; blank lines and bad
+            # numbers take the line loop below
+            weights = list(map(float, lines))
+        except ValueError:
+            weights = []
+            for lineno, line in enumerate(lines, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    weights.append(float(line))
+                except ValueError:
+                    raise DistributionLoadError(
+                        f"{path}: line {lineno}: not a number: {line!r}"
+                    ) from None
     elif fmt == "json":
         try:
             data = json.loads(text)
@@ -82,14 +88,15 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
             raise DistributionLoadError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
             raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
-        weights = [float(x) for x in data]
+        weights = list(map(float, data))
     else:
         raise DistributionLoadError(f"unknown distribution format {fmt!r}")
 
     if not weights:
         raise DistributionLoadError(f"{path}: no weights found")
     total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-9:
+    # written so that a NaN sum fails too
+    if not abs(total - 1.0) <= 1e-9:
         if not normalize:
             raise HypothesisError(
                 f"{path}: weights sum to {total!r}, not 1 (pass --normalize to rescale)"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .funcs import ConvexFunction, Interval
 from .pointwise import Enclosure
@@ -45,14 +45,15 @@ class DiscreteDistribution:
     weights: tuple
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(map(float, self.weights))
         object.__setattr__(self, "weights", w)
         if not w:
             raise ValueError("distribution needs at least one weight")
-        if any(x < 0 for x in w):
+        if min(w) < 0:
             raise ValueError(f"weights must be nonnegative, got {min(w)}")
         s = math.fsum(w)
-        if abs(s - 1.0) > _WEIGHT_TOL:
+        # written so that a NaN sum fails too
+        if not abs(s - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {s!r}")
 
     def __len__(self) -> int:
@@ -66,7 +67,6 @@ class GeneratorFunction:
     ``antiderivative`` enables exact inner integrals for the HH divergence;
     ``slope_at_infinity`` is lim f(u)/u as u -> inf (may be ``math.inf``) and
     defines the convention for support points with p = 0 < q.
-    ``closed_form`` is an optional exact D_f(p, q), kept for golden tests.
     """
 
     fn: Callable[[float], float]
@@ -75,7 +75,6 @@ class GeneratorFunction:
     label: str = ""
     antiderivative: Optional[Callable[[float], float]] = None
     slope_at_infinity: Optional[float] = None
-    closed_form: Optional[Callable[[Sequence[float], Sequence[float]], float]] = None
 
     def __post_init__(self) -> None:
         v1 = self.fn(1.0)
@@ -89,46 +88,35 @@ def _pairs(p: DiscreteDistribution, q: DiscreteDistribution):
     return zip(p.weights, q.weights)
 
 
-def csiszar(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Csiszar divergence sum_x p f(q/p), with the standard zero conventions:
-    (p=0, q=0) contributes 0; (p=0, q>0) contributes q * slope_at_infinity."""
+def _csiszar_sum(g: GeneratorFunction, pairs) -> float:
+    """sum p f(q/p) over the (p, q) pairs, with the zero conventions of :func:`csiszar`."""
+    fn = g.fn
+    slope = g.slope_at_infinity
     total = 0.0
-    for pi, qi in _pairs(p, q):
+    for pi, qi in pairs:
         if pi == 0.0:
             if qi == 0.0:
                 continue
-            if g.slope_at_infinity is None:
+            if slope is None:
                 raise UndefinedDivergenceError(
                     f"generator {g.label!r} declares no slope at infinity; "
                     f"term with p=0, q={qi} is undefined"
                 )
-            total += qi * g.slope_at_infinity
+            total += qi * slope
         else:
-            total += pi * g.fn(qi / pi)
+            total += pi * fn(qi / pi)
     return total
 
 
-def _mixture(p: DiscreteDistribution, q: DiscreteDistribution) -> DiscreteDistribution:
-    return DiscreteDistribution(tuple(0.5 * (pi + qi) for pi, qi in _pairs(p, q)))
+def csiszar(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    """Csiszar divergence sum_x p f(q/p), with the standard zero conventions:
+    (p=0, q=0) contributes 0; (p=0, q>0) contributes q * slope_at_infinity."""
+    return _csiszar_sum(g, _pairs(p, q))
 
 
 def lin_wong(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Generalized Lin-Wong divergence D_f(p, (p+q)/2)."""
-    return csiszar(g, p, _mixture(p, q))
-
-
-def _segment_integral(g: GeneratorFunction, r: float, eps: float) -> Enclosure:
-    """Enclosure of integral_1^r f(t) dt (signed)."""
-    if g.antiderivative is not None:
-        value = g.antiderivative(r) - g.antiderivative(1.0)
-        return Enclosure(value, value)
-    lo_pt, hi_pt = (r, 1.0) if r < 1.0 else (1.0, r)
-    piece = ConvexFunction(Interval(lo_pt, hi_pt), g.fn, g.dplus, g.dminus, g.label)
-    result = adaptive_integrate(piece, eps=eps, max_cells=100_000)
-    enc = result.integral
-    if r < 1.0:
-        enc = Enclosure(-enc.hi, -enc.lo)
-    return enc
+    return _csiszar_sum(g, zip(p.weights, [0.5 * (pi + qi) for pi, qi in _pairs(p, q)]))
 
 
 def hh_divergence(
@@ -140,25 +128,35 @@ def hh_divergence(
     """Hermite-Hadamard divergence sum_x p^2/(q-p) integral_1^{q/p} f.
 
     Each term equals p times the mean of f over the segment between 1 and
-    q/p, hence is nonnegative; terms with q = p (relative to
-    ``_EQUAL_RATIO_TOL``) contribute exactly 0.  The result is an enclosure:
-    degenerate when every inner integral is in closed form, otherwise the
-    per-term integration budget is eps divided by the support size.
+    q/p.  A term can be negative (for ``kl``, u log u has a negative mean
+    over [q/p, 1] when q < p); only the sum is nonnegative.  Terms with q = p
+    (relative to ``_EQUAL_RATIO_TOL``) contribute exactly 0.  The result is
+    an enclosure: degenerate when the generator carries an antiderivative,
+    otherwise each inner integral is certified by adaptive quadrature with a
+    budget of eps divided by the support size.
     """
+    F = g.antiderivative
+    if F is not None:
+        F1 = F(1.0)
+        total = 0.0
+        for pi, qi in _pairs(p, q):
+            if pi == 0.0 or abs(qi - pi) <= _EQUAL_RATIO_TOL * pi:
+                continue
+            total += pi * pi / (qi - pi) * (F(qi / pi) - F1)
+        return Enclosure(total, total)
     n = len(p.weights)
     lo_sum = 0.0
     hi_sum = 0.0
     for pi, qi in _pairs(p, q):
         if pi == 0.0 or abs(qi - pi) <= _EQUAL_RATIO_TOL * pi:
             continue
-        factor = pi * pi / (qi - pi)
-        inner = _segment_integral(g, qi / pi, eps / n)
-        if factor >= 0:
-            lo_sum += factor * inner.lo
-            hi_sum += factor * inner.hi
-        else:
-            lo_sum += factor * inner.hi
-            hi_sum += factor * inner.lo
+        # the term is p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
+        r = qi / pi
+        piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), g.fn, g.dplus, g.dminus, g.label)
+        inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral
+        weight = pi * pi / abs(qi - pi)
+        lo_sum += weight * inner.lo
+        hi_sum += weight * inner.hi
     return Enclosure(lo_sum, hi_sum)
 
 
@@ -193,21 +191,17 @@ def gap_enclosure(
     Support points with p = 0 are skipped (they contribute no mass to either
     side under the conventions above).
     """
+    dplus, dminus = g.dplus, g.dminus
     lo_sum = 0.0
     hi_sum = 0.0
     for pi, qi in _pairs(p, q):
         if pi == 0.0:
             continue
         rm = 0.5 * (pi + qi) / pi
-        lo_sum += 0.125 * (g.dplus(rm) - g.dminus(rm)) * abs(qi - pi)
+        lo_sum += 0.125 * (dplus(rm) - dminus(rm)) * abs(qi - pi)
         if qi != pi:
-            hi_sum += 0.125 * g.dminus(qi / pi) * (qi - pi)
+            hi_sum += 0.125 * dminus(qi / pi) * (qi - pi)
     return Enclosure(lo_sum, max(hi_sum, lo_sum))
-
-
-def chi_squared(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Pearson chi-squared sum (q-p)^2 / p, the closed form for the (u-1)^2 generator."""
-    return math.fsum((qi - pi) ** 2 / pi for pi, qi in _pairs(p, q) if pi > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +219,6 @@ def generator_catalog(name: str) -> GeneratorFunction:
             label="chi_squared",
             antiderivative=lambda u: (u - 1.0) ** 3 / 3.0,
             slope_at_infinity=math.inf,
-            closed_form=lambda p, q: math.fsum(
-                (qi - pi) ** 2 / pi for pi, qi in zip(p, q) if pi > 0
-            ),
         )
     if name == "kl":
         return GeneratorFunction(
@@ -237,9 +228,6 @@ def generator_catalog(name: str) -> GeneratorFunction:
             label="kl",
             antiderivative=lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u,
             slope_at_infinity=math.inf,
-            closed_form=lambda p, q: math.fsum(
-                qi * math.log(qi / pi) for pi, qi in zip(p, q) if qi > 0
-            ),
         )
     if name in ("total_variation", "tv"):
         return GeneratorFunction(
@@ -249,7 +237,6 @@ def generator_catalog(name: str) -> GeneratorFunction:
             label="total_variation",
             antiderivative=lambda u: 0.5 * (u - 1.0) * abs(u - 1.0),
             slope_at_infinity=1.0,
-            closed_form=lambda p, q: math.fsum(abs(qi - pi) for pi, qi in zip(p, q)),
         )
     if name == "hellinger":
         return GeneratorFunction(
@@ -259,9 +246,6 @@ def generator_catalog(name: str) -> GeneratorFunction:
             label="hellinger",
             antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
             slope_at_infinity=1.0,
-            closed_form=lambda p, q: math.fsum(
-                (math.sqrt(qi) - math.sqrt(pi)) ** 2 for pi, qi in zip(p, q)
-            ),
         )
     raise ValueError(
         f"unknown generator {name!r}; known: chi_squared, kl, total_variation, hellinger"

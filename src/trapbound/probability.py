@@ -163,9 +163,14 @@ def validate_density(d: MonotoneDensity, gridpoints: int = 201, tol: float = 1e-
     return DensityReport(valid, nonnegative, nondecreasing, (lo, hi), tuple(messages))
 
 
-def _upper(d: MonotoneDensity, x: float) -> float:
+def _lower(d: MonotoneDensity, x: float) -> float:
     a, b = d.domain.a, d.domain.b
-    return _gap_bracket((b - x) ** 2, (x - a) ** 2, 0.0, 0.0, d.right_limit(a), d.left_limit(b))[1] + x
+    return _gap_bracket((b - x) ** 2, (x - a) ** 2, d.right_limit(x), d.left_limit(x), 0.0, 0.0)[0] + x
+
+
+def _upper(a: float, b: float, fa: float, fb: float, x: float) -> float:
+    """Upper bound at x from fa = f(a+) and fb = f(b-)."""
+    return _gap_bracket((b - x) ** 2, (x - a) ** 2, 0.0, 0.0, fa, fb)[1] + x
 
 
 def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
@@ -173,8 +178,7 @@ def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
     a, b = d.domain.a, d.domain.b
     if not a < x < b:
         raise DomainError(f"split point must lie strictly inside ({a}, {b}), got {x}")
-    lo = _gap_bracket((b - x) ** 2, (x - a) ** 2, d.right_limit(x), d.left_limit(x), 0.0, 0.0)[0] + x
-    return ExpectationEnclosure(lo, _upper(d, x), x)
+    return ExpectationEnclosure(_lower(d, x), _upper(a, b, d.right_limit(a), d.left_limit(b), x), x)
 
 
 def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
@@ -200,13 +204,14 @@ def best_expectation_enclosure(d: MonotoneDensity, gridpoints: int = 1001) -> Ex
 
     best_lo = -math.inf
     for x in ts[1:-1]:
-        enc = expectation_enclosure(d, x)
-        if enc.lo > best_lo:
-            best_lo = enc.lo
+        lo = _lower(d, x)
+        if lo > best_lo:
+            best_lo = lo
+    fa, fb = d.right_limit(a), d.left_limit(b)
     best_hi = math.inf
     x_used = a
     for x in ts:
-        hi = _upper(d, x)
+        hi = _upper(a, b, fa, fb, x)
         if hi < best_hi:
             best_hi = hi
             x_used = x

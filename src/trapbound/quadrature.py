@@ -83,9 +83,11 @@ class Partition:
 class QuadratureResult:
     """Rule value G_n, remainder bracket for S_n, and the implied integral enclosure.
 
-    Always ``integral == [gn - remainder.hi, gn - remainder.lo]``.
-    ``converged`` is False when an adaptive run exhausted its cell budget or
-    hit an infinite bracket; the enclosure is valid regardless.
+    Always ``integral == [gn - remainder.hi, gn - remainder.lo]``, except
+    that a side that comes out NaN (f infinite at an end of the domain) is
+    the trivial one, -inf or +inf.  ``converged`` is False when an adaptive
+    run exhausted its cell budget or hit an infinite bracket; the enclosure
+    is valid regardless.
     """
 
     gn: float
@@ -211,12 +213,20 @@ def differentiable_lower_remainder(f: ConvexFunction, P: Partition, tol: float =
     return total
 
 
+def _integral_enclosure(gn: float, rem: Enclosure) -> Enclosure:
+    """[gn - rem.hi, gn - rem.lo], with a NaN side (inf - inf or 0 * inf,
+    from f infinite at an end of the domain) replaced by the trivial one."""
+    lo = gn - rem.hi
+    hi = gn - rem.lo
+    return Enclosure(-math.inf if math.isnan(lo) else lo, math.inf if math.isnan(hi) else hi)
+
+
 def integrate(f: ConvexFunction, P: Partition) -> QuadratureResult:
-    """Composite rule with certified integral enclosure [gn - hi, gn - lo]."""
+    """Composite rule with certified integral enclosure [gn - hi, gn - lo];
+    (-inf, inf) when f is infinite at an end of the domain."""
     gn = generalized_trapezoid(f, P)
     rem = remainder_enclosure(f, P)
-    integral = Enclosure(gn - rem.hi, gn - rem.lo)
-    return QuadratureResult(gn, rem, integral, P.n)
+    return QuadratureResult(gn, rem, _integral_enclosure(gn, rem), P.n)
 
 
 def _envelope_area(w: float, fl: float, dl: float, fr: float, dr: float) -> float:
@@ -338,12 +348,5 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     width = total_hi - total_lo
     converged = math.isfinite(width) and width <= eps
     remainder = Enclosure(min(total_lo, total_hi), total_hi)
-    int_lo = total_t - remainder.hi
-    int_hi = total_t - remainder.lo
-    # inf - inf from a non-evaluable endpoint degenerates to a trivial side
-    if math.isnan(int_lo):
-        int_lo = -math.inf
-    if math.isnan(int_hi):
-        int_hi = math.inf
-    integral = Enclosure(int_lo, int_hi)
+    integral = _integral_enclosure(total_t, remainder)
     return QuadratureResult(total_t, remainder, integral, len(heap) + settled, converged)

@@ -12,11 +12,11 @@ import sys
 
 import numpy as np
 import pytest
+from divergence_oracles import chi_squared
 
 from trapbound.divergence import (
     GENERATOR_NAMES,
     DiscreteDistribution,
-    chi_squared,
     csiszar,
     gap_enclosure as divergence_gap,
     generator_catalog,

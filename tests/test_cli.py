@@ -62,6 +62,36 @@ class TestLoadDistribution:
         with pytest.raises(DistributionLoadError) as exc:
             load_distribution(f)
         assert "line 2" in str(exc.value)
+        assert str(exc.value) == f"{f}: line 2: not a number: 'bogus'"
+
+    def test_csv_error_counts_blank_lines(self, tmp_path):
+        f = tmp_path / "w.csv"
+        f.write_text("0.5\n\n  bogus \n")
+        with pytest.raises(DistributionLoadError) as exc:
+            load_distribution(f)
+        assert str(exc.value) == f"{f}: line 3: not a number: 'bogus'"
+
+    @pytest.mark.parametrize("raw", [
+        b"0.25\r\n0.75\r\n",
+        b"  0.25\t\n 0.75 \n",
+        b"0.25\n0.75\n\n   \n",
+    ], ids=["crlf", "surrounding_spaces", "trailing_blank_lines"])
+    def test_csv_line_formats(self, tmp_path, raw):
+        f = tmp_path / "w.csv"
+        f.write_bytes(raw)
+        assert load_distribution(f).weights == (0.25, 0.75)
+
+    @pytest.mark.parametrize("name, text", [
+        ("w.csv", "nan\n0.5\n0.5\n"),
+        ("w.json", "[NaN, 0.5, 0.5]"),
+    ])
+    def test_nan_weight_rejected(self, tmp_path, name, text):
+        f = tmp_path / name
+        f.write_text(text)
+        with pytest.raises(HypothesisError):
+            load_distribution(f)
+        with pytest.raises(HypothesisError):
+            load_distribution(f, normalize=True)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DistributionLoadError):
@@ -208,6 +238,21 @@ class TestCheck:
     def test_needs_a_target(self, capsys):
         code, _, _ = run_cli(capsys, "check")
         assert code == 1
+
+    @pytest.mark.parametrize("name, text", [
+        ("w.csv", "nan\n0.5\n0.5\n"),
+        ("w.json", "[0.5, NaN, 0.5]"),
+    ])
+    def test_nan_distribution_exits_2(self, capsys, tmp_path, dist_files, name, text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad))
+        assert code == 2 and out == ""
+        assert "nan" in err
+        p, _ = dist_files
+        code, out, err = run_cli(capsys, "divergence", "--generator", "kl",
+                                 "--p", p, "--q", str(bad))
+        assert code == 2 and out == ""
 
 
 class TestExitCodes:

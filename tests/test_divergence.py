@@ -1,13 +1,13 @@
 import math
 
 import pytest
+from divergence_oracles import CLOSED_FORMS, chi_squared
 
 from trapbound.divergence import (
     GENERATOR_NAMES,
     DiscreteDistribution,
     GeneratorFunction,
     UndefinedDivergenceError,
-    chi_squared,
     csiszar,
     gap_enclosure,
     generator_catalog,
@@ -50,6 +50,11 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution((0.5, 0.5 + 5e-9))
 
+    def test_nan_weight_rejected(self):
+        for weights in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="sum to 1"):
+                DiscreteDistribution(weights)
+
 
 class TestGenerators:
     def test_catalog_names_and_aliases(self):
@@ -79,7 +84,7 @@ class TestCsiszar:
         for name in GENERATOR_NAMES:
             g = generator_catalog(name)
             for p, q in CORPUS:
-                expected = g.closed_form(p.weights, q.weights)
+                expected = CLOSED_FORMS[name](p.weights, q.weights)
                 assert csiszar(g, p, q) == pytest.approx(expected, rel=1e-12, abs=1e-12), name
 
     def test_kl_spot_value(self):

@@ -159,6 +159,34 @@ class TestBestEnclosure:
         with pytest.raises(ValueError):
             best_expectation_enclosure(uniform(), gridpoints=2)
 
+    def test_is_the_best_bound_over_the_grid(self):
+        # lo: the best lower bound at the interior grid points; hi: the best
+        # upper bound over the whole grid, its first minimizer as x_used
+        for make in ALL:
+            d = make()
+            a, b = d.domain.a, d.domain.b
+            ts = [a + (b - a) * i / 100 for i in range(101)]
+            ts[-1] = b
+            inner = [expectation_enclosure(d, x) for x in ts[1:-1]]
+            his = ([0.5 * (b - a) ** 2 * d.left_limit(b) + a]
+                   + [e.hi for e in inner]
+                   + [b - 0.5 * (b - a) ** 2 * d.right_limit(a)])
+            best_hi = min(his)
+            expected = (max(e.lo for e in inner), best_hi, ts[his.index(best_hi)])
+            assert best_expectation_enclosure(d, gridpoints=101) == expected, d.label
+
+    def test_evaluates_the_density_about_twice_per_grid_point(self):
+        calls = []
+
+        def pdf(t):
+            calls.append(t)
+            return 2.0 * t
+
+        d = continuous_density(UNIT, pdf, "2t")
+        assert best_expectation_enclosure(d) == (0.5, 0.75, 0.5)
+        # f(x+) and f(x-) at the 999 interior points, f(a+) and f(b-) once
+        assert len(calls) == 2000
+
 
 class TestExpectationViaCdf:
     def test_cross_checks_closed_form_means(self):

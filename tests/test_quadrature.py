@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, default_catalog
-from trapbound.pointwise import NotDifferentiableError
+from trapbound.pointwise import Enclosure, NotDifferentiableError
 from trapbound.quadrature import (
     ConvexityViolationError,
     Partition,
@@ -125,6 +125,15 @@ class TestRemainderEnclosure:
         f = ConvexFunction(Interval(0.0, 3.0), math.sin, math.cos, math.cos, "sin")
         with pytest.raises(ConvexityViolationError):
             remainder_enclosure(f, uniform_partition(f.domain, 4))
+
+    @pytest.mark.parametrize("rule", ["midpoint", "left", "right"])
+    def test_infinite_endpoint_value_gives_trivial_enclosure(self, rule):
+        # -log t is +inf at 0, so gn is inf (or 0 * inf = NaN with xi at 0)
+        # and gn - remainder.hi is inf - inf
+        f = catalog("neg_log", (), Interval(0.0, 2.0))
+        res = integrate(f, uniform_partition(f.domain, 4, rule))
+        assert res.integral == Enclosure(-math.inf, math.inf)
+        assert res.cells == 4
 
     def test_additivity_under_refinement(self):
         # the bracket over a split cell is at most the unsplit bracket
