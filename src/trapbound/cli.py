@@ -101,6 +101,8 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
             raise HypothesisError(
                 f"{path}: weights sum to {total!r}, not 1 (pass --normalize to rescale)"
             )
+        if total == 0:
+            raise HypothesisError(f"{path}: weights sum to 0, cannot normalize")
         weights = [w / total for w in weights]
     try:
         return div.DiscreteDistribution(tuple(weights))
@@ -215,10 +217,9 @@ def _cmd_hh(args) -> dict:
 def _build_density(args) -> probability.MonotoneDensity:
     iv = Interval(args.interval[0], args.interval[1])
     try:
-        tree = expr.parse(args.density, args.var)
+        pdf = expr.to_function(args.density, args.var)
     except expr.ParseError as exc:
         raise UsageError(f"--density: {exc}") from exc
-    pdf = lambda t: expr.eval_expr(tree, t)
     return probability.continuous_density(iv, pdf, label=args.density)
 
 

@@ -3,16 +3,22 @@
 Grammar (precedence high to low): ``^`` with a constant exponent, unary
 minus, ``*`` ``/``, ``+`` ``-``; same-precedence binary operators associate
 left.  Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable
-(default ``x``).  Evaluation reports singularities as errors; the symbolic
-differentiator covers the smooth fragment and refuses ``abs``, directing
-callers to one-sided finite differences.
+(default ``x``).  Evaluation reports singularities as errors.
+
+:func:`to_convex_function` compiles a tree once into straight-line Python:
+f itself, and forward-mode slope functions that carry ``(value, slope)``
+through each node, which give the exact one-sided derivatives f'+ and f'-,
+``abs`` included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import types
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 
 class ParseError(ValueError):
@@ -25,10 +31,6 @@ class ParseError(ValueError):
 
 class EvalError(ArithmeticError):
     """Singularity or undefined value during evaluation."""
-
-
-class NonSmoothExpressionError(ValueError):
-    """The expression contains abs; use finite-difference derivatives instead."""
 
 
 class Token(NamedTuple):
@@ -254,111 +256,56 @@ def eval_expr(e: Expression, t: float) -> float:
                 raise EvalError(f"division by zero in {to_string(e)}")
             return lv / rv
         if e.op == "^":
-            if lv == 0 and rv < 0:
-                raise EvalError(f"zero raised to negative power in {to_string(e)}")
-            if lv < 0 and rv != int(rv):
-                raise EvalError(f"negative base with non-integer exponent in {to_string(e)}")
-            try:
-                return lv ** rv
-            except OverflowError as exc:
-                raise EvalError(f"overflow in {to_string(e)}") from exc
+            return _power(lv, rv, e)
         raise ValueError(f"unknown binary op {e.op!r}")
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _power(lv: float, rv: float, e: Binary) -> float:
+    if lv == 0 and rv < 0:
+        raise EvalError(f"zero raised to negative power in {to_string(e)}")
+    if lv < 0 and rv != int(rv):
+        raise EvalError(f"negative base with non-integer exponent in {to_string(e)}")
+    try:
+        return lv ** rv
+    except OverflowError as exc:
+        raise EvalError(f"overflow in {to_string(e)}") from exc
 
 
 def _fold(e: Expression) -> Expression:
-    """Constant folding; also prunes additive/multiplicative identities."""
-    if isinstance(e, Unary):
-        arg = _fold(e.arg)
-        if isinstance(arg, Const):
-            if e.op == "neg":
-                return Const(-arg.value)
-            try:
-                return Const(eval_expr(Unary(e.op, arg), 0.0))
-            except EvalError:
-                pass
-        return Unary(e.op, arg)
-    if isinstance(e, Binary):
-        left = _fold(e.left)
-        right = _fold(e.right)
-        if isinstance(left, Const) and isinstance(right, Const):
-            try:
-                return Const(eval_expr(Binary(e.op, left, right), 0.0))
-            except EvalError:
-                pass
-        if e.op == "+":
-            if isinstance(left, Const) and left.value == 0:
-                return right
-            if isinstance(right, Const) and right.value == 0:
-                return left
-        if e.op == "-" and isinstance(right, Const) and right.value == 0:
-            return left
-        if e.op == "*":
-            for side, other in ((left, right), (right, left)):
-                if isinstance(side, Const):
-                    if side.value == 0:
-                        return Const(0.0)
-                    if side.value == 1:
-                        return other
-        if e.op == "^" and isinstance(right, Const):
-            if right.value == 1:
-                return left
-            if right.value == 0:
-                return Const(1.0)
-        return Binary(e.op, left, right)
-    return e
+    """Constant folding; also prunes the identities of :func:`_identity`."""
+    if not isinstance(e, (Unary, Binary)):
+        return e
+    kids = [_fold(k) for k in ((e.arg,) if isinstance(e, Unary) else (e.left, e.right))]
+    node = type(e)(e.op, *kids)
+    if all(isinstance(k, Const) for k in kids):
+        try:
+            return Const(eval_expr(node, 0.0))
+        except EvalError:
+            pass
+    if isinstance(node, Binary):
+        simpler = _identity(e.op, *kids, lambda a: a.value if isinstance(a, Const) else None)
+        if simpler is not None:
+            return Const(simpler) if isinstance(simpler, float) else simpler
+    return node
 
 
-def derivative_expr(e: Expression) -> Expression:
-    """Symbolic derivative of the smooth fragment (constant-folded).
-
-    ``abs`` anywhere in the tree raises :class:`NonSmoothExpressionError`;
-    callers should fall back to one-sided finite differences there.
-    """
-    return _fold(_derivative(e))
-
-
-def _derivative(e: Expression) -> Expression:
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0)
-    if isinstance(e, Unary):
-        if e.op == "abs":
-            raise NonSmoothExpressionError(
-                f"cannot differentiate {to_string(e)}: abs is not smooth; "
-                "use finite-difference one-sided derivatives"
-            )
-        du = _derivative(e.arg)
-        if e.op == "neg":
-            return Unary("neg", du)
-        if e.op == "exp":
-            return Binary("*", Unary("exp", e.arg), du)
-        if e.op == "log":
-            return Binary("/", du, e.arg)
-        if e.op == "sqrt":
-            return Binary("/", du, Binary("*", Const(2.0), Unary("sqrt", e.arg)))
-        raise ValueError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        dl = _derivative(e.left)
-        dr = _derivative(e.right)
-        if e.op in "+-":
-            return Binary(e.op, dl, dr)
-        if e.op == "*":
-            return Binary("+", Binary("*", dl, e.right), Binary("*", e.left, dr))
-        if e.op == "/":
-            num = Binary("-", Binary("*", dl, e.right), Binary("*", e.left, dr))
-            return Binary("/", num, Binary("^", e.right, Const(2.0)))
-        if e.op == "^":
-            assert isinstance(e.right, Const), "parser guarantees constant exponents"
-            c = e.right.value
-            return Binary(
-                "*",
-                Binary("*", Const(c), Binary("^", e.left, Const(c - 1.0))),
-                dl,
-            )
-        raise ValueError(f"unknown binary op {e.op!r}")
-    raise TypeError(f"not an expression node: {e!r}")
+def _identity(op: str, left, right, known):
+    """What ``left op right`` reduces to by 0 + a, a + 0, a - 0, 0 * a, a * 0,
+    1 * a, a * 1, a^1 and a^0 = 1, or None; ``known`` gives an operand's
+    constant value or None.  The constants 0 and 1 come back as floats."""
+    lv, rv = known(left), known(right)
+    if op == "+" and lv == 0:
+        return right
+    if op in ("+", "-") and rv == 0:
+        return left
+    if op == "*" and 0 in (lv, rv):
+        return 0.0
+    if op == "*" and lv == 1:
+        return right
+    if op in ("*", "^") and rv == 1:
+        return left
+    return 1.0 if op == "^" and rv == 0 else None
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -399,38 +346,161 @@ def _render(e: Expression, parent_prec: int) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# ---------------------------------------------------------------------------
+# Compiler
+# ---------------------------------------------------------------------------
+
+_TEMPLATES = {"neg": "-{}", "exp": "_exp({})", "log": "_log({})", "abs": "_abs({})",
+              "sqrt": "_sqrt({})", "+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+              "/": "{} / {}", "^": "{} ** {}"}
+
+
+@functools.lru_cache(maxsize=1024)
+def _identifier(prefix: str, i: int) -> str:
+    # cached, so a name stays interned between compiles; a compile that
+    # interned it afresh would churn CPython's table, which then grows ~400 KB
+    return sys.intern(f"{prefix}{i}")
+
+
+class _Body:
+    """Statements of generated functions of ``t``.  An operand is a float
+    known at compile time or a local's name; floats and nodes are bound as
+    globals, so no expression text reaches the source."""
+
+    def __init__(self, names: dict):
+        self.names = names
+        self.lines: list = []  # (local, template, operand names)
+        self.kinked = False
+
+    def ref(self, operand) -> str:
+        if isinstance(operand, str):
+            return operand
+        name = _identifier("k", len(self.names))
+        self.names[name] = operand
+        return name
+
+    def emit(self, template: str, *operands) -> str:
+        name = _identifier("v", len(self.lines))
+        self.lines.append((name, template, [self.ref(o) for o in operands]))
+        return name
+
+    def source(self, name: str, result) -> str:
+        """``def name(t)`` returning ``result``: a value used once is written
+        into its user, one used more often gets a local, and an unused one
+        is dropped."""
+        result = self.ref(result)
+        uses = {result: 1}
+        live = []
+        for line in reversed(self.lines):
+            if line[0] in uses:
+                live.append(line)
+                for r in line[2]:
+                    uses[r] = uses.get(r, 0) + 1
+        text: dict = {}
+        body = ""
+        for target, template, refs in reversed(live):
+            rhs = template.format(*(text.get(r, r) for r in refs))
+            if uses[target] == 1:
+                text[target] = f"({rhs})"
+            else:
+                body += f"        {target} = {rhs}\n"
+        return (f"def {name}(t):\n    try:\n{body}        return {text.get(result, result)}\n"
+                f"    except _FAULTS:\n        return {name}_fault(t)\n")
+
+    def apply(self, op: str, node: Expression, *args, fold: bool = False):
+        """``op`` on ``args``, evaluated now if all are known; with ``fold``,
+        :func:`_identity` applies, as to the old symbolic derivative."""
+        known = [a for a in args if isinstance(a, float)]
+        if len(known) == len(args):
+            consts = [Const(a) for a in args]
+            try:
+                return eval_expr(Unary(op, *consts) if len(consts) == 1 else Binary(op, *consts), 0.0)
+            except EvalError:
+                pass
+        elif fold and known:
+            simpler = _identity(op, *args, lambda a: a if isinstance(a, float) else None)
+            if simpler is not None:
+                return simpler
+        if op == "^" and not (isinstance(args[1], float) and args[1].is_integer()):
+            return self.emit("_power({}, {}, {})", *args, node)
+        return self.emit(_TEMPLATES[op], *args)
+
+    def node(self, e: Expression) -> tuple:
+        """``(value, slope)`` of ``e`` by forward mode; the slope is f'+ where
+        the global ``_side`` is 1.0 and f'- where it is -1.0.  Smooth nodes
+        apply the chain rule; ``|g|`` takes sign(g) times the slope of g away
+        from a zero of g, and at one d+|g| = |d+g|, d-|g| = -|d-g|."""
+        if isinstance(e, Const):
+            return e.value, 0.0
+        if isinstance(e, Var):
+            return "t", 1.0
+        arith = lambda op, a, b: self.apply(op, e, a, b, fold=True)
+        if isinstance(e, Unary):
+            u, du = self.node(e.arg)
+            v = self.apply(e.op, e, u)
+            if e.op == "neg":
+                return v, self.apply("neg", e, du)
+            if e.op == "exp":
+                return v, arith("*", v, du)
+            if e.op == "log":
+                return v, arith("/", du, u)
+            if e.op == "sqrt":
+                return v, arith("/", du, arith("*", 2.0, v))
+            self.kinked = True
+            return v, self.emit("{} if {} > 0 else (-{} if {} < 0 else _side * _abs({}))",
+                                du, u, du, u, du)
+        if isinstance(e, Binary):
+            (l, dl), (r, dr) = self.node(e.left), self.node(e.right)
+            v = self.apply(e.op, e, l, r)
+            if e.op in ("+", "-"):
+                return v, arith(e.op, dl, dr)
+            if e.op == "*":
+                return v, arith("+", arith("*", dl, r), arith("*", l, dr))
+            if e.op == "/":
+                num = arith("-", arith("*", dl, r), arith("*", l, dr))
+                return v, arith("/", num, arith("^", r, 2.0))
+            assert isinstance(e.right, Const), "parser guarantees constant exponents"
+            return v, arith("*", arith("*", r, arith("^", l, r - 1.0)), dl)
+        raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile(tree: Expression) -> tuple:
+    """``(f, f'+, f'-)`` of ``tree`` as generated straight-line Python; f'+
+    and f'- run one code object under globals that differ only in ``_side``.
+    f equals :func:`eval_expr` bit for bit: math.log, math.sqrt, math.exp,
+    ``/`` and ``**`` with an integral exponent raise exactly where eval_expr
+    refuses a value, other exponents go through its ``_power`` (``**`` gives
+    a negative base a complex result), and a point that raised is handed back
+    to eval_expr, so every message comes from its checks."""
+
+    def d_fault(t):
+        eval_expr(tree, t)  # f's own EvalError where f is singular at t
+        raise EvalError(f"slope of {to_string(tree)} is undefined at {t}")
+
+    names = {"__builtins__": {}, "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
+             "_abs": abs, "_power": _power, "_side": 1.0,
+             "_FAULTS": (ArithmeticError, ValueError),
+             "f_fault": functools.partial(eval_expr, tree), "d_fault": d_fault}
+    body = _Body(names)
+    value, slope = body.node(tree)
+    exec(compile(body.source("f", value) + body.source("d", slope), "<expression>", "exec"), names)
+    # popped, so that the functions and their globals form no reference cycle
+    f, dplus = names.pop("f"), names.pop("d")
+    if not body.kinked:
+        return f, dplus, dplus
+    return f, dplus, types.FunctionType(dplus.__code__, dict(names, _side=-1.0))
+
+
+def to_function(src: str, variable: str = "x") -> Callable[[float], float]:
+    """Compile expression text into a function of one float, as for a density."""
+    return _compile(parse(src, variable))[0]
+
+
 def to_convex_function(src: str, interval, variable: str = "x"):
-    """Build a :class:`trapbound.funcs.ConvexFunction` from expression text.
+    """Build a :class:`trapbound.funcs.ConvexFunction` from expression text,
+    compiled once, with the exact one-sided slopes as derivative oracles.
+    Convexity is NOT inferred here; run ``funcs.check_convexity``."""
+    from .funcs import ConvexFunction
 
-    Smooth expressions get an exact derivative oracle from
-    :func:`derivative_expr`; expressions containing ``abs`` fall back to
-    one-sided finite-difference oracles (power-of-two steps, so simple kinks
-    like ``abs(x - 0.5)`` come out exact).  Convexity is NOT inferred here;
-    callers should run :func:`trapbound.funcs.check_convexity`.
-    """
-    from .funcs import ConvexFunction, finite_difference_derivative
-
-    tree = parse(src, variable)
-    evaluate = lambda t: eval_expr(tree, t)
-
-    try:
-        dtree = derivative_expr(tree)
-    except NonSmoothExpressionError:
-        dtree = None
-
-    if dtree is not None:
-        deriv = lambda t: eval_expr(dtree, t)
-        return ConvexFunction(interval, evaluate, deriv, deriv, src)
-
-    h0 = interval.width / 8.0
-    levels = 28  # final step ~ width * 5e-10
-
-    def dplus(t: float) -> float:
-        h = min(h0, interval.b - t)
-        return finite_difference_derivative(evaluate, t, "right", h, levels).value
-
-    def dminus(t: float) -> float:
-        h = min(h0, t - interval.a)
-        return finite_difference_derivative(evaluate, t, "left", h, levels).value
-
-    return ConvexFunction(interval, evaluate, dplus, dminus, src)
+    f, dplus, dminus = _compile(parse(src, variable))
+    return ConvexFunction(interval, f, dplus, dminus, src)

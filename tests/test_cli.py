@@ -254,6 +254,18 @@ class TestCheck:
                                  "--p", p, "--q", str(bad))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("name, text", [
+        ("zeros.csv", "0\n0\n0\n"),
+        ("zeros.json", "[0, 0.0, 0]"),
+    ])
+    def test_zero_sum_normalize_exits_2(self, capsys, tmp_path, name, text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
+        assert code == 2 and out == ""
+        assert err.startswith("trapbound: hypothesis failure:")
+        assert "sum to 0" in err
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):

@@ -8,18 +8,17 @@ from trapbound.expr import (
     Binary,
     Const,
     EvalError,
-    NonSmoothExpressionError,
     ParseError,
     Unary,
     Var,
-    derivative_expr,
     eval_expr,
     parse,
     to_convex_function,
+    to_function,
     to_string,
     tokenize,
 )
-from trapbound.funcs import Interval
+from trapbound.funcs import Interval, catalog
 
 CORPUS = [
     "x",
@@ -55,6 +54,35 @@ CORPUS = [
 ]
 
 SMOOTH = [s for s in CORPUS if "abs" not in s]
+#: Where the abs entries of CORPUS have their kink.
+KINKS = {"abs(x)": 0.0, "abs(x - 0.5)": 0.5, "2 * abs(x) + x^2": 0.0}
+
+#: Points where eval_expr refuses a value, one per check.
+SINGULAR = [
+    ("1 / x", 0.0),
+    ("1 / x", -0.0),
+    ("log(x)", -1.0),
+    ("log(x)", 0.0),
+    ("sqrt(x)", -0.5),
+    ("x^0.5", -1.0),
+    ("x^1.5", -math.inf),
+    ("x^-1", 0.0),
+    ("exp(x^2)", 1e6),
+    ("x^3", 1e200),
+]
+
+
+def slopes(src):
+    """The compiled one-sided derivative oracles (f'+, f'-) of ``src``."""
+    f = to_convex_function(src, Interval(-2.0, 2.0))
+    return f.dplus, f.dminus
+
+
+def outcome(fn, t):
+    try:
+        return repr(fn(t))
+    except EvalError as exc:
+        return f"EvalError: {exc}"
 
 
 def reference_eval(src, t):
@@ -183,6 +211,17 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_expr(parse("exp(x^2)"), 1e6)
 
+    def test_compiled_matches_eval_bit_for_bit(self, rng):
+        for src in CORPUS:
+            tree, f = parse(src), to_function(src)
+            for t in rng.uniform(-1.5, 1.5, size=100):
+                t = float(t)
+                assert outcome(f, t) == outcome(lambda u: eval_expr(tree, u), t), (src, t)
+        for src, t in SINGULAR:
+            expected = outcome(lambda u: eval_expr(parse(src), u), t)
+            assert expected.startswith("EvalError"), (src, t)
+            assert outcome(to_function(src), t) == expected, (src, t)
+
 
 class TestRoundTrip:
     def test_corpus_round_trips(self):
@@ -191,32 +230,62 @@ class TestRoundTrip:
             assert parse(to_string(tree)) == tree, src
 
     def test_derivatives_round_trip(self):
-        for src in SMOOTH:
-            dtree = derivative_expr(parse(src))
-            assert parse(to_string(dtree)) == dtree, src
+        points = [-0.9 + 0.1 * i for i in range(19)]
+        for src in CORPUS:
+            again = to_string(parse(src))
+            for mine, theirs in zip(slopes(src), slopes(again)):
+                assert [outcome(mine, t) for t in points] == [outcome(theirs, t) for t in points], src
 
 
 class TestDerivative:
     def test_simple_forms(self):
-        assert to_string(derivative_expr(parse("x^2"))) == "2 * x"
-        assert to_string(derivative_expr(parse("x"))) == "1"
-        assert to_string(derivative_expr(parse("5"))) == "0"
+        for t in (-1.5, -0.25, 0.0, 0.3, 1.0):
+            for side in slopes("x^2"):
+                assert side(t) == 2 * t
+            for side in slopes("x"):
+                assert side(t) == 1.0
+            for side in slopes("5"):
+                assert side(t) == 0.0
 
     def test_matches_central_difference(self, rng):
         h = 1e-6
         for src in SMOOTH:
             tree = parse(src)
-            dtree = derivative_expr(tree)
+            dplus, dminus = slopes(src)
             for t in rng.uniform(-1.0, 1.0, size=25):
                 t = float(t)
                 fd = (eval_expr(tree, t + h) - eval_expr(tree, t - h)) / (2 * h)
-                sym = eval_expr(dtree, t)
-                assert sym == pytest.approx(fd, rel=1e-5, abs=1e-6), (src, t)
+                for side in (dplus, dminus):
+                    assert side(t) == pytest.approx(fd, rel=1e-5, abs=1e-6), (src, t)
+        for src, kink in KINKS.items():
+            tree = parse(src)
+            dplus, dminus = slopes(src)
+            for t in rng.uniform(-1.0, 1.0, size=25):
+                t = float(t)
+                if abs(t - kink) < 1e-3:
+                    continue
+                fd = (eval_expr(tree, t + h) - eval_expr(tree, t - h)) / (2 * h)
+                for side in (dplus, dminus):
+                    assert side(t) == pytest.approx(fd, rel=1e-5, abs=1e-6), (src, t)
 
-    def test_abs_refused(self):
-        for src in ("abs(x)", "x^2 + abs(x - 0.5)"):
-            with pytest.raises(NonSmoothExpressionError):
-                derivative_expr(parse(src))
+    def test_zero_of_abs_argument(self):
+        # d+|g| = |d+g| and d-|g| = -|d-g| where g = 0
+        dplus, dminus = slopes("abs(2*x - 1) + x^2")
+        assert dplus(0.5) == 2 + 1.0
+        assert dminus(0.5) == -2 + 1.0
+        # inner kink at 0.5 and outer zero at 0.25 and 0.75
+        dplus, dminus = slopes("abs(abs(x - 0.5) - 0.25)")
+        assert (dplus(0.25), dminus(0.25)) == (1.0, -1.0)
+        assert (dplus(0.5), dminus(0.5)) == (-1.0, 1.0)
+        assert (dplus(0.75), dminus(0.75)) == (1.0, -1.0)
+
+    def test_undefined_slope_is_an_eval_error(self):
+        # f is finite at 0 but its slope is not; f's own errors come first
+        dplus, _ = slopes("-sqrt(x)")
+        with pytest.raises(EvalError, match="slope of -sqrt"):
+            dplus(0.0)
+        with pytest.raises(EvalError, match="sqrt of negative value"):
+            dplus(-1.0)
 
 
 class TestToConvexFunction:
@@ -228,14 +297,17 @@ class TestToConvexFunction:
 
     def test_abs_kink_sides(self):
         f = to_convex_function("abs(x - 0.5)", Interval(0.0, 1.0))
-        assert f.d_plus(0.5) == pytest.approx(1.0, abs=1e-9)
-        assert f.d_minus(0.5) == pytest.approx(-1.0, abs=1e-9)
-        assert f.d_plus(0.75) == pytest.approx(1.0, abs=1e-9)
+        assert f.d_plus(0.5) == 1.0
+        assert f.d_minus(0.5) == -1.0
+        assert f.d_plus(0.75) == 1.0
 
     def test_custom_variable(self):
         f = to_convex_function("exp(t)", Interval(0.0, 1.0), variable="t")
         assert f(1.0) == pytest.approx(math.e, rel=1e-15)
         assert f.d_plus(0.5) == pytest.approx(math.exp(0.5), rel=1e-12)
+        # the variable's name never reaches the generated code
+        for name in ("t", "k0", "v0", "f_fault", "_exp"):
+            assert to_function(f"{name} * 2", variable=name)(3.0) == 6.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,3 +323,19 @@ def test_polynomial_eval_property(coeffs, t):
     expected = math.fsum(c * t ** k for k, c in enumerate(coeffs))
     assert eval_expr(tree, t) == pytest.approx(expected, rel=1e-12, abs=1e-9)
     assert parse(to_string(tree)) == tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.floats(min_value=0.125, max_value=8.0),
+    c=st.floats(min_value=-1.5, max_value=1.5),
+    ts=st.lists(st.floats(min_value=-1.9, max_value=1.9), min_size=1, max_size=8),
+)
+def test_kink_slopes_match_catalog(k, c, ts):
+    iv = Interval(-2.0, 2.0)
+    f = to_convex_function(f"{k!r}*abs(x - ({c!r})) + x^2", iv)
+    kink, square = catalog("kink", (k, c), iv), catalog("quadratic", (), iv)
+    for t in [c, *ts]:
+        for got, want in ((f.d_plus(t), kink.d_plus(t) + square.d_plus(t)),
+                          (f.d_minus(t), kink.d_minus(t) + square.d_minus(t))):
+            assert abs(got - want) <= 2 * math.ulp(want), (t, got, want)

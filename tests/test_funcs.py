@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from finite_difference import finite_difference_derivative
 
 from trapbound.funcs import (
     ConvexFunction,
@@ -9,7 +10,6 @@ from trapbound.funcs import (
     NonConvexityError,
     catalog,
     check_convexity,
-    finite_difference_derivative,
 )
 
 
