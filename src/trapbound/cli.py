@@ -101,6 +101,8 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
             raise HypothesisError(
                 f"{path}: weights sum to {total!r}, not 1 (pass --normalize to rescale)"
             )
+        if min(weights) < 0:
+            raise HypothesisError(f"{path}: negative weight {min(weights)!r}, cannot normalize")
         if total == 0:
             raise HypothesisError(f"{path}: weights sum to 0, cannot normalize")
         weights = [w / total for w in weights]

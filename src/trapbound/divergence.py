@@ -241,8 +241,9 @@ def generator_catalog(name: str) -> GeneratorFunction:
     if name == "hellinger":
         return GeneratorFunction(
             fn=lambda u: (math.sqrt(u) - 1.0) ** 2,
-            dplus=lambda u: 1.0 - 1.0 / math.sqrt(u),
-            dminus=lambda u: 1.0 - 1.0 / math.sqrt(u),
+            # the slopes tend to -inf at 0, where q = 0 < p puts a term
+            dplus=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
+            dminus=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
             label="hellinger",
             antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
             slope_at_infinity=1.0,

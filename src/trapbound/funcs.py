@@ -70,6 +70,12 @@ class ConvexFunction:
     endpoints (e.g. -log t at t=0).  ``antiderivative`` is an optional exact
     antiderivative, attached by the catalog and used for reference values.
 
+    ``_d2range``, private and optional (the catalog's), maps a cell (u, v)
+    to ``(lo, hi)`` with 0 <= lo <= f'' <= hi (hi may be +inf) on it, or to
+    None where no range is known.  Each end may be one ulp off, as one call
+    to a faithful libm (within 1 ulp) is; a multi-step oracle rounds its
+    inner steps outward.
+
     Instances are immutable and all methods are pure.
     """
 
@@ -79,6 +85,7 @@ class ConvexFunction:
     dminus: Callable[[float], float]
     label: str = ""
     antiderivative: Optional[Callable[[float], float]] = None
+    _d2range: Optional[Callable[[float, float], Optional[tuple]]] = None
 
     def __call__(self, x: float) -> float:
         if not self.domain.contains(x):
@@ -181,6 +188,12 @@ CATALOG_NAMES = (
 )
 
 
+def _recip_sq(t: float, s: float) -> float:
+    """1/t^2 for t >= 0, with 1/t rounded towards s (0.0 or inf); +inf at 0."""
+    r = math.nextafter(1.0 / t, s) if t else math.inf
+    return r * r
+
+
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
     """Reference convex functions with exact oracles and antiderivatives.
 
@@ -213,6 +226,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: k if t > c else -k,
             label=f"kink(k={k}, c={c})",
             antiderivative=lambda t: 0.5 * k * (t - c) * abs(t - c),
+            _d2range=lambda u, v: None if u < c < v else (0.0, 0.0),
         )
 
     if name == "quadratic":
@@ -223,6 +237,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: 2.0 * t,
             label="quadratic",
             antiderivative=lambda t: t ** 3 / 3.0,
+            _d2range=lambda u, v: (2.0, 2.0),
         )
 
     if name == "exp":
@@ -233,6 +248,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=math.exp,
             label="exp",
             antiderivative=math.exp,
+            _d2range=lambda u, v: (math.exp(u), math.exp(v)),
         )
 
     if name == "neg_log":
@@ -245,6 +261,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: -1.0 / t,
             label="neg_log",
             antiderivative=lambda t: 0.0 if t == 0 else t - t * math.log(t),
+            _d2range=lambda u, v: (_recip_sq(v, 0.0), _recip_sq(u, math.inf)),
         )
 
     if name == "xlogx":
@@ -257,6 +274,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: math.log(t) + 1.0,
             label="xlogx",
             antiderivative=lambda t: 0.0 if t == 0 else 0.5 * t * t * math.log(t) - 0.25 * t * t,
+            _d2range=lambda u, v: (1.0 / v, math.inf if u == 0 else 1.0 / u),
         )
 
     if name == "power_p":
@@ -273,6 +291,16 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
                 return 1.0 if p == 1 else 0.0
             return p * t ** (p - 1.0)
 
+        coef = p * (p - 1.0)  # p - 1 and p - 2 are exact for 1 <= p <= 2^53
+
+        def _d2(t: float, s: float) -> float:
+            # p(p-1) t^(p-2), both factors rounded towards s (0.0 or inf),
+            # which is also the bound where the power overflows or t = 0 < 2 - p
+            try:
+                return math.nextafter(coef, s) * math.nextafter(t ** (p - 2.0), s)
+            except (OverflowError, ZeroDivisionError):
+                return s
+
         return ConvexFunction(
             domain=iv,
             evaluate=lambda t: t ** p,
@@ -280,19 +308,25 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=_deriv,
             label=f"power_p(p={p})",
             antiderivative=lambda t: t ** (p + 1.0) / (p + 1.0),
+            # f'' decreases for p < 2 and increases for p > 2
+            _d2range=lambda u, v: (_d2(v, 0.0), _d2(u, math.inf)) if p < 2.0 else (_d2(u, 0.0), _d2(v, math.inf)),
         )
 
     if name == "linear":
         if len(params) != 2:
             raise ValueError("linear expects params (m, c)")
         m, c = params
+        from fractions import Fraction  # deferred: only this family needs it
+        mq, cq = Fraction(m), Fraction(c)
         return ConvexFunction(
             domain=iv,
-            evaluate=lambda t: m * t + c,
+            # one rounding: m*t + c in floats cancels near its root, far beyond an ulp
+            evaluate=lambda t: float(mq * Fraction(t) + cq),
             dplus=lambda t: m,
             dminus=lambda t: m,
             label=f"linear(m={m}, c={c})",
             antiderivative=lambda t: 0.5 * m * t * t + c * t,
+            _d2range=lambda u, v: (0.0, 0.0),
         )
 
     if name == "constant":
@@ -306,6 +340,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: 0.0,
             label=f"constant({c})",
             antiderivative=lambda t: c * t,
+            _d2range=lambda u, v: (0.0, 0.0),
         )
 
     raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")

@@ -23,10 +23,10 @@ to a trivially true enclosure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
-from .funcs import DEFAULT_TOL, ConvexFunction, DomainError
+from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval
 
 
 class NotDifferentiableError(ValueError):
@@ -170,9 +170,8 @@ def _reference_integral(f: ConvexFunction, u: float, v: float, eps: float = 1e-1
         return f.integral(u, v)
     from . import quadrature  # deferred: quadrature depends on this module
 
-    from .funcs import Interval
-
-    sub = ConvexFunction(Interval(u, v), f.evaluate, f.dplus, f.dminus, f.label)
+    # replace keeps every oracle of f, the f'' range included
+    sub = replace(f, domain=Interval(u, v))
     result = quadrature.adaptive_integrate(sub, eps=eps, max_cells=200_000)
     return result.integral.midpoint
 

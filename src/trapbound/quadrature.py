@@ -24,8 +24,10 @@ both ends and the midpoint, the one-sided slopes there), so a bisection
 evaluates only the two new midpoints, and each cell is bracketed by the
 tangent/chord sandwich of those samples (Burkard, Hamacher & Rote 1991): the
 integral lies below the two chords through the midpoint and above the
-supporting lines.  That sandwich is intersected with the paper's bracket, so
-no adaptive cell is wider than the paper's bracket for it.
+supporting lines.  That sandwich is intersected with the paper's bracket and,
+where f carries an f'' range, with T - I in h^3/12 [min f'', max f''] rounded
+outward.  Slopes alone cannot beat O(n^-2) (Rote 1992), so cells grow like
+eps^-1/2; that term is O(h^4 f''') wide, and cells then grow like eps^-1/3.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
 from .pointwise import Enclosure, _derivative, _gap_bracket, _midpoint_bracket
@@ -83,11 +85,11 @@ class Partition:
 class QuadratureResult:
     """Rule value G_n, remainder bracket for S_n, and the implied integral enclosure.
 
-    Always ``integral == [gn - remainder.hi, gn - remainder.lo]``, except
-    that a side that comes out NaN (f infinite at an end of the domain) is
-    the trivial one, -inf or +inf.  ``converged`` is False when an adaptive
-    run exhausted its cell budget or hit an infinite bracket; the enclosure
-    is valid regardless.
+    ``integral`` is ``[gn - remainder.hi, gn - remainder.lo]``, rounded
+    outward by one ulp for an adaptive run; a side that comes out NaN (f
+    infinite at an end of the domain) is the trivial one, -inf or +inf.
+    ``converged`` is False when an adaptive run exhausted its cell budget or
+    hit an infinite bracket; the enclosure is valid regardless.
     """
 
     gn: float
@@ -252,16 +254,26 @@ def _envelope_area(w: float, fl: float, dl: float, fr: float, dr: float) -> floa
     return s * (fl + 0.5 * dl * s) + r * (fr - 0.5 * dr * r)
 
 
+def _cubic_term(h: float, d2: float, s: float) -> float:
+    """(v - u)^3/12 * d2 for a cell whose width v - u rounded to h, each step
+    rounded towards s (0.0 for a lower bound, +inf for an upper; all factors
+    are >= 0): one ``math.nextafter`` covers a rounding or a faithful d2."""
+    h = math.nextafter(h, s)
+    k = math.nextafter(math.nextafter(math.nextafter(h * h, s) * h, s) / 12.0, s)
+    return math.nextafter(k * math.nextafter(d2, s), s)
+
+
 def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float) -> tuple:
     """Heap entry for one cell with midpoint xi, given the endpoint samples.
 
     The endpoint values and the outward one-sided slopes come from the
     parent cell; only the midpoint is evaluated here.  The remainder bracket
     is the tangent/chord sandwich of these samples, [T - C, T - E] with C the
-    two-chord value and E the area under the supporting lines, intersected
-    with the paper's bracket and the Hermite-Hadamard bracket [0, T - h f(m)].
-    The latter needs no derivatives; it keeps cells touching a point with an
-    infinite one-sided derivative (e.g. t*log t at 0) finite and refinable.
+    two-chord value and E the area under the supporting lines, each over the
+    halves' own widths, intersected with the paper's bracket cut at 0 and,
+    where f has an f'' range, with the f'' term of :func:`_cubic_term`.
+    Where that term misses the sandwich, rounding moved the sandwich, and
+    the term is kept whole.
 
     A cell with no float strictly inside it (its ends are adjacent floats)
     cannot be bisected.  It samples nothing, is bracketed by
@@ -269,7 +281,6 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     carries ``m = None``.
     """
     h = v - u
-    w = 0.5 * h
     m = 0.5 * (u + v)
     t = 0.5 * (fu + fv) * h
     if u < m < v:
@@ -284,9 +295,10 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
         if math.isfinite(t):
             hi = min(hi_p, t - _envelope_area(h, fu, dpu, fv, dmv))
     elif math.isfinite(t) and math.isfinite(fm):
-        hi_p = min(hi_p, t - h * fm)
-        lo = max(lo_p, t - 0.5 * w * (fu + 2.0 * fm + fv))
-        hi = min(hi_p, t - (_envelope_area(w, fu, dpu, fm, dmm) + _envelope_area(w, fm, dpm, fv, dmv)))
+        # the halves' own widths: the float m is off the midpoint by rounding
+        wl, wr = m - u, v - m
+        lo = max(lo_p, t - 0.5 * (wl * (fu + fm) + wr * (fm + fv)))
+        hi = min(hi_p, t - (_envelope_area(wl, fu, dpu, fm, dmm) + _envelope_area(wr, fm, dpm, fv, dmv)))
     # the tolerance is worked out only for an inverted bracket, which is rare
     if lo > hi and lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
         raise ConvexityViolationError(
@@ -296,6 +308,11 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     # an inversion by rounding alone collapses to a point inside [lo_p, hi_p]
     lo = min(lo, max(hi_p, lo_p))
     hi = max(hi, lo)
+    d2 = f._d2range(u, v) if f._d2range is not None else None
+    if d2 is not None:
+        # T - I lies in (v - u)^3/12 [min f'', max f''], rounded outward
+        q_lo, q_hi = _cubic_term(h, d2[0], 0.0), _cubic_term(h, d2[1], math.inf)
+        lo, hi = (max(lo, q_lo), min(hi, q_hi)) if q_lo <= hi and lo <= q_hi else (q_lo, q_hi)
     return (-(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
 
 
@@ -306,10 +323,17 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     whose remainder bracket is widest (ties broken by the leftmost cell)
     until the total width is <= ``eps`` or ``max_cells`` is reached.  Each
     cell's bracket is the tangent/chord sandwich of its samples intersected
-    with the paper's bracket, so it is never wider than the paper's bracket
-    that :func:`integrate` reports for the same cell.  A run over n cells
-    makes 2n + 1 calls to f and 4n to its one-sided derivatives, fewer if
-    some cells are too narrow to bisect.
+    with the paper's bracket and, where f has an f'' range, with the f''
+    term.  A run over n cells makes 2n + 1 calls to f, 4n to its one-sided
+    derivatives and 2n - 1 to its f'' range, fewer if some cells are too
+    narrow to bisect; n grows like eps^-1/3 with an f'' range, else eps^-1/2.
+
+    The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
+    remainder is widened by a bound on the rounding of gn and of each
+    t = (f(u) + f(v))/2 (v - u): 4 ulp(t) for its three operations plus
+    (v - u)(ulp f(u) + ulp f(v)) for faithful values of f.  It and the
+    integral are then rounded outward.  The running totals that stop the
+    loop carry no allowance, so the reported width may exceed ``eps`` by it.
 
     A spent budget, a widest cell with an infinite bracket (f infinite at
     an end of the domain), or cells too narrow to bisect in floating point
@@ -325,28 +349,36 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b))
     # cells too narrow to bisect keep their share of the totals but leave the heap
     heap = [] if cell[10] is None else [cell]
-    settled = 0 if heap else 1
-    total_t, total_lo, total_hi = cell[3:6]
+    settled = [] if heap else [cell]
+    total_lo, total_hi = cell[4:6]
 
     # an infinite total means a cell is unbounded where f is infinite; bisection cannot help
-    while heap and eps < total_hi - total_lo < math.inf and len(heap) + settled < max_cells:
+    while heap and eps < total_hi - total_lo < math.inf and len(heap) + len(settled) < max_cells:
         if heap[0][0] == 0.0:
             break  # widest cell exact
-        _, u, v, ct, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
-        total_t -= ct
+        _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
         total_lo -= clo
         total_hi -= chi
         for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm), _adaptive_cell(f, m, v, fm, fv, dpm, dmv)):
             if cell[10] is None:
-                settled += 1
+                settled.append(cell)
             else:
                 heapq.heappush(heap, cell)
-            total_t += cell[3]
             total_lo += cell[4]
             total_hi += cell[5]
 
     width = total_hi - total_lo
     converged = math.isfinite(width) and width <= eps
-    remainder = Enclosure(min(total_lo, total_hi), total_hi)
-    integral = _integral_enclosure(total_t, remainder)
-    return QuadratureResult(total_t, remainder, integral, len(heap) + settled, converged)
+    cells = heap + settled
+    total_t = sum(c[3] for c in cells)
+    if not (math.isfinite(width) and math.isfinite(total_t)):
+        remainder = Enclosure(min(total_lo, total_hi), total_hi)
+        return QuadratureResult(total_t, remainder, _integral_enclosure(total_t, remainder), len(cells), converged)
+    gn = math.fsum(c[3] for c in cells)
+    # gn is within err of the exact sum of the cells' (f(u) + f(v))/2 (v - u)
+    err = math.nextafter(math.fsum([math.ulp(gn), *(
+        4.0 * math.ulp(c[3]) + (c[2] - c[1]) * (math.ulp(c[6]) + math.ulp(c[7])) for c in cells)]), math.inf)
+    remainder = Enclosure(math.nextafter(math.fsum([-err, *(c[4] for c in cells)]), -math.inf),
+                          math.nextafter(math.fsum([err, *(c[5] for c in cells)]), math.inf))
+    integral = Enclosure(math.nextafter(gn - remainder.hi, -math.inf), math.nextafter(gn - remainder.lo, math.inf))
+    return QuadratureResult(gn, remainder, integral, len(cells), converged)

@@ -119,7 +119,9 @@ class TestIntegrate:
         assert rep["converged"] and rep["certified"]
         assert rep["integral"]["lo"] <= 1.0 / 3.0 <= rep["integral"]["hi"]
         assert rep["width"] <= 1e-6
-        assert rep["integral"]["hi"] == rep["gn"] - rep["remainder"]["lo"]
+        # the integral is [gn - hi, gn - lo] of the remainder, rounded outward
+        assert rep["integral"]["lo"] == math.nextafter(rep["gn"] - rep["remainder"]["hi"], -math.inf)
+        assert rep["integral"]["hi"] == math.nextafter(rep["gn"] - rep["remainder"]["lo"], math.inf)
 
     def test_fixed_partition(self, capsys):
         rep = run_json(capsys, "integrate", "--fn", "exp(x)",
@@ -220,6 +222,23 @@ class TestDivergence:
         assert json.loads(out)["sandwich_holds"]
 
 
+    def test_hellinger_with_q_zero_has_infinite_gap_hi(self, tmp_path):
+        # the hellinger slope tends to -inf at 0, so a point with q = 0 < p
+        # makes the gap's upper side +inf instead of dividing by zero
+        p = tmp_path / "p.csv"
+        q = tmp_path / "q.csv"
+        p.write_text("0.2\n0.3\n0.5\n")
+        q.write_text("0.5\n0\n0.5\n")
+        argv = [sys.executable, "-m", "trapbound", "divergence", "--generator", "hellinger",
+                "--p", str(p), "--q", str(q)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["gap"] == {"lo": 0.0, "hi": "inf"}
+        assert rep["sandwich_holds"]
+
+
 class TestCheck:
     def test_all_valid(self, capsys, dist_files):
         p, _ = dist_files
@@ -265,6 +284,23 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("trapbound: hypothesis failure:")
         assert "sum to 0" in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("neg.csv", "-0.5\n-0.5\n"),
+        ("neg.json", "[-0.5, -0.5]"),
+    ])
+    def test_negative_weights_normalize_exits_2(self, capsys, tmp_path, dist_files, name, text):
+        # dividing by the negative sum would flip the signs into a valid file
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
+        assert code == 2 and out == ""
+        assert "negative weight" in err
+        p, _ = dist_files
+        code, out, err = run_cli(capsys, "divergence", "--generator", "kl",
+                                 "--p", p, "--q", str(bad), "--normalize")
+        assert code == 2 and out == ""
+        assert "negative weight" in err
 
 
 class TestExitCodes:

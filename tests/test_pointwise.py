@@ -75,6 +75,20 @@ class TestGap:
         bare = ConvexFunction(QUAD.domain, QUAD.evaluate, QUAD.dplus, QUAD.dminus, "bare")
         assert gap(GapQuery(bare, 0.5)) == pytest.approx(1.0 / 6.0, abs=1e-9)
 
+    def test_adaptive_fallback_keeps_the_f2_range(self):
+        # the window's sub-domain copy of f must keep its f'' range oracle
+        calls = []
+
+        def d2range(u, v):
+            calls.append((u, v))
+            return (2.0, 2.0)
+
+        bare = ConvexFunction(QUAD.domain, QUAD.evaluate, QUAD.dplus, QUAD.dminus, "bare", _d2range=d2range)
+        rep = window_inequality(bare, 0.5, 0.4)
+        # the first cell is the whole window [x - h/2, x + h/2]
+        assert calls[0] == (0.5 - 0.5 * 0.4, 0.5 + 0.5 * 0.4)
+        assert rep.holds
+
     def test_split_point_outside_domain(self):
         with pytest.raises(DomainError):
             GapQuery(QUAD, 1.5)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, default_catalog
 from trapbound.pointwise import Enclosure, NotDifferentiableError
 from trapbound.quadrature import (
     ConvexityViolationError,
     Partition,
+    _adaptive_cell,
     adaptive_integrate,
     differentiable_lower_remainder,
     generalized_trapezoid,
@@ -30,6 +32,30 @@ def trapezoid_oracle(f, n):
     h = (b - a) / n
     xs = [a + i * h for i in range(n + 1)]
     return h * (0.5 * f(xs[0]) + sum(f(x) for x in xs[1:-1]) + 0.5 * f(xs[-1]))
+
+
+def assert_rounded_outward(res):
+    # the documented relation: integral = [gn - hi, gn - lo], rounded outward
+    assert res.integral.lo == math.nextafter(res.gn - res.remainder.hi, -math.inf)
+    assert res.integral.hi == math.nextafter(res.gn - res.remainder.lo, math.inf)
+
+
+def first_cell(f):
+    """The kernel's entry for the whole domain of f as one cell."""
+    a, b = f.domain.a, f.domain.b
+    return _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b))
+
+
+def assert_one_cell_result(res, cell):
+    # a one-cell result is the cell's bracket widened by the documented
+    # rounding allowance of t = (f(u) + f(v))/2 (v - u) and of gn, rounded outward
+    _, u, v, t, lo, hi, fu, fv = cell[:8]
+    err = math.nextafter(math.fsum([math.ulp(t), 4.0 * math.ulp(t) + (v - u) * (math.ulp(fu) + math.ulp(fv))]),
+                         math.inf)
+    assert res.cells == 1 and res.gn == t
+    assert res.remainder.lo == math.nextafter(math.fsum([-err, lo]), -math.inf)
+    assert res.remainder.hi == math.nextafter(math.fsum([err, hi]), math.inf)
+    assert_rounded_outward(res)
 
 
 class TestPartition:
@@ -248,7 +274,11 @@ class TestAdaptive:
         res = adaptive_integrate(f, eps=1e-9)
         assert res.converged
         assert res.cells == 1
-        assert res.integral.lo == res.integral.hi == pytest.approx(f.integral(), abs=1e-15)
+        # f'' = 0 makes the cell's bracket [-tiny, tiny]; only rounding remains
+        lo, hi = first_cell(f)[4:6]
+        assert -5e-324 <= lo <= 0.0 <= hi <= 5e-324
+        assert_one_cell_result(res, first_cell(f))
+        assert res.integral.contains(f.integral())
 
     def test_tighter_eps_needs_more_cells(self):
         loose = adaptive_integrate(EXP, eps=1e-4)
@@ -279,6 +309,25 @@ class TestAdaptive:
             assert calls["f"] == 2 * res.cells + 1
             assert calls["df"] == 4 * res.cells
 
+    def test_f2_range_adds_one_call_per_cell(self):
+        # the same samples as above, and one f'' range per cell made
+        calls = {"f": 0, "df": 0, "d2": 0}
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        f = ConvexFunction(EXP.domain, counted("f", math.exp), counted("df", math.exp), counted("df", math.exp),
+                           "exp", _d2range=counted("d2", EXP._d2range))
+        for eps, max_cells in ((1e-8, 10_000), (1e-13, 100)):
+            calls.update(f=0, df=0, d2=0)
+            res = adaptive_integrate(f, eps=eps, max_cells=max_cells)
+            assert calls["f"] == 2 * res.cells + 1
+            assert calls["df"] == 4 * res.cells
+            assert calls["d2"] == 2 * res.cells - 1
+
     @pytest.mark.parametrize("f, truth", [
         (EXP, math.e - 1.0),
         (catalog("xlogx", (), Interval(0.0, 1.0)), -0.25),
@@ -288,9 +337,8 @@ class TestAdaptive:
         res = adaptive_integrate(f, eps=1e-10, max_cells=200_000)
         assert res.converged
         assert res.integral.width <= 1e-10
-        assert res.integral.contains(truth, slack=1e-12)
-        assert res.integral.lo == res.gn - res.remainder.hi
-        assert res.integral.hi == res.gn - res.remainder.lo
+        assert res.integral.contains(truth)
+        assert_rounded_outward(res)
 
     def test_supporting_lines_meet_at_kink(self):
         # on [0, 0.5] the lines at 0 and 0.5 cross at the kink 0.3, so the
@@ -301,10 +349,36 @@ class TestAdaptive:
         assert res.integral.lo == pytest.approx(f.integral(), abs=1e-15)
 
     def test_sandwich_halves_cells(self):
-        # the paper's bracket alone needs 4,932 cells here
-        res = adaptive_integrate(EXP, eps=1e-8)
+        # the paper's bracket alone needs 4,932 cells here; the sandwich alone
+        # (no f'' range) needs 2,466
+        res = adaptive_integrate(dataclasses.replace(EXP, _d2range=None), eps=1e-8)
         assert res.converged
         assert res.cells <= 2_500
+
+    @pytest.mark.parametrize("f, most", [
+        (EXP, 300),
+        (catalog("xlogx"), 600),  # f'' = 1/t is unbounded at 0
+        (catalog("power_p", (3.0,)), 500),
+    ], ids=["exp", "xlogx", "power_p3"])
+    def test_f2_range_cuts_cells(self, f, most):
+        # the sandwich alone needs 2,466, 3,476 and 3,012 cells here
+        res = adaptive_integrate(f, eps=1e-8)
+        assert res.converged
+        assert res.cells <= most
+
+    @pytest.mark.parametrize("f", [QUAD, catalog("linear", (2.0, -1.0)), catalog("constant", (5.0,))],
+                             ids=["quadratic", "linear", "constant"])
+    def test_constant_f2_makes_one_cell_exact(self, f):
+        res = adaptive_integrate(f, eps=1e-8)
+        assert res.converged
+        assert res.cells == 1
+        assert res.integral.contains(f.integral())
+
+    def test_expression_keeps_sandwich_cells(self):
+        # expressions carry no f'' range yet: exp(x) needs what the sandwich needs
+        res = adaptive_integrate(to_convex_function("exp(x)", Interval(0.0, 1.0)), eps=1e-8)
+        assert res.converged
+        assert res.cells == 2_466
 
     def test_infinite_endpoint_value_stops_unconverged(self):
         # -log t is +inf at 0: the cell touching 0 has an infinite bracket
@@ -344,14 +418,17 @@ def test_adaptive_cell_inside_paper_bracket_property(idx, p, q):
     u, v = sorted(a + (b - a) * x for x in (p, q))
     assume(u < v)
     cell = dataclasses.replace(f, domain=Interval(u, v))
-    # a one-cell budget reports the first cell's bracket as is
-    rem = adaptive_integrate(cell, eps=1.0, max_cells=1).remainder
+    entry = first_cell(cell)
+    lo, hi = entry[4:6]
     paper = trapezoid_remainder_enclosure(cell, uniform_partition(cell.domain, 1))
     # both brackets come from the same kernel with the same weights; the
     # allowance covers a bracket inverted by rounding, which the adaptive
-    # cell collapses to a point
-    assert paper.lo - 4 * math.ulp(paper.lo) <= rem.lo
-    assert rem.hi <= paper.hi + 4 * math.ulp(paper.hi)
+    # cell collapses to a point; where rounding put the paper's upper side
+    # below the f'' term's lower one, the f'' term is kept whole
+    assert paper.lo - 4 * math.ulp(paper.lo) <= lo
+    assert hi <= paper.hi + 4 * math.ulp(paper.hi) or lo > paper.hi
+    # a one-cell budget reports that bracket with the rounding allowance
+    assert_one_cell_result(adaptive_integrate(cell, eps=1.0, max_cells=1), entry)
 
 
 @pytest.mark.parametrize("idx", range(8))
@@ -366,9 +443,15 @@ def test_adaptive_cell_one_ulp_wide(idx):
         cell = dataclasses.replace(f, domain=Interval(u, v))
         res = adaptive_integrate(cell, eps=1e-300)
         paper_hi = 0.125 * (v - u) ** 2 * (f.d_minus(v) - f.d_plus(u))
-        assert res.cells == 1
-        assert res.remainder.lo == 0.0
-        assert 0.0 <= res.remainder.hi <= paper_hi
-        assert res.integral.hi == res.gn == 0.5 * (f(u) + f(v)) * (v - u)
+        entry = first_cell(cell)
+        assert entry[10] is None  # never bisected
+        # the lower side is the f'' term h^3/12 min f'' (>= Hermite-Hadamard's
+        # 0); the upper side is at most the paper's, unless rounding put the
+        # paper's below that lower side, and the f'' term is kept whole
+        lo, hi = entry[4:6]
+        assert 0.0 <= lo <= hi
+        assert hi <= paper_hi or lo > paper_hi
+        assert res.gn == 0.5 * (f(u) + f(v)) * (v - u)
+        assert_one_cell_result(res, entry)
         trap = trapezoid_remainder_enclosure(cell, uniform_partition(cell.domain, 1))
         assert (trap.lo, trap.hi) == (0.0, paper_hi)
