@@ -1,0 +1,183 @@
+"""f'' ranges of expressions, by interval arithmetic rounded outward
+(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, SIAM 2009).
+
+An interval is a tuple (lo, hi) of finite floats, and each operation of
+:data:`OPS` rounds its result one ulp outward, which covers a rounding to
+nearest or a faithful libm call.  A result that overflows or is NaN, and an
+argument outside the domain on which the operation is C^2, raise
+ArithmeticError.  :class:`_RangeBody` carries ``(value, slope, f'')`` of each
+node of an expression tree through these operations, compiled into
+straight-line Python as :class:`trapbound.expr._Body` compiles f.
+
+:func:`trapbound.expr.to_convex_function` imports this module when it is
+first asked for an f'' range, so an interpreter that never integrates an
+expression adaptively does not compile it.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import operator
+from typing import Callable
+
+from .expr import Binary, Const, Expression, Unary, Var, _Body, _identity
+from .quadrature import ConvexityViolationError
+
+
+def _out(lo: float, hi: float) -> tuple:
+    if not -math.inf < lo <= hi < math.inf:
+        raise OverflowError("interval bound not finite")
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _iproducts(x, y, op) -> tuple:
+    p = (op(x[0], y[0]), op(x[0], y[1]), op(x[1], y[0]), op(x[1], y[1]))
+    return _out(min(p), max(p))
+
+
+def _idiv(x, y) -> tuple:
+    if not (y[0] > 0.0 or y[1] < 0.0):
+        raise ArithmeticError("divisor interval holds 0")
+    return _iproducts(x, y, operator.truediv)
+
+
+def _ipow(x, p: float) -> tuple:
+    """x^p for a constant p: x > 0 unless p is an integer, x excludes 0 if
+    p < 0; an even power of an x around 0 has its least value 0."""
+    lo, hi = x
+    if not (lo > 0.0 or p.is_integer() and (p >= 0.0 or hi < 0.0)):
+        raise ArithmeticError("power not C^2 on the interval")
+    a, b = lo ** p, hi ** p
+    return _out(0.0 if lo < 0.0 < hi and p % 2.0 == 0.0 else min(a, b), max(a, b))
+
+
+def _isign(g, x) -> tuple:
+    """x where g > 0 and -x where g < 0: the derivatives of |g| from those of g."""
+    if g[0] > 0.0:
+        return x
+    if g[1] < 0.0:
+        return -x[1], -x[0]
+    raise ArithmeticError("abs argument interval holds 0")
+
+
+def _ipos(x) -> tuple:
+    if not x[0] > 0.0:
+        raise ArithmeticError("log or sqrt argument interval reaches 0")
+    return x
+
+
+OPS = {
+    "_iadd": lambda x, y: _out(x[0] + y[0], x[1] + y[1]),
+    "_isub": lambda x, y: _out(x[0] - y[1], x[1] - y[0]),
+    "_ineg": lambda x: (-x[1], -x[0]),
+    "_imul": lambda x, y: _iproducts(x, y, operator.mul),
+    "_idiv": _idiv,
+    "_ipow": _ipow,
+    "_iexp": lambda x: _out(math.exp(x[0]), math.exp(x[1])),
+    "_ilog": lambda x: _out(math.log(x[0]), math.log(x[1])),
+    "_isqrt": lambda x: _out(math.sqrt(x[0]), math.sqrt(x[1])),
+    "_ipos": _ipos,
+    "_isign": _isign,
+}
+_IDENTITY_OPS = {"_iadd": "+", "_isub": "-", "_imul": "*"}
+_ZERO, _ONE, _TWO = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
+
+
+class _RangeBody(_Body):
+    """:class:`trapbound.expr._Body` with the rules of f'' ranges."""
+
+    def iapply(self, helper: str, *args):
+        """Interval ``helper`` of :data:`OPS` on ``args``: reduced by
+        :func:`_identity` where an operand is the point 0 or 1, evaluated
+        now if all are known (a failure is left to the generated code)."""
+        if helper in _IDENTITY_OPS:
+            point = lambda a: a[0] if isinstance(a, tuple) and a[0] == a[1] else None
+            simpler = _identity(_IDENTITY_OPS[helper], *args, point)
+            if simpler is not None:
+                return (simpler, simpler) if isinstance(simpler, float) else simpler
+        if not any(isinstance(a, str) for a in args):
+            try:
+                return OPS[helper](*args)
+            except ArithmeticError:
+                pass
+        return self.emit(helper + "({})".format(", ".join(["{}"] * len(args))), *args)
+
+    def inode(self, e: Expression) -> tuple:
+        """``(value, slope, f'')`` of ``e`` as intervals over the cell
+        ``t = (u, v)``.  A node that is not C^2 on the cell raises at run
+        time: ``abs`` of an argument holding 0, ``log`` or ``sqrt`` of one
+        reaching 0, ``/`` by one holding 0, and ``^`` off :func:`_ipow`'s
+        domain."""
+        if isinstance(e, Const):
+            return (e.value, e.value), _ZERO, _ZERO
+        if isinstance(e, Var):
+            return "t", _ONE, _ZERO
+        add, sub, mul, div = (functools.partial(self.iapply, h) for h in ("_iadd", "_isub", "_imul", "_idiv"))
+        if isinstance(e, Unary):
+            u, du, ddu = self.inode(e.arg)
+            if e.op == "neg":
+                return tuple(self.iapply("_ineg", x) for x in (u, du, ddu))
+            if e.op == "abs":
+                return tuple(self.iapply("_isign", u, x) for x in (u, du, ddu))
+            if e.op == "exp":
+                v = self.iapply("_iexp", u)
+                return v, mul(v, du), mul(v, add(ddu, mul(du, du)))
+            u = self.iapply("_ipos", u)
+            if e.op == "log":
+                d = div(du, u)
+                return self.iapply("_ilog", u), d, div(sub(ddu, mul(d, du)), u)
+            # (sqrt u)'' = (u'' - 2 (sqrt u)'^2) / (2 sqrt u)
+            v = self.iapply("_isqrt", u)
+            v2 = mul(_TWO, v)
+            d = div(du, v2)
+            return v, d, div(sub(ddu, mul(_TWO, mul(d, d))), v2)
+        (l, dl, ddl), (r, dr, ddr) = self.inode(e.left), self.inode(e.right)
+        if e.op in ("+", "-"):
+            step = add if e.op == "+" else sub
+            return step(l, r), step(dl, dr), step(ddl, ddr)
+        if e.op == "*":
+            return (mul(l, r), add(mul(dl, r), mul(l, dr)),
+                    add(add(mul(ddl, r), mul(_TWO, mul(dl, dr))), mul(l, ddr)))
+        if e.op == "/":
+            # q = l/r: q' = (l' - q r')/r, q'' = (l'' - 2 q' r' - q r'')/r
+            q = div(l, r)
+            d = div(sub(dl, mul(q, dr)), r)
+            return q, d, div(sub(sub(ddl, mul(_TWO, mul(d, dr))), mul(q, ddr)), r)
+        p = e.right.value
+        if p in (0.0, 1.0):
+            return (l, dl, ddl) if p else (_ONE, _ZERO, _ZERO)
+        if math.fsum((p, -1.0, 1.0 - p)) or math.fsum((p, -2.0, 2.0 - p)):
+            raise ArithmeticError("p - 1 or p - 2 rounds")  # the tree gets no f'' range
+        power = lambda k: _ONE if k == 0.0 else (l if k == 1.0 else self.iapply("_ipow", l, k))
+        d1 = mul((p, p), power(p - 1.0))  # p l^(p-1)
+        d2 = mul(mul((p, p), sub((p, p), _ONE)), power(p - 2.0))  # p (p-1) l^(p-2)
+        return power(p), mul(d1, dl), add(mul(d2, mul(dl, dl)), mul(d1, ddl))
+
+
+def compile_range(tree: Expression, label: str) -> Callable:
+    """The ``_d2range`` of ``tree``: (u, v) -> (lo, hi) with 0 <= lo <= f''
+    <= hi on [u, v], from the generated code of :meth:`_RangeBody.inode`, or
+    None where the tree is not C^2 there (everywhere if p - 1 or p - 2 of an
+    exponent p rounds).  A range below 0 proves f is not convex on the cell
+    and raises :class:`ConvexityViolationError`."""
+    names = {"__builtins__": {}, "_FAULTS": (ArithmeticError, ValueError),
+             "r_fault": lambda t: None, **OPS}
+    body = _RangeBody(names)
+    try:
+        source = body.source("r", body.inode(tree)[2])
+    except ArithmeticError:
+        return lambda u, v: None
+    exec(compile(source, "<expression>", "exec"), names)
+    r = names.pop("r")
+
+    def d2range(u: float, v: float):
+        d2 = r((u, v))
+        if d2 is None:
+            return None
+        if d2[1] < 0.0:
+            raise ConvexityViolationError(
+                f"f'' of {label!r} lies in [{d2[0]}, {d2[1]}] on [{u}, {v}]; it is not convex there")
+        return max(d2[0], 0.0), d2[1]
+
+    return d2range

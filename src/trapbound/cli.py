@@ -11,6 +11,7 @@ JSON reports are deterministic and expose enclosure endpoints verbatim
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -375,6 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept for the
+    process: ``parse_args`` leaves no state in the parser."""
+    return build_parser()
+
+
 _HANDLERS = {
     "integrate": _cmd_integrate,
     "gap": _cmd_gap,
@@ -391,9 +399,8 @@ def run(args) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         report = run(args)
     except UsageError as exc:
         print(f"trapbound: error: {exc}", file=sys.stderr)

@@ -8,7 +8,12 @@ left.  Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable
 :func:`to_convex_function` compiles a tree once into straight-line Python:
 f itself, and forward-mode slope functions that carry ``(value, slope)``
 through each node, which give the exact one-sided derivatives f'+ and f'-,
-``abs`` included.
+``abs`` included.  On the first adaptive cell it also compiles, from the
+same tree and with the same :class:`_Body`, the interval evaluator of
+:mod:`trapbound._ranges`, which carries ``(value, slope, f'')`` as intervals
+rounded outward over a cell: the f'' range that lets the adaptive
+integrator's cells grow like eps^-1/3.  It answers None on a cell where the
+tree is not C^2, such as one holding the kink of an ``abs``.
 """
 
 from __future__ import annotations
@@ -498,9 +503,22 @@ def to_function(src: str, variable: str = "x") -> Callable[[float], float]:
 
 def to_convex_function(src: str, interval, variable: str = "x"):
     """Build a :class:`trapbound.funcs.ConvexFunction` from expression text,
-    compiled once, with the exact one-sided slopes as derivative oracles.
-    Convexity is NOT inferred here; run ``funcs.check_convexity``."""
+    compiled once, with the exact one-sided slopes as derivative oracles and
+    the interval f'' range of :func:`trapbound._ranges.compile_range`,
+    compiled on first use, as its ``_d2range``.  Convexity is NOT inferred
+    here; run ``funcs.check_convexity``."""
     from .funcs import ConvexFunction
 
-    f, dplus, dminus = _compile(parse(src, variable))
-    return ConvexFunction(interval, f, dplus, dminus, src)
+    tree = parse(src, variable)
+    f, dplus, dminus = _compile(tree)
+    r = None
+
+    def d2range(u: float, v: float):
+        nonlocal r
+        if r is None:
+            from ._ranges import compile_range  # deferred: checks and fixed partitions never ask
+
+            r = compile_range(tree, src)
+        return r(u, v)
+
+    return ConvexFunction(interval, f, dplus, dminus, src, _d2range=d2range)

@@ -70,11 +70,12 @@ class ConvexFunction:
     endpoints (e.g. -log t at t=0).  ``antiderivative`` is an optional exact
     antiderivative, attached by the catalog and used for reference values.
 
-    ``_d2range``, private and optional (the catalog's), maps a cell (u, v)
-    to ``(lo, hi)`` with 0 <= lo <= f'' <= hi (hi may be +inf) on it, or to
-    None where no range is known.  Each end may be one ulp off, as one call
-    to a faithful libm (within 1 ulp) is; a multi-step oracle rounds its
-    inner steps outward.
+    ``_d2range``, private and optional, maps a cell (u, v) to ``(lo, hi)``
+    with 0 <= lo <= f'' <= hi (hi may be +inf) on it, or to None where no
+    range is known; the catalog writes it in closed form and
+    :func:`trapbound.expr.to_convex_function` in interval arithmetic.  Each
+    end may be one ulp off, as one call to a faithful libm (within 1 ulp)
+    is; a multi-step oracle rounds its inner steps outward.
 
     Instances are immutable and all methods are pure.
     """

@@ -25,9 +25,11 @@ evaluates only the two new midpoints, and each cell is bracketed by the
 tangent/chord sandwich of those samples (Burkard, Hamacher & Rote 1991): the
 integral lies below the two chords through the midpoint and above the
 supporting lines.  That sandwich is intersected with the paper's bracket and,
-where f carries an f'' range, with T - I in h^3/12 [min f'', max f''] rounded
-outward.  Slopes alone cannot beat O(n^-2) (Rote 1992), so cells grow like
-eps^-1/2; that term is O(h^4 f''') wide, and cells then grow like eps^-1/3.
+where f carries an f'' range (catalog functions in closed form, expressions
+by interval arithmetic, on each cell where they are C^2), with T - I in
+h^3/12 [min f'', max f''] rounded outward.  Slopes alone cannot beat
+O(n^-2) (Rote 1992), so cells grow like eps^-1/2; that term is O(h^4 f''')
+wide, and cells then grow like eps^-1/3.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from trapbound import cli
 from trapbound.cli import (
     DistributionLoadError,
     HypothesisError,
@@ -340,3 +341,27 @@ def test_deterministic_output():
     second = subprocess.run(argv, capture_output=True, text=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_kept_parser_matches_fresh_parsers(capsys, monkeypatch, dist_files):
+    # main builds its parser once; a run of subcommands with usage errors
+    # between them must answer as if each call had a parser of its own
+    p, q = dist_files
+    calls = [
+        ["integrate", "--fn", "exp(x)", "--interval", "0", "1", "--eps", "1e-6"],
+        ["integrate", "--fn", "x^2", "--interval", "0", "1", "--bogus"],
+        ["gap", "--fn", "x^2", "--interval", "0", "1", "--x", "0.3"],
+        ["hh", "--fn", "x^2"],
+        ["integrate", "--fn", "abs(x - 0.3)", "--interval", "0", "1", "--n", "8", "--xi-rule", "left"],
+        ["differentiate"],
+        ["check", "--fn=-x^2", "--interval", "-1", "1"],
+        ["expectation", "--density", "2*x", "--interval", "0", "1", "--format", "table"],
+        ["divergence", "--generator", "kl", "--p", p, "--q", q],
+        [],
+        ["hh", "--fn", "exp(x)", "--interval", "0", "1"],
+    ]
+    kept = [run_cli(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0]

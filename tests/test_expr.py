@@ -19,6 +19,7 @@ from trapbound.expr import (
     tokenize,
 )
 from trapbound.funcs import Interval, catalog
+from trapbound.quadrature import ConvexityViolationError
 
 CORPUS = [
     "x",
@@ -339,3 +340,111 @@ def test_kink_slopes_match_catalog(k, c, ts):
         for got, want in ((f.d_plus(t), kink.d_plus(t) + square.d_plus(t)),
                           (f.d_minus(t), kink.d_minus(t) + square.d_minus(t))):
             assert abs(got - want) <= 2 * math.ulp(want), (t, got, want)
+
+
+# ---------------------------------------------------------------------------
+# f'' range
+# ---------------------------------------------------------------------------
+
+
+def _d2_cases():
+    """(text, domain, exact f'' on Decimal t) for each smooth expression
+    template of the benchmark's cli_expr workload."""
+    from decimal import Decimal as D
+
+    c = st.floats(0.5, 2.0)
+    return st.one_of(
+        c.map(lambda c: (f"exp({c!r}*x)", (-1.0, 1.0), lambda t: D(c) ** 2 * (D(c) * t).exp())),
+        st.floats(0.0, 1.0).flatmap(lambda c: st.sampled_from([
+            (f"x^2 + {c!r}*x", (-1.0, 1.0), lambda t: D(2)),
+            (f"x^2 - {c!r}*x", (-1.0, 1.0), lambda t: D(2))])),
+        st.floats(1.5, 3.5).map(lambda p: (f"x^{p!r}", (0.1, 1.0),
+                                           lambda t: D(p) * (D(p) - 1) * t ** (D(p) - 2))),
+        st.sampled_from([
+            ("1/x", (0.2, 1.0), lambda t: 2 / t ** 3),
+            ("x*log(x)", (0.1, 1.0), lambda t: 1 / t),
+            ("-log(x)", (0.1, 1.0), lambda t: 1 / t ** 2),
+            ("sqrt(1 + x^2)", (-1.0, 1.0), lambda t: (1 + t * t) ** D(-1.5)),
+            ("exp(x) + exp(-x)", (-1.0, 1.0), lambda t: t.exp() + (-t).exp()),
+        ]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_d2_cases(), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_d2range_contains_exact_second_derivative(case, p, q, samples):
+    from decimal import Decimal, localcontext
+
+    src, (a, b), d2 = case
+    u, v = sorted(a + (b - a) * s for s in (p, q))
+    f = to_convex_function(src, Interval(a, b))
+    lo, hi = f._d2range(u, v)
+    assert 0.0 <= lo <= hi < math.inf
+    with localcontext() as ctx:
+        ctx.prec = 100  # the points' rounding is then far below an ulp of the range
+        for s in (0, 1, *samples):
+            # an exact point of [u, v]: the range must hold there too
+            t = Decimal(u) + (Decimal(v) - Decimal(u)) * Decimal(s.numerator) / Decimal(s.denominator)
+            assert Decimal(lo) <= d2(t) <= Decimal(hi), (src, u, v, t)
+
+
+class TestD2Range:
+    @pytest.mark.parametrize("src, u, v", [
+        ("abs(x - 0.3) + x^2", 0.0, 1.0),  # abs argument holds 0
+        ("abs(x) + x^2", 0.0, 1.0),  # ... at an end of the cell
+        ("-log(x)", 0.0, 0.5),  # log touching 0
+        ("-log(x + 1)", -2.0, 0.5),  # log going below 0
+        ("-log(x)", -2.0, -1.0),  # log wholly below 0: f'' = 1/x^2 would pass
+        ("-sqrt(x)", 0.0, 0.5),  # sqrt touching 0
+        ("-sqrt(x + 1)", -2.0, 0.5),  # sqrt going below 0
+        ("1/x", 0.0, 1.0),  # / touching 0
+        ("1/x", -1.0, 1.0),  # / by an interval around 0
+        ("x^-2", -1.0, 1.0),  # negative integer power around 0
+        ("x^1.5", 0.0, 1.0),  # non-integer ^ touching 0
+        ("x^2.5", -1.0, 1.0),  # non-integer ^ below 0
+        ("exp(x)", 700.0, 800.0),  # overflow
+        ("exp(exp(x))", 6.0, 7.0),  # overflow inside
+        ("1e400*x^2", 0.0, 1.0),  # an infinite constant: inf * 0 is NaN
+    ])
+    def test_not_c2_gives_none(self, src, u, v):
+        assert to_convex_function(src, Interval(u, v))._d2range(u, v) is None
+
+    @pytest.mark.parametrize("src", ["-x^2", "-exp(x)", "x^2 - 3*x^2"])
+    def test_negative_range_raises(self, src):
+        f = to_convex_function(src, Interval(0.0, 1.0))
+        with pytest.raises(ConvexityViolationError, match="not convex"):
+            f._d2range(0.25, 0.5)
+
+    def test_lower_end_clamped_at_zero(self):
+        # interval x * (1/x)' + 2 (1/x) spans below 0 on a wide cell
+        lo, hi = to_convex_function("x*log(x)", Interval(0.1, 2.0))._d2range(0.1, 2.0)
+        assert lo == 0.0 and 10.0 <= hi < math.inf
+
+    def test_same_sided_cells_of_abs_are_smooth(self):
+        f = to_convex_function("abs(x - 0.3) + x^2", Interval(0.0, 1.0))
+        for u, v in ((0.0, 0.25), (0.5, 1.0)):
+            lo, hi = f._d2range(u, v)
+            assert lo <= 2.0 <= hi <= 2.0 + 1e-14
+
+    def test_no_user_text_in_generated_source(self, monkeypatch):
+        import builtins
+
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return builtins.compile(source, *args)
+
+        for module in ("trapbound.expr", "trapbound._ranges"):
+            monkeypatch.setattr(f"{module}.compile", spy, raising=False)
+        f = to_convex_function("exp(0.123*zeta) + zeta^2.5 - log(zeta)", Interval(1.0, 2.0), "zeta")
+        assert len(sources) == 1  # f and its slopes
+        assert f._d2range(1.0, 1.5) is not None
+        assert len(sources) == 2  # the range, on first use
+        for text in ("zeta", "0.123", "2.5", "exp", "log"):
+            assert text not in sources[1].replace("_iexp", "").replace("_ilog", "")
+        # names of the generated code are free as variable names
+        for name in ("t", "k0", "v0", "r", "r_fault", "_iadd", "_out"):
+            lo, hi = to_convex_function(f"{name}^2", Interval(0.0, 1.0), name)._d2range(0.0, 1.0)
+            assert lo <= 2.0 <= hi

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, default_catalog
-from trapbound.pointwise import Enclosure, NotDifferentiableError
+from trapbound.pointwise import Enclosure, NotDifferentiableError, _reference_integral
 from trapbound.quadrature import (
     ConvexityViolationError,
     Partition,
@@ -374,11 +374,22 @@ class TestAdaptive:
         assert res.cells == 1
         assert res.integral.contains(f.integral())
 
-    def test_expression_keeps_sandwich_cells(self):
-        # expressions carry no f'' range yet: exp(x) needs what the sandwich needs
-        res = adaptive_integrate(to_convex_function("exp(x)", Interval(0.0, 1.0)), eps=1e-8)
+    def test_expression_takes_catalog_cells(self, monkeypatch):
+        # exp(x) carries an interval f'' range, so its cells match the
+        # catalog's exp, whose range is closed form, in both passes
+        f = to_convex_function("exp(x)", Interval(0.0, 1.0))
+        res = adaptive_integrate(f, eps=1e-8)
         assert res.converged
-        assert res.cells == 2_466
+        assert res.cells == adaptive_integrate(EXP, eps=1e-8).cells == 251
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(adaptive_integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr("trapbound.quadrature.adaptive_integrate", spy)
+        _reference_integral(f, 0.0, 1.0)
+        assert [r.cells for r in runs] == [adaptive_integrate(EXP, eps=1e-10, max_cells=200_000).cells] == [1_229]
 
     def test_infinite_endpoint_value_stops_unconverged(self):
         # -log t is +inf at 0: the cell touching 0 has an infinite bracket

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trapbound.expr import to_convex_function
 from trapbound.funcs import CATALOG_NAMES, Interval, catalog, default_catalog
 from trapbound.quadrature import adaptive_integrate
 
@@ -145,3 +146,18 @@ def test_one_cell_remainder_contains_exact_remainder(idx, p, q):
     assert res.cells == 1
     exact = reference(name, params, lambda f, F, num: num(res.gn) - (F(num(v)) - F(num(u))), v - u)
     assert res.remainder.lo <= exact <= res.remainder.hi
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+@pytest.mark.parametrize("src, name, params, a, b", [
+    ("exp(x)", "exp", (), 0.0, 1.0),
+    ("x^2", "quadratic", (), 0.0, 1.0),
+    ("x^3", "power_p", (3.0,), 0.0, 1.0),
+    ("-log(x)", "neg_log", (), 0.5, 2.0),
+    ("x*log(x)", "xlogx", (), 0.5, 2.0),
+])
+def test_expression_enclosure_contains_reference(src, name, params, a, b, eps):
+    # an expression's f'' range is interval arithmetic, not a closed form
+    res = adaptive_integrate(to_convex_function(src, Interval(a, b)), eps, max_cells=200_000)
+    assert res.converged
+    assert res.integral.lo <= exact_integral(name, params, a, b) <= res.integral.hi
