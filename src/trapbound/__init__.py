@@ -12,7 +12,7 @@ Subpackages:
 """
 
 from .funcs import ConvexFunction, Interval, catalog, check_convexity
-from .pointwise import Enclosure, GapQuery, gap, gap_enclosure, hh_bounds
+from .pointwise import Enclosure, GapQuery, gap_enclosure, hh_bounds
 from .quadrature import Partition, adaptive_integrate, integrate, uniform_partition
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "check_convexity",
     "Enclosure",
     "GapQuery",
-    "gap",
     "gap_enclosure",
     "hh_bounds",
     "Partition",

@@ -3,9 +3,14 @@
 Exit codes: 0 success, 1 usage error (bad flags, unparseable input, a
 function that cannot be evaluated on the interval), 2 hypothesis failure
 (non-convex function, invalid density or distribution).
-JSON reports are deterministic and expose enclosure endpoints verbatim
-(``integral.lo``, ``integral.hi``, ``remainder.lo``, ``remainder.hi``,
-``cells``, ``certified``); no computation happens in the rendering layer.
+JSON reports are deterministic; no computation happens in the rendering
+layer.  Besides the inputs: ``integrate`` gives ``gn``, ``integral``,
+``remainder``, ``width``, ``cells``, ``converged``, ``certified``; ``gap`` and
+``hh`` the paper's bracket ``lower``/``upper``, ``integral`` (the adaptive
+enclosure, width 1e-10) and ``certified``; ``expectation`` gives
+``expectation``, ``x_used``, ``mass_bracket``; ``divergence`` ``csiszar``,
+``lin_wong``, ``half_csiszar``, ``hh``, ``gap``, ``sandwich_holds``.
+Enclosures are ``{lo, hi}`` with their endpoints verbatim.
 """
 
 from __future__ import annotations
@@ -187,16 +192,16 @@ def _cmd_integrate(args) -> dict:
 
 def _cmd_gap(args) -> dict:
     f = _build_function(args)
-    query = pointwise.GapQuery(f, args.x)
-    enclosure = pointwise.gap_enclosure(query)
+    enclosure = pointwise.gap_enclosure(pointwise.GapQuery(f, args.x))
+    a, b = f.domain.a, f.domain.b
     return {
         "command": "gap",
         "fn": args.fn,
-        "interval": [f.domain.a, f.domain.b],
+        "interval": [a, b],
         "x": args.x,
         "lower": enclosure.lo,
         "upper": enclosure.hi,
-        "gap": pointwise.gap(query),
+        "integral": _enclosure_dict(pointwise._reference_integral(f, a, b)),
         "certified": args._certified,
     }
 
@@ -205,14 +210,13 @@ def _cmd_hh(args) -> dict:
     f = _build_function(args)
     enclosure = pointwise.hh_bounds(f)
     a, b = f.domain.a, f.domain.b
-    reference = 0.5 * (f(a) + f(b)) - pointwise._reference_integral(f, a, b) / (b - a)
     return {
         "command": "hh",
         "fn": args.fn,
         "interval": [a, b],
         "lower": enclosure.lo,
         "upper": enclosure.hi,
-        "difference": reference,
+        "integral": _enclosure_dict(pointwise._reference_integral(f, a, b)),
         "certified": args._certified,
     }
 
@@ -252,7 +256,7 @@ def _cmd_divergence(args) -> dict:
     generator = div.generator_catalog(args.generator)
     p = load_distribution(args.p, args.p_format, args.normalize)
     q = load_distribution(args.q, args.q_format, args.normalize)
-    sandwich = div.sandwich_report(generator, p, q, eps=args.eps)
+    sandwich = div.sandwich_report(generator, p, q)
     gap = div.gap_enclosure(generator, p, q)
     return {
         "command": "divergence",
@@ -361,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--p-format", choices=("csv", "json"), default=None)
     p_div.add_argument("--q-format", choices=("csv", "json"), default=None)
     p_div.add_argument("--normalize", action="store_true")
-    p_div.add_argument("--eps", type=float, default=1e-9)
     p_div.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
 
     p_chk = sub.add_parser("check", help="validate hypotheses without computing bounds")

@@ -7,12 +7,13 @@ the same finite support:
     LW_f(p, q)   = D_f(p, (p+q)/2)
     HH_f(p, q)   = sum_x p(x)^2/(q(x)-p(x)) * integral_1^{q(x)/p(x)} f(t) dt
 
-with the sandwich LW <= HH <= D_f/2, and a certified bracket for the gap
-D_f/2 - HH:
+with the sandwich LW <= HH <= D_f/2.  A term of D_f/2 - HH is p times the
+Hermite-Hadamard defect of f on the segment [u, v] between 1 and q/p, which
+the paper's bracket (``pointwise._gap_bracket``) bounds; with w = |q - p|:
 
-    (1/8) sum_x [f'+(r_m) - f'-(r_m)] |q - p|   with r_m = (p+q)/(2p)
+    (1/8) sum_x w [f'+(r_m) - f'-(r_m)]   with r_m = (p+q)/(2p)
       <=  D_f/2 - HH  <=
-    (1/8) sum_x f'-(q/p) (q - p).
+    (1/8) sum_x w [f'-(v) - f'+(u)].
 
 HH is returned as an enclosure: each inner integral is exact when the
 generator carries an antiderivative, else certified by adaptive quadrature.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .funcs import ConvexFunction, Interval
-from .pointwise import Enclosure
+from .pointwise import Enclosure, _gap_bracket
 from .quadrature import adaptive_integrate
 
 _WEIGHT_TOL = 1e-9
@@ -88,21 +89,24 @@ def _pairs(p: DiscreteDistribution, q: DiscreteDistribution):
     return zip(p.weights, q.weights)
 
 
+def _slope_at_infinity(g: GeneratorFunction, qi: float) -> float:
+    """The slope that a term with p = 0 < q = ``qi`` needs, or the error for its absence."""
+    if g.slope_at_infinity is None:
+        raise UndefinedDivergenceError(
+            f"generator {g.label!r} declares no slope at infinity; "
+            f"term with p=0, q={qi} is undefined"
+        )
+    return g.slope_at_infinity
+
+
 def _csiszar_sum(g: GeneratorFunction, pairs) -> float:
     """sum p f(q/p) over the (p, q) pairs, with the zero conventions of :func:`csiszar`."""
     fn = g.fn
-    slope = g.slope_at_infinity
     total = 0.0
     for pi, qi in pairs:
         if pi == 0.0:
-            if qi == 0.0:
-                continue
-            if slope is None:
-                raise UndefinedDivergenceError(
-                    f"generator {g.label!r} declares no slope at infinity; "
-                    f"term with p=0, q={qi} is undefined"
-                )
-            total += qi * slope
+            if qi != 0.0:
+                total += qi * _slope_at_infinity(g, qi)
         else:
             total += pi * fn(qi / pi)
     return total
@@ -130,34 +134,32 @@ def hh_divergence(
     Each term equals p times the mean of f over the segment between 1 and
     q/p.  A term can be negative (for ``kl``, u log u has a negative mean
     over [q/p, 1] when q < p); only the sum is nonnegative.  Terms with q = p
-    (relative to ``_EQUAL_RATIO_TOL``) contribute exactly 0.  The result is
-    an enclosure: degenerate when the generator carries an antiderivative,
-    otherwise each inner integral is certified by adaptive quadrature with a
-    budget of eps divided by the support size.
+    (relative to ``_EQUAL_RATIO_TOL``) contribute exactly 0, and terms with
+    p = 0 < q their limit q * slope_at_infinity / 2, as in :func:`lin_wong`.
+    The result is an enclosure: degenerate when the generator carries an
+    antiderivative, otherwise each inner integral is certified by adaptive
+    quadrature with a budget of eps divided by the support size.
     """
     F = g.antiderivative
-    if F is not None:
-        F1 = F(1.0)
-        total = 0.0
-        for pi, qi in _pairs(p, q):
-            if pi == 0.0 or abs(qi - pi) <= _EQUAL_RATIO_TOL * pi:
-                continue
-            total += pi * pi / (qi - pi) * (F(qi / pi) - F1)
-        return Enclosure(total, total)
+    F1 = F(1.0) if F is not None else None
     n = len(p.weights)
-    lo_sum = 0.0
-    hi_sum = 0.0
+    tail = lo_sum = hi_sum = 0.0
     for pi, qi in _pairs(p, q):
-        if pi == 0.0 or abs(qi - pi) <= _EQUAL_RATIO_TOL * pi:
-            continue
-        # the term is p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
-        r = qi / pi
-        piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), g.fn, g.dplus, g.dminus, g.label)
-        inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral
-        weight = pi * pi / abs(qi - pi)
-        lo_sum += weight * inner.lo
-        hi_sum += weight * inner.hi
-    return Enclosure(lo_sum, hi_sum)
+        if pi == 0.0:
+            if qi != 0.0:
+                tail += 0.5 * qi * _slope_at_infinity(g, qi)
+        elif abs(qi - pi) > _EQUAL_RATIO_TOL * pi:
+            if F is not None:
+                lo_sum += pi * pi / (qi - pi) * (F(qi / pi) - F1)
+                continue
+            # the term is p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
+            r = qi / pi
+            piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), g.fn, g.dplus, g.dminus, g.label)
+            inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral
+            weight = pi * pi / abs(qi - pi)
+            lo_sum += weight * inner.lo
+            hi_sum += weight * inner.hi
+    return Enclosure(lo_sum + tail, (lo_sum if F is not None else hi_sum) + tail)
 
 
 class SandwichReport(NamedTuple):
@@ -186,22 +188,35 @@ def gap_enclosure(
     p: DiscreteDistribution,
     q: DiscreteDistribution,
 ) -> Enclosure:
-    """Certified bracket for D_f/2 - HH_f.
-
-    Support points with p = 0 are skipped (they contribute no mass to either
-    side under the conventions above).
+    """Certified bracket for D_f/2 - HH_f: the per-term brackets of the
+    module docstring, summed as one call to the kernel.  A point with
+    p = 0 < q adds its limit 0 if the slope at infinity is finite, else it
+    makes ``hi`` +inf (inf - inf, with limit q/4 for kl, +inf for chi2).
     """
     dplus, dminus = g.dplus, g.dminus
-    lo_sum = 0.0
-    hi_sum = 0.0
+    d1p, d1m = dplus(1.0), dminus(1.0)
+    # sums of w f'+(r_m), w f'-(r_m), w f'+(u) and w f'-(v), w = |q - p|
+    sp = sm = su = sv = 0.0
     for pi, qi in _pairs(p, q):
         if pi == 0.0:
+            if qi != 0.0 and _slope_at_infinity(g, qi) == math.inf:
+                sv = math.inf  # v = q/p = inf, where f'-(v) is the slope
             continue
         rm = 0.5 * (pi + qi) / pi
-        lo_sum += 0.125 * (dplus(rm) - dminus(rm)) * abs(qi - pi)
-        if qi != pi:
-            hi_sum += 0.125 * dminus(qi / pi) * (qi - pi)
-    return Enclosure(lo_sum, max(hi_sum, lo_sum))
+        if rm == 1.0:
+            continue  # q = p, or too close for a float to split [1, q/p]
+        w = abs(qi - pi)
+        sp += w * dplus(rm)
+        sm += w * dminus(rm)
+        r = qi / pi
+        if r > 1.0:
+            su += w * d1p
+            sv += w * dminus(r)
+        else:
+            su += w * dplus(r)
+            sv += w * d1m
+    lo, hi = _gap_bracket(0.25, 0.25, sp, sm, su, sv)
+    return Enclosure(lo, max(hi, lo))
 
 
 # ---------------------------------------------------------------------------

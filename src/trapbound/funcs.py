@@ -68,7 +68,8 @@ class ConvexFunction:
     ``dplus`` is f'+ (right derivative, defined on [a, b)) and ``dminus`` is
     f'- (left derivative, defined on (a, b]).  Either may return +-inf at the
     endpoints (e.g. -log t at t=0).  ``antiderivative`` is an optional exact
-    antiderivative, attached by the catalog and used for reference values.
+    antiderivative, attached by the catalog; only :meth:`integral` reads it,
+    no bound or enclosure of the library does.
 
     ``_d2range``, private and optional, maps a cell (u, v) to ``(lo, hi)``
     with 0 <= lo <= f'' <= hi (hi may be +inf) on it, or to None where no
@@ -109,10 +110,6 @@ class ConvexFunction:
         if not (self.domain.a < x <= self.domain.b):
             raise DomainError(f"f'- undefined at {x} on [{self.domain.a}, {self.domain.b}]")
         return self.dminus(x)
-
-    @property
-    def has_antiderivative(self) -> bool:
-        return self.antiderivative is not None
 
     def integral(self, u: Optional[float] = None, v: Optional[float] = None) -> float:
         """Exact integral over [u, v] (default: whole domain) via the antiderivative."""

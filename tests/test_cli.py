@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -161,15 +162,21 @@ class TestGapAndHH:
                        "--interval", "0", "1", "--x", "0.5")
         assert rep["lower"] == pytest.approx(0.25, abs=1e-9)
         assert rep["upper"] == pytest.approx(0.25, abs=1e-9)
-        assert rep["gap"] == pytest.approx(0.25, abs=1e-9)
+        # no point value, only the certified integral, which holds 1/4
+        assert "gap" not in rep
+        assert rep["integral"]["lo"] <= 0.25 <= rep["integral"]["hi"]
+        assert rep["integral"]["hi"] - rep["integral"]["lo"] <= 1e-10
         assert rep["certified"]
 
     def test_hh(self, capsys):
         rep = run_json(capsys, "hh", "--fn", "x^2", "--interval", "0", "1")
         assert rep["lower"] == pytest.approx(0.0, abs=1e-15)
         assert rep["upper"] == pytest.approx(0.25, abs=1e-15)
-        assert rep["difference"] == pytest.approx(1.0 / 6.0, abs=1e-9)
-        assert rep["lower"] - 1e-12 <= rep["difference"] <= rep["upper"] + 1e-12
+        assert "difference" not in rep
+        integral = rep["integral"]
+        assert integral["lo"] <= Fraction(1, 3) <= integral["hi"]
+        # the defect 1/2 - integral lies in the paper's bracket
+        assert rep["lower"] <= 0.5 - integral["hi"] <= 0.5 - integral["lo"] <= rep["upper"]
 
     def test_gap_outside_domain(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--fn", "x^2",
@@ -238,6 +245,32 @@ class TestDivergence:
         rep = json.loads(proc.stdout)
         assert rep["gap"] == {"lo": 0.0, "hi": "inf"}
         assert rep["sandwich_holds"]
+
+
+    def test_p_zero_point_takes_its_limit(self, capsys, tmp_path):
+        # a point with p = 0 < q adds q f'(inf)/2 to HH, as to LW and D/2;
+        # for tv then LW = HH = D/2 and the gap is exactly 0
+        p = tmp_path / "p.csv"
+        q = tmp_path / "q.csv"
+        p.write_text("0\n0.5\n0.5\n")
+        q.write_text("0.2\n0.4\n0.4\n")
+        rep = run_json(capsys, "divergence", "--generator", "tv", "--p", str(p), "--q", str(q))
+        assert rep["hh"]["lo"] == rep["hh"]["hi"] == pytest.approx(0.2, abs=1e-15)
+        assert rep["half_csiszar"] == pytest.approx(0.2, abs=1e-15)
+        assert rep["sandwich_holds"]
+        assert rep["gap"] == {"lo": 0.0, "hi": 0.0}
+        # an infinite slope at infinity: D/2 - HH is inf - inf, so hi is +inf
+        rep = run_json(capsys, "divergence", "--generator", "kl", "--p", str(p), "--q", str(q))
+        assert rep["hh"] == {"lo": "inf", "hi": "inf"}
+        assert rep["gap"]["hi"] == "inf"
+        assert rep["sandwich_holds"]
+
+    def test_eps_flag_removed(self, capsys, dist_files):
+        p, q = dist_files
+        code, _, err = run_cli(capsys, "divergence", "--generator", "kl",
+                               "--p", p, "--q", q, "--eps", "1e-9")
+        assert code == 1
+        assert "--eps" in err
 
 
 class TestCheck:

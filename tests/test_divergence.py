@@ -15,6 +15,7 @@ from trapbound.divergence import (
     lin_wong,
     sandwich_report,
 )
+from trapbound.pointwise import Enclosure
 
 P2 = DiscreteDistribution((0.5, 0.5))
 Q2 = DiscreteDistribution((0.25, 0.75))
@@ -170,6 +171,41 @@ class TestHHDivergence:
             assert enc.contains(ref, slack=1e-12), (p.weights, q.weights)
             assert enc.width <= 1e-9
 
+    def test_p_zero_point_takes_its_limit(self):
+        # p = 0 < q: the term p mean f over [1, q/p] tends to q f'(inf)/2
+        p = DiscreteDistribution((0.0, 0.5, 0.5))
+        q = DiscreteDistribution((0.2, 0.4, 0.4))
+        tv = generator_catalog("tv")
+        rep = sandwich_report(tv, p, q)
+        # tv is affine on each side of 1, so LW = HH = D/2 = 0.2
+        assert rep.hh.lo == rep.hh.hi == pytest.approx(0.2, abs=1e-15)
+        assert rep.lin_wong == pytest.approx(0.2, abs=1e-15)
+        assert rep.half_csiszar == pytest.approx(0.2, abs=1e-15)
+        assert rep.holds
+        for name in ("kl", "chi_squared"):
+            g = generator_catalog(name)
+            assert hh_divergence(g, p, q) == Enclosure(math.inf, math.inf)
+            assert sandwich_report(g, p, q).holds
+        # the adaptive path adds the same limit
+        exact = generator_catalog("hellinger")
+        bare = GeneratorFunction(exact.fn, exact.dplus, exact.dminus, "hellinger-bare",
+                                 slope_at_infinity=1.0)
+        assert hh_divergence(bare, p, q).contains(hh_divergence(exact, p, q).lo, slack=1e-12)
+
+    def test_p_zero_without_slope_is_undefined(self):
+        p = DiscreteDistribution((0.0, 1.0))
+        q = DiscreteDistribution((0.5, 0.5))
+        exact = generator_catalog("chi_squared")
+        bare = GeneratorFunction(exact.fn, exact.dplus, exact.dminus, "bare",
+                                 antiderivative=exact.antiderivative)
+        for fn in (hh_divergence, gap_enclosure):
+            with pytest.raises(UndefinedDivergenceError):
+                fn(bare, p, q)
+        # p = q = 0 needs no slope
+        zero = DiscreteDistribution((0.0, 1.0))
+        assert hh_divergence(bare, zero, zero) == Enclosure(0.0, 0.0)
+        assert gap_enclosure(bare, zero, zero) == Enclosure(0.0, 0.0)
+
     def test_nonnegative_on_random_pairs(self, rng):
         gens = [generator_catalog(n) for n in GENERATOR_NAMES]
         for _ in range(125):
@@ -200,6 +236,34 @@ class TestSandwichAndGap:
                 gap = 0.5 * csiszar(g, p, q) - hh_divergence(g, p, q).midpoint
                 enc = gap_enclosure(g, p, q)
                 assert enc.contains(gap, slack=1e-9), (g.label, p.weights, q.weights)
+
+    def test_kink_at_one_gives_exact_zero(self, rng):
+        # tv is affine on each side of 1, so every term of D/2 - HH is 0; the
+        # per-term bracket sees that, the telescoped one gave hi = 0.05 here
+        tv = generator_catalog("tv")
+        p = DiscreteDistribution((0.2, 0.3, 0.5))
+        q = DiscreteDistribution((0.4, 0.1, 0.5))
+        assert gap_enclosure(tv, p, q) == Enclosure(0.0, 0.0)
+        for _ in range(20):
+            p, q = random_pair(rng, int(rng.integers(2, 30)))
+            assert gap_enclosure(tv, p, q) == Enclosure(0.0, 0.0)
+        # q = p (1 + 2^-52): the midpoint (p + q)/(2p) rounds onto the kink
+        # at 1, whose jump must not enter the lower side
+        q = DiscreteDistribution((0.5 + 2.0 ** -53, 0.5 - 2.0 ** -53))
+        assert 0.5 * (0.5 + q.weights[0]) / 0.5 == 1.0
+        assert gap_enclosure(tv, P2, q) == Enclosure(0.0, 0.0)
+
+    def test_p_zero_gap(self):
+        p = DiscreteDistribution((0.0, 0.5, 0.5))
+        q = DiscreteDistribution((0.2, 0.4, 0.4))
+        # a finite slope at infinity: the point's limit is 0
+        assert gap_enclosure(generator_catalog("tv"), p, q) == Enclosure(0.0, 0.0)
+        hel = generator_catalog("hellinger")
+        true_gap = 0.5 * csiszar(hel, p, q) - hh_divergence(hel, p, q).lo
+        assert gap_enclosure(hel, p, q).contains(true_gap, slack=1e-12)
+        # an infinite one: inf - inf, with limit q/4 for kl and +inf for chi2
+        for name in ("kl", "chi_squared"):
+            assert gap_enclosure(generator_catalog(name), p, q).hi == math.inf
 
     def test_chi_squared_gap_closed_form(self):
         g = generator_catalog("chi_squared")

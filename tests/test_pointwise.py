@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +13,8 @@ from trapbound.pointwise import (
     NotDifferentiableError,
     PreconditionError,
     classical_bounds,
+    _reference_integral,
     differentiable_lower,
-    gap,
     gap_enclosure,
     hh_bounds,
     lower_gap_bound,
@@ -60,22 +62,36 @@ class TestEnclosure:
         assert e.contains(1e300)
 
 
+def kink_integral(k, c, a, b):
+    # oracle: the integral of k |t - c| over [a, b] with a <= c <= b, exact
+    k, c, a, b = map(Fraction, (k, c, a, b))
+    return k * ((c - a) ** 2 + (b - c) ** 2) / 2
+
+
 class TestGap:
+    """The integral behind the CLI's ``gap`` and ``hh``: a certified
+    enclosure, against closed forms with zero slack."""
+
     def test_quadratic(self):
-        assert gap(GapQuery(QUAD, 0.5)) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        enc = _reference_integral(QUAD, 0.0, 1.0)
+        assert enc.lo <= Fraction(1, 3) <= enc.hi
+        assert enc.width <= 1e-10
 
     def test_kink_equality_case(self):
-        assert gap(GapQuery(KINK, 0.5)) == pytest.approx(0.25, abs=1e-15)
+        enc = _reference_integral(KINK, 0.0, 1.0)
+        assert enc.lo <= 0.25 <= enc.hi
+        assert enc.width <= 1e-10
 
     def test_constant(self):
         f = catalog("constant", (7.0,))
-        assert gap(GapQuery(f, 0.3)) == 0.0
+        enc = _reference_integral(f, 0.25, 0.75)
+        assert enc.lo <= 3.5 <= enc.hi
 
-    def test_no_antiderivative_falls_back_to_adaptive(self):
-        bare = ConvexFunction(QUAD.domain, QUAD.evaluate, QUAD.dplus, QUAD.dminus, "bare")
-        assert gap(GapQuery(bare, 0.5)) == pytest.approx(1.0 / 6.0, abs=1e-9)
+    def test_antiderivative_not_read(self):
+        bare = dataclasses.replace(QUAD, antiderivative=None)
+        assert _reference_integral(bare, 0.2, 0.9) == _reference_integral(QUAD, 0.2, 0.9)
 
-    def test_adaptive_fallback_keeps_the_f2_range(self):
+    def test_sub_domain_keeps_the_f2_range(self):
         # the window's sub-domain copy of f must keep its f'' range oracle
         calls = []
 
@@ -222,7 +238,7 @@ class TestOptimalPoint:
         rep = optimal_point_bound(KINK)
         assert rep.x0 == pytest.approx(0.5, abs=1e-15)
         assert rep.gap_upper == pytest.approx(0.25, abs=1e-15)
-        assert rep.gap_upper >= gap(GapQuery(KINK, rep.x0)) - 1e-12
+        assert rep.gap_upper >= reference_gap(KINK, rep.x0) - 1e-12
 
     def test_shifted_parabola(self):
         f = shifted_parabola()
@@ -316,5 +332,7 @@ class TestSandwichProperties:
             f = catalog("kink", (k, m), Interval(a, b))
             q = GapQuery(f, m)
             expected = 0.25 * k * (b - a) ** 2
-            for value in (gap(q), lower_gap_bound(q), upper_gap_bound(q)):
+            for value in (lower_gap_bound(q), upper_gap_bound(q)):
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            enc = _reference_integral(f, a, b)
+            assert enc.lo <= kink_integral(k, m, a, b) <= enc.hi

@@ -11,6 +11,7 @@ doubled until two runs agree.
 """
 
 import dataclasses
+import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trapbound.cli import main
 from trapbound.expr import to_convex_function
 from trapbound.funcs import CATALOG_NAMES, Interval, catalog, default_catalog
 from trapbound.quadrature import adaptive_integrate
@@ -161,3 +163,20 @@ def test_expression_enclosure_contains_reference(src, name, params, a, b, eps):
     res = adaptive_integrate(to_convex_function(src, Interval(a, b)), eps, max_cells=200_000)
     assert res.converged
     assert res.integral.lo <= exact_integral(name, params, a, b) <= res.integral.hi
+
+
+@pytest.mark.parametrize("command", [["gap", "--x", "1.2"], ["hh"]])
+@pytest.mark.parametrize("src, name, params", [
+    ("x^2", "quadratic", ()),
+    ("exp(x)", "exp", ()),
+    ("abs(x - 0.5)", "kink", (1.0, 0.5)),
+    ("x*log(x)", "xlogx", ()),
+])
+def test_cli_integral_contains_reference(capsys, command, src, name, params):
+    # gap and hh report the integral behind them as a certified enclosure
+    argv = [command[0], "--fn", src, "--interval", "0.5", "2", *command[1:]]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "gap" not in report and "difference" not in report
+    integral = report["integral"]
+    assert integral["lo"] <= exact_integral(name, params, 0.5, 2.0) <= integral["hi"]
