@@ -74,7 +74,7 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
         try:
             # float() ignores surrounding whitespace; blank lines and bad
             # numbers take the line loop below
-            weights = list(map(float, lines))
+            weights = tuple(map(float, lines))
         except ValueError:
             weights = []
             for lineno, line in enumerate(lines, start=1):
@@ -92,9 +92,10 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DistributionLoadError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+        # exact types: a bool is an int to isinstance, and not a weight
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
             raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
-        weights = list(map(float, data))
+        weights = tuple(map(float, data))
     else:
         raise DistributionLoadError(f"unknown distribution format {fmt!r}")
 
@@ -112,8 +113,9 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
         if total == 0:
             raise HypothesisError(f"{path}: weights sum to 0, cannot normalize")
         weights = [w / total for w in weights]
+        total = None  # the distribution sums the rescaled weights itself
     try:
-        return div.DiscreteDistribution(tuple(weights))
+        return div.DiscreteDistribution(tuple(weights), total)
     except ValueError as exc:
         raise HypothesisError(f"{path}: {exc}") from exc
 
@@ -256,18 +258,17 @@ def _cmd_divergence(args) -> dict:
     generator = div.generator_catalog(args.generator)
     p = load_distribution(args.p, args.p_format, args.normalize)
     q = load_distribution(args.q, args.q_format, args.normalize)
-    sandwich = div.sandwich_report(generator, p, q)
-    gap = div.gap_enclosure(generator, p, q)
+    report = div.divergence_report(generator, p, q)
     return {
         "command": "divergence",
         "generator": generator.label,
         "n": len(p),
-        "csiszar": 2.0 * sandwich.half_csiszar,
-        "lin_wong": sandwich.lin_wong,
-        "hh": _enclosure_dict(sandwich.hh),
-        "half_csiszar": sandwich.half_csiszar,
-        "sandwich_holds": sandwich.holds,
-        "gap": _enclosure_dict(gap),
+        "csiszar": report.csiszar,
+        "lin_wong": report.lin_wong,
+        "hh": _enclosure_dict(report.hh),
+        "half_csiszar": report.half_csiszar,
+        "sandwich_holds": report.holds,
+        "gap": _enclosure_dict(report.gap),
     }
 
 

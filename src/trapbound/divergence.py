@@ -15,14 +15,22 @@ the paper's bracket (``pointwise._gap_bracket``) bounds; with w = |q - p|:
       <=  D_f/2 - HH  <=
     (1/8) sum_x w [f'-(v) - f'+(u)].
 
-HH is returned as an enclosure: each inner integral is exact when the
-generator carries an antiderivative, else certified by adaptive quadrature.
+:func:`divergence_report` makes one pass over the support for all of them:
+each point's r = q/p and r_m are formed once and feed every sum, so a point
+costs two calls of f, one of the antiderivative and three of the slopes, two
+when f'+ and f'- are one function (the differentiable catalog generators).
+
+HH is returned as an enclosure.  With an antiderivative F each inner term is
+the point p^2/(q-p) (F(q/p) - F(1)), not rounded outward, and the difference
+F(q/p) - F(1) cancels when q/p is near 1, so that point can miss the true
+term there.  Without an antiderivative each inner integral is certified by
+adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .funcs import ConvexFunction, Interval
@@ -41,18 +49,26 @@ class UndefinedDivergenceError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite probability vector: nonnegative weights summing to 1."""
+    """Finite probability vector: nonnegative weights summing to 1.
+
+    ``total`` is for a caller that holds the weights as a tuple of floats
+    and has their ``math.fsum`` already: neither is computed again.
+    """
 
     weights: tuple
+    total: InitVar[Optional[float]] = None
 
-    def __post_init__(self) -> None:
-        w = tuple(map(float, self.weights))
-        object.__setattr__(self, "weights", w)
+    def __post_init__(self, total: Optional[float]) -> None:
+        w = self.weights
+        if total is None:
+            w = tuple(map(float, w))
+            object.__setattr__(self, "weights", w)
         if not w:
             raise ValueError("distribution needs at least one weight")
-        if min(w) < 0:
-            raise ValueError(f"weights must be nonnegative, got {min(w)}")
-        s = math.fsum(w)
+        lowest = min(w)
+        if lowest < 0:
+            raise ValueError(f"weights must be nonnegative, got {lowest}")
+        s = math.fsum(w) if total is None else total
         # written so that a NaN sum fails too
         if not abs(s - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {s!r}")
@@ -65,7 +81,7 @@ class DiscreteDistribution:
 class GeneratorFunction:
     """Convex generator f on (0, inf), normalized so f(1) = 0.
 
-    ``antiderivative`` enables exact inner integrals for the HH divergence;
+    ``antiderivative`` gives the HH divergence's inner integrals in closed form;
     ``slope_at_infinity`` is lim f(u)/u as u -> inf (may be ``math.inf``) and
     defines the convention for support points with p = 0 < q.
     """
@@ -99,124 +115,98 @@ def _slope_at_infinity(g: GeneratorFunction, qi: float) -> float:
     return g.slope_at_infinity
 
 
-def _csiszar_sum(g: GeneratorFunction, pairs) -> float:
-    """sum p f(q/p) over the (p, q) pairs, with the zero conventions of :func:`csiszar`."""
-    fn = g.fn
-    total = 0.0
-    for pi, qi in pairs:
-        if pi == 0.0:
-            if qi != 0.0:
-                total += qi * _slope_at_infinity(g, qi)
-        else:
-            total += pi * fn(qi / pi)
-    return total
-
-
-def csiszar(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Csiszar divergence sum_x p f(q/p), with the standard zero conventions:
-    (p=0, q=0) contributes 0; (p=0, q>0) contributes q * slope_at_infinity."""
-    return _csiszar_sum(g, _pairs(p, q))
-
-
-def lin_wong(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Generalized Lin-Wong divergence D_f(p, (p+q)/2)."""
-    return _csiszar_sum(g, zip(p.weights, [0.5 * (pi + qi) for pi, qi in _pairs(p, q)]))
-
-
-def hh_divergence(
-    g: GeneratorFunction,
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    eps: float = 1e-9,
-) -> Enclosure:
-    """Hermite-Hadamard divergence sum_x p^2/(q-p) integral_1^{q/p} f.
-
-    Each term equals p times the mean of f over the segment between 1 and
-    q/p.  A term can be negative (for ``kl``, u log u has a negative mean
-    over [q/p, 1] when q < p); only the sum is nonnegative.  Terms with q = p
-    (relative to ``_EQUAL_RATIO_TOL``) contribute exactly 0, and terms with
-    p = 0 < q their limit q * slope_at_infinity / 2, as in :func:`lin_wong`.
-    The result is an enclosure: degenerate when the generator carries an
-    antiderivative, otherwise each inner integral is certified by adaptive
-    quadrature with a budget of eps divided by the support size.
-    """
-    F = g.antiderivative
-    F1 = F(1.0) if F is not None else None
-    n = len(p.weights)
-    tail = lo_sum = hi_sum = 0.0
-    for pi, qi in _pairs(p, q):
-        if pi == 0.0:
-            if qi != 0.0:
-                tail += 0.5 * qi * _slope_at_infinity(g, qi)
-        elif abs(qi - pi) > _EQUAL_RATIO_TOL * pi:
-            if F is not None:
-                lo_sum += pi * pi / (qi - pi) * (F(qi / pi) - F1)
-                continue
-            # the term is p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
-            r = qi / pi
-            piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), g.fn, g.dplus, g.dminus, g.label)
-            inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral
-            weight = pi * pi / abs(qi - pi)
-            lo_sum += weight * inner.lo
-            hi_sum += weight * inner.hi
-    return Enclosure(lo_sum + tail, (lo_sum if F is not None else hi_sum) + tail)
-
-
-class SandwichReport(NamedTuple):
+class DivergenceReport(NamedTuple):
+    csiszar: float
     lin_wong: float
     hh: Enclosure
-    half_csiszar: float
-    holds: bool
+    gap: Enclosure
+
+    @property
+    def half_csiszar(self) -> float:
+        return 0.5 * self.csiszar
+
+    @property
+    def holds(self) -> bool:
+        """LW <= HH <= D_f/2, with 1e-9 slack against the HH enclosure."""
+        return self.lin_wong <= self.hh.hi + 1e-9 and self.hh.lo <= self.half_csiszar + 1e-9
 
 
-def sandwich_report(
+def divergence_report(
     g: GeneratorFunction,
     p: DiscreteDistribution,
     q: DiscreteDistribution,
     eps: float = 1e-9,
-) -> SandwichReport:
-    """Evaluate LW <= HH <= D_f/2 (with 1e-9 slack against the HH enclosure)."""
-    lw = lin_wong(g, p, q)
-    hh = hh_divergence(g, p, q, eps)
-    half = 0.5 * csiszar(g, p, q)
-    holds = lw <= hh.hi + 1e-9 and hh.lo <= half + 1e-9
-    return SandwichReport(lw, hh, half, holds)
+) -> DivergenceReport:
+    """D_f, LW_f, an enclosure of HH_f and a certified bracket of D_f/2 - HH_f.
 
-
-def gap_enclosure(
-    g: GeneratorFunction,
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-) -> Enclosure:
-    """Certified bracket for D_f/2 - HH_f: the per-term brackets of the
-    module docstring, summed as one call to the kernel.  A point with
-    p = 0 < q adds its limit 0 if the slope at infinity is finite, else it
-    makes ``hi`` +inf (inf - inf, with limit q/4 for kl, +inf for chi2).
+    Zero-mass conventions: a point with p = q = 0 adds nothing; one with
+    p = 0 < q adds its limit, q * slope_at_infinity to D_f and (halved) to
+    LW_f and HH_f, and to the gap 0 if that slope is finite, else it makes
+    ``gap.hi`` +inf (inf - inf, with limit q/4 for kl, +inf for chi2).  A
+    point with q = p (relative to ``_EQUAL_RATIO_TOL``) adds 0 to HH_f.  An
+    HH term can be negative (for ``kl``, u log u has a negative mean over
+    [q/p, 1] when q < p); only the sum is nonnegative.
+    Without an antiderivative each inner integral of HH_f is certified by
+    adaptive quadrature with a budget of eps divided by the support size.
+    The gap is one call to the kernel on the |q - p|-weighted slope sums,
+    which is the sum of the per-term brackets of the module docstring; a
+    point whose midpoint r_m rounds to 1 adds nothing to it.
     """
-    dplus, dminus = g.dplus, g.dminus
+    fn, dplus, dminus, F = g.fn, g.dplus, g.dminus, g.antiderivative
+    shared = dplus is dminus
+    F1 = F(1.0) if F is not None else None
     d1p, d1m = dplus(1.0), dminus(1.0)
+    tol = _EQUAL_RATIO_TOL
+    n = len(p.weights)
+    cs = lw = 0.0
+    # HH: the sums of the lower and upper ends of the inner terms, and the
+    # limits of the points with p = 0 < q
+    hh_lo = hh_hi = tail = 0.0
     # sums of w f'+(r_m), w f'-(r_m), w f'+(u) and w f'-(v), w = |q - p|
     sp = sm = su = sv = 0.0
     for pi, qi in _pairs(p, q):
         if pi == 0.0:
-            if qi != 0.0 and _slope_at_infinity(g, qi) == math.inf:
-                sv = math.inf  # v = q/p = inf, where f'-(v) is the slope
+            if qi != 0.0:
+                s = _slope_at_infinity(g, qi)
+                half = 0.5 * qi
+                cs += qi * s
+                if half != 0.0:  # LW drops a q that halves to 0
+                    lw += half * s
+                tail += half * s
+                if s == math.inf:
+                    sv = math.inf  # v = q/p = inf, where f'-(v) is the slope
             continue
-        rm = 0.5 * (pi + qi) / pi
-        if rm == 1.0:
-            continue  # q = p, or too close for a float to split [1, q/p]
-        w = abs(qi - pi)
-        sp += w * dplus(rm)
-        sm += w * dminus(rm)
         r = qi / pi
-        if r > 1.0:
-            su += w * d1p
-            sv += w * dminus(r)
-        else:
-            su += w * dplus(r)
-            sv += w * d1m
+        rm = 0.5 * (pi + qi) / pi
+        cs += pi * fn(r)
+        lw += pi * fn(rm)
+        d = qi - pi
+        w = abs(d)
+        if w > tol * pi:
+            if F is not None:
+                hh_lo += pi * pi / d * (F(r) - F1)
+            else:
+                # p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
+                piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), fn, dplus, dminus, g.label)
+                inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral
+                weight = pi * pi / w
+                hh_lo += weight * inner.lo
+                hh_hi += weight * inner.hi
+        if rm != 1.0:  # else q = p, or too close for a float to split [1, q/p]
+            sp += w * dplus(rm)
+            if not shared:
+                sm += w * dminus(rm)
+            if r > 1.0:
+                su += w * d1p
+                sv += w * dminus(r)
+            else:
+                su += w * dplus(r)
+                sv += w * d1m
+    if shared:
+        sm = sp  # the same terms in the same order
+    hh = Enclosure(hh_lo + tail, (hh_lo if F is not None else hh_hi) + tail)
     lo, hi = _gap_bracket(0.25, 0.25, sp, sm, su, sv)
-    return Enclosure(lo, max(hi, lo))
+    return DivergenceReport(cs, lw, hh, Enclosure(lo, max(hi, lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +214,25 @@ def gap_enclosure(
 # ---------------------------------------------------------------------------
 
 
+def _smooth(fn, slope, label, antiderivative, slope_at_infinity) -> GeneratorFunction:
+    """A differentiable generator: one slope function serves as f'+ and f'-."""
+    return GeneratorFunction(fn, slope, slope, label, antiderivative, slope_at_infinity)
+
+
 def generator_catalog(name: str) -> GeneratorFunction:
     """Built-in generators: chi_squared, kl, total_variation, hellinger."""
     if name in ("chi_squared", "chi2"):
-        return GeneratorFunction(
+        return _smooth(
             fn=lambda u: (u - 1.0) ** 2,
-            dplus=lambda u: 2.0 * (u - 1.0),
-            dminus=lambda u: 2.0 * (u - 1.0),
+            slope=lambda u: 2.0 * (u - 1.0),
             label="chi_squared",
             antiderivative=lambda u: (u - 1.0) ** 3 / 3.0,
             slope_at_infinity=math.inf,
         )
     if name == "kl":
-        return GeneratorFunction(
+        return _smooth(
             fn=lambda u: u * math.log(u) if u > 0 else 0.0,
-            dplus=lambda u: math.log(u) + 1.0,
-            dminus=lambda u: math.log(u) + 1.0,
+            slope=lambda u: math.log(u) + 1.0,
             label="kl",
             antiderivative=lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u,
             slope_at_infinity=math.inf,
@@ -254,11 +247,10 @@ def generator_catalog(name: str) -> GeneratorFunction:
             slope_at_infinity=1.0,
         )
     if name == "hellinger":
-        return GeneratorFunction(
+        return _smooth(
             fn=lambda u: (math.sqrt(u) - 1.0) ** 2,
-            # the slopes tend to -inf at 0, where q = 0 < p puts a term
-            dplus=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
-            dminus=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
+            # the slope tends to -inf at 0, where q = 0 < p puts a term
+            slope=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
             label="hellinger",
             antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
             slope_at_infinity=1.0,

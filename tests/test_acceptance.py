@@ -18,12 +18,8 @@ from divergence_oracles import chi_squared
 from trapbound.divergence import (
     GENERATOR_NAMES,
     DiscreteDistribution,
-    csiszar,
-    gap_enclosure as divergence_gap,
+    divergence_report,
     generator_catalog,
-    hh_divergence,
-    lin_wong,
-    sandwich_report,
 )
 from trapbound.expr import eval_expr, parse, to_convex_function, to_string
 from trapbound.funcs import Interval, catalog, default_catalog
@@ -178,24 +174,24 @@ def test_criterion_8_divergence_closed_forms(rng):
         q = DiscreteDistribution(tuple(w2 / w2.sum()))
         pairs.append((p, q))
         x2 = chi_squared(p, q)
-        ok = ok and abs(csiszar(g2, p, q) - x2) <= 1e-10
-        hh = hh_divergence(g2, p, q)
-        ok = ok and hh.lo - 1e-10 <= x2 / 3.0 <= hh.hi + 1e-10
-        ok = ok and abs(lin_wong(g2, p, q) - x2 / 4.0) <= 1e-10
+        rep = divergence_report(g2, p, q)
+        ok = ok and abs(rep.csiszar - x2) <= 1e-10
+        ok = ok and rep.hh.lo - 1e-10 <= x2 / 3.0 <= rep.hh.hi + 1e-10
+        ok = ok and abs(rep.lin_wong - x2 / 4.0) <= 1e-10
     for name in GENERATOR_NAMES:
         g = generator_catalog(name)
         for p, q in pairs[:25]:
-            rep = sandwich_report(g, p, q)
+            rep = divergence_report(g, p, q)
             ok = ok and rep.holds
-            true_gap = rep.half_csiszar - hh_divergence(g, p, q).midpoint
-            ok = ok and divergence_gap(g, p, q).contains(true_gap, slack=1e-9)
+            true_gap = rep.half_csiszar - rep.hh.midpoint
+            ok = ok and rep.gap.contains(true_gap, slack=1e-9)
     p = DiscreteDistribution((0.5, 0.5))
     q = DiscreteDistribution((0.25, 0.75))
-    rep = sandwich_report(g2, p, q)
+    rep = divergence_report(g2, p, q)
     ok = ok and abs(rep.lin_wong - 0.0625) <= 1e-7
     ok = ok and abs(rep.hh.midpoint - 0.0833333) <= 1e-6
     ok = ok and abs(rep.half_csiszar - 0.125) <= 1e-7
-    genc = divergence_gap(g2, p, q)
+    genc = rep.gap
     ok = ok and genc.contains(0.125 - 0.25 / 3.0, slack=1e-9)
     ok = ok and abs(genc.lo - 0.0) <= 1e-12 and abs(genc.hi - 0.0625) <= 1e-7
     report(8, "divergence closed forms, sandwich, and gap bracket", ok)

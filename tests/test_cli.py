@@ -307,6 +307,21 @@ class TestCheck:
                                  "--p", p, "--q", str(bad))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("text", ["[true, false]", '["0.5", "0.5"]', "[[0.5], [0.5]]", "[1, false]"])
+    def test_json_weights_must_be_numbers(self, capsys, tmp_path, text):
+        # a JSON bool is an int to isinstance, but not a weight
+        bad = tmp_path / "w.json"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"trapbound: error: {bad}: expected a JSON array of numbers\n"
+        other = tmp_path / "v.json"
+        other.write_text("[false, true]")
+        code, out, err = run_cli(capsys, "divergence", "--generator", "tv",
+                                 "--p", str(other), "--q", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"trapbound: error: {other}: expected a JSON array of numbers\n"
+
     @pytest.mark.parametrize("name, text", [
         ("zeros.csv", "0\n0\n0\n"),
         ("zeros.json", "[0, 0.0, 0]"),

@@ -1,19 +1,19 @@
 import math
+from collections import Counter
 
 import pytest
-from divergence_oracles import CLOSED_FORMS, chi_squared
+from divergence_oracles import CLOSED_FORMS, chi_squared, reference_report
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapbound.divergence import (
+    _EQUAL_RATIO_TOL,
     GENERATOR_NAMES,
     DiscreteDistribution,
     GeneratorFunction,
     UndefinedDivergenceError,
-    csiszar,
-    gap_enclosure,
+    divergence_report,
     generator_catalog,
-    hh_divergence,
-    lin_wong,
-    sandwich_report,
 )
 from trapbound.pointwise import Enclosure
 
@@ -86,40 +86,40 @@ class TestCsiszar:
             g = generator_catalog(name)
             for p, q in CORPUS:
                 expected = CLOSED_FORMS[name](p.weights, q.weights)
-                assert csiszar(g, p, q) == pytest.approx(expected, rel=1e-12, abs=1e-12), name
+                assert divergence_report(g, p, q).csiszar == pytest.approx(expected, rel=1e-12, abs=1e-12), name
 
     def test_kl_spot_value(self):
-        d = csiszar(generator_catalog("kl"), P2, Q2)
+        d = divergence_report(generator_catalog("kl"), P2, Q2).csiszar
         assert d == pytest.approx(0.25 * math.log(0.5) + 0.75 * math.log(1.5), abs=1e-15)
         assert d == pytest.approx(0.130812, abs=1e-6)
 
     def test_identical_arguments_vanish(self):
         for name in GENERATOR_NAMES:
             g = generator_catalog(name)
-            assert csiszar(g, P2, P2) == pytest.approx(0.0, abs=1e-15)
+            assert divergence_report(g, P2, P2).csiszar == pytest.approx(0.0, abs=1e-15)
 
     def test_mismatched_supports(self):
         with pytest.raises(ValueError):
-            csiszar(generator_catalog("kl"), P2, DiscreteDistribution((1.0,)))
+            divergence_report(generator_catalog("kl"), P2, DiscreteDistribution((1.0,)))
 
     def test_zero_mass_conventions(self):
         p = DiscreteDistribution((1.0, 0.0))
         q = DiscreteDistribution((0.5, 0.5))
         # finite slope at infinity: the q-only point contributes q * slope
         tv = generator_catalog("total_variation")
-        assert csiszar(tv, p, q) == pytest.approx(1.0 * abs(0.5 - 1.0) + 0.5 * 1.0, abs=1e-15)
+        assert divergence_report(tv, p, q).csiszar == pytest.approx(1.0 * abs(0.5 - 1.0) + 0.5 * 1.0, abs=1e-15)
         # infinite slope: divergence is +inf
-        assert csiszar(generator_catalog("chi_squared"), p, q) == math.inf
+        assert divergence_report(generator_catalog("chi_squared"), p, q).csiszar == math.inf
         # both masses zero at a point: the point is ignored
         pz = DiscreteDistribution((1.0, 0.0))
         qz = DiscreteDistribution((1.0, 0.0))
-        assert csiszar(generator_catalog("kl"), pz, qz) == 0.0
+        assert divergence_report(generator_catalog("kl"), pz, qz).csiszar == 0.0
         # no declared slope: undefined
         bare = GeneratorFunction(lambda u: (u - 1.0) ** 2,
                                  lambda u: 2.0 * (u - 1.0), lambda u: 2.0 * (u - 1.0),
                                  "bare")
         with pytest.raises(UndefinedDivergenceError):
-            csiszar(bare, p, q)
+            divergence_report(bare, p, q)
 
     def test_permutation_invariance(self):
         g = generator_catalog("hellinger")
@@ -127,7 +127,8 @@ class TestCsiszar:
         q = DiscreteDistribution((0.5, 0.3, 0.2))
         pp = DiscreteDistribution((0.5, 0.3, 0.2))
         qq = DiscreteDistribution((0.2, 0.3, 0.5))
-        assert csiszar(g, p, q) == pytest.approx(csiszar(g, pp, qq), rel=1e-14)
+        forward, back = divergence_report(g, p, q), divergence_report(g, pp, qq)
+        assert forward.csiszar == pytest.approx(back.csiszar, rel=1e-14)
 
 
 class TestChiSquaredClosedForms:
@@ -138,9 +139,10 @@ class TestChiSquaredClosedForms:
         g = generator_catalog("chi_squared")
         x2 = chi_squared(P2, Q2)
         assert x2 == pytest.approx(0.25, abs=1e-15)
-        assert csiszar(g, P2, Q2) == pytest.approx(0.25, abs=1e-14)
-        assert lin_wong(g, P2, Q2) == pytest.approx(0.0625, abs=1e-14)
-        hh = hh_divergence(g, P2, Q2)
+        rep = divergence_report(g, P2, Q2)
+        assert rep.csiszar == pytest.approx(0.25, abs=1e-14)
+        assert rep.lin_wong == pytest.approx(0.0625, abs=1e-14)
+        hh = rep.hh
         assert hh.lo == pytest.approx(0.25 / 3.0, abs=1e-14)
         assert hh.hi == pytest.approx(0.25 / 3.0, abs=1e-14)
 
@@ -148,9 +150,10 @@ class TestChiSquaredClosedForms:
         g = generator_catalog("chi_squared")
         for p, q in CORPUS:
             x2 = chi_squared(p, q)
-            assert csiszar(g, p, q) == pytest.approx(x2, abs=1e-10)
-            assert lin_wong(g, p, q) == pytest.approx(x2 / 4.0, abs=1e-10)
-            hh = hh_divergence(g, p, q)
+            rep = divergence_report(g, p, q)
+            assert rep.csiszar == pytest.approx(x2, abs=1e-10)
+            assert rep.lin_wong == pytest.approx(x2 / 4.0, abs=1e-10)
+            hh = rep.hh
             assert hh.lo == pytest.approx(x2 / 3.0, abs=1e-10)
             assert hh.hi == pytest.approx(x2 / 3.0, abs=1e-10)
 
@@ -158,7 +161,7 @@ class TestChiSquaredClosedForms:
 class TestHHDivergence:
     def test_exact_when_antiderivative_available(self):
         g = generator_catalog("kl")
-        enc = hh_divergence(g, P2, Q2)
+        enc = divergence_report(g, P2, Q2).hh
         assert enc.width == 0.0
 
     def test_adaptive_fallback_matches_exact(self):
@@ -166,8 +169,8 @@ class TestHHDivergence:
         bare = GeneratorFunction(exact.fn, exact.dplus, exact.dminus, "hellinger-bare",
                                  slope_at_infinity=1.0)
         for p, q in CORPUS[:3]:
-            ref = hh_divergence(exact, p, q).lo
-            enc = hh_divergence(bare, p, q, eps=1e-9)
+            ref = divergence_report(exact, p, q).hh.lo
+            enc = divergence_report(bare, p, q, eps=1e-9).hh
             assert enc.contains(ref, slack=1e-12), (p.weights, q.weights)
             assert enc.width <= 1e-9
 
@@ -176,7 +179,7 @@ class TestHHDivergence:
         p = DiscreteDistribution((0.0, 0.5, 0.5))
         q = DiscreteDistribution((0.2, 0.4, 0.4))
         tv = generator_catalog("tv")
-        rep = sandwich_report(tv, p, q)
+        rep = divergence_report(tv, p, q)
         # tv is affine on each side of 1, so LW = HH = D/2 = 0.2
         assert rep.hh.lo == rep.hh.hi == pytest.approx(0.2, abs=1e-15)
         assert rep.lin_wong == pytest.approx(0.2, abs=1e-15)
@@ -184,13 +187,15 @@ class TestHHDivergence:
         assert rep.holds
         for name in ("kl", "chi_squared"):
             g = generator_catalog(name)
-            assert hh_divergence(g, p, q) == Enclosure(math.inf, math.inf)
-            assert sandwich_report(g, p, q).holds
+            rep = divergence_report(g, p, q)
+            assert rep.hh == Enclosure(math.inf, math.inf)
+            assert rep.holds
         # the adaptive path adds the same limit
         exact = generator_catalog("hellinger")
         bare = GeneratorFunction(exact.fn, exact.dplus, exact.dminus, "hellinger-bare",
                                  slope_at_infinity=1.0)
-        assert hh_divergence(bare, p, q).contains(hh_divergence(exact, p, q).lo, slack=1e-12)
+        ref = divergence_report(exact, p, q).hh.lo
+        assert divergence_report(bare, p, q).hh.contains(ref, slack=1e-12)
 
     def test_p_zero_without_slope_is_undefined(self):
         p = DiscreteDistribution((0.0, 1.0))
@@ -198,13 +203,13 @@ class TestHHDivergence:
         exact = generator_catalog("chi_squared")
         bare = GeneratorFunction(exact.fn, exact.dplus, exact.dminus, "bare",
                                  antiderivative=exact.antiderivative)
-        for fn in (hh_divergence, gap_enclosure):
-            with pytest.raises(UndefinedDivergenceError):
-                fn(bare, p, q)
+        with pytest.raises(UndefinedDivergenceError):
+            divergence_report(bare, p, q)
         # p = q = 0 needs no slope
         zero = DiscreteDistribution((0.0, 1.0))
-        assert hh_divergence(bare, zero, zero) == Enclosure(0.0, 0.0)
-        assert gap_enclosure(bare, zero, zero) == Enclosure(0.0, 0.0)
+        rep = divergence_report(bare, zero, zero)
+        assert rep.hh == Enclosure(0.0, 0.0)
+        assert rep.gap == Enclosure(0.0, 0.0)
 
     def test_nonnegative_on_random_pairs(self, rng):
         gens = [generator_catalog(n) for n in GENERATOR_NAMES]
@@ -212,9 +217,10 @@ class TestHHDivergence:
             n = int(rng.integers(2, 51))
             p, q = random_pair(rng, n)
             for g in gens:
-                assert csiszar(g, p, q) >= -1e-12, g.label
-                assert lin_wong(g, p, q) >= -1e-12, g.label
-                assert hh_divergence(g, p, q).lo >= -1e-12, g.label
+                rep = divergence_report(g, p, q)
+                assert rep.csiszar >= -1e-12, g.label
+                assert rep.lin_wong >= -1e-12, g.label
+                assert rep.hh.lo >= -1e-12, g.label
 
 
 class TestSandwichAndGap:
@@ -223,7 +229,7 @@ class TestSandwichAndGap:
         pairs = list(CORPUS) + [random_pair(rng, int(rng.integers(2, 12))) for _ in range(40)]
         for g in gens:
             for p, q in pairs:
-                rep = sandwich_report(g, p, q)
+                rep = divergence_report(g, p, q)
                 assert rep.holds, (g.label, p.weights, q.weights)
                 assert rep.lin_wong <= rep.hh.hi + 1e-9
                 assert rep.hh.lo <= rep.half_csiszar + 1e-9
@@ -233,9 +239,9 @@ class TestSandwichAndGap:
         pairs = list(CORPUS) + [random_pair(rng, int(rng.integers(2, 12))) for _ in range(40)]
         for g in gens:
             for p, q in pairs:
-                gap = 0.5 * csiszar(g, p, q) - hh_divergence(g, p, q).midpoint
-                enc = gap_enclosure(g, p, q)
-                assert enc.contains(gap, slack=1e-9), (g.label, p.weights, q.weights)
+                rep = divergence_report(g, p, q)
+                gap = rep.half_csiszar - rep.hh.midpoint
+                assert rep.gap.contains(gap, slack=1e-9), (g.label, p.weights, q.weights)
 
     def test_kink_at_one_gives_exact_zero(self, rng):
         # tv is affine on each side of 1, so every term of D/2 - HH is 0; the
@@ -243,40 +249,148 @@ class TestSandwichAndGap:
         tv = generator_catalog("tv")
         p = DiscreteDistribution((0.2, 0.3, 0.5))
         q = DiscreteDistribution((0.4, 0.1, 0.5))
-        assert gap_enclosure(tv, p, q) == Enclosure(0.0, 0.0)
+        assert divergence_report(tv, p, q).gap == Enclosure(0.0, 0.0)
         for _ in range(20):
             p, q = random_pair(rng, int(rng.integers(2, 30)))
-            assert gap_enclosure(tv, p, q) == Enclosure(0.0, 0.0)
+            assert divergence_report(tv, p, q).gap == Enclosure(0.0, 0.0)
         # q = p (1 + 2^-52): the midpoint (p + q)/(2p) rounds onto the kink
         # at 1, whose jump must not enter the lower side
         q = DiscreteDistribution((0.5 + 2.0 ** -53, 0.5 - 2.0 ** -53))
         assert 0.5 * (0.5 + q.weights[0]) / 0.5 == 1.0
-        assert gap_enclosure(tv, P2, q) == Enclosure(0.0, 0.0)
+        assert divergence_report(tv, P2, q).gap == Enclosure(0.0, 0.0)
 
     def test_p_zero_gap(self):
         p = DiscreteDistribution((0.0, 0.5, 0.5))
         q = DiscreteDistribution((0.2, 0.4, 0.4))
         # a finite slope at infinity: the point's limit is 0
-        assert gap_enclosure(generator_catalog("tv"), p, q) == Enclosure(0.0, 0.0)
-        hel = generator_catalog("hellinger")
-        true_gap = 0.5 * csiszar(hel, p, q) - hh_divergence(hel, p, q).lo
-        assert gap_enclosure(hel, p, q).contains(true_gap, slack=1e-12)
+        assert divergence_report(generator_catalog("tv"), p, q).gap == Enclosure(0.0, 0.0)
+        hel = divergence_report(generator_catalog("hellinger"), p, q)
+        true_gap = hel.half_csiszar - hel.hh.lo
+        assert hel.gap.contains(true_gap, slack=1e-12)
         # an infinite one: inf - inf, with limit q/4 for kl and +inf for chi2
         for name in ("kl", "chi_squared"):
-            assert gap_enclosure(generator_catalog(name), p, q).hi == math.inf
+            assert divergence_report(generator_catalog(name), p, q).gap.hi == math.inf
 
     def test_chi_squared_gap_closed_form(self):
         g = generator_catalog("chi_squared")
         for p, q in CORPUS:
-            enc = gap_enclosure(g, p, q)
+            enc = divergence_report(g, p, q).gap
             assert enc.lo == pytest.approx(0.0, abs=1e-15)
             assert enc.hi == pytest.approx(chi_squared(p, q) / 4.0, abs=1e-12)
 
     def test_equal_distributions_collapse(self):
         for name in GENERATOR_NAMES:
             g = generator_catalog(name)
-            rep = sandwich_report(g, P2, P2)
+            rep = divergence_report(g, P2, P2)
             assert rep.lin_wong == pytest.approx(0.0, abs=1e-15)
             assert rep.hh.lo == rep.hh.hi == 0.0
             assert rep.half_csiszar == pytest.approx(0.0, abs=1e-15)
             assert rep.holds
+
+
+#: point kinds of :func:`zero_mass_pairs`; "near" is q = p (1 + k 1e-15)
+POINT_KINDS = ("plain", "p_zero", "both_zero", "q_zero", "equal", "near")
+
+
+@st.composite
+def zero_mass_pairs(draw):
+    """Distributions (p, q) whose points are of the kinds of ``POINT_KINDS``;
+    the first point is plain, and the plain and p = 0 points share the mass
+    of q that the others leave."""
+    n = draw(st.integers(1, 9))
+    kinds = ["plain", *draw(st.lists(st.sampled_from(POINT_KINDS), min_size=n - 1, max_size=n - 1))]
+    weight = st.floats(1e-3, 1.0)
+    praw = [0.0 if k in ("p_zero", "both_zero") else draw(weight) for k in kinds]
+    qraw = [draw(weight) for _ in kinds]
+    total = math.fsum(praw)
+    p = [w / total for w in praw]
+    q = [0.0] * n
+    for i, k in enumerate(kinds):
+        if k == "equal":
+            q[i] = p[i]
+        elif k == "near":
+            q[i] = p[i] * (1.0 + draw(st.integers(1, 9)) * 1e-15)
+    free = [i for i, k in enumerate(kinds) if k in ("plain", "p_zero")]
+    scale = (1.0 - math.fsum(q)) / math.fsum(qraw[i] for i in free)
+    for i in free:
+        q[i] = qraw[i] * scale
+    return DiscreteDistribution(p), DiscreteDistribution(q)
+
+
+def _bare_hellinger():
+    g = generator_catalog("hellinger")
+    return GeneratorFunction(g.fn, g.dplus, g.dminus, "hellinger-bare", slope_at_infinity=1.0)
+
+
+def _bits(make):
+    """Each field of the report as float.hex, or the exception raised."""
+    try:
+        rep = make()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    fields = (rep.csiszar, rep.lin_wong, rep.hh.lo, rep.hh.hi, rep.gap.lo, rep.gap.hi)
+    return [x.hex() for x in fields], rep.holds
+
+
+class TestSinglePass:
+    """``divergence_report`` fuses the per-quantity loops of the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_mass_pairs())
+    def test_matches_reference_loops_bit_for_bit(self, pair):
+        p, q = pair
+        # a loose eps keeps the adaptive inner integrals of the bare
+        # generator cheap at ratios q/p up to 1e3
+        cases = [(generator_catalog(name), 1e-9) for name in GENERATOR_NAMES]
+        for g, eps in [*cases, (_bare_hellinger(), 1e-3)]:
+            got = _bits(lambda: divergence_report(g, p, q, eps))
+            assert got == _bits(lambda: reference_report(g, p, q, eps)), g.label
+
+    def test_drawn_pairs_cover_every_point_kind(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(zero_mass_pairs())
+        def collect(pair):
+            for pi, qi in zip(*(d.weights for d in pair)):
+                if pi == 0.0:
+                    seen.add("both_zero" if qi == 0.0 else "p_zero")
+                elif qi == 0.0:
+                    seen.add("q_zero")
+                elif qi == pi:
+                    seen.add("equal")
+                elif abs(qi - pi) <= _EQUAL_RATIO_TOL * pi:
+                    seen.add("near")
+                else:
+                    seen.add("plain")
+
+        collect()
+        assert seen == set(POINT_KINDS)
+
+    @pytest.mark.parametrize("name", GENERATOR_NAMES)
+    def test_oracle_calls(self, name, rng):
+        # n points with p > 0 and q != p: f at q/p and at the midpoint, the
+        # antiderivative at q/p and once at 1, the slopes at the midpoint (once
+        # when f'+ and f'- are one function), at q/p, and once each at 1
+        g = generator_catalog(name)
+        counts = Counter()
+
+        def counted(key, fn):
+            def wrapper(u):
+                counts[key] += 1
+                return fn(u)
+            return wrapper
+
+        dplus = counted("slope", g.dplus)
+        shared = g.dminus is g.dplus
+        assert shared == (name != "total_variation")
+        dminus = dplus if shared else counted("slope", g.dminus)
+        wrapped = GeneratorFunction(counted("f", g.fn), dplus, dminus, g.label,
+                                    counted("F", g.antiderivative), g.slope_at_infinity)
+        n = 40
+        p, q = random_pair(rng, n)
+        assert all(pi > 0.0 and abs(qi - pi) > 1e-6 * pi for pi, qi in zip(p.weights, q.weights))
+        counts.clear()
+        divergence_report(wrapped, p, q)
+        per_point = 2 if shared else 3
+        assert counts == {"f": 2 * n, "F": n + 1, "slope": per_point * n + 2}

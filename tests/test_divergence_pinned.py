@@ -5,10 +5,12 @@
 the exception raised) of the four catalog generators and of one generator
 without an antiderivative, on pairs with p = 0 < q, p = q = 0, q = 0 < p,
 q = p and q within ``_EQUAL_RATIO_TOL`` of p.  The values were recorded from
-the straightforward per-point loops, before they were tuned; any change in
-the last bit fails here.  To record them afresh after an intended change,
-run ``PYTHONPATH=src python tests/test_divergence_pinned.py`` and say in the
-change log why the outputs moved.
+the straightforward per-quantity loops (now ``divergence_oracles``), before
+they were tuned, and are read from the fields of one ``divergence_report``:
+where that raises, every field of the case records the exception.  Any
+change in the last bit fails here.  To record them afresh after an intended
+change, run ``PYTHONPATH=src python tests/test_divergence_pinned.py`` and say
+in the change log why the outputs moved.
 """
 
 import json
@@ -22,11 +24,8 @@ from trapbound.divergence import (
     GENERATOR_NAMES,
     DiscreteDistribution,
     GeneratorFunction,
-    csiszar,
-    gap_enclosure,
+    divergence_report,
     generator_catalog,
-    hh_divergence,
-    lin_wong,
 )
 
 PINNED = Path(__file__).parent / "data" / "divergence_pinned.json"
@@ -36,11 +35,12 @@ SIZES = (1, 3, 7, 50, 400)
 #: sizes on which the generator without an antiderivative (adaptive inner
 #: integrals) is also pinned
 BARE_SIZES = (1, 3)
+#: pinned name -> field of the report
 FUNCTIONS = {
-    "csiszar": csiszar,
-    "lin_wong": lin_wong,
-    "hh_divergence": hh_divergence,
-    "gap_enclosure": gap_enclosure,
+    "csiszar": "csiszar",
+    "lin_wong": "lin_wong",
+    "hh_divergence": "hh",
+    "gap_enclosure": "gap",
 }
 
 
@@ -100,11 +100,14 @@ def _encode(value):
     return [value.lo.hex(), value.hi.hex()]
 
 
-def outcome(fn, g, p, q):
+def outcomes(g, p, q):
+    """pinned name -> encoded field, or the exception for every name."""
     try:
-        return _encode(fn(g, p, q))
+        rep = divergence_report(g, p, q)
     except Exception as exc:
-        return {"raises": type(exc).__name__, "message": str(exc)}
+        raised = {"raises": type(exc).__name__, "message": str(exc)}
+        return {fname: raised for fname in FUNCTIONS}
+    return {fname: _encode(getattr(rep, field)) for fname, field in FUNCTIONS.items()}
 
 
 def record():
@@ -114,8 +117,8 @@ def record():
         for gname, g in gens.items():
             if gname == "hellinger_bare" and len(p) not in BARE_SIZES:
                 continue
-            for fname, fn in FUNCTIONS.items():
-                out[f"{case}/{gname}/{fname}"] = outcome(fn, g, p, q)
+            for fname, value in outcomes(g, p, q).items():
+                out[f"{case}/{gname}/{fname}"] = value
     return out
 
 
