@@ -95,13 +95,19 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) 
         # exact types: a bool is an int to isinstance, and not a weight
         if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
             raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
-        weights = tuple(map(float, data))
+        try:
+            weights = tuple(map(float, data))
+        except OverflowError:
+            raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
     else:
         raise DistributionLoadError(f"unknown distribution format {fmt!r}")
 
     if not weights:
         raise DistributionLoadError(f"{path}: no weights found")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        total = math.inf  # a partial sum passed the float range
     # written so that a NaN sum fails too
     if not abs(total - 1.0) <= 1e-9:
         if not normalize:
@@ -411,6 +417,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (expr.ParseError, expr.EvalError, DomainError, EvaluationError, ValueError) as exc:
         print(f"trapbound: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # e.g. a divergence term whose power overflows at a huge q/p
+        print(f"trapbound: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (HypothesisError, NonConvexityError) as exc:
         print(f"trapbound: hypothesis failure: {exc}", file=sys.stderr)

@@ -76,7 +76,9 @@ class ConvexFunction:
     range is known; the catalog writes it in closed form and
     :func:`trapbound.expr.to_convex_function` in interval arithmetic.  Each
     end may be one ulp off, as one call to a faithful libm (within 1 ulp)
-    is; a multi-step oracle rounds its inner steps outward.
+    is; a multi-step oracle rounds its inner steps outward.  Values and
+    one-sided slopes are assumed faithful in the same sense: the adaptive
+    integrator's rounding bounds (:mod:`trapbound.quadrature`) rest on it.
 
     Instances are immutable and all methods are pure.
     """

@@ -21,15 +21,20 @@ also use, ``pointwise._gap_bracket`` (in its 1/8 form,
 The adaptive integrator bisects the cell with the widest bracket until the
 total enclosure width meets a tolerance.  Its cells carry their samples (f at
 both ends and the midpoint, the one-sided slopes there), so a bisection
-evaluates only the two new midpoints, and each cell is bracketed by the
-tangent/chord sandwich of those samples (Burkard, Hamacher & Rote 1991): the
-integral lies below the two chords through the midpoint and above the
-supporting lines.  That sandwich is intersected with the paper's bracket and,
-where f carries an f'' range (catalog functions in closed form, expressions
-by interval arithmetic, on each cell where they are C^2), with T - I in
-h^3/12 [min f'', max f''] rounded outward.  Slopes alone cannot beat
-O(n^-2) (Rote 1992), so cells grow like eps^-1/2; that term is O(h^4 f''')
-wide, and cells then grow like eps^-1/3.
+evaluates only the two new midpoints.  Where f carries an f'' range [A, B]
+with B finite (catalog functions in closed form, expressions by interval
+arithmetic, on each cell where they are C^2), a cell is bracketed by the
+slope-corrected trapezoid rule on its halves: T - I is T - C, C the
+two-chord value, plus on each half of width w the corrected error
+(w^2/12)(f'(x1) - f'(x0)), which the Peano kernel puts within
+(B - A) w^3/(36 sqrt 3) of T_h - I_h.  That bracket, rounded outward, is
+about a tenth as wide as h^3/12 [A, B], which also cuts it.  Every other
+cell takes the tangent/chord sandwich of its samples (Burkard, Hamacher &
+Rote 1991): the integral lies below the two chords through the midpoint and
+above the supporting lines; where f has an f'' range it is cut by
+h^3/12 [A, B].  Each cell's bracket is intersected with the paper's.  Slopes
+alone cannot beat O(n^-2) (Rote 1992), so cells grow like eps^-1/2; with an
+f'' range the bracket is O(h^4 f''') wide, and cells grow like eps^-1/3.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
 from .pointwise import Enclosure, _derivative, _gap_bracket, _midpoint_bracket
@@ -265,17 +270,93 @@ def _cubic_term(h: float, d2: float, s: float) -> float:
     return math.nextafter(k * math.nextafter(d2, s), s)
 
 
+#: 1/(3 sqrt 3) rounded up: the Peano term of a half cell of width w lies
+#: within (b - a) w^3/(36 sqrt 3) = _BETA (b - a) w^3/12 of 0
+_BETA = 0.19245008972987526
+#: 64 units of relative rounding, 2^-53 each
+_GAMMA = 2.0 ** -47
+
+
+def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[tuple]:
+    """T - I on a cell [u, v] split at m where a <= f'' <= b, d2 = (a, b),
+    from the samples alone; None where this bracket does not apply.
+
+    With C the two-chord value and wl = m - u, wr = v - m the halves' widths,
+
+        T - I = (T - C) + sum over the halves of (T_h - I_h),
+        T - C = (wr (f(u) - f(m)) + wl (f(v) - f(m)))/2,
+
+    and on a half [x0, x1] of width w, with the Peano kernel
+    K(t) = t (w - t)/2 (its integral is w^3/12),
+
+        T_h - I_h = (w^2/12)(f'(x1) - f'(x0)) + int (K - w^2/12) f''.
+
+    The weight K - w^2/12 integrates to 0, and to w^3/(36 sqrt 3) where it
+    is positive, so the last term lies within (b - a) w^3/(36 sqrt 3) of 0.
+    Each half's bracket is cut by w^3/12 [a, b], and the cell's by
+    h^3/12 [a, b] (:func:`_cubic_term`).  The result is about a tenth as
+    wide as h^3/12 [a, b].
+
+    Rounding is bounded, not estimated.  The ends of d2 are taken one ulp
+    outward.  Values and slopes are faithful (within one ulp), which moves
+    the bracket by at most ``dat`` (wl, wr <= h).  Every other term reaches
+    lo or hi through at most 12 roundings, each within 2^-53 of its result,
+    so lo and hi are within 13 * 2^-53 ``mag`` of their exact values, where
+    ``mag`` sums the terms' magnitudes.  ``r`` adds 2^-47 ``mag``, about
+    five times that, which also covers the rounding of ``dat``, ``mag`` and
+    ``r``, and the products that fall below 2^-1022, each off by at most
+    2^-1075: the widths must exceed 2^-300, so no such product is multiplied
+    again, and ``mag`` must exceed 2^-900.
+
+    None also where b or a sample is not finite, where a product overflows,
+    and where the result is inverted, which only a nonconvex f does.
+    """
+    a2, b2 = d2
+    wl, wr = m - u, v - m
+    if not (b2 < math.inf and wl > 2.0 ** -300 and wr > 2.0 ** -300):
+        return None
+    a2, b2 = math.nextafter(a2, 0.0), math.nextafter(b2, math.inf)
+    kl, kr = wl * wl / 12.0, wr * wr / 12.0
+    ql, qr = kl * wl, kr * wr
+    bma = b2 - a2
+    el, er = _BETA * ql * bma, _BETA * qr * bma
+    cl, cr = kl * (dmm - dpu), kr * (dmv - dpm)
+    pu, pv = wr * (fu - fm), wl * (fv - fm)
+    tc = 0.5 * (pu + pv)
+    lo = tc + max(cl - el, ql * a2) + max(cr - er, qr * a2)
+    hi = tc + min(cl + el, ql * b2) + min(cr + er, qr * b2)
+    h = v - u
+    ulp = math.ulp
+    dat = h * (ulp(fu) + ulp(fm) + ulp(fv)) + kl * (ulp(dpu) + ulp(dmm)) + kr * (ulp(dpm) + ulp(dmv))
+    mag = abs(pu) + abs(pv) + abs(cl) + abs(cr) + el + er + (ql + qr) * b2 + dat
+    # an infinite or NaN sample or product makes mag inf or NaN
+    if not 2.0 ** -900 < mag < math.inf:
+        return None
+    r = dat + _GAMMA * mag
+    lo = max(math.nextafter(lo - r, -math.inf), _cubic_term(h, d2[0], 0.0))
+    hi = min(math.nextafter(hi + r, math.inf), _cubic_term(h, d2[1], math.inf))
+    return (lo, hi) if lo <= hi else None
+
+
 def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float) -> tuple:
     """Heap entry for one cell with midpoint xi, given the endpoint samples.
 
     The endpoint values and the outward one-sided slopes come from the
-    parent cell; only the midpoint is evaluated here.  The remainder bracket
-    is the tangent/chord sandwich of these samples, [T - C, T - E] with C the
-    two-chord value and E the area under the supporting lines, each over the
-    halves' own widths, intersected with the paper's bracket cut at 0 and,
-    where f has an f'' range, with the f'' term of :func:`_cubic_term`.
-    Where that term misses the sandwich, rounding moved the sandwich, and
-    the term is kept whole.
+    parent cell; only the midpoint is evaluated here.  Where f is C^2 on the
+    cell (its f'' range (A, B) has B finite) and every sample is finite, the
+    remainder bracket is the slope-corrected one of
+    :func:`_corrected_bracket`: T - C plus, on each half of width w, the
+    corrected trapezoid error (w^2/12)(f'(x1) - f'(x0)) within
+    (B - A) w^3/(36 sqrt 3), about a tenth of the width of h^3/12 [A, B].
+    It is intersected with the paper's bracket cut at 0; where rounding put
+    the paper's bracket outside it, it is kept whole.
+
+    Every other cell (a kink, an unbounded f'', a cell too narrow to bisect)
+    takes the tangent/chord sandwich of its samples, [T - C, T - E] with E
+    the area under the supporting lines, each over the halves' own widths,
+    intersected with the paper's bracket cut at 0 and, where f has an f''
+    range, with the f'' term of :func:`_cubic_term`.  Where that term misses
+    the sandwich, rounding moved the sandwich, and the term is kept whole.
 
     A cell with no float strictly inside it (its ends are adjacent floats)
     cannot be bisected.  It samples nothing, is bracketed by
@@ -292,8 +373,12 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     lo_p, hi_p = _midpoint_bracket(h, dpm, dmm, dpu, dmv)
     # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
     lo_p = max(lo_p, 0.0)
+    d2 = f._d2range(u, v) if f._d2range is not None else None
+    c2 = None if m is None or d2 is None else _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2)
     lo, hi = lo_p, hi_p
-    if m is None:
+    if c2 is not None:
+        lo, hi = max(lo_p, c2[0]), min(hi_p, c2[1])
+    elif m is None:
         if math.isfinite(t):
             hi = min(hi_p, t - _envelope_area(h, fu, dpu, fv, dmv))
     elif math.isfinite(t) and math.isfinite(fm):
@@ -307,14 +392,16 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
             f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
             f"{f.label!r} is not convex there"
         )
-    # an inversion by rounding alone collapses to a point inside [lo_p, hi_p]
-    lo = min(lo, max(hi_p, lo_p))
-    hi = max(hi, lo)
-    d2 = f._d2range(u, v) if f._d2range is not None else None
-    if d2 is not None:
-        # T - I lies in (v - u)^3/12 [min f'', max f''], rounded outward
-        q_lo, q_hi = _cubic_term(h, d2[0], 0.0), _cubic_term(h, d2[1], math.inf)
-        lo, hi = (max(lo, q_lo), min(hi, q_hi)) if q_lo <= hi and lo <= q_hi else (q_lo, q_hi)
+    if c2 is None:
+        # an inversion by rounding alone collapses to a point inside [lo_p, hi_p]
+        lo = min(lo, max(hi_p, lo_p))
+        hi = max(hi, lo)
+        if d2 is not None:
+            # T - I lies in (v - u)^3/12 [min f'', max f''], rounded outward
+            q_lo, q_hi = _cubic_term(h, d2[0], 0.0), _cubic_term(h, d2[1], math.inf)
+            lo, hi = (max(lo, q_lo), min(hi, q_hi)) if q_lo <= hi and lo <= q_hi else (q_lo, q_hi)
+    elif lo > hi:
+        lo, hi = c2  # the paper's bracket, rounded to nearest, missed it
     return (-(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
 
 
@@ -324,11 +411,12 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     Starts from one cell with midpoint xi and repeatedly bisects the cell
     whose remainder bracket is widest (ties broken by the leftmost cell)
     until the total width is <= ``eps`` or ``max_cells`` is reached.  Each
-    cell's bracket is the tangent/chord sandwich of its samples intersected
-    with the paper's bracket and, where f has an f'' range, with the f''
-    term.  A run over n cells makes 2n + 1 calls to f, 4n to its one-sided
-    derivatives and 2n - 1 to its f'' range, fewer if some cells are too
-    narrow to bisect; n grows like eps^-1/3 with an f'' range, else eps^-1/2.
+    cell's bracket (:func:`_adaptive_cell`) is the slope-corrected one where
+    f is C^2 on it, else the tangent/chord sandwich of its samples, and is
+    intersected with the paper's.  A run over n cells makes 2n + 1 calls to
+    f, 4n to its one-sided derivatives and 2n - 1 to its f'' range, fewer if
+    some cells are too narrow to bisect; n grows like eps^-1/3 with an f''
+    range, else eps^-1/2.
 
     The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
     remainder is widened by a bound on the rounding of gn and of each

@@ -265,6 +265,15 @@ class TestDivergence:
         assert rep["gap"]["hi"] == "inf"
         assert rep["sandwich_holds"]
 
+    def test_overflowing_term_exits_1(self, capsys, tmp_path):
+        # chi2 squares q/p - 1 = 5e299, which overflows a float power
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("1e-300\n1\n")
+        q.write_text("0.5\n0.5\n")
+        code, out, err = run_cli(capsys, "divergence", "--generator", "chi2", "--p", str(p), "--q", str(q))
+        assert code == 1 and out == ""
+        assert err.startswith("trapbound: error: OverflowError")
+
     def test_eps_flag_removed(self, capsys, dist_files):
         p, q = dist_files
         code, _, err = run_cli(capsys, "divergence", "--generator", "kl",
@@ -321,6 +330,21 @@ class TestCheck:
                                  "--p", str(other), "--q", str(bad))
         assert code == 1 and out == ""
         assert err == f"trapbound: error: {other}: expected a JSON array of numbers\n"
+
+    def test_sum_past_float_range_exits_2(self, capsys, tmp_path):
+        # math.fsum raises on the partial sum 2e308; the weights do not sum to 1
+        bad = tmp_path / "w.json"
+        bad.write_text("[1e308, 1e308]")
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1 (pass --normalize to rescale)\n"
+
+    def test_integer_past_float_range_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "w.json"
+        bad.write_text(f"[{10 ** 400}, 1]")
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"trapbound: error: {bad}: a JSON integer is outside the float range\n"
 
     @pytest.mark.parametrize("name, text", [
         ("zeros.csv", "0\n0\n0\n"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,9 +10,11 @@ from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, default_catalog
 from trapbound.pointwise import Enclosure, NotDifferentiableError, _reference_integral
 from trapbound.quadrature import (
+    _BETA,
     ConvexityViolationError,
     Partition,
     _adaptive_cell,
+    _corrected_bracket,
     adaptive_integrate,
     differentiable_lower_remainder,
     generalized_trapezoid,
@@ -366,6 +369,19 @@ class TestAdaptive:
         assert res.converged
         assert res.cells <= most
 
+    @pytest.mark.parametrize("f, eps, most", [
+        (EXP, 1e-8, 135), (EXP, 1e-10, 580),
+        (catalog("xlogx", (), Interval(0.5, 2.0)), 1e-8, 175), (catalog("xlogx", (), Interval(0.5, 2.0)), 1e-10, 820),
+        (catalog("power_p", (3.0,)), 1e-8, 235), (catalog("power_p", (3.0,)), 1e-10, 1_030),
+        (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-8, 215), (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-10, 1_020),
+    ], ids=lambda x: x.label if isinstance(x, ConvexFunction) else str(x))
+    def test_corrected_halves_cut_cells(self, f, eps, most):
+        # bracketing each cell by h^3/12 [min f'', max f''] took 251 / 1,229,
+        # 348 / 1,629, 449 / 1,942 and 434 / 2,034 cells here
+        res = adaptive_integrate(f, eps=eps, max_cells=200_000)
+        assert res.converged
+        assert res.cells <= most
+
     @pytest.mark.parametrize("f", [QUAD, catalog("linear", (2.0, -1.0)), catalog("constant", (5.0,))],
                              ids=["quadratic", "linear", "constant"])
     def test_constant_f2_makes_one_cell_exact(self, f):
@@ -376,11 +392,12 @@ class TestAdaptive:
 
     def test_expression_takes_catalog_cells(self, monkeypatch):
         # exp(x) carries an interval f'' range, so its cells match the
-        # catalog's exp, whose range is closed form, in both passes
+        # catalog's exp, whose range is closed form, in both passes; the
+        # slope-corrected halves cut them from 251 and 1,229
         f = to_convex_function("exp(x)", Interval(0.0, 1.0))
         res = adaptive_integrate(f, eps=1e-8)
         assert res.converged
-        assert res.cells == adaptive_integrate(EXP, eps=1e-8).cells == 251
+        assert res.cells == adaptive_integrate(EXP, eps=1e-8).cells == 121
         runs = []
 
         def spy(*args, **kwargs):
@@ -389,7 +406,7 @@ class TestAdaptive:
 
         monkeypatch.setattr("trapbound.quadrature.adaptive_integrate", spy)
         _reference_integral(f, 0.0, 1.0)
-        assert [r.cells for r in runs] == [adaptive_integrate(EXP, eps=1e-10, max_cells=200_000).cells] == [1_229]
+        assert [r.cells for r in runs] == [adaptive_integrate(EXP, eps=1e-10, max_cells=200_000).cells] == [522]
 
     def test_infinite_endpoint_value_stops_unconverged(self):
         # -log t is +inf at 0: the cell touching 0 has an infinite bracket
@@ -440,6 +457,22 @@ def test_adaptive_cell_inside_paper_bracket_property(idx, p, q):
     assert hi <= paper.hi + 4 * math.ulp(paper.hi) or lo > paper.hi
     # a one-cell budget reports that bracket with the rounding allowance
     assert_one_cell_result(adaptive_integrate(cell, eps=1.0, max_cells=1), entry)
+
+
+def test_peano_constant_rounded_up():
+    # the Peano term's bound (B - A) w^3/(36 sqrt 3) is _BETA (B - A) w^3/12
+    assert 27 * Fraction(_BETA) ** 2 >= 1 > 27 * Fraction(math.nextafter(_BETA, 0.0)) ** 2
+
+
+def test_corrected_bracket_refuses_what_it_cannot_bound():
+    # an unbounded f'', an infinite slope and cells narrower than 2^-300
+    # leave the cell to the sandwich
+    args = (0.0, 0.5, 1.0, 1.0, math.exp(0.5), math.e, 1.0, math.exp(0.5), math.exp(0.5), math.e)
+    assert _corrected_bracket(*args, (1.0, math.e)) is not None
+    assert _corrected_bracket(*args, (1.0, math.inf)) is None
+    assert _corrected_bracket(*args[:-1], math.inf, (1.0, math.e)) is None
+    tiny = 2.0 ** -301
+    assert _corrected_bracket(0.0, tiny, 2 * tiny, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (1.0, math.e)) is None
 
 
 @pytest.mark.parametrize("idx", range(8))

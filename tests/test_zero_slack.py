@@ -12,6 +12,7 @@ doubled until two runs agree.
 
 import dataclasses
 import json
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from trapbound.cli import main
 from trapbound.expr import to_convex_function
 from trapbound.funcs import CATALOG_NAMES, Interval, catalog, default_catalog
-from trapbound.quadrature import adaptive_integrate
+from trapbound.quadrature import _corrected_bracket, _cubic_term, adaptive_integrate
 
 DIGITS = 50
 
@@ -148,6 +149,36 @@ def test_one_cell_remainder_contains_exact_remainder(idx, p, q):
     assert res.cells == 1
     exact = reference(name, params, lambda f, F, num: num(res.gn) - (F(num(v)) - F(num(u))), v - u)
     assert res.remainder.lo <= exact <= res.remainder.hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    idx=st.integers(min_value=0, max_value=7),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    scale=st.floats(min_value=0.0, max_value=12.0),
+)
+def test_corrected_bracket_contains_exact_remainder(idx, p, scale):
+    # a subcell [u, v], as wide as the rest of the domain or 1e-12 of it, of
+    # a catalog function with a finite f'' range there: the slope-corrected
+    # bracket holds the exact T - I of its float nodes and is never wider
+    # than the h^3/12 [min f'', max f''] term, rounded outward, it refines
+    f = default_catalog()[idx]
+    name, params = DEFAULT_SPECS[idx]
+    a, b = f.domain.a, f.domain.b
+    u = a + (b - a) * p
+    v = min(b, u + (b - u) * 10.0 ** -scale)
+    m = 0.5 * (u + v)
+    assume(u < m < v)
+    d2 = f._d2range(u, v)
+    assume(d2 is not None)  # a kink inside the cell
+    bracket = _corrected_bracket(u, m, v, f(u), f(m), f(v), f.d_plus(u), f.d_minus(m), f.d_plus(m), f.d_minus(v), d2)
+    assert bracket is not None
+    lo, hi = bracket
+    exact = reference(name, params, lambda f, F, num: (f(num(u)) + f(num(v))) * (num(v) - num(u)) / 2
+                      - (F(num(v)) - F(num(u))), v - u)
+    assert lo <= exact <= hi
+    h = v - u
+    assert hi - lo <= _cubic_term(h, d2[1], math.inf) - _cubic_term(h, d2[0], 0.0)
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-10])
