@@ -1,13 +1,15 @@
-"""f'' ranges of expressions, by interval arithmetic rounded outward
+"""f'' and f''' ranges of expressions, by interval arithmetic rounded outward
 (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, SIAM 2009).
 
 An interval is a tuple (lo, hi) of finite floats, and each operation of
 :data:`OPS` rounds its result one ulp outward, which covers a rounding to
 nearest or a faithful libm call.  A result that overflows or is NaN, and an
 argument outside the domain on which the operation is C^2, raise
-ArithmeticError.  :class:`_RangeBody` carries ``(value, slope, f'')`` of each
-node of an expression tree through these operations, compiled into
-straight-line Python as :class:`trapbound.expr._Body` compiles f.
+ArithmeticError.  :class:`_RangeBody` carries ``(value, slope, f'', f''')``
+of each node of an expression tree through these operations by forward
+mode, compiled into one straight-line Python function as
+:class:`trapbound.expr._Body` compiles f.  A fault in the f''' chain alone
+leaves the f'' range and an unbounded f''' range.
 
 :func:`trapbound.expr.to_convex_function` imports this module when it is
 first asked for an f'' range, so an interpreter that never integrates an
@@ -81,11 +83,11 @@ OPS = {
     "_isign": _isign,
 }
 _IDENTITY_OPS = {"_iadd": "+", "_isub": "-", "_imul": "*"}
-_ZERO, _ONE, _TWO = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
+_ZERO, _ONE, _TWO, _THREE, _SIX = ((k, k) for k in (0.0, 1.0, 2.0, 3.0, 6.0))
 
 
 class _RangeBody(_Body):
-    """:class:`trapbound.expr._Body` with the rules of f'' ranges."""
+    """:class:`trapbound.expr._Body` with the rules of f'' and f''' ranges."""
 
     def iapply(self, helper: str, *args):
         """Interval ``helper`` of :data:`OPS` on ``args``: reduced by
@@ -104,80 +106,103 @@ class _RangeBody(_Body):
         return self.emit(helper + "({})".format(", ".join(["{}"] * len(args))), *args)
 
     def inode(self, e: Expression) -> tuple:
-        """``(value, slope, f'')`` of ``e`` as intervals over the cell
+        """``(value, slope, f'', f''')`` of ``e`` as intervals over the cell
         ``t = (u, v)``.  A node that is not C^2 on the cell raises at run
         time: ``abs`` of an argument holding 0, ``log`` or ``sqrt`` of one
         reaching 0, ``/`` by one holding 0, and ``^`` off :func:`_ipow`'s
-        domain."""
+        domain.  The f''' chain shares the nodes of the others and raises
+        alone where only it fails: where it overflows, and for ``x^p`` with
+        p - 3 rounding."""
         if isinstance(e, Const):
-            return (e.value, e.value), _ZERO, _ZERO
+            return (e.value, e.value), _ZERO, _ZERO, _ZERO
         if isinstance(e, Var):
-            return "t", _ONE, _ZERO
+            return "t", _ONE, _ZERO, _ZERO
         add, sub, mul, div = (functools.partial(self.iapply, h) for h in ("_iadd", "_isub", "_imul", "_idiv"))
         if isinstance(e, Unary):
-            u, du, ddu = self.inode(e.arg)
+            u, du, ddu, dddu = self.inode(e.arg)
             if e.op == "neg":
-                return tuple(self.iapply("_ineg", x) for x in (u, du, ddu))
+                return tuple(self.iapply("_ineg", x) for x in (u, du, ddu, dddu))
             if e.op == "abs":
-                return tuple(self.iapply("_isign", u, x) for x in (u, du, ddu))
+                return tuple(self.iapply("_isign", u, x) for x in (u, du, ddu, dddu))
             if e.op == "exp":
-                v = self.iapply("_iexp", u)
-                return v, mul(v, du), mul(v, add(ddu, mul(du, du)))
+                # (e^u)''' = e^u (u''' + 3 u' u'' + u'^3)
+                v, du2 = self.iapply("_iexp", u), mul(du, du)
+                return (v, mul(v, du), mul(v, add(ddu, du2)),
+                        mul(v, add(add(dddu, mul(_THREE, mul(du, ddu))), mul(du, du2))))
             u = self.iapply("_ipos", u)
             if e.op == "log":
+                # (log u)''' = (u''' - 2 (log u)'' u' - (log u)' u'')/u
                 d = div(du, u)
-                return self.iapply("_ilog", u), d, div(sub(ddu, mul(d, du)), u)
-            # (sqrt u)'' = (u'' - 2 (sqrt u)'^2) / (2 sqrt u)
+                dd = div(sub(ddu, mul(d, du)), u)
+                return self.iapply("_ilog", u), d, dd, div(sub(sub(dddu, mul(_TWO, mul(dd, du))), mul(d, ddu)), u)
+            # (sqrt u)'' = (u'' - 2 (sqrt u)'^2) / (2 sqrt u), and
+            # (sqrt u)''' = (u''' - 6 (sqrt u)' (sqrt u)'') / (2 sqrt u)
             v = self.iapply("_isqrt", u)
             v2 = mul(_TWO, v)
             d = div(du, v2)
-            return v, d, div(sub(ddu, mul(_TWO, mul(d, d))), v2)
-        (l, dl, ddl), (r, dr, ddr) = self.inode(e.left), self.inode(e.right)
+            dd = div(sub(ddu, mul(_TWO, mul(d, d))), v2)
+            return v, d, dd, div(sub(dddu, mul(_SIX, mul(d, dd))), v2)
+        (l, dl, ddl, dddl), (r, dr, ddr, dddr) = self.inode(e.left), self.inode(e.right)
         if e.op in ("+", "-"):
             step = add if e.op == "+" else sub
-            return step(l, r), step(dl, dr), step(ddl, ddr)
+            return step(l, r), step(dl, dr), step(ddl, ddr), step(dddl, dddr)
         if e.op == "*":
+            # (l r)''' = l''' r + 3 (l'' r' + l' r'') + l r'''
             return (mul(l, r), add(mul(dl, r), mul(l, dr)),
-                    add(add(mul(ddl, r), mul(_TWO, mul(dl, dr))), mul(l, ddr)))
+                    add(add(mul(ddl, r), mul(_TWO, mul(dl, dr))), mul(l, ddr)),
+                    add(add(mul(dddl, r), mul(_THREE, add(mul(ddl, dr), mul(dl, ddr)))), mul(l, dddr)))
         if e.op == "/":
-            # q = l/r: q' = (l' - q r')/r, q'' = (l'' - 2 q' r' - q r'')/r
+            # q = l/r: q' = (l' - q r')/r, q'' = (l'' - 2 q' r' - q r'')/r,
+            # q''' = (l''' - 3 (q'' r' + q' r'') - q r''')/r
             q = div(l, r)
             d = div(sub(dl, mul(q, dr)), r)
-            return q, d, div(sub(sub(ddl, mul(_TWO, mul(d, dr))), mul(q, ddr)), r)
+            dd = div(sub(sub(ddl, mul(_TWO, mul(d, dr))), mul(q, ddr)), r)
+            return q, d, dd, div(sub(sub(dddl, mul(_THREE, add(mul(dd, dr), mul(d, ddr)))), mul(q, dddr)), r)
         p = e.right.value
         if p in (0.0, 1.0):
-            return (l, dl, ddl) if p else (_ONE, _ZERO, _ZERO)
+            return (l, dl, ddl, dddl) if p else (_ONE, _ZERO, _ZERO, _ZERO)
         if math.fsum((p, -1.0, 1.0 - p)) or math.fsum((p, -2.0, 2.0 - p)):
             raise ArithmeticError("p - 1 or p - 2 rounds")  # the tree gets no f'' range
         power = lambda k: _ONE if k == 0.0 else (l if k == 1.0 else self.iapply("_ipow", l, k))
+        c2 = mul((p, p), sub((p, p), _ONE))  # p (p-1)
         d1 = mul((p, p), power(p - 1.0))  # p l^(p-1)
-        d2 = mul(mul((p, p), sub((p, p), _ONE)), power(p - 2.0))  # p (p-1) l^(p-2)
-        return power(p), mul(d1, dl), add(mul(d2, mul(dl, dl)), mul(d1, ddl))
+        d2 = mul(c2, power(p - 2.0))  # p (p-1) l^(p-2)
+        if math.fsum((p, -3.0, 3.0 - p)):
+            d3 = self.iapply("_ipos", _ZERO)  # p - 3 rounds: a line that always faults
+        else:  # p (p-1) (p-2) l^(p-3), 0 for p = 2
+            d3 = _ZERO if p == 2.0 else mul(mul(c2, sub((p, p), _TWO)), power(p - 3.0))
+        dl2 = mul(dl, dl)
+        # (l^p)''' = d3 l'^3 + 3 d2 l' l'' + d1 l'''
+        return (power(p), mul(d1, dl), add(mul(d2, dl2), mul(d1, ddl)),
+                add(add(mul(d3, mul(dl, dl2)), mul(_THREE, mul(d2, mul(dl, ddl)))), mul(d1, dddl)))
 
 
 def compile_range(tree: Expression, label: str) -> Callable:
-    """The ``_d2range`` of ``tree``: (u, v) -> (lo, hi) with 0 <= lo <= f''
-    <= hi on [u, v], from the generated code of :meth:`_RangeBody.inode`, or
-    None where the tree is not C^2 there (everywhere if p - 1 or p - 2 of an
-    exponent p rounds).  A range below 0 proves f is not convex on the cell
-    and raises :class:`ConvexityViolationError`."""
+    """The ``_d2range`` of ``tree``: (u, v) -> (lo, hi, lo3, hi3) with
+    0 <= lo <= f'' <= hi and lo3 <= f''' <= hi3 on [u, v], from one
+    generated function of :meth:`_RangeBody.inode`, or None where the tree
+    is not C^2 there (everywhere if p - 1 or p - 2 of an exponent p rounds);
+    lo3, hi3 are -inf, inf where only the f''' chain fails.  A range below
+    0 proves f is not convex on the cell and raises
+    :class:`ConvexityViolationError`."""
     names = {"__builtins__": {}, "_FAULTS": (ArithmeticError, ValueError),
              "r_fault": lambda t: None, **OPS}
     body = _RangeBody(names)
     try:
-        source = body.source("r", body.inode(tree)[2])
+        source = body.source("r", *body.inode(tree)[2:])
     except ArithmeticError:
         return lambda u, v: None
     exec(compile(source, "<expression>", "exec"), names)
     r = names.pop("r")
 
     def d2range(u: float, v: float):
-        d2 = r((u, v))
-        if d2 is None:
+        d = r((u, v))
+        if d is None:
             return None
-        if d2[1] < 0.0:
+        (lo, hi), d3 = d
+        if hi < 0.0:
             raise ConvexityViolationError(
-                f"f'' of {label!r} lies in [{d2[0]}, {d2[1]}] on [{u}, {v}]; it is not convex there")
-        return max(d2[0], 0.0), d2[1]
+                f"f'' of {label!r} lies in [{lo}, {hi}] on [{u}, {v}]; it is not convex there")
+        return (max(lo, 0.0), hi) + (d3 or (-math.inf, math.inf))
 
     return d2range

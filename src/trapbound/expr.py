@@ -10,10 +10,11 @@ f itself, and forward-mode slope functions that carry ``(value, slope)``
 through each node, which give the exact one-sided derivatives f'+ and f'-,
 ``abs`` included.  On the first adaptive cell it also compiles, from the
 same tree and with the same :class:`_Body`, the interval evaluator of
-:mod:`trapbound._ranges`, which carries ``(value, slope, f'')`` as intervals
-rounded outward over a cell: the f'' range that lets the adaptive
-integrator's cells grow like eps^-1/3.  It answers None on a cell where the
-tree is not C^2, such as one holding the kink of an ``abs``.
+:mod:`trapbound._ranges`, which carries ``(value, slope, f'', f''')`` as
+intervals rounded outward over a cell: the f'' and f''' ranges that let the
+adaptive integrator's cells grow like eps^-1/4 where the tree is C^3.  It
+answers None on a cell where the tree is not C^2, such as one holding the
+kink of an ``abs``, and an infinite f''' range where it is C^2 alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import math
 import sys
 import types
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -389,28 +391,37 @@ class _Body:
         self.lines.append((name, template, [self.ref(o) for o in operands]))
         return name
 
-    def source(self, name: str, result) -> str:
+    def source(self, name: str, result, tail=None) -> str:
         """``def name(t)`` returning ``result``: a value used once is written
         into its user, one used more often gets a local, and an unused one
-        is dropped."""
-        result = self.ref(result)
-        uses = {result: 1}
+        is dropped.  With ``tail`` it returns ``(result, tail)``, and
+        ``(result, None)`` where only the lines that ``tail`` alone needs
+        fail."""
+        roots = [self.ref(r) for r in (result, tail) if r is not None]
         live = []
-        for line in reversed(self.lines):
-            if line[0] in uses:
-                live.append(line)
-                for r in line[2]:
-                    uses[r] = uses.get(r, 0) + 1
+        for root in roots:
+            live.append({root})
+            for line in reversed(self.lines):
+                if line[0] in live[-1]:
+                    live[-1].update(line[2])
+        blocks = ([line for line in self.lines if line[0] in live[0]],
+                  [line for line in self.lines if line[0] in live[-1] and line[0] not in live[0]])
+        uses = Counter(roots + [r for block in blocks for line in block for r in line[2]])
         text: dict = {}
-        body = ""
-        for target, template, refs in reversed(live):
-            rhs = template.format(*(text.get(r, r) for r in refs))
-            if uses[target] == 1:
-                text[target] = f"({rhs})"
-            else:
-                body += f"        {target} = {rhs}\n"
-        return (f"def {name}(t):\n    try:\n{body}        return {text.get(result, result)}\n"
-                f"    except _FAULTS:\n        return {name}_fault(t)\n")
+        body = ["", ""]
+        for i, block in enumerate(blocks):
+            for target, template, refs in block:
+                rhs = template.format(*(text.get(r, r) for r in refs))
+                if uses[target] == 1:
+                    text[target] = f"({rhs})"
+                else:
+                    body[i] += f"        {target} = {rhs}\n"
+        value = [text.get(r, r) for r in roots]
+        fault = f"    except _FAULTS:\n        return {name}_fault(t)\n"
+        if tail is None:
+            return f"def {name}(t):\n    try:\n{body[0]}        return {value[0]}\n{fault}"
+        return (f"def {name}(t):\n    try:\n{body[0]}        d = {value[0]}\n{fault}"
+                f"    try:\n{body[1]}        return d, {value[1]}\n    except _FAULTS:\n        return d, None\n")
 
     def apply(self, op: str, node: Expression, *args, fold: bool = False):
         """``op`` on ``args``, evaluated now if all are known; with ``fold``,
@@ -504,9 +515,10 @@ def to_function(src: str, variable: str = "x") -> Callable[[float], float]:
 def to_convex_function(src: str, interval, variable: str = "x"):
     """Build a :class:`trapbound.funcs.ConvexFunction` from expression text,
     compiled once, with the exact one-sided slopes as derivative oracles and
-    the interval f'' range of :func:`trapbound._ranges.compile_range`,
-    compiled on first use, as its ``_d2range``.  Convexity is NOT inferred
-    here; run ``funcs.check_convexity``."""
+    the interval f'' and f''' ranges of
+    :func:`trapbound._ranges.compile_range`, compiled on first use, as its
+    ``_d2range``.  Convexity is NOT inferred here; run
+    ``funcs.check_convexity``."""
     from .funcs import ConvexFunction
 
     tree = parse(src, variable)

@@ -71,14 +71,17 @@ class ConvexFunction:
     antiderivative, attached by the catalog; only :meth:`integral` reads it,
     no bound or enclosure of the library does.
 
-    ``_d2range``, private and optional, maps a cell (u, v) to ``(lo, hi)``
-    with 0 <= lo <= f'' <= hi (hi may be +inf) on it, or to None where no
-    range is known; the catalog writes it in closed form and
-    :func:`trapbound.expr.to_convex_function` in interval arithmetic.  Each
-    end may be one ulp off, as one call to a faithful libm (within 1 ulp)
-    is; a multi-step oracle rounds its inner steps outward.  Values and
-    one-sided slopes are assumed faithful in the same sense: the adaptive
-    integrator's rounding bounds (:mod:`trapbound.quadrature`) rest on it.
+    ``_d2range``, private and optional, maps a cell (u, v) to
+    ``(lo, hi, lo3, hi3)`` with 0 <= lo <= f'' <= hi (hi may be +inf) and
+    lo3 <= f''' <= hi3 on it, or to None where no f'' range is known; lo3
+    and hi3 are -inf and +inf where f is not C^3 on the cell.  The catalog
+    writes both ranges in closed form and
+    :func:`trapbound.expr.to_convex_function` in interval arithmetic, in one
+    call.  Each of the four ends may be one ulp off, as one call to a
+    faithful libm (within 1 ulp) is; a multi-step oracle rounds its inner
+    steps outward.  Values and one-sided slopes are assumed faithful in the
+    same sense: the adaptive integrator's rounding bounds
+    (:mod:`trapbound.quadrature`) rest on it.
 
     Instances are immutable and all methods are pure.
     """
@@ -188,10 +191,11 @@ CATALOG_NAMES = (
 )
 
 
-def _recip_sq(t: float, s: float) -> float:
-    """1/t^2 for t >= 0, with 1/t rounded towards s (0.0 or inf); +inf at 0."""
+def _recip_pow(t: float, k: int, s: float) -> float:
+    """1/t^k for t >= 0 and k = 2 or 3, each step but the last rounded
+    towards s (0.0 or inf); +inf at 0."""
     r = math.nextafter(1.0 / t, s) if t else math.inf
-    return r * r
+    return r * r if k == 2 else math.nextafter(r * r, s) * r
 
 
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
@@ -226,7 +230,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: k if t > c else -k,
             label=f"kink(k={k}, c={c})",
             antiderivative=lambda t: 0.5 * k * (t - c) * abs(t - c),
-            _d2range=lambda u, v: None if u < c < v else (0.0, 0.0),
+            _d2range=lambda u, v: None if u < c < v else (0.0, 0.0, 0.0, 0.0),
         )
 
     if name == "quadratic":
@@ -237,7 +241,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: 2.0 * t,
             label="quadratic",
             antiderivative=lambda t: t ** 3 / 3.0,
-            _d2range=lambda u, v: (2.0, 2.0),
+            _d2range=lambda u, v: (2.0, 2.0, 0.0, 0.0),
         )
 
     if name == "exp":
@@ -248,7 +252,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=math.exp,
             label="exp",
             antiderivative=math.exp,
-            _d2range=lambda u, v: (math.exp(u), math.exp(v)),
+            _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 2,
         )
 
     if name == "neg_log":
@@ -261,7 +265,9 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: -1.0 / t,
             label="neg_log",
             antiderivative=lambda t: 0.0 if t == 0 else t - t * math.log(t),
-            _d2range=lambda u, v: (_recip_sq(v, 0.0), _recip_sq(u, math.inf)),
+            # f''' = -2/t^3
+            _d2range=lambda u, v: (_recip_pow(v, 2, 0.0), _recip_pow(u, 2, math.inf),
+                                   -2.0 * _recip_pow(u, 3, math.inf), -2.0 * _recip_pow(v, 3, 0.0)),
         )
 
     if name == "xlogx":
@@ -274,7 +280,9 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: math.log(t) + 1.0,
             label="xlogx",
             antiderivative=lambda t: 0.0 if t == 0 else 0.5 * t * t * math.log(t) - 0.25 * t * t,
-            _d2range=lambda u, v: (1.0 / v, math.inf if u == 0 else 1.0 / u),
+            # f''' = -1/t^2
+            _d2range=lambda u, v: (1.0 / v, math.inf if u == 0 else 1.0 / u,
+                                   -_recip_pow(u, 2, math.inf), -_recip_pow(v, 2, 0.0)),
         )
 
     if name == "power_p":
@@ -291,15 +299,30 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
                 return 1.0 if p == 1 else 0.0
             return p * t ** (p - 1.0)
 
-        coef = p * (p - 1.0)  # p - 1 and p - 2 are exact for 1 <= p <= 2^53
+        coef = p * (p - 1.0)  # p - 1, p - 2 and p - 3 are exact for 1 <= p <= 2^53
 
-        def _d2(t: float, s: float) -> float:
-            # p(p-1) t^(p-2), both factors rounded towards s (0.0 or inf),
-            # which is also the bound where the power overflows or t = 0 < 2 - p
+        def _dk(k: int, t: float, s: float) -> float:
+            # |f^(k)(t)| = p(p-1)|p-2|^(k-2) t^(p-k) for k = 2, 3, each step
+            # rounded towards s (0.0 or inf), which is also the bound where the
+            # power overflows or t = 0 < k - p
+            c = math.nextafter(coef, s)
+            if k == 3:
+                c = math.nextafter(c * abs(p - 2.0), s)
             try:
-                return math.nextafter(coef, s) * math.nextafter(t ** (p - 2.0), s)
+                return c * math.nextafter(t ** (p - k), s)
             except (OverflowError, ZeroDivisionError):
                 return s
+
+        def _range(u: float, v: float) -> tuple:
+            # f'' decreases for p < 2 and increases for p > 2; f''' is 0 for
+            # p = 1, 2, negative and increasing for p < 2, and positive,
+            # decreasing for p < 3 and increasing for p > 3
+            d2 = (_dk(2, v, 0.0), _dk(2, u, math.inf)) if p < 2.0 else (_dk(2, u, 0.0), _dk(2, v, math.inf))
+            if p in (1.0, 2.0):
+                return d2 + (0.0, 0.0)
+            if p < 2.0:
+                return d2 + (-_dk(3, u, math.inf), -_dk(3, v, 0.0))
+            return d2 + ((_dk(3, v, 0.0), _dk(3, u, math.inf)) if p < 3.0 else (_dk(3, u, 0.0), _dk(3, v, math.inf)))
 
         return ConvexFunction(
             domain=iv,
@@ -308,8 +331,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=_deriv,
             label=f"power_p(p={p})",
             antiderivative=lambda t: t ** (p + 1.0) / (p + 1.0),
-            # f'' decreases for p < 2 and increases for p > 2
-            _d2range=lambda u, v: (_d2(v, 0.0), _d2(u, math.inf)) if p < 2.0 else (_d2(u, 0.0), _d2(v, math.inf)),
+            _d2range=_range,
         )
 
     if name == "linear":
@@ -326,7 +348,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: m,
             label=f"linear(m={m}, c={c})",
             antiderivative=lambda t: 0.5 * m * t * t + c * t,
-            _d2range=lambda u, v: (0.0, 0.0),
+            _d2range=lambda u, v: (0.0, 0.0, 0.0, 0.0),
         )
 
     if name == "constant":
@@ -340,7 +362,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: 0.0,
             label=f"constant({c})",
             antiderivative=lambda t: c * t,
-            _d2range=lambda u, v: (0.0, 0.0),
+            _d2range=lambda u, v: (0.0, 0.0, 0.0, 0.0),
         )
 
     raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")

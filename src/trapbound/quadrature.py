@@ -27,14 +27,17 @@ arithmetic, on each cell where they are C^2), a cell is bracketed by the
 slope-corrected trapezoid rule on its halves: T - I is T - C, C the
 two-chord value, plus on each half of width w the corrected error
 (w^2/12)(f'(x1) - f'(x0)), which the Peano kernel puts within
-(B - A) w^3/(36 sqrt 3) of T_h - I_h.  That bracket, rounded outward, is
-about a tenth as wide as h^3/12 [A, B], which also cuts it.  Every other
-cell takes the tangent/chord sandwich of its samples (Burkard, Hamacher &
-Rote 1991): the integral lies below the two chords through the midpoint and
-above the supporting lines; where f has an f'' range it is cut by
-h^3/12 [A, B].  Each cell's bracket is intersected with the paper's.  Slopes
-alone cannot beat O(n^-2) (Rote 1992), so cells grow like eps^-1/2; with an
-f'' range the bracket is O(h^4 f''') wide, and cells grow like eps^-1/3.
+(B - A) w^3/(36 sqrt 3) of T_h - I_h, and, where the same oracle call gives
+an f''' range [C3, D3], within 5 (D3 - C3) w^4/1152.  That bracket, rounded
+outward, is also cut by h^3/12 [A, B].  Every other cell takes the
+tangent/chord sandwich of its samples (Burkard, Hamacher & Rote 1991): the
+integral lies below the two chords through the midpoint and above the
+supporting lines; where f has an f'' range it is cut by h^3/12 [A, B].
+Each cell's bracket is intersected with the paper's.  Slopes alone cannot
+beat O(n^-2) (Rote 1992), so cells grow like eps^-1/2; with an f'' range
+the bracket is O(h^4) wide and cells grow like eps^-1/3, and on C^3 cells,
+with an f''' range, it is O(h^5) wide and cells grow like eps^-1/4
+(Atkinson, *An Introduction to Numerical Analysis*, 2nd ed., 1989, 5.4).
 """
 
 from __future__ import annotations
@@ -271,55 +274,69 @@ def _cubic_term(h: float, d2: float, s: float) -> float:
 
 
 #: 1/(3 sqrt 3) rounded up: the Peano term of a half cell of width w lies
-#: within (b - a) w^3/(36 sqrt 3) = _BETA (b - a) w^3/12 of 0
+#: within (B - A) w^3/(36 sqrt 3) = _BETA (B - A) w^3/12 of 0
 _BETA = 0.19245008972987526
+#: 5/8, exact: it also lies within 5 (D - C) w^4/1152 = _DELTA (D - C) (w^2/12)^2
+_DELTA = 0.625
 #: 64 units of relative rounding, 2^-53 each
 _GAMMA = 2.0 ** -47
 
 
 def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[tuple]:
-    """T - I on a cell [u, v] split at m where a <= f'' <= b, d2 = (a, b),
-    from the samples alone; None where this bracket does not apply.
+    """T - I on a cell [u, v] split at m where A <= f'' <= B and
+    C <= f''' <= D, d2 = (A, B, C, D), from the samples alone; None where
+    this bracket does not apply.
 
-    With C the two-chord value and wl = m - u, wr = v - m the halves' widths,
+    With C2 the two-chord value and wl = m - u, wr = v - m the halves' widths,
 
-        T - I = (T - C) + sum over the halves of (T_h - I_h),
-        T - C = (wr (f(u) - f(m)) + wl (f(v) - f(m)))/2,
+        T - I = (T - C2) + sum over the halves of (T_h - I_h),
+        T - C2 = (wr (f(u) - f(m)) + wl (f(v) - f(m)))/2,
 
-    and on a half [x0, x1] of width w, with the Peano kernel
-    K(t) = t (w - t)/2 (its integral is w^3/12),
+    and on a half [x0, x1] of width w and centre c, with the Peano kernel
+    K(t) = (t - x0)(x1 - t)/2 (its integral is w^3/12),
 
         T_h - I_h = (w^2/12)(f'(x1) - f'(x0)) + int (K - w^2/12) f''.
 
     The weight K - w^2/12 integrates to 0, and to w^3/(36 sqrt 3) where it
-    is positive, so the last term lies within (b - a) w^3/(36 sqrt 3) of 0.
-    Each half's bracket is cut by w^3/12 [a, b], and the cell's by
-    h^3/12 [a, b] (:func:`_cubic_term`).  The result is about a tenth as
-    wide as h^3/12 [a, b].
+    is positive, so the last term lies within (B - A) w^3/(36 sqrt 3) of 0.
+    The weight is also symmetric about c, so f'' may be replaced by
+    f''(t) - f''(c) - s (t - c) with s = (C + D)/2, which is at most
+    (D - C)|t - c|/2; as int |K - w^2/12| |t - c| = 5 w^4/576, the term
+    also lies within 5 (D - C) w^4/1152 of 0, the tighter bound once w is
+    small, and no bound where f is not C^3 (D - C infinite).  Each half's
+    bracket is cut by w^3/12 [A, B], and the cell's by h^3/12 [A, B]
+    (:func:`_cubic_term`).
 
     Rounding is bounded, not estimated.  The ends of d2 are taken one ulp
     outward.  Values and slopes are faithful (within one ulp), which moves
     the bracket by at most ``dat`` (wl, wr <= h).  Every other term reaches
-    lo or hi through at most 12 roundings, each within 2^-53 of its result,
-    so lo and hi are within 13 * 2^-53 ``mag`` of their exact values, where
-    ``mag`` sums the terms' magnitudes.  ``r`` adds 2^-47 ``mag``, about
-    five times that, which also covers the rounding of ``dat``, ``mag`` and
-    ``r``, and the products that fall below 2^-1022, each off by at most
-    2^-1075: the widths must exceed 2^-300, so no such product is multiplied
-    again, and ``mag`` must exceed 2^-900.
+    lo or hi through at most 15 roundings, each within 2^-53 of its result:
+    the f''' term of the left half through the most, four from wl (once
+    per factor of wl^4), four from the two operations of w^2/12 (it enters
+    squared), three products, D - C, and three on its way to lo.  So lo and
+    hi are within 16 * 2^-53 ``mag`` of their exact values, where ``mag``
+    sums the terms' magnitudes (the smaller Peano bound of each half, the
+    one taken).  ``r`` adds 2^-47 ``mag``, four times that, which also
+    covers the rounding of ``dat``, ``mag`` and ``r``, and the products that
+    fall below 2^-1022, each off by at most 2^-1075: the widths must exceed
+    2^-200, so no such product is multiplied again, and ``mag`` must exceed
+    2^-900.
 
-    None also where b or a sample is not finite, where a product overflows,
+    None also where B or a sample is not finite, where a product overflows,
     and where the result is inverted, which only a nonconvex f does.
     """
-    a2, b2 = d2
+    a2, b2, a3, b3 = d2
     wl, wr = m - u, v - m
-    if not (b2 < math.inf and wl > 2.0 ** -300 and wr > 2.0 ** -300):
+    if not (b2 < math.inf and wl > 2.0 ** -200 and wr > 2.0 ** -200):
         return None
     a2, b2 = math.nextafter(a2, 0.0), math.nextafter(b2, math.inf)
     kl, kr = wl * wl / 12.0, wr * wr / 12.0
     ql, qr = kl * wl, kr * wr
     bma = b2 - a2
     el, er = _BETA * ql * bma, _BETA * qr * bma
+    dmc = math.nextafter(b3, math.inf) - math.nextafter(a3, -math.inf)
+    if dmc < math.inf:
+        el, er = min(el, _DELTA * kl * kl * dmc), min(er, _DELTA * kr * kr * dmc)
     cl, cr = kl * (dmm - dpu), kr * (dmv - dpm)
     pu, pv = wr * (fu - fm), wl * (fv - fm)
     tc = 0.5 * (pu + pv)
@@ -347,7 +364,8 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     remainder bracket is the slope-corrected one of
     :func:`_corrected_bracket`: T - C plus, on each half of width w, the
     corrected trapezoid error (w^2/12)(f'(x1) - f'(x0)) within
-    (B - A) w^3/(36 sqrt 3), about a tenth of the width of h^3/12 [A, B].
+    (B - A) w^3/(36 sqrt 3), or within 5 (D3 - C3) w^4/1152 where f is C^3
+    with f''' in [C3, D3], if that is smaller.
     It is intersected with the paper's bracket cut at 0; where rounding put
     the paper's bracket outside it, it is kept whole.
 
@@ -414,9 +432,10 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     cell's bracket (:func:`_adaptive_cell`) is the slope-corrected one where
     f is C^2 on it, else the tangent/chord sandwich of its samples, and is
     intersected with the paper's.  A run over n cells makes 2n + 1 calls to
-    f, 4n to its one-sided derivatives and 2n - 1 to its f'' range, fewer if
-    some cells are too narrow to bisect; n grows like eps^-1/3 with an f''
-    range, else eps^-1/2.
+    f, 4n to its one-sided derivatives and 2n - 1 to its range oracle, which
+    gives the f'' and f''' ranges in one call, fewer if some cells are too
+    narrow to bisect; n grows like eps^-1/4 on C^3 cells, like eps^-1/3 with
+    an f'' range alone, else like eps^-1/2.
 
     The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
     remainder is widened by a bound on the rounding of gn and of each

@@ -379,7 +379,7 @@ def test_d2range_contains_exact_second_derivative(case, p, q, samples):
     src, (a, b), d2 = case
     u, v = sorted(a + (b - a) * s for s in (p, q))
     f = to_convex_function(src, Interval(a, b))
-    lo, hi = f._d2range(u, v)
+    lo, hi = f._d2range(u, v)[:2]
     assert 0.0 <= lo <= hi < math.inf
     with localcontext() as ctx:
         ctx.prec = 100  # the points' rounding is then far below an ulp of the range
@@ -410,6 +410,15 @@ class TestD2Range:
     def test_not_c2_gives_none(self, src, u, v):
         assert to_convex_function(src, Interval(u, v))._d2range(u, v) is None
 
+    @pytest.mark.parametrize("src, u, v", [
+        ("exp(exp(x))", math.log(695.0), math.log(695.0) + 1e-9),  # only f''' overflows
+        (f"x^{-(2.0 ** 52 - 2.5)!r}", 1.0, 1.0 + 2.0 ** -52),  # only p - 3 rounds
+    ])
+    def test_third_derivative_fault_keeps_f2_range(self, src, u, v):
+        lo, hi, lo3, hi3 = to_convex_function(src, Interval(u, v))._d2range(u, v)
+        assert 0.0 < lo <= hi < math.inf
+        assert (lo3, hi3) == (-math.inf, math.inf)
+
     @pytest.mark.parametrize("src", ["-x^2", "-exp(x)", "x^2 - 3*x^2"])
     def test_negative_range_raises(self, src):
         f = to_convex_function(src, Interval(0.0, 1.0))
@@ -418,13 +427,13 @@ class TestD2Range:
 
     def test_lower_end_clamped_at_zero(self):
         # interval x * (1/x)' + 2 (1/x) spans below 0 on a wide cell
-        lo, hi = to_convex_function("x*log(x)", Interval(0.1, 2.0))._d2range(0.1, 2.0)
+        lo, hi = to_convex_function("x*log(x)", Interval(0.1, 2.0))._d2range(0.1, 2.0)[:2]
         assert lo == 0.0 and 10.0 <= hi < math.inf
 
     def test_same_sided_cells_of_abs_are_smooth(self):
         f = to_convex_function("abs(x - 0.3) + x^2", Interval(0.0, 1.0))
         for u, v in ((0.0, 0.25), (0.5, 1.0)):
-            lo, hi = f._d2range(u, v)
+            lo, hi = f._d2range(u, v)[:2]
             assert lo <= 2.0 <= hi <= 2.0 + 1e-14
 
     def test_no_user_text_in_generated_source(self, monkeypatch):
@@ -445,6 +454,6 @@ class TestD2Range:
         for text in ("zeta", "0.123", "2.5", "exp", "log"):
             assert text not in sources[1].replace("_iexp", "").replace("_ilog", "")
         # names of the generated code are free as variable names
-        for name in ("t", "k0", "v0", "r", "r_fault", "_iadd", "_out"):
-            lo, hi = to_convex_function(f"{name}^2", Interval(0.0, 1.0), name)._d2range(0.0, 1.0)
+        for name in ("t", "k0", "v0", "d", "r", "r_fault", "_iadd", "_out"):
+            lo, hi = to_convex_function(f"{name}^2", Interval(0.0, 1.0), name)._d2range(0.0, 1.0)[:2]
             assert lo <= 2.0 <= hi

@@ -11,6 +11,7 @@ from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, defa
 from trapbound.pointwise import Enclosure, NotDifferentiableError, _reference_integral
 from trapbound.quadrature import (
     _BETA,
+    _DELTA,
     ConvexityViolationError,
     Partition,
     _adaptive_cell,
@@ -376,28 +377,46 @@ class TestAdaptive:
         (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-8, 215), (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-10, 1_020),
     ], ids=lambda x: x.label if isinstance(x, ConvexFunction) else str(x))
     def test_corrected_halves_cut_cells(self, f, eps, most):
+        # with the f''' range dropped, the halves' f'' Peano bound alone takes
+        # 121 / 522, 159 / 742, 211 / 934 and 196 / 928 cells here, where
         # bracketing each cell by h^3/12 [min f'', max f''] took 251 / 1,229,
-        # 348 / 1,629, 449 / 1,942 and 434 / 2,034 cells here
+        # 348 / 1,629, 449 / 1,942 and 434 / 2,034
+        d2range = f._d2range
+        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:2] + (-math.inf, math.inf))
         res = adaptive_integrate(f, eps=eps, max_cells=200_000)
         assert res.converged
         assert res.cells <= most
 
-    @pytest.mark.parametrize("f", [QUAD, catalog("linear", (2.0, -1.0)), catalog("constant", (5.0,))],
-                             ids=["quadratic", "linear", "constant"])
-    def test_constant_f2_makes_one_cell_exact(self, f):
+    @pytest.mark.parametrize("f, eps, most", [
+        (EXP, 1e-8, 30), (EXP, 1e-10, 80),
+        (catalog("xlogx", (), Interval(0.5, 2.0)), 1e-8, 43), (catalog("xlogx", (), Interval(0.5, 2.0)), 1e-10, 136),
+        (catalog("power_p", (3.0,)), 1e-8, 1), (catalog("power_p", (3.0,)), 1e-10, 1),
+        (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-8, 54), (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-10, 174),
+    ], ids=lambda x: x.label if isinstance(x, ConvexFunction) else str(x))
+    def test_third_order_halves_cut_cells(self, f, eps, most):
+        # the f''' Peano bound of the halves takes 26 / 69, 37 / 118, 1 / 1
+        # and 47 / 151 cells here; each bound is about 15% above
+        res = adaptive_integrate(f, eps=eps, max_cells=200_000)
+        assert res.converged
+        assert res.cells <= most
+
+    @pytest.mark.parametrize("f, truth", [
+        *((f, f.integral()) for f in (QUAD, catalog("linear", (2.0, -1.0)), catalog("constant", (5.0,)),
+                                      catalog("power_p", (3.0,)))),
+        (to_convex_function("x^3", Interval(0.0, 1.0)), 0.25),
+    ], ids=["quadratic", "linear", "constant", "power_p3", "expr_x3"])
+    def test_constant_f2_makes_one_cell_exact(self, f, truth):
+        # a constant f''' (the last two) leaves only the rounding allowance
         res = adaptive_integrate(f, eps=1e-8)
         assert res.converged
         assert res.cells == 1
-        assert res.integral.contains(f.integral())
+        assert res.integral.contains(truth)
 
     def test_expression_takes_catalog_cells(self, monkeypatch):
-        # exp(x) carries an interval f'' range, so its cells match the
-        # catalog's exp, whose range is closed form, in both passes; the
-        # slope-corrected halves cut them from 251 and 1,229
-        f = to_convex_function("exp(x)", Interval(0.0, 1.0))
-        res = adaptive_integrate(f, eps=1e-8)
-        assert res.converged
-        assert res.cells == adaptive_integrate(EXP, eps=1e-8).cells == 121
+        # exp(x) and -log(x) carry interval f'' and f''' ranges, so their
+        # cells match the catalog's exp and neg_log, whose ranges are closed
+        # form, in both passes; the f''' bound of the halves cut exp's from
+        # 121 and 522 (251 and 1,229 with h^3/12 [min f'', max f''] alone)
         runs = []
 
         def spy(*args, **kwargs):
@@ -405,8 +424,16 @@ class TestAdaptive:
             return runs[-1]
 
         monkeypatch.setattr("trapbound.quadrature.adaptive_integrate", spy)
-        _reference_integral(f, 0.0, 1.0)
-        assert [r.cells for r in runs] == [adaptive_integrate(EXP, eps=1e-10, max_cells=200_000).cells] == [522]
+        for src, twin, cells in (("exp(x)", EXP, (26, 69)),
+                                 ("-log(x)", catalog("neg_log", (), Interval(0.5, 2.0)), (47, 151))):
+            a, b = twin.domain.a, twin.domain.b
+            f = to_convex_function(src, Interval(a, b))
+            res = adaptive_integrate(f, eps=1e-8)
+            assert res.converged
+            assert res.cells == adaptive_integrate(twin, eps=1e-8).cells == cells[0]
+            runs.clear()
+            _reference_integral(f, a, b)
+            assert [r.cells for r in runs] == [adaptive_integrate(twin, eps=1e-10, max_cells=200_000).cells] == [cells[1]]
 
     def test_infinite_endpoint_value_stops_unconverged(self):
         # -log t is +inf at 0: the cell touching 0 has an infinite bracket
@@ -464,15 +491,56 @@ def test_peano_constant_rounded_up():
     assert 27 * Fraction(_BETA) ** 2 >= 1 > 27 * Fraction(math.nextafter(_BETA, 0.0)) ** 2
 
 
+def test_third_order_peano_constant_rounded_up():
+    # at w = 1 and x = t - c, |K - 1/12| |x| = |1/24 - x^2/2| |x| is even, and
+    # its antiderivative on x >= 0, x^2/48 - x^4/8, is a polynomial in x^2; the
+    # sign changes at x^2 = 1/12 (x = 1/(2 sqrt 3)), so the split point enters
+    # exactly, through its square
+    G = lambda x2: x2 / 48 - x2 * x2 / 8
+    root2 = Fraction(1, 12)
+    assert Fraction(1, 8) - root2 / 2 == Fraction(1, 12)  # K - 1/12 vanishes there
+    # 1/(2 sqrt 3) lies between rational bounds with the kernel's signs on either side
+    below, above = Fraction(288, 1000), Fraction(289, 1000)
+    assert below ** 2 < root2 < above ** 2
+    assert Fraction(1, 24) - below ** 2 / 2 > 0 > Fraction(1, 24) - above ** 2 / 2
+    integral = 2 * ((G(root2) - G(Fraction(0))) - (G(Fraction(1, 4)) - G(root2)))
+    assert integral == Fraction(5, 576)
+    # the term's bound (D - C)/2 * 5 w^4/576 is _DELTA (D - C) (w^2/12)^2, not
+    # rounded down and at most one ulp of _DELTA above
+    exact = Fraction(5, 1152) * 144
+    assert exact <= Fraction(_DELTA) <= exact + Fraction(math.ulp(_DELTA))
+
+
+def test_third_order_bound_holds_where_nearly_attained():
+    # f = t^2 + t+^3 - (t - 1/2)+^3 + (t - 1)+^3 is convex and C^2 on
+    # [-1/2, 3/2], with f'' in [2, 8] and f''' in [0, 6], 0 then 6 on each
+    # half of width 1, jumping at its centre; each half's Peano term is then
+    # -1/64, 0.6 of the bound 5 (D - C)/1152, which the bracket must hold
+    # (the samples are exact floats)
+    knots = ((0.0, 1), (0.5, -1), (1.0, 1))
+    f = lambda t: t * t + sum(s * max(t - k, 0.0) ** 3 for k, s in knots)
+    df = lambda t: 2 * t + sum(3 * s * max(t - k, 0.0) ** 2 for k, s in knots)
+    F = lambda t: Fraction(t) ** 3 / 3 + sum(s * max(Fraction(t - k), Fraction(0)) ** 4 / 4 for k, s in knots)
+    u, m, v = -0.5, 0.5, 1.5
+    lo, hi = _corrected_bracket(u, m, v, f(u), f(m), f(v), df(u), df(m), df(m), df(v), (2.0, 8.0, 0.0, 6.0))
+    exact = Fraction(f(u) + f(v)) * Fraction(v - u) / 2 - (F(v) - F(u))
+    halves = Fraction(df(m) - df(u) + df(v) - df(m)) / 12
+    chords = (Fraction(f(u) - f(m)) + Fraction(f(v) - f(m))) / 2
+    assert exact - chords - halves == Fraction(-2, 64)
+    assert lo <= exact <= hi
+
+
 def test_corrected_bracket_refuses_what_it_cannot_bound():
     # an unbounded f'', an infinite slope and cells narrower than 2^-300
-    # leave the cell to the sandwich
+    # leave the cell to the sandwich; an unbounded f''' only drops its term
     args = (0.0, 0.5, 1.0, 1.0, math.exp(0.5), math.e, 1.0, math.exp(0.5), math.exp(0.5), math.e)
-    assert _corrected_bracket(*args, (1.0, math.e)) is not None
-    assert _corrected_bracket(*args, (1.0, math.inf)) is None
-    assert _corrected_bracket(*args[:-1], math.inf, (1.0, math.e)) is None
+    third = _corrected_bracket(*args, (1.0, math.e) * 2)
+    second = _corrected_bracket(*args, (1.0, math.e, -math.inf, math.inf))
+    assert second[0] < third[0] <= third[1] < second[1]
+    assert _corrected_bracket(*args, (1.0, math.inf) * 2) is None
+    assert _corrected_bracket(*args[:-1], math.inf, (1.0, math.e) * 2) is None
     tiny = 2.0 ** -301
-    assert _corrected_bracket(0.0, tiny, 2 * tiny, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (1.0, math.e)) is None
+    assert _corrected_bracket(0.0, tiny, 2 * tiny, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (1.0, math.e) * 2) is None
 
 
 @pytest.mark.parametrize("idx", range(8))

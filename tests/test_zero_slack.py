@@ -98,10 +98,26 @@ def exact_integral(name, params, a, b):
     return reference(name, params, lambda f, F, num: F(num(b)) - F(num(a)), b - a)
 
 
+def third_derivative(name, params, num):
+    """f''' of a catalog family on ``num`` arguments; -inf or inf at a
+    singular t = 0."""
+    if name == "exp":
+        return lambda t: t.exp()
+    if name == "neg_log":
+        return lambda t: -2 * t ** -3
+    if name == "xlogx":
+        return lambda t: -(t ** -2)
+    if name == "power_p":
+        p = num(params[0])
+        c = p * (p - 1) * (p - 2)
+        return lambda t: c * t ** (p - 3) if c else c
+    return lambda t: num(0)
+
+
 @st.composite
-def catalog_cases(draw):
-    """(name, params, a, b, eps) over every catalog family."""
-    name = draw(st.sampled_from(CATALOG_NAMES))
+def catalog_cases(draw, name=None):
+    """(name, params, a, b, eps) over every catalog family, or over ``name``."""
+    name = name or draw(st.sampled_from(CATALOG_NAMES))
     a = draw(st.floats(0.0 if name in ("neg_log", "xlogx", "power_p") else -2.0, 2.0))
     b = a + draw(st.floats(1e-3, 2.0))
     params = ()
@@ -113,7 +129,7 @@ def catalog_cases(draw):
         params = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
     elif name == "constant":
         params = (draw(st.floats(-3.0, 3.0)),)
-    return name, params, a, b, 10.0 ** -draw(st.integers(6, 11))
+    return name, params, a, b, 10.0 ** -draw(st.integers(6, 12))
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,6 +140,79 @@ def test_adaptive_enclosure_contains_reference(case):
     # a spent budget still has to enclose
     res = adaptive_integrate(f, eps, max_cells=5_000)
     assert res.integral.lo <= exact_integral(name, params, a, b) <= res.integral.hi
+
+
+D = Decimal
+#: f''' on Decimal t, given the constants c and p of the text, of smooth
+#: expression templates on their domains: those of the benchmark's cli_expr
+#: workload, and two whose inner functions have a second derivative, so that
+#: every term of the chain rules is reached
+EXPRESSIONS = {
+    "exp({c!r}*x)": ((-1.0, 1.0), lambda c, p, t: D(c) ** 3 * (D(c) * t).exp()),
+    "x^{p!r}": ((0.1, 1.0), lambda c, p, t: D(p) * (D(p) - 1) * (D(p) - 2) * t ** (D(p) - 3)),
+    "1/x": ((0.2, 1.0), lambda c, p, t: -6 / t ** 4),
+    "x*log(x)": ((0.1, 1.0), lambda c, p, t: -1 / t ** 2),
+    "-log(x)": ((0.1, 1.0), lambda c, p, t: -2 / t ** 3),
+    "sqrt(1 + x^2)": ((-1.0, 1.0), lambda c, p, t: -3 * t * (1 + t * t) ** D(-2.5)),
+    "exp(x) + exp(-x)": ((-1.0, 1.0), lambda c, p, t: t.exp() - (-t).exp()),
+    "exp(x^2)": ((-1.0, 1.0), lambda c, p, t: (12 * t + 8 * t ** 3) * (t * t).exp()),
+    "(1 + x^2)^1.5": ((-1.0, 1.0), lambda c, p, t: (9 * t - 3 * t ** 3 / (1 + t * t)) / (1 + t * t).sqrt()),
+}
+
+
+@pytest.mark.parametrize("family", [*CATALOG_NAMES, *EXPRESSIONS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_third_derivative_range_contains_reference(family, data, p, q, samples):
+    # the f''' range of a cell holds the exact f''' at its ends and at exact
+    # interior points: with the ulp per end that the contract allows for a
+    # catalog family, and as returned for an expression, whose interval ends
+    # are rounded outward
+    if family in EXPRESSIONS:
+        (a, b), exact = EXPRESSIONS[family]
+        c, k = data.draw(st.floats(0.5, 2.0)), data.draw(st.floats(1.5, 3.5))
+        f = to_convex_function(family.format(c=c, p=k), Interval(a, b))
+        d3, num, ulps = (lambda t: exact(c, k, t)), Decimal, 0
+    else:
+        name, params, a, b, _ = data.draw(catalog_cases(family))
+        if name == "power_p":  # f''' changes sign at p = 2 and monotonicity at p = 3
+            params = (data.draw(st.sampled_from((1.5, 2.5, 3.5))) + data.draw(st.floats(-0.5, 0.5)),)
+        num = number_type(name, params)
+        f, d3, ulps = catalog(name, params, Interval(a, b)), third_derivative(name, params, num), 1
+    u, v = sorted(a + (b - a) * s for s in (p, q))
+    assume(u < v)
+    rng = f._d2range(u, v)
+    assume(rng is not None)  # a kink inside the cell
+    lo3, hi3 = rng[2:]
+    for _ in range(ulps):
+        lo3, hi3 = math.nextafter(lo3, -math.inf), math.nextafter(hi3, math.inf)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for s in (0, 1, *samples):
+            t = num(u) + (num(v) - num(u)) * num(s.numerator) / num(s.denominator)
+            t = min(max(t, num(u)), num(v))  # rounded to DIGITS, t may leave the cell
+            assert lo3 <= d3(t) <= hi3, (f.label, u, v, t)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-12])
+@pytest.mark.parametrize("b", [1.0, 0.3])
+def test_unbounded_third_derivative_keeps_second_order_cell(b, eps):
+    # f''' = 1.875 t^-0.5 of t^2.5 is unbounded at 0, so the first cell keeps
+    # the f'' bracket of its halves; it and the run enclose at zero slack
+    f = catalog("power_p", (2.5,), Interval(0.0, b))
+    d2 = f._d2range(0.0, b)
+    assert d2[1] < math.inf == d2[3]
+    m = 0.5 * b
+    samples = (0.0, m, b, f(0.0), f(m), f(b), f.d_plus(0.0), f.d_minus(m), f.d_plus(m), f.d_minus(b))
+    lo, hi = _corrected_bracket(*samples, d2)
+    assert (lo, hi) == _corrected_bracket(*samples, d2[:2] + (-math.inf, math.inf))
+    exact = reference("power_p", (2.5,), lambda f, F, num: (f(num(0.0)) + f(num(b))) * num(b) / 2
+                      - (F(num(b)) - F(num(0.0))), b)
+    assert lo <= exact <= hi
+    res = adaptive_integrate(f, eps, max_cells=200_000)
+    assert res.converged
+    assert res.integral.lo <= exact_integral("power_p", (2.5,), 0.0, b) <= res.integral.hi
 
 
 def test_default_specs_match_default_catalog():
@@ -181,7 +270,7 @@ def test_corrected_bracket_contains_exact_remainder(idx, p, scale):
     assert hi - lo <= _cubic_term(h, d2[1], math.inf) - _cubic_term(h, d2[0], 0.0)
 
 
-@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("src, name, params, a, b", [
     ("exp(x)", "exp", (), 0.0, 1.0),
     ("x^2", "quadratic", (), 0.0, 1.0),
