@@ -7,9 +7,8 @@ derivative f'- (defined on (a,b]).  Endpoint derivatives may be +-inf; the
 bound machinery propagates infinities into trivially-true enclosures.
 
 The module also ships a catalog of reference functions with exact one-sided
-derivatives and closed-form antiderivatives (used as test oracles) and a
-grid based convexity checker.  Expression text gets its exact oracles from
-:func:`trapbound.expr.to_convex_function`.
+derivatives and f'' and f''' ranges, and a grid based convexity checker; expression text gets its exact
+oracles from :func:`trapbound.expr.to_convex_function`.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.a - tol <= x <= self.b + tol
+    def contains(self, x: float) -> bool:
+        return self.a <= x <= self.b
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,7 @@ class ConvexFunction:
 
     ``dplus`` is f'+ (right derivative, defined on [a, b)) and ``dminus`` is
     f'- (left derivative, defined on (a, b]).  Either may return +-inf at the
-    endpoints (e.g. -log t at t=0).  ``antiderivative`` is an optional exact
-    antiderivative, attached by the catalog; only :meth:`integral` reads it,
-    no bound or enclosure of the library does.
+    endpoints (e.g. -log t at t=0).
 
     ``_d2range``, private and optional, maps a cell (u, v) to
     ``(lo, hi, lo3, hi3)`` with 0 <= lo <= f'' <= hi (hi may be +inf) and
@@ -91,7 +88,6 @@ class ConvexFunction:
     dplus: Callable[[float], float]
     dminus: Callable[[float], float]
     label: str = ""
-    antiderivative: Optional[Callable[[float], float]] = None
     _d2range: Optional[Callable[[float, float], Optional[tuple]]] = None
 
     def __call__(self, x: float) -> float:
@@ -116,14 +112,6 @@ class ConvexFunction:
             raise DomainError(f"f'- undefined at {x} on [{self.domain.a}, {self.domain.b}]")
         return self.dminus(x)
 
-    def integral(self, u: Optional[float] = None, v: Optional[float] = None) -> float:
-        """Exact integral over [u, v] (default: whole domain) via the antiderivative."""
-        if self.antiderivative is None:
-            raise EvaluationError(f"{self.label!r} carries no closed-form antiderivative")
-        lo = self.domain.a if u is None else u
-        hi = self.domain.b if v is None else v
-        return self.antiderivative(hi) - self.antiderivative(lo)
-
 
 class ConvexityReport(NamedTuple):
     passed: bool
@@ -131,29 +119,24 @@ class ConvexityReport(NamedTuple):
     witness: Optional[tuple]
 
 
-def check_convexity(f, gridpoints: int = 101, tol: float = DEFAULT_TOL) -> ConvexityReport:
+def check_convexity(f: ConvexFunction, gridpoints: int = 101) -> ConvexityReport:
     """Secant-slope monotonicity check on an equispaced grid (endpoints included).
 
     ``passed`` iff the worst violation of slope(t1,t2) <= slope(t2,t3) over
-    consecutive triples stays within ``tol`` scaled by the sampled magnitude.
-    Evaluation failures surface as :class:`EvaluationError`, never as a
-    convexity verdict.
+    consecutive triples stays within ``DEFAULT_TOL`` scaled by the sampled
+    magnitude.  Evaluation failures surface as :class:`EvaluationError`,
+    never as a convexity verdict.
     """
     if gridpoints < 3:
         raise ValueError(f"gridpoints must be >= 3, got {gridpoints}")
-    if isinstance(f, ConvexFunction):
-        a, b = f.domain.a, f.domain.b
-        evaluate = f.__call__
-    else:
-        raise TypeError("check_convexity expects a ConvexFunction")
-
+    a, b = f.domain.a, f.domain.b
     ts = [a + (b - a) * i / (gridpoints - 1) for i in range(gridpoints)]
     ts[-1] = b
-    values = [evaluate(t) for t in ts]
+    values = [f(t) for t in ts]
 
     finite = [abs(v) for v in values if math.isfinite(v)]
     scale = max(1.0, max(finite)) if finite else 1.0
-    slack = tol * scale
+    slack = DEFAULT_TOL * scale
 
     worst = -math.inf
     witness = None
@@ -172,7 +155,7 @@ def check_convexity(f, gridpoints: int = 101, tol: float = DEFAULT_TOL) -> Conve
         worst = 0.0
         witness = None
     passed = worst <= slack
-    return ConvexityReport(passed, worst, witness if not passed else witness)
+    return ConvexityReport(passed, worst, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +182,7 @@ def _recip_pow(t: float, k: int, s: float) -> float:
 
 
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
-    """Reference convex functions with exact oracles and antiderivatives.
+    """Reference convex functions with exact slopes and f'' and f''' ranges.
 
     Names and parameters:
 
@@ -229,7 +212,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: k if t >= c else -k,
             dminus=lambda t: k if t > c else -k,
             label=f"kink(k={k}, c={c})",
-            antiderivative=lambda t: 0.5 * k * (t - c) * abs(t - c),
             _d2range=lambda u, v: None if u < c < v else (0.0, 0.0, 0.0, 0.0),
         )
 
@@ -240,7 +222,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: 2.0 * t,
             dminus=lambda t: 2.0 * t,
             label="quadratic",
-            antiderivative=lambda t: t ** 3 / 3.0,
             _d2range=lambda u, v: (2.0, 2.0, 0.0, 0.0),
         )
 
@@ -251,7 +232,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=math.exp,
             dminus=math.exp,
             label="exp",
-            antiderivative=math.exp,
             _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 2,
         )
 
@@ -264,7 +244,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: -math.inf if t == 0 else -1.0 / t,
             dminus=lambda t: -1.0 / t,
             label="neg_log",
-            antiderivative=lambda t: 0.0 if t == 0 else t - t * math.log(t),
             # f''' = -2/t^3
             _d2range=lambda u, v: (_recip_pow(v, 2, 0.0), _recip_pow(u, 2, math.inf),
                                    -2.0 * _recip_pow(u, 3, math.inf), -2.0 * _recip_pow(v, 3, 0.0)),
@@ -279,7 +258,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: -math.inf if t == 0 else math.log(t) + 1.0,
             dminus=lambda t: math.log(t) + 1.0,
             label="xlogx",
-            antiderivative=lambda t: 0.0 if t == 0 else 0.5 * t * t * math.log(t) - 0.25 * t * t,
             # f''' = -1/t^2
             _d2range=lambda u, v: (1.0 / v, math.inf if u == 0 else 1.0 / u,
                                    -_recip_pow(u, 2, math.inf), -_recip_pow(v, 2, 0.0)),
@@ -330,7 +308,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=_deriv,
             dminus=_deriv,
             label=f"power_p(p={p})",
-            antiderivative=lambda t: t ** (p + 1.0) / (p + 1.0),
             _d2range=_range,
         )
 
@@ -347,7 +324,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: m,
             dminus=lambda t: m,
             label=f"linear(m={m}, c={c})",
-            antiderivative=lambda t: 0.5 * m * t * t + c * t,
             _d2range=lambda u, v: (0.0, 0.0, 0.0, 0.0),
         )
 
@@ -361,23 +337,8 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: 0.0,
             dminus=lambda t: 0.0,
             label=f"constant({c})",
-            antiderivative=lambda t: c * t,
             _d2range=lambda u, v: (0.0, 0.0, 0.0, 0.0),
         )
 
     raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")
 
-
-def default_catalog() -> list[ConvexFunction]:
-    """One instance per catalog family, on intervals where every endpoint
-    derivative is finite (test corpus for the sandwich/quadrature suites)."""
-    return [
-        catalog("kink", (1.0, 0.5)),
-        catalog("quadratic"),
-        catalog("exp"),
-        catalog("neg_log", (), Interval(0.5, 2.0)),
-        catalog("xlogx", (), Interval(0.5, 2.0)),
-        catalog("power_p", (3.0,)),
-        catalog("linear", (2.0, -1.0)),
-        catalog("constant", (5.0,), Interval(2.0, 3.0)),
-    ]

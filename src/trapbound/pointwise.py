@@ -18,7 +18,7 @@ that take user-supplied constants.
 Bounds are computed in plain floating arithmetic; tests allow a documented
 slack of 1e-9.  Any bound touching an infinite endpoint derivative degenerates
 to a trivially true enclosure.  An integral (the window form, the CLI's
-``gap``/``hh``) is the adaptive enclosure; ``f.antiderivative`` is not read.
+``gap``/``hh``) is the adaptive enclosure.
 """
 
 from __future__ import annotations
@@ -209,9 +209,9 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
     return Enclosure(lo / (b - a), hi / (b - a))
 
 
-def _derivative(f: ConvexFunction, x: float, tol: float) -> float:
-    """f'(x), or the one side at an end of the domain; slopes that differ
-    beyond ``tol`` or an infinite one raise :class:`NotDifferentiableError`."""
+def _derivative(f: ConvexFunction, x: float) -> float:
+    """f'(x), or the one side at an end of the domain; slopes that differ beyond
+    ``DEFAULT_TOL`` or an infinite one raise :class:`NotDifferentiableError`."""
     a, b = f.domain.a, f.domain.b
     if x <= a:
         return f.d_plus(a)
@@ -220,19 +220,19 @@ def _derivative(f: ConvexFunction, x: float, tol: float) -> float:
     dp = f.d_plus(x)
     dm = f.d_minus(x)
     scale = max(1.0, abs(dp), abs(dm))
-    if not (math.isfinite(dp) and math.isfinite(dm)) or abs(dp - dm) > tol * scale:
+    if not (math.isfinite(dp) and math.isfinite(dm)) or abs(dp - dm) > DEFAULT_TOL * scale:
         raise NotDifferentiableError(
             f"{f.label!r} is not differentiable at {x}: f'-={dm}, f'+={dp}"
         )
     return 0.5 * (dp + dm)
 
 
-def differentiable_lower(f: ConvexFunction, x: float, tol: float = DEFAULT_TOL) -> float:
+def differentiable_lower(f: ConvexFunction, x: float) -> float:
     """Lower bound (b-a)((a+b)/2 - x) f'(x) at a point of differentiability."""
     a, b = f.domain.a, f.domain.b
     if not a < x < b:
         raise DomainError(f"differentiable lower bound needs x in ({a}, {b}), got {x}")
-    d = _derivative(f, x, tol)
+    d = _derivative(f, x)
     return (b - a) * (0.5 * (a + b) - x) * d
 
 

@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .funcs import ConvexFunction, DomainError, Interval
-from .pointwise import Enclosure, _gap_bracket
-from .quadrature import adaptive_integrate
+from .funcs import DomainError, Interval
+from .pointwise import _gap_bracket
 
 #: Grid size of the monotone Riemann bracket used by the normalization check.
 _NORMALIZATION_CELLS = 4096
+#: Grid size and tolerance of the sampled nonnegativity/monotonicity checks;
+#: the tolerance also bounds the normalization check.
+_DENSITY_GRIDPOINTS = 201
+_DENSITY_TOL = 1e-6
 
 
 class InvalidDensityError(ValueError):
@@ -38,9 +41,7 @@ class MonotoneDensity:
     """Nondecreasing probability density on a bounded support.
 
     ``left_limit``/``right_limit`` supply the one-sided limits f(x-), f(x+);
-    for a continuous density both coincide with ``pdf``.  ``cdf`` (an exact
-    antiderivative with cdf(a) = 0) and ``mean`` are optional closed forms
-    used for cross-checks and test oracles.
+    for a continuous density both coincide with ``pdf``.
     """
 
     domain: Interval
@@ -48,19 +49,11 @@ class MonotoneDensity:
     left_limit: Callable[[float], float]
     right_limit: Callable[[float], float]
     label: str = ""
-    cdf: Optional[Callable[[float], float]] = None
-    mean: Optional[float] = None
 
 
-def continuous_density(
-    domain: Interval,
-    pdf: Callable[[float], float],
-    label: str = "",
-    cdf: Optional[Callable[[float], float]] = None,
-    mean: Optional[float] = None,
-) -> MonotoneDensity:
+def continuous_density(domain: Interval, pdf: Callable[[float], float], label: str = "") -> MonotoneDensity:
     """Density whose one-sided limits are plain evaluations."""
-    return MonotoneDensity(domain, pdf, pdf, pdf, label, cdf, mean)
+    return MonotoneDensity(domain, pdf, pdf, pdf, label)
 
 
 def piecewise_constant_density(
@@ -72,7 +65,7 @@ def piecewise_constant_density(
     """Step density: ``values[i]`` on [breaks[i], breaks[i+1]), right continuous.
 
     ``breaks`` must start at the left endpoint; the implicit last break is the
-    right endpoint.  The cdf and mean are computed in closed form.
+    right endpoint.
     """
     brk = list(breaks) + [domain.b]
     if len(values) != len(brk) - 1 or abs(brk[0] - domain.a) > 0:
@@ -90,16 +83,7 @@ def piecewise_constant_density(
                 return v
         return values[0]
 
-    def cdf(x: float) -> float:
-        acc = 0.0
-        for lo, hi, v in zip(brk, brk[1:], values):
-            acc += v * (min(x, hi) - lo)
-            if x <= hi:
-                break
-        return acc
-
-    mean = sum(0.5 * v * (hi * hi - lo * lo) for lo, hi, v in zip(brk, brk[1:], values))
-    return MonotoneDensity(domain, pdf, left_limit, pdf, label, cdf, mean)
+    return MonotoneDensity(domain, pdf, left_limit, pdf, label)
 
 
 class ExpectationEnclosure(NamedTuple):
@@ -116,46 +100,46 @@ class DensityReport(NamedTuple):
     messages: tuple
 
 
-def _mass_bracket(d: MonotoneDensity, cells: int = _NORMALIZATION_CELLS) -> tuple:
+def _mass_bracket(d: MonotoneDensity) -> tuple:
     """Certified bracket for integral of a nondecreasing density: on each cell
     the infimum is the right limit at the left edge and the supremum the left
     limit at the right edge."""
     a, b = d.domain.a, d.domain.b
-    h = (b - a) / cells
+    h = (b - a) / _NORMALIZATION_CELLS
     lo = 0.0
     hi = 0.0
-    for i in range(cells):
+    for i in range(_NORMALIZATION_CELLS):
         u = a + i * h
-        v = b if i == cells - 1 else a + (i + 1) * h
+        v = b if i == _NORMALIZATION_CELLS - 1 else a + (i + 1) * h
         lo += d.right_limit(u) * (v - u)
         hi += d.left_limit(v) * (v - u)
     return lo, hi
 
 
-def validate_density(d: MonotoneDensity, gridpoints: int = 201, tol: float = 1e-6) -> DensityReport:
+def validate_density(d: MonotoneDensity) -> DensityReport:
     """Check the hypotheses: f >= 0, f nondecreasing, total mass 1.
 
     Nonnegativity and monotonicity are sampled on a grid; the normalization
     uses the monotone Riemann bracket of ``_mass_bracket`` and passes when
-    that bracket is consistent with total mass 1 within ``tol``.
+    that bracket is consistent with total mass 1 within ``_DENSITY_TOL``.
     """
     a, b = d.domain.a, d.domain.b
-    ts = [a + (b - a) * i / (gridpoints - 1) for i in range(gridpoints)]
+    ts = [a + (b - a) * i / (_DENSITY_GRIDPOINTS - 1) for i in range(_DENSITY_GRIDPOINTS)]
     values = [d.pdf(t) for t in ts]
-    scale = max(1.0, max(abs(v) for v in values))
+    slack = _DENSITY_TOL * max(1.0, max(abs(v) for v in values))
 
     messages = []
-    nonnegative = all(v >= -tol * scale for v in values)
+    nonnegative = all(v >= -slack for v in values)
     if not nonnegative:
         worst = min(values)
         messages.append(f"density is negative (min sampled value {worst:.6g})")
 
-    nondecreasing = all(v2 >= v1 - tol * scale for v1, v2 in zip(values, values[1:]))
+    nondecreasing = all(v2 >= v1 - slack for v1, v2 in zip(values, values[1:]))
     if not nondecreasing:
         messages.append("density is not monotone nondecreasing on the sampled grid")
 
     lo, hi = _mass_bracket(d)
-    normalized = lo <= 1.0 + tol and hi >= 1.0 - tol
+    normalized = lo <= 1.0 + _DENSITY_TOL and hi >= 1.0 - _DENSITY_TOL
     if not normalized:
         messages.append(f"total mass bracket [{lo:.9g}, {hi:.9g}] excludes 1")
 
@@ -217,22 +201,3 @@ def best_expectation_enclosure(d: MonotoneDensity, gridpoints: int = 1001) -> Ex
             x_used = x
     return ExpectationEnclosure(best_lo, best_hi, x_used)
 
-
-def expectation_via_cdf(d: MonotoneDensity, eps: float = 1e-8) -> Enclosure:
-    """Certified E(X) enclosure through integral_a^b F = b - E(X).
-
-    The cdf of a nondecreasing density is convex, so the verified adaptive
-    integrator applies to it directly; used as an independent cross-check of
-    the pointwise expectation bounds.
-    """
-    if d.cdf is None:
-        raise ValueError(f"density {d.label!r} carries no closed-form cdf")
-    F = ConvexFunction(
-        domain=d.domain,
-        evaluate=d.cdf,
-        dplus=d.right_limit,
-        dminus=d.left_limit,
-        label=f"cdf of {d.label}",
-    )
-    result = adaptive_integrate(F, eps=eps, max_cells=200_000)
-    return Enclosure(d.domain.b - result.integral.hi, d.domain.b - result.integral.lo)

@@ -98,8 +98,9 @@ class QuadratureResult:
     ``integral`` is ``[gn - remainder.hi, gn - remainder.lo]``, rounded
     outward by one ulp for an adaptive run; a side that comes out NaN (f
     infinite at an end of the domain) is the trivial one, -inf or +inf.
-    ``converged`` is False when an adaptive run exhausted its cell budget or
-    hit an infinite bracket; the enclosure is valid regardless.
+    ``converged`` is False when an adaptive run's ``integral`` is wider than
+    its eps (a spent cell budget, an infinite bracket); the enclosure is
+    valid regardless.
     """
 
     gn: float
@@ -155,13 +156,13 @@ def generalized_trapezoid(f: ConvexFunction, P: Partition) -> float:
     return total
 
 
-def _summed_brackets(f: ConvexFunction, P: Partition, tol: float, bracket) -> Enclosure:
+def _summed_brackets(f: ConvexFunction, P: Partition, bracket) -> Enclosure:
     """Sum of the per-cell brackets ``bracket(u, v, xi)`` over the cells of P."""
     lo_sum = 0.0
     hi_sum = 0.0
     for i, (u, v, x) in enumerate(P.cells()):
         lo, hi = bracket(u, v, x)
-        if lo > hi + tol * max(1.0, abs(lo), abs(hi)):
+        if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
             raise ConvexityViolationError(
                 f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
                 f"{f.label!r} is not convex there"
@@ -171,7 +172,7 @@ def _summed_brackets(f: ConvexFunction, P: Partition, tol: float, bracket) -> En
     return Enclosure(min(lo_sum, hi_sum), hi_sum)
 
 
-def remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TOL) -> Enclosure:
+def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
     """Certified bracket for the remainder S_n = G_n - integral.
 
     An inverted per-cell bracket (lo > hi beyond tolerance) is numerically
@@ -188,10 +189,10 @@ def remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TO
         dmx = f.d_minus(x) if wr else 0.0
         return _gap_bracket(wl, wr, dpx, dmx, f.d_plus(u), f.d_minus(v))
 
-    return _summed_brackets(f, P, tol, bracket)
+    return _summed_brackets(f, P, bracket)
 
 
-def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TOL) -> Enclosure:
+def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
     """Remainder bracket for the classical trapezoid rule (midpoint xi):
 
         (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2
@@ -213,15 +214,15 @@ def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition, tol: float = 
         dpm, dmm = (f.d_plus(m), f.d_minus(m)) if u < m < v else (None, None)
         return _midpoint_bracket(v - u, dpm, dmm, f.d_plus(u), f.d_minus(v))
 
-    return _summed_brackets(f, P, tol, bracket)
+    return _summed_brackets(f, P, bracket)
 
 
-def differentiable_lower_remainder(f: ConvexFunction, P: Partition, tol: float = DEFAULT_TOL) -> float:
+def differentiable_lower_remainder(f: ConvexFunction, P: Partition) -> float:
     """Lower bound sum ((x_i + x_{i+1})/2 - xi_i) h_i f'(xi_i) for differentiable f."""
     _check_domain(f, P)
     total = 0.0
     for u, v, x in P.cells():
-        total += (0.5 * (u + v) - x) * (v - u) * _derivative(f, x, tol)
+        total += (0.5 * (u + v) - x) * (v - u) * _derivative(f, x)
     return total
 
 
@@ -442,14 +443,17 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     t = (f(u) + f(v))/2 (v - u): 4 ulp(t) for its three operations plus
     (v - u)(ulp f(u) + ulp f(v)) for faithful values of f.  It and the
     integral are then rounded outward.  The running totals that stop the
-    loop carry no allowance, so the reported width may exceed ``eps`` by it.
+    loop carry no allowance; where the reported width then exceeds ``eps``,
+    bisection resumes against a running target lowered by the excess, as
+    long as that target stays positive.
 
-    A spent budget, a widest cell with an infinite bracket (f infinite at
-    an end of the domain), or cells too narrow to bisect in floating point
-    that leave the total above ``eps`` are reported via ``converged=False``,
-    never an exception; the enclosure stays valid either way.
+    ``converged`` is True exactly when the reported ``integral.width`` is
+    <= ``eps``.  A spent budget, a widest cell with an infinite bracket (f
+    infinite at an end of the domain), an exact widest cell, or cells too
+    narrow to bisect in floating point stop the run with it False, never an
+    exception; the enclosure stays valid either way.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
@@ -460,34 +464,42 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     heap = [] if cell[10] is None else [cell]
     settled = [] if heap else [cell]
     total_lo, total_hi = cell[4:6]
+    target = eps
 
-    # an infinite total means a cell is unbounded where f is infinite; bisection cannot help
-    while heap and eps < total_hi - total_lo < math.inf and len(heap) + len(settled) < max_cells:
-        if heap[0][0] == 0.0:
-            break  # widest cell exact
-        _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
-        total_lo -= clo
-        total_hi -= chi
-        for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm), _adaptive_cell(f, m, v, fm, fv, dpm, dmv)):
-            if cell[10] is None:
-                settled.append(cell)
-            else:
-                heapq.heappush(heap, cell)
-            total_lo += cell[4]
-            total_hi += cell[5]
+    while True:
+        # an infinite total means a cell is unbounded where f is infinite; bisection cannot help
+        while heap and target < total_hi - total_lo < math.inf and len(heap) + len(settled) < max_cells:
+            if heap[0][0] == 0.0:
+                break  # widest cell exact
+            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
+            total_lo -= clo
+            total_hi -= chi
+            for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm), _adaptive_cell(f, m, v, fm, fv, dpm, dmv)):
+                if cell[10] is None:
+                    settled.append(cell)
+                else:
+                    heapq.heappush(heap, cell)
+                total_lo += cell[4]
+                total_hi += cell[5]
 
-    width = total_hi - total_lo
-    converged = math.isfinite(width) and width <= eps
-    cells = heap + settled
-    total_t = sum(c[3] for c in cells)
-    if not (math.isfinite(width) and math.isfinite(total_t)):
-        remainder = Enclosure(min(total_lo, total_hi), total_hi)
-        return QuadratureResult(total_t, remainder, _integral_enclosure(total_t, remainder), len(cells), converged)
-    gn = math.fsum(c[3] for c in cells)
-    # gn is within err of the exact sum of the cells' (f(u) + f(v))/2 (v - u)
-    err = math.nextafter(math.fsum([math.ulp(gn), *(
-        4.0 * math.ulp(c[3]) + (c[2] - c[1]) * (math.ulp(c[6]) + math.ulp(c[7])) for c in cells)]), math.inf)
-    remainder = Enclosure(math.nextafter(math.fsum([-err, *(c[4] for c in cells)]), -math.inf),
-                          math.nextafter(math.fsum([err, *(c[5] for c in cells)]), math.inf))
-    integral = Enclosure(math.nextafter(gn - remainder.hi, -math.inf), math.nextafter(gn - remainder.lo, math.inf))
-    return QuadratureResult(gn, remainder, integral, len(cells), converged)
+        width = total_hi - total_lo
+        cells = heap + settled
+        total_t = sum(c[3] for c in cells)
+        if not (math.isfinite(width) and math.isfinite(total_t)):
+            remainder = Enclosure(min(total_lo, total_hi), total_hi)
+            return QuadratureResult(total_t, remainder, _integral_enclosure(total_t, remainder), len(cells), False)
+        gn = math.fsum(c[3] for c in cells)
+        # gn is within err of the exact sum of the cells' (f(u) + f(v))/2 (v - u)
+        err = math.nextafter(math.fsum([math.ulp(gn), *(
+            4.0 * math.ulp(c[3]) + (c[2] - c[1]) * (math.ulp(c[6]) + math.ulp(c[7])) for c in cells)]), math.inf)
+        remainder = Enclosure(math.nextafter(math.fsum([-err, *(c[4] for c in cells)]), -math.inf),
+                              math.nextafter(math.fsum([err, *(c[5] for c in cells)]), math.inf))
+        integral = Enclosure(math.nextafter(gn - remainder.hi, -math.inf), math.nextafter(gn - remainder.lo, math.inf))
+        excess = integral.width - eps
+        # the running width met its target, but the allowance took the reported
+        # width past eps: go on to a target lowered by the excess, if one is left
+        lowered = math.nextafter(width - excess, -math.inf)
+        if not (excess > 0 and width <= target and lowered > 0 and heap and heap[0][0] != 0.0
+                and len(cells) < max_cells):
+            return QuadratureResult(gn, remainder, integral, len(cells), excess <= 0)
+        target = lowered

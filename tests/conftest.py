@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
+from catalog_oracles import default_catalog
 from hypothesis import settings
-
-from trapbound.funcs import default_catalog
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run, so
 # the numeric properties cannot flake there; local runs keep the default profile

@@ -125,6 +125,10 @@ class TestIntegrate:
         assert rep["integral"]["lo"] == math.nextafter(rep["gn"] - rep["remainder"]["hi"], -math.inf)
         assert rep["integral"]["hi"] == math.nextafter(rep["gn"] - rep["remainder"]["lo"], math.inf)
 
+    def test_converged_width_within_eps(self, capsys):
+        rep = run_json(capsys, "integrate", "--fn", "x*log(x)", "--interval", "0.5", "2", "--eps", "1e-13")
+        assert rep["converged"] and rep["width"] <= 1e-13
+
     def test_fixed_partition(self, capsys):
         rep = run_json(capsys, "integrate", "--fn", "exp(x)",
                        "--interval", "0", "1", "--n", "4")
@@ -389,6 +393,23 @@ class TestExitCodes:
                                "--interval", "0", "1")
         assert code == 1
         assert "position" in err
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["integrate", "--fn", "exp(x)", "--interval", "0", "1", "--eps", "nan"], "eps must be positive, got nan"),
+        (["check", "--dist", "{bad}"], "bad.json: line 2: Expecting ',' delimiter"),
+        (["check", "--dist", "{empty}"], "empty.csv: no weights found"),
+        (["check", "--dist", "{empty}", "--normalize"], "empty.csv: no weights found"),
+        (["expectation", "--density", "2*", "--interval", "0", "1"], "--density: "),
+        (["check", "--fn", "x +", "--interval", "0", "1"], "--fn: "),
+        (["check", "--fn", "x^2"], "--fn requires --interval"),
+        (["check", "--density", "2*x"], "--density requires --interval"),
+    ])
+    def test_input_errors_exit_1(self, capsys, tmp_path, argv, fragment):
+        (tmp_path / "bad.json").write_text("[0.5,\n 0.5 0.5]")
+        (tmp_path / "empty.csv").write_text("\n\n")
+        argv = [a.format(bad=tmp_path / "bad.json", empty=tmp_path / "empty.csv") for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and fragment in err and "Traceback" not in err
 
     def test_evaluation_error(self):
         # x*log(x) cannot be evaluated at 0 by the expression evaluator

@@ -1,8 +1,8 @@
-import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from catalog_oracles import corpus_integral, exact_integral
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import (
@@ -35,14 +35,13 @@ def shifted_parabola():
         lambda t: 2.0 * t - 1.0,
         lambda t: 2.0 * t - 1.0,
         "t^2 - t",
-        antiderivative=lambda t: t ** 3 / 3.0 - 0.5 * t * t,
     )
 
 
-def reference_gap(f, x):
-    # oracle: the defining formula with the closed-form antiderivative
+def reference_gap(f, x, integral):
+    # oracle: the defining formula with the exact integral of f
     a, b = f.domain.a, f.domain.b
-    return (x - a) * f(a) + (b - x) * f(b) - f.integral()
+    return (x - a) * f(a) + (b - x) * f(b) - integral
 
 
 class TestEnclosure:
@@ -87,10 +86,6 @@ class TestGap:
         enc = _reference_integral(f, 0.25, 0.75)
         assert enc.lo <= 3.5 <= enc.hi
 
-    def test_antiderivative_not_read(self):
-        bare = dataclasses.replace(QUAD, antiderivative=None)
-        assert _reference_integral(bare, 0.2, 0.9) == _reference_integral(QUAD, 0.2, 0.9)
-
     def test_sub_domain_keeps_the_f2_range(self):
         # the window's sub-domain copy of f must keep its f'' range oracle
         calls = []
@@ -118,13 +113,13 @@ class TestGapBounds:
         q = GapQuery(QUAD, 0.25)
         # oracle: x(1 - 2x) at x = 0.25 vs gap 5/12 from the antiderivative
         assert lower_gap_bound(q) == pytest.approx(0.125, abs=1e-15)
-        assert reference_gap(QUAD, 0.25) == pytest.approx(5.0 / 12.0, rel=1e-12)
-        assert lower_gap_bound(q) <= reference_gap(QUAD, 0.25)
+        assert reference_gap(QUAD, 0.25, 1.0 / 3.0) == pytest.approx(5.0 / 12.0, rel=1e-12)
+        assert lower_gap_bound(q) <= reference_gap(QUAD, 0.25, 1.0 / 3.0)
 
     def test_lower_linear_is_exact(self):
         f = catalog("linear", (2.0, -1.0))
         for x in (0.2, 0.5, 0.8):
-            assert lower_gap_bound(GapQuery(f, x)) == pytest.approx(reference_gap(f, x), abs=1e-12)
+            assert lower_gap_bound(GapQuery(f, x)) == pytest.approx(reference_gap(f, x, 0.0), abs=1e-12)
 
     def test_lower_requires_interior(self):
         with pytest.raises(DomainError):
@@ -135,7 +130,7 @@ class TestGapBounds:
 
     def test_upper_quadratic(self):
         assert upper_gap_bound(GapQuery(QUAD, 0.5)) == pytest.approx(0.25, abs=1e-15)
-        assert upper_gap_bound(GapQuery(QUAD, 0.5)) >= reference_gap(QUAD, 0.5)
+        assert upper_gap_bound(GapQuery(QUAD, 0.5)) >= reference_gap(QUAD, 0.5, 1.0 / 3.0)
 
     def test_upper_infinite_endpoint_derivative(self):
         f = catalog("neg_log")  # f'+(0) = -inf
@@ -238,14 +233,14 @@ class TestOptimalPoint:
         rep = optimal_point_bound(KINK)
         assert rep.x0 == pytest.approx(0.5, abs=1e-15)
         assert rep.gap_upper == pytest.approx(0.25, abs=1e-15)
-        assert rep.gap_upper >= reference_gap(KINK, rep.x0) - 1e-12
+        assert rep.gap_upper >= reference_gap(KINK, rep.x0, 0.25) - 1e-12
 
     def test_shifted_parabola(self):
         f = shifted_parabola()
         rep = optimal_point_bound(f)
         assert rep.x0 == pytest.approx(0.5, abs=1e-15)
         assert rep.gap_upper == pytest.approx(0.25, abs=1e-15)
-        assert reference_gap(f, 0.5) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert reference_gap(f, 0.5, -1.0 / 6.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_linear_rejected(self):
         with pytest.raises(PreconditionError):
@@ -269,18 +264,18 @@ class TestClassicalBounds:
     def test_kink_bounded_variation(self):
         bounds = dict(classical_bounds(KINK, 0.5, ClassicalConstants(total_variation=1.0)))
         assert bounds["bounded_variation"] == pytest.approx(0.5, abs=1e-15)
-        assert bounds["bounded_variation"] >= abs(reference_gap(KINK, 0.5))
+        assert bounds["bounded_variation"] >= abs(reference_gap(KINK, 0.5, 0.25))
 
     def test_quadratic_lipschitz(self):
         bounds = dict(classical_bounds(QUAD, 0.5, ClassicalConstants(lipschitz=2.0)))
         assert bounds["lipschitz"] == pytest.approx(0.5, abs=1e-15)
-        assert bounds["lipschitz"] >= abs(reference_gap(QUAD, 0.5))
+        assert bounds["lipschitz"] >= abs(reference_gap(QUAD, 0.5, 1.0 / 3.0))
 
     def test_constant_bv_zero(self):
         f = catalog("constant", (4.0,))
         bounds = dict(classical_bounds(f, 0.5, ClassicalConstants(total_variation=0.0)))
         assert bounds["bounded_variation"] == 0.0
-        assert reference_gap(f, 0.5) == 0.0
+        assert reference_gap(f, 0.5, 4.0) == 0.0
 
     def test_missing_constant(self):
         with pytest.raises(MissingConstantError):
@@ -289,20 +284,20 @@ class TestClassicalBounds:
     def test_all_bounds_dominate_gap_on_catalog(self):
         # hand-supplied exact constants per function
         cases = [
-            (KINK, ClassicalConstants(total_variation=1.0, lipschitz=1.0,
+            (KINK, 0.25, ClassicalConstants(total_variation=1.0, lipschitz=1.0,
                                       dnorm_inf=1.0, dnorm_p=1.0, p=2.0, dnorm_1=1.0)),
-            (QUAD, ClassicalConstants(total_variation=1.0, lipschitz=2.0, monotone=True,
+            (QUAD, 1.0 / 3.0, ClassicalConstants(total_variation=1.0, lipschitz=2.0, monotone=True,
                                       dnorm_inf=2.0, dnorm_p=math.sqrt(4.0 / 3.0), p=2.0,
                                       dnorm_1=1.0)),
-            (catalog("exp"), ClassicalConstants(total_variation=math.e - 1.0,
+            (catalog("exp"), float(exact_integral("exp", (), 0.0, 1.0)), ClassicalConstants(total_variation=math.e - 1.0,
                                                 lipschitz=math.e, monotone=True,
                                                 dnorm_inf=math.e,
                                                 dnorm_p=math.sqrt((math.e ** 2 - 1.0) / 2.0),
                                                 p=2.0, dnorm_1=math.e - 1.0)),
         ]
-        for f, consts in cases:
+        for f, integral, consts in cases:
             for x in (0.1, 0.5, 0.9):
-                g = abs(reference_gap(f, x))
+                g = abs(reference_gap(f, x, integral))
                 for name, bound in classical_bounds(f, x, consts):
                     assert bound >= g - 1e-12, (f.label, name, x)
 
@@ -315,10 +310,10 @@ class TestClassicalBounds:
 
 class TestSandwichProperties:
     def test_sandwich_on_catalog(self, test_catalog, rng):
-        for f in test_catalog:
+        for i, f in enumerate(test_catalog):
             a, b = f.domain.a, f.domain.b
             for x in a + (b - a) * rng.uniform(1e-6, 1.0 - 1e-6, size=200):
-                g = reference_gap(f, x)
+                g = reference_gap(f, x, corpus_integral(i))
                 q = GapQuery(f, x)
                 assert lower_gap_bound(q) <= g + 1e-9, (f.label, x)
                 assert g <= upper_gap_bound(q) + 1e-9, (f.label, x)

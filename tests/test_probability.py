@@ -3,36 +3,31 @@ import math
 import pytest
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval
-from trapbound.pointwise import GapQuery, gap_enclosure
+from trapbound.pointwise import Enclosure, GapQuery, gap_enclosure
 from trapbound.probability import (
     InvalidDensityError,
     best_expectation_enclosure,
     continuous_density,
     expectation_enclosure,
-    expectation_via_cdf,
     midpoint_expectation_enclosure,
     piecewise_constant_density,
     validate_density,
 )
+from trapbound.quadrature import adaptive_integrate
 
 UNIT = Interval(0.0, 1.0)
 
 
 def triangular():
-    # f(t) = 2t on [0, 1], E(X) = 2/3
-    return continuous_density(UNIT, lambda t: 2.0 * t, "2t",
-                              cdf=lambda t: t * t, mean=2.0 / 3.0)
+    return continuous_density(UNIT, lambda t: 2.0 * t, "2t")
 
 
 def uniform():
-    return continuous_density(UNIT, lambda t: 1.0, "uniform",
-                              cdf=lambda t: t, mean=0.5)
+    return continuous_density(UNIT, lambda t: 1.0, "uniform")
 
 
 def cubic_pull():
-    # f(t) = 3t^2 on [0, 1], E(X) = 3/4
-    return continuous_density(UNIT, lambda t: 3.0 * t * t, "3t^2",
-                              cdf=lambda t: t ** 3, mean=0.75)
+    return continuous_density(UNIT, lambda t: 3.0 * t * t, "3t^2")
 
 
 def step():
@@ -41,13 +36,33 @@ def step():
 
 ALL = [triangular, uniform, cubic_pull, step]
 
+#: closed-form (cdf, mean) of each density above, by label
+CLOSED_FORMS = {
+    "2t": (lambda t: t * t, 2.0 / 3.0),
+    "uniform": (lambda t: t, 0.5),
+    "3t^2": (lambda t: t ** 3, 0.75),
+    "step": (lambda t: 0.5 * t if t <= 0.5 else 1.5 * t - 0.5, 0.625),
+}
+
+
+def mean(d):
+    return CLOSED_FORMS[d.label][1]
+
+
+def cdf_function(d):
+    """The cdf of d: convex, with the one-sided limits of d as its slopes."""
+    return ConvexFunction(d.domain, CLOSED_FORMS[d.label][0], d.right_limit, d.left_limit, f"cdf of {d.label}")
+
+
+def expectation_via_cdf(d):
+    """E(X) = b - integral of the cdf, from its certified enclosure."""
+    integral = adaptive_integrate(cdf_function(d), eps=1e-8, max_cells=200_000).integral
+    return Enclosure(d.domain.b - integral.hi, d.domain.b - integral.lo)
+
 
 class TestDensities:
     def test_step_closed_forms(self):
         d = step()
-        assert d.mean == pytest.approx(0.625, abs=1e-15)
-        assert d.cdf(0.5) == pytest.approx(0.25, abs=1e-15)
-        assert d.cdf(1.0) == pytest.approx(1.0, abs=1e-15)
         # right continuous at the jump
         assert d.pdf(0.5) == 1.5
         assert d.left_limit(0.5) == 0.5
@@ -118,8 +133,8 @@ class TestExpectationEnclosure:
             d = make()
             for x in rng.uniform(1e-6, 1.0 - 1e-6, size=100):
                 enc = expectation_enclosure(d, float(x))
-                assert enc.lo <= d.mean + 1e-12, (d.label, x)
-                assert d.mean <= enc.hi + 1e-12, (d.label, x)
+                assert enc.lo <= mean(d) + 1e-12, (d.label, x)
+                assert mean(d) <= enc.hi + 1e-12, (d.label, x)
 
     def test_midpoint_variant_is_the_midpoint_split(self):
         for make in ALL:
@@ -132,7 +147,7 @@ class TestExpectationEnclosure:
         # E(X) = x + gap of F at x, and both come from the same bracket
         for make in ALL:
             d = make()
-            F = ConvexFunction(d.domain, d.cdf, d.right_limit, d.left_limit)
+            F = cdf_function(d)
             for x in (0.5, *(float(t) for t in rng.uniform(1e-6, 1.0 - 1e-6, size=20))):
                 enc = expectation_enclosure(d, x)
                 g = gap_enclosure(GapQuery(F, x))
@@ -152,7 +167,7 @@ class TestBestEnclosure:
         for make in ALL:
             d = make()
             best = best_expectation_enclosure(d)
-            assert best.lo <= d.mean + 1e-9 and d.mean <= best.hi + 1e-9, d.label
+            assert best.lo <= mean(d) + 1e-9 and mean(d) <= best.hi + 1e-9, d.label
             assert d.domain.a <= best.x_used <= d.domain.b
 
     def test_gridpoints_validation(self):
@@ -192,8 +207,8 @@ class TestExpectationViaCdf:
     def test_cross_checks_closed_form_means(self):
         for make in ALL:
             d = make()
-            enc = expectation_via_cdf(d, eps=1e-8)
-            assert enc.contains(d.mean, slack=1e-9), d.label
+            enc = expectation_via_cdf(d)
+            assert enc.contains(mean(d), slack=1e-9), d.label
             assert enc.width <= 1e-7, d.label
 
     def test_consistent_with_pointwise_bounds(self):
@@ -201,8 +216,3 @@ class TestExpectationViaCdf:
         enc = expectation_via_cdf(d)
         mid = midpoint_expectation_enclosure(d)
         assert mid.lo <= enc.lo + 1e-9 and enc.hi <= mid.hi + 1e-9
-
-    def test_requires_cdf(self):
-        d = continuous_density(UNIT, lambda t: 2.0 * t, "no-cdf")
-        with pytest.raises(ValueError):
-            expectation_via_cdf(d)

@@ -3,11 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from catalog_oracles import corpus_integral, default_catalog, exact_integral
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
-from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog, default_catalog
+from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import Enclosure, NotDifferentiableError, _reference_integral
 from trapbound.quadrature import (
     _BETA,
@@ -123,8 +124,8 @@ class TestRemainderEnclosure:
         assert rem.lo == rem.hi == pytest.approx(0.25, abs=1e-15)
 
     def test_containment_across_refinements(self, test_catalog):
-        for f in test_catalog:
-            true = f.integral()
+        for i, f in enumerate(test_catalog):
+            true = corpus_integral(i)
             for n in (1, 2, 4, 8, 16, 32):
                 P = uniform_partition(f.domain, n)
                 gn = generalized_trapezoid(f, P)
@@ -132,8 +133,8 @@ class TestRemainderEnclosure:
                 assert rem.contains(gn - true, slack=1e-9), (f.label, n)
 
     def test_containment_non_midpoint(self, test_catalog, rng):
-        for f in test_catalog:
-            true = f.integral()
+        for i, f in enumerate(test_catalog):
+            true = corpus_integral(i)
             P = uniform_partition(f.domain, 8)
             xi = tuple(u + (v - u) * rng.uniform(0.0, 1.0) for u, v, _ in P.cells())
             Q = Partition(P.points, xi)
@@ -214,7 +215,7 @@ class TestDifferentiableLower:
         P = uniform_partition(QUAD.domain, 2, "left")
         lower = differentiable_lower_remainder(QUAD, P)
         assert lower == pytest.approx(0.125, abs=1e-15)
-        s = generalized_trapezoid(QUAD, P) - QUAD.integral()
+        s = generalized_trapezoid(QUAD, P) - 1.0 / 3.0
         assert lower <= s + 1e-12
 
     def test_kink_at_xi_rejected(self):
@@ -229,11 +230,12 @@ class TestDifferentiableLower:
         assert differentiable_lower_remainder(f, uniform_partition(f.domain, 1, rule)) == 0.5
 
     def test_below_true_remainder_on_smooth(self, rng):
-        for f in (EXP, QUAD, catalog("power_p", (3.0,))):
+        for i in (2, 1, 5):  # exp, quadratic, power_p(3)
+            f = default_catalog()[i]
             P = uniform_partition(f.domain, 6)
             xi = tuple(u + (v - u) * rng.uniform(0.0, 1.0) for u, v, _ in P.cells())
             Q = Partition(P.points, xi)
-            s = generalized_trapezoid(f, Q) - f.integral()
+            s = generalized_trapezoid(f, Q) - corpus_integral(i)
             assert differentiable_lower_remainder(f, Q) <= s + 1e-12, f.label
 
 
@@ -282,7 +284,7 @@ class TestAdaptive:
         lo, hi = first_cell(f)[4:6]
         assert -5e-324 <= lo <= 0.0 <= hi <= 5e-324
         assert_one_cell_result(res, first_cell(f))
-        assert res.integral.contains(f.integral())
+        assert res.integral.contains(0.0)
 
     def test_tighter_eps_needs_more_cells(self):
         loose = adaptive_integrate(EXP, eps=1e-4)
@@ -290,8 +292,9 @@ class TestAdaptive:
         assert tight.cells > loose.cells
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_integrate(EXP, eps=0.0)
+        for eps in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                adaptive_integrate(EXP, eps=eps)
         with pytest.raises(ValueError):
             adaptive_integrate(EXP, eps=1e-6, max_cells=0)
 
@@ -350,7 +353,7 @@ class TestAdaptive:
         f = catalog("kink", (1.0, 0.3))
         res = adaptive_integrate(f, eps=1.0)
         assert res.cells == 1
-        assert res.integral.lo == pytest.approx(f.integral(), abs=1e-15)
+        assert res.integral.lo == pytest.approx(float(exact_integral("kink", (1.0, 0.3), 0.0, 1.0)), abs=1e-15)
 
     def test_sandwich_halves_cells(self):
         # the paper's bracket alone needs 4,932 cells here; the sandwich alone
@@ -401,8 +404,8 @@ class TestAdaptive:
         assert res.cells <= most
 
     @pytest.mark.parametrize("f, truth", [
-        *((f, f.integral()) for f in (QUAD, catalog("linear", (2.0, -1.0)), catalog("constant", (5.0,)),
-                                      catalog("power_p", (3.0,)))),
+        (QUAD, 1.0 / 3.0), (catalog("linear", (2.0, -1.0)), 0.0), (catalog("constant", (5.0,)), 5.0),
+        (catalog("power_p", (3.0,)), 0.25),
         (to_convex_function("x^3", Interval(0.0, 1.0)), 0.25),
     ], ids=["quadratic", "linear", "constant", "power_p3", "expr_x3"])
     def test_constant_f2_makes_one_cell_exact(self, f, truth):
@@ -435,6 +438,11 @@ class TestAdaptive:
             _reference_integral(f, a, b)
             assert [r.cells for r in runs] == [adaptive_integrate(twin, eps=1e-10, max_cells=200_000).cells] == [cells[1]]
 
+    def test_inverted_bracket_raises(self):
+        f = ConvexFunction(Interval(0.0, 1.0), lambda t: -t * t, lambda t: -2.0 * t, lambda t: -2.0 * t, "-t^2")
+        with pytest.raises(ConvexityViolationError, match=r"\[0\.0, -0\.25\]"):
+            adaptive_integrate(f, eps=1e-6)
+
     def test_infinite_endpoint_value_stops_unconverged(self):
         # -log t is +inf at 0: the cell touching 0 has an infinite bracket
         # however often it is bisected
@@ -457,7 +465,7 @@ def test_remainder_contains_truth_property(idx, n, frac):
     xi = tuple(u + (v - u) * frac for u, v, _ in P.cells())
     Q = Partition(P.points, xi)
     rem = remainder_enclosure(f, Q)
-    s = generalized_trapezoid(f, Q) - f.integral()
+    s = generalized_trapezoid(f, Q) - corpus_integral(idx)
     assert rem.contains(s, slack=1e-9)
 
 

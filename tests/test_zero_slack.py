@@ -1,101 +1,22 @@
 """Adaptive enclosures against an exact or 50-digit reference, with zero slack.
 
-The references are the catalog's closed forms at the float endpoints and
-parameters taken exactly: in ``fractions.Fraction`` where they are rational
-(kink, quadratic, linear, constant, power_p with integer p), so that an exact
-zero remainder stays zero, and otherwise in ``decimal`` to 50 significant
-digits.  A cell of width h cancels about 3 log10(1/h) digits (the integral is
-a difference of antiderivative values, the remainder a difference of the
-rule and the integral), so the working precision starts above that and is
-doubled until two runs agree.
+The references are the closed forms of ``catalog_oracles``.
 """
 
 import dataclasses
 import json
 import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import pytest
+from catalog_oracles import DEFAULT_SPECS, DIGITS, default_catalog, exact_integral, number_type, reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapbound.cli import main
 from trapbound.expr import to_convex_function
-from trapbound.funcs import CATALOG_NAMES, Interval, catalog, default_catalog
+from trapbound.funcs import CATALOG_NAMES, Interval, catalog
 from trapbound.quadrature import _corrected_bracket, _cubic_term, adaptive_integrate
-
-DIGITS = 50
-
-#: (name, params) of each entry of ``default_catalog()``, in order
-DEFAULT_SPECS = [
-    ("kink", (1.0, 0.5)),
-    ("quadratic", ()),
-    ("exp", ()),
-    ("neg_log", ()),
-    ("xlogx", ()),
-    ("power_p", (3.0,)),
-    ("linear", (2.0, -1.0)),
-    ("constant", (5.0,)),
-]
-
-
-def number_type(name, params):
-    """Fraction where the family's closed form is rational, else Decimal."""
-    if name in ("exp", "neg_log", "xlogx") or (name == "power_p" and not params[0].is_integer()):
-        return Decimal
-    return Fraction
-
-
-def closed_form(name, params, num):
-    """(f, F) of a catalog family on ``num`` arguments: the function and an
-    antiderivative, each 0 where the catalog defines its limit at t = 0."""
-    d = [num(x) for x in params]
-    if name == "kink":
-        k, c = d
-        return (lambda t: k * abs(t - c)), (lambda t: k * (t - c) * abs(t - c) / 2)
-    if name == "quadratic":
-        return (lambda t: t * t), (lambda t: t ** 3 / 3)
-    if name == "exp":
-        return (lambda t: t.exp()), (lambda t: t.exp())
-    if name == "neg_log":
-        return (lambda t: -t.ln()), (lambda t: t - t * t.ln() if t else Decimal(0))
-    if name == "xlogx":
-        return ((lambda t: t * t.ln() if t else Decimal(0)),
-                (lambda t: t * t * t.ln() / 2 - t * t / 4 if t else Decimal(0)))
-    if name == "power_p":
-        (p,) = d
-        return (lambda t: t ** p), (lambda t: t ** (p + 1) / (p + 1))
-    if name == "linear":
-        m, c = d
-        return (lambda t: m * t + c), (lambda t: m * t * t / 2 + c * t)
-    (c,) = d
-    return (lambda t: c), (lambda t: c * t)
-
-
-def reference(name, params, quantity, width):
-    """``quantity(f, F, num)`` from the closed form of a catalog family, on a
-    cell of the given width: exact in Fraction, else in Decimal to DIGITS
-    significant digits."""
-    num = number_type(name, params)
-    f, F = closed_form(name, params, num)
-    if num is Fraction:
-        return quantity(f, F, num)
-    prec = 2 * DIGITS + 3 * max(0, -Decimal(width).adjusted())
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = prec
-            coarse = quantity(f, F, num)
-            ctx.prec = 2 * prec
-            fine = quantity(f, F, num)
-        if abs(coarse - fine) <= abs(fine).scaleb(-DIGITS):
-            return fine
-        assert prec < 10_000, "reference does not settle"
-        prec *= 2
-
-
-def exact_integral(name, params, a, b):
-    return reference(name, params, lambda f, F, num: F(num(b)) - F(num(a)), b - a)
 
 
 def third_derivative(name, params, num):
@@ -195,6 +116,21 @@ def test_third_derivative_range_contains_reference(family, data, p, q, samples):
             assert lo3 <= d3(t) <= hi3, (f.label, u, v, t)
 
 
+@pytest.mark.parametrize("name, params, a, b, eps", [
+    ("exp", (), 0.0, 1.0, 1e-14),
+    ("exp", (), 0.0, 1.0, 1e-13),
+    ("xlogx", (), 0.5, 2.0, 1e-13),
+    ("neg_log", (), 0.5, 2.0, 1e-13),
+    ("power_p", (2.5,), 0.0, 1.0, 1e-13),
+])
+def test_converged_width_within_eps(name, params, a, b, eps):
+    # the running width that stops the loop leaves out the rounding
+    # allowance; a converged run still reports an integral no wider than eps
+    res = adaptive_integrate(catalog(name, params, Interval(a, b)), eps)
+    assert res.converged and res.integral.width <= eps
+    assert res.integral.lo <= exact_integral(name, params, a, b) <= res.integral.hi
+
+
 @pytest.mark.parametrize("eps", [1e-8, 1e-12])
 @pytest.mark.parametrize("b", [1.0, 0.3])
 def test_unbounded_third_derivative_keeps_second_order_cell(b, eps):
@@ -215,11 +151,6 @@ def test_unbounded_third_derivative_keeps_second_order_cell(b, eps):
     assert res.integral.lo <= exact_integral("power_p", (2.5,), 0.0, b) <= res.integral.hi
 
 
-def test_default_specs_match_default_catalog():
-    for (name, params), f in zip(DEFAULT_SPECS, default_catalog(), strict=True):
-        assert f.label == catalog(name, params, f.domain).label
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     idx=st.integers(min_value=0, max_value=7),
@@ -230,7 +161,7 @@ def test_one_cell_remainder_contains_exact_remainder(idx, p, q):
     # a one-cell run reports the kernel's bracket for the cell, widened by
     # the rounding allowance: it must hold gn minus the integral, exactly
     f = default_catalog()[idx]
-    name, params = DEFAULT_SPECS[idx]
+    name, params, _ = DEFAULT_SPECS[idx]
     a, b = f.domain.a, f.domain.b
     u, v = sorted(a + (b - a) * x for x in (p, q))
     assume(u < v)
@@ -252,7 +183,7 @@ def test_corrected_bracket_contains_exact_remainder(idx, p, scale):
     # bracket holds the exact T - I of its float nodes and is never wider
     # than the h^3/12 [min f'', max f''] term, rounded outward, it refines
     f = default_catalog()[idx]
-    name, params = DEFAULT_SPECS[idx]
+    name, params, _ = DEFAULT_SPECS[idx]
     a, b = f.domain.a, f.domain.b
     u = a + (b - a) * p
     v = min(b, u + (b - u) * 10.0 ** -scale)
