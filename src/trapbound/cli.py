@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import divergence as div
 from . import expr, pointwise, probability, quadrature
-from .funcs import ConvexFunction, DomainError, EvaluationError, Interval, NonConvexityError, check_convexity
+from .funcs import DomainError, EvaluationError, Interval, NonConvexityError, check_convexity
 
 
 class UsageError(Exception):
@@ -156,21 +156,26 @@ def _render(report: dict, output_format: str) -> str:
     return "\n".join(lines)
 
 
-def _build_function(args) -> ConvexFunction:
+def _function(args) -> tuple:
+    """Parse ``--fn`` on ``--interval`` and check its convexity: ``(f, report)``."""
     iv = Interval(args.interval[0], args.interval[1])
     try:
         f = expr.to_convex_function(args.fn, iv, args.var)
     except expr.ParseError as exc:
         raise UsageError(f"--fn: {exc}") from exc
-    report = check_convexity(f, gridpoints=101)
-    if not report.passed and not getattr(args, "allow_nonconvex", False):
+    return f, check_convexity(f)
+
+
+def _convex_function(args) -> tuple:
+    """:func:`_function`, refusing a failed report unless ``--allow-nonconvex``."""
+    f, report = _function(args)
+    if not report.passed and not args.allow_nonconvex:
         raise HypothesisError(
-            f"{args.fn!r} failed the convexity check on [{iv.a}, {iv.b}]: "
+            f"{args.fn!r} failed the convexity check on [{f.domain.a}, {f.domain.b}]: "
             f"worst secant violation {report.worst_violation:.3e} at {report.witness}; "
             "pass --allow-nonconvex to proceed without certification"
         )
-    setattr(args, "_certified", report.passed)
-    return f
+    return f, report
 
 
 def _enclosure_dict(enc) -> dict:
@@ -178,7 +183,7 @@ def _enclosure_dict(enc) -> dict:
 
 
 def _cmd_integrate(args) -> dict:
-    f = _build_function(args)
+    f, convexity = _convex_function(args)
     if args.n is not None:
         partition = quadrature.uniform_partition(f.domain, args.n, args.xi_rule)
         result = quadrature.integrate(f, partition)
@@ -194,12 +199,12 @@ def _cmd_integrate(args) -> dict:
         "width": result.integral.width,
         "cells": result.cells,
         "converged": result.converged,
-        "certified": args._certified,
+        "certified": convexity.passed,
     }
 
 
 def _cmd_gap(args) -> dict:
-    f = _build_function(args)
+    f, convexity = _convex_function(args)
     enclosure = pointwise.gap_enclosure(pointwise.GapQuery(f, args.x))
     a, b = f.domain.a, f.domain.b
     return {
@@ -210,12 +215,12 @@ def _cmd_gap(args) -> dict:
         "lower": enclosure.lo,
         "upper": enclosure.hi,
         "integral": _enclosure_dict(pointwise._reference_integral(f, a, b)),
-        "certified": args._certified,
+        "certified": convexity.passed,
     }
 
 
 def _cmd_hh(args) -> dict:
-    f = _build_function(args)
+    f, convexity = _convex_function(args)
     enclosure = pointwise.hh_bounds(f)
     a, b = f.domain.a, f.domain.b
     return {
@@ -225,22 +230,23 @@ def _cmd_hh(args) -> dict:
         "lower": enclosure.lo,
         "upper": enclosure.hi,
         "integral": _enclosure_dict(pointwise._reference_integral(f, a, b)),
-        "certified": args._certified,
+        "certified": convexity.passed,
     }
 
 
-def _build_density(args) -> probability.MonotoneDensity:
+def _density(args) -> tuple:
+    """Parse ``--density`` on ``--interval`` and validate it: ``(d, report)``."""
     iv = Interval(args.interval[0], args.interval[1])
     try:
         pdf = expr.to_function(args.density, args.var)
     except expr.ParseError as exc:
         raise UsageError(f"--density: {exc}") from exc
-    return probability.continuous_density(iv, pdf, label=args.density)
+    d = probability.continuous_density(iv, pdf, label=args.density)
+    return d, probability.validate_density(d)
 
 
 def _cmd_expectation(args) -> dict:
-    d = _build_density(args)
-    report = probability.validate_density(d)
+    d, report = _density(args)
     if not report.valid:
         raise HypothesisError(
             f"{args.density!r} is not a valid nondecreasing density on "
@@ -284,12 +290,7 @@ def _cmd_check(args) -> dict:
     if args.fn is not None:
         if args.interval is None:
             raise UsageError("--fn requires --interval")
-        iv = Interval(args.interval[0], args.interval[1])
-        try:
-            f = expr.to_convex_function(args.fn, iv, args.var)
-        except expr.ParseError as exc:
-            raise UsageError(f"--fn: {exc}") from exc
-        conv = check_convexity(f, gridpoints=101)
+        _, conv = _function(args)
         report["convexity"] = {
             "fn": args.fn,
             "passed": conv.passed,
@@ -300,8 +301,7 @@ def _cmd_check(args) -> dict:
     if args.density is not None:
         if args.interval is None:
             raise UsageError("--density requires --interval")
-        d = _build_density(args)
-        dens = probability.validate_density(d)
+        _, dens = _density(args)
         report["density"] = {
             "density": args.density,
             "valid": dens.valid,
@@ -412,10 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         report = run(args)
-    except UsageError as exc:
-        print(f"trapbound: error: {exc}", file=sys.stderr)
-        return 1
-    except (expr.ParseError, expr.EvalError, DomainError, EvaluationError, ValueError) as exc:
+    except (UsageError, expr.ParseError, expr.EvalError, DomainError, EvaluationError, ValueError) as exc:
         print(f"trapbound: error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

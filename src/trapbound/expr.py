@@ -1,8 +1,9 @@
 """Tiny expression language for functions entered as text on the CLI.
 
-Grammar (precedence high to low): ``^`` with a constant exponent, unary
-minus, ``*`` ``/``, ``+`` ``-``; same-precedence binary operators associate
-left.  Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable
+Grammar (precedence high to low): ``^`` with a constant exponent (one that
+does not mention the variable; it is evaluated when parsed), unary minus,
+``*`` ``/``, ``+`` ``-``; same-precedence binary operators associate left.
+Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable
 (default ``x``).  Evaluation reports singularities as errors.
 
 :func:`to_convex_function` compiles a tree once into straight-line Python:
@@ -127,6 +128,7 @@ class _Parser:
         self.variable = variable
         self.pos = 0
         self.end = end  # position just past the input, for EOF errors
+        self.variables = 0  # occurrences of the variable parsed so far
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -177,14 +179,15 @@ class _Parser:
         if tok and tok.kind == "operator" and tok.text == "^":
             self.next()
             exp_tok = self.peek()
+            seen = self.variables
             exponent = self.parse_unary()
-            folded = _fold(exponent)
-            if not isinstance(folded, Const):
-                raise ParseError(
-                    "exponent must be a constant",
-                    exp_tok.position if exp_tok else self.end,
-                )
-            return Binary("^", base, folded)
+            try:
+                if self.variables > seen:
+                    raise EvalError("the exponent mentions the variable")
+                value = eval_expr(exponent, 0.0)
+            except EvalError:
+                raise ParseError("exponent must be a constant", exp_tok.position if exp_tok else self.end) from None
+            return Binary("^", base, Const(value))
         return base
 
     def parse_atom(self) -> Expression:
@@ -205,6 +208,7 @@ class _Parser:
                 self.expect("paren", ")")
                 return Unary(tok.text, arg)
             if tok.text == self.variable:
+                self.variables += 1
                 return Var(tok.text)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.position)
         raise ParseError(f"unexpected token {tok.text!r}", tok.position)
@@ -277,24 +281,6 @@ def _power(lv: float, rv: float, e: Binary) -> float:
         return lv ** rv
     except OverflowError as exc:
         raise EvalError(f"overflow in {to_string(e)}") from exc
-
-
-def _fold(e: Expression) -> Expression:
-    """Constant folding; also prunes the identities of :func:`_identity`."""
-    if not isinstance(e, (Unary, Binary)):
-        return e
-    kids = [_fold(k) for k in ((e.arg,) if isinstance(e, Unary) else (e.left, e.right))]
-    node = type(e)(e.op, *kids)
-    if all(isinstance(k, Const) for k in kids):
-        try:
-            return Const(eval_expr(node, 0.0))
-        except EvalError:
-            pass
-    if isinstance(node, Binary):
-        simpler = _identity(e.op, *kids, lambda a: a.value if isinstance(a, Const) else None)
-        if simpler is not None:
-            return Const(simpler) if isinstance(simpler, float) else simpler
-    return node
 
 
 def _identity(op: str, left, right, known):

@@ -21,6 +21,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 #: slopes of nearly-affine functions are noisy in floating point, so checks
 #: scale this by the sampled magnitude of the function.
 DEFAULT_TOL = 1e-9
+#: Grid size of :func:`check_convexity`.
+_CONVEXITY_GRIDPOINTS = 101
 
 
 class DomainError(ValueError):
@@ -119,18 +121,19 @@ class ConvexityReport(NamedTuple):
     witness: Optional[tuple]
 
 
-def check_convexity(f: ConvexFunction, gridpoints: int = 101) -> ConvexityReport:
-    """Secant-slope monotonicity check on an equispaced grid (endpoints included).
+def check_convexity(f: ConvexFunction) -> ConvexityReport:
+    """Secant-slope monotonicity check on ``_CONVEXITY_GRIDPOINTS`` equispaced
+    points (endpoints included).
 
     ``passed`` iff the worst violation of slope(t1,t2) <= slope(t2,t3) over
     consecutive triples stays within ``DEFAULT_TOL`` scaled by the sampled
-    magnitude.  Evaluation failures surface as :class:`EvaluationError`,
-    never as a convexity verdict.
+    magnitude.  The check samples; it proves nothing between grid points.
+    Evaluation failures surface as :class:`EvaluationError`, never as a
+    convexity verdict.
     """
-    if gridpoints < 3:
-        raise ValueError(f"gridpoints must be >= 3, got {gridpoints}")
     a, b = f.domain.a, f.domain.b
-    ts = [a + (b - a) * i / (gridpoints - 1) for i in range(gridpoints)]
+    n = _CONVEXITY_GRIDPOINTS
+    ts = [a + (b - a) * i / (n - 1) for i in range(n)]
     ts[-1] = b
     values = [f(t) for t in ts]
 

@@ -32,28 +32,24 @@ _DENSITY_GRIDPOINTS = 201
 _DENSITY_TOL = 1e-6
 
 
-class InvalidDensityError(ValueError):
-    """A density failed the nonnegativity / monotonicity / normalization checks."""
-
-
 @dataclass(frozen=True)
 class MonotoneDensity:
     """Nondecreasing probability density on a bounded support.
 
     ``left_limit``/``right_limit`` supply the one-sided limits f(x-), f(x+);
-    for a continuous density both coincide with ``pdf``.
+    ``right_limit`` is also the density's value (densities are taken right
+    continuous), and for a continuous density both are the density itself.
     """
 
     domain: Interval
-    pdf: Callable[[float], float]
     left_limit: Callable[[float], float]
     right_limit: Callable[[float], float]
     label: str = ""
 
 
 def continuous_density(domain: Interval, pdf: Callable[[float], float], label: str = "") -> MonotoneDensity:
-    """Density whose one-sided limits are plain evaluations."""
-    return MonotoneDensity(domain, pdf, pdf, pdf, label)
+    """Density whose one-sided limits are both ``pdf``."""
+    return MonotoneDensity(domain, pdf, pdf, label)
 
 
 def piecewise_constant_density(
@@ -83,7 +79,7 @@ def piecewise_constant_density(
                 return v
         return values[0]
 
-    return MonotoneDensity(domain, pdf, left_limit, pdf, label)
+    return MonotoneDensity(domain, left_limit, pdf, label)
 
 
 class ExpectationEnclosure(NamedTuple):
@@ -119,13 +115,14 @@ def _mass_bracket(d: MonotoneDensity) -> tuple:
 def validate_density(d: MonotoneDensity) -> DensityReport:
     """Check the hypotheses: f >= 0, f nondecreasing, total mass 1.
 
-    Nonnegativity and monotonicity are sampled on a grid; the normalization
-    uses the monotone Riemann bracket of ``_mass_bracket`` and passes when
-    that bracket is consistent with total mass 1 within ``_DENSITY_TOL``.
+    Nonnegativity and monotonicity are sampled from ``right_limit`` on a
+    grid; the normalization uses the monotone Riemann bracket of
+    ``_mass_bracket`` and passes when that bracket is consistent with total
+    mass 1 within ``_DENSITY_TOL``.
     """
     a, b = d.domain.a, d.domain.b
     ts = [a + (b - a) * i / (_DENSITY_GRIDPOINTS - 1) for i in range(_DENSITY_GRIDPOINTS)]
-    values = [d.pdf(t) for t in ts]
+    values = [d.right_limit(t) for t in ts]
     slack = _DENSITY_TOL * max(1.0, max(abs(v) for v in values))
 
     messages = []

@@ -380,7 +380,8 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     A cell with no float strictly inside it (its ends are adjacent floats)
     cannot be bisected.  It samples nothing, is bracketed by
     [0, min(paper hi, T - area under the endpoint supporting lines)], and
-    carries ``m = None``.
+    carries ``m = None`` and the heap key 0.0 of an exact cell, since
+    bisection cannot narrow it either.
     """
     h = v - u
     m = 0.5 * (u + v)
@@ -421,7 +422,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
             lo, hi = (max(lo, q_lo), min(hi, q_hi)) if q_lo <= hi and lo <= q_hi else (q_lo, q_hi)
     elif lo > hi:
         lo, hi = c2  # the paper's bracket, rounded to nearest, missed it
-    return (-(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
+    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
 
 
 def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -> QuadratureResult:
@@ -460,46 +461,39 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
 
     a, b = f.domain.a, f.domain.b
     cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b))
-    # cells too narrow to bisect keep their share of the totals but leave the heap
-    heap = [] if cell[10] is None else [cell]
-    settled = [] if heap else [cell]
+    heap = [cell]
     total_lo, total_hi = cell[4:6]
     target = eps
 
     while True:
         # an infinite total means a cell is unbounded where f is infinite; bisection cannot help
-        while heap and target < total_hi - total_lo < math.inf and len(heap) + len(settled) < max_cells:
+        while target < total_hi - total_lo < math.inf and len(heap) < max_cells:
             if heap[0][0] == 0.0:
-                break  # widest cell exact
+                break  # no cell that bisection can narrow: each is exact or too narrow to bisect
             _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
             total_lo -= clo
             total_hi -= chi
             for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm), _adaptive_cell(f, m, v, fm, fv, dpm, dmv)):
-                if cell[10] is None:
-                    settled.append(cell)
-                else:
-                    heapq.heappush(heap, cell)
+                heapq.heappush(heap, cell)
                 total_lo += cell[4]
                 total_hi += cell[5]
 
         width = total_hi - total_lo
-        cells = heap + settled
-        total_t = sum(c[3] for c in cells)
+        total_t = sum(c[3] for c in heap)
         if not (math.isfinite(width) and math.isfinite(total_t)):
             remainder = Enclosure(min(total_lo, total_hi), total_hi)
-            return QuadratureResult(total_t, remainder, _integral_enclosure(total_t, remainder), len(cells), False)
-        gn = math.fsum(c[3] for c in cells)
+            return QuadratureResult(total_t, remainder, _integral_enclosure(total_t, remainder), len(heap), False)
+        gn = math.fsum(c[3] for c in heap)
         # gn is within err of the exact sum of the cells' (f(u) + f(v))/2 (v - u)
         err = math.nextafter(math.fsum([math.ulp(gn), *(
-            4.0 * math.ulp(c[3]) + (c[2] - c[1]) * (math.ulp(c[6]) + math.ulp(c[7])) for c in cells)]), math.inf)
-        remainder = Enclosure(math.nextafter(math.fsum([-err, *(c[4] for c in cells)]), -math.inf),
-                              math.nextafter(math.fsum([err, *(c[5] for c in cells)]), math.inf))
+            4.0 * math.ulp(c[3]) + (c[2] - c[1]) * (math.ulp(c[6]) + math.ulp(c[7])) for c in heap)]), math.inf)
+        remainder = Enclosure(math.nextafter(math.fsum([-err, *(c[4] for c in heap)]), -math.inf),
+                              math.nextafter(math.fsum([err, *(c[5] for c in heap)]), math.inf))
         integral = Enclosure(math.nextafter(gn - remainder.hi, -math.inf), math.nextafter(gn - remainder.lo, math.inf))
         excess = integral.width - eps
         # the running width met its target, but the allowance took the reported
         # width past eps: go on to a target lowered by the excess, if one is left
         lowered = math.nextafter(width - excess, -math.inf)
-        if not (excess > 0 and width <= target and lowered > 0 and heap and heap[0][0] != 0.0
-                and len(cells) < max_cells):
-            return QuadratureResult(gn, remainder, integral, len(cells), excess <= 0)
+        if not (excess > 0 and width <= target and lowered > 0 and heap[0][0] != 0.0 and len(heap) < max_cells):
+            return QuadratureResult(gn, remainder, integral, len(heap), excess <= 0)
         target = lowered

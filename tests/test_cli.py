@@ -301,6 +301,20 @@ class TestCheck:
                              "--interval", "0", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("fn, a, b", [
+        # the benchmark's nonconvex inputs, and a shallow double well
+        ("-x^2", "-1", "1"), ("sqrt(x)", "0.1", "2"), ("x^3", "-1", "1"),
+        ("-exp(x)", "-1", "1"), ("log(x)", "0.5", "2"), ("x^4 - 0.05*x^2", "-1", "1"),
+    ])
+    def test_commands_share_one_verdict(self, capsys, fn, a, b):
+        code, _, err = run_cli(capsys, "check", f"--fn={fn}", "--interval", a, b)
+        assert code == 2
+        conv = json.loads(err[err.index("{"):])["convexity"]
+        assert conv["worst_violation"] > 0 and conv["witness"]
+        code, _, err = run_cli(capsys, "integrate", f"--fn={fn}", "--interval", a, b)
+        assert code == 2
+        assert f"worst secant violation {conv['worst_violation']:.3e} at {tuple(conv['witness'])}" in err
+
     def test_needs_a_target(self, capsys):
         code, _, _ = run_cli(capsys, "check")
         assert code == 1

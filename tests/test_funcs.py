@@ -111,24 +111,19 @@ class TestFiniteDifference:
 
 class TestCheckConvexity:
     def test_exp_passes(self):
-        assert check_convexity(catalog("exp"), 101).passed
+        assert check_convexity(catalog("exp")).passed
 
     def test_kink_passes(self):
-        assert check_convexity(catalog("kink", (1.0, 0.5)), 101).passed
+        assert check_convexity(catalog("kink", (1.0, 0.5))).passed
 
     def test_sin_fails_in_concave_region(self):
         f = ConvexFunction(Interval(0.0, 3.0), math.sin, math.cos, math.cos, "sin")
-        report = check_convexity(f, 101)
+        report = check_convexity(f)
         assert not report.passed
         assert report.worst_violation > 0
         # oracle: sin'' = -sin < 0 exactly where sin > 0
         _, t2, _ = report.witness
         assert math.sin(t2) > 0
-
-    def test_gridpoints_validation(self):
-        with pytest.raises(ValueError):
-            check_convexity(catalog("exp"), 2)
-
 
 class TestCatalog:
     # the certified enclosure of each family's integral holds its closed form

@@ -575,3 +575,20 @@ def test_adaptive_cell_one_ulp_wide(idx):
         assert_one_cell_result(res, entry)
         trap = trapezoid_remainder_enclosure(cell, uniform_partition(cell.domain, 1))
         assert (trap.lo, trap.hi) == (0.0, paper_hi)
+
+
+@pytest.mark.parametrize("name, a, ulps, cells, lo, hi", [
+    ("exp", 1.0, 6, 6, 3.6214788880504794e-15, 3.6214788880504904e-15),
+    ("quadratic", 0.5, 5, 5, 1.3877787807814447e-16, 1.3877787807814496e-16),
+])
+def test_bisection_down_to_adjacent_floats(name, a, ulps, cells, lo, hi):
+    # bisection itself makes cells with no float strictly inside; they stay
+    # on the heap with the key of an exact cell, and the run stops once every
+    # cell is exact or too narrow to bisect (pinned to the results from when
+    # such cells were kept off the heap)
+    b = a
+    for _ in range(ulps):
+        b = math.nextafter(b, math.inf)
+    res = adaptive_integrate(catalog(name, (), Interval(a, b)), eps=1e-300)
+    assert (res.cells, res.converged) == (cells, False)
+    assert (res.integral.lo, res.integral.hi) == (lo, hi)
