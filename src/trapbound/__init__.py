@@ -3,7 +3,8 @@
 Subpackages:
 
 - :mod:`trapbound.funcs`: convex functions, one-sided derivatives, catalog
-- :mod:`trapbound.pointwise`: single-interval gap and Hermite-Hadamard bounds
+- :mod:`trapbound.pointwise`: single-interval gap and Hermite-Hadamard bounds;
+  the paper's bracket at a split point x in [a, b], read in one place
 - :mod:`trapbound.quadrature`: composite rules and the adaptive integrator
 - :mod:`trapbound.probability`: expectation enclosures for monotone densities
 - :mod:`trapbound.divergence`: Csiszar / Lin-Wong / HH divergences
@@ -12,7 +13,7 @@ Subpackages:
 """
 
 from .funcs import ConvexFunction, Interval, catalog, check_convexity
-from .pointwise import Enclosure, GapQuery, gap_enclosure, hh_bounds
+from .pointwise import Enclosure, gap_enclosure, hh_bounds
 from .quadrature import Partition, adaptive_integrate, integrate, uniform_partition
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "catalog",
     "check_convexity",
     "Enclosure",
-    "GapQuery",
     "gap_enclosure",
     "hh_bounds",
     "Partition",

@@ -205,7 +205,7 @@ def _cmd_integrate(args) -> dict:
 
 def _cmd_gap(args) -> dict:
     f, convexity = _convex_function(args)
-    enclosure = pointwise.gap_enclosure(pointwise.GapQuery(f, args.x))
+    enclosure = pointwise.gap_enclosure(f, args.x)
     a, b = f.domain.a, f.domain.b
     return {
         "command": "gap",
@@ -326,9 +326,8 @@ def _cmd_check(args) -> dict:
     return report
 
 
-def _add_common(parser, fn_flag: bool = True):
-    if fn_flag:
-        parser.add_argument("--fn", required=True, help="function as expression text")
+def _add_common(parser):
+    parser.add_argument("--fn", required=True, help="function as expression text")
     parser.add_argument(
         "--interval", nargs=2, type=float, required=True, metavar=("A", "B")
     )

@@ -1,7 +1,8 @@
 """Tiny expression language for functions entered as text on the CLI.
 
 Grammar (precedence high to low): ``^`` with a constant exponent (one that
-does not mention the variable; it is evaluated when parsed), unary minus,
+does not mention the variable; it is evaluated when parsed, and must be
+finite), unary minus,
 ``*`` ``/``, ``+`` ``-``; same-precedence binary operators associate left.
 Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable
 (default ``x``).  Evaluation reports singularities as errors.
@@ -185,6 +186,8 @@ class _Parser:
                 if self.variables > seen:
                     raise EvalError("the exponent mentions the variable")
                 value = eval_expr(exponent, 0.0)
+                if not math.isfinite(value):
+                    raise EvalError("the exponent is not finite")
             except EvalError:
                 raise ParseError("exponent must be a constant", exp_tok.position if exp_tok else self.end) from None
             return Binary("^", base, Const(value))

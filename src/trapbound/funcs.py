@@ -126,10 +126,10 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
     points (endpoints included).
 
     ``passed`` iff the worst violation of slope(t1,t2) <= slope(t2,t3) over
-    consecutive triples stays within ``DEFAULT_TOL`` scaled by the sampled
-    magnitude.  The check samples; it proves nothing between grid points.
-    Evaluation failures surface as :class:`EvaluationError`, never as a
-    convexity verdict.
+    consecutive triples of distinct grid points stays within ``DEFAULT_TOL``
+    scaled by the sampled magnitude.  The check samples; it proves nothing
+    between grid points.  Evaluation failures surface as
+    :class:`EvaluationError`, never as a convexity verdict.
     """
     a, b = f.domain.a, f.domain.b
     n = _CONVEXITY_GRIDPOINTS
@@ -141,12 +141,13 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
     scale = max(1.0, max(finite)) if finite else 1.0
     slack = DEFAULT_TOL * scale
 
+    # each secant joins consecutive distinct grid points (on an interval
+    # narrower than n ulps points repeat) and is computed once
+    secants = [(t1, t2, (v2 - v1) / (t2 - t1))
+               for t1, t2, v1, v2 in zip(ts, ts[1:], values, values[1:]) if t1 != t2]
     worst = -math.inf
     witness = None
-    for i in range(len(ts) - 2):
-        t1, t2, t3 = ts[i], ts[i + 1], ts[i + 2]
-        s12 = (values[i + 1] - values[i]) / (t2 - t1)
-        s23 = (values[i + 2] - values[i + 1]) / (t3 - t2)
+    for (t1, t2, s12), (_, t3, s23) in zip(secants, secants[1:]):
         violation = s12 - s23
         if math.isnan(violation):
             # inf - inf at a singular endpoint: treat as no evidence either way

@@ -4,11 +4,11 @@ For f convex on [a, b] and a split point x, the *gap* is
 
     g(x) = (x - a) f(a) + (b - x) f(b) - integral_a^b f(t) dt.
 
-This module computes the two-sided certificate
+This module computes, at any split point x in [a, b], the two-sided certificate
 
-    (1/2) [ (b-x)^2 f'+(x) - (x-a)^2 f'-(x) ]            (lower, x in (a,b))
+    (1/2) [ (b-x)^2 f'+(x) - (x-a)^2 f'-(x) ]
       <=  g(x)  <=
-    (1/2) [ (b-x)^2 f'-(b) - (x-a)^2 f'+(a) ]            (upper, x in [a,b])
+    (1/2) [ (b-x)^2 f'-(b) - (x-a)^2 f'+(a) ]
 
 together with its Hermite-Hadamard specializations, the differentiable-point
 lower bound, the sliding-window form, the optimal split point, and classical
@@ -18,14 +18,15 @@ that take user-supplied constants.
 Bounds are computed in plain floating arithmetic; tests allow a documented
 slack of 1e-9.  Any bound touching an infinite endpoint derivative degenerates
 to a trivially true enclosure.  An integral (the window form, the CLI's
-``gap``/``hh``) is the adaptive enclosure.
+``gap``/``hh``) is the adaptive enclosure.  Every split-point reading of the
+certificate (here, in quadrature and in probability) is ``_split_bracket``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval
 
@@ -36,10 +37,6 @@ class NotDifferentiableError(ValueError):
 
 class PreconditionError(ValueError):
     """A bound's hypothesis (finite/ordered endpoint derivatives, ...) fails."""
-
-
-class MissingConstantError(ValueError):
-    """A classical bound was requested without its constant."""
 
 
 @dataclass(frozen=True)
@@ -69,20 +66,6 @@ class Enclosure:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-
-@dataclass(frozen=True)
-class GapQuery:
-    """A convex function and the split point of the generalized trapezoid."""
-
-    f: ConvexFunction
-    x: float
-
-    def __post_init__(self) -> None:
-        if not self.f.domain.contains(self.x):
-            raise DomainError(
-                f"split point {self.x} outside [{self.f.domain.a}, {self.f.domain.b}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -165,6 +148,18 @@ def _midpoint_bracket(h: float, dpm, dmm, dpu: float, dmv: float) -> tuple:
     return _gap_bracket(w, w, dpm, dmm, dpu, dmv)
 
 
+def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
+    """:func:`_gap_bracket` of the cell [u, v] split at any x in [u, v], from
+    the one-sided slope oracles ``dplus`` and ``dminus``.  A zero-weighted
+    slope is not read: at x = u or v it may not exist.
+    """
+    wl = (v - x) ** 2
+    wr = (x - u) ** 2
+    dpx = dplus(x) if wl else 0.0
+    dmx = dminus(x) if wr else 0.0
+    return _gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
+
+
 def _reference_integral(f: ConvexFunction, u: float, v: float) -> Enclosure:
     """Certified enclosure of the integral of f over [u, v], width 1e-10 within 200k cells."""
     from . import quadrature  # deferred: quadrature depends on this module
@@ -173,28 +168,16 @@ def _reference_integral(f: ConvexFunction, u: float, v: float) -> Enclosure:
     return quadrature.adaptive_integrate(replace(f, domain=Interval(u, v)), 1e-10, 200_000).integral
 
 
-def lower_gap_bound(q: GapQuery) -> float:
-    """Certified lower bound (1/2)[(b-x)^2 f'+(x) - (x-a)^2 f'-(x)], x in (a,b)."""
-    f, x = q.f, q.x
-    a, b = f.domain.a, f.domain.b
-    if not a < x < b:
-        raise DomainError(f"lower gap bound needs x strictly inside ({a}, {b}), got {x}")
-    return _gap_bracket((b - x) ** 2, (x - a) ** 2, f.d_plus(x), f.d_minus(x), 0.0, 0.0)[0]
+def gap_enclosure(f: ConvexFunction, x: float) -> Enclosure:
+    """The paper's bracket for the gap of f at a split point x in [a, b].
 
-
-def upper_gap_bound(q: GapQuery) -> float:
-    """Certified upper bound (1/2)[(b-x)^2 f'-(b) - (x-a)^2 f'+(a)], x in [a,b].
-
-    Returns +inf when f'-(b) = +inf or f'+(a) = -inf (trivially true).
+    At x = a or b the lower side is (1/2)(b-a)^2 f'+(a) or -(1/2)(b-a)^2 f'-(b);
+    an infinite endpoint slope makes a side infinite (trivially true).
     """
-    f, x = q.f, q.x
     a, b = f.domain.a, f.domain.b
-    return _gap_bracket((b - x) ** 2, (x - a) ** 2, 0.0, 0.0, f.d_plus(a), f.d_minus(b))[1]
-
-
-def gap_enclosure(q: GapQuery) -> Enclosure:
-    """Two-sided certificate for the gap; x must be strictly interior."""
-    return Enclosure(lower_gap_bound(q), upper_gap_bound(q))
+    if not f.domain.contains(x):
+        raise DomainError(f"split point {x} outside [{a}, {b}]")
+    return Enclosure(*_split_bracket(f.d_plus, f.d_minus, a, b, x))
 
 
 def hh_bounds(f: ConvexFunction) -> Enclosure:
@@ -202,10 +185,12 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
 
     lo = (1/8)[f'+(m) - f'-(m)](b-a) with m the midpoint,
     hi = (1/8)[f'-(b) - f'+(a)](b-a); both sharp (equality for the kink at m).
+    On [a, b] with no float strictly inside it, lo is 0.
     """
     a, b = f.domain.a, f.domain.b
     m = f.domain.midpoint
-    lo, hi = _midpoint_bracket(b - a, f.d_plus(m), f.d_minus(m), f.d_plus(a), f.d_minus(b))
+    dpm, dmm = (f.d_plus(m), f.d_minus(m)) if a < m < b else (None, None)
+    lo, hi = _midpoint_bracket(b - a, dpm, dmm, f.d_plus(a), f.d_minus(b))
     return Enclosure(lo / (b - a), hi / (b - a))
 
 
@@ -278,18 +263,10 @@ def optimal_point_bound(f: ConvexFunction) -> OptimalPointReport:
     return OptimalPointReport(x0, gap_upper)
 
 
-_CLASSICAL_NAMES = ("bounded_variation", "monotone", "lipschitz", "dnorm_inf", "dnorm_p", "dnorm_1")
+def classical_bounds(f: ConvexFunction, x: float, c: ClassicalConstants) -> list[tuple[str, float]]:
+    """Classical |gap| bounds, one for each constant present in ``c``.
 
-
-def classical_bounds(
-    f: ConvexFunction,
-    x: float,
-    c: ClassicalConstants,
-    which: Optional[Sequence[str]] = None,
-) -> list[tuple[str, float]]:
-    """Classical |gap| bounds with user-supplied constants.
-
-    Available bounds (name -> formula, m = (a+b)/2):
+    In this order (name -> formula, m = (a+b)/2):
 
     - ``bounded_variation``: [ (b-a)/2 + |x-m| ] * V
     - ``monotone``:          [ (b-a)/2 + |x-m| ] * (f(b) - f(a))
@@ -297,9 +274,6 @@ def classical_bounds(
     - ``dnorm_inf``:         [ (b-a)^2/4 + (x-m)^2 ] * ||f'||_inf
     - ``dnorm_p``:           ( (x-a)^(q+1) + (b-x)^(q+1) )^(1/q) / (q+1)^(1/q) * ||f'||_p
     - ``dnorm_1``:           [ (b-a)/2 + |x-m| ] * ||f'||_1
-
-    ``which=None`` returns every bound whose constant is present; explicitly
-    requesting a bound without its constant raises :class:`MissingConstantError`.
     """
     a, b = f.domain.a, f.domain.b
     if not f.domain.contains(x):
@@ -308,28 +282,19 @@ def classical_bounds(
     half_plus = 0.5 * (b - a) + abs(x - m)
     quarter_plus = 0.25 * (b - a) ** 2 + (x - m) ** 2
 
-    available: dict[str, Optional[float]] = {}
-    available["bounded_variation"] = (
-        None if c.total_variation is None else half_plus * c.total_variation
-    )
-    available["monotone"] = half_plus * (f(b) - f(a)) if c.monotone else None
-    available["lipschitz"] = None if c.lipschitz is None else quarter_plus * c.lipschitz
-    available["dnorm_inf"] = None if c.dnorm_inf is None else quarter_plus * c.dnorm_inf
-    if c.dnorm_p is None:
-        available["dnorm_p"] = None
-    else:
+    out = []
+    if c.total_variation is not None:
+        out.append(("bounded_variation", half_plus * c.total_variation))
+    if c.monotone:
+        out.append(("monotone", half_plus * (f(b) - f(a))))
+    if c.lipschitz is not None:
+        out.append(("lipschitz", quarter_plus * c.lipschitz))
+    if c.dnorm_inf is not None:
+        out.append(("dnorm_inf", quarter_plus * c.dnorm_inf))
+    if c.dnorm_p is not None:
         q_exp = c.p / (c.p - 1.0)
         coeff = ((x - a) ** (q_exp + 1.0) + (b - x) ** (q_exp + 1.0)) ** (1.0 / q_exp)
-        available["dnorm_p"] = coeff / (q_exp + 1.0) ** (1.0 / q_exp) * c.dnorm_p
-    available["dnorm_1"] = None if c.dnorm_1 is None else half_plus * c.dnorm_1
-
-    names = list(which) if which is not None else [n for n in _CLASSICAL_NAMES if available[n] is not None]
-    out = []
-    for name in names:
-        if name not in available:
-            raise ValueError(f"unknown classical bound {name!r}; known: {', '.join(_CLASSICAL_NAMES)}")
-        value = available[name]
-        if value is None:
-            raise MissingConstantError(f"bound {name!r} requested but its constant is missing")
-        out.append((name, value))
+        out.append(("dnorm_p", coeff / (q_exp + 1.0) ** (1.0 / q_exp) * c.dnorm_p))
+    if c.dnorm_1 is not None:
+        out.append(("dnorm_1", half_plus * c.dnorm_1))
     return out

@@ -2,17 +2,17 @@
 
 If the density f on [a, b] is monotone nondecreasing, the cdf
 F(x) = integral_a^x f is convex with F'+ = f(.+) and F'- = f(.-), so the
-single-interval gap bounds applied to F give, for x in (a, b),
+single-interval gap bounds applied to F give, for x in [a, b],
 
     (1/2)[(b-x)^2 f(x+) - (x-a)^2 f(x-)] + x
       <=  E(X)  <=
     (1/2)[(b-x)^2 f(b-) - (x-a)^2 f(a+)] + x
 
-(the upper bound also holds at x = a and x = b), using the identity
-integral_a^b F = b - E(X).  The one-sided limits are taken from inside
-[a, b]; limits from outside the support do not exist.  Both sides come from
-``pointwise._gap_bracket``, the kernel behind every gap bracket of the
-package (pointwise and quadrature too), fed the slopes of F.
+using the identity integral_a^b F = b - E(X).  The one-sided limits are
+taken from inside [a, b]: limits from outside the support do not exist, and
+at x = a or b the zero-weighted one is not read.  Both sides are
+``pointwise._split_bracket`` applied to F, shifted by x; the best split over
+a grid reads f(a+) and f(b-) once for the whole grid.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .funcs import DomainError, Interval
-from .pointwise import _gap_bracket
+from .pointwise import _gap_bracket, _split_bracket
 
 #: Grid size of the monotone Riemann bracket used by the normalization check.
 _NORMALIZATION_CELLS = 4096
@@ -30,6 +30,8 @@ _NORMALIZATION_CELLS = 4096
 #: the tolerance also bounds the normalization check.
 _DENSITY_GRIDPOINTS = 201
 _DENSITY_TOL = 1e-6
+#: Split points tried by :func:`best_expectation_enclosure`.
+_EXPECTATION_GRIDPOINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -144,22 +146,13 @@ def validate_density(d: MonotoneDensity) -> DensityReport:
     return DensityReport(valid, nonnegative, nondecreasing, (lo, hi), tuple(messages))
 
 
-def _lower(d: MonotoneDensity, x: float) -> float:
-    a, b = d.domain.a, d.domain.b
-    return _gap_bracket((b - x) ** 2, (x - a) ** 2, d.right_limit(x), d.left_limit(x), 0.0, 0.0)[0] + x
-
-
-def _upper(a: float, b: float, fa: float, fb: float, x: float) -> float:
-    """Upper bound at x from fa = f(a+) and fb = f(b-)."""
-    return _gap_bracket((b - x) ** 2, (x - a) ** 2, 0.0, 0.0, fa, fb)[1] + x
-
-
 def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
     """Two-sided expectation bound at split point x in (a, b)."""
     a, b = d.domain.a, d.domain.b
     if not a < x < b:
         raise DomainError(f"split point must lie strictly inside ({a}, {b}), got {x}")
-    return ExpectationEnclosure(_lower(d, x), _upper(a, b, d.right_limit(a), d.left_limit(b), x), x)
+    lo, hi = _split_bracket(d.right_limit, d.left_limit, a, b, x)
+    return ExpectationEnclosure(lo + x, hi + x, x)
 
 
 def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
@@ -170,31 +163,28 @@ def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
     return expectation_enclosure(d, d.domain.midpoint)
 
 
-def best_expectation_enclosure(d: MonotoneDensity, gridpoints: int = 1001) -> ExpectationEnclosure:
-    """Optimize each side of the expectation bound over a grid of split points.
+def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
+    """Optimize each side of the expectation bound over ``_EXPECTATION_GRIDPOINTS``
+    equispaced split points, the ends of the support included.
 
-    The lower bound is maximized over interior grid points, the upper bound
-    minimized over the full grid including endpoints.  ``x_used`` reports the
-    split point attaining the best upper bound.
+    ``x_used`` reports the split point attaining the best upper bound.
     """
-    if gridpoints < 3:
-        raise ValueError(f"gridpoints must be >= 3, got {gridpoints}")
     a, b = d.domain.a, d.domain.b
-    ts = [a + (b - a) * i / (gridpoints - 1) for i in range(gridpoints)]
+    n = _EXPECTATION_GRIDPOINTS
+    ts = [a + (b - a) * i / (n - 1) for i in range(n)]
     ts[-1] = b
 
-    best_lo = -math.inf
-    for x in ts[1:-1]:
-        lo = _lower(d, x)
-        if lo > best_lo:
-            best_lo = lo
     fa, fb = d.right_limit(a), d.left_limit(b)
-    best_hi = math.inf
-    x_used = a
+    best_lo, best_hi, x_used = -math.inf, math.inf, a
     for x in ts:
-        hi = _upper(a, b, fa, fb, x)
-        if hi < best_hi:
-            best_hi = hi
+        # at an end one weight is zero and its slope is not read; the other
+        # slope there is f(a+) or f(b-)
+        inner = a < x < b
+        dpx = d.right_limit(x) if inner else fa
+        dmx = d.left_limit(x) if inner else fb
+        lo, hi = _gap_bracket((b - x) ** 2, (x - a) ** 2, dpx, dmx, fa, fb)
+        best_lo = max(best_lo, lo + x)
+        if hi + x < best_hi:
+            best_hi = hi + x
             x_used = x
     return ExpectationEnclosure(best_lo, best_hi, x_used)
-

@@ -15,8 +15,9 @@ With midpoint xi the rule is the classical trapezoid rule and the bracket
 specializes to the 1/8 form.  Fixed partitions report exactly this bracket.
 The paper's bracket of every cell, adaptive cells included, comes from the
 one kernel that :mod:`trapbound.pointwise` and :mod:`trapbound.probability`
-also use, ``pointwise._gap_bracket`` (in its 1/8 form,
-``pointwise._midpoint_bracket``).
+also use, ``pointwise._gap_bracket`` (read at a cell's xi by
+``pointwise._split_bracket``; in its 1/8 form, ``pointwise._midpoint_bracket``).
+A partition must start and end exactly at the ends of f's domain.
 
 The adaptive integrator bisects the cell with the widest bracket until the
 total enclosure width meets a tolerance.  Its cells carry their samples (f at
@@ -42,13 +43,14 @@ with an f''' range, it is O(h^5) wide and cells grow like eps^-1/4
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
-from .pointwise import Enclosure, _derivative, _gap_bracket, _midpoint_bracket
+from .pointwise import Enclosure, _derivative, _midpoint_bracket, _split_bracket
 
 _MATCH_TOL = 1e-12
 
@@ -139,8 +141,7 @@ def uniform_partition(
 
 
 def _check_domain(f: ConvexFunction, P: Partition) -> None:
-    span = f.domain.width
-    if abs(P.points[0] - f.domain.a) > _MATCH_TOL * span or abs(P.points[-1] - f.domain.b) > _MATCH_TOL * span:
+    if (P.points[0], P.points[-1]) != (f.domain.a, f.domain.b):
         raise DomainError(
             f"partition [{P.points[0]}, {P.points[-1]}] does not cover "
             f"domain [{f.domain.a}, {f.domain.b}] of {f.label!r}"
@@ -180,16 +181,7 @@ def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
     :class:`ConvexityViolationError` naming the cell.
     """
     _check_domain(f, P)
-
-    def bracket(u, v, x):
-        wl = (v - x) ** 2
-        wr = (x - u) ** 2
-        # a zero-weighted slope is not read: at xi = u or v it may not exist
-        dpx = f.d_plus(x) if wl else 0.0
-        dmx = f.d_minus(x) if wr else 0.0
-        return _gap_bracket(wl, wr, dpx, dmx, f.d_plus(u), f.d_minus(v))
-
-    return _summed_brackets(f, P, bracket)
+    return _summed_brackets(f, P, functools.partial(_split_bracket, f.d_plus, f.d_minus))
 
 
 def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:

@@ -24,7 +24,7 @@ from trapbound.divergence import (
 )
 from trapbound.expr import eval_expr, parse, to_convex_function, to_string
 from trapbound.funcs import Interval, catalog
-from trapbound.pointwise import GapQuery, _reference_integral, hh_bounds, lower_gap_bound, upper_gap_bound
+from trapbound.pointwise import _reference_integral, gap_enclosure, hh_bounds
 from trapbound.probability import (
     continuous_density,
     expectation_enclosure,
@@ -60,9 +60,9 @@ def test_criterion_1_sharpness_equalities(rng):
         b = a + float(rng.uniform(0.1, 5.0))
         m = 0.5 * (a + b)
         f = catalog("kink", (k, m), Interval(a, b))
-        q = GapQuery(f, m)
+        enc = gap_enclosure(f, m)
         expected = 0.25 * k * (b - a) ** 2
-        for value in (lower_gap_bound(q), upper_gap_bound(q)):
+        for value in (enc.lo, enc.hi):
             ok = ok and abs(value - expected) <= 1e-12 * max(1.0, expected)
         # the certified integral holds the kink's exact integral
         enc = _reference_integral(f, a, b)
@@ -79,9 +79,9 @@ def test_criterion_2_sandwich_suite(rng):
         for u in rng.uniform(0.0, 1.0, size=200):
             x = a + (b - a) * (1e-9 + (1 - 2e-9) * float(u))
             g = (x - a) * f(a) + (b - x) * f(b) - true_integral
-            q = GapQuery(f, x)
-            ok = ok and lower_gap_bound(q) <= g + 1e-9
-            ok = ok and g <= upper_gap_bound(q) + 1e-9
+            enc = gap_enclosure(f, x)
+            ok = ok and enc.lo <= g + 1e-9
+            ok = ok and g <= enc.hi + 1e-9
     report(2, "two-sided gap sandwich on catalog x 200 points", ok)
 
 

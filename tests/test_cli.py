@@ -187,6 +187,36 @@ class TestGapAndHH:
                                "--interval", "0", "1", "--x", "2")
         assert code == 1
 
+    def test_gap_at_an_end(self, capsys):
+        # at x = a the gap of x^2 on [0, 1] is f(1) - 1/3 = 2/3
+        rep = run_json(capsys, "gap", "--fn", "x^2", "--interval", "0", "1", "--x", "0")
+        assert (rep["lower"], rep["upper"]) == (0.0, 1.0)
+        assert rep["lower"] <= Fraction(2, 3) <= rep["upper"]
+
+
+class TestNarrowInterval:
+    """[1, 1 + 2^-52]: adjacent floats, so the convexity grid repeats points
+    and the midpoint rounds onto an end."""
+
+    ARGS = ("--fn", "x^2", "--interval", "1", "1.0000000000000002")
+    U = Fraction(2) ** -52
+
+    def test_integrate_is_one_cell(self, capsys):
+        rep = run_json(capsys, "integrate", *self.ARGS)
+        assert rep["cells"] == 1 and rep["certified"]
+        assert (rep["integral"]["lo"], rep["integral"]["hi"]) == (2.2204460492503099e-16, 2.2204460492503175e-16)
+        assert rep["integral"]["lo"] <= ((1 + self.U) ** 3 - 1) / 3 <= rep["integral"]["hi"]
+
+    def test_hh(self, capsys):
+        rep = run_json(capsys, "hh", *self.ARGS)
+        assert (rep["lower"], rep["upper"]) == (0.0, 1.232595164407831e-32)
+        # the defect of x^2 on a cell of width u is u^2/6
+        assert rep["lower"] <= self.U ** 2 / 6 <= rep["upper"]
+
+    def test_check_passes(self, capsys):
+        rep = run_json(capsys, "check", *self.ARGS)
+        assert rep["passed"] and rep["convexity"]["witness"] is None
+
 
 class TestExpectation:
     def test_triangular_midpoint(self, capsys):
@@ -424,6 +454,12 @@ class TestExitCodes:
         argv = [a.format(bad=tmp_path / "bad.json", empty=tmp_path / "empty.csv") for a in argv]
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and fragment in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["integrate", "check"])
+    def test_infinite_exponent_refused(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--fn", "x^(1e308*10)", "--interval", "0.5", "1")
+        assert code == 1
+        assert "--fn: exponent must be a constant (position 3)" in err
 
     def test_evaluation_error(self):
         # x*log(x) cannot be evaluated at 0 by the expression evaluator

@@ -139,10 +139,11 @@ class TestParser:
     def test_constant_exponent_is_evaluated(self):
         assert parse("x^(2+1)") == Binary("^", Var("x"), Const(3.0))
 
-    @pytest.mark.parametrize("src", ["x^(0*x)", "x^(x-x)", "x^(1/0)"])
+    @pytest.mark.parametrize("src", ["x^(0*x)", "x^(x-x)", "x^(1/0)", "x^(1e308*10)", "x^1e400", "x^(1e400-1e400)"])
     def test_exponent_mentioning_variable_or_failing_refused(self, src):
         # one rule: an exponent that mentions the variable is refused even
-        # where it is constant, and one that cannot be evaluated is refused
+        # where it is constant, and one that cannot be evaluated to a finite
+        # number is refused
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert "exponent must be a constant" in str(exc.value)

@@ -2,14 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from catalog_oracles import corpus_integral, exact_integral
+from catalog_oracles import DEFAULT_SPECS, corpus_integral, exact_integral, reference
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import (
     ClassicalConstants,
     Enclosure,
-    GapQuery,
-    MissingConstantError,
     NotDifferentiableError,
     PreconditionError,
     classical_bounds,
@@ -17,14 +15,59 @@ from trapbound.pointwise import (
     differentiable_lower,
     gap_enclosure,
     hh_bounds,
-    lower_gap_bound,
     optimal_point_bound,
-    upper_gap_bound,
     window_inequality,
 )
 
 KINK = catalog("kink", (1.0, 0.5))
 QUAD = catalog("quadratic")
+
+#: families with f'+(0) = -inf, on intervals that start at the singular end
+SINGULAR_SPECS = [("neg_log", (), Interval(0.0, 2.0)), ("xlogx", (), Interval(0.0, 1.0))]
+
+#: (x, lower, upper) as float.hex for each family of DEFAULT_SPECS
+PINNED_INTERIOR = {
+    "kink": [
+        ("0x1.999999999999ap-4", "-0x1.999999999999ap-2", "0x1.a3d70a3d70a3ep-2"),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+        ("0x1.6666666666666p-1", "-0x1.9999999999998p-3", "0x1.28f5c28f5c28fp-2"),
+    ],
+    "quadratic": [
+        ("0x1.999999999999ap-4", "0x1.47ae147ae147cp-4", "0x1.9eb851eb851ecp-1"),
+        ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-2"),
+        ("0x1.6666666666666p-1", "-0x1.1eb851eb851eap-2", "0x1.70a3d70a3d70cp-4"),
+    ],
+    "exp": [
+        ("0x1.999999999999ap-4", "0x1.c4ad91ef667bap-2", "0x1.188d2c7b1c1afp+0"),
+        ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.b7e151628aed2p-3"),
+        ("0x1.6666666666666p-1", "-0x1.9c6aa350a75a4p-2", "-0x1.f67c7db90c9cap-4"),
+    ],
+    "neg_log": [
+        ("0x1.4cccccccccccdp-1", "-0x1.6276276276277p+0", "-0x1.bb851eb851eb9p-2"),
+        ("0x1.4000000000000p+0", "0x0.0p+0", "0x1.b000000000000p-2"),
+        ("0x1.8ccccccccccccp+0", "0x1.294a5294a5292p-2", "0x1.0d47ae147ae12p+0"),
+    ],
+    "xlogx": [
+        ("0x1.4cccccccccccdp-1", "0x1.064b9457792b3p-1", "0x1.8a17f8aba74f8p+0"),
+        ("0x1.4000000000000p+0", "0x0.0p+0", "0x1.8f40b5ed9812ep-2"),
+        ("0x1.8ccccccccccccp+0", "-0x1.4b5fba467e799p-1", "0x1.2aa6f55315400p-9"),
+    ],
+    "power_p": [
+        ("0x1.999999999999ap-4", "0x1.89374bc6a7efbp-7", "0x1.370a3d70a3d71p+0"),
+        ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.8000000000000p-2"),
+        ("0x1.6666666666666p-1", "-0x1.2d0e560418936p-2", "0x1.147ae147ae149p-3"),
+    ],
+    "linear": [
+        ("0x1.999999999999ap-4", "0x1.999999999999ap-1", "0x1.999999999999ap-1"),
+        ("0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.6666666666666p-1", "-0x1.9999999999998p-2", "-0x1.9999999999998p-2"),
+    ],
+    "constant": [
+        ("0x1.0cccccccccccdp+1", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.4000000000000p+1", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.599999999999ap+1", "0x0.0p+0", "0x0.0p+0"),
+    ],
+}
 
 
 def shifted_parabola():
@@ -101,53 +144,82 @@ class TestGap:
         assert rep.holds
 
     def test_split_point_outside_domain(self):
-        with pytest.raises(DomainError):
-            GapQuery(QUAD, 1.5)
+        with pytest.raises(DomainError, match=r"split point 1.5 outside \[0.0, 1.0\]"):
+            gap_enclosure(QUAD, 1.5)
 
 
 class TestGapBounds:
     def test_lower_kink_equality(self):
-        assert lower_gap_bound(GapQuery(KINK, 0.5)) == pytest.approx(0.25, abs=1e-15)
+        assert gap_enclosure(KINK, 0.5).lo == pytest.approx(0.25, abs=1e-15)
 
     def test_lower_quadratic(self):
-        q = GapQuery(QUAD, 0.25)
+        lo = gap_enclosure(QUAD, 0.25).lo
         # oracle: x(1 - 2x) at x = 0.25 vs gap 5/12 from the antiderivative
-        assert lower_gap_bound(q) == pytest.approx(0.125, abs=1e-15)
+        assert lo == pytest.approx(0.125, abs=1e-15)
         assert reference_gap(QUAD, 0.25, 1.0 / 3.0) == pytest.approx(5.0 / 12.0, rel=1e-12)
-        assert lower_gap_bound(q) <= reference_gap(QUAD, 0.25, 1.0 / 3.0)
+        assert lo <= reference_gap(QUAD, 0.25, 1.0 / 3.0)
 
     def test_lower_linear_is_exact(self):
         f = catalog("linear", (2.0, -1.0))
         for x in (0.2, 0.5, 0.8):
-            assert lower_gap_bound(GapQuery(f, x)) == pytest.approx(reference_gap(f, x, 0.0), abs=1e-12)
+            assert gap_enclosure(f, x).lo == pytest.approx(reference_gap(f, x, 0.0), abs=1e-12)
 
-    def test_lower_requires_interior(self):
-        with pytest.raises(DomainError):
-            lower_gap_bound(GapQuery(QUAD, 0.0))
+    @pytest.mark.parametrize("name, params, iv", DEFAULT_SPECS + SINGULAR_SPECS)
+    def test_contains_the_gap_at_the_ends(self, name, params, iv):
+        # at x = a the gap is (b - a) f(b) - integral, at x = b (b - a) f(a) - integral
+        f = catalog(name, params, iv)
+        a, b = iv.a, iv.b
+        for x, end in ((a, b), (b, a)):
+            enc = gap_enclosure(f, x)
+            if math.isinf(f(end)):
+                # f(0) = inf for neg_log: the gap is +inf
+                assert enc.hi == math.inf, (name, x)
+                continue
+            gap = reference(
+                name, params,
+                lambda fc, F, num: (num(b) - num(a)) * fc(num(end)) - (F(num(b)) - F(num(a))),
+                b - a,
+            )
+            assert enc.lo <= gap <= enc.hi, (name, x, enc, gap)
+        if (name, params, iv) in SINGULAR_SPECS:
+            # f'+(0) = -inf: the lower side at a and the upper side at b are trivial
+            assert gap_enclosure(f, a).lo == -math.inf
+            assert gap_enclosure(f, b).hi == math.inf
+
+    @pytest.mark.parametrize("spec", range(len(DEFAULT_SPECS)))
+    def test_interior_bits_are_the_one_sided_bounds(self, spec):
+        # float.hex of (x, lower, upper) from the separate lower and upper
+        # bound functions that gap_enclosure replaced, at x = a + (b - a) t
+        # for t = 0.1, 0.5, 0.7
+        name, params, iv = DEFAULT_SPECS[spec]
+        f = catalog(name, params, iv)
+        for x, lo, hi in PINNED_INTERIOR[name]:
+            enc = gap_enclosure(f, float.fromhex(x))
+            assert (enc.lo.hex(), enc.hi.hex()) == (lo, hi), (name, x)
 
     def test_upper_kink_equality(self):
-        assert upper_gap_bound(GapQuery(KINK, 0.5)) == pytest.approx(0.25, abs=1e-15)
+        assert gap_enclosure(KINK, 0.5).hi == pytest.approx(0.25, abs=1e-15)
 
     def test_upper_quadratic(self):
-        assert upper_gap_bound(GapQuery(QUAD, 0.5)) == pytest.approx(0.25, abs=1e-15)
-        assert upper_gap_bound(GapQuery(QUAD, 0.5)) >= reference_gap(QUAD, 0.5, 1.0 / 3.0)
+        assert gap_enclosure(QUAD, 0.5).hi == pytest.approx(0.25, abs=1e-15)
+        assert gap_enclosure(QUAD, 0.5).hi >= reference_gap(QUAD, 0.5, 1.0 / 3.0)
 
     def test_upper_infinite_endpoint_derivative(self):
         f = catalog("neg_log")  # f'+(0) = -inf
-        assert upper_gap_bound(GapQuery(f, 0.5)) == math.inf
+        assert gap_enclosure(f, 0.5).hi == math.inf
 
     def test_upper_allowed_at_endpoints(self):
-        assert upper_gap_bound(GapQuery(QUAD, 0.0)) == pytest.approx(1.0, abs=1e-15)
-        assert upper_gap_bound(GapQuery(QUAD, 1.0)) == 0.0
+        assert gap_enclosure(QUAD, 0.0).hi == pytest.approx(1.0, abs=1e-15)
+        assert gap_enclosure(QUAD, 1.0).hi == 0.0
 
     def test_enclosure_combines_both(self):
-        enc = gap_enclosure(GapQuery(QUAD, 0.5))
+        enc = gap_enclosure(QUAD, 0.5)
         assert enc.lo == 0.0
         assert enc.hi == pytest.approx(0.25, abs=1e-15)
         assert enc.contains(1.0 / 6.0)
-        kink_enc = gap_enclosure(GapQuery(KINK, 0.5))
+        kink_enc = gap_enclosure(KINK, 0.5)
         assert kink_enc.lo == kink_enc.hi == pytest.approx(0.25, abs=1e-15)
-        const_enc = gap_enclosure(GapQuery(catalog("constant", (3.0,)), 0.4))
+        const_enc = gap_enclosure(catalog("constant", (3.0,)), 0.4)
         assert (const_enc.lo, const_enc.hi) == (0.0, 0.0)
 
 
@@ -175,7 +247,7 @@ class TestHermiteHadamard:
         for f in test_catalog:
             h = f.domain.width
             enc = hh_bounds(f)
-            g = gap_enclosure(GapQuery(f, f.domain.midpoint))
+            g = gap_enclosure(f, f.domain.midpoint)
             for side, ref in ((enc.lo, g.lo / h), (enc.hi, g.hi / h)):
                 assert abs(side - ref) <= 2 * math.ulp(ref), f.label
 
@@ -199,9 +271,7 @@ class TestDifferentiableLower:
                     value = differentiable_lower(f, x)
                 except NotDifferentiableError:
                     continue
-                assert value == pytest.approx(
-                    lower_gap_bound(GapQuery(f, x)), rel=1e-12, abs=1e-12
-                ), f.label
+                assert value == pytest.approx(gap_enclosure(f, x).lo, rel=1e-12, abs=1e-12), f.label
 
 
 class TestWindowInequality:
@@ -255,7 +325,7 @@ class TestOptimalPoint:
         f = shifted_parabola()
         rep = optimal_point_bound(f)
         xs = [i / 1000.0 for i in range(1001)]
-        grid_min = min(upper_gap_bound(GapQuery(f, x)) for x in xs)
+        grid_min = min(gap_enclosure(f, x).hi for x in xs)
         assert rep.gap_upper <= grid_min + 1e-12
         assert grid_min - rep.gap_upper <= 1e-5  # grid resolution
 
@@ -276,10 +346,6 @@ class TestClassicalBounds:
         bounds = dict(classical_bounds(f, 0.5, ClassicalConstants(total_variation=0.0)))
         assert bounds["bounded_variation"] == 0.0
         assert reference_gap(f, 0.5, 4.0) == 0.0
-
-    def test_missing_constant(self):
-        with pytest.raises(MissingConstantError):
-            classical_bounds(QUAD, 0.5, ClassicalConstants(lipschitz=2.0), which=["dnorm_p"])
 
     def test_all_bounds_dominate_gap_on_catalog(self):
         # hand-supplied exact constants per function
@@ -314,9 +380,9 @@ class TestSandwichProperties:
             a, b = f.domain.a, f.domain.b
             for x in a + (b - a) * rng.uniform(1e-6, 1.0 - 1e-6, size=200):
                 g = reference_gap(f, x, corpus_integral(i))
-                q = GapQuery(f, x)
-                assert lower_gap_bound(q) <= g + 1e-9, (f.label, x)
-                assert g <= upper_gap_bound(q) + 1e-9, (f.label, x)
+                enc = gap_enclosure(f, x)
+                assert enc.lo <= g + 1e-9, (f.label, x)
+                assert g <= enc.hi + 1e-9, (f.label, x)
 
     def test_sharpness_equalities(self, rng):
         for _ in range(20):
@@ -325,9 +391,9 @@ class TestSandwichProperties:
             b = a + rng.uniform(0.1, 3.0)
             m = 0.5 * (a + b)
             f = catalog("kink", (k, m), Interval(a, b))
-            q = GapQuery(f, m)
+            enc = gap_enclosure(f, m)
             expected = 0.25 * k * (b - a) ** 2
-            for value in (lower_gap_bound(q), upper_gap_bound(q)):
+            for value in (enc.lo, enc.hi):
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
             enc = _reference_integral(f, a, b)
             assert enc.lo <= kink_integral(k, m, a, b) <= enc.hi

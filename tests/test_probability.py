@@ -3,8 +3,9 @@ import math
 import pytest
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval
-from trapbound.pointwise import Enclosure, GapQuery, gap_enclosure
+from trapbound.pointwise import Enclosure, gap_enclosure
 from trapbound.probability import (
+    _EXPECTATION_GRIDPOINTS,
     best_expectation_enclosure,
     continuous_density,
     expectation_enclosure,
@@ -148,7 +149,7 @@ class TestExpectationEnclosure:
             F = cdf_function(d)
             for x in (0.5, *(float(t) for t in rng.uniform(1e-6, 1.0 - 1e-6, size=20))):
                 enc = expectation_enclosure(d, x)
-                g = gap_enclosure(GapQuery(F, x))
+                g = gap_enclosure(F, x)
                 assert (enc.lo, enc.hi) == (g.lo + x, g.hi + x), (d.label, x)
 
 
@@ -168,25 +169,23 @@ class TestBestEnclosure:
             assert best.lo <= mean(d) + 1e-9 and mean(d) <= best.hi + 1e-9, d.label
             assert d.domain.a <= best.x_used <= d.domain.b
 
-    def test_gridpoints_validation(self):
-        with pytest.raises(ValueError):
-            best_expectation_enclosure(uniform(), gridpoints=2)
-
     def test_is_the_best_bound_over_the_grid(self):
-        # lo: the best lower bound at the interior grid points; hi: the best
-        # upper bound over the whole grid, its first minimizer as x_used
+        # the best lower and upper bounds over the whole module grid, the
+        # ends included, with the first minimizer of the upper as x_used
         for make in ALL:
             d = make()
             a, b = d.domain.a, d.domain.b
-            ts = [a + (b - a) * i / 100 for i in range(101)]
+            n = _EXPECTATION_GRIDPOINTS
+            ts = [a + (b - a) * i / (n - 1) for i in range(n)]
             ts[-1] = b
             inner = [expectation_enclosure(d, x) for x in ts[1:-1]]
-            his = ([0.5 * (b - a) ** 2 * d.left_limit(b) + a]
-                   + [e.hi for e in inner]
-                   + [b - 0.5 * (b - a) ** 2 * d.right_limit(a)])
+            # at x = a only f(a+) is weighted, at x = b only f(b-)
+            fa, fb = d.right_limit(a), d.left_limit(b)
+            los = [0.5 * (b - a) ** 2 * fa + a] + [e.lo for e in inner] + [b - 0.5 * (b - a) ** 2 * fb]
+            his = [0.5 * (b - a) ** 2 * fb + a] + [e.hi for e in inner] + [b - 0.5 * (b - a) ** 2 * fa]
             best_hi = min(his)
-            expected = (max(e.lo for e in inner), best_hi, ts[his.index(best_hi)])
-            assert best_expectation_enclosure(d, gridpoints=101) == expected, d.label
+            expected = (max(los), best_hi, ts[his.index(best_hi)])
+            assert best_expectation_enclosure(d) == expected, d.label
 
     def test_evaluates_the_density_about_twice_per_grid_point(self):
         calls = []

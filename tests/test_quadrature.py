@@ -110,6 +110,14 @@ class TestGeneralizedTrapezoid:
         with pytest.raises(DomainError):
             generalized_trapezoid(EXP, P)
 
+    def test_partition_ends_must_be_the_domain_ends(self):
+        # a start 1e-13 inside [0, 1] would leave out the integral over
+        # [0, 1e-13] and report an enclosure that misses 1
+        f = catalog("linear", (1.0, 0.0), Interval(0.0, 1.0))
+        for points in ((1e-13, 1.0), (0.0, 1.0 - 1e-13)):
+            with pytest.raises(DomainError):
+                integrate(f, Partition(points, (0.5,)))
+
 
 class TestRemainderEnclosure:
     def test_exp_n4_upper(self):
