@@ -12,11 +12,12 @@ f itself, and forward-mode slope functions that carry ``(value, slope)``
 through each node, which give the exact one-sided derivatives f'+ and f'-,
 ``abs`` included.  On the first adaptive cell it also compiles, from the
 same tree and with the same :class:`_Body`, the interval evaluator of
-:mod:`trapbound._ranges`, which carries ``(value, slope, f'', f''')`` as
-intervals rounded outward over a cell: the f'' and f''' ranges that let the
-adaptive integrator's cells grow like eps^-1/4 where the tree is C^3.  It
-answers None on a cell where the tree is not C^2, such as one holding the
-kink of an ``abs``, and an infinite f''' range where it is C^2 alone.
+:mod:`trapbound._ranges`, which carries ``(value, slope, f'', f''', f'''')``
+as intervals rounded outward over a cell: the f'', f''' and f'''' ranges
+that let the adaptive integrator's cells grow like eps^-1/5 where the tree
+is C^4.  It answers None on a cell where the tree is not C^2, such as one
+holding the kink of an ``abs``, and an infinite f''' or f'''' range where it
+is C^2 or C^3 alone.
 """
 
 from __future__ import annotations
@@ -380,37 +381,43 @@ class _Body:
         self.lines.append((name, template, [self.ref(o) for o in operands]))
         return name
 
-    def source(self, name: str, result, tail=None) -> str:
+    def source(self, name: str, result, *tails) -> str:
         """``def name(t)`` returning ``result``: a value used once is written
         into its user, one used more often gets a local, and an unused one
-        is dropped.  With ``tail`` it returns ``(result, tail)``, and
-        ``(result, None)`` where only the lines that ``tail`` alone needs
-        fail."""
-        roots = [self.ref(r) for r in (result, tail) if r is not None]
-        live = []
+        is dropped.  With ``tails`` it returns ``(result, *tails)``; where a
+        line that a tail needs and no earlier value does fails, that tail
+        and each after it are None."""
+        roots = [self.ref(r) for r in (result, *tails)]
+        blocks, seen = [], set()
         for root in roots:
-            live.append({root})
+            live = {root}
             for line in reversed(self.lines):
-                if line[0] in live[-1]:
-                    live[-1].update(line[2])
-        blocks = ([line for line in self.lines if line[0] in live[0]],
-                  [line for line in self.lines if line[0] in live[-1] and line[0] not in live[0]])
+                if line[0] in live:
+                    live.update(line[2])
+            blocks.append([line for line in self.lines if line[0] in live and line[0] not in seen])
+            seen |= live
         uses = Counter(roots + [r for block in blocks for line in block for r in line[2]])
         text: dict = {}
-        body = ["", ""]
+        body = [""] * len(blocks)
         for i, block in enumerate(blocks):
             for target, template, refs in block:
                 rhs = template.format(*(text.get(r, r) for r in refs))
                 if uses[target] == 1:
-                    text[target] = f"({rhs})"
+                    # a helper's call (its template starts with the helper's
+                    # name) is written in bare: redundant parentheses slow
+                    # compile() by about a tenth
+                    text[target] = rhs if template[0] == "_" else f"({rhs})"
                 else:
                     body[i] += f"        {target} = {rhs}\n"
         value = [text.get(r, r) for r in roots]
-        fault = f"    except _FAULTS:\n        return {name}_fault(t)\n"
-        if tail is None:
-            return f"def {name}(t):\n    try:\n{body[0]}        return {value[0]}\n{fault}"
-        return (f"def {name}(t):\n    try:\n{body[0]}        d = {value[0]}\n{fault}"
-                f"    try:\n{body[1]}        return d, {value[1]}\n    except _FAULTS:\n        return d, None\n")
+        got = [f"d{i}" for i in range(len(roots))]
+        fault = f"{name}_fault(t)"
+        source = f"def {name}(t):\n"
+        for i, (lines, v) in enumerate(zip(body, value)):
+            step = f"return {', '.join(got[:i] + [v])}" if i == len(roots) - 1 else f"{got[i]} = {v}"
+            source += f"    try:\n{lines}        {step}\n    except _FAULTS:\n        return {fault}\n"
+            fault = ", ".join(got[:i + 1] + ["None"] * (len(roots) - i - 1))
+        return source
 
     def apply(self, op: str, node: Expression, *args, fold: bool = False):
         """``op`` on ``args``, evaluated now if all are known; with ``fold``,
@@ -504,7 +511,7 @@ def to_function(src: str, variable: str = "x") -> Callable[[float], float]:
 def to_convex_function(src: str, interval, variable: str = "x"):
     """Build a :class:`trapbound.funcs.ConvexFunction` from expression text,
     compiled once, with the exact one-sided slopes as derivative oracles and
-    the interval f'' and f''' ranges of
+    the interval f'', f''' and f'''' ranges of
     :func:`trapbound._ranges.compile_range`, compiled on first use, as its
     ``_d2range``.  Convexity is NOT inferred here; run
     ``funcs.check_convexity``."""

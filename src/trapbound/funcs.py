@@ -7,8 +7,9 @@ derivative f'- (defined on (a,b]).  Endpoint derivatives may be +-inf; the
 bound machinery propagates infinities into trivially-true enclosures.
 
 The module also ships a catalog of reference functions with exact one-sided
-derivatives and f'' and f''' ranges, and a grid based convexity checker; expression text gets its exact
-oracles from :func:`trapbound.expr.to_convex_function`.
+derivatives and f'', f''' and f'''' ranges, and a grid based convexity
+checker; expression text gets its exact oracles from
+:func:`trapbound.expr.to_convex_function`.
 """
 
 from __future__ import annotations
@@ -71,12 +72,13 @@ class ConvexFunction:
     endpoints (e.g. -log t at t=0).
 
     ``_d2range``, private and optional, maps a cell (u, v) to
-    ``(lo, hi, lo3, hi3)`` with 0 <= lo <= f'' <= hi (hi may be +inf) and
-    lo3 <= f''' <= hi3 on it, or to None where no f'' range is known; lo3
-    and hi3 are -inf and +inf where f is not C^3 on the cell.  The catalog
-    writes both ranges in closed form and
+    ``(lo, hi, lo3, hi3, lo4, hi4)`` with 0 <= lo <= f'' <= hi (hi may be
+    +inf), lo3 <= f''' <= hi3 and lo4 <= f'''' <= hi4 on it, or to None
+    where no f'' range is known; lo3 and hi3 are -inf and +inf where f is
+    not C^3 on the cell, and lo4 and hi4 where it is not C^4.  The catalog
+    writes the three ranges in closed form and
     :func:`trapbound.expr.to_convex_function` in interval arithmetic, in one
-    call.  Each of the four ends may be one ulp off, as one call to a
+    call.  Each of the six ends may be one ulp off, as one call to a
     faithful libm (within 1 ulp) is; a multi-step oracle rounds its inner
     steps outward.  Values and one-sided slopes are assumed faithful in the
     same sense: the adaptive integrator's rounding bounds
@@ -178,15 +180,31 @@ CATALOG_NAMES = (
 )
 
 
-def _recip_pow(t: float, k: int, s: float) -> float:
-    """1/t^k for t >= 0 and k = 2 or 3, each step but the last rounded
+def _recip_pows(t: float, s: float) -> tuple:
+    """1/t^2, 1/t^3 and 1/t^4 for t >= 0, each step but the last rounded
     towards s (0.0 or inf); +inf at 0."""
     r = math.nextafter(1.0 / t, s) if t else math.inf
-    return r * r if k == 2 else math.nextafter(r * r, s) * r
+    x2 = r * r
+    x3 = math.nextafter(x2, s) * r
+    return x2, x3, math.nextafter(x3, s) * r
+
+
+def _neg_log_range(u: float, v: float) -> tuple:
+    # f'' = 1/t^2, f''' = -2/t^3 and f'''' = 6/t^4 of -ln t
+    lo2, lo3, lo4 = _recip_pows(v, 0.0)
+    hi2, hi3, hi4 = _recip_pows(u, math.inf)
+    return lo2, hi2, -2.0 * hi3, -2.0 * lo3, 6.0 * math.nextafter(lo4, 0.0), 6.0 * math.nextafter(hi4, math.inf)
+
+
+def _xlogx_range(u: float, v: float) -> tuple:
+    # f'' = 1/t, f''' = -1/t^2 and f'''' = 2/t^3 of t ln t
+    lo2, lo3, _ = _recip_pows(v, 0.0)
+    hi2, hi3, _ = _recip_pows(u, math.inf)
+    return 1.0 / v, math.inf if u == 0 else 1.0 / u, -hi2, -lo2, 2.0 * lo3, 2.0 * hi3
 
 
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
-    """Reference convex functions with exact slopes and f'' and f''' ranges.
+    """Reference convex functions with exact slopes and f'', f''' and f'''' ranges.
 
     Names and parameters:
 
@@ -216,7 +234,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: k if t >= c else -k,
             dminus=lambda t: k if t > c else -k,
             label=f"kink(k={k}, c={c})",
-            _d2range=lambda u, v: None if u < c < v else (0.0, 0.0, 0.0, 0.0),
+            _d2range=lambda u, v: None if u < c < v else (0.0,) * 6,
         )
 
     if name == "quadratic":
@@ -226,7 +244,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: 2.0 * t,
             dminus=lambda t: 2.0 * t,
             label="quadratic",
-            _d2range=lambda u, v: (2.0, 2.0, 0.0, 0.0),
+            _d2range=lambda u, v: (2.0, 2.0, 0.0, 0.0, 0.0, 0.0),
         )
 
     if name == "exp":
@@ -236,7 +254,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=math.exp,
             dminus=math.exp,
             label="exp",
-            _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 2,
+            _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 3,
         )
 
     if name == "neg_log":
@@ -248,9 +266,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: -math.inf if t == 0 else -1.0 / t,
             dminus=lambda t: -1.0 / t,
             label="neg_log",
-            # f''' = -2/t^3
-            _d2range=lambda u, v: (_recip_pow(v, 2, 0.0), _recip_pow(u, 2, math.inf),
-                                   -2.0 * _recip_pow(u, 3, math.inf), -2.0 * _recip_pow(v, 3, 0.0)),
+            _d2range=_neg_log_range,
         )
 
     if name == "xlogx":
@@ -262,9 +278,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: -math.inf if t == 0 else math.log(t) + 1.0,
             dminus=lambda t: math.log(t) + 1.0,
             label="xlogx",
-            # f''' = -1/t^2
-            _d2range=lambda u, v: (1.0 / v, math.inf if u == 0 else 1.0 / u,
-                                   -_recip_pow(u, 2, math.inf), -_recip_pow(v, 2, 0.0)),
+            _d2range=_xlogx_range,
         )
 
     if name == "power_p":
@@ -282,29 +296,46 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             return p * t ** (p - 1.0)
 
         coef = p * (p - 1.0)  # p - 1, p - 2 and p - 3 are exact for 1 <= p <= 2^53
+        exact4 = not math.fsum((p, -4.0, 4.0 - p))  # p - 4 rounds for some p < 2
+
+        # |f^(k)(t)| = c_k t^(p-k) with c_k = p(p-1)|p-2|...|p-k+1| for k = 2,
+        # 3, 4; c[k, s] is c_k with each step rounded towards s (0.0 or inf)
+        c = {}
+        for s in (0.0, math.inf):
+            c[2, s] = math.nextafter(coef, s)
+            c[3, s] = math.nextafter(c[2, s] * abs(p - 2.0), s)
+            c[4, s] = math.nextafter(c[3, s] * abs(p - 3.0), s)
 
         def _dk(k: int, t: float, s: float) -> float:
-            # |f^(k)(t)| = p(p-1)|p-2|^(k-2) t^(p-k) for k = 2, 3, each step
-            # rounded towards s (0.0 or inf), which is also the bound where the
+            # |f^(k)(t)| rounded towards s, which is also the bound where the
             # power overflows or t = 0 < k - p
-            c = math.nextafter(coef, s)
-            if k == 3:
-                c = math.nextafter(c * abs(p - 2.0), s)
             try:
-                return c * math.nextafter(t ** (p - k), s)
+                return c[k, s] * math.nextafter(t ** (p - k), s)
             except (OverflowError, ZeroDivisionError):
                 return s
 
         def _range(u: float, v: float) -> tuple:
             # f'' decreases for p < 2 and increases for p > 2; f''' is 0 for
             # p = 1, 2, negative and increasing for p < 2, and positive,
-            # decreasing for p < 3 and increasing for p > 3
+            # decreasing for p < 3 and increasing for p > 3; f'''' is 0 for
+            # p = 1, 2, 3, negative and increasing for 2 < p < 3, and
+            # positive, decreasing for p < 4 and increasing for p > 4
             d2 = (_dk(2, v, 0.0), _dk(2, u, math.inf)) if p < 2.0 else (_dk(2, u, 0.0), _dk(2, v, math.inf))
             if p in (1.0, 2.0):
-                return d2 + (0.0, 0.0)
+                return d2 + (0.0,) * 4
             if p < 2.0:
-                return d2 + (-_dk(3, u, math.inf), -_dk(3, v, 0.0))
-            return d2 + ((_dk(3, v, 0.0), _dk(3, u, math.inf)) if p < 3.0 else (_dk(3, u, 0.0), _dk(3, v, math.inf)))
+                d3 = (-_dk(3, u, math.inf), -_dk(3, v, 0.0))
+            else:
+                d3 = (_dk(3, v, 0.0), _dk(3, u, math.inf)) if p < 3.0 else (_dk(3, u, 0.0), _dk(3, v, math.inf))
+            if p == 3.0:
+                d4 = (0.0, 0.0)
+            elif not exact4:
+                d4 = (-math.inf, math.inf)
+            elif 2.0 < p < 3.0:
+                d4 = (-_dk(4, u, math.inf), -_dk(4, v, 0.0))
+            else:
+                d4 = (_dk(4, v, 0.0), _dk(4, u, math.inf)) if p < 4.0 else (_dk(4, u, 0.0), _dk(4, v, math.inf))
+            return d2 + d3 + d4
 
         return ConvexFunction(
             domain=iv,
@@ -328,7 +359,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: m,
             dminus=lambda t: m,
             label=f"linear(m={m}, c={c})",
-            _d2range=lambda u, v: (0.0, 0.0, 0.0, 0.0),
+            _d2range=lambda u, v: (0.0,) * 6,
         )
 
     if name == "constant":
@@ -341,7 +372,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: 0.0,
             dminus=lambda t: 0.0,
             label=f"constant({c})",
-            _d2range=lambda u, v: (0.0, 0.0, 0.0, 0.0),
+            _d2range=lambda u, v: (0.0,) * 6,
         )
 
     raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")

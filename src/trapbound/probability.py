@@ -101,16 +101,21 @@ class DensityReport(NamedTuple):
 def _mass_bracket(d: MonotoneDensity) -> tuple:
     """Certified bracket for integral of a nondecreasing density: on each cell
     the infimum is the right limit at the left edge and the supremum the left
-    limit at the right edge."""
+    limit at the right edge.  Where both limits are one function (a
+    continuous density) each grid point is read once."""
     a, b = d.domain.a, d.domain.b
     h = (b - a) / _NORMALIZATION_CELLS
+    xs = [a + i * h for i in range(_NORMALIZATION_CELLS)] + [b]
+    if d.left_limit is d.right_limit:
+        ys = [d.right_limit(x) for x in xs]
+        right, left = ys[:-1], ys[1:]
+    else:
+        right, left = [d.right_limit(u) for u in xs[:-1]], [d.left_limit(v) for v in xs[1:]]
     lo = 0.0
     hi = 0.0
-    for i in range(_NORMALIZATION_CELLS):
-        u = a + i * h
-        v = b if i == _NORMALIZATION_CELLS - 1 else a + (i + 1) * h
-        lo += d.right_limit(u) * (v - u)
-        hi += d.left_limit(v) * (v - u)
+    for u, v, fu, fv in zip(xs, xs[1:], right, left):
+        lo += fu * (v - u)
+        hi += fv * (v - u)
     return lo, hi
 
 

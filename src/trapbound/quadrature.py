@@ -28,17 +28,20 @@ arithmetic, on each cell where they are C^2), a cell is bracketed by the
 slope-corrected trapezoid rule on its halves: T - I is T - C, C the
 two-chord value, plus on each half of width w the corrected error
 (w^2/12)(f'(x1) - f'(x0)), which the Peano kernel puts within
-(B - A) w^3/(36 sqrt 3) of T_h - I_h, and, where the same oracle call gives
-an f''' range [C3, D3], within 5 (D3 - C3) w^4/1152.  That bracket, rounded
+(B - A) w^3/(36 sqrt 3) of T_h - I_h, where the same oracle call gives an
+f''' range [C3, D3], within 5 (D3 - C3) w^4/1152, and where it gives an
+f'''' range [E4, F4], in -(w^5/720) [E4, F4].  That bracket, rounded
 outward, is also cut by h^3/12 [A, B].  Every other cell takes the
 tangent/chord sandwich of its samples (Burkard, Hamacher & Rote 1991): the
 integral lies below the two chords through the midpoint and above the
 supporting lines; where f has an f'' range it is cut by h^3/12 [A, B].
 Each cell's bracket is intersected with the paper's.  Slopes alone cannot
 beat O(n^-2) (Rote 1992), so cells grow like eps^-1/2; with an f'' range
-the bracket is O(h^4) wide and cells grow like eps^-1/3, and on C^3 cells,
-with an f''' range, it is O(h^5) wide and cells grow like eps^-1/4
-(Atkinson, *An Introduction to Numerical Analysis*, 2nd ed., 1989, 5.4).
+the bracket is O(h^4) wide and cells grow like eps^-1/3, on C^3 cells,
+with an f''' range, it is O(h^5) wide and cells grow like eps^-1/4, and on
+C^4 cells, with an f'''' range, it is O(h^6) wide and cells grow like
+eps^-1/5 (Atkinson, *An Introduction to Numerical Analysis*, 2nd ed., 1989,
+5.4).
 """
 
 from __future__ import annotations
@@ -276,9 +279,9 @@ _GAMMA = 2.0 ** -47
 
 
 def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[tuple]:
-    """T - I on a cell [u, v] split at m where A <= f'' <= B and
-    C <= f''' <= D, d2 = (A, B, C, D), from the samples alone; None where
-    this bracket does not apply.
+    """T - I on a cell [u, v] split at m where A <= f'' <= B,
+    C <= f''' <= D and E <= f'''' <= F, d2 = (A, B, C, D, E, F), from the
+    samples alone; None where this bracket does not apply.
 
     With C2 the two-chord value and wl = m - u, wr = v - m the halves' widths,
 
@@ -296,29 +299,37 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[
     f''(t) - f''(c) - s (t - c) with s = (C + D)/2, which is at most
     (D - C)|t - c|/2; as int |K - w^2/12| |t - c| = 5 w^4/576, the term
     also lies within 5 (D - C) w^4/1152 of 0, the tighter bound once w is
-    small, and no bound where f is not C^3 (D - C infinite).  Each half's
-    bracket is cut by w^3/12 [A, B], and the cell's by h^3/12 [A, B]
+    small, and no bound where f is not C^3 (D - C infinite).  Where f is
+    C^4 the term is also -(w^5/720) f''''(xi) for some xi in the half, as
+    the corrected trapezoid rule's Peano kernel (t - x0)^2 (x1 - t)^2/24 is
+    one-signed (Atkinson, *An Introduction to Numerical Analysis*, 2nd ed.,
+    1989, 5.4): it lies in -(w^5/720) [E, F], w^5/720 = (w^2/12)^2 w/5, and
+    has no such bound where E or F is infinite.  Each half's bracket is cut
+    by these and by w^3/12 [A, B], and the cell's by h^3/12 [A, B]
     (:func:`_cubic_term`).
 
     Rounding is bounded, not estimated.  The ends of d2 are taken one ulp
     outward.  Values and slopes are faithful (within one ulp), which moves
     the bracket by at most ``dat`` (wl, wr <= h).  Every other term reaches
-    lo or hi through at most 15 roundings, each within 2^-53 of its result:
-    the f''' term of the left half through the most, four from wl (once
-    per factor of wl^4), four from the two operations of w^2/12 (it enters
-    squared), three products, D - C, and three on its way to lo.  So lo and
-    hi are within 16 * 2^-53 ``mag`` of their exact values, where ``mag``
-    sums the terms' magnitudes (the smaller Peano bound of each half, the
-    one taken).  ``r`` adds 2^-47 ``mag``, four times that, which also
-    covers the rounding of ``dat``, ``mag`` and ``r``, and the products that
-    fall below 2^-1022, each off by at most 2^-1075: the widths must exceed
-    2^-200, so no such product is multiplied again, and ``mag`` must exceed
-    2^-900.
+    lo or hi through at most 16 roundings, each within 2^-53 of its result:
+    the f'''' term of the left half through the most, five from wl (once
+    per factor of wl^5), four from the two operations of w^2/12 (it enters
+    squared), four products and quotients (by w^2/12, wl, 5 and F) and
+    three on its way to lo; the f''' term takes 15 (four from wl, four,
+    three products, D - C and three).  So lo and hi are within
+    17 * 2^-53 ``mag`` of their exact values, where ``mag`` sums the terms'
+    magnitudes (the smaller Peano bound of each half, the one taken, and
+    the f'''' terms where they are taken).  ``r`` adds 2^-47 ``mag``, 64/17
+    times that, which also covers the rounding of ``dat``, ``mag`` and
+    ``r``, and the products that fall below 2^-1022, each off by at most
+    2^-1075: the widths must exceed 2^-200, so no such product is
+    multiplied again ((w^2/12)^2 w/5 stays above 2^-1010), and ``mag`` must
+    exceed 2^-900.
 
     None also where B or a sample is not finite, where a product overflows,
     and where the result is inverted, which only a nonconvex f does.
     """
-    a2, b2, a3, b3 = d2
+    a2, b2, a3, b3, a4, b4 = d2
     wl, wr = m - u, v - m
     if not (b2 < math.inf and wl > 2.0 ** -200 and wr > 2.0 ** -200):
         return None
@@ -331,20 +342,29 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[
     if dmc < math.inf:
         el, er = min(el, _DELTA * kl * kl * dmc), min(er, _DELTA * kr * kr * dmc)
     cl, cr = kl * (dmm - dpu), kr * (dmv - dpm)
+    lol, hil = max(cl - el, ql * a2), min(cl + el, ql * b2)
+    lor, hir = max(cr - er, qr * a2), min(cr + er, qr * b2)
     pu, pv = wr * (fu - fm), wl * (fv - fm)
     tc = 0.5 * (pu + pv)
-    lo = tc + max(cl - el, ql * a2) + max(cr - er, qr * a2)
-    hi = tc + min(cl + el, ql * b2) + min(cr + er, qr * b2)
     h = v - u
     ulp = math.ulp
     dat = h * (ulp(fu) + ulp(fm) + ulp(fv)) + kl * (ulp(dpu) + ulp(dmm)) + kr * (ulp(dpm) + ulp(dmv))
     mag = abs(pu) + abs(pv) + abs(cl) + abs(cr) + el + er + (ql + qr) * b2 + dat
+    a4, b4 = math.nextafter(a4, -math.inf), math.nextafter(b4, math.inf)
+    gl, gr = kl * kl * wl / 5.0, kr * kr * wr / 5.0
+    # at least the f'''' terms' magnitudes; inf or NaN where f is not C^4
+    # on the cell or a term overflows
+    e4 = (gl + gr) * (abs(a4) + abs(b4))
+    if e4 < math.inf:
+        lol, hil = max(lol, cl - gl * b4), min(hil, cl - gl * a4)
+        lor, hir = max(lor, cr - gr * b4), min(hir, cr - gr * a4)
+        mag += e4
     # an infinite or NaN sample or product makes mag inf or NaN
     if not 2.0 ** -900 < mag < math.inf:
         return None
     r = dat + _GAMMA * mag
-    lo = max(math.nextafter(lo - r, -math.inf), _cubic_term(h, d2[0], 0.0))
-    hi = min(math.nextafter(hi + r, math.inf), _cubic_term(h, d2[1], math.inf))
+    lo = max(math.nextafter(tc + lol + lor - r, -math.inf), _cubic_term(h, d2[0], 0.0))
+    hi = min(math.nextafter(tc + hil + hir + r, math.inf), _cubic_term(h, d2[1], math.inf))
     return (lo, hi) if lo <= hi else None
 
 
@@ -357,8 +377,9 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     remainder bracket is the slope-corrected one of
     :func:`_corrected_bracket`: T - C plus, on each half of width w, the
     corrected trapezoid error (w^2/12)(f'(x1) - f'(x0)) within
-    (B - A) w^3/(36 sqrt 3), or within 5 (D3 - C3) w^4/1152 where f is C^3
-    with f''' in [C3, D3], if that is smaller.
+    (B - A) w^3/(36 sqrt 3), within 5 (D3 - C3) w^4/1152 where f is C^3
+    with f''' in [C3, D3], and offset by -(w^5/720) [E4, F4] where f is C^4
+    with f'''' in [E4, F4], whichever is tightest.
     It is intersected with the paper's bracket cut at 0; where rounding put
     the paper's bracket outside it, it is kept whole.
 
@@ -427,9 +448,10 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     f is C^2 on it, else the tangent/chord sandwich of its samples, and is
     intersected with the paper's.  A run over n cells makes 2n + 1 calls to
     f, 4n to its one-sided derivatives and 2n - 1 to its range oracle, which
-    gives the f'' and f''' ranges in one call, fewer if some cells are too
-    narrow to bisect; n grows like eps^-1/4 on C^3 cells, like eps^-1/3 with
-    an f'' range alone, else like eps^-1/2.
+    gives the f'', f''' and f'''' ranges in one call, fewer if some cells
+    are too narrow to bisect; n grows like eps^-1/5 on C^4 cells, like
+    eps^-1/4 on C^3 cells, like eps^-1/3 with an f'' range alone, else like
+    eps^-1/2.
 
     The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
     remainder is widened by a bound on the rounding of gn and of each

@@ -10,6 +10,7 @@ rule and the integral), so the working precision starts above that and is
 doubled until two runs agree.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -67,6 +68,24 @@ def closed_form(name, params, num):
         return (lambda t: m * t + c), (lambda t: m * t * t / 2 + c * t)
     (c,) = d
     return (lambda t: c), (lambda t: c * t)
+
+
+def derivative(name, params, num, k):
+    """The k-th derivative, k = 3 or 4, of a catalog family on ``num``
+    arguments; -inf or inf at a singular t = 0."""
+    if name == "exp":
+        return lambda t: t.exp()
+    if name == "neg_log":  # (-1)^k (k-1)!/t^k
+        c = (-1) ** k * math.factorial(k - 1)
+        return lambda t: c * t ** -k
+    if name == "xlogx":  # (-1)^k (k-2)!/t^(k-1)
+        c = (-1) ** k * math.factorial(k - 2)
+        return lambda t: c * t ** (1 - k)
+    if name == "power_p":  # p (p-1) ... (p-k+1) t^(p-k)
+        p = num(params[0])
+        c = math.prod(p - j for j in range(k))
+        return lambda t: c * t ** (p - k) if c else c
+    return lambda t: num(0)
 
 
 def reference(name, params, quantity, width):

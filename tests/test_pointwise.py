@@ -135,7 +135,7 @@ class TestGap:
 
         def d2range(u, v):
             calls.append((u, v))
-            return (2.0, 2.0, 0.0, 0.0)
+            return (2.0, 2.0, 0.0, 0.0, 0.0, 0.0)
 
         bare = ConvexFunction(QUAD.domain, QUAD.evaluate, QUAD.dplus, QUAD.dminus, "bare", _d2range=d2range)
         rep = window_inequality(bare, 0.5, 0.4)

@@ -5,7 +5,9 @@ import pytest
 from trapbound.funcs import ConvexFunction, DomainError, Interval
 from trapbound.pointwise import Enclosure, gap_enclosure
 from trapbound.probability import (
+    _DENSITY_GRIDPOINTS,
     _EXPECTATION_GRIDPOINTS,
+    _NORMALIZATION_CELLS,
     best_expectation_enclosure,
     continuous_density,
     expectation_enclosure,
@@ -102,6 +104,34 @@ class TestValidateDensity:
         assert report.nonnegative and report.nondecreasing
         lo, hi = report.normalization
         assert lo > 1.0 + 1e-6
+
+    def test_continuous_density_read_once_per_point(self):
+        # the 201 points of the sampled checks, and the 4,097 ends of the
+        # mass bracket's cells, each read once: the left limit at a cell's
+        # right end is the right limit at the next cell's left end
+        calls = []
+
+        def pdf(t):
+            calls.append(t)
+            return 2.0 * t
+
+        validate_density(continuous_density(UNIT, pdf, "2t"))
+        assert len(calls) == _DENSITY_GRIDPOINTS + _NORMALIZATION_CELLS + 1
+        assert len(calls) == 201 + 4_097
+
+    @pytest.mark.parametrize("make", ALL, ids=lambda make: make().label)
+    def test_mass_bracket_bits(self, make):
+        # the bracket of two reads per cell, summed in the same order
+        d = make()
+        a, b = d.domain.a, d.domain.b
+        h = (b - a) / _NORMALIZATION_CELLS
+        lo = hi = 0.0
+        for i in range(_NORMALIZATION_CELLS):
+            u = a + i * h
+            v = b if i == _NORMALIZATION_CELLS - 1 else a + (i + 1) * h
+            lo += d.right_limit(u) * (v - u)
+            hi += d.left_limit(v) * (v - u)
+        assert validate_density(d).normalization == (lo, hi)
 
 
 class TestExpectationEnclosure:

@@ -388,12 +388,12 @@ class TestAdaptive:
         (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-8, 215), (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-10, 1_020),
     ], ids=lambda x: x.label if isinstance(x, ConvexFunction) else str(x))
     def test_corrected_halves_cut_cells(self, f, eps, most):
-        # with the f''' range dropped, the halves' f'' Peano bound alone takes
+        # with the f''' and f'''' ranges dropped, the halves' f'' Peano bound alone takes
         # 121 / 522, 159 / 742, 211 / 934 and 196 / 928 cells here, where
         # bracketing each cell by h^3/12 [min f'', max f''] took 251 / 1,229,
         # 348 / 1,629, 449 / 1,942 and 434 / 2,034
         d2range = f._d2range
-        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:2] + (-math.inf, math.inf))
+        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:2] + (-math.inf, math.inf) * 2)
         res = adaptive_integrate(f, eps=eps, max_cells=200_000)
         assert res.converged
         assert res.cells <= most
@@ -405,8 +405,27 @@ class TestAdaptive:
         (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-8, 54), (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-10, 174),
     ], ids=lambda x: x.label if isinstance(x, ConvexFunction) else str(x))
     def test_third_order_halves_cut_cells(self, f, eps, most):
-        # the f''' Peano bound of the halves takes 26 / 69, 37 / 118, 1 / 1
-        # and 47 / 151 cells here; each bound is about 15% above
+        # with the f'''' range dropped, the f''' Peano bound of the halves
+        # takes 26 / 69, 37 / 118, 1 / 1 and 47 / 151 cells here; each bound
+        # is about 15% above
+        d2range = f._d2range
+        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:4] + (-math.inf, math.inf))
+        res = adaptive_integrate(f, eps=eps, max_cells=200_000)
+        assert res.converged
+        assert res.cells <= most
+
+    @pytest.mark.parametrize("f, eps, most", [
+        (EXP, 1e-8, 9), (EXP, 1e-10, 23), (EXP, 1e-12, 63), (EXP, 1e-14, 163),
+        (catalog("xlogx", (), Interval(0.5, 2.0)), 1e-8, 18), (catalog("xlogx", (), Interval(0.5, 2.0)), 1e-10, 43),
+        (catalog("power_p", (3.0,)), 1e-8, 1), (catalog("power_p", (3.0,)), 1e-10, 1),
+        (catalog("power_p", (2.5,)), 1e-8, 18), (catalog("power_p", (2.5,)), 1e-10, 43),
+        (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-8, 23), (catalog("neg_log", (), Interval(0.5, 2.0)), 1e-10, 55),
+    ], ids=lambda x: x.label if isinstance(x, ConvexFunction) else str(x))
+    def test_fourth_order_halves_cut_cells(self, f, eps, most):
+        # the f'''' Peano bound of the halves takes 8 / 20 / 55 / 142,
+        # 16 / 38, 1 / 1, 16 / 38 and 20 / 48 cells here; each bound is
+        # about 15% above.  f''' and f'''' of t^2.5 are unbounded at 0, so
+        # the cell there keeps the f'' bound
         res = adaptive_integrate(f, eps=eps, max_cells=200_000)
         assert res.converged
         assert res.cells <= most
@@ -424,10 +443,11 @@ class TestAdaptive:
         assert res.integral.contains(truth)
 
     def test_expression_takes_catalog_cells(self, monkeypatch):
-        # exp(x) and -log(x) carry interval f'' and f''' ranges, so their
-        # cells match the catalog's exp and neg_log, whose ranges are closed
-        # form, in both passes; the f''' bound of the halves cut exp's from
-        # 121 and 522 (251 and 1,229 with h^3/12 [min f'', max f''] alone)
+        # exp(x) and -log(x) carry interval f'', f''' and f'''' ranges, so
+        # their cells match the catalog's exp and neg_log, whose ranges are
+        # closed form, in both passes and at eps 1e-12; the f'''' bound of
+        # the halves cut exp's from 26 and 69 (121 and 522 with the f''
+        # bound alone, 251 and 1,229 with h^3/12 [min f'', max f''] alone)
         runs = []
 
         def spy(*args, **kwargs):
@@ -435,8 +455,8 @@ class TestAdaptive:
             return runs[-1]
 
         monkeypatch.setattr("trapbound.quadrature.adaptive_integrate", spy)
-        for src, twin, cells in (("exp(x)", EXP, (26, 69)),
-                                 ("-log(x)", catalog("neg_log", (), Interval(0.5, 2.0)), (47, 151))):
+        for src, twin, cells in (("exp(x)", EXP, (8, 20, 55)),
+                                 ("-log(x)", catalog("neg_log", (), Interval(0.5, 2.0)), (20, 48, 124))):
             a, b = twin.domain.a, twin.domain.b
             f = to_convex_function(src, Interval(a, b))
             res = adaptive_integrate(f, eps=1e-8)
@@ -445,6 +465,7 @@ class TestAdaptive:
             runs.clear()
             _reference_integral(f, a, b)
             assert [r.cells for r in runs] == [adaptive_integrate(twin, eps=1e-10, max_cells=200_000).cells] == [cells[1]]
+            assert adaptive_integrate(f, eps=1e-12).cells == adaptive_integrate(twin, eps=1e-12).cells == cells[2]
 
     def test_inverted_bracket_raises(self):
         f = ConvexFunction(Interval(0.0, 1.0), lambda t: -t * t, lambda t: -2.0 * t, lambda t: -2.0 * t, "-t^2")
@@ -538,7 +559,8 @@ def test_third_order_bound_holds_where_nearly_attained():
     df = lambda t: 2 * t + sum(3 * s * max(t - k, 0.0) ** 2 for k, s in knots)
     F = lambda t: Fraction(t) ** 3 / 3 + sum(s * max(Fraction(t - k), Fraction(0)) ** 4 / 4 for k, s in knots)
     u, m, v = -0.5, 0.5, 1.5
-    lo, hi = _corrected_bracket(u, m, v, f(u), f(m), f(v), df(u), df(m), df(m), df(v), (2.0, 8.0, 0.0, 6.0))
+    d2 = (2.0, 8.0, 0.0, 6.0, -math.inf, math.inf)  # f is not C^4
+    lo, hi = _corrected_bracket(u, m, v, f(u), f(m), f(v), df(u), df(m), df(m), df(v), d2)
     exact = Fraction(f(u) + f(v)) * Fraction(v - u) / 2 - (F(v) - F(u))
     halves = Fraction(df(m) - df(u) + df(v) - df(m)) / 12
     chords = (Fraction(f(u) - f(m)) + Fraction(f(v) - f(m))) / 2
@@ -548,15 +570,43 @@ def test_third_order_bound_holds_where_nearly_attained():
 
 def test_corrected_bracket_refuses_what_it_cannot_bound():
     # an unbounded f'', an infinite slope and cells narrower than 2^-300
-    # leave the cell to the sandwich; an unbounded f''' only drops its term
+    # leave the cell to the sandwich; an unbounded f''' or f'''' (one end is
+    # enough) only drops its term
     args = (0.0, 0.5, 1.0, 1.0, math.exp(0.5), math.e, 1.0, math.exp(0.5), math.exp(0.5), math.e)
-    third = _corrected_bracket(*args, (1.0, math.e) * 2)
-    second = _corrected_bracket(*args, (1.0, math.e, -math.inf, math.inf))
-    assert second[0] < third[0] <= third[1] < second[1]
-    assert _corrected_bracket(*args, (1.0, math.inf) * 2) is None
-    assert _corrected_bracket(*args[:-1], math.inf, (1.0, math.e) * 2) is None
+    whole = (-math.inf, math.inf)
+    fourth = _corrected_bracket(*args, (1.0, math.e) * 3)
+    third = _corrected_bracket(*args, (1.0, math.e) * 2 + whole)
+    second = _corrected_bracket(*args, (1.0, math.e) + whole * 2)
+    assert second[0] < third[0] < fourth[0] <= fourth[1] < third[1] < second[1]
+    for half in ((1.0, math.inf), (-math.inf, math.e)):
+        assert _corrected_bracket(*args, (1.0, math.e) * 2 + half) == third
+    assert _corrected_bracket(*args, (1.0, math.inf) * 3) is None
+    assert _corrected_bracket(*args[:-1], math.inf, (1.0, math.e) * 3) is None
     tiny = 2.0 ** -301
-    assert _corrected_bracket(0.0, tiny, 2 * tiny, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (1.0, math.e) * 2) is None
+    assert _corrected_bracket(0.0, tiny, 2 * tiny, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, (1.0, math.e) * 3) is None
+
+
+def test_fourth_order_peano_constant():
+    # the corrected trapezoid rule's kernel s^2 (w - s)^2/24 integrates to
+    # w^5/720 = (w^2/12)^2 w/5: at w = 1, its antiderivative is
+    # (s^3/3 - s^4/2 + s^5/5)/24
+    G = lambda s: (s ** 3 / 3 - s ** 4 / 2 + s ** 5 / 5) / 24
+    assert G(Fraction(1)) - G(Fraction(0)) == Fraction(1, 720) == Fraction(1, 12) ** 2 / 5
+
+
+@pytest.mark.parametrize("u, v", [(0.0, 1.0), (-1.0, 2.0), (0.25, 0.375)])
+def test_fourth_order_bound_is_attained_by_a_quartic(u, v):
+    # f = t^4 has f'''' = 24 throughout, so each half's term is exactly
+    # -(w^5/720) 24: the bracket holds the exact T - I (the samples are exact
+    # floats) and is as wide as the rounding allowance alone
+    f, df = (lambda t: t ** 4), (lambda t: 4 * t ** 3)
+    F = lambda t: Fraction(t) ** 5 / 5
+    m = 0.5 * (u + v)
+    d2 = (12 * min(u * u, v * v) if u * v > 0 else 0.0, 12 * max(u * u, v * v), 24 * u, 24 * v, 24.0, 24.0)
+    lo, hi = _corrected_bracket(u, m, v, f(u), f(m), f(v), df(u), df(m), df(m), df(v), d2)
+    exact = Fraction(f(u) + f(v)) * Fraction(v - u) / 2 - (F(v) - F(u))
+    assert lo <= exact <= hi
+    assert hi - lo <= 2.0 ** -40 * abs(float(exact))
 
 
 @pytest.mark.parametrize("idx", range(8))

@@ -9,7 +9,8 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
-from catalog_oracles import DEFAULT_SPECS, DIGITS, default_catalog, exact_integral, number_type, reference
+from catalog_oracles import (DEFAULT_SPECS, DIGITS, default_catalog, derivative, exact_integral, number_type,
+                             reference)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,22 +18,6 @@ from trapbound.cli import main
 from trapbound.expr import to_convex_function
 from trapbound.funcs import CATALOG_NAMES, Interval, catalog
 from trapbound.quadrature import _corrected_bracket, _cubic_term, adaptive_integrate
-
-
-def third_derivative(name, params, num):
-    """f''' of a catalog family on ``num`` arguments; -inf or inf at a
-    singular t = 0."""
-    if name == "exp":
-        return lambda t: t.exp()
-    if name == "neg_log":
-        return lambda t: -2 * t ** -3
-    if name == "xlogx":
-        return lambda t: -(t ** -2)
-    if name == "power_p":
-        p = num(params[0])
-        c = p * (p - 1) * (p - 2)
-        return lambda t: c * t ** (p - 3) if c else c
-    return lambda t: num(0)
 
 
 @st.composite
@@ -64,21 +49,67 @@ def test_adaptive_enclosure_contains_reference(case):
 
 
 D = Decimal
-#: f''' on Decimal t, given the constants c and p of the text, of smooth
-#: expression templates on their domains: those of the benchmark's cli_expr
-#: workload, and two whose inner functions have a second derivative, so that
-#: every term of the chain rules is reached
+#: f''' and f'''' on Decimal t, given the constants c and p of the text, of
+#: smooth expression templates on their domains: those of the benchmark's
+#: cli_expr workload, and five whose operands have second or third
+#: derivatives, so that every term of the chain, product, quotient and
+#: power rules is reached
 EXPRESSIONS = {
-    "exp({c!r}*x)": ((-1.0, 1.0), lambda c, p, t: D(c) ** 3 * (D(c) * t).exp()),
-    "x^{p!r}": ((0.1, 1.0), lambda c, p, t: D(p) * (D(p) - 1) * (D(p) - 2) * t ** (D(p) - 3)),
-    "1/x": ((0.2, 1.0), lambda c, p, t: -6 / t ** 4),
-    "x*log(x)": ((0.1, 1.0), lambda c, p, t: -1 / t ** 2),
-    "-log(x)": ((0.1, 1.0), lambda c, p, t: -2 / t ** 3),
-    "sqrt(1 + x^2)": ((-1.0, 1.0), lambda c, p, t: -3 * t * (1 + t * t) ** D(-2.5)),
-    "exp(x) + exp(-x)": ((-1.0, 1.0), lambda c, p, t: t.exp() - (-t).exp()),
-    "exp(x^2)": ((-1.0, 1.0), lambda c, p, t: (12 * t + 8 * t ** 3) * (t * t).exp()),
-    "(1 + x^2)^1.5": ((-1.0, 1.0), lambda c, p, t: (9 * t - 3 * t ** 3 / (1 + t * t)) / (1 + t * t).sqrt()),
+    "exp({c!r}*x)": ((-1.0, 1.0), lambda c, p, t: D(c) ** 3 * (D(c) * t).exp(),
+                     lambda c, p, t: D(c) ** 4 * (D(c) * t).exp()),
+    "x^{p!r}": ((0.1, 1.0), lambda c, p, t: D(p) * (D(p) - 1) * (D(p) - 2) * t ** (D(p) - 3),
+                lambda c, p, t: D(p) * (D(p) - 1) * (D(p) - 2) * (D(p) - 3) * t ** (D(p) - 4)),
+    "1/x": ((0.2, 1.0), lambda c, p, t: -6 / t ** 4, lambda c, p, t: 24 / t ** 5),
+    "x*log(x)": ((0.1, 1.0), lambda c, p, t: -1 / t ** 2, lambda c, p, t: 2 / t ** 3),
+    "-log(x)": ((0.1, 1.0), lambda c, p, t: -2 / t ** 3, lambda c, p, t: 6 / t ** 4),
+    "sqrt(1 + x^2)": ((-1.0, 1.0), lambda c, p, t: -3 * t * (1 + t * t) ** D(-2.5),
+                      lambda c, p, t: (12 * t * t - 3) * (1 + t * t) ** D(-3.5)),
+    "exp(x) + exp(-x)": ((-1.0, 1.0), lambda c, p, t: t.exp() - (-t).exp(), lambda c, p, t: t.exp() + (-t).exp()),
+    "exp(x^2)": ((-1.0, 1.0), lambda c, p, t: (12 * t + 8 * t ** 3) * (t * t).exp(),
+                 lambda c, p, t: (12 + 48 * t * t + 16 * t ** 4) * (t * t).exp()),
+    "(1 + x^2)^1.5": ((-1.0, 1.0), lambda c, p, t: (9 * t - 3 * t ** 3 / (1 + t * t)) / (1 + t * t).sqrt(),
+                      lambda c, p, t: 9 * (1 + t * t) ** D(-2.5)),
+    "exp(x)*(1 + x^2)": ((-0.5, 1.0), lambda c, p, t: (t * t + 6 * t + 7) * t.exp(),
+                         lambda c, p, t: (t * t + 8 * t + 13) * t.exp()),
+    "1/(2 - x^2)": ((-1.0, 1.0), lambda c, p, t: 24 * t * (t * t + 2) / (t * t - 2) ** 4,
+                    lambda c, p, t: -24 * (5 * t ** 4 + 20 * t * t + 4) / (t * t - 2) ** 5),
+    "(1 + exp(x))^1.5": ((-1.0, 1.0),
+                         lambda c, p, t: (lambda e: 3 * (9 * e * e + 14 * e + 4) * e
+                                          / (8 * (e + 1) ** D(1.5)))(t.exp()),
+                         lambda c, p, t: (lambda e: 3 * (27 * e ** 3 + 68 * e * e + 52 * e + 8) * e
+                                          / (16 * (e + 1) ** D(2.5)))(t.exp())),
 }
+
+
+def _range_contains_reference(k, family, data, p, q, samples):
+    # the f^(k) range of a cell, k = 3 or 4, holds the exact f^(k) at its
+    # ends and at exact interior points: with the ulp per end that the
+    # contract allows for a catalog family, and as returned for an
+    # expression, whose interval ends are rounded outward
+    if family in EXPRESSIONS:
+        (a, b), *exact = EXPRESSIONS[family]
+        c, e = data.draw(st.floats(0.5, 2.0)), data.draw(st.floats(1.5, 3.5))
+        f = to_convex_function(family.format(c=c, p=e), Interval(a, b))
+        dk, num, ulps = (lambda t: exact[k - 3](c, e, t)), Decimal, 0
+    else:
+        name, params, a, b, _ = data.draw(catalog_cases(family))
+        if name == "power_p":  # f^(k) changes sign at p = 2, ..., k - 1 and monotonicity at p = k
+            params = (data.draw(st.sampled_from((1.5, 2.5, 3.5, 4.5)[:k])) + data.draw(st.floats(-0.5, 0.5)),)
+        num = number_type(name, params)
+        f, dk, ulps = catalog(name, params, Interval(a, b)), derivative(name, params, num, k), 1
+    u, v = sorted(a + (b - a) * s for s in (p, q))
+    assume(u < v)
+    rng = f._d2range(u, v)
+    assume(rng is not None)  # a kink inside the cell
+    lo, hi = rng[2:4] if k == 3 else rng[4:6]
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for s in (0, 1, *samples):
+            t = num(u) + (num(v) - num(u)) * num(s.numerator) / num(s.denominator)
+            t = min(max(t, num(u)), num(v))  # rounded to DIGITS, t may leave the cell
+            assert lo <= dk(t) <= hi, (f.label, u, v, t)
 
 
 @pytest.mark.parametrize("family", [*CATALOG_NAMES, *EXPRESSIONS])
@@ -86,34 +117,15 @@ EXPRESSIONS = {
 @given(data=st.data(), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
        samples=st.lists(st.fractions(0, 1), max_size=4))
 def test_third_derivative_range_contains_reference(family, data, p, q, samples):
-    # the f''' range of a cell holds the exact f''' at its ends and at exact
-    # interior points: with the ulp per end that the contract allows for a
-    # catalog family, and as returned for an expression, whose interval ends
-    # are rounded outward
-    if family in EXPRESSIONS:
-        (a, b), exact = EXPRESSIONS[family]
-        c, k = data.draw(st.floats(0.5, 2.0)), data.draw(st.floats(1.5, 3.5))
-        f = to_convex_function(family.format(c=c, p=k), Interval(a, b))
-        d3, num, ulps = (lambda t: exact(c, k, t)), Decimal, 0
-    else:
-        name, params, a, b, _ = data.draw(catalog_cases(family))
-        if name == "power_p":  # f''' changes sign at p = 2 and monotonicity at p = 3
-            params = (data.draw(st.sampled_from((1.5, 2.5, 3.5))) + data.draw(st.floats(-0.5, 0.5)),)
-        num = number_type(name, params)
-        f, d3, ulps = catalog(name, params, Interval(a, b)), third_derivative(name, params, num), 1
-    u, v = sorted(a + (b - a) * s for s in (p, q))
-    assume(u < v)
-    rng = f._d2range(u, v)
-    assume(rng is not None)  # a kink inside the cell
-    lo3, hi3 = rng[2:]
-    for _ in range(ulps):
-        lo3, hi3 = math.nextafter(lo3, -math.inf), math.nextafter(hi3, math.inf)
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        for s in (0, 1, *samples):
-            t = num(u) + (num(v) - num(u)) * num(s.numerator) / num(s.denominator)
-            t = min(max(t, num(u)), num(v))  # rounded to DIGITS, t may leave the cell
-            assert lo3 <= d3(t) <= hi3, (f.label, u, v, t)
+    _range_contains_reference(3, family, data, p, q, samples)
+
+
+@pytest.mark.parametrize("family", [*CATALOG_NAMES, *EXPRESSIONS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_fourth_derivative_range_contains_reference(family, data, p, q, samples):
+    _range_contains_reference(4, family, data, p, q, samples)
 
 
 @pytest.mark.parametrize("name, params, a, b, eps", [
@@ -134,15 +146,16 @@ def test_converged_width_within_eps(name, params, a, b, eps):
 @pytest.mark.parametrize("eps", [1e-8, 1e-12])
 @pytest.mark.parametrize("b", [1.0, 0.3])
 def test_unbounded_third_derivative_keeps_second_order_cell(b, eps):
-    # f''' = 1.875 t^-0.5 of t^2.5 is unbounded at 0, so the first cell keeps
-    # the f'' bracket of its halves; it and the run enclose at zero slack
+    # f''' = 1.875 t^-0.5 and f'''' = -0.9375 t^-1.5 of t^2.5 are unbounded
+    # at 0, so the first cell keeps the f'' bracket of its halves; it and the
+    # run enclose at zero slack
     f = catalog("power_p", (2.5,), Interval(0.0, b))
     d2 = f._d2range(0.0, b)
-    assert d2[1] < math.inf == d2[3]
+    assert d2[1] < math.inf == d2[3] == -d2[4]
     m = 0.5 * b
     samples = (0.0, m, b, f(0.0), f(m), f(b), f.d_plus(0.0), f.d_minus(m), f.d_plus(m), f.d_minus(b))
     lo, hi = _corrected_bracket(*samples, d2)
-    assert (lo, hi) == _corrected_bracket(*samples, d2[:2] + (-math.inf, math.inf))
+    assert (lo, hi) == _corrected_bracket(*samples, d2[:2] + (-math.inf, math.inf) * 2)
     exact = reference("power_p", (2.5,), lambda f, F, num: (f(num(0.0)) + f(num(b))) * num(b) / 2
                       - (F(num(b)) - F(num(0.0))), b)
     assert lo <= exact <= hi
