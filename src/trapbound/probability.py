@@ -11,18 +11,20 @@ single-interval gap bounds applied to F give, for x in [a, b],
 using the identity integral_a^b F = b - E(X).  The one-sided limits are
 taken from inside [a, b]: limits from outside the support do not exist, and
 at x = a or b the zero-weighted one is not read.  Both sides are
-``pointwise._split_bracket`` applied to F, shifted by x; the best split over
-a grid reads f(a+) and f(b-) once for the whole grid.
+``pointwise._gap_bracket`` applied to F, shifted by x and moved outward by a
+bound on their rounding error; the best split over a grid reads f(a+) and
+f(b-) once for it all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .funcs import DomainError, Interval
-from .pointwise import _gap_bracket, _split_bracket
+from .pointwise import _gap_bracket
 
 #: Grid size of the monotone Riemann bracket used by the normalization check.
 _NORMALIZATION_CELLS = 4096
@@ -151,13 +153,28 @@ def validate_density(d: MonotoneDensity) -> DensityReport:
     return DensityReport(valid, nonnegative, nondecreasing, (lo, hi), tuple(messages))
 
 
+def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, fa: float, fb: float) -> tuple:
+    """The bracket for E(X) at x in [a, b] from f(x+), f(x-), f(a+), f(b-).
+    Rounding its weights, products, difference and shift to nearest loses
+    less than 3u|terms| + u|x| on a side (u = eps/2, |terms| the sum of its
+    two absolute products, outside underflow); each side moves out by
+    2 eps (|terms| + |x|) and one ulp, so it holds at zero slack."""
+    wl, wr = (b - x) ** 2, (x - a) ** 2
+    lo, hi = _gap_bracket(wl, wr, dpx, dmx, fa, fb)
+    # half of each side's |terms|: the same bracket with every product made positive
+    lo_terms, hi_terms = _gap_bracket(wl, wr, abs(dpx), -abs(dmx), -abs(fa), abs(fb))
+    e = 2 * sys.float_info.epsilon
+    return (math.nextafter(lo + x - e * (2 * lo_terms + abs(x)), -math.inf),
+            math.nextafter(hi + x + e * (2 * hi_terms + abs(x)), math.inf))
+
+
 def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
     """Two-sided expectation bound at split point x in (a, b)."""
     a, b = d.domain.a, d.domain.b
     if not a < x < b:
         raise DomainError(f"split point must lie strictly inside ({a}, {b}), got {x}")
-    lo, hi = _split_bracket(d.right_limit, d.left_limit, a, b, x)
-    return ExpectationEnclosure(lo + x, hi + x, x)
+    fa, fb = d.right_limit(a), d.left_limit(b)
+    return ExpectationEnclosure(*_expectation_bracket(a, b, x, d.right_limit(x), d.left_limit(x), fa, fb), x)
 
 
 def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
@@ -187,9 +204,9 @@ def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
         inner = a < x < b
         dpx = d.right_limit(x) if inner else fa
         dmx = d.left_limit(x) if inner else fb
-        lo, hi = _gap_bracket((b - x) ** 2, (x - a) ** 2, dpx, dmx, fa, fb)
-        best_lo = max(best_lo, lo + x)
-        if hi + x < best_hi:
-            best_hi = hi + x
+        lo, hi = _expectation_bracket(a, b, x, dpx, dmx, fa, fb)
+        best_lo = max(best_lo, lo)
+        if hi < best_hi:
+            best_hi = hi
             x_used = x
     return ExpectationEnclosure(best_lo, best_hi, x_used)

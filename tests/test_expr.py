@@ -11,6 +11,7 @@ from trapbound.expr import (
     ParseError,
     Unary,
     Var,
+    _code,
     eval_expr,
     parse,
     to_convex_function,
@@ -77,6 +78,23 @@ def slopes(src):
     """The compiled one-sided derivative oracles (f'+, f'-) of ``src``."""
     f = to_convex_function(src, Interval(-2.0, 2.0))
     return f.dplus, f.dminus
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The sources passed to compile() from here on, with the code cache
+    emptied first, so that the count does not depend on earlier tests."""
+    import builtins
+
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr("trapbound.expr.compile", spy, raising=False)
+    _code.cache_clear()
+    return sources
 
 
 def outcome(fn, t):
@@ -459,24 +477,67 @@ class TestD2Range:
             lo, hi = f._d2range(u, v)[:2]
             assert lo <= 2.0 <= hi <= 2.0 + 1e-14
 
-    def test_no_user_text_in_generated_source(self, monkeypatch):
-        import builtins
-
-        sources = []
-
-        def spy(source, *args):
-            sources.append(source)
-            return builtins.compile(source, *args)
-
-        for module in ("trapbound.expr", "trapbound._ranges"):
-            monkeypatch.setattr(f"{module}.compile", spy, raising=False)
+    def test_no_user_text_in_generated_source(self, compiles):
         f = to_convex_function("exp(0.123*zeta) + zeta^2.5 - log(zeta)", Interval(1.0, 2.0), "zeta")
-        assert len(sources) == 1  # f and its slopes
+        assert len(compiles) == 1  # f and its slopes
         assert f._d2range(1.0, 1.5) is not None
-        assert len(sources) == 2  # the range, on first use
+        assert len(compiles) == 2  # the range, on first use
         for text in ("zeta", "0.123", "2.5", "exp", "log"):
-            assert text not in sources[1].replace("_iexp", "").replace("_ilog", "")
+            assert text not in compiles[1].replace("_iexp", "").replace("_ilog", "")
         # names of the generated code are free as variable names
         for name in ("t", "k0", "v0", "d", "r", "r_fault", "_iadd", "_out"):
             lo, hi = to_convex_function(f"{name}^2", Interval(0.0, 1.0), name)._d2range(0.0, 1.0)[:2]
             assert lo <= 2.0 <= hi
+
+
+class TestSharedCode:
+    """Trees of one shape differ only in the constants bound as globals of
+    their generated code, so they share one code object per process."""
+
+    #: two trees of one shape, with their closed-form slopes
+    SHAPE = {
+        "exp(0.5*x) + x^2.5": lambda t: 0.5 * math.exp(0.5 * t) + 2.5 * t ** 1.5,
+        "exp(1.5*x) + x^3.5": lambda t: 1.5 * math.exp(1.5 * t) + 3.5 * t ** 2.5,
+    }
+    CELLS = [(0.0, 0.5), (0.25, 1.0), (1.0, 2.0), (0.5, 0.5000001)]
+
+    def test_one_compile_per_shape(self, compiles):
+        for src in self.SHAPE:
+            to_convex_function(src, Interval(0.0, 2.0))._d2range(0.25, 1.0)
+            assert len(compiles) == 2, src  # f and its slopes, and the range
+
+    def test_second_tree_keeps_its_own_constants(self, rng, compiles):
+        functions = {src: to_convex_function(src, Interval(0.0, 2.0)) for src in self.SHAPE}
+        assert len(compiles) == 1
+        ts = [float(t) for t in rng.uniform(0.0, 2.0, size=50)] + [0.0, 2.0]
+        for src, slope in self.SHAPE.items():
+            f, tree = functions[src], parse(src)
+            for t in ts:
+                assert f.evaluate(t) == eval_expr(tree, t), (src, t)
+                assert f.dplus(t) == f.dminus(t) == slope(t), (src, t)
+
+    def test_ranges_equal_a_fresh_compile(self, compiles):
+        shared = {src: to_convex_function(src, Interval(0.0, 2.0)) for src in self.SHAPE}
+        ranges = {src: [f._d2range(u, v) for u, v in self.CELLS] for src, f in shared.items()}
+        assert len(compiles) == 2
+        for src in self.SHAPE:
+            _code.cache_clear()
+            alone = to_convex_function(src, Interval(0.0, 2.0))
+            assert ranges[src] == [alone._d2range(u, v) for u, v in self.CELLS], src
+        first, second = ranges.values()
+        assert first != second  # each tree's constants reach its ranges
+
+    @pytest.mark.parametrize("pair", [
+        # 0*x folds out of the slope, 2*x leaves 2 in it
+        (("0*x + exp(x)", lambda t: math.exp(t)), ("2*x + exp(x)", lambda t: 2.0 + math.exp(t))),
+        # an integral exponent is a bare **, any other one goes through _power
+        (("x^2", lambda t: 2.0 * t), ("x^2.5", lambda t: 2.5 * t ** 1.5)),
+    ])
+    def test_different_folding_is_a_different_source(self, pair, compiles):
+        for i, (src, slope) in enumerate(pair):
+            f, tree = to_convex_function(src, Interval(0.0, 2.0)), parse(src)
+            assert len(compiles) == i + 1, src
+            for t in (0.0, 0.3, 1.0, 1.7, 2.0):
+                assert f.evaluate(t) == eval_expr(tree, t), (src, t)
+                assert f.dplus(t) == f.dminus(t) == slope(t), (src, t)
+        assert compiles[0] != compiles[1]

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from trapbound.probability import (
     _DENSITY_GRIDPOINTS,
     _EXPECTATION_GRIDPOINTS,
     _NORMALIZATION_CELLS,
+    _expectation_bracket,
     best_expectation_enclosure,
     continuous_density,
     expectation_enclosure,
@@ -18,6 +21,7 @@ from trapbound.probability import (
 from trapbound.quadrature import adaptive_integrate
 
 UNIT = Interval(0.0, 1.0)
+EPS = Fraction(sys.float_info.epsilon)
 
 
 def triangular():
@@ -49,6 +53,27 @@ CLOSED_FORMS = {
 
 def mean(d):
     return CLOSED_FORMS[d.label][1]
+
+
+def exact_bracket(d, x):
+    """The paper's bracket for E(X) at x in (a, b) in rational arithmetic, from
+    the float values of the density's limits: what the enclosure must hold."""
+    a, b, t = Fraction(d.domain.a), Fraction(d.domain.b), Fraction(x)
+    wl, wr = (b - t) ** 2, (t - a) ** 2
+    lo = (wl * Fraction(d.right_limit(x)) - wr * Fraction(d.left_limit(x))) / 2 + t
+    hi = (wl * Fraction(d.left_limit(d.domain.b)) - wr * Fraction(d.right_limit(d.domain.a))) / 2 + t
+    return lo, hi
+
+
+def assert_tight_enclosure(enc, d, x):
+    """enc holds the exact bracket at zero slack, each end within 5 eps of
+    (b-a)^2 max|f| + |x|, the scale of its rounding error."""
+    lo, hi = exact_bracket(d, x)
+    assert Fraction(enc.lo) <= lo and hi <= Fraction(enc.hi), (d.label, x, enc)
+    a, b = d.domain.a, d.domain.b
+    fs = (d.right_limit(a), d.left_limit(b), d.right_limit(x), d.left_limit(x))
+    scale = Fraction((b - a) ** 2 * max(map(abs, fs)) + abs(x))
+    assert lo - Fraction(enc.lo) <= 5 * EPS * scale and Fraction(enc.hi) - hi <= 5 * EPS * scale, (d.label, x)
 
 
 def cdf_function(d):
@@ -142,8 +167,22 @@ class TestExpectationEnclosure:
         assert enc.lo <= 2.0 / 3.0 <= enc.hi
 
     def test_uniform_is_pinned(self):
+        # both sides of the bracket are exactly 0.5; the enclosure holds it
+        # with each end moved out by no more than its rounding error bound
         enc = expectation_enclosure(uniform(), 0.5)
-        assert enc.lo == enc.hi == pytest.approx(0.5, abs=1e-15)
+        assert enc.lo < 0.5 < enc.hi
+        assert_tight_enclosure(enc, uniform(), 0.5)
+
+    def test_cancelling_terms_contain_the_mean(self):
+        # uniform on [-1, 1] at 0.1: the squares 0.81 and 1.21 round up and the
+        # cancelling difference gave [-2.8e-17, -2.8e-17] with the shift alone
+        # rounded outward, excluding E(X) = 0
+        d = continuous_density(Interval(-1.0, 1.0), lambda t: 0.5, "uniform on [-1, 1]")
+        enc = expectation_enclosure(d, 0.1)
+        assert enc.lo <= 0.0 <= enc.hi
+        assert_tight_enclosure(enc, d, 0.1)
+        best = best_expectation_enclosure(d)
+        assert best.lo <= 0.0 <= best.hi
 
     def test_step_jump_at_split_is_exact(self):
         # the density jump at 0.5 makes both sides collapse onto the mean
@@ -173,14 +212,16 @@ class TestExpectationEnclosure:
             assert mid == ref, d.label
 
     def test_is_the_gap_bracket_of_the_cdf(self, rng):
-        # E(X) = x + gap of F at x, and both come from the same bracket
+        # E(X) = x + gap of F at x: the enclosure holds the gap bracket of the
+        # cdf shifted by x, rounded or exact, and is tight around it
         for make in ALL:
             d = make()
             F = cdf_function(d)
             for x in (0.5, *(float(t) for t in rng.uniform(1e-6, 1.0 - 1e-6, size=20))):
                 enc = expectation_enclosure(d, x)
                 g = gap_enclosure(F, x)
-                assert (enc.lo, enc.hi) == (g.lo + x, g.hi + x), (d.label, x)
+                assert enc.lo < g.lo + x and g.hi + x < enc.hi, (d.label, x)
+                assert_tight_enclosure(enc, d, x)
 
 
 class TestBestEnclosure:
@@ -199,6 +240,18 @@ class TestBestEnclosure:
             assert best.lo <= mean(d) + 1e-9 and mean(d) <= best.hi + 1e-9, d.label
             assert d.domain.a <= best.x_used <= d.domain.b
 
+    def test_uniform_on_unit_interval_contains_its_mean(self):
+        # rounded to nearest, the shift gave [0.5, 0.49999999999999994]
+        best = best_expectation_enclosure(uniform())
+        assert best.lo <= 0.5 <= best.hi
+
+    def test_one_ulp_support_contains_its_mean(self):
+        # the mean 1 + 2^-53 lies between two floats; both shifts rounded to 1.0
+        a, b = 1.0, 1.0 + 2.0 ** -52
+        d = continuous_density(Interval(a, b), lambda t: 2.0 ** 52, "one ulp")
+        best = best_expectation_enclosure(d)
+        assert Fraction(best.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(best.hi), best
+
     def test_is_the_best_bound_over_the_grid(self):
         # the best lower and upper bounds over the whole module grid, the
         # ends included, with the first minimizer of the upper as x_used
@@ -211,8 +264,12 @@ class TestBestEnclosure:
             inner = [expectation_enclosure(d, x) for x in ts[1:-1]]
             # at x = a only f(a+) is weighted, at x = b only f(b-)
             fa, fb = d.right_limit(a), d.left_limit(b)
-            los = [0.5 * (b - a) ** 2 * fa + a] + [e.lo for e in inner] + [b - 0.5 * (b - a) ** 2 * fb]
-            his = [0.5 * (b - a) ** 2 * fb + a] + [e.hi for e in inner] + [b - 0.5 * (b - a) ** 2 * fa]
+            lo_a, hi_a = _expectation_bracket(a, b, a, fa, fb, fa, fb)
+            lo_b, hi_b = _expectation_bracket(a, b, b, fa, fb, fa, fb)
+            # the sides there, moved outward
+            assert lo_a < 0.5 * (b - a) ** 2 * fa + a and 0.5 * (b - a) ** 2 * fb + a < hi_a
+            los = [lo_a] + [e.lo for e in inner] + [lo_b]
+            his = [hi_a] + [e.hi for e in inner] + [hi_b]
             best_hi = min(his)
             expected = (max(los), best_hi, ts[his.index(best_hi)])
             assert best_expectation_enclosure(d) == expected, d.label
@@ -225,7 +282,10 @@ class TestBestEnclosure:
             return 2.0 * t
 
         d = continuous_density(UNIT, pdf, "2t")
-        assert best_expectation_enclosure(d) == (0.5, 0.75, 0.5)
+        best = best_expectation_enclosure(d)
+        # the best bounds 0.5 and 0.75 are attained at x = 0.5
+        assert best.x_used == 0.5
+        assert 0 < 0.5 - best.lo <= 8 * math.ulp(0.5) and 0 < best.hi - 0.75 <= 8 * math.ulp(0.75)
         # f(x+) and f(x-) at the 999 interior points, f(a+) and f(b-) once
         assert len(calls) == 2000
 
