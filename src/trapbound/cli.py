@@ -23,9 +23,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import divergence as div
-from . import expr, pointwise, probability, quadrature
 from .funcs import DomainError, EvaluationError, Interval, NonConvexityError, check_convexity
+
+# Each builder and handler imports the modules it runs, so a one-shot command
+# loads only those: ``divergence`` never compiles the expression language, and
+# ``check --fn`` never the integrator.
 
 
 class UsageError(Exception):
@@ -47,12 +49,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False) -> div.DiscreteDistribution:
-    """Read a distribution from CSV (one weight per line) or a JSON array.
+def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False):
+    """Read a :class:`~trapbound.divergence.DiscreteDistribution` from CSV
+    (one weight per line) or a JSON array.
 
     ``fmt`` defaults to the file extension.  Weights must sum to 1 within
     1e-9 unless ``normalize`` is set, in which case they are rescaled.
     """
+    from . import divergence as div
+
     path = Path(path)
     if fmt is None:
         suffix = path.suffix.lower()
@@ -158,6 +163,8 @@ def _render(report: dict, output_format: str) -> str:
 
 def _function(args) -> tuple:
     """Parse ``--fn`` on ``--interval`` and check its convexity: ``(f, report)``."""
+    from . import expr
+
     iv = Interval(args.interval[0], args.interval[1])
     try:
         f = expr.to_convex_function(args.fn, iv, args.var)
@@ -183,6 +190,8 @@ def _enclosure_dict(enc) -> dict:
 
 
 def _cmd_integrate(args) -> dict:
+    from . import quadrature
+
     f, convexity = _convex_function(args)
     if args.n is not None:
         partition = quadrature.uniform_partition(f.domain, args.n, args.xi_rule)
@@ -204,6 +213,8 @@ def _cmd_integrate(args) -> dict:
 
 
 def _cmd_gap(args) -> dict:
+    from . import pointwise
+
     f, convexity = _convex_function(args)
     enclosure = pointwise.gap_enclosure(f, args.x)
     a, b = f.domain.a, f.domain.b
@@ -220,6 +231,8 @@ def _cmd_gap(args) -> dict:
 
 
 def _cmd_hh(args) -> dict:
+    from . import pointwise
+
     f, convexity = _convex_function(args)
     enclosure = pointwise.hh_bounds(f)
     a, b = f.domain.a, f.domain.b
@@ -236,6 +249,8 @@ def _cmd_hh(args) -> dict:
 
 def _density(args) -> tuple:
     """Parse ``--density`` on ``--interval`` and validate it: ``(d, report)``."""
+    from . import expr, probability
+
     iv = Interval(args.interval[0], args.interval[1])
     try:
         pdf = expr.to_function(args.density, args.var)
@@ -246,6 +261,8 @@ def _density(args) -> tuple:
 
 
 def _cmd_expectation(args) -> dict:
+    from . import probability
+
     d, report = _density(args)
     if not report.valid:
         raise HypothesisError(
@@ -267,6 +284,8 @@ def _cmd_expectation(args) -> dict:
 
 
 def _cmd_divergence(args) -> dict:
+    from . import divergence as div
+
     generator = div.generator_catalog(args.generator)
     p = load_distribution(args.p, args.p_format, args.normalize)
     q = load_distribution(args.q, args.q_format, args.normalize)
@@ -411,7 +430,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         report = run(args)
-    except (UsageError, expr.ParseError, expr.EvalError, DomainError, EvaluationError, ValueError) as exc:
+    # expr.ParseError is a ValueError and expr.EvalError an EvaluationError
+    except (UsageError, DomainError, EvaluationError, ValueError) as exc:
         print(f"trapbound: error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

@@ -35,7 +35,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .funcs import ConvexFunction, Interval
 from .pointwise import Enclosure, _gap_bracket
-from .quadrature import adaptive_integrate
 
 _WEIGHT_TOL = 1e-9
 #: Relative threshold under which q(x) and p(x) are treated as equal and the
@@ -186,6 +185,8 @@ def divergence_report(
             if F is not None:
                 hh_lo += pi * pi / d * (F(r) - F1)
             else:
+                from .quadrature import adaptive_integrate  # deferred: its only user
+
                 # p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
                 piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), fn, dplus, dminus, g.label)
                 inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral

@@ -31,6 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
+from .funcs import ConvexFunction, EvaluationError
+
 
 class ParseError(ValueError):
     """Syntax error; carries a 1-based character position."""
@@ -40,8 +42,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-class EvalError(ArithmeticError):
-    """Singularity or undefined value during evaluation."""
+class EvalError(ArithmeticError, EvaluationError):
+    """Singularity or undefined value during evaluation; an
+    :class:`~trapbound.funcs.EvaluationError` too, so a caller can catch it
+    without importing this module."""
 
 
 class Token(NamedTuple):
@@ -523,8 +527,6 @@ def to_convex_function(src: str, interval, variable: str = "x"):
     :func:`trapbound._ranges.compile_range`, compiled on first use, as its
     ``_d2range``.  Convexity is NOT inferred here; run
     ``funcs.check_convexity``."""
-    from .funcs import ConvexFunction
-
     tree = parse(src, variable)
     f, dplus, dminus = _compile(tree)
     r = None

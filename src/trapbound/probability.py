@@ -168,19 +168,31 @@ def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, f
             math.nextafter(hi + x + e * (2 * hi_terms + abs(x)), math.inf))
 
 
-def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
-    """Two-sided expectation bound at split point x in (a, b)."""
+def _bracket_at(d: MonotoneDensity, x: float, fa: float, fb: float) -> tuple:
+    """:func:`_expectation_bracket` at x in [a, b], given f(a+) and f(b-).
+    At an end one weight is zero and its slope is not read; the other slope
+    there is f(a+) or f(b-)."""
     a, b = d.domain.a, d.domain.b
-    if not a < x < b:
-        raise DomainError(f"split point must lie strictly inside ({a}, {b}), got {x}")
-    fa, fb = d.right_limit(a), d.left_limit(b)
-    return ExpectationEnclosure(*_expectation_bracket(a, b, x, d.right_limit(x), d.left_limit(x), fa, fb), x)
+    inner = a < x < b
+    dpx = d.right_limit(x) if inner else fa
+    dmx = d.left_limit(x) if inner else fb
+    return _expectation_bracket(a, b, x, dpx, dmx, fa, fb)
+
+
+def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
+    """Two-sided expectation bound at split point x in [a, b]."""
+    a, b = d.domain.a, d.domain.b
+    if not a <= x <= b:
+        raise DomainError(f"split point must lie in [{a}, {b}], got {x}")
+    return ExpectationEnclosure(*_bracket_at(d, x, d.right_limit(a), d.left_limit(b)), x)
 
 
 def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
     """Expectation bound at the midpoint of the support:
 
     (1/8)[f(m+) - f(m-)](b-a)^2 + m <= E(X) <= (1/8)[f(b-) - f(a+)](b-a)^2 + m.
+
+    When a and b are adjacent floats, m rounds onto an end.
     """
     return expectation_enclosure(d, d.domain.midpoint)
 
@@ -199,12 +211,7 @@ def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
     fa, fb = d.right_limit(a), d.left_limit(b)
     best_lo, best_hi, x_used = -math.inf, math.inf, a
     for x in ts:
-        # at an end one weight is zero and its slope is not read; the other
-        # slope there is f(a+) or f(b-)
-        inner = a < x < b
-        dpx = d.right_limit(x) if inner else fa
-        dmx = d.left_limit(x) if inner else fb
-        lo, hi = _expectation_bracket(a, b, x, dpx, dmx, fa, fb)
+        lo, hi = _bracket_at(d, x, fa, fb)
         best_lo = max(best_lo, lo)
         if hi < best_hi:
             best_hi = hi

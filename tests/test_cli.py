@@ -238,6 +238,25 @@ class TestExpectation:
         assert code == 2
         assert "monotone" in err
 
+    def test_one_ulp_support_splits_at_an_end(self, capsys):
+        # the float midpoint of adjacent floats rounds onto a
+        rep = run_json(capsys, "expectation", "--density", "4503599627370496",
+                       "--interval", "1", "1.0000000000000002")
+        assert rep["x_used"] == 1.0
+        mean = (Fraction(1) + Fraction(1.0000000000000002)) / 2
+        assert Fraction(rep["expectation"]["lo"]) <= mean <= Fraction(rep["expectation"]["hi"])
+
+    @pytest.mark.parametrize("x, code", [("0", 0), ("1", 0), ("1.5", 1), ("-0.5", 1)])
+    def test_split_on_the_closed_support(self, capsys, x, code):
+        got, out, err = run_cli(capsys, "expectation", "--density", "2*x",
+                                "--interval", "0", "1", "--x", x)
+        assert got == code, err
+        if code:
+            assert "split point must lie in [0.0, 1.0]" in err
+        else:
+            enc = json.loads(out)["expectation"]
+            assert enc["lo"] <= 2.0 / 3.0 <= enc["hi"]
+
 
 class TestDivergence:
     def test_chi2_spot_values(self, capsys, dist_files):

@@ -190,11 +190,31 @@ class TestExpectationEnclosure:
         assert enc.lo == pytest.approx(0.625, abs=1e-15)
         assert enc.hi == pytest.approx(0.625, abs=1e-15)
 
-    def test_split_point_must_be_interior(self):
-        with pytest.raises(DomainError):
-            expectation_enclosure(uniform(), 0.0)
-        with pytest.raises(DomainError):
-            expectation_enclosure(uniform(), 1.0)
+    def test_split_point_outside_the_support_raises(self):
+        for x in (-1e-300, 1.0 + 2.0 ** -52, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                expectation_enclosure(uniform(), x)
+
+    def test_split_at_an_end_is_the_grid_bracket_there(self):
+        # at x = a only f(a+) is weighted, at x = b only f(b-), as in the
+        # best-grid search, whose ends these are
+        for make in ALL:
+            d = make()
+            a, b = d.domain.a, d.domain.b
+            fa, fb = d.right_limit(a), d.left_limit(b)
+            for x in (a, b):
+                enc = expectation_enclosure(d, x)
+                assert (enc.lo, enc.hi) == _expectation_bracket(a, b, x, fa, fb, fa, fb), (d.label, x)
+                assert enc.x_used == x
+                assert enc.lo <= mean(d) <= enc.hi, (d.label, x)
+
+    def test_midpoint_of_a_one_ulp_support_is_an_end(self):
+        # the float midpoint of adjacent floats rounds onto a
+        a, b = 1.0, 1.0 + 2.0 ** -52
+        d = continuous_density(Interval(a, b), lambda t: 2.0 ** 52, "one ulp")
+        enc = midpoint_expectation_enclosure(d)
+        assert enc.x_used == a
+        assert Fraction(enc.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(enc.hi), enc
 
     def test_containment_at_random_splits(self, rng):
         for make in ALL:
