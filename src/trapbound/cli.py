@@ -225,7 +225,7 @@ def _cmd_gap(args) -> dict:
         "x": args.x,
         "lower": enclosure.lo,
         "upper": enclosure.hi,
-        "integral": _enclosure_dict(pointwise._reference_integral(f, a, b)),
+        "integral": _enclosure_dict(pointwise._reference_integral(f)),
         "certified": convexity.passed,
     }
 
@@ -242,7 +242,7 @@ def _cmd_hh(args) -> dict:
         "interval": [a, b],
         "lower": enclosure.lo,
         "upper": enclosure.hi,
-        "integral": _enclosure_dict(pointwise._reference_integral(f, a, b)),
+        "integral": _enclosure_dict(pointwise._reference_integral(f)),
         "certified": convexity.passed,
     }
 

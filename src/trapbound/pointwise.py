@@ -10,33 +10,24 @@ This module computes, at any split point x in [a, b], the two-sided certificate
       <=  g(x)  <=
     (1/2) [ (b-x)^2 f'-(b) - (x-a)^2 f'+(a) ]
 
-together with its Hermite-Hadamard specializations, the differentiable-point
-lower bound, the sliding-window form, the optimal split point, and classical
-comparison bounds (bounded variation / monotone / Lipschitz / Lebesgue-norm)
-that take user-supplied constants.
+together with its Hermite-Hadamard specialization.  The paper's
+differentiable-point lower bound and optimal split point are readings of
+this one bracket, and its sliding-window form is one midpoint cell of
+``quadrature.trapezoid_remainder_enclosure``.
 
-Bounds are computed in plain floating arithmetic; tests allow a documented
-slack of 1e-9.  Any bound touching an infinite endpoint derivative degenerates
-to a trivially true enclosure.  An integral (the window form, the CLI's
-``gap``/``hh``) is the adaptive enclosure.  Every split-point reading of the
-certificate (here, in quadrature and in probability) is ``_split_bracket``.
+``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding them
+outward is ROADMAP item 4.  Any bound touching an infinite endpoint
+derivative degenerates to a trivially true enclosure.  The integral of the
+CLI's ``gap``/``hh`` is the adaptive enclosure.  Every split-point reading of
+the certificate (here, in quadrature and in probability) is ``_split_bracket``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
 
-from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval
-
-
-class NotDifferentiableError(ValueError):
-    """The one-sided derivatives disagree at a point where a formula needs f'(x)."""
-
-
-class PreconditionError(ValueError):
-    """A bound's hypothesis (finite/ordered endpoint derivatives, ...) fails."""
+from .funcs import ConvexFunction, DomainError
 
 
 @dataclass(frozen=True)
@@ -66,47 +57,6 @@ class Enclosure:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-
-@dataclass(frozen=True)
-class ClassicalConstants:
-    """User-supplied constants for the classical comparison bounds.
-
-    ``total_variation`` is the total variation of f over [a,b]; ``lipschitz``
-    a Lipschitz constant; ``dnorm_inf``/``dnorm_p``/``dnorm_1`` are Lebesgue
-    norms of f' (``p`` > 1 must accompany ``dnorm_p``).  ``monotone`` enables
-    the bound that needs no constant beyond f(a), f(b) but assumes f
-    nondecreasing.
-    """
-
-    total_variation: Optional[float] = None
-    lipschitz: Optional[float] = None
-    dnorm_inf: Optional[float] = None
-    dnorm_p: Optional[float] = None
-    p: Optional[float] = None
-    dnorm_1: Optional[float] = None
-    monotone: bool = False
-
-    def __post_init__(self) -> None:
-        for field_name in ("total_variation", "dnorm_inf", "dnorm_p", "dnorm_1"):
-            v = getattr(self, field_name)
-            if v is not None and v < 0:
-                raise ValueError(f"{field_name} must be nonnegative, got {v}")
-        if self.lipschitz is not None and self.lipschitz <= 0:
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
-        if self.dnorm_p is not None and (self.p is None or self.p <= 1):
-            raise ValueError("dnorm_p requires an exponent p > 1")
-
-
-class WindowReport(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-class OptimalPointReport(NamedTuple):
-    x0: float
-    gap_upper: float
 
 
 def _gap_bracket(wl: float, wr: float, dpx: float, dmx: float, dpu: float, dmv: float) -> tuple:
@@ -160,12 +110,11 @@ def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
     return _gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
 
 
-def _reference_integral(f: ConvexFunction, u: float, v: float) -> Enclosure:
-    """Certified enclosure of the integral of f over [u, v], width 1e-10 within 200k cells."""
+def _reference_integral(f: ConvexFunction) -> Enclosure:
+    """Certified enclosure of the integral of f over its domain, width 1e-10 within 200k cells."""
     from . import quadrature  # deferred: quadrature depends on this module
 
-    # replace keeps every oracle of f, the f'' range included
-    return quadrature.adaptive_integrate(replace(f, domain=Interval(u, v)), 1e-10, 200_000).integral
+    return quadrature.adaptive_integrate(f, 1e-10, 200_000).integral
 
 
 def gap_enclosure(f: ConvexFunction, x: float) -> Enclosure:
@@ -192,109 +141,3 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
     dpm, dmm = (f.d_plus(m), f.d_minus(m)) if a < m < b else (None, None)
     lo, hi = _midpoint_bracket(b - a, dpm, dmm, f.d_plus(a), f.d_minus(b))
     return Enclosure(lo / (b - a), hi / (b - a))
-
-
-def _derivative(f: ConvexFunction, x: float) -> float:
-    """f'(x), or the one side at an end of the domain; slopes that differ beyond
-    ``DEFAULT_TOL`` or an infinite one raise :class:`NotDifferentiableError`."""
-    a, b = f.domain.a, f.domain.b
-    if x <= a:
-        return f.d_plus(a)
-    if x >= b:
-        return f.d_minus(b)
-    dp = f.d_plus(x)
-    dm = f.d_minus(x)
-    scale = max(1.0, abs(dp), abs(dm))
-    if not (math.isfinite(dp) and math.isfinite(dm)) or abs(dp - dm) > DEFAULT_TOL * scale:
-        raise NotDifferentiableError(
-            f"{f.label!r} is not differentiable at {x}: f'-={dm}, f'+={dp}"
-        )
-    return 0.5 * (dp + dm)
-
-
-def differentiable_lower(f: ConvexFunction, x: float) -> float:
-    """Lower bound (b-a)((a+b)/2 - x) f'(x) at a point of differentiability."""
-    a, b = f.domain.a, f.domain.b
-    if not a < x < b:
-        raise DomainError(f"differentiable lower bound needs x in ({a}, {b}), got {x}")
-    d = _derivative(f, x)
-    return (b - a) * (0.5 * (a + b) - x) * d
-
-
-def window_inequality(f: ConvexFunction, x: float, h: float) -> WindowReport:
-    """Kink defect vs trapezoid defect on the window [x - h/2, x + h/2].
-
-    lhs = (1/8) h^2 [f'+(x) - f'-(x)],
-    rhs = h (f(x-h/2) + f(x+h/2))/2 - (midpoint of the window's integral);
-    ``holds`` iff 0 <= lhs <= rhs within 1e-9 slack.
-    """
-    if h <= 0:
-        raise ValueError(f"window width h must be positive, got {h}")
-    u, v = x - 0.5 * h, x + 0.5 * h
-    if not (f.domain.contains(u) and f.domain.contains(v)):
-        raise DomainError(
-            f"window [{u}, {v}] not contained in [{f.domain.a}, {f.domain.b}]"
-        )
-    lhs = _midpoint_bracket(h, f.d_plus(x), f.d_minus(x), 0.0, 0.0)[0]
-    rhs = h * 0.5 * (f(u) + f(v)) - _reference_integral(f, u, v).midpoint
-    holds = 0.0 <= lhs + 1e-9 and lhs <= rhs + 1e-9
-    return WindowReport(lhs, rhs, holds)
-
-
-def optimal_point_bound(f: ConvexFunction) -> OptimalPointReport:
-    """Split point minimizing the upper gap bound, with the resulting bound.
-
-    With A = f'+(a), B = f'-(b), requires A and B finite, B > A and
-    A <= 0 <= B (exactly the condition for x0 to land in [a, b]):
-
-        x0 = (bB - aA)/(B - A),    gap(x0) <= -(1/2) A B (b-a)^2 / (B - A).
-    """
-    a, b = f.domain.a, f.domain.b
-    A = f.d_plus(a)
-    B = f.d_minus(b)
-    if not (math.isfinite(A) and math.isfinite(B)):
-        raise PreconditionError(f"endpoint derivatives must be finite, got A={A}, B={B}")
-    if B <= A:
-        raise PreconditionError(f"requires f'-(b) > f'+(a), got A={A}, B={B}")
-    if A > 0 or B < 0:
-        raise PreconditionError(f"requires f'+(a) <= 0 <= f'-(b), got A={A}, B={B}")
-    x0 = (b * B - a * A) / (B - A)
-    gap_upper = -0.5 * A * B * (b - a) ** 2 / (B - A)
-    return OptimalPointReport(x0, gap_upper)
-
-
-def classical_bounds(f: ConvexFunction, x: float, c: ClassicalConstants) -> list[tuple[str, float]]:
-    """Classical |gap| bounds, one for each constant present in ``c``.
-
-    In this order (name -> formula, m = (a+b)/2):
-
-    - ``bounded_variation``: [ (b-a)/2 + |x-m| ] * V
-    - ``monotone``:          [ (b-a)/2 + |x-m| ] * (f(b) - f(a))
-    - ``lipschitz``:         [ (b-a)^2/4 + (x-m)^2 ] * L
-    - ``dnorm_inf``:         [ (b-a)^2/4 + (x-m)^2 ] * ||f'||_inf
-    - ``dnorm_p``:           ( (x-a)^(q+1) + (b-x)^(q+1) )^(1/q) / (q+1)^(1/q) * ||f'||_p
-    - ``dnorm_1``:           [ (b-a)/2 + |x-m| ] * ||f'||_1
-    """
-    a, b = f.domain.a, f.domain.b
-    if not f.domain.contains(x):
-        raise DomainError(f"x={x} outside [{a}, {b}]")
-    m = 0.5 * (a + b)
-    half_plus = 0.5 * (b - a) + abs(x - m)
-    quarter_plus = 0.25 * (b - a) ** 2 + (x - m) ** 2
-
-    out = []
-    if c.total_variation is not None:
-        out.append(("bounded_variation", half_plus * c.total_variation))
-    if c.monotone:
-        out.append(("monotone", half_plus * (f(b) - f(a))))
-    if c.lipschitz is not None:
-        out.append(("lipschitz", quarter_plus * c.lipschitz))
-    if c.dnorm_inf is not None:
-        out.append(("dnorm_inf", quarter_plus * c.dnorm_inf))
-    if c.dnorm_p is not None:
-        q_exp = c.p / (c.p - 1.0)
-        coeff = ((x - a) ** (q_exp + 1.0) + (b - x) ** (q_exp + 1.0)) ** (1.0 / q_exp)
-        out.append(("dnorm_p", coeff / (q_exp + 1.0) ** (1.0 / q_exp) * c.dnorm_p))
-    if c.dnorm_1 is not None:
-        out.append(("dnorm_1", half_plus * c.dnorm_1))
-    return out

@@ -64,12 +64,14 @@ def piecewise_constant_density(
 ) -> MonotoneDensity:
     """Step density: ``values[i]`` on [breaks[i], breaks[i+1]), right continuous.
 
-    ``breaks`` must start at the left endpoint; the implicit last break is the
-    right endpoint.
+    ``breaks`` must start at the left endpoint and increase strictly below
+    the right endpoint, which is the implicit last break.
     """
     brk = list(breaks) + [domain.b]
-    if len(values) != len(brk) - 1 or abs(brk[0] - domain.a) > 0:
+    if len(values) != len(brk) - 1 or brk[0] != domain.a:
         raise ValueError("breaks must start at domain.a and pair with values")
+    if not all(u < v for u, v in zip(brk, brk[1:])):
+        raise ValueError(f"breaks must increase strictly below domain.b, got {list(breaks)}")
 
     def pdf(x: float) -> float:
         for lo, hi, v in zip(brk, brk[1:], values):
@@ -179,12 +181,18 @@ def _bracket_at(d: MonotoneDensity, x: float, fa: float, fb: float) -> tuple:
     return _expectation_bracket(a, b, x, dpx, dmx, fa, fb)
 
 
+def _clip(d: MonotoneDensity, lo: float, hi: float, x_used: float) -> ExpectationEnclosure:
+    """The enclosure cut to the support: E(X) lies in [a, b] exactly, so the
+    cut needs no rounding allowance.  A NaN side stays NaN."""
+    return ExpectationEnclosure(max(lo, d.domain.a), min(hi, d.domain.b), x_used)
+
+
 def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
-    """Two-sided expectation bound at split point x in [a, b]."""
+    """Two-sided expectation bound at split point x in [a, b], within [a, b]."""
     a, b = d.domain.a, d.domain.b
     if not a <= x <= b:
         raise DomainError(f"split point must lie in [{a}, {b}], got {x}")
-    return ExpectationEnclosure(*_bracket_at(d, x, d.right_limit(a), d.left_limit(b)), x)
+    return _clip(d, *_bracket_at(d, x, d.right_limit(a), d.left_limit(b)), x)
 
 
 def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
@@ -201,7 +209,8 @@ def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
     """Optimize each side of the expectation bound over ``_EXPECTATION_GRIDPOINTS``
     equispaced split points, the ends of the support included.
 
-    ``x_used`` reports the split point attaining the best upper bound.
+    ``x_used`` reports the split point attaining the best upper bound before
+    the enclosure is cut to the support.
     """
     a, b = d.domain.a, d.domain.b
     n = _EXPECTATION_GRIDPOINTS
@@ -216,4 +225,4 @@ def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
         if hi < best_hi:
             best_hi = hi
             x_used = x
-    return ExpectationEnclosure(best_lo, best_hi, x_used)
+    return _clip(d, best_lo, best_hi, x_used)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
-from .pointwise import Enclosure, _derivative, _midpoint_bracket, _split_bracket
+from .pointwise import Enclosure, _midpoint_bracket, _split_bracket
 
 _MATCH_TOL = 1e-12
 
@@ -210,15 +210,6 @@ def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
         return _midpoint_bracket(v - u, dpm, dmm, f.d_plus(u), f.d_minus(v))
 
     return _summed_brackets(f, P, bracket)
-
-
-def differentiable_lower_remainder(f: ConvexFunction, P: Partition) -> float:
-    """Lower bound sum ((x_i + x_{i+1})/2 - xi_i) h_i f'(xi_i) for differentiable f."""
-    _check_domain(f, P)
-    total = 0.0
-    for u, v, x in P.cells():
-        total += (0.5 * (u + v) - x) * (v - u) * _derivative(f, x)
-    return total
 
 
 def _integral_enclosure(gn: float, rem: Enclosure) -> Enclosure:

@@ -246,6 +246,15 @@ class TestExpectation:
         mean = (Fraction(1) + Fraction(1.0000000000000002)) / 2
         assert Fraction(rep["expectation"]["lo"]) <= mean <= Fraction(rep["expectation"]["hi"])
 
+    @pytest.mark.parametrize("density, interval, split, enclosure", [
+        ("4503599627370496", ("1", "1.0000000000000002"), (), [1.0, 1.0000000000000002]),
+        ("3*x^2", ("0", "1"), ("--x", "0"), [0.0, 1.0]),
+    ])
+    def test_enclosure_is_cut_to_the_support(self, capsys, density, interval, split, enclosure):
+        # E(X) lies in [a, b]; the rounding allowance pushed both cases past it
+        rep = run_json(capsys, "expectation", "--density", density, "--interval", *interval, *split)
+        assert [rep["expectation"]["lo"], rep["expectation"]["hi"]] == enclosure
+
     @pytest.mark.parametrize("x, code", [("0", 0), ("1", 0), ("1.5", 1), ("-0.5", 1)])
     def test_split_on_the_closed_support(self, capsys, x, code):
         got, out, err = run_cli(capsys, "expectation", "--density", "2*x",

@@ -5,19 +5,8 @@ import pytest
 from catalog_oracles import DEFAULT_SPECS, corpus_integral, exact_integral, reference
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
-from trapbound.pointwise import (
-    ClassicalConstants,
-    Enclosure,
-    NotDifferentiableError,
-    PreconditionError,
-    classical_bounds,
-    _reference_integral,
-    differentiable_lower,
-    gap_enclosure,
-    hh_bounds,
-    optimal_point_bound,
-    window_inequality,
-)
+from trapbound.pointwise import Enclosure, _reference_integral, gap_enclosure, hh_bounds
+from trapbound.quadrature import trapezoid_remainder_enclosure, uniform_partition
 
 KINK = catalog("kink", (1.0, 0.5))
 QUAD = catalog("quadratic")
@@ -115,33 +104,19 @@ class TestGap:
     enclosure, against closed forms with zero slack."""
 
     def test_quadratic(self):
-        enc = _reference_integral(QUAD, 0.0, 1.0)
+        enc = _reference_integral(QUAD)
         assert enc.lo <= Fraction(1, 3) <= enc.hi
         assert enc.width <= 1e-10
 
     def test_kink_equality_case(self):
-        enc = _reference_integral(KINK, 0.0, 1.0)
+        enc = _reference_integral(KINK)
         assert enc.lo <= 0.25 <= enc.hi
         assert enc.width <= 1e-10
 
     def test_constant(self):
-        f = catalog("constant", (7.0,))
-        enc = _reference_integral(f, 0.25, 0.75)
+        f = catalog("constant", (7.0,), Interval(0.25, 0.75))
+        enc = _reference_integral(f)
         assert enc.lo <= 3.5 <= enc.hi
-
-    def test_sub_domain_keeps_the_f2_range(self):
-        # the window's sub-domain copy of f must keep its f'' range oracle
-        calls = []
-
-        def d2range(u, v):
-            calls.append((u, v))
-            return (2.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-
-        bare = ConvexFunction(QUAD.domain, QUAD.evaluate, QUAD.dplus, QUAD.dminus, "bare", _d2range=d2range)
-        rep = window_inequality(bare, 0.5, 0.4)
-        # the first cell is the whole window [x - h/2, x + h/2]
-        assert calls[0] == (0.5 - 0.5 * 0.4, 0.5 + 0.5 * 0.4)
-        assert rep.holds
 
     def test_split_point_outside_domain(self):
         with pytest.raises(DomainError, match=r"split point 1.5 outside \[0.0, 1.0\]"):
@@ -252,126 +227,124 @@ class TestHermiteHadamard:
                 assert abs(side - ref) <= 2 * math.ulp(ref), f.label
 
 
+#: polynomials with dyadic coefficients on dyadic domains, each with its
+#: slope where it is differentiable: at dyadic x the slope, the bracket's
+#: weights and its products are exact floats
+DYADIC = [
+    (QUAD, lambda t: 2 * t),
+    (catalog("quadratic", (), Interval(-1.0, 3.0)), lambda t: 2 * t),
+    (catalog("linear", (2.0, -1.0)), lambda t: 2),
+    (catalog("power_p", (3.0,)), lambda t: 3 * t * t),
+    (catalog("kink", (1.0, 0.25)), lambda t: 1 if t > Fraction(1, 4) else -1),
+]
+
+
+def smooth_point_lower(f, slope, x):
+    # oracle: the paper's lower bound (b - a)((a + b)/2 - x) f'(x) at a point
+    # of differentiability, exact
+    a, b, x = map(Fraction, (f.domain.a, f.domain.b, x))
+    return (b - a) * ((a + b) / 2 - x) * slope(x)
+
+
+def optimal_point(f):
+    # oracle: x0 = (bB - aA)/(B - A) and -(1/2) A B (b - a)^2/(B - A) with
+    # A = f'+(a) and B = f'-(b), exact
+    a, b = map(Fraction, (f.domain.a, f.domain.b))
+    A, B = Fraction(f.d_plus(f.domain.a)), Fraction(f.d_minus(f.domain.b))
+    return (b * B - a * A) / (B - A), -A * B * (b - a) ** 2 / (2 * (B - A))
+
+
 class TestDifferentiableLower:
+    """Where f'+(x) = f'-(x), the paper's lower bound (b-a)((a+b)/2 - x) f'(x)
+    is the lower side of ``gap_enclosure``; exact at zero slack."""
+
     def test_quadratic_off_center(self):
-        assert differentiable_lower(QUAD, 0.25) == pytest.approx(0.125, abs=1e-15)
+        assert gap_enclosure(QUAD, 0.25).lo == smooth_point_lower(QUAD, DYADIC[0][1], 0.25) == Fraction(1, 8)
 
     def test_midpoint_annihilates(self):
-        assert differentiable_lower(QUAD, 0.5) == 0.0
+        assert gap_enclosure(QUAD, 0.5).lo == smooth_point_lower(QUAD, DYADIC[0][1], 0.5) == 0
 
-    def test_kink_rejected(self):
-        with pytest.raises(NotDifferentiableError):
-            differentiable_lower(KINK, 0.5)
-
-    def test_matches_lower_gap_bound_where_smooth(self, test_catalog, rng):
-        for f in test_catalog:
+    def test_matches_lower_gap_bound_where_smooth(self):
+        for f, slope in DYADIC:
             a, b = f.domain.a, f.domain.b
-            for x in a + (b - a) * rng.uniform(0.01, 0.99, size=20):
-                try:
-                    value = differentiable_lower(f, x)
-                except NotDifferentiableError:
-                    continue
-                assert value == pytest.approx(gap_enclosure(f, x).lo, rel=1e-12, abs=1e-12), f.label
+            for i in range(1, 64):
+                x = a + (b - a) * i / 64
+                if f.d_plus(x) != f.d_minus(x):
+                    continue  # the kink
+                assert gap_enclosure(f, x).lo == smooth_point_lower(f, slope, x), (f.label, x)
 
 
 class TestWindowInequality:
+    """The window form: on [x - h/2, x + h/2], (1/8) h^2 [f'+(x) - f'-(x)] is
+    at most the trapezoid defect h (f(x - h/2) + f(x + h/2))/2 - integral.
+    It is the lower side of the one-cell ``trapezoid_remainder_enclosure`` on
+    the window; exact at zero slack."""
+
+    @staticmethod
+    def window(name, params, x, h):
+        f = catalog(name, params, Interval(x - 0.5 * h, x + 0.5 * h))
+        u, v = f.domain.a, f.domain.b
+        defect = (Fraction(v) - Fraction(u)) * (Fraction(f(u)) + Fraction(f(v))) / 2 - exact_integral(name, params, u, v)
+        return trapezoid_remainder_enclosure(f, uniform_partition(f.domain, 1)), defect
+
     def test_kink_equality(self):
-        rep = window_inequality(KINK, 0.5, 1.0)
-        assert rep.lhs == pytest.approx(0.25, abs=1e-15)
-        assert rep.rhs == pytest.approx(0.25, abs=1e-15)
-        assert rep.holds
+        enc, defect = self.window("kink", (1.0, 0.5), 0.5, 1.0)
+        assert enc.lo == enc.hi == defect == Fraction(1, 4)
 
     def test_quadratic(self):
-        rep = window_inequality(QUAD, 0.5, 0.5)
-        assert rep.lhs == 0.0
-        assert rep.rhs >= 0.0
-        assert rep.holds
+        # on [1/4, 3/4]: (1/8) h^2 [f'(v) - f'(u)] = 1/32 above, h^3 f''/12 = 1/48 between
+        enc, defect = self.window("quadratic", (), 0.5, 0.5)
+        assert enc.lo == 0.0
+        assert enc.hi == Fraction(1, 32)
+        assert enc.lo <= defect == Fraction(1, 48) <= enc.hi
 
     def test_linear_both_zero(self):
-        rep = window_inequality(catalog("linear", (2.0, 0.0)), 0.5, 0.4)
-        assert rep.lhs == 0.0
-        assert rep.rhs == pytest.approx(0.0, abs=1e-12)
-        assert rep.holds
-
-    def test_window_outside_domain(self):
-        with pytest.raises(DomainError):
-            window_inequality(QUAD, 0.1, 0.5)
+        enc, defect = self.window("linear", (2.0, 0.0), 0.5, 0.4)
+        assert (enc.lo, enc.hi) == (0.0, 0.0)
+        assert defect == 0
 
 
 class TestOptimalPoint:
+    """Where A = f'+(a) <= 0 <= B = f'-(b) and A < B, the upper side of
+    ``gap_enclosure`` at x0 = (bB - aA)/(B - A) is -(1/2) A B (b-a)^2/(B - A),
+    its minimum over [a, b]; exact at zero slack."""
+
     def test_kink(self):
-        rep = optimal_point_bound(KINK)
-        assert rep.x0 == pytest.approx(0.5, abs=1e-15)
-        assert rep.gap_upper == pytest.approx(0.25, abs=1e-15)
-        assert rep.gap_upper >= reference_gap(KINK, rep.x0, 0.25) - 1e-12
+        x0, bound = optimal_point(KINK)
+        assert (x0, bound) == (Fraction(1, 2), Fraction(1, 4))
+        enc = gap_enclosure(KINK, float(x0))
+        assert enc.hi == bound
+        assert enc.hi >= reference_gap(KINK, float(x0), 0.25)
 
     def test_shifted_parabola(self):
         f = shifted_parabola()
-        rep = optimal_point_bound(f)
-        assert rep.x0 == pytest.approx(0.5, abs=1e-15)
-        assert rep.gap_upper == pytest.approx(0.25, abs=1e-15)
-        assert reference_gap(f, 0.5, -1.0 / 6.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
-
-    def test_linear_rejected(self):
-        with pytest.raises(PreconditionError):
-            optimal_point_bound(catalog("linear", (2.0, 0.0)))
+        x0, bound = optimal_point(f)
+        assert (x0, bound) == (Fraction(1, 2), Fraction(1, 4))
+        assert gap_enclosure(f, float(x0)).hi == bound
+        # the gap at 1/2: (f(0) + f(1))/2 minus the integral -1/6
+        gap = Fraction(f(0.0) + f(1.0)) / 2 - (Fraction(1, 3) - Fraction(1, 2))
+        assert gap == Fraction(1, 6) <= bound
 
     def test_positive_slope_everywhere_rejected(self):
-        assert catalog("exp").d_plus(0.0) > 0
-        with pytest.raises(PreconditionError):
-            optimal_point_bound(catalog("exp"))
+        # A = f'+(0) = 1 > 0 puts x0 = e/(e - 1) past b, where gap_enclosure
+        # refuses it; on [a, b] the upper side is least at b
+        f = catalog("exp")
+        x0, _ = optimal_point(f)
+        assert x0 > 1
+        with pytest.raises(DomainError):
+            gap_enclosure(f, float(x0))
+        xs = [i / 1000 for i in range(1001)]
+        assert min(xs, key=lambda x: gap_enclosure(f, x).hi) == 1.0
 
     def test_is_minimum_of_upper_bound_over_grid(self):
-        f = shifted_parabola()
-        rep = optimal_point_bound(f)
-        xs = [i / 1000.0 for i in range(1001)]
-        grid_min = min(gap_enclosure(f, x).hi for x in xs)
-        assert rep.gap_upper <= grid_min + 1e-12
-        assert grid_min - rep.gap_upper <= 1e-5  # grid resolution
-
-
-class TestClassicalBounds:
-    def test_kink_bounded_variation(self):
-        bounds = dict(classical_bounds(KINK, 0.5, ClassicalConstants(total_variation=1.0)))
-        assert bounds["bounded_variation"] == pytest.approx(0.5, abs=1e-15)
-        assert bounds["bounded_variation"] >= abs(reference_gap(KINK, 0.5, 0.25))
-
-    def test_quadratic_lipschitz(self):
-        bounds = dict(classical_bounds(QUAD, 0.5, ClassicalConstants(lipschitz=2.0)))
-        assert bounds["lipschitz"] == pytest.approx(0.5, abs=1e-15)
-        assert bounds["lipschitz"] >= abs(reference_gap(QUAD, 0.5, 1.0 / 3.0))
-
-    def test_constant_bv_zero(self):
-        f = catalog("constant", (4.0,))
-        bounds = dict(classical_bounds(f, 0.5, ClassicalConstants(total_variation=0.0)))
-        assert bounds["bounded_variation"] == 0.0
-        assert reference_gap(f, 0.5, 4.0) == 0.0
-
-    def test_all_bounds_dominate_gap_on_catalog(self):
-        # hand-supplied exact constants per function
-        cases = [
-            (KINK, 0.25, ClassicalConstants(total_variation=1.0, lipschitz=1.0,
-                                      dnorm_inf=1.0, dnorm_p=1.0, p=2.0, dnorm_1=1.0)),
-            (QUAD, 1.0 / 3.0, ClassicalConstants(total_variation=1.0, lipschitz=2.0, monotone=True,
-                                      dnorm_inf=2.0, dnorm_p=math.sqrt(4.0 / 3.0), p=2.0,
-                                      dnorm_1=1.0)),
-            (catalog("exp"), float(exact_integral("exp", (), 0.0, 1.0)), ClassicalConstants(total_variation=math.e - 1.0,
-                                                lipschitz=math.e, monotone=True,
-                                                dnorm_inf=math.e,
-                                                dnorm_p=math.sqrt((math.e ** 2 - 1.0) / 2.0),
-                                                p=2.0, dnorm_1=math.e - 1.0)),
-        ]
-        for f, integral, consts in cases:
-            for x in (0.1, 0.5, 0.9):
-                g = abs(reference_gap(f, x, integral))
-                for name, bound in classical_bounds(f, x, consts):
-                    assert bound >= g - 1e-12, (f.label, name, x)
-
-    def test_invalid_constants(self):
-        with pytest.raises(ValueError):
-            ClassicalConstants(total_variation=-1.0)
-        with pytest.raises(ValueError):
-            ClassicalConstants(dnorm_p=1.0)  # missing exponent
+        for f in (KINK, shifted_parabola(), catalog("quadratic", (), Interval(-1.0, 3.0))):
+            a, b = f.domain.a, f.domain.b
+            x0, bound = optimal_point(f)
+            assert float(x0) == x0, f.label
+            assert gap_enclosure(f, float(x0)).hi == bound, f.label
+            grid_min = min(gap_enclosure(f, a + (b - a) * i / 1000).hi for i in range(1001))
+            # no grid point does better, and x0 is one of them
+            assert grid_min == bound, f.label
 
 
 class TestSandwichProperties:
@@ -395,5 +368,5 @@ class TestSandwichProperties:
             expected = 0.25 * k * (b - a) ** 2
             for value in (enc.lo, enc.hi):
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            enc = _reference_integral(f, a, b)
+            enc = _reference_integral(f)
             assert enc.lo <= kink_integral(k, m, a, b) <= enc.hi

@@ -57,12 +57,13 @@ def mean(d):
 
 def exact_bracket(d, x):
     """The paper's bracket for E(X) at x in (a, b) in rational arithmetic, from
-    the float values of the density's limits: what the enclosure must hold."""
+    the float values of the density's limits, cut to the support [a, b] where
+    E(X) lies: what the enclosure must hold."""
     a, b, t = Fraction(d.domain.a), Fraction(d.domain.b), Fraction(x)
     wl, wr = (b - t) ** 2, (t - a) ** 2
     lo = (wl * Fraction(d.right_limit(x)) - wr * Fraction(d.left_limit(x))) / 2 + t
     hi = (wl * Fraction(d.left_limit(d.domain.b)) - wr * Fraction(d.right_limit(d.domain.a))) / 2 + t
-    return lo, hi
+    return max(lo, a), min(hi, b)
 
 
 def assert_tight_enclosure(enc, d, x):
@@ -99,6 +100,17 @@ class TestDensities:
             piecewise_constant_density(UNIT, (0.1,), (1.0,))
         with pytest.raises(ValueError):
             piecewise_constant_density(UNIT, (0.0, 0.5), (1.0,))
+
+    def test_nan_first_break_rejected(self):
+        # accepted, a NaN first break inverts the enclosure at x = 0.5 to (0.625, 0.5)
+        with pytest.raises(ValueError, match="must start at domain.a"):
+            piecewise_constant_density(UNIT, (math.nan, 0.5), (0.5, 1.5))
+
+    @pytest.mark.parametrize("breaks", [(0.0, 0.7, 0.3), (0.0, 0.5, 0.5), (0.0, 1.0), (0.0, 1.5), (0.0, math.nan)])
+    def test_breaks_must_increase_strictly_below_b(self, breaks):
+        # accepted, (0, 0.7, 0.3) makes right_limit(0.5) read 0.5, not 1
+        with pytest.raises(ValueError, match="must increase strictly"):
+            piecewise_constant_density(UNIT, breaks, (0.5, 1.0, 1.5)[:len(breaks)])
 
 
 class TestValidateDensity:
@@ -204,7 +216,8 @@ class TestExpectationEnclosure:
             fa, fb = d.right_limit(a), d.left_limit(b)
             for x in (a, b):
                 enc = expectation_enclosure(d, x)
-                assert (enc.lo, enc.hi) == _expectation_bracket(a, b, x, fa, fb, fa, fb), (d.label, x)
+                lo, hi = _expectation_bracket(a, b, x, fa, fb, fa, fb)
+                assert (enc.lo, enc.hi) == (max(lo, a), min(hi, b)), (d.label, x)
                 assert enc.x_used == x
                 assert enc.lo <= mean(d) <= enc.hi, (d.label, x)
 
@@ -215,6 +228,18 @@ class TestExpectationEnclosure:
         enc = midpoint_expectation_enclosure(d)
         assert enc.x_used == a
         assert Fraction(enc.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(enc.hi), enc
+
+    def test_enclosure_is_cut_to_the_support(self):
+        # E(X) lies in [a, b]: 2^52 on one ulp gave lo = 1 - 6.7e-16 at x = a,
+        # and 3t^2 at x = 0 gave [-5e-324, 1.5000000000000016]
+        one_ulp = continuous_density(Interval(1.0, 1.0 + 2.0 ** -52), lambda t: 2.0 ** 52, "one ulp")
+        assert expectation_enclosure(one_ulp, 1.0) == (1.0, 1.0 + 2.0 ** -52, 1.0)
+        assert expectation_enclosure(cubic_pull(), 0.0) == (0.0, 1.0, 0.0)
+        for make in ALL:
+            d = make()
+            for x in (0.0, 0.25, 0.5, 1.0):
+                enc = expectation_enclosure(d, x)
+                assert 0.0 <= enc.lo <= mean(d) <= enc.hi <= 1.0, (d.label, x, enc)
 
     def test_containment_at_random_splits(self, rng):
         for make in ALL:
@@ -240,7 +265,9 @@ class TestExpectationEnclosure:
             for x in (0.5, *(float(t) for t in rng.uniform(1e-6, 1.0 - 1e-6, size=20))):
                 enc = expectation_enclosure(d, x)
                 g = gap_enclosure(F, x)
-                assert enc.lo < g.lo + x and g.hi + x < enc.hi, (d.label, x)
+                # outside it, unless cut to the support [0, 1]
+                assert enc.lo < g.lo + x or enc.lo == 0.0, (d.label, x)
+                assert g.hi + x < enc.hi or enc.hi == 1.0, (d.label, x)
                 assert_tight_enclosure(enc, d, x)
 
 
@@ -271,27 +298,30 @@ class TestBestEnclosure:
         d = continuous_density(Interval(a, b), lambda t: 2.0 ** 52, "one ulp")
         best = best_expectation_enclosure(d)
         assert Fraction(best.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(best.hi), best
+        # cut to the support: the unclipped sides were 1 - 6.7e-16 and 1 + 6.7e-16
+        assert best == (a, b, a)
 
     def test_is_the_best_bound_over_the_grid(self):
         # the best lower and upper bounds over the whole module grid, the
-        # ends included, with the first minimizer of the upper as x_used
+        # ends included, with the first minimizer of the upper as x_used,
+        # then cut to the support
         for make in ALL:
             d = make()
             a, b = d.domain.a, d.domain.b
             n = _EXPECTATION_GRIDPOINTS
             ts = [a + (b - a) * i / (n - 1) for i in range(n)]
             ts[-1] = b
-            inner = [expectation_enclosure(d, x) for x in ts[1:-1]]
-            # at x = a only f(a+) is weighted, at x = b only f(b-)
             fa, fb = d.right_limit(a), d.left_limit(b)
+            inner = [_expectation_bracket(a, b, x, d.right_limit(x), d.left_limit(x), fa, fb) for x in ts[1:-1]]
+            # at x = a only f(a+) is weighted, at x = b only f(b-)
             lo_a, hi_a = _expectation_bracket(a, b, a, fa, fb, fa, fb)
             lo_b, hi_b = _expectation_bracket(a, b, b, fa, fb, fa, fb)
             # the sides there, moved outward
             assert lo_a < 0.5 * (b - a) ** 2 * fa + a and 0.5 * (b - a) ** 2 * fb + a < hi_a
-            los = [lo_a] + [e.lo for e in inner] + [lo_b]
-            his = [hi_a] + [e.hi for e in inner] + [hi_b]
+            los = [lo_a] + [lo for lo, _ in inner] + [lo_b]
+            his = [hi_a] + [hi for _, hi in inner] + [hi_b]
             best_hi = min(his)
-            expected = (max(los), best_hi, ts[his.index(best_hi)])
+            expected = (max(max(los), a), min(best_hi, b), ts[his.index(best_hi)])
             assert best_expectation_enclosure(d) == expected, d.label
 
     def test_evaluates_the_density_about_twice_per_grid_point(self):

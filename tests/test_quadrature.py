@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
-from trapbound.pointwise import Enclosure, NotDifferentiableError, _reference_integral
+from trapbound.pointwise import Enclosure, _reference_integral
 from trapbound.quadrature import (
     _BETA,
     _DELTA,
@@ -18,7 +18,6 @@ from trapbound.quadrature import (
     _adaptive_cell,
     _corrected_bracket,
     adaptive_integrate,
-    differentiable_lower_remainder,
     generalized_trapezoid,
     integrate,
     remainder_enclosure,
@@ -214,37 +213,48 @@ class TestTrapezoidSpecialization:
             assert cur / prev == pytest.approx(0.25, abs=0.05), f.label
 
 
+def smooth_xi_lower(P, slope):
+    # oracle: the paper's composite lower bound sum ((x_i + x_{i+1})/2 - xi_i)
+    # h_i f'(xi_i) for f differentiable at each xi_i, exact
+    total = Fraction(0)
+    for u, v, x in P.cells():
+        u, v, x = Fraction(u), Fraction(v), Fraction(x)
+        total += ((u + v) / 2 - x) * (v - u) * slope(x)
+    return total
+
+
 class TestDifferentiableLower:
+    """At xi where f is differentiable, the paper's composite lower bound is
+    the lower side of ``remainder_enclosure``; exact at zero slack."""
+
     def test_midpoint_vanishes(self):
         P = uniform_partition(QUAD.domain, 4)
-        assert differentiable_lower_remainder(QUAD, P) == pytest.approx(0.0, abs=1e-15)
+        assert remainder_enclosure(QUAD, P).lo == smooth_xi_lower(P, lambda t: 2 * t) == 0
 
     def test_left_xi_quadratic(self):
         P = uniform_partition(QUAD.domain, 2, "left")
-        lower = differentiable_lower_remainder(QUAD, P)
-        assert lower == pytest.approx(0.125, abs=1e-15)
-        s = generalized_trapezoid(QUAD, P) - 1.0 / 3.0
-        assert lower <= s + 1e-12
-
-    def test_kink_at_xi_rejected(self):
-        P = uniform_partition(KINK.domain, 1)  # xi lands on the kink
-        with pytest.raises(NotDifferentiableError):
-            differentiable_lower_remainder(KINK, P)
+        lower = remainder_enclosure(QUAD, P).lo
+        assert lower == smooth_xi_lower(P, lambda t: 2 * t) == Fraction(1, 8)
+        assert lower <= Fraction(generalized_trapezoid(QUAD, P)) - Fraction(1, 3)
 
     @pytest.mark.parametrize("c, rule", [(0.0, "left"), (1.0, "right")])
     def test_kink_at_domain_end_reads_the_side_there(self, c, rule):
-        # xi on an end of the domain reads the one slope that exists there
+        # xi on an end of the domain reads the one slope that exists there:
+        # f'+(0) = 1 for the kink at 0, f'-(1) = -1 for the kink at 1
         f = catalog("kink", (1.0, c))
-        assert differentiable_lower_remainder(f, uniform_partition(f.domain, 1, rule)) == 0.5
+        P = uniform_partition(f.domain, 1, rule)
+        assert remainder_enclosure(f, P).lo == smooth_xi_lower(P, lambda t: 1 - 2 * c) == 0.5
 
     def test_below_true_remainder_on_smooth(self, rng):
-        for i in (2, 1, 5):  # exp, quadratic, power_p(3)
-            f = default_catalog()[i]
-            P = uniform_partition(f.domain, 6)
-            xi = tuple(u + (v - u) * rng.uniform(0.0, 1.0) for u, v, _ in P.cells())
+        # dyadic xi on dyadic cells: slopes, values and sums are exact floats
+        for name, params, slope in (("quadratic", (), lambda t: 2 * t), ("power_p", (3.0,), lambda t: 3 * t * t)):
+            f = catalog(name, params)
+            P = uniform_partition(f.domain, 8)
+            xi = tuple(u + (v - u) * int(k) / 8 for (u, v, _), k in zip(P.cells(), rng.integers(0, 9, size=8)))
             Q = Partition(P.points, xi)
-            s = generalized_trapezoid(f, Q) - corpus_integral(i)
-            assert differentiable_lower_remainder(f, Q) <= s + 1e-12, f.label
+            lower = remainder_enclosure(f, Q).lo
+            assert lower == smooth_xi_lower(Q, slope), name
+            assert lower <= Fraction(generalized_trapezoid(f, Q)) - exact_integral(name, params, 0.0, 1.0), name
 
 
 class TestIntegrate:
@@ -463,7 +473,7 @@ class TestAdaptive:
             assert res.converged
             assert res.cells == adaptive_integrate(twin, eps=1e-8).cells == cells[0]
             runs.clear()
-            _reference_integral(f, a, b)
+            _reference_integral(f)
             assert [r.cells for r in runs] == [adaptive_integrate(twin, eps=1e-10, max_cells=200_000).cells] == [cells[1]]
             assert adaptive_integrate(f, eps=1e-12).cells == adaptive_integrate(twin, eps=1e-12).cells == cells[2]
 
