@@ -1,7 +1,8 @@
 """Command-line front end: integration, gap/HH bounds, expectations, divergences.
 
 Exit codes: 0 success, 1 usage error (bad flags, unparseable input, a
-function that cannot be evaluated on the interval), 2 hypothesis failure
+function that cannot be evaluated on the interval, ``--n`` above
+``--max-cells``) or stdout closed early (``| head``), 2 hypothesis failure
 (non-convex function, invalid density or distribution).
 JSON reports are deterministic; no computation happens in the rendering
 layer.  Besides the inputs: ``integrate`` gives ``gn``, ``integral``,
@@ -19,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -192,6 +194,8 @@ def _enclosure_dict(enc) -> dict:
 def _cmd_integrate(args) -> dict:
     from . import quadrature
 
+    if args.n is not None and args.n > args.max_cells:
+        raise UsageError(f"--n {args.n} exceeds --max-cells {args.max_cells}")
     f, convexity = _convex_function(args)
     if args.n is not None:
         partition = quadrature.uniform_partition(f.domain, args.n, args.xi_rule)
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="integrate with a certified enclosure")
     _add_common(p_int)
     p_int.add_argument("--eps", type=float, default=1e-6, help="target enclosure width")
-    p_int.add_argument("--max-cells", type=int, default=10_000)
+    p_int.add_argument("--max-cells", type=int, default=10_000, help="cell budget, also the largest --n")
     p_int.add_argument("--n", type=int, default=None, help="fixed uniform partition size")
     p_int.add_argument("--xi-rule", choices=("midpoint", "left", "right"), default="midpoint")
 
@@ -441,7 +445,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (HypothesisError, NonConvexityError) as exc:
         print(f"trapbound: hypothesis failure: {exc}", file=sys.stderr)
         return 2
-    print(_render(report, args.output_format))
+    try:
+        print(_render(report, args.output_format), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: devnull takes stdout, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

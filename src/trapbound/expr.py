@@ -445,7 +445,8 @@ class _Body:
             if simpler is not None:
                 return simpler
         if op == "^" and not (isinstance(args[1], float) and args[1].is_integer()):
-            return self.emit("_power({}, {}, {})", *args, node)
+            b, p = self.ref(args[0]), self.ref(args[1])  # a positive base needs no check
+            return self.emit("{} ** {} if {} > 0.0 else _power({}, {}, {})", b, p, b, b, p, node)
         return self.emit(_TEMPLATES[op], *args)
 
     def node(self, e: Expression) -> tuple:
@@ -487,14 +488,15 @@ class _Body:
         raise TypeError(f"not an expression node: {e!r}")
 
 
-def _compile(tree: Expression) -> tuple:
+def _compile(tree: Expression, slopes: bool = True) -> tuple:
     """``(f, f'+, f'-)`` of ``tree`` as generated straight-line Python, from
     the code object of :func:`_code` that every tree of its shape shares;
-    f'+ and f'- run one code under globals that differ only in ``_side``.
-    f equals :func:`eval_expr` bit for bit: math.log, math.sqrt, math.exp,
-    ``/`` and ``**`` with an integral exponent raise exactly where eval_expr
-    refuses a value, other exponents go through its ``_power`` (``**`` gives
-    a negative base a complex result), and a point that raised is handed back
+    f'+ and f'- run one code under globals that differ only in ``_side``, or
+    are None without ``slopes`` (a density).  f equals :func:`eval_expr` bit
+    for bit: math.log, math.sqrt, math.exp, ``/`` and ``**`` raise exactly
+    where eval_expr refuses a value, but a base that is not > 0 goes through
+    its ``_power`` under a non-integral exponent (``**`` gives a negative
+    base a complex result), and a point that raised is handed back
     to eval_expr, so every message comes from its checks."""
 
     def d_fault(t):
@@ -507,17 +509,17 @@ def _compile(tree: Expression) -> tuple:
              "f_fault": functools.partial(eval_expr, tree), "d_fault": d_fault}
     body = _Body(names)
     value, slope = body.node(tree)
-    exec(_code(body.source("f", value) + body.source("d", slope)), names)
+    exec(_code(body.source("f", value) + (body.source("d", slope) if slopes else "")), names)
     # popped, so that the functions and their globals form no reference cycle
-    f, dplus = names.pop("f"), names.pop("d")
-    if not body.kinked:
+    f, dplus = names.pop("f"), names.pop("d", None)
+    if dplus is None or not body.kinked:
         return f, dplus, dplus
     return f, dplus, types.FunctionType(dplus.__code__, dict(names, _side=-1.0))
 
 
 def to_function(src: str, variable: str = "x") -> Callable[[float], float]:
     """Compile expression text into a function of one float, as for a density."""
-    return _compile(parse(src, variable))[0]
+    return _compile(parse(src, variable), slopes=False)[0]
 
 
 def to_convex_function(src: str, interval, variable: str = "x"):

@@ -129,39 +129,33 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
 
     ``passed`` iff the worst violation of slope(t1,t2) <= slope(t2,t3) over
     consecutive triples of distinct grid points stays within ``DEFAULT_TOL``
-    scaled by the sampled magnitude.  The check samples; it proves nothing
-    between grid points.  Evaluation failures surface as
-    :class:`EvaluationError`, never as a convexity verdict.
+    scaled by the sampled magnitude.  One pass reads each point once, in
+    order, and forms the secants and the worst violation as it goes.  The
+    check samples; it proves nothing between grid points.  Evaluation
+    failures surface as :class:`EvaluationError`, never as a convexity verdict.
     """
     a, b = f.domain.a, f.domain.b
     n = _CONVEXITY_GRIDPOINTS
-    ts = [a + (b - a) * i / (n - 1) for i in range(n)]
-    ts[-1] = b
-    values = [f(t) for t in ts]
-
-    finite = [abs(v) for v in values if math.isfinite(v)]
-    scale = max(1.0, max(finite)) if finite else 1.0
-    slack = DEFAULT_TOL * scale
-
+    scale, worst, witness, last = 1.0, -math.inf, None, None
     # each secant joins consecutive distinct grid points (on an interval
-    # narrower than n ulps points repeat) and is computed once
-    secants = [(t1, t2, (v2 - v1) / (t2 - t1))
-               for t1, t2, v1, v2 in zip(ts, ts[1:], values, values[1:]) if t1 != t2]
-    worst = -math.inf
-    witness = None
-    for (t1, t2, s12), (_, t3, s23) in zip(secants, secants[1:]):
-        violation = s12 - s23
-        if math.isnan(violation):
-            # inf - inf at a singular endpoint: treat as no evidence either way
-            continue
-        if violation > worst:
-            worst = violation
-            witness = (t1, t2, t3)
+    # narrower than n ulps points repeat); last is the one before it
+    for i in range(n):
+        t2 = a + (b - a) * i / (n - 1) if i < n - 1 else b
+        v2 = f(t2)
+        scale = max(scale, abs(v2)) if math.isfinite(v2) else scale
+        if i and t1 != t2:
+            s23 = (v2 - v1) / (t2 - t1)
+            if last is not None:
+                violation = last[2] - s23
+                # a NaN (inf - inf at a singular endpoint) fails this: no evidence either way
+                if violation > worst:
+                    worst = violation
+                    witness = (last[0], last[1], t2)
+            last = (t1, t2, s23)
+        t1, v1 = t2, v2
     if worst == -math.inf:
-        worst = 0.0
-        witness = None
-    passed = worst <= slack
-    return ConvexityReport(passed, worst, witness)
+        worst = 0.0  # no violation was a number above -inf
+    return ConvexityReport(worst <= DEFAULT_TOL * scale, worst, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,14 @@ def _midpoint_bracket(h: float, dpm, dmm, dpu: float, dmv: float) -> tuple:
 def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
     """:func:`_gap_bracket` of the cell [u, v] split at any x in [u, v], from
     the one-sided slope oracles ``dplus`` and ``dminus``.  A zero-weighted
-    slope is not read: at x = u or v it may not exist.
+    slope is not read (at x = u or v it may not exist), f'+(u) is f'+(x) at
+    x = u and f'-(v) is f'-(x) at x = v: 2 reads at an end, 4 inside.
     """
     wl = (v - x) ** 2
     wr = (x - u) ** 2
     dpx = dplus(x) if wl else 0.0
     dmx = dminus(x) if wr else 0.0
-    return _gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
+    return _gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))
 
 
 def _reference_integral(f: ConvexFunction) -> Enclosure:

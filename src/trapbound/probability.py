@@ -105,21 +105,22 @@ class DensityReport(NamedTuple):
 def _mass_bracket(d: MonotoneDensity) -> tuple:
     """Certified bracket for integral of a nondecreasing density: on each cell
     the infimum is the right limit at the left edge and the supremum the left
-    limit at the right edge.  Where both limits are one function (a
-    continuous density) each grid point is read once."""
+    limit at the right edge, read in one pass over x_i = a + i h (x_n = b),
+    each point once where both limits are one function (a continuous density)."""
     a, b = d.domain.a, d.domain.b
-    h = (b - a) / _NORMALIZATION_CELLS
-    xs = [a + i * h for i in range(_NORMALIZATION_CELLS)] + [b]
-    if d.left_limit is d.right_limit:
-        ys = [d.right_limit(x) for x in xs]
-        right, left = ys[:-1], ys[1:]
-    else:
-        right, left = [d.right_limit(u) for u in xs[:-1]], [d.left_limit(v) for v in xs[1:]]
-    lo = 0.0
-    hi = 0.0
-    for u, v, fu, fv in zip(xs, xs[1:], right, left):
-        lo += fu * (v - u)
-        hi += fv * (v - u)
+    n = _NORMALIZATION_CELLS
+    h = (b - a) / n
+    left, right = d.left_limit, d.right_limit
+    u = a + 0 * h  # as each x_i is: 0.0 for a = -0.0, NaN for an inf h
+    fu = right(u)
+    lo = hi = 0.0
+    for i in range(1, n + 1):
+        v = a + i * h if i < n else b
+        fv = left(v)
+        w = v - u
+        lo += fu * w
+        hi += fv * w
+        u, fu = v, (fv if left is right or i == n else right(v))
     return lo, hi
 
 

@@ -152,11 +152,13 @@ def _check_domain(f: ConvexFunction, P: Partition) -> None:
 
 
 def generalized_trapezoid(f: ConvexFunction, P: Partition) -> float:
-    """Composite rule value G_n; equals the trapezoid rule when xi are midpoints."""
+    """Composite rule value G_n, the trapezoid rule for midpoint xi; n + 1 reads of f."""
     _check_domain(f, P)
     total = 0.0
+    fv = f(P.points[0])
     for u, v, x in P.cells():
-        total += (x - u) * f(u) + (v - x) * f(v)
+        fu, fv = fv, f(v)
+        total += (x - u) * fu + (v - x) * fv
     return total
 
 

@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -137,6 +140,17 @@ class TestIntegrate:
         assert rep["remainder"]["hi"] == pytest.approx(
             0.125 * 0.25 ** 2 * (math.e - 1.0), rel=1e-12
         )
+
+    def test_n_is_bounded_by_max_cells(self, capsys):
+        code, out, err = run_cli(capsys, "integrate", "--fn", "x^2.5", "--interval", "0", "1", "--n", "10001")
+        assert (code, out) == (1, "")
+        assert err == "trapbound: error: --n 10001 exceeds --max-cells 10000\n"
+
+    def test_n_up_to_max_cells(self, capsys):
+        rep = run_json(capsys, "integrate", "--fn", "x^2.5", "--interval", "0", "1",
+                       "--n", "10001", "--max-cells", "10001")
+        assert rep["cells"] == 10001
+        assert rep["integral"]["lo"] <= 1 / 3.5 <= rep["integral"]["hi"]
 
     def test_nonconvex_rejected(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--fn=-(x^2)",
@@ -497,6 +511,30 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("trapbound: error:")
         assert "Traceback" not in proc.stderr
+
+    def test_closed_stdout_exits_1(self, capsys, monkeypatch):
+        class ClosedPipe(io.TextIOBase):
+            """A stdout whose reader has gone, on a descriptor of its own."""
+
+            def __init__(self, fd):
+                self.fd = fd
+
+            def fileno(self):
+                return self.fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        r, w = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(w))
+            assert main(["integrate", "--fn", "x^2.5", "--interval", "0", "1", "--n", "4"]) == 1
+            # the descriptor now leads to the null device, where the flush at exit succeeds
+            assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert capsys.readouterr().err == ""
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "hh", "--fn", "x^2",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,65 @@ class TestEval:
             expected = outcome(lambda u: eval_expr(parse(src), u), t)
             assert expected.startswith("EvalError"), (src, t)
             assert outcome(to_function(src), t) == expected, (src, t)
+
+
+class TestPowerFastPath:
+    """A non-integral power of a positive base is a bare ``**`` in the
+    generated code; any other base goes through ``_power``.  Both give
+    eval_expr's value, and every error is eval_expr's EvalError."""
+
+    @staticmethod
+    def outcomes(src, t):
+        """(f, f'+, f'-) at t, each a repr or an EvalError's message."""
+        f = to_convex_function(src, Interval(-2.0, 2.0))
+        return tuple(outcome(fn, t) for fn in (f.evaluate, f.dplus, f.dminus))
+
+    @pytest.mark.parametrize("c, p", [(0.25, 2.5), (-0.5, 1.5), (0.0, 0.5), (1.0, -0.5), (-1.0, 3.25)])
+    def test_positive_base_is_the_closed_form(self, c, p):
+        src = f"(x - ({c}))^{p}"
+        tree = parse(src)
+        for t in (math.nextafter(c, math.inf), c + 0.125, c + 0.7, 2.0):
+            value = (t - c) ** p
+            slope = repr(p * (t - c) ** (p - 1.0))
+            assert self.outcomes(src, t) == (repr(value), slope, slope), (src, t)
+            assert eval_expr(tree, t) == value
+
+    @pytest.mark.parametrize("src, t, message, slope", [
+        ("(x - 0.25)^2.5", 0.0, "negative base with non-integer exponent in (x - 0.25)^2.5", None),
+        ("(x - 0.25)^-0.5", 0.25, "zero raised to negative power in (x - 0.25)^(-0.5)", None),
+        # the bare ** overflows in f; the slope, 1.5 t^0.5, does not
+        ("x^1.5", 1e300, "overflow in x^1.5", repr(1.5 * 1e300 ** 0.5)),
+    ])
+    def test_errors_are_eval_expr_s(self, src, t, message, slope):
+        f = to_convex_function(src, Interval(-2.0, 2.0))
+        expected = outcome(lambda u: eval_expr(parse(src), u), t)
+        assert expected == f"EvalError: {message}"
+        # a slope that faults hands t to eval_expr, which raises f's own error
+        assert self.outcomes(src, t) == (expected,) + (slope or expected,) * 2
+        with pytest.raises(EvalError, match="^" + re.escape(message) + "$"):
+            f.evaluate(t)
+
+    @pytest.mark.parametrize("src, t, value, slope", [
+        ("(x - 0.25)^2.5", 0.25, "0.0", "0.0"),  # 0^2.5 = 0, slope 2.5 * 0^1.5 = 0
+        # f(0) = 0; its slope 0.5 * 0^-0.5 is refused
+        ("x^0.5", 0.0, "0.0", "EvalError: slope of x^0.5 is undefined at 0.0"),
+        # f is finite; its slope 0.001 t^-0.999 overflows
+        ("x^0.001", 1e-320, repr(1e-320 ** 0.001), "EvalError: slope of x^0.001 is undefined at 1e-320"),
+    ])
+    def test_zero_and_tiny_bases(self, src, t, value, slope):
+        assert outcome(lambda u: eval_expr(parse(src), u), t) == value
+        assert self.outcomes(src, t) == (value, slope, slope)
+
+    def test_nan_base(self):
+        for src in ("x^2.5", "(x - 0.5)^-0.5"):
+            assert self.outcomes(src, math.nan) == ("nan",) * 3
+            assert math.isnan(eval_expr(parse(src), math.nan))
+
+    def test_density_compiles_f_alone(self, compiles):
+        pdf = to_function("1.5 * x^0.5")
+        assert len(compiles) == 1
+        assert "def f(" in compiles[0] and "def d(" not in compiles[0]
+        assert pdf(0.25) == 1.5 * 0.25 ** 0.5 and pdf(0.0) == 0.0
 
 
 class TestRoundTrip:
@@ -530,7 +590,8 @@ class TestSharedCode:
     @pytest.mark.parametrize("pair", [
         # 0*x folds out of the slope, 2*x leaves 2 in it
         (("0*x + exp(x)", lambda t: math.exp(t)), ("2*x + exp(x)", lambda t: 2.0 + math.exp(t))),
-        # an integral exponent is a bare **, any other one goes through _power
+        # an integral exponent is a bare **; any other one is a ** guarded by
+        # the base's sign, with _power for a base that is not positive
         (("x^2", lambda t: 2.0 * t), ("x^2.5", lambda t: 2.5 * t ** 1.5)),
     ])
     def test_different_folding_is_a_different_source(self, pair, compiles):
