@@ -3,14 +3,16 @@
 Exit codes: 0 success, 1 usage error (bad flags, unparseable input, a
 function that cannot be evaluated on the interval, ``--n`` above
 ``--max-cells``) or stdout closed early (``| head``), 2 hypothesis failure
-(non-convex function, invalid density or distribution).
+(non-convex function, invalid density or distribution); a closed stderr
+keeps the code of the error it could not show.
 JSON reports are deterministic; no computation happens in the rendering
 layer.  Besides the inputs: ``integrate`` gives ``gn``, ``integral``,
 ``remainder``, ``width``, ``cells``, ``converged``, ``certified``; ``gap`` and
 ``hh`` the paper's bracket ``lower``/``upper``, ``integral`` (the adaptive
 enclosure, width 1e-10) and ``certified``; ``expectation`` gives
-``expectation``, ``x_used``, ``mass_bracket``; ``divergence`` ``csiszar``,
-``lin_wong``, ``half_csiszar``, ``hh``, ``gap``, ``sandwich_holds``.
+``expectation`` (of the density over its mass), ``x_used``, ``mass_bracket``
+(as ``check --density``); ``divergence`` ``csiszar``, ``lin_wong``,
+``half_csiszar``, ``hh``, ``gap``, ``sandwich_holds``.
 Enclosures are ``{lo, hi}`` with their endpoints verbatim.
 """
 
@@ -261,7 +263,7 @@ def _density(args) -> tuple:
     except expr.ParseError as exc:
         raise UsageError(f"--density: {exc}") from exc
     d = probability.continuous_density(iv, pdf, label=args.density)
-    return d, probability.validate_density(d)
+    return d, probability.validate_density(d, getattr(args, "x", None))
 
 
 def _cmd_expectation(args) -> dict:
@@ -273,10 +275,8 @@ def _cmd_expectation(args) -> dict:
             f"{args.density!r} is not a valid nondecreasing density on "
             f"[{d.domain.a}, {d.domain.b}]: " + "; ".join(report.messages)
         )
-    if args.x is not None:
-        enclosure = probability.expectation_enclosure(d, args.x)
-    else:
-        enclosure = probability.midpoint_expectation_enclosure(d)
+    x = d.domain.midpoint if args.x is None else args.x
+    enclosure = probability.expectation_enclosure(d, x, report.normalization)
     return {
         "command": "expectation",
         "density": args.density,
@@ -430,28 +430,33 @@ def run(args) -> dict:
     return _HANDLERS[args.command](args)
 
 
+def _emit(text: str, stream) -> bool:
+    """Print ``text`` to ``stream``; False when its reader is gone, after
+    devnull takes the stream's descriptor, so the flush at exit cannot fail."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+    return True
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         report = run(args)
     # expr.ParseError is a ValueError and expr.EvalError an EvaluationError
     except (UsageError, DomainError, EvaluationError, ValueError) as exc:
-        print(f"trapbound: error: {exc}", file=sys.stderr)
+        _emit(f"trapbound: error: {exc}", sys.stderr)
         return 1
     except ArithmeticError as exc:
         # e.g. a divergence term whose power overflows at a huge q/p
-        print(f"trapbound: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _emit(f"trapbound: error: {type(exc).__name__}: {exc}", sys.stderr)
         return 1
     except (HypothesisError, NonConvexityError) as exc:
-        print(f"trapbound: hypothesis failure: {exc}", file=sys.stderr)
+        _emit(f"trapbound: hypothesis failure: {exc}", sys.stderr)
         return 2
-    try:
-        print(_render(report, args.output_format), flush=True)
-    except BrokenPipeError:
-        # the reader is gone: devnull takes stdout, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0
+    return 0 if _emit(_render(report, args.output_format), sys.stdout) else 1
 
 
 if __name__ == "__main__":

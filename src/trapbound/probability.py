@@ -1,48 +1,43 @@
 """Expectation enclosures for random variables with nondecreasing densities.
 
-If the density f on [a, b] is monotone nondecreasing, the cdf
-F(x) = integral_a^x f is convex with F'+ = f(.+) and F'- = f(.-), so the
-single-interval gap bounds applied to F give, for x in [a, b],
+If the density f on [a, b] is nondecreasing with mass m, its cdf F is convex
+with F'+- = f(.+-), and the gap of F at x is m (E(X) - x) for the mean E(X) of
+f/m.  The gap bounds of F give, for x in [a, b], E(X) = x + T/m with
 
-    (1/2)[(b-x)^2 f(x+) - (x-a)^2 f(x-)] + x
-      <=  E(X)  <=
-    (1/2)[(b-x)^2 f(b-) - (x-a)^2 f(a+)] + x
+    (1/2)[(b-x)^2 f(x+) - (x-a)^2 f(x-)]  <=  T  <=  (1/2)[(b-x)^2 f(b-) - (x-a)^2 f(a+)],
 
-using the identity integral_a^b F = b - E(X).  The one-sided limits are
-taken from inside [a, b]: limits from outside the support do not exist, and
-at x = a or b the zero-weighted one is not read.  Both sides are
-``pointwise._gap_bracket`` applied to F, shifted by x and moved outward by a
-bound on their rounding error; the best split over a grid reads f(a+) and
-f(b-) once for it all.
+limits taken inside [a, b], and at x = a or b the zero-weighted one not read.
+Each side of ``pointwise._gap_bracket`` applied to F is divided by the end of
+the mass bracket of :func:`validate_density` that moves it out, and shifted by
+x, each step rounded outward.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .funcs import DomainError, Interval
 from .pointwise import _gap_bracket
 
-#: Grid size of the monotone Riemann bracket used by the normalization check.
-_NORMALIZATION_CELLS = 4096
-#: Grid size and tolerance of the sampled nonnegativity/monotonicity checks;
-#: the tolerance also bounds the normalization check.
-_DENSITY_GRIDPOINTS = 201
-_DENSITY_TOL = 1e-6
+#: The mass walk of :func:`validate_density`: its cell counts, the share of
+#: T_hi - T_lo its bracket may add to the enclosure of E(X), and the relative
+#: slack of the checks of its reads.
+_MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK = 256, 4096, 1 / 64, 1e-6
+_U = sys.float_info.epsilon / 2
 #: Split points tried by :func:`best_expectation_enclosure`.
 _EXPECTATION_GRIDPOINTS = 1001
 
 
 @dataclass(frozen=True)
 class MonotoneDensity:
-    """Nondecreasing probability density on a bounded support.
-
-    ``left_limit``/``right_limit`` supply the one-sided limits f(x-), f(x+);
-    ``right_limit`` is also the density's value (densities are taken right
-    continuous), and for a continuous density both are the density itself.
+    """Nondecreasing density on a bounded support, of any finite mass m > 0:
+    its expectations are those of the probability density f/m.
+    ``left_limit``/``right_limit`` give f(x-), f(x+); ``right_limit`` is also
+    the value (densities are right continuous), and both are f if continuous.
     """
 
     domain: Interval
@@ -102,84 +97,114 @@ class DensityReport(NamedTuple):
     messages: tuple
 
 
-def _mass_bracket(d: MonotoneDensity) -> tuple:
-    """Certified bracket for integral of a nondecreasing density: on each cell
-    the infimum is the right limit at the left edge and the supremum the left
-    limit at the right edge, read in one pass over x_i = a + i h (x_n = b),
-    each point once where both limits are one function (a continuous density)."""
-    a, b = d.domain.a, d.domain.b
-    n = _NORMALIZATION_CELLS
-    h = (b - a) / n
-    left, right = d.left_limit, d.right_limit
-    u = a + 0 * h  # as each x_i is: 0.0 for a = -0.0, NaN for an inf h
-    fu = right(u)
-    lo = hi = 0.0
-    for i in range(1, n + 1):
-        v = a + i * h if i < n else b
-        fv = left(v)
-        w = v - u
-        lo += fu * w
-        hi += fv * w
-        u, fu = v, (fv if left is right or i == n else right(v))
-    return lo, hi
+def _down(v: float) -> float:
+    return math.nextafter(v, -math.inf)
 
 
-def validate_density(d: MonotoneDensity) -> DensityReport:
-    """Check the hypotheses: f >= 0, f nondecreasing, total mass 1.
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf)
 
-    Nonnegativity and monotonicity are sampled from ``right_limit`` on a
-    grid; the normalization uses the monotone Riemann bracket of
-    ``_mass_bracket`` and passes when that bracket is consistent with total
-    mass 1 within ``_DENSITY_TOL``.
+
+def _split(d: MonotoneDensity, x: float) -> float:
+    """``x``, raising :class:`DomainError` unless it lies in [a, b]."""
+    if not d.domain.a <= x <= d.domain.b:
+        raise DomainError(f"split point must lie in [{d.domain.a}, {d.domain.b}], got {x}")
+    return x
+
+
+def _interleave(*parts) -> list:
+    """The items of ``parts`` in turn: p0[0], p1[0], ..., p0[1], p1[1], ..."""
+    out = [0.0] * sum(map(len, parts))
+    for k, part in enumerate(parts):
+        out[k::len(parts)] = part
+    return out
+
+
+def validate_density(d: MonotoneDensity, x: Optional[float] = None) -> DensityReport:
+    """Check f >= 0, f nondecreasing and 0 < mass < inf, and bracket the mass.
+
+    A monotone Riemann walk on x_i = a + (b - a)(i/n), x_n = b, reads f(x_i+)
+    for i < n and f(x_i-) for i > 0, once each for a continuous density.  The
+    mass lies in [sum f(x_i+) w_i, sum f(x_(i+1)-) w_i], w_i = x_(i+1) - x_i,
+    each end moved out by gamma_(n+2) max|f| (b - a) and an ulp.  Each doubling
+    of n reads only the midpoints, from ``_MASS_CELLS`` while the unrounded
+    bracket would widen the enclosure of E(X) at x (default the midpoint, f(x+-)
+    read at the nearest point) by more than ``_MASS_SHARE`` of T_hi - T_lo, up
+    to ``_MASS_CELLS_MAX``, and not once a read, in the order of the points,
+    is negative or below the one before by over ``_SAMPLE_SLACK`` max(1, max|f|).
     """
     a, b = d.domain.a, d.domain.b
-    ts = [a + (b - a) * i / (_DENSITY_GRIDPOINTS - 1) for i in range(_DENSITY_GRIDPOINTS)]
-    values = [d.right_limit(t) for t in ts]
-    slack = _DENSITY_TOL * max(1.0, max(abs(v) for v in values))
+    x = d.domain.midpoint if x is None else _split(d, x)
+    left, right = d.left_limit, d.right_limit
+    # ys: the reads in the order of the points xs, f(x_i) for a continuous density, else
+    # f(x_0+), f(x_i-) and f(x_i+) at inner points, f(x_n-); cell i reads ys[s i], ys[s i + 1]
+    s, n, span = 1 if left is right else 2, _MASS_CELLS, b - a
+    xs = [a, *(a + span * (i / n) for i in range(1, n)), b]
+    ys = list(map(right, xs)) if s == 1 else _interleave(list(map(right, xs[:-1])), list(map(left, xs[1:])))
+    while True:
+        top = max(map(abs, ys))
+        slack = _SAMPLE_SLACK * max(1.0, top)
+        nonnegative = all(y >= -slack for y in ys)
+        nondecreasing = all(map(operator.ge, ys[1:], [y - slack for y in ys]))
+        ws = list(map(operator.sub, xs[1:], xs))
+        lo, hi = sum(map(operator.mul, ys[::s], ws)), sum(map(operator.mul, ys[1::s], ws))
+        r = (n + 2) * _U / (1 - (n + 2) * _U) * top * span
+        lo, hi, riemann = _down(lo - r), _up(hi + r), hi - lo
+        if not (nonnegative and nondecreasing and hi < math.inf) or n >= _MASS_CELLS_MAX:
+            break
+        k = (x - a) / span * n
+        i = round(k) if 0 <= k <= n else (0 if k < 0 else n)
+        # the weights over span^2, as the test is homogeneous in them, cannot overflow
+        t_lo, t_hi = _gap_bracket(((b - x) / span) ** 2, ((x - a) / span) ** 2, ys[min(s * i, len(ys) - 1)],
+                                  ys[max(s * i - s + 1, 0)], ys[0], ys[-1])
+        if (abs(t_lo) + abs(t_hi)) * riemann <= (t_hi - t_lo) * lo * _MASS_SHARE:
+            break
+        ms = [a + span * ((2 * i + 1) / (2 * n)) for i in range(n)]
+        fs = list(map(right, ms))
+        xs = _interleave(xs, ms)
+        ys = _interleave(ys, fs) if s == 1 else _interleave(ys[::2], list(map(left, ms)), fs, ys[1::2])
+        n *= 2
 
     messages = []
-    nonnegative = all(v >= -slack for v in values)
     if not nonnegative:
-        worst = min(values)
-        messages.append(f"density is negative (min sampled value {worst:.6g})")
-
-    nondecreasing = all(v2 >= v1 - slack for v1, v2 in zip(values, values[1:]))
+        messages.append(f"density is negative (min sampled value {min(ys):.6g})")
     if not nondecreasing:
         messages.append("density is not monotone nondecreasing on the sampled grid")
-
-    lo, hi = _mass_bracket(d)
-    normalized = lo <= 1.0 + _DENSITY_TOL and hi >= 1.0 - _DENSITY_TOL
-    if not normalized:
-        messages.append(f"total mass bracket [{lo:.9g}, {hi:.9g}] excludes 1")
-
-    valid = nonnegative and nondecreasing and normalized
-    return DensityReport(valid, nonnegative, nondecreasing, (lo, hi), tuple(messages))
+    if not (lo > 0 and hi < math.inf):
+        problem = "does not exclude 0" if hi < math.inf else "is not finite"
+        messages.append(f"total mass bracket [{lo:.9g}, {hi:.9g}] {problem}")
+    return DensityReport(not messages, nonnegative, nondecreasing, (lo, hi), tuple(messages))
 
 
-def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, fa: float, fb: float) -> tuple:
-    """The bracket for E(X) at x in [a, b] from f(x+), f(x-), f(a+), f(b-).
-    Rounding its weights, products, difference and shift to nearest loses
-    less than 3u|terms| + u|x| on a side (u = eps/2, |terms| the sum of its
-    two absolute products, outside underflow); each side moves out by
-    2 eps (|terms| + |x|) and one ulp, so it holds at zero slack."""
+def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, fa: float, fb: float,
+                         mass: tuple) -> tuple:
+    """The bracket for E(X) = x + T/m at x in [a, b] from f(x+), f(x-), f(a+),
+    f(b-) and the mass bracket [m_lo, m_hi].  Rounding T to nearest loses less
+    than 3u|terms| on a side (u = eps/2, |terms| the sum of its two absolute
+    products, outside underflow), so each side moves out by 2 eps |terms| and
+    an ulp, and again by an ulp after its division and its shift.  Without
+    m_lo > 0 it is the whole line."""
+    m_lo, m_hi = mass
+    if not m_lo > 0:
+        return -math.inf, math.inf
     wl, wr = (b - x) ** 2, (x - a) ** 2
     lo, hi = _gap_bracket(wl, wr, dpx, dmx, fa, fb)
     # half of each side's |terms|: the same bracket with every product made positive
     lo_terms, hi_terms = _gap_bracket(wl, wr, abs(dpx), -abs(dmx), -abs(fa), abs(fb))
-    e = 2 * sys.float_info.epsilon
-    return (math.nextafter(lo + x - e * (2 * lo_terms + abs(x)), -math.inf),
-            math.nextafter(hi + x + e * (2 * hi_terms + abs(x)), math.inf))
+    e = 4 * sys.float_info.epsilon
+    lo, hi = _down(lo - e * lo_terms), _up(hi + e * hi_terms)
+    return (_down(_down(lo / (m_lo if lo < 0 else m_hi)) + x),
+            _up(_up(hi / (m_hi if hi < 0 else m_lo)) + x))
 
 
-def _bracket_at(d: MonotoneDensity, x: float, fa: float, fb: float) -> tuple:
-    """:func:`_expectation_bracket` at x in [a, b], given f(a+) and f(b-).
-    At an end one weight is zero and its slope is not read; the other slope
-    there is f(a+) or f(b-)."""
+def _bracket_at(d: MonotoneDensity, x: float, fa: float, fb: float, mass: tuple) -> tuple:
+    """:func:`_expectation_bracket` at x in [a, b], given f(a+) and f(b-); at an
+    end the zero-weighted slope is not read, and the other is f(a+) or f(b-)."""
     a, b = d.domain.a, d.domain.b
     inner = a < x < b
     dpx = d.right_limit(x) if inner else fa
     dmx = d.left_limit(x) if inner else fb
-    return _expectation_bracket(a, b, x, dpx, dmx, fa, fb)
+    return _expectation_bracket(a, b, x, dpx, dmx, fa, fb, mass)
 
 
 def _clip(d: MonotoneDensity, lo: float, hi: float, x_used: float) -> ExpectationEnclosure:
@@ -188,40 +213,35 @@ def _clip(d: MonotoneDensity, lo: float, hi: float, x_used: float) -> Expectatio
     return ExpectationEnclosure(max(lo, d.domain.a), min(hi, d.domain.b), x_used)
 
 
-def expectation_enclosure(d: MonotoneDensity, x: float) -> ExpectationEnclosure:
-    """Two-sided expectation bound at split point x in [a, b], within [a, b]."""
-    a, b = d.domain.a, d.domain.b
-    if not a <= x <= b:
-        raise DomainError(f"split point must lie in [{a}, {b}], got {x}")
-    return _clip(d, *_bracket_at(d, x, d.right_limit(a), d.left_limit(b)), x)
+def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = None) -> ExpectationEnclosure:
+    """Two-sided bound on the mean of f/m at split point x in [a, b], within
+    [a, b]; ``mass`` brackets m, by default as :func:`validate_density` at x."""
+    x = _split(d, x)
+    mass = validate_density(d, x).normalization if mass is None else mass
+    return _clip(d, *_bracket_at(d, x, d.right_limit(d.domain.a), d.left_limit(d.domain.b), mass), x)
 
 
 def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
-    """Expectation bound at the midpoint of the support:
-
-    (1/8)[f(m+) - f(m-)](b-a)^2 + m <= E(X) <= (1/8)[f(b-) - f(a+)](b-a)^2 + m.
-
-    When a and b are adjacent floats, m rounds onto an end.
-    """
+    """The bound at the midpoint c, (1/8)[f(c+) - f(c-)](b-a)^2 <= m (E(X) - c)
+    <= (1/8)[f(b-) - f(a+)](b-a)^2, m bracketed as by :func:`validate_density`.
+    When a and b are adjacent floats, c rounds onto an end."""
     return expectation_enclosure(d, d.domain.midpoint)
 
 
 def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
     """Optimize each side of the expectation bound over ``_EXPECTATION_GRIDPOINTS``
-    equispaced split points, the ends of the support included.
-
-    ``x_used`` reports the split point attaining the best upper bound before
-    the enclosure is cut to the support.
-    """
+    equispaced split points, the ends included, m bracketed as in
+    :func:`midpoint_expectation_enclosure`.  ``x_used`` reports the split
+    point attaining the best upper bound before the cut to the support."""
     a, b = d.domain.a, d.domain.b
+    mass = validate_density(d).normalization
     n = _EXPECTATION_GRIDPOINTS
     ts = [a + (b - a) * i / (n - 1) for i in range(n)]
     ts[-1] = b
-
     fa, fb = d.right_limit(a), d.left_limit(b)
     best_lo, best_hi, x_used = -math.inf, math.inf, a
     for x in ts:
-        lo, hi = _bracket_at(d, x, fa, fb)
+        lo, hi = _bracket_at(d, x, fa, fb, mass)
         best_lo = max(best_lo, lo)
         if hi < best_hi:
             best_hi = hi

@@ -1,38 +1,57 @@
-"""Test oracles for the sampling grids: the list-based walks that
-``probability._mass_bracket``, ``funcs.check_convexity``,
-``quadrature.generalized_trapezoid`` and ``pointwise._split_bracket`` replaced.
+"""Test oracles for the sampling grids: list-based walks for the mass walk of
+``probability.validate_density``, ``funcs.check_convexity``,
+``quadrature.generalized_trapezoid`` and ``pointwise._split_bracket``.
 
 Each builds the list of its grid points, reads every value it needs (the
 interior points of a partition twice, a slope at a split point equal to an
-end twice) and only then combines them.  The one-pass library walks take the
-same reads in the same order, less the repeats, and the same floating-point
-operations, so they must agree with these bit for bit, witness included.
+end twice, every point of the mass grid again at each size) and only then
+combines them.  The one-pass library walks take the same reads, less the
+repeats (the mass walk in the order its grid doubles), and the same
+floating-point operations, so they must agree with these bit for bit,
+witness included.
 """
 
 import math
 
 from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport
 from trapbound.pointwise import _gap_bracket
-from trapbound.probability import _NORMALIZATION_CELLS
+from trapbound.probability import _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK, _U
 from trapbound.quadrature import _check_domain
 
 
-def mass_bracket(d) -> tuple:
-    """Monotone Riemann bracket of the mass of density ``d`` on its grid."""
+def mass_bracket(d, x=None) -> tuple:
+    """Monotone Riemann bracket of the mass of density ``d``, rounded outward,
+    on the grid of ``_MASS_CELLS`` cells doubled until the walk's rule stops
+    it: each grid read in full, its reads in the order of the points checked,
+    and f(x+), f(x-) for the sizing taken at the nearest grid point, its
+    weights (b - x)^2 and (x - a)^2 over (b - a)^2."""
     a, b = d.domain.a, d.domain.b
-    h = (b - a) / _NORMALIZATION_CELLS
-    xs = [a + i * h for i in range(_NORMALIZATION_CELLS)] + [b]
-    if d.left_limit is d.right_limit:
-        ys = [d.right_limit(x) for x in xs]
-        right, left = ys[:-1], ys[1:]
-    else:
-        right, left = [d.right_limit(u) for u in xs[:-1]], [d.left_limit(v) for v in xs[1:]]
-    lo = 0.0
-    hi = 0.0
-    for u, v, fu, fv in zip(xs, xs[1:], right, left):
-        lo += fu * (v - u)
-        hi += fv * (v - u)
-    return lo, hi
+    x = d.domain.midpoint if x is None else x
+    n = _MASS_CELLS
+    while True:
+        xs = [a] + [a + (b - a) * (i / n) for i in range(1, n)] + [b]
+        right = [d.right_limit(u) for u in xs[:-1]]
+        left = [d.left_limit(v) for v in xs[1:]]
+        ordered = [y for pair in zip(right, left) for y in pair]
+        top = max(map(abs, ordered))
+        slack = _SAMPLE_SLACK * max(1.0, top)
+        ok = all(y >= -slack for y in ordered) and all(v >= u - slack for u, v in zip(ordered, ordered[1:]))
+        ws = [v - u for u, v in zip(xs, xs[1:])]
+        lo = sum(fu * w for fu, w in zip(right, ws))
+        hi = sum(fv * w for fv, w in zip(left, ws))
+        r = (n + 2) * _U / (1 - (n + 2) * _U) * top * (b - a)
+        bracket = (math.nextafter(lo - r, -math.inf), math.nextafter(hi + r, math.inf))
+        if not (ok and bracket[1] < math.inf) or n >= _MASS_CELLS_MAX:
+            return bracket
+        k = (x - a) / (b - a) * n
+        i = round(k) if 0 <= k <= n else (0 if k < 0 else n)
+        dpx = right[i] if i < n else left[-1]
+        dmx = left[i - 1] if i > 0 else right[0]
+        wl, wr = ((b - x) / (b - a)) ** 2, ((x - a) / (b - a)) ** 2
+        t_lo, t_hi = _gap_bracket(wl, wr, dpx, dmx, right[0], left[-1])
+        if (abs(t_lo) + abs(t_hi)) * (hi - lo) <= (t_hi - t_lo) * bracket[0] * _MASS_SHARE:
+            return bracket
+        n *= 2
 
 
 def check_convexity(f) -> ConvexityReport:

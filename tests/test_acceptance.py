@@ -145,19 +145,23 @@ def test_criterion_6_specialization_identity():
 
 
 def test_criterion_7_expectation_enclosures():
+    # the paper's values, with the exact mass 1 of each density given; the
+    # mean of 4t, whose mass 2 is bracketed, is that of 2t
     unit = Interval(0.0, 1.0)
     ok = True
-    tri = midpoint_expectation_enclosure(
-        continuous_density(unit, lambda t: 2.0 * t, "2t")
+    tri = expectation_enclosure(
+        continuous_density(unit, lambda t: 2.0 * t, "2t"), 0.5, (1.0, 1.0)
     )
     ok = ok and abs(tri.lo - 0.5) <= 1e-12 and abs(tri.hi - 0.75) <= 1e-12
     ok = ok and tri.lo <= 2.0 / 3.0 <= tri.hi
+    quad = midpoint_expectation_enclosure(continuous_density(unit, lambda t: 4.0 * t, "4t"))
+    ok = ok and quad.lo <= 2.0 / 3.0 <= quad.hi <= tri.hi + 1.0 / 64
     flat = midpoint_expectation_enclosure(
         continuous_density(unit, lambda t: 1.0, "uniform")
     )
     ok = ok and abs(flat.lo - 0.5) <= 1e-12 and abs(flat.hi - 0.5) <= 1e-12
     step = expectation_enclosure(
-        piecewise_constant_density(unit, (0.0, 0.5), (0.0, 2.0), "step"), 0.5
+        piecewise_constant_density(unit, (0.0, 0.5), (0.0, 2.0), "step"), 0.5, (1.0, 1.0)
     )
     ok = ok and abs(step.lo - 0.75) <= 1e-12 and abs(step.hi - 0.75) <= 1e-12
     report(7, "expectation enclosures for monotone densities", ok)

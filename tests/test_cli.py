@@ -234,11 +234,30 @@ class TestNarrowInterval:
 
 class TestExpectation:
     def test_triangular_midpoint(self, capsys):
+        # E(X) lies in 1/2 + [0, 1/4] / [m_lo, m_hi], the mass bracket reported
         rep = run_json(capsys, "expectation", "--density", "2*x",
                        "--interval", "0", "1")
+        m_lo, m_hi = rep["mass_bracket"]
+        assert m_lo < 1.0 < m_hi and m_hi - m_lo < 1.0 / 64
         assert rep["expectation"]["lo"] == pytest.approx(0.5, abs=1e-12)
-        assert rep["expectation"]["hi"] == pytest.approx(0.75, abs=1e-12)
+        assert rep["expectation"]["hi"] == pytest.approx(0.5 + 0.25 / m_lo, abs=1e-12)
         assert rep["x_used"] == 0.5
+
+    @pytest.mark.parametrize("density", ["4*x", "2.0004*x"])
+    def test_mean_of_the_normalized_density(self, capsys, density):
+        # the mass is used, not tested against 1: both have mean 2/3, and
+        # check reports the bracket that the default expectation divides by
+        rep = run_json(capsys, "expectation", "--density", density, "--interval", "0", "1")
+        assert Fraction(rep["expectation"]["lo"]) <= Fraction(2, 3) <= Fraction(rep["expectation"]["hi"])
+        mass = Fraction(float(density[:-2])) / 2
+        assert Fraction(rep["mass_bracket"][0]) <= mass <= Fraction(rep["mass_bracket"][1])
+        check = run_json(capsys, "check", "--density", density, "--interval", "0", "1")
+        assert check["density"]["valid"] and check["density"]["mass_bracket"] == rep["mass_bracket"]
+
+    def test_zero_mass_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "check", "--density", "0*x", "--interval", "0", "1")
+        assert code == 2
+        assert "does not exclude 0" in err
 
     def test_explicit_split(self, capsys):
         rep = run_json(capsys, "expectation", "--density", "2*x",
@@ -269,7 +288,15 @@ class TestExpectation:
         rep = run_json(capsys, "expectation", "--density", density, "--interval", *interval, *split)
         assert [rep["expectation"]["lo"], rep["expectation"]["hi"]] == enclosure
 
-    @pytest.mark.parametrize("x, code", [("0", 0), ("1", 0), ("1.5", 1), ("-0.5", 1)])
+    def test_wide_support_is_checked(self, capsys):
+        # the walk sizes its grid with weights over (b - a)^2: (b - x)^2 = 1e310
+        # raised OverflowError
+        rep = run_json(capsys, "check", "--density", "5e-156", "--interval", "0", "2e155")
+        lo, hi = rep["density"]["mass_bracket"]
+        assert rep["density"]["valid"] and lo <= Fraction(5e-156) * Fraction(2e155) <= hi
+
+    @pytest.mark.parametrize("x, code", [("0", 0), ("1", 0), ("1.5", 1), ("-0.5", 1), ("1e200", 1),
+                                         ("nan", 1)])
     def test_split_on_the_closed_support(self, capsys, x, code):
         got, out, err = run_cli(capsys, "expectation", "--density", "2*x",
                                 "--interval", "0", "1", "--x", x)
@@ -535,6 +562,22 @@ class TestExitCodes:
             os.close(r)
             os.close(w)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--fn", "x^4 - 0.05*x^2", "--interval", "-1", "1"], 2),
+        (["integrate", "--fn", "x^2"], 1),
+    ], ids=["hypothesis failure", "usage error"])
+    def test_closed_stderr_keeps_the_exit_code(self, argv, code):
+        # the read end is closed before the run, so the error line meets a
+        # broken pipe; uncaught, it turned exit 2 into 1
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "trapbound", *argv],
+                                  stdout=subprocess.DEVNULL, stderr=w)
+        finally:
+            os.close(w)
+        assert proc.returncode == code
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "hh", "--fn", "x^2",

@@ -19,10 +19,10 @@ from trapbound.expr import EvalError, to_convex_function, to_function
 from trapbound.funcs import ConvexFunction, Interval, catalog, check_convexity
 from trapbound.pointwise import _split_bracket
 from trapbound.probability import (
-    _NORMALIZATION_CELLS,
-    _mass_bracket,
+    _MASS_CELLS,
     continuous_density,
     piecewise_constant_density,
+    validate_density,
 )
 from trapbound.quadrature import generalized_trapezoid, uniform_partition
 
@@ -230,13 +230,18 @@ class TestSplitBracket:
         assert outcome(_split_bracket, *args) == outcome(grid_oracles.split_bracket, *args)
 
 
-class TestMassBracket:
-    DENSITIES = ["3*x^2", "2*x", "1.5*x^0.5", "exp(x)", "(x + 1)^-0.5"]
+def _mass_bracket(d, x=None):
+    return validate_density(d, x).normalization
 
-    @given(src=st.sampled_from(DENSITIES), iv=intervals(0.0))
-    def test_continuous_equals_the_list_walk(self, src, iv):
+
+class TestMassBracket:
+    DENSITIES = ["3*x^2", "2*x", "1.5*x^0.5", "exp(x)", "(x + 1)^-0.5", "0.01 + exp(40*x)"]
+
+    @given(src=st.sampled_from(DENSITIES), iv=intervals(0.0), s=st.floats(0.0, 1.0))
+    def test_continuous_equals_the_list_walk(self, src, iv, s):
         d = continuous_density(iv, to_function(src))
-        assert_identical(_mass_bracket(d), grid_oracles.mass_bracket(d))
+        x = iv.a + (iv.b - iv.a) * s
+        assert_identical(_mass_bracket(d, x), grid_oracles.mass_bracket(d, x))
 
     @given(iv=intervals(-4.0), data=st.data())
     def test_piecewise_equals_the_list_walk(self, iv, data):
@@ -245,19 +250,22 @@ class TestMassBracket:
         breaks = sorted({iv.a, *(t for t in points if iv.a < t < iv.b)})
         values = sorted(data.draw(st.lists(st.floats(0.0, 8.0), min_size=len(breaks), max_size=len(breaks))))
         d = piecewise_constant_density(iv, breaks, values)
-        assert_identical(_mass_bracket(d), grid_oracles.mass_bracket(d))
+        x = data.draw(st.sampled_from([None, iv.a, iv.b, *breaks]))
+        assert_identical(_mass_bracket(d, x), grid_oracles.mass_bracket(d, x))
 
     @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-1e308, 1e308),
-                                    Interval(-0.0, 1.0), Interval(1.0, math.nextafter(1.0, 2.0))],
-                             ids=["unit", "symmetric", "overflowing width", "negative zero", "adjacent"])
+                                    Interval(-0.0, 1.0), Interval(1.0, math.nextafter(1.0, 2.0)),
+                                    Interval(0.0, 7 * 2.0 ** -1074)],
+                             ids=["unit", "symmetric", "overflowing width", "negative zero", "adjacent",
+                                  "subnormal width"])
     def test_edge_intervals(self, iv):
-        # a width that overflows makes h inf: the first point is a + 0 h, NaN;
-        # and a + 0 h is 0.0 where a is -0.0
+        # a width that overflows makes every inner point inf; a subnormal one
+        # rounds (b - a)(i/n) at every grid size, alike for the same i/n
         for pdf in (lambda t: 2.0 + t / 4.0, lambda t: math.inf if t >= iv.b else 0.5):
             new, old = Counter(pdf), Counter(pdf)
             assert_identical(_mass_bracket(continuous_density(iv, new)),
                              grid_oracles.mass_bracket(continuous_density(iv, old)))
-            assert_identical(new.args, old.args)
+            assert_identical(sorted(set(new.args)), sorted(set(old.args)))
         d = piecewise_constant_density(iv, (iv.a,), (1.0,))
         assert_identical(_mass_bracket(d), grid_oracles.mass_bracket(d))
 
@@ -268,18 +276,18 @@ class TestMassBracket:
         assert outcome(_mass_bracket, d).startswith("EvalError")
 
     def test_piecewise_reads(self):
+        # n right limits at x_0..x_(n-1) and n left limits at x_1..x_n: never
+        # right_limit(b) or left_limit(a)
         iv = Interval(0.0, 1.0)
         d = piecewise_constant_density(iv, (0.0, 0.3, 0.7), (0.25, 1.0, 1.5))
         right, left = Counter(d.right_limit), Counter(d.left_limit)
         _mass_bracket(dataclasses.replace(d, right_limit=right, left_limit=left))
-        assert len(right.args) == len(left.args) == _NORMALIZATION_CELLS
-        assert right.args[0] == iv.a and iv.b not in right.args
-        assert left.args[-1] == iv.b and iv.a not in left.args
-        assert right.args[1:] == left.args[:-1]
+        grid = [i / _MASS_CELLS for i in range(_MASS_CELLS + 1)]
+        assert right.args == grid[:-1] and left.args == grid[1:]
 
     def test_continuous_reads_each_point_once(self):
         iv = Interval(0.0, 1.0)
         pdf = Counter(lambda t: 2.0 * t)
         _mass_bracket(continuous_density(iv, pdf))
-        assert len(pdf.args) == len(set(pdf.args)) == _NORMALIZATION_CELLS + 1
-        assert pdf.args == sorted(pdf.args) and pdf.args[0] == iv.a and pdf.args[-1] == iv.b
+        assert len(pdf.args) == len(set(pdf.args)) == _MASS_CELLS + 1
+        assert pdf.args == [i / _MASS_CELLS for i in range(_MASS_CELLS + 1)]

@@ -6,12 +6,14 @@ import pytest
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval
 from trapbound.pointwise import Enclosure, gap_enclosure
+from trapbound.expr import to_function
 from trapbound.probability import (
-    _DENSITY_GRIDPOINTS,
     _EXPECTATION_GRIDPOINTS,
-    _NORMALIZATION_CELLS,
+    _MASS_CELLS,
+    _MASS_CELLS_MAX,
     _expectation_bracket,
     best_expectation_enclosure,
+    MonotoneDensity,
     continuous_density,
     expectation_enclosure,
     midpoint_expectation_enclosure,
@@ -55,25 +57,29 @@ def mean(d):
     return CLOSED_FORMS[d.label][1]
 
 
-def exact_bracket(d, x):
-    """The paper's bracket for E(X) at x in (a, b) in rational arithmetic, from
-    the float values of the density's limits, cut to the support [a, b] where
-    E(X) lies: what the enclosure must hold."""
+def exact_bracket(d, x, mass):
+    """The paper's bracket for E(X) = x + T/m at x in (a, b) in rational
+    arithmetic, from the float values of the density's limits, each side of T
+    divided by the end of the mass bracket that moves it out, cut to the
+    support [a, b] where E(X) lies: what the enclosure must hold."""
     a, b, t = Fraction(d.domain.a), Fraction(d.domain.b), Fraction(x)
+    m_lo, m_hi = map(Fraction, mass)
     wl, wr = (b - t) ** 2, (t - a) ** 2
-    lo = (wl * Fraction(d.right_limit(x)) - wr * Fraction(d.left_limit(x))) / 2 + t
-    hi = (wl * Fraction(d.left_limit(d.domain.b)) - wr * Fraction(d.right_limit(d.domain.a))) / 2 + t
+    lo = (wl * Fraction(d.right_limit(x)) - wr * Fraction(d.left_limit(x))) / 2
+    hi = (wl * Fraction(d.left_limit(d.domain.b)) - wr * Fraction(d.right_limit(d.domain.a))) / 2
+    lo = lo / (m_lo if lo < 0 else m_hi) + t
+    hi = hi / (m_hi if hi < 0 else m_lo) + t
     return max(lo, a), min(hi, b)
 
 
-def assert_tight_enclosure(enc, d, x):
+def assert_tight_enclosure(enc, d, x, mass=(1.0, 1.0)):
     """enc holds the exact bracket at zero slack, each end within 5 eps of
-    (b-a)^2 max|f| + |x|, the scale of its rounding error."""
-    lo, hi = exact_bracket(d, x)
+    (b-a)^2 max|f| / m_lo + |x|, the scale of its rounding error."""
+    lo, hi = exact_bracket(d, x, mass)
     assert Fraction(enc.lo) <= lo and hi <= Fraction(enc.hi), (d.label, x, enc)
     a, b = d.domain.a, d.domain.b
     fs = (d.right_limit(a), d.left_limit(b), d.right_limit(x), d.left_limit(x))
-    scale = Fraction((b - a) ** 2 * max(map(abs, fs)) + abs(x))
+    scale = Fraction((b - a) ** 2 * max(map(abs, fs)) / mass[0] + abs(x))
     assert lo - Fraction(enc.lo) <= 5 * EPS * scale and Fraction(enc.hi) - hi <= 5 * EPS * scale, (d.label, x)
 
 
@@ -114,6 +120,14 @@ class TestDensities:
 
 
 class TestValidateDensity:
+    @pytest.mark.parametrize("x", [None, -1e155, 0.5e155, 1e155])
+    def test_wide_support_sizes_its_walk_without_overflow(self, x):
+        # (b - x)^2 overflows to 1e310 while the weights over (b - a)^2 do not
+        d = continuous_density(Interval(-1e155, 1e155), lambda t: 5e-156, "flat")
+        report = validate_density(d, x)
+        lo, hi = report.normalization
+        assert report.valid and lo <= Fraction(5e-156) * Fraction(2e155) <= hi
+
     def test_accepts_all_examples(self):
         for make in ALL:
             report = validate_density(make())
@@ -134,18 +148,39 @@ class TestValidateDensity:
         assert not report.valid
         assert not report.nonnegative
 
-    def test_rejects_unnormalized(self):
+    def test_accepts_unnormalized(self):
+        # the mass bracket is used, not tested against 1: 4t has mass 2 and
+        # the mean 2/3 of its normalized form 2t
         d = continuous_density(UNIT, lambda t: 4.0 * t, "4t")
         report = validate_density(d)
-        assert not report.valid
-        assert report.nonnegative and report.nondecreasing
+        assert report.valid and report.messages == ()
         lo, hi = report.normalization
-        assert lo > 1.0 + 1e-6
+        assert lo < 2.0 < hi and hi - lo < 2.0 / 64
+        enc = expectation_enclosure(d, 0.5, report.normalization)
+        assert enc.lo <= 2.0 / 3.0 <= enc.hi
+
+    @pytest.mark.parametrize("pdf", [lambda t: 0.0, lambda t: -0.0, lambda t: 0.0 if t < 1.0 else 1.0])
+    def test_mass_that_may_be_zero_is_invalid(self, pdf):
+        # the last one is positive at b alone: no grid shows mass left of b
+        d = continuous_density(UNIT, pdf, "null")
+        report = validate_density(d)
+        assert report.nonnegative and report.nondecreasing and not report.valid
+        assert report.normalization[0] <= 0.0
+        assert report.messages == (
+            "total mass bracket [%.9g, %.9g] does not exclude 0" % report.normalization,)
+        # no division by such a bracket: any mean lies in the support
+        assert expectation_enclosure(d, 0.5) == (0.0, 1.0, 0.5)
+        assert best_expectation_enclosure(d)[:2] == (0.0, 1.0)
+
+    def test_infinite_mass_bracket_is_invalid(self):
+        d = continuous_density(UNIT, lambda t: math.inf if t == 1.0 else 1.0, "inf at b")
+        report = validate_density(d)
+        assert not report.valid and report.normalization[1] == math.inf
+        assert report.messages[-1].endswith("is not finite")
 
     def test_continuous_density_read_once_per_point(self):
-        # the 201 points of the sampled checks, and the 4,097 ends of the
-        # mass bracket's cells, each read once: the left limit at a cell's
-        # right end is the right limit at the next cell's left end
+        # 2t needs no more than the first grid: its 257 points, each read
+        # once; they were 201 + 4_097 reads on two grids
         calls = []
 
         def pdf(t):
@@ -153,30 +188,66 @@ class TestValidateDensity:
             return 2.0 * t
 
         validate_density(continuous_density(UNIT, pdf, "2t"))
-        assert len(calls) == _DENSITY_GRIDPOINTS + _NORMALIZATION_CELLS + 1
-        assert len(calls) == 201 + 4_097
+        assert len(calls) == len(set(calls)) == _MASS_CELLS + 1 == 257
+        assert sorted(calls) == [i / _MASS_CELLS for i in range(_MASS_CELLS + 1)]
+
+    @pytest.mark.parametrize("src", ["2 - 2*x", "x - 0.5", "0.5 + 2*(x - 0.3)^2"])
+    def test_a_failing_read_stops_the_walk_after_the_first_grid(self, src):
+        # decreasing, negative, or decreasing on [0, 0.3] only: read on the
+        # first grid and refined no further
+        pdf = to_function(src)
+        calls = []
+        report = validate_density(continuous_density(UNIT, lambda t: calls.append(t) or pdf(t), src))
+        assert not report.valid
+        assert len(calls) == _MASS_CELLS + 1
+
+    @pytest.mark.parametrize("rate, reads", [(0.0, 257), (6.0, 513), (80.0, 4097)])
+    def test_walk_doubles_to_the_need_and_stops_at_the_cap(self, rate, reads):
+        # the normalized exp(rate t) on [0, 1], split at 1/2: its mass bracket
+        # is about rate/n wide and T_lo = 0, so n must reach 64 rate; rate 0
+        # needs no more than the first grid, and rate 80 stops at the cap
+        calls = []
+
+        def pdf(t):
+            calls.append(t)
+            return rate / math.expm1(rate) * math.exp(rate * t) if rate else 1.0
+
+        report = validate_density(continuous_density(UNIT, pdf))
+        assert report.valid and len(calls) == len(set(calls)) == reads
+        lo, hi = report.normalization
+        assert lo <= 1.0 <= hi
 
     @pytest.mark.parametrize("make", ALL, ids=lambda make: make().label)
     def test_mass_bracket_bits(self, make):
-        # the bracket of two reads per cell, summed in the same order
+        # the bracket of two reads per cell on the walk's first grid, summed
+        # by sum() and moved out by gamma_(n+2) max|f| (b - a) and an ulp
         d = make()
+        n = _MASS_CELLS
         a, b = d.domain.a, d.domain.b
-        h = (b - a) / _NORMALIZATION_CELLS
-        lo = hi = 0.0
-        for i in range(_NORMALIZATION_CELLS):
-            u = a + i * h
-            v = b if i == _NORMALIZATION_CELLS - 1 else a + (i + 1) * h
-            lo += d.right_limit(u) * (v - u)
-            hi += d.left_limit(v) * (v - u)
-        assert validate_density(d).normalization == (lo, hi)
+        xs = [a + (b - a) * (i / n) for i in range(n)] + [b]
+        right = [d.right_limit(u) for u in xs[:-1]]
+        left = [d.left_limit(v) for v in xs[1:]]
+        lo = sum(fu * (v - u) for fu, u, v in zip(right, xs, xs[1:]))
+        hi = sum(fv * (v - u) for fv, u, v in zip(left, xs, xs[1:]))
+        u = sys.float_info.epsilon / 2
+        r = (n + 2) * u / (1 - (n + 2) * u) * max(map(abs, right + left)) * (b - a)
+        assert validate_density(d).normalization == (math.nextafter(lo - r, -math.inf),
+                                                     math.nextafter(hi + r, math.inf))
 
 
 class TestExpectationEnclosure:
     def test_triangular_at_midpoint(self):
-        enc = expectation_enclosure(triangular(), 0.5)
+        # T is [0, 1/4]: E(X) lies in 1/2 + [0, 1/4] / [m_lo, m_hi]
+        d = triangular()
+        mass = validate_density(d, 0.5).normalization
+        enc = expectation_enclosure(d, 0.5)
         assert enc.lo == pytest.approx(0.5, abs=1e-15)
-        assert enc.hi == pytest.approx(0.75, abs=1e-15)
+        assert enc.hi == pytest.approx(0.5 + 0.25 / mass[0], abs=1e-15)
         assert enc.lo <= 2.0 / 3.0 <= enc.hi
+        assert_tight_enclosure(enc, d, 0.5, mass)
+        # with the exact mass, the paper's bracket [1/2, 3/4]
+        exact = expectation_enclosure(d, 0.5, (1.0, 1.0))
+        assert exact.lo == pytest.approx(0.5, abs=1e-15) and exact.hi == pytest.approx(0.75, abs=1e-15)
 
     def test_uniform_is_pinned(self):
         # both sides of the bracket are exactly 0.5; the enclosure holds it
@@ -192,20 +263,37 @@ class TestExpectationEnclosure:
         d = continuous_density(Interval(-1.0, 1.0), lambda t: 0.5, "uniform on [-1, 1]")
         enc = expectation_enclosure(d, 0.1)
         assert enc.lo <= 0.0 <= enc.hi
-        assert_tight_enclosure(enc, d, 0.1)
+        assert_tight_enclosure(enc, d, 0.1, validate_density(d, 0.1).normalization)
+        # the exact mass 1 leaves the rounding of T and of the shift alone;
+        # near the middle T cancels terms about 500 times its size
+        for x in (0.1, *(i / 1000 for i in range(-20, 21))):
+            enc = expectation_enclosure(d, x, (1.0, 1.0))
+            assert enc.lo <= 0.0 <= enc.hi, x
+            assert_tight_enclosure(enc, d, x)
         best = best_expectation_enclosure(d)
         assert best.lo <= 0.0 <= best.hi
 
     def test_step_jump_at_split_is_exact(self):
-        # the density jump at 0.5 makes both sides collapse onto the mean
+        # the density jump at 0.5 makes both sides collapse onto the mean;
+        # the mass bracket of 4,096 cells is 1.4e-12 wide, and the exact mass 1
+        # leaves the rounding alone
         enc = expectation_enclosure(step(), 0.5)
+        assert enc.lo == pytest.approx(0.625, abs=1e-12)
+        assert enc.hi == pytest.approx(0.625, abs=1e-12)
+        enc = expectation_enclosure(step(), 0.5, (1.0, 1.0))
         assert enc.lo == pytest.approx(0.625, abs=1e-15)
         assert enc.hi == pytest.approx(0.625, abs=1e-15)
 
     def test_split_point_outside_the_support_raises(self):
-        for x in (-1e-300, 1.0 + 2.0 ** -52, -math.inf, math.nan):
-            with pytest.raises(DomainError):
-                expectation_enclosure(uniform(), x)
+        # before the walk reads the density, with or without a mass given
+        calls = []
+        d = continuous_density(UNIT, lambda t: calls.append(t) or 1.0, "uniform")
+        for x in (-1e-300, 1.0 + 2.0 ** -52, -math.inf, math.nan, 1e200):
+            for call in (lambda: expectation_enclosure(d, x), lambda: expectation_enclosure(d, x, (1.0, 1.0)),
+                         lambda: validate_density(d, x)):
+                with pytest.raises(DomainError, match="split point must lie in"):
+                    call()
+        assert calls == []
 
     def test_split_at_an_end_is_the_grid_bracket_there(self):
         # at x = a only f(a+) is weighted, at x = b only f(b-), as in the
@@ -216,7 +304,7 @@ class TestExpectationEnclosure:
             fa, fb = d.right_limit(a), d.left_limit(b)
             for x in (a, b):
                 enc = expectation_enclosure(d, x)
-                lo, hi = _expectation_bracket(a, b, x, fa, fb, fa, fb)
+                lo, hi = _expectation_bracket(a, b, x, fa, fb, fa, fb, validate_density(d, x).normalization)
                 assert (enc.lo, enc.hi) == (max(lo, a), min(hi, b)), (d.label, x)
                 assert enc.x_used == x
                 assert enc.lo <= mean(d) <= enc.hi, (d.label, x)
@@ -268,7 +356,7 @@ class TestExpectationEnclosure:
                 # outside it, unless cut to the support [0, 1]
                 assert enc.lo < g.lo + x or enc.lo == 0.0, (d.label, x)
                 assert g.hi + x < enc.hi or enc.hi == 1.0, (d.label, x)
-                assert_tight_enclosure(enc, d, x)
+                assert_tight_enclosure(enc, d, x, validate_density(d, x).normalization)
 
 
 class TestBestEnclosure:
@@ -288,9 +376,14 @@ class TestBestEnclosure:
             assert d.domain.a <= best.x_used <= d.domain.b
 
     def test_uniform_on_unit_interval_contains_its_mean(self):
-        # rounded to nearest, the shift gave [0.5, 0.49999999999999994]
+        # rounded to nearest, the shift gave [0.5, 0.49999999999999994]; each
+        # split of the grid with the exact mass 1 leaves that rounding alone
         best = best_expectation_enclosure(uniform())
         assert best.lo <= 0.5 <= best.hi
+        n = _EXPECTATION_GRIDPOINTS
+        for x in [i / (n - 1) for i in range(n)]:
+            lo, hi = _expectation_bracket(0.0, 1.0, x, 1.0, 1.0, 1.0, 1.0, (1.0, 1.0))
+            assert lo <= 0.5 <= hi, x
 
     def test_one_ulp_support_contains_its_mean(self):
         # the mean 1 + 2^-53 lies between two floats; both shifts rounded to 1.0
@@ -304,20 +397,22 @@ class TestBestEnclosure:
     def test_is_the_best_bound_over_the_grid(self):
         # the best lower and upper bounds over the whole module grid, the
         # ends included, with the first minimizer of the upper as x_used,
-        # then cut to the support
+        # then cut to the support; the mass bracket is sized for the midpoint
         for make in ALL:
             d = make()
+            mass = validate_density(d).normalization
             a, b = d.domain.a, d.domain.b
             n = _EXPECTATION_GRIDPOINTS
             ts = [a + (b - a) * i / (n - 1) for i in range(n)]
             ts[-1] = b
             fa, fb = d.right_limit(a), d.left_limit(b)
-            inner = [_expectation_bracket(a, b, x, d.right_limit(x), d.left_limit(x), fa, fb) for x in ts[1:-1]]
+            inner = [_expectation_bracket(a, b, x, d.right_limit(x), d.left_limit(x), fa, fb, mass)
+                     for x in ts[1:-1]]
             # at x = a only f(a+) is weighted, at x = b only f(b-)
-            lo_a, hi_a = _expectation_bracket(a, b, a, fa, fb, fa, fb)
-            lo_b, hi_b = _expectation_bracket(a, b, b, fa, fb, fa, fb)
+            lo_a, hi_a = _expectation_bracket(a, b, a, fa, fb, fa, fb, mass)
+            lo_b, hi_b = _expectation_bracket(a, b, b, fa, fb, fa, fb, mass)
             # the sides there, moved outward
-            assert lo_a < 0.5 * (b - a) ** 2 * fa + a and 0.5 * (b - a) ** 2 * fb + a < hi_a
+            assert lo_a < 0.5 * (b - a) ** 2 * fa / mass[1] + a and 0.5 * (b - a) ** 2 * fb / mass[0] + a < hi_a
             los = [lo_a] + [lo for lo, _ in inner] + [lo_b]
             his = [hi_a] + [hi for _, hi in inner] + [hi_b]
             best_hi = min(his)
@@ -331,13 +426,87 @@ class TestBestEnclosure:
             calls.append(t)
             return 2.0 * t
 
+        # beyond the walk at the midpoint, f(x+) and f(x-) at the 999 interior
+        # points, f(a+) and f(b-) once
         d = continuous_density(UNIT, pdf, "2t")
+        validate_density(d)
+        walk = len(calls)
         best = best_expectation_enclosure(d)
-        # the best bounds 0.5 and 0.75 are attained at x = 0.5
-        assert best.x_used == 0.5
-        assert 0 < 0.5 - best.lo <= 8 * math.ulp(0.5) and 0 < best.hi - 0.75 <= 8 * math.ulp(0.75)
-        # f(x+) and f(x-) at the 999 interior points, f(a+) and f(b-) once
-        assert len(calls) == 2000
+        assert best.lo <= 2 / 3 <= best.hi
+        assert len(calls) == 2 * walk + 2000
+
+
+def step_mass_and_mean(domain, breaks, values):
+    """The exact mass and normalized mean of a step density."""
+    edges = [Fraction(t) for t in (*breaks, domain.b)]
+    cells = list(zip(edges, edges[1:], map(Fraction, values)))
+    mass = sum(v * (hi - lo) for lo, hi, v in cells)
+    return mass, sum(v * (hi * hi - lo * lo) / 2 for lo, hi, v in cells) / mass
+
+
+class TestNormalizedMean:
+    """Each enclosure holds the mean of f/m, and the mass bracket holds m,
+    at zero slack against Fraction references.  The masses 2 and 1.525 are
+    not 1; the float reads of 2.0004*x and 3*x^2 are within an ulp of the
+    formula, far inside the brackets' margins."""
+
+    STEP = ((0.0, 0.1, 0.7), (0.25, 1.0, 3.0))
+    CASES = {
+        "4*x": (UNIT, Fraction(2), Fraction(2, 3)),
+        "2.0004*x": (UNIT, Fraction(2.0004) / 2, Fraction(2, 3)),
+        "3*x^2": (UNIT, Fraction(1), Fraction(3, 4)),
+        "0.5": (Interval(-1.0, 1.0), Fraction(1), Fraction(0)),
+        "step": (UNIT, *step_mass_and_mean(UNIT, *STEP)),
+    }
+
+    @staticmethod
+    def density(label):
+        iv = TestNormalizedMean.CASES[label][0]
+        if label == "step":
+            return piecewise_constant_density(iv, *TestNormalizedMean.STEP, label)
+        return continuous_density(iv, to_function(label), label)
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_every_split_holds_the_mean(self, label):
+        iv, mass, mean = self.CASES[label]
+        d = self.density(label)
+        report = validate_density(d)
+        assert report.valid, report.messages
+        assert Fraction(report.normalization[0]) <= mass <= Fraction(report.normalization[1])
+        encs = [midpoint_expectation_enclosure(d), best_expectation_enclosure(d),
+                *(expectation_enclosure(d, x) for x in (iv.a + 0.3 * iv.width, iv.a, iv.b))]
+        for enc in encs:
+            assert Fraction(enc.lo) <= mean <= Fraction(enc.hi), (label, enc)
+        if label == "2.0004*x":
+            # accepted, its mass 1.0002 passed the old test of the mass
+            # against 1 and the enclosure was that of 2.0004*x itself
+            assert encs[0].lo <= 2.0 / 3.0 <= encs[0].hi and mass != 1
+
+    @pytest.mark.parametrize("c, a, b", [(0.7, 0.1, 0.7), (1 / 3, -0.3, 0.9), (0.1, 1 / 3, 2.0), (3.3, 0.2, 0.3)])
+    def test_constant_mass_within_the_rounded_bracket(self, c, a, b):
+        # both sums are c(b - a) but for their rounding, which the allowance covers
+        lo, hi = validate_density(continuous_density(Interval(a, b), lambda t: c)).normalization
+        assert Fraction(lo) <= Fraction(c) * (Fraction(b) - Fraction(a)) <= Fraction(hi)
+
+    def test_expectation_reads_four_times_beyond_its_walk(self):
+        # f(a+), f(b-) and, inside the support, f(x+) and f(x-)
+        calls = []
+
+        def pdf(t):
+            calls.append(t)
+            return 2.0 * t
+
+        d = continuous_density(UNIT, pdf)
+        for x in (0.5, 0.3, 0.0):
+            calls.clear()
+            report = validate_density(d, x)
+            walk = len(calls)
+            expectation_enclosure(d, x, report.normalization)
+            beyond = 4 if x else 2
+            assert len(calls) - walk == beyond
+            calls.clear()
+            expectation_enclosure(d, x)
+            assert len(calls) == walk + beyond
 
 
 class TestExpectationViaCdf:
