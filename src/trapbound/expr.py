@@ -12,13 +12,14 @@ f itself, and forward-mode slope functions that carry ``(value, slope)``
 through each node, which give the exact one-sided derivatives f'+ and f'-,
 ``abs`` included.  On the first adaptive cell it also compiles, from the
 same tree and with the same :class:`_Body`, the interval evaluator of
-:mod:`trapbound._ranges`, which carries ``(value, slope, f'', f''', f'''')``
-as intervals rounded outward over a cell: the f'', f''' and f'''' ranges
-that let the adaptive integrator's cells grow like eps^-1/5 where the tree
-is C^4.  It answers None on a cell where the tree is not C^2, such as one
-holding the kink of an ``abs``, and an infinite f''' or f'''' range where it
-is C^2 or C^3 alone.  Constants are globals of the generated code, so trees
-of one shape share one code object per process (:func:`_code`).
+:mod:`trapbound._ranges`, which carries f, f', ..., f^(K), K = 4, as
+intervals rounded outward over a cell, by one rule per operation for all
+orders: the f'', f''' and f'''' ranges that let the adaptive integrator's
+cells grow like eps^-1/5 where the tree is C^4.  It answers None on a cell
+where the tree is not C^2, such as one holding the kink of an ``abs``, and
+an infinite f''' or f'''' range where it is C^2 or C^3 alone.  Constants are
+globals of the generated code, so trees of one shape share one code object
+per process (:func:`_code`).
 """
 
 from __future__ import annotations

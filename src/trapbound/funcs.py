@@ -57,7 +57,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        return 0.5 * self.a + 0.5 * self.b  # halving is exact: 0.5 (a + b) for normal a, b, but finite
 
     def contains(self, x: float) -> bool:
         return self.a <= x <= self.b
@@ -77,12 +77,13 @@ class ConvexFunction:
     where no f'' range is known; lo3 and hi3 are -inf and +inf where f is
     not C^3 on the cell, and lo4 and hi4 where it is not C^4.  The catalog
     writes the three ranges in closed form and
-    :func:`trapbound.expr.to_convex_function` in interval arithmetic, in one
-    call.  Each of the six ends may be one ulp off, as one call to a
-    faithful libm (within 1 ulp) is; a multi-step oracle rounds its inner
-    steps outward.  Values and one-sided slopes are assumed faithful in the
-    same sense: the adaptive integrator's rounding bounds
-    (:mod:`trapbound.quadrature`) rest on it.
+    :func:`trapbound.expr.to_convex_function` in interval arithmetic, with
+    one rule per operation for every order up to 4, in one call.  Each of
+    the six ends may be one ulp off, as one call to a faithful libm
+    (within 1 ulp) is; a multi-step oracle rounds its inner steps outward.
+    Values and one-sided slopes are assumed faithful in the same sense:
+    the adaptive integrator's rounding bounds (:mod:`trapbound.quadrature`)
+    rest on it.
 
     Instances are immutable and all methods are pure.
     """

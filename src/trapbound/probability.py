@@ -182,19 +182,22 @@ def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, f
     f(b-) and the mass bracket [m_lo, m_hi].  Rounding T to nearest loses less
     than 3u|terms| on a side (u = eps/2, |terms| the sum of its two absolute
     products, outside underflow), so each side moves out by 2 eps |terms| and
-    an ulp, and again by an ulp after its division and its shift.  Without
-    m_lo > 0 it is the whole line."""
+    an ulp, and again by an ulp after its division and its shift.  The
+    weights are scaled by 4^k, 2^-k about b - a, so that they cannot
+    overflow or underflow, and the quotients back, exactly where no value is
+    subnormal.  Without m_lo > 0 it is the whole line."""
     m_lo, m_hi = mass
     if not m_lo > 0:
         return -math.inf, math.inf
-    wl, wr = (b - x) ** 2, (x - a) ** 2
+    k = -math.frexp(b - a)[1]
+    wl, wr = math.ldexp(b - x, k) ** 2, math.ldexp(x - a, k) ** 2
     lo, hi = _gap_bracket(wl, wr, dpx, dmx, fa, fb)
     # half of each side's |terms|: the same bracket with every product made positive
     lo_terms, hi_terms = _gap_bracket(wl, wr, abs(dpx), -abs(dmx), -abs(fa), abs(fb))
     e = 4 * sys.float_info.epsilon
     lo, hi = _down(lo - e * lo_terms), _up(hi + e * hi_terms)
-    return (_down(_down(lo / (m_lo if lo < 0 else m_hi)) + x),
-            _up(_up(hi / (m_hi if hi < 0 else m_lo)) + x))
+    return (_down(math.ldexp(_down(lo / (m_lo if lo < 0 else m_hi)), -2 * k) + x),
+            _up(math.ldexp(_up(hi / (m_hi if hi < 0 else m_lo)), -2 * k) + x))
 
 
 def _bracket_at(d: MonotoneDensity, x: float, fa: float, fb: float, mass: tuple) -> tuple:

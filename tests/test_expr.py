@@ -21,7 +21,7 @@ from trapbound.expr import (
     tokenize,
 )
 from trapbound.funcs import Interval, catalog
-from trapbound.quadrature import ConvexityViolationError
+from trapbound.quadrature import ConvexityViolationError, adaptive_integrate
 
 CORPUS = [
     "x",
@@ -440,7 +440,8 @@ def test_kink_slopes_match_catalog(k, c, ts):
 
 def _d2_cases():
     """(text, domain, exact f'' on Decimal t) for each smooth expression
-    template of the benchmark's cli_expr workload."""
+    template of the benchmark's cli_expr workload, and for a log and a sqrt
+    of arguments with derivatives of every order."""
     from decimal import Decimal as D
 
     c = st.floats(0.5, 2.0)
@@ -457,6 +458,8 @@ def _d2_cases():
             ("-log(x)", (0.1, 1.0), lambda t: 1 / t ** 2),
             ("sqrt(1 + x^2)", (-1.0, 1.0), lambda t: (1 + t * t) ** D(-1.5)),
             ("exp(x) + exp(-x)", (-1.0, 1.0), lambda t: t.exp() + (-t).exp()),
+            ("log(1 + exp(x))", (-1.0, 1.0), lambda t: t.exp() / (t.exp() + 1) ** 2),
+            ("sqrt(1 + exp(x))", (-1.0, 1.0), lambda t: t.exp() * (t.exp() + 2) / (4 * (t.exp() + 1) ** D(1.5))),
         ]),
     )
 
@@ -548,6 +551,19 @@ class TestD2Range:
         for name in ("t", "k0", "v0", "d", "r", "r_fault", "_iadd", "_out"):
             lo, hi = to_convex_function(f"{name}^2", Interval(0.0, 1.0), name)._d2range(0.0, 1.0)[:2]
             assert lo <= 2.0 <= hi
+
+    @pytest.mark.parametrize("src, a, b, cells", [
+        ("sqrt(1 + x^2)", -2.0, 2.0, (56, 358)),
+        ("exp(x^2)", -1.0, 1.0, (42, 250)),
+        ("1/(2 - x^2)", -1.0, 1.0, (42, 266)),
+        ("(x-1)^2/x", 0.5, 3.0, (42, 262)),
+    ])
+    def test_adaptive_cells_pin_the_tightness(self, src, a, b, cells):
+        # the f'', f''' and f'''' ranges set the cells a run takes, so a rule
+        # whose ranges come out looser takes more of them
+        for eps, n in zip((1e-8, 1e-12), cells):
+            res = adaptive_integrate(to_convex_function(src, Interval(a, b)), eps)
+            assert (res.cells, res.converged) == (n, True), (src, eps)
 
 
 class TestSharedCode:

@@ -488,6 +488,21 @@ class TestNormalizedMean:
         lo, hi = validate_density(continuous_density(Interval(a, b), lambda t: c)).normalization
         assert Fraction(lo) <= Fraction(c) * (Fraction(b) - Fraction(a)) <= Fraction(hi)
 
+    @pytest.mark.parametrize("c, a, b", [(1.0, 1e308, 1.7e308), (5e-156, 0.0, 2e155), (1.0, 0.0, 1e-160)])
+    def test_extreme_supports_hold_the_exact_bracket(self, c, a, b):
+        # a + b overflows on the first support, the weights (b - x)^2 on the
+        # first two, and the weights underflow on the third; the enclosure
+        # holds the exact bracket and the mean, and rounding widens it by a
+        # few ulps
+        d = continuous_density(Interval(a, b), lambda t: c)
+        mean = (Fraction(a) + Fraction(b)) / 2
+        for x in (d.domain.midpoint, a, b):
+            mass = validate_density(d, x).normalization
+            enc = expectation_enclosure(d, x, mass)
+            lo, hi = exact_bracket(d, x, mass)
+            assert Fraction(enc.lo) <= lo <= mean <= hi <= Fraction(enc.hi), (x, enc)
+            assert Fraction(enc.hi) - Fraction(enc.lo) - (hi - lo) <= 32 * EPS * mean, (x, enc)
+
     def test_expectation_reads_four_times_beyond_its_walk(self):
         # f(a+), f(b-) and, inside the support, f(x+) and f(x-)
         calls = []

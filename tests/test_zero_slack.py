@@ -51,9 +51,10 @@ def test_adaptive_enclosure_contains_reference(case):
 D = Decimal
 #: f''' and f'''' on Decimal t, given the constants c and p of the text, of
 #: smooth expression templates on their domains: those of the benchmark's
-#: cli_expr workload, and five whose operands have second or third
+#: cli_expr workload, and seven whose operands have second or third
 #: derivatives, so that every term of the chain, product, quotient and
-#: power rules is reached
+#: power rules is reached; the log and sqrt arguments of the last two have
+#: derivatives of every order
 EXPRESSIONS = {
     "exp({c!r}*x)": ((-1.0, 1.0), lambda c, p, t: D(c) ** 3 * (D(c) * t).exp(),
                      lambda c, p, t: D(c) ** 4 * (D(c) * t).exp()),
@@ -78,6 +79,13 @@ EXPRESSIONS = {
                                           / (8 * (e + 1) ** D(1.5)))(t.exp()),
                          lambda c, p, t: (lambda e: 3 * (27 * e ** 3 + 68 * e * e + 52 * e + 8) * e
                                           / (16 * (e + 1) ** D(2.5)))(t.exp())),
+    # sigma = 1/(1 + e^-t): f'' = sigma (1 - sigma)
+    "log(1 + exp(x))": ((-1.0, 1.0), lambda c, p, t: (lambda s: s * (1 - s) * (1 - 2 * s))(1 / (1 + (-t).exp())),
+                        lambda c, p, t: (lambda s: s * (1 - s) * (1 - 6 * s + 6 * s * s))(1 / (1 + (-t).exp()))),
+    "sqrt(1 + exp(x))": ((-1.0, 1.0),
+                         lambda c, p, t: (lambda e: e * (e * e + 2 * e + 4) / (8 * (e + 1) ** D(2.5)))(t.exp()),
+                         lambda c, p, t: (lambda e: e * (e ** 3 + 4 * e * e - 4 * e + 8)
+                                          / (16 * (e + 1) ** D(3.5)))(t.exp())),
 }
 
 
