@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +50,11 @@ class DistributionLoadError(UsageError):
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the CLI contract reserves 2
     # for hypothesis failures, so route usage problems through UsageError.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern has no exponent and takes -1e-3 for a flag; subparsers are of this class
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -58,7 +64,7 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False):
     (one weight per line) or a JSON array.
 
     ``fmt`` defaults to the file extension.  Weights must sum to 1 within
-    1e-9 unless ``normalize`` is set, in which case they are rescaled.
+    ``divergence._WEIGHT_TOL`` unless ``normalize`` is set, which rescales them.
     """
     from . import divergence as div
 
@@ -118,7 +124,7 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False):
     except OverflowError:
         total = math.inf  # a partial sum passed the float range
     # written so that a NaN sum fails too
-    if not abs(total - 1.0) <= 1e-9:
+    if not abs(total - 1.0) <= div._WEIGHT_TOL:
         if not normalize:
             raise HypothesisError(
                 f"{path}: weights sum to {total!r}, not 1 (pass --normalize to rescale)"
@@ -165,11 +171,19 @@ def _render(report: dict, output_format: str) -> str:
     return "\n".join(lines)
 
 
+def _interval(args) -> Interval:
+    """``--interval``, refused where its width b - a overflows: no bound over it is finite."""
+    iv = Interval(*args.interval)
+    if math.isinf(iv.width):
+        raise UsageError(f"--interval [{iv.a}, {iv.b}]: its width b - a overflows to inf")
+    return iv
+
+
 def _function(args) -> tuple:
     """Parse ``--fn`` on ``--interval`` and check its convexity: ``(f, report)``."""
     from . import expr
 
-    iv = Interval(args.interval[0], args.interval[1])
+    iv = _interval(args)
     try:
         f = expr.to_convex_function(args.fn, iv, args.var)
     except expr.ParseError as exc:
@@ -257,7 +271,7 @@ def _density(args) -> tuple:
     """Parse ``--density`` on ``--interval`` and validate it: ``(d, report)``."""
     from . import expr, probability
 
-    iv = Interval(args.interval[0], args.interval[1])
+    iv = _interval(args)
     try:
         pdf = expr.to_function(args.density, args.var)
     except expr.ParseError as exc:

@@ -10,10 +10,10 @@ This module computes, at any split point x in [a, b], the two-sided certificate
       <=  g(x)  <=
     (1/2) [ (b-x)^2 f'-(b) - (x-a)^2 f'+(a) ]
 
-together with its Hermite-Hadamard specialization.  The paper's
-differentiable-point lower bound and optimal split point are readings of
-this one bracket, and its sliding-window form is one midpoint cell of
-``quadrature.trapezoid_remainder_enclosure``.
+together with its Hermite-Hadamard specialization, one entry point each:
+``gap_enclosure`` and ``hh_bounds``.  The paper's differentiable-point lower
+bound and optimal split point are readings of this one bracket, and its
+sliding-window form is ``quadrature.remainder_enclosure`` on one midpoint cell.
 
 ``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding them
 outward is ROADMAP item 4.  Any bound touching an infinite endpoint

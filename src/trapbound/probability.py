@@ -9,7 +9,9 @@ f/m.  The gap bounds of F give, for x in [a, b], E(X) = x + T/m with
 limits taken inside [a, b], and at x = a or b the zero-weighted one not read.
 Each side of ``pointwise._gap_bracket`` applied to F is divided by the end of
 the mass bracket of :func:`validate_density` that moves it out, and shifted by
-x, each step rounded outward.
+x, each step rounded outward.  :func:`expectation_enclosure` is the one entry
+point for this bound (:func:`best_expectation_enclosure` searches a grid of x):
+at c = (a + b)/2 it is (1/8)[f(c+) - f(c-)](b-a)^2 <= m (E(X) - c) <= (1/8)[f(b-) - f(a+)](b-a)^2.
 """
 
 from __future__ import annotations
@@ -224,17 +226,10 @@ def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = 
     return _clip(d, *_bracket_at(d, x, d.right_limit(d.domain.a), d.left_limit(d.domain.b), mass), x)
 
 
-def midpoint_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
-    """The bound at the midpoint c, (1/8)[f(c+) - f(c-)](b-a)^2 <= m (E(X) - c)
-    <= (1/8)[f(b-) - f(a+)](b-a)^2, m bracketed as by :func:`validate_density`.
-    When a and b are adjacent floats, c rounds onto an end."""
-    return expectation_enclosure(d, d.domain.midpoint)
-
-
 def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
     """Optimize each side of the expectation bound over ``_EXPECTATION_GRIDPOINTS``
-    equispaced split points, the ends included, m bracketed as in
-    :func:`midpoint_expectation_enclosure`.  ``x_used`` reports the split
+    equispaced split points, the ends included, m bracketed as by
+    :func:`validate_density` at the midpoint.  ``x_used`` reports the split
     point attaining the best upper bound before the cut to the support."""
     a, b = d.domain.a, d.domain.b
     mass = validate_density(d).normalization

@@ -11,13 +11,14 @@ the paper's single-interval bracket:
     lo = (1/2) sum_i [ (x_{i+1}-xi_i)^2 f'+(xi_i) - (xi_i-x_i)^2 f'-(xi_i) ]
     hi = (1/2) sum_i [ (x_{i+1}-xi_i)^2 f'-(x_{i+1}) - (xi_i-x_i)^2 f'+(x_i) ]
 
-With midpoint xi the rule is the classical trapezoid rule and the bracket
-specializes to the 1/8 form.  Fixed partitions report exactly this bracket.
-The paper's bracket of every cell, adaptive cells included, comes from the
-one kernel that :mod:`trapbound.pointwise` and :mod:`trapbound.probability`
-also use, ``pointwise._gap_bracket`` (read at a cell's xi by
-``pointwise._split_bracket``; in its 1/8 form, ``pointwise._midpoint_bracket``).
-A partition must start and end exactly at the ends of f's domain.
+With midpoint xi the rule is the classical trapezoid rule and the bracket is
+the paper's trapezoid corollary, the 1/8 form: :func:`remainder_enclosure` is
+the one entry point for both, and fixed partitions report it.  The paper's
+bracket of every cell, adaptive cells included, comes from the one kernel
+that :mod:`trapbound.pointwise` and :mod:`trapbound.probability` also use,
+``pointwise._gap_bracket`` (read at a cell's xi by ``pointwise._split_bracket``;
+in its 1/8 form, ``pointwise._midpoint_bracket``).  A partition must start
+and end exactly at the ends of f's domain.
 
 The adaptive integrator bisects the cell with the widest bracket until the
 total enclosure width meets a tolerance.  Its cells carry their samples (f at
@@ -46,16 +47,13 @@ eps^-1/5 (Atkinson, *An Introduction to Numerical Analysis*, 2nd ed., 1989,
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
 from .pointwise import Enclosure, _midpoint_bracket, _split_bracket
-
-_MATCH_TOL = 1e-12
 
 
 class ConvexityViolationError(NonConvexityError):
@@ -91,10 +89,6 @@ class Partition:
     def cells(self):
         return zip(self.points, self.points[1:], self.xi)
 
-    @property
-    def is_midpoint(self) -> bool:
-        return all(abs(x - 0.5 * (u + v)) <= _MATCH_TOL * (v - u) for u, v, x in self.cells())
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -115,31 +109,21 @@ class QuadratureResult:
     converged: bool = True
 
 
-def uniform_partition(
-    iv: Interval,
-    n: int,
-    xi_rule: Union[str, Sequence[float]] = "midpoint",
-) -> Partition:
-    """Equispaced partition of ``iv`` into ``n`` cells.
-
-    ``xi_rule`` is ``"midpoint"``, ``"left"``, ``"right"``, or an explicit
-    sequence of n intermediate points.
-    """
+def uniform_partition(iv: Interval, n: int, xi_rule: str = "midpoint") -> Partition:
+    """Equispaced partition of ``iv`` into ``n`` cells, ``xi_rule`` one of ``"midpoint"``,
+    ``"left"`` or ``"right"``; other intermediate points make a :class:`Partition`."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     h = iv.width / n
     points = tuple(iv.a + i * h for i in range(n)) + (iv.b,)
-    if isinstance(xi_rule, str):
-        if xi_rule == "midpoint":
-            xi = tuple(0.5 * (points[i] + points[i + 1]) for i in range(n))
-        elif xi_rule == "left":
-            xi = points[:-1]
-        elif xi_rule == "right":
-            xi = points[1:]
-        else:
-            raise ValueError(f"unknown xi rule {xi_rule!r}")
+    if xi_rule == "midpoint":
+        xi = tuple(0.5 * (points[i] + points[i + 1]) for i in range(n))
+    elif xi_rule == "left":
+        xi = points[:-1]
+    elif xi_rule == "right":
+        xi = points[1:]
     else:
-        xi = tuple(xi_rule)
+        raise ValueError(f"unknown xi rule {xi_rule!r}")
     return Partition(points, xi)
 
 
@@ -162,12 +146,20 @@ def generalized_trapezoid(f: ConvexFunction, P: Partition) -> float:
     return total
 
 
-def _summed_brackets(f: ConvexFunction, P: Partition, bracket) -> Enclosure:
-    """Sum of the per-cell brackets ``bracket(u, v, xi)`` over the cells of P."""
-    lo_sum = 0.0
-    hi_sum = 0.0
+def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
+    """Certified bracket for the remainder S_n = G_n - integral: the paper's
+    bracket of each cell at its xi, summed.  At midpoint xi, up to the
+    rounding of m_i, it is the paper's trapezoid corollary (1/8) sum
+    [f'+(m_i) - f'-(m_i)] h_i^2 <= S_n <= (1/8) sum [f'-(x_{i+1}) - f'+(x_i)] h_i^2.
+
+    An inverted per-cell bracket (lo > hi beyond tolerance) is numerically
+    impossible for a convex integrand and raises
+    :class:`ConvexityViolationError` naming the cell.
+    """
+    _check_domain(f, P)
+    lo_sum = hi_sum = 0.0
     for i, (u, v, x) in enumerate(P.cells()):
-        lo, hi = bracket(u, v, x)
+        lo, hi = _split_bracket(f.d_plus, f.d_minus, u, v, x)
         if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
             raise ConvexityViolationError(
                 f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
@@ -176,42 +168,6 @@ def _summed_brackets(f: ConvexFunction, P: Partition, bracket) -> Enclosure:
         lo_sum += lo
         hi_sum += hi
     return Enclosure(min(lo_sum, hi_sum), hi_sum)
-
-
-def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
-    """Certified bracket for the remainder S_n = G_n - integral.
-
-    An inverted per-cell bracket (lo > hi beyond tolerance) is numerically
-    impossible for a convex integrand and raises
-    :class:`ConvexityViolationError` naming the cell.
-    """
-    _check_domain(f, P)
-    return _summed_brackets(f, P, functools.partial(_split_bracket, f.d_plus, f.d_minus))
-
-
-def trapezoid_remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
-    """Remainder bracket for the classical trapezoid rule (midpoint xi):
-
-        (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2
-          <= Q_n <=
-        (1/8) sum [f'-(x_{i+1}) - f'+(x_i)] h_i^2
-
-    This is the midpoint-xi specialization of :func:`remainder_enclosure`,
-    with the weights h_i^2/4 of the exact midpoint; for differentiable f the
-    upper side is the familiar (1/8) sum [f'(x_{i+1}) - f'(x_i)] h_i^2.  A
-    cell with no float strictly inside it is bracketed by
-    [0, (1/8)[f'-(x_{i+1}) - f'+(x_i)] h_i^2].
-    """
-    _check_domain(f, P)
-    if not P.is_midpoint:
-        raise ValueError("trapezoid remainder bracket requires midpoint intermediate points")
-
-    def bracket(u, v, _):
-        m = 0.5 * (u + v)
-        dpm, dmm = (f.d_plus(m), f.d_minus(m)) if u < m < v else (None, None)
-        return _midpoint_bracket(v - u, dpm, dmm, f.d_plus(u), f.d_minus(v))
-
-    return _summed_brackets(f, P, bracket)
 
 
 def _integral_enclosure(gn: float, rem: Enclosure) -> Enclosure:

@@ -28,7 +28,6 @@ from trapbound.pointwise import _reference_integral, gap_enclosure, hh_bounds
 from trapbound.probability import (
     continuous_density,
     expectation_enclosure,
-    midpoint_expectation_enclosure,
     piecewise_constant_density,
 )
 from trapbound.quadrature import (
@@ -36,7 +35,6 @@ from trapbound.quadrature import (
     generalized_trapezoid,
     integrate,
     remainder_enclosure,
-    trapezoid_remainder_enclosure,
     uniform_partition,
 )
 
@@ -133,15 +131,18 @@ def test_criterion_5_adaptive_integrator():
 
 
 def test_criterion_6_specialization_identity():
+    # the paper's trapezoid corollary, cells of width h_i and midpoints m_i:
+    # (1/8) sum [f'+(m_i) - f'-(m_i)] h_i^2 <= S_n <= (1/8) sum [f'-(x_{i+1}) - f'+(x_i)] h_i^2
     ok = True
     for f in default_catalog():
         for n in (1, 2, 3, 4, 8, 16, 32):
             P = uniform_partition(f.domain, n)
-            gen = remainder_enclosure(f, P)
-            spec = trapezoid_remainder_enclosure(f, P)
-            ok = ok and abs(gen.lo - spec.lo) <= 1e-12
-            ok = ok and abs(gen.hi - spec.hi) <= 1e-12
-    report(6, "trapezoid bracket equals midpoint specialization", ok)
+            rem = remainder_enclosure(f, P)
+            lo = sum((v - u) ** 2 * (f.d_plus(m) - f.d_minus(m)) for u, v, m in P.cells()) / 8
+            hi = sum((v - u) ** 2 * (f.d_minus(v) - f.d_plus(u)) for u, v, _ in P.cells()) / 8
+            ok = ok and abs(rem.lo - lo) <= 1e-12
+            ok = ok and abs(rem.hi - hi) <= 1e-12
+    report(6, "composite bracket at midpoint xi is the paper's 1/8 form", ok)
 
 
 def test_criterion_7_expectation_enclosures():
@@ -154,11 +155,9 @@ def test_criterion_7_expectation_enclosures():
     )
     ok = ok and abs(tri.lo - 0.5) <= 1e-12 and abs(tri.hi - 0.75) <= 1e-12
     ok = ok and tri.lo <= 2.0 / 3.0 <= tri.hi
-    quad = midpoint_expectation_enclosure(continuous_density(unit, lambda t: 4.0 * t, "4t"))
+    quad = expectation_enclosure(continuous_density(unit, lambda t: 4.0 * t, "4t"), unit.midpoint)
     ok = ok and quad.lo <= 2.0 / 3.0 <= quad.hi <= tri.hi + 1.0 / 64
-    flat = midpoint_expectation_enclosure(
-        continuous_density(unit, lambda t: 1.0, "uniform")
-    )
+    flat = expectation_enclosure(continuous_density(unit, lambda t: 1.0, "uniform"), unit.midpoint)
     ok = ok and abs(flat.lo - 0.5) <= 1e-12 and abs(flat.hi - 0.5) <= 1e-12
     step = expectation_enclosure(
         piecewise_constant_density(unit, (0.0, 0.5), (0.0, 2.0), "step"), 0.5, (1.0, 1.0)

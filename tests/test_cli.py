@@ -493,6 +493,34 @@ class TestCheck:
         assert "negative weight" in err
 
 
+class TestNegativeNumbers:
+    """A negative number written with an exponent is a value, not a flag, in
+    every subcommand; argparse's own pattern took -1e-3 for an option."""
+
+    @pytest.mark.parametrize("a", ["-1e-3", "-1E-3", "-1.0e-3", "-.1e-2", "-1.e-3"])
+    def test_interval(self, capsys, a):
+        rep = run_json(capsys, "integrate", "--fn", "x^2", "--interval", a, "1", "--eps", "1e-8")
+        assert rep["interval"] == [-1e-3, 1.0]
+        exact = (1 + Fraction(1e-3) ** 3) / 3
+        assert Fraction(rep["integral"]["lo"]) <= exact <= Fraction(rep["integral"]["hi"])
+
+    def test_gap_x(self, capsys):
+        # the gap of x^2 on [-1, 1] is 2 - 2/3 at every split point
+        rep = run_json(capsys, "gap", "--fn", "x^2", "--interval", "-1", "1", "--x", "-1e-3")
+        assert rep["x"] == -1e-3
+        assert rep["lower"] <= 4 / 3 <= rep["upper"]
+
+    def test_expectation_x(self, capsys):
+        rep = run_json(capsys, "expectation", "--density", "1", "--interval", "-1", "1", "--x", "-1e-3")
+        assert rep["x_used"] == -1e-3
+        assert rep["expectation"]["lo"] <= 0.0 <= rep["expectation"]["hi"]
+
+    def test_expression_that_looks_like_a_flag_needs_equals(self, capsys):
+        # only numbers are values: --fn=-log(x) passes the expression
+        code, _, err = run_cli(capsys, "integrate", "--fn", "-log(x)", "--interval", "0.5", "2")
+        assert code == 1 and "argument --fn: expected one argument" in err
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "integrate", "--fn", "x^2",
@@ -523,6 +551,19 @@ class TestExitCodes:
         argv = [a.format(bad=tmp_path / "bad.json", empty=tmp_path / "empty.csv") for a in argv]
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and fragment in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["expectation", "--density", "1"],
+        ["check", "--density", "1"],
+        ["integrate", "--fn", "x^2"],
+        ["check", "--fn", "x^2"],
+    ])
+    def test_interval_whose_width_overflows_refused(self, capsys, argv):
+        # b - a = 3.4e308 is not a float: the mass bracket was [nan, nan] and
+        # the integrator read f at a NaN point
+        code, _, err = run_cli(capsys, *argv, "--interval", "-1.7e308", "1.7e308")
+        assert code == 1, err
+        assert "--interval [-1.7e+308, 1.7e+308]: its width b - a overflows to inf" in err
 
     @pytest.mark.parametrize("command", ["integrate", "check"])
     def test_infinite_exponent_refused(self, capsys, command):

@@ -6,7 +6,7 @@ from catalog_oracles import DEFAULT_SPECS, corpus_integral, exact_integral, refe
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import Enclosure, _reference_integral, gap_enclosure, hh_bounds
-from trapbound.quadrature import trapezoid_remainder_enclosure, uniform_partition
+from trapbound.quadrature import remainder_enclosure, uniform_partition
 
 KINK = catalog("kink", (1.0, 0.5))
 QUAD = catalog("quadratic")
@@ -277,15 +277,15 @@ class TestDifferentiableLower:
 class TestWindowInequality:
     """The window form: on [x - h/2, x + h/2], (1/8) h^2 [f'+(x) - f'-(x)] is
     at most the trapezoid defect h (f(x - h/2) + f(x + h/2))/2 - integral.
-    It is the lower side of the one-cell ``trapezoid_remainder_enclosure`` on
-    the window; exact at zero slack."""
+    It is the lower side of ``remainder_enclosure`` on the window as one
+    midpoint cell; exact at zero slack."""
 
     @staticmethod
     def window(name, params, x, h):
         f = catalog(name, params, Interval(x - 0.5 * h, x + 0.5 * h))
         u, v = f.domain.a, f.domain.b
         defect = (Fraction(v) - Fraction(u)) * (Fraction(f(u)) + Fraction(f(v))) / 2 - exact_integral(name, params, u, v)
-        return trapezoid_remainder_enclosure(f, uniform_partition(f.domain, 1)), defect
+        return remainder_enclosure(f, uniform_partition(f.domain, 1)), defect
 
     def test_kink_equality(self):
         enc, defect = self.window("kink", (1.0, 0.5), 0.5, 1.0)
@@ -299,9 +299,19 @@ class TestWindowInequality:
         assert enc.lo <= defect == Fraction(1, 48) <= enc.hi
 
     def test_linear_both_zero(self):
-        enc, defect = self.window("linear", (2.0, 0.0), 0.5, 0.4)
+        enc, defect = self.window("linear", (2.0, 0.0), 0.5, 0.25)
         assert (enc.lo, enc.hi) == (0.0, 0.0)
         assert defect == 0
+
+    def test_linear_window_off_its_float_midpoint(self):
+        # the float window [0.3, 0.7] is not centred on its float midpoint 0.5,
+        # so the cell brackets the rule at xi = 0.5, whose remainder is
+        # (v - u)(u + v - 1) = -2.22e-17, not the trapezoid defect 0; the
+        # bracket is that point rounded to nearest, -2.78e-17 (ROADMAP item 4),
+        # and its lower side still bounds the defect
+        enc, defect = self.window("linear", (2.0, 0.0), 0.5, 0.4)
+        assert defect == 0
+        assert enc.lo == enc.hi == -2.7755575615628914e-17 <= defect
 
 
 class TestOptimalPoint:

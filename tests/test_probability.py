@@ -16,7 +16,6 @@ from trapbound.probability import (
     MonotoneDensity,
     continuous_density,
     expectation_enclosure,
-    midpoint_expectation_enclosure,
     piecewise_constant_density,
     validate_density,
 )
@@ -313,7 +312,7 @@ class TestExpectationEnclosure:
         # the float midpoint of adjacent floats rounds onto a
         a, b = 1.0, 1.0 + 2.0 ** -52
         d = continuous_density(Interval(a, b), lambda t: 2.0 ** 52, "one ulp")
-        enc = midpoint_expectation_enclosure(d)
+        enc = expectation_enclosure(d, d.domain.midpoint)
         assert enc.x_used == a
         assert Fraction(enc.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(enc.hi), enc
 
@@ -338,11 +337,19 @@ class TestExpectationEnclosure:
                 assert mean(d) <= enc.hi + 1e-12, (d.label, x)
 
     def test_midpoint_variant_is_the_midpoint_split(self):
+        # the paper's midpoint variant is the split at c = (a + b)/2, weights
+        # (b - a)^2/4: (1/8)[f(c+) - f(c-)](b-a)^2 <= m (E(X) - c) <= (1/8)[f(b-) - f(a+)](b-a)^2,
+        # both sides >= 0 for a nondecreasing f, so each is over the mass end that moves it out
         for make in ALL:
             d = make()
-            mid = midpoint_expectation_enclosure(d)
-            ref = expectation_enclosure(d, d.domain.midpoint)
-            assert mid == ref, d.label
+            a, b, c = d.domain.a, d.domain.b, d.domain.midpoint
+            mass = validate_density(d, c).normalization
+            w = Fraction(b - a) ** 2 / 8
+            lo = w * (Fraction(d.right_limit(c)) - Fraction(d.left_limit(c))) / Fraction(mass[1])
+            hi = w * (Fraction(d.left_limit(b)) - Fraction(d.right_limit(a))) / Fraction(mass[0])
+            enc = expectation_enclosure(d, c)
+            assert Fraction(enc.lo) <= c + lo and min(c + hi, b) <= Fraction(enc.hi), d.label
+            assert_tight_enclosure(enc, d, c, mass)
 
     def test_is_the_gap_bracket_of_the_cdf(self, rng):
         # E(X) = x + gap of F at x: the enclosure holds the gap bracket of the
@@ -364,7 +371,7 @@ class TestBestEnclosure:
         for make in ALL:
             d = make()
             best = best_expectation_enclosure(d)
-            mid = midpoint_expectation_enclosure(d)
+            mid = expectation_enclosure(d, d.domain.midpoint)
             assert best.lo >= mid.lo - 1e-12, d.label
             assert best.hi <= mid.hi + 1e-12, d.label
 
@@ -473,7 +480,7 @@ class TestNormalizedMean:
         report = validate_density(d)
         assert report.valid, report.messages
         assert Fraction(report.normalization[0]) <= mass <= Fraction(report.normalization[1])
-        encs = [midpoint_expectation_enclosure(d), best_expectation_enclosure(d),
+        encs = [expectation_enclosure(d, d.domain.midpoint), best_expectation_enclosure(d),
                 *(expectation_enclosure(d, x) for x in (iv.a + 0.3 * iv.width, iv.a, iv.b))]
         for enc in encs:
             assert Fraction(enc.lo) <= mean <= Fraction(enc.hi), (label, enc)
@@ -535,5 +542,5 @@ class TestExpectationViaCdf:
     def test_consistent_with_pointwise_bounds(self):
         d = triangular()
         enc = expectation_via_cdf(d)
-        mid = midpoint_expectation_enclosure(d)
+        mid = expectation_enclosure(d, d.domain.midpoint)
         assert mid.lo <= enc.lo + 1e-9 and enc.hi <= mid.hi + 1e-9

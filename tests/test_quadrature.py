@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
-from trapbound.pointwise import Enclosure, _reference_integral
+from trapbound.pointwise import Enclosure, _midpoint_bracket, _reference_integral
 from trapbound.quadrature import (
     _BETA,
     _DELTA,
@@ -21,7 +21,6 @@ from trapbound.quadrature import (
     generalized_trapezoid,
     integrate,
     remainder_enclosure,
-    trapezoid_remainder_enclosure,
     uniform_partition,
 )
 
@@ -77,17 +76,17 @@ class TestPartition:
         iv = Interval(0.0, 1.0)
         mid = uniform_partition(iv, 4)
         assert mid.n == 4
-        assert mid.is_midpoint
         assert mid.xi == (0.125, 0.375, 0.625, 0.875)
         assert uniform_partition(iv, 2, "left").xi == (0.0, 0.5)
         assert uniform_partition(iv, 2, "right").xi == (0.5, 1.0)
-        explicit = uniform_partition(iv, 2, (0.1, 0.9))
+        # other intermediate points make a Partition directly
+        explicit = Partition(uniform_partition(iv, 2).points, (0.1, 0.9))
         assert explicit.xi == (0.1, 0.9)
-        assert not explicit.is_midpoint
         with pytest.raises(ValueError):
             uniform_partition(iv, 0)
-        with pytest.raises(ValueError):
-            uniform_partition(iv, 2, "center")
+        for rule in ("center", (0.1, 0.9)):
+            with pytest.raises(ValueError):
+                uniform_partition(iv, 2, rule)
 
 
 class TestGeneralizedTrapezoid:
@@ -183,33 +182,22 @@ class TestRemainderEnclosure:
 
 
 class TestTrapezoidSpecialization:
-    def test_identity_with_general_form(self, test_catalog):
-        for f in test_catalog:
-            for n in (1, 2, 4, 8, 16, 32):
-                P = uniform_partition(f.domain, n)
-                gen = remainder_enclosure(f, P)
-                mid = trapezoid_remainder_enclosure(f, P)
-                assert mid.lo == pytest.approx(gen.lo, abs=1e-12), (f.label, n)
-                assert mid.hi == pytest.approx(gen.hi, abs=1e-12), (f.label, n)
+    """At midpoint xi, ``remainder_enclosure`` is the paper's trapezoid
+    corollary, the 1/8 form."""
 
     def test_telescoping_uniform_differentiable(self):
         # smooth f on a uniform grid: hi = (1/8) h^2 (f'(b) - f'(a)) exactly
         for f, dspan in ((EXP, math.e - 1.0), (QUAD, 2.0)):
             for n in (2, 5, 16):
                 h = f.domain.width / n
-                rem = trapezoid_remainder_enclosure(f, uniform_partition(f.domain, n))
+                rem = remainder_enclosure(f, uniform_partition(f.domain, n))
                 assert rem.hi == pytest.approx(0.125 * h * h * dspan, rel=1e-12), f.label
-
-    def test_requires_midpoint(self):
-        P = uniform_partition(QUAD.domain, 2, "left")
-        with pytest.raises(ValueError):
-            trapezoid_remainder_enclosure(QUAD, P)
 
     def test_second_order_width(self):
         # doubling n shrinks the bracket width by about 4 for smooth f
         for f in (EXP, QUAD):
-            prev = trapezoid_remainder_enclosure(f, uniform_partition(f.domain, 8)).width
-            cur = trapezoid_remainder_enclosure(f, uniform_partition(f.domain, 16)).width
+            prev = remainder_enclosure(f, uniform_partition(f.domain, 8)).width
+            cur = remainder_enclosure(f, uniform_partition(f.domain, 16)).width
             assert cur / prev == pytest.approx(0.25, abs=0.05), f.label
 
 
@@ -522,7 +510,10 @@ def test_adaptive_cell_inside_paper_bracket_property(idx, p, q):
     cell = dataclasses.replace(f, domain=Interval(u, v))
     entry = first_cell(cell)
     lo, hi = entry[4:6]
-    paper = trapezoid_remainder_enclosure(cell, uniform_partition(cell.domain, 1))
+    m = cell.domain.midpoint
+    dpm, dmm = (cell.d_plus(m), cell.d_minus(m)) if u < m < v else (None, None)
+    p_lo, p_hi = _midpoint_bracket(v - u, dpm, dmm, cell.d_plus(u), cell.d_minus(v))
+    paper = Enclosure(min(p_lo, p_hi), p_hi)
     # both brackets come from the same kernel with the same weights; the
     # allowance covers a bracket inverted by rounding, which the adaptive
     # cell collapses to a point; where rounding put the paper's upper side
@@ -622,8 +613,8 @@ def test_fourth_order_bound_is_attained_by_a_quartic(u, v):
 @pytest.mark.parametrize("idx", range(8))
 def test_adaptive_cell_one_ulp_wide(idx):
     # no float lies strictly inside such a cell, so it is bracketed from its
-    # endpoint samples alone and never bisected (adaptive_integrate and
-    # trapezoid_remainder_enclosure used to raise DomainError)
+    # endpoint samples alone and never bisected (adaptive_integrate used to
+    # raise DomainError)
     f = default_catalog()[idx]
     a, b = f.domain.a, f.domain.b
     for u in (a, 0.5 * (a + b), math.nextafter(b, a)):
@@ -641,8 +632,8 @@ def test_adaptive_cell_one_ulp_wide(idx):
         assert hi <= paper_hi or lo > paper_hi
         assert res.gn == 0.5 * (f(u) + f(v)) * (v - u)
         assert_one_cell_result(res, entry)
-        trap = trapezoid_remainder_enclosure(cell, uniform_partition(cell.domain, 1))
-        assert (trap.lo, trap.hi) == (0.0, paper_hi)
+        # the kernel the cell reads gives [0, paper hi] with no midpoint slopes
+        assert _midpoint_bracket(v - u, None, None, f.d_plus(u), f.d_minus(v)) == (0.0, paper_hi)
 
 
 @pytest.mark.parametrize("name, a, ulps, cells, lo, hi", [
