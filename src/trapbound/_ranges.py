@@ -28,7 +28,7 @@ import operator
 from typing import Callable
 
 from .expr import Binary, Const, Expression, Unary, Var, _Body, _code, _identity
-from .quadrature import ConvexityViolationError
+from .funcs import NonConvexityError, _falling
 
 
 def _out(lo: float, hi: float) -> tuple:
@@ -92,15 +92,6 @@ _IDENTITY_OPS = {"_iadd": "+", "_isub": "-", "_imul": "*"}
 def _point(a):
     """The value of a known interval that is a point, else None."""
     return a[0] if isinstance(a, tuple) and a[0] == a[1] else None
-
-
-def _falling(p: float, j: int) -> tuple:
-    """p (p - 1) ... (p - j + 1) as an interval: a point where it is a float."""
-    n, d = p.as_integer_ratio()
-    num, den = math.prod(n - i * d for i in range(j)), d ** j
-    c = num / den
-    cn, cd = c.as_integer_ratio()
-    return (c, c) if cn * den == num * cd else _out(c, c)
 
 
 K = 4  # the highest derivative order that quadrature._corrected_bracket reads
@@ -212,7 +203,7 @@ def compile_range(tree: Expression, label: str) -> Callable:
     (everywhere if p - 1 or p - 2 of an exponent p rounds); the ends of an
     order are -inf, inf where it or an order below it fails alone.  A range
     below 0 proves f is not convex on the cell and raises
-    :class:`ConvexityViolationError`."""
+    :class:`trapbound.funcs.NonConvexityError`."""
     names = {"__builtins__": {}, "_FAULTS": (ArithmeticError, ValueError),
              "r_fault": lambda t: None, **OPS}
     body = _RangeBody(names)
@@ -229,7 +220,7 @@ def compile_range(tree: Expression, label: str) -> Callable:
             return None
         (lo, hi), *tops = d
         if hi < 0.0:
-            raise ConvexityViolationError(
+            raise NonConvexityError(
                 f"f'' of {label!r} lies in [{lo}, {hi}] on [{u}, {v}]; it is not convex there")
         out = (max(lo, 0.0), hi)
         for top in tops:

@@ -52,8 +52,8 @@ class _ArgumentParser(argparse.ArgumentParser):
     # for hypothesis failures, so route usage problems through UsageError.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's pattern has no exponent and takes -1e-3 for a flag; subparsers are of this class
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # argparse's pattern takes -1e-3, -inf and -nan for flags; subparsers are of this class
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
 
     def error(self, message):
         raise UsageError(message)

@@ -198,6 +198,24 @@ def _xlogx_range(u: float, v: float) -> tuple:
     return 1.0 / v, math.inf if u == 0 else 1.0 / u, -hi2, -lo2, 2.0 * lo3, 2.0 * hi3
 
 
+def _falling(p: float, j: int) -> tuple:
+    """p (p - 1) ... (p - j + 1) as an interval rounded outward, a point where it is a float: the
+    coefficient of the j-th derivative of t^p in the catalog and in :mod:`trapbound._ranges`."""
+    n, d = p.as_integer_ratio()
+    num, den = math.prod(n - i * d for i in range(j)), d ** j
+    c = num / den
+    cn, cd = c.as_integer_ratio()
+    return (c, c) if cn * den == num * cd else (math.nextafter(c, -math.inf), math.nextafter(c, math.inf))
+
+
+def _pow(t: float, e: float) -> float:
+    """t^e for t >= 0, inf where it overflows and for 0^e, e < 0."""
+    try:
+        return t ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
     """Reference convex functions with exact slopes and f'', f''' and f'''' ranges.
 
@@ -284,61 +302,34 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             raise ValueError(f"power_p requires p >= 1, got {p}")
         if iv.a < 0:
             raise ValueError("power_p requires an interval with a >= 0")
-
-        def _deriv(t: float) -> float:
-            if t == 0:
-                return 1.0 if p == 1 else 0.0
-            return p * t ** (p - 1.0)
-
-        coef = p * (p - 1.0)  # p - 1, p - 2 and p - 3 are exact for 1 <= p <= 2^53
-        exact4 = not math.fsum((p, -4.0, 4.0 - p))  # p - 4 rounds for some p < 2
-
-        # |f^(k)(t)| = c_k t^(p-k) with c_k = p(p-1)|p-2|...|p-k+1| for k = 2,
-        # 3, 4; c[k, s] is c_k with each step rounded towards s (0.0 or inf)
-        c = {}
-        for s in (0.0, math.inf):
-            c[2, s] = math.nextafter(coef, s)
-            c[3, s] = math.nextafter(c[2, s] * abs(p - 2.0), s)
-            c[4, s] = math.nextafter(c[3, s] * abs(p - 3.0), s)
-
-        def _dk(k: int, t: float, s: float) -> float:
-            # |f^(k)(t)| rounded towards s, which is also the bound where the
-            # power overflows or t = 0 < k - p
-            try:
-                return c[k, s] * math.nextafter(t ** (p - k), s)
-            except (OverflowError, ZeroDivisionError):
-                return s
+        # f^(k) = (p)_k t^(p-k), k = 2, 3, 4, is (p)_k times the monotone power at the cell
+        # ends, each magnitude rounded towards 0 at its lesser end and inf at its greater;
+        # it is 0 where (p)_k is (p = 1, ..., k - 1) and (-inf, inf) where p - k rounds
+        orders = []  # those two ranges, else (p - k, sign, |(p)_k|)
+        for k in (2, 3, 4):
+            c = (-math.inf, math.inf) if math.fsum((p, -k, k - p)) else _falling(p, k)
+            orders.append(c if not c[1] or c[1] == math.inf else (p - k, c[0] < 0.0, *sorted(map(abs, c))))
 
         def _range(u: float, v: float) -> tuple:
-            # f'' decreases for p < 2 and increases for p > 2; f''' is 0 for
-            # p = 1, 2, negative and increasing for p < 2, and positive,
-            # decreasing for p < 3 and increasing for p > 3; f'''' is 0 for
-            # p = 1, 2, 3, negative and increasing for 2 < p < 3, and
-            # positive, decreasing for p < 4 and increasing for p > 4
-            d2 = (_dk(2, v, 0.0), _dk(2, u, math.inf)) if p < 2.0 else (_dk(2, u, 0.0), _dk(2, v, math.inf))
-            if p in (1.0, 2.0):
-                return d2 + (0.0,) * 4
-            if p < 2.0:
-                d3 = (-_dk(3, u, math.inf), -_dk(3, v, 0.0))
-            else:
-                d3 = (_dk(3, v, 0.0), _dk(3, u, math.inf)) if p < 3.0 else (_dk(3, u, 0.0), _dk(3, v, math.inf))
-            if p == 3.0:
-                d4 = (0.0, 0.0)
-            elif not exact4:
-                d4 = (-math.inf, math.inf)
-            elif 2.0 < p < 3.0:
-                d4 = (-_dk(4, u, math.inf), -_dk(4, v, 0.0))
-            else:
-                d4 = (_dk(4, v, 0.0), _dk(4, u, math.inf)) if p < 4.0 else (_dk(4, u, 0.0), _dk(4, v, math.inf))
-            return d2 + d3 + d4
+            out = ()
+            for order in orders:
+                if len(order) == 2:
+                    out += order
+                    continue
+                e, neg, c_lo, c_hi = order
+                a, b = (_pow(u, e), _pow(v, e)) if e >= 0.0 else (_pow(v, e), _pow(u, e))
+                lo = math.nextafter(c_lo * math.nextafter(a, 0.0), 0.0)
+                hi = math.nextafter(c_hi * math.nextafter(b, math.inf), math.inf)
+                out += (-hi, -lo) if neg else (lo, hi)
+            return out
 
         return ConvexFunction(
             domain=iv,
             evaluate=lambda t: t ** p,
-            dplus=_deriv,
-            dminus=_deriv,
+            dplus=lambda t: p * t ** (p - 1.0),  # 0.0 ** 0.0 is 1.0: the slope of t at 0
+            dminus=lambda t: p * t ** (p - 1.0),
             label=f"power_p(p={p})",
-            _d2range=_range,
+            _d2range=None if orders[0][1] == math.inf else _range,  # where p - 2 rounds, no range
         )
 
     if name == "linear":

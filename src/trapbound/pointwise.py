@@ -18,8 +18,9 @@ sliding-window form is ``quadrature.remainder_enclosure`` on one midpoint cell.
 ``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding them
 outward is ROADMAP item 4.  Any bound touching an infinite endpoint
 derivative degenerates to a trivially true enclosure.  The integral of the
-CLI's ``gap``/``hh`` is the adaptive enclosure.  Every split-point reading of
-the certificate (here, in quadrature and in probability) is ``_split_bracket``.
+CLI's ``gap``/``hh`` is the adaptive enclosure.  Here and in quadrature a
+split-point reading of the certificate is ``_split_bracket``; probability's
+``_bracket_at`` and ``_expectation_bracket`` scale its weights, round outward.
 """
 
 from __future__ import annotations

@@ -56,10 +56,6 @@ from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvex
 from .pointwise import Enclosure, _midpoint_bracket, _split_bracket
 
 
-class ConvexityViolationError(NonConvexityError):
-    """A per-cell bracket came out inverted, which is impossible for convex f."""
-
-
 @dataclass(frozen=True)
 class Partition:
     """Division a = x0 < ... < xn = b with intermediate points xi_i in each cell."""
@@ -154,14 +150,14 @@ def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
 
     An inverted per-cell bracket (lo > hi beyond tolerance) is numerically
     impossible for a convex integrand and raises
-    :class:`ConvexityViolationError` naming the cell.
+    :class:`trapbound.funcs.NonConvexityError` naming the cell.
     """
     _check_domain(f, P)
     lo_sum = hi_sum = 0.0
     for i, (u, v, x) in enumerate(P.cells()):
         lo, hi = _split_bracket(f.d_plus, f.d_minus, u, v, x)
         if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
-            raise ConvexityViolationError(
+            raise NonConvexityError(
                 f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
                 f"{f.label!r} is not convex there"
             )
@@ -370,7 +366,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
         hi = min(hi_p, t - (_envelope_area(wl, fu, dpu, fm, dmm) + _envelope_area(wr, fm, dpm, fv, dmv)))
     # the tolerance is worked out only for an inverted bracket, which is rare
     if lo > hi and lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
-        raise ConvexityViolationError(
+        raise NonConvexityError(
             f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
             f"{f.label!r} is not convex there"
         )

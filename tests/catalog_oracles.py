@@ -71,7 +71,7 @@ def closed_form(name, params, num):
 
 
 def derivative(name, params, num, k):
-    """The k-th derivative, k = 3 or 4, of a catalog family on ``num``
+    """The k-th derivative, k = 2, 3 or 4, of a catalog family on ``num``
     arguments; -inf or inf at a singular t = 0."""
     if name == "exp":
         return lambda t: t.exp()

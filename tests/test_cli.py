@@ -515,6 +515,19 @@ class TestNegativeNumbers:
         assert rep["x_used"] == -1e-3
         assert rep["expectation"]["lo"] <= 0.0 <= rep["expectation"]["hi"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "--fn", "x^2", "--interval", "-inf", "1"], "interval endpoints must be finite"),
+        (["integrate", "--fn", "x^2", "--interval", "0", "-INF"], "interval endpoints must be finite"),
+        (["integrate", "--fn", "x^2", "--interval", "-Infinity", "1"], "interval endpoints must be finite"),
+        (["gap", "--fn", "x^2", "--interval", "0", "1", "--x", "-nan"], "split point"),
+        (["expectation", "--density", "2*x", "--interval", "0", "1", "--x", "-NaN"], "split point"),
+    ])
+    def test_infinity_and_nan_are_values(self, capsys, argv, message):
+        # they reach the interval and split-point checks instead of being taken for flags
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err and "expected" not in err
+
     def test_expression_that_looks_like_a_flag_needs_equals(self, capsys):
         # only numbers are values: --fn=-log(x) passes the expression
         code, _, err = run_cli(capsys, "integrate", "--fn", "-log(x)", "--interval", "0.5", "2")

@@ -20,8 +20,8 @@ from trapbound.expr import (
     to_string,
     tokenize,
 )
-from trapbound.funcs import Interval, catalog
-from trapbound.quadrature import ConvexityViolationError, adaptive_integrate
+from trapbound.funcs import Interval, NonConvexityError, catalog
+from trapbound.quadrature import adaptive_integrate
 
 CORPUS = [
     "x",
@@ -526,7 +526,7 @@ class TestD2Range:
     @pytest.mark.parametrize("src", ["-x^2", "-exp(x)", "x^2 - 3*x^2"])
     def test_negative_range_raises(self, src):
         f = to_convex_function(src, Interval(0.0, 1.0))
-        with pytest.raises(ConvexityViolationError, match="not convex"):
+        with pytest.raises(NonConvexityError, match="not convex"):
             f._d2range(0.25, 0.5)
 
     def test_lower_end_clamped_at_zero(self):

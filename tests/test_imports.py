@@ -71,6 +71,11 @@ def test_check_fn_loads_no_divergence_probability_or_integrator():
     assert got == qualified("cli", "funcs", "expr")
 
 
+def test_range_layer_loads_no_integrator():
+    # a proved convexity check for check --fn can read f'' ranges without an integrator
+    assert loaded("import trapbound._ranges") == qualified("funcs", "expr", "_ranges")
+
+
 def test_each_command_loads_what_it_runs(three_points):
     fn = ["--fn", "exp(x)", "--interval", "0", "1"]
     assert loaded(run_main("integrate", *fn)) == qualified("cli", "funcs", "expr", "_ranges", "pointwise", "quadrature")

@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
-from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
+from trapbound.funcs import ConvexFunction, DomainError, Interval, NonConvexityError, catalog
 from trapbound.pointwise import Enclosure, _midpoint_bracket, _reference_integral
 from trapbound.quadrature import (
     _BETA,
     _DELTA,
-    ConvexityViolationError,
     Partition,
     _adaptive_cell,
     _corrected_bracket,
@@ -160,7 +159,7 @@ class TestRemainderEnclosure:
 
     def test_nonconvex_rejected(self):
         f = ConvexFunction(Interval(0.0, 3.0), math.sin, math.cos, math.cos, "sin")
-        with pytest.raises(ConvexityViolationError):
+        with pytest.raises(NonConvexityError):
             remainder_enclosure(f, uniform_partition(f.domain, 4))
 
     @pytest.mark.parametrize("rule", ["midpoint", "left", "right"])
@@ -467,7 +466,7 @@ class TestAdaptive:
 
     def test_inverted_bracket_raises(self):
         f = ConvexFunction(Interval(0.0, 1.0), lambda t: -t * t, lambda t: -2.0 * t, lambda t: -2.0 * t, "-t^2")
-        with pytest.raises(ConvexityViolationError, match=r"\[0\.0, -0\.25\]"):
+        with pytest.raises(NonConvexityError, match=r"\[0\.0, -0\.25\]"):
             adaptive_integrate(f, eps=1e-6)
 
     def test_infinite_endpoint_value_stops_unconverged(self):

@@ -136,6 +136,42 @@ def test_fourth_derivative_range_contains_reference(family, data, p, q, samples)
     _range_contains_reference(4, family, data, p, q, samples)
 
 
+def _power_range_holds(p, u, v, samples):
+    # f'', f''' and f'''' of t^p on [u, v] hold (p)_k t^(p-k) at the cell's
+    # ends and at exact interior points, with no allowance; an order whose
+    # p - k rounds is (-inf, inf)
+    rng = catalog("power_p", (p,), Interval(0.0, v))._d2range(u, v)
+    assert rng[0] >= 0.0, rng
+    num = number_type("power_p", (p,))
+    for k in (2, 3, 4):
+        lo, hi = rng[2 * k - 4:2 * k - 2]
+        if math.fsum((p, -k, k - p)):
+            assert (lo, hi) == (-math.inf, math.inf)
+            continue
+        dk = derivative("power_p", (p,), num, k)
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            for s in (0, 1, *samples):
+                t = min(max(num(u) + (num(v) - num(u)) * num(s.numerator) / num(s.denominator), num(u)), num(v))
+                assert lo <= dk(t) <= hi, (p, u, v, k, t)
+    return rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.sampled_from((1.0, 2.0, 3.0, 4.0, 1.7)), st.floats(1.0, 5.0)),
+       u=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), w=st.floats(1e-6, 2.0),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_power_range_contains_reference_at_zero_slack(p, u, w, samples):
+    _power_range_holds(p, u, u + w, samples)
+
+
+def test_power_range_bounds_rounded_exponent_and_overflow():
+    # 1.7 - 4 rounds, so the f'''' range of t^1.7 is unbounded
+    assert _power_range_holds(1.7, 0.0, 0.5, ())[4:] == (-math.inf, math.inf)
+    # t^2.5 overflows at both ends of the cell: f'' takes its bound and does not raise
+    assert _power_range_holds(4.5, 1e150, 1e200, ())[1] == math.inf
+
+
 @pytest.mark.parametrize("name, params, a, b, eps", [
     ("exp", (), 0.0, 1.0, 1e-14),
     ("exp", (), 0.0, 1.0, 1e-13),
