@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable
 
 from .expr import Binary, Const, Expression, Unary, Var, _Body, _code, _identity
@@ -37,15 +36,23 @@ def _out(lo: float, hi: float) -> tuple:
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 
 
-def _iproducts(x, y, op) -> tuple:
-    p = (op(x[0], y[0]), op(x[0], y[1]), op(x[1], y[0]), op(x[1], y[1]))
+def _imul(x, y) -> tuple:
+    """The least and greatest products of the ends, rounding being monotone: a c and b d if both are >= 0."""
+    (a, b), (c, d) = x, y
+    if a >= 0.0 and c >= 0.0:
+        return _out(a * c, b * d)
+    p = (a * c, b * d) if a == b or c == d else (a * c, a * d, b * c, b * d)
     return _out(min(p), max(p))
 
 
 def _idiv(x, y) -> tuple:
-    if not (y[0] > 0.0 or y[1] < 0.0):
+    """x / y from the two quotients that bound it where y > 0, else as (-x) / (-y)."""
+    (a, b), (c, d) = x, y
+    if d < 0.0:
+        return _idiv((-b, -a), (-d, -c))
+    if not c > 0.0:
         raise ArithmeticError("divisor interval holds 0")
-    return _iproducts(x, y, operator.truediv)
+    return _out(a / (d if a >= 0.0 else c), b / (c if b >= 0.0 else d))
 
 
 def _ipow(x, p: float) -> tuple:
@@ -77,7 +84,7 @@ OPS = {
     "_iadd": lambda x, y: _out(x[0] + y[0], x[1] + y[1]),
     "_isub": lambda x, y: _out(x[0] - y[1], x[1] - y[0]),
     "_ineg": lambda x: (-x[1], -x[0]),
-    "_imul": lambda x, y: _iproducts(x, y, operator.mul),
+    "_imul": _imul,
     "_idiv": _idiv,
     "_ipow": _ipow,
     "_iexp": lambda x: _out(math.exp(x[0]), math.exp(x[1])),
@@ -196,9 +203,10 @@ class _RangeBody(_Body):
 
 
 def compile_range(tree: Expression, label: str) -> Callable:
-    """The ``_d2range`` of ``tree``: (u, v) -> (lo, hi, lo3, hi3, lo4, hi4)
-    with 0 <= lo <= f'' <= hi, lo3 <= f''' <= hi3 and lo4 <= f'''' <= hi4
-    on [u, v], from one generated function of orders 2 to K of
+    """The ``_d2range`` of ``tree``: (u, v) -> (lo, hi, lo3, hi3, lo4, hi4,
+    -inf, inf) with 0 <= lo <= f'' <= hi, lo3 <= f''' <= hi3 and
+    lo4 <= f'''' <= hi4 on [u, v] and no f^(6) range, from one generated
+    function of orders 2 to K of
     :meth:`_RangeBody.inode`, or None where the tree is not C^2 there
     (everywhere if p - 1 or p - 2 of an exponent p rounds); the ends of an
     order are -inf, inf where it or an order below it fails alone.  A range
@@ -225,6 +233,6 @@ def compile_range(tree: Expression, label: str) -> Callable:
         out = (max(lo, 0.0), hi)
         for top in tops:
             out += top or _WHOLE
-        return out
+        return out + _WHOLE
 
     return d2range

@@ -7,7 +7,7 @@ derivative f'- (defined on (a,b]).  Endpoint derivatives may be +-inf; the
 bound machinery propagates infinities into trivially-true enclosures.
 
 The module also ships a catalog of reference functions with exact one-sided
-derivatives and f'', f''' and f'''' ranges, and a grid based convexity
+derivatives and f'', f''', f'''' and f^(6) ranges, and a grid based convexity
 checker; expression text gets its exact oracles from
 :func:`trapbound.expr.to_convex_function`.
 """
@@ -72,15 +72,17 @@ class ConvexFunction:
     endpoints (e.g. -log t at t=0).
 
     ``_d2range``, private and optional, maps a cell (u, v) to
-    ``(lo, hi, lo3, hi3, lo4, hi4)`` with 0 <= lo <= f'' <= hi (hi may be
-    +inf), lo3 <= f''' <= hi3 and lo4 <= f'''' <= hi4 on it, or to None
-    where no f'' range is known; lo3 and hi3 are -inf and +inf where f is
-    not C^3 on the cell, and lo4 and hi4 where it is not C^4.  The catalog
-    writes the three ranges in closed form and
-    :func:`trapbound.expr.to_convex_function` in interval arithmetic, with
-    one rule per operation for every order up to 4, in one call.  Each of
-    the six ends may be one ulp off, as one call to a faithful libm
-    (within 1 ulp) is; a multi-step oracle rounds its inner steps outward.
+    ``(lo, hi, lo3, hi3, lo4, hi4, lo6, hi6)`` with 0 <= lo <= f'' <= hi
+    (hi may be +inf) and f''', f'''' and f^(6) in the other three pairs on
+    it, or to None where no f'' range is known; the ends of order k are
+    -inf and +inf where f is not C^k on the cell.  A finite f^(6) range
+    certifies that f is C^6 on the closed cell, so ``_d2range(x, x)[2:4]``
+    at one of its ends encloses f''' there.  The catalog writes the four
+    ranges in closed form and :func:`trapbound.expr.to_convex_function` all
+    but f^(6) in interval arithmetic, with one rule per operation for every
+    order up to 4, in one call.  Each of the eight ends may be one ulp off,
+    as one call to a faithful libm (within 1 ulp) is; a multi-step oracle
+    rounds its inner steps outward.
     Values and one-sided slopes are assumed faithful in the same sense:
     the adaptive integrator's rounding bounds (:mod:`trapbound.quadrature`)
     rest on it.
@@ -176,26 +178,30 @@ CATALOG_NAMES = (
 
 
 def _recip_pows(t: float, s: float) -> tuple:
-    """1/t^2, 1/t^3 and 1/t^4 for t >= 0, each step but the last rounded
+    """1/t^2, 1/t^3, ..., 1/t^6 for t >= 0, each step but the last rounded
     towards s (0.0 or inf); +inf at 0."""
     r = math.nextafter(1.0 / t, s) if t else math.inf
     x2 = r * r
     x3 = math.nextafter(x2, s) * r
-    return x2, x3, math.nextafter(x3, s) * r
+    x4 = math.nextafter(x3, s) * r
+    x5 = math.nextafter(x4, s) * r
+    return x2, x3, x4, x5, math.nextafter(x5, s) * r
 
 
 def _neg_log_range(u: float, v: float) -> tuple:
-    # f'' = 1/t^2, f''' = -2/t^3 and f'''' = 6/t^4 of -ln t
-    lo2, lo3, lo4 = _recip_pows(v, 0.0)
-    hi2, hi3, hi4 = _recip_pows(u, math.inf)
-    return lo2, hi2, -2.0 * hi3, -2.0 * lo3, 6.0 * math.nextafter(lo4, 0.0), 6.0 * math.nextafter(hi4, math.inf)
+    # f'' = 1/t^2, f''' = -2/t^3, f'''' = 6/t^4 and f^(6) = 120/t^6 of -ln t
+    lo2, lo3, lo4, _, lo6 = _recip_pows(v, 0.0)
+    hi2, hi3, hi4, _, hi6 = _recip_pows(u, math.inf)
+    return (lo2, hi2, -2.0 * hi3, -2.0 * lo3, 6.0 * math.nextafter(lo4, 0.0), 6.0 * math.nextafter(hi4, math.inf),
+            120.0 * math.nextafter(lo6, 0.0), 120.0 * math.nextafter(hi6, math.inf))
 
 
 def _xlogx_range(u: float, v: float) -> tuple:
-    # f'' = 1/t, f''' = -1/t^2 and f'''' = 2/t^3 of t ln t
-    lo2, lo3, _ = _recip_pows(v, 0.0)
-    hi2, hi3, _ = _recip_pows(u, math.inf)
-    return 1.0 / v, math.inf if u == 0 else 1.0 / u, -hi2, -lo2, 2.0 * lo3, 2.0 * hi3
+    # f'' = 1/t, f''' = -1/t^2, f'''' = 2/t^3 and f^(6) = 24/t^5 of t ln t
+    lo2, lo3, _, lo5, _ = _recip_pows(v, 0.0)
+    hi2, hi3, _, hi5, _ = _recip_pows(u, math.inf)
+    return (1.0 / v if v else math.inf, 1.0 / u if u else math.inf, -hi2, -lo2, 2.0 * lo3, 2.0 * hi3,
+            24.0 * math.nextafter(lo5, 0.0), 24.0 * math.nextafter(hi5, math.inf))
 
 
 def _falling(p: float, j: int) -> tuple:
@@ -217,7 +223,7 @@ def _pow(t: float, e: float) -> float:
 
 
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
-    """Reference convex functions with exact slopes and f'', f''' and f'''' ranges.
+    """Reference convex functions with exact slopes and f'', f''', f'''' and f^(6) ranges.
 
     Names and parameters:
 
@@ -247,7 +253,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: k if t >= c else -k,
             dminus=lambda t: k if t > c else -k,
             label=f"kink(k={k}, c={c})",
-            _d2range=lambda u, v: None if u < c < v else (0.0,) * 6,
+            _d2range=lambda u, v: None if u < c < v else (0.0,) * 8,
         )
 
     if name == "quadratic":
@@ -257,7 +263,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: 2.0 * t,
             dminus=lambda t: 2.0 * t,
             label="quadratic",
-            _d2range=lambda u, v: (2.0, 2.0, 0.0, 0.0, 0.0, 0.0),
+            _d2range=lambda u, v: (2.0, 2.0) + (0.0,) * 6,
         )
 
     if name == "exp":
@@ -267,7 +273,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=math.exp,
             dminus=math.exp,
             label="exp",
-            _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 3,
+            _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 4,
         )
 
     if name == "neg_log":
@@ -302,11 +308,11 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             raise ValueError(f"power_p requires p >= 1, got {p}")
         if iv.a < 0:
             raise ValueError("power_p requires an interval with a >= 0")
-        # f^(k) = (p)_k t^(p-k), k = 2, 3, 4, is (p)_k times the monotone power at the cell
+        # f^(k) = (p)_k t^(p-k), k = 2, 3, 4, 6, is (p)_k times the monotone power at the cell
         # ends, each magnitude rounded towards 0 at its lesser end and inf at its greater;
         # it is 0 where (p)_k is (p = 1, ..., k - 1) and (-inf, inf) where p - k rounds
         orders = []  # those two ranges, else (p - k, sign, |(p)_k|)
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 6):
             c = (-math.inf, math.inf) if math.fsum((p, -k, k - p)) else _falling(p, k)
             orders.append(c if not c[1] or c[1] == math.inf else (p - k, c[0] < 0.0, *sorted(map(abs, c))))
 
@@ -345,7 +351,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: m,
             dminus=lambda t: m,
             label=f"linear(m={m}, c={c})",
-            _d2range=lambda u, v: (0.0,) * 6,
+            _d2range=lambda u, v: (0.0,) * 8,
         )
 
     if name == "constant":
@@ -358,7 +364,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: 0.0,
             dminus=lambda t: 0.0,
             label=f"constant({c})",
-            _d2range=lambda u, v: (0.0,) * 6,
+            _d2range=lambda u, v: (0.0,) * 8,
         )
 
     raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")

@@ -42,7 +42,8 @@ the bracket is O(h^4) wide and cells grow like eps^-1/3, on C^3 cells,
 with an f''' range, it is O(h^5) wide and cells grow like eps^-1/4, and on
 C^4 cells, with an f'''' range, it is O(h^6) wide and cells grow like
 eps^-1/5 (Atkinson, *An Introduction to Numerical Analysis*, 2nd ed., 1989,
-5.4).
+5.4).  With f''' at the samples and an f^(6) range too (the catalog), the
+next Euler-Maclaurin term makes it O(h^8) wide and cells grow like eps^-1/7.
 """
 
 from __future__ import annotations
@@ -223,10 +224,11 @@ _DELTA = 0.625
 _GAMMA = 2.0 ** -47
 
 
-def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[tuple]:
+def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> Optional[tuple]:
     """T - I on a cell [u, v] split at m where A <= f'' <= B,
-    C <= f''' <= D and E <= f'''' <= F, d2 = (A, B, C, D, E, F), from the
-    samples alone; None where this bracket does not apply.
+    C <= f''' <= D, E <= f'''' <= F and G <= f^(6) <= H, d2 = (A, ..., H)
+    or (A, ..., F), and f''' in d3 = (lo, hi) * 3 at u, m and v or None;
+    None where this bracket does not apply.
 
     With C2 the two-chord value and wl = m - u, wr = v - m the halves' widths,
 
@@ -249,32 +251,41 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[
     the corrected trapezoid rule's Peano kernel (t - x0)^2 (x1 - t)^2/24 is
     one-signed (Atkinson, *An Introduction to Numerical Analysis*, 2nd ed.,
     1989, 5.4): it lies in -(w^5/720) [E, F], w^5/720 = (w^2/12)^2 w/5, and
-    has no such bound where E or F is infinite.  Each half's bracket is cut
-    by these and by w^3/12 [A, B], and the cell's by h^3/12 [A, B]
-    (:func:`_cubic_term`).
+    has no such bound where E or F is infinite.  Where f is C^6, the next
+    Euler-Maclaurin term makes it -(w^4/720)(f'''(x1) - f'''(x0)) +
+    (w^7/30240) f^(6)(xi), whose Peano kernel is one-signed too (B_6/6! =
+    1/30240; Davis & Rabinowitz, *Methods of Numerical Integration*, 2.9),
+    so it lies in -(w^4/720) [f'''(x1) - f'''(x0)] + (w^7/30240) [G, H],
+    with w^4/720 = (w^2/12)^2/5 and w^7/30240 = (w^5/720)(w^2/12)/3.5, and
+    has no such bound where d3 is None or an end is infinite.  Each half's
+    bracket is cut by these and by w^3/12 [A, B], and the cell's by h^3/12
+    [A, B] (:func:`_cubic_term`).
 
-    Rounding is bounded, not estimated.  The ends of d2 are taken one ulp
-    outward.  Values and slopes are faithful (within one ulp), which moves
-    the bracket by at most ``dat`` (wl, wr <= h).  Every other term reaches
-    lo or hi through at most 16 roundings, each within 2^-53 of its result:
-    the f'''' term of the left half through the most, five from wl (once
-    per factor of wl^5), four from the two operations of w^2/12 (it enters
-    squared), four products and quotients (by w^2/12, wl, 5 and F) and
-    three on its way to lo; the f''' term takes 15 (four from wl, four,
-    three products, D - C and three).  So lo and hi are within
-    17 * 2^-53 ``mag`` of their exact values, where ``mag`` sums the terms'
+    Rounding is bounded, not estimated.  The ends of d2 and d3 are taken
+    one ulp outward.  Values and slopes are faithful (within one ulp), which
+    moves the bracket by at most ``dat`` (wl, wr <= h).  Every other term
+    reaches lo or hi through at most 22 roundings, each within 2^-53 of its
+    result: the f^(6) term of the left half through the most, seven from wl
+    (once per factor of wl^7), six from the two operations of w^2/12 (it
+    enters cubed), six products and quotients (by w^2/12, wl, 5, w^2/12,
+    3.5 and G) and three on its way to lo; the f''' difference term takes
+    16 (four from wl, four, three products, the difference and four), the
+    f'''' term 16 and the f''' Peano term 15.  So lo and hi are within
+    23 * 2^-53 ``mag`` of their exact values, where ``mag`` sums the terms'
     magnitudes (the smaller Peano bound of each half, the one taken, and
-    the f'''' terms where they are taken).  ``r`` adds 2^-47 ``mag``, 64/17
-    times that, which also covers the rounding of ``dat``, ``mag`` and
-    ``r``, and the products that fall below 2^-1022, each off by at most
-    2^-1075: the widths must exceed 2^-200, so no such product is
-    multiplied again ((w^2/12)^2 w/5 stays above 2^-1010), and ``mag`` must
-    exceed 2^-900.
+    the f'''' and Euler-Maclaurin terms where they are taken).  ``r`` adds
+    2^-47 ``mag``, 64/23 times that, which also covers the rounding of
+    ``dat``, ``mag`` and ``r``, and the products that fall below 2^-1022,
+    each off by at most 2^-1075: the widths must exceed 2^-200, and 2^-140
+    for the Euler-Maclaurin terms, so no such product is multiplied again
+    ((w^2/12)^2 w/5 stays above 2^-1010, and (w^5/720)(w^2/12)/3.5 above
+    2^-995), and ``mag`` must exceed 2^-900.  A difference of f''' ends
+    that falls below 2^-1022 is exact.
 
     None also where B or a sample is not finite, where a product overflows,
     and where the result is inverted, which only a nonconvex f does.
     """
-    a2, b2, a3, b3, a4, b4 = d2
+    a2, b2, a3, b3, a4, b4 = d2[:6]
     wl, wr = m - u, v - m
     if not (b2 < math.inf and wl > 2.0 ** -200 and wr > 2.0 ** -200):
         return None
@@ -304,6 +315,22 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[
         lol, hil = max(lol, cl - gl * b4), min(hil, cl - gl * a4)
         lor, hir = max(lor, cr - gr * b4), min(hir, cr - gr * a4)
         mag += e4
+    if d3 is not None and wl > 2.0 ** -140 and wr > 2.0 ** -140:
+        nx, inf = math.nextafter, math.inf
+        lu, hu, lm, hm, lv, hv = d3
+        lm, hm = nx(lm, -inf), nx(hm, inf)
+        # f'''(m) - f'''(u) in [dl, ul] and f'''(v) - f'''(m) in [dr, ur]
+        dl, ul, dr, ur = lm - nx(hu, inf), hm - nx(lu, -inf), nx(lv, -inf) - hm, nx(hv, inf) - lm
+        a6, b6 = nx(d2[6], -inf), nx(d2[7], inf)
+        sl, sr = kl * kl / 5.0, kr * kr / 5.0  # w^4/720
+        xl, xr = gl * kl / 3.5, gr * kr / 3.5  # w^7/30240
+        # at least the new terms' magnitudes; inf or NaN where f''' at an end
+        # or f^(6) on the cell is unknown or a term overflows
+        e6 = sl * (abs(dl) + abs(ul)) + sr * (abs(dr) + abs(ur)) + (xl + xr) * (abs(a6) + abs(b6))
+        if e6 < math.inf:
+            lol, hil = max(lol, cl - sl * ul + xl * a6), min(hil, cl - sl * dl + xl * b6)
+            lor, hir = max(lor, cr - sr * ur + xr * a6), min(hir, cr - sr * dr + xr * b6)
+            mag += e6
     # an infinite or NaN sample or product makes mag inf or NaN
     if not 2.0 ** -900 < mag < math.inf:
         return None
@@ -313,20 +340,26 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2) -> Optional[
     return (lo, hi) if lo <= hi else None
 
 
-def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float) -> tuple:
+def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float,
+                   t3u: Optional[tuple] = None, t3v: Optional[tuple] = None) -> tuple:
     """Heap entry for one cell with midpoint xi, given the endpoint samples.
 
-    The endpoint values and the outward one-sided slopes come from the
-    parent cell; only the midpoint is evaluated here.  Where f is C^2 on the
-    cell (its f'' range (A, B) has B finite) and every sample is finite, the
+    The endpoint values, the outward one-sided slopes and the f''' ranges
+    t3u and t3v at the ends (None where never read) come from the parent
+    cell; only the midpoint is evaluated here.  Where f is C^2 on the cell
+    (its f'' range (A, B) has B finite) and every sample is finite, the
     remainder bracket is the slope-corrected one of
     :func:`_corrected_bracket`: T - C plus, on each half of width w, the
     corrected trapezoid error (w^2/12)(f'(x1) - f'(x0)) within
     (B - A) w^3/(36 sqrt 3), within 5 (D3 - C3) w^4/1152 where f is C^3
-    with f''' in [C3, D3], and offset by -(w^5/720) [E4, F4] where f is C^4
-    with f'''' in [E4, F4], whichever is tightest.
-    It is intersected with the paper's bracket cut at 0; where rounding put
-    the paper's bracket outside it, it is kept whole.
+    with f''' in [C3, D3], offset by -(w^5/720) [E4, F4] where f is C^4
+    with f'''' in [E4, F4], and by the next Euler-Maclaurin term where the
+    f^(6) range is finite and f'''' not 0 (whose cut is exact already),
+    whichever is tightest.  That range certifies f is C^6 on the closed
+    cell, so f''' is then read at the midpoint, and at an end not read yet,
+    as ``f._d2range(x, x)[2:4]``.  The bracket is intersected with the
+    paper's cut at 0; where rounding put the paper's bracket outside it, it
+    is kept whole.
 
     Every other cell (a kink, an unbounded f'', a cell too narrow to bisect)
     takes the tangent/chord sandwich of its samples, [T - C, T - E] with E
@@ -352,7 +385,14 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
     lo_p = max(lo_p, 0.0)
     d2 = f._d2range(u, v) if f._d2range is not None else None
-    c2 = None if m is None or d2 is None else _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2)
+    c2 = t3m = d3 = None
+    if m is not None and d2 is not None:
+        if (d2[4] or d2[5]) and -math.inf < d2[6] and d2[7] < math.inf:
+            t3u = t3u or f._d2range(u, u)[2:4]
+            t3m = f._d2range(m, m)[2:4]
+            t3v = t3v or f._d2range(v, v)[2:4]
+            d3 = t3u + t3m + t3v
+        c2 = _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3)
     lo, hi = lo_p, hi_p
     if c2 is not None:
         lo, hi = max(lo_p, c2[0]), min(hi_p, c2[1])
@@ -380,7 +420,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
             lo, hi = (max(lo, q_lo), min(hi, q_hi)) if q_lo <= hi and lo <= q_hi else (q_lo, q_hi)
     elif lo > hi:
         lo, hi = c2  # the paper's bracket, rounded to nearest, missed it
-    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
+    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm, t3u, t3m, t3v)
 
 
 def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -> QuadratureResult:
@@ -393,10 +433,12 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     f is C^2 on it, else the tangent/chord sandwich of its samples, and is
     intersected with the paper's.  A run over n cells makes 2n + 1 calls to
     f, 4n to its one-sided derivatives and 2n - 1 to its range oracle, which
-    gives the f'', f''' and f'''' ranges in one call, fewer if some cells
-    are too narrow to bisect; n grows like eps^-1/5 on C^4 cells, like
-    eps^-1/4 on C^3 cells, like eps^-1/3 with an f'' range alone, else like
-    eps^-1/2.
+    gives the f'', f''', f'''' and f^(6) ranges in one call, fewer if some
+    cells are too narrow to bisect, plus at most 2n + 1 reads of f''' at a
+    point (the oracle at (x, x)), each point once, on the cells with a
+    finite f^(6) range and f'''' not 0; n grows like eps^-1/7 on those,
+    like eps^-1/5 on C^4 cells, like eps^-1/4 on C^3 cells, like eps^-1/3
+    with an f'' range alone, else like eps^-1/2.
 
     The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
     remainder is widened by a bound on the rounding of gn and of each
@@ -429,10 +471,14 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
         while target < total_hi - total_lo < math.inf and len(heap) < max_cells:
             if heap[0][0] == 0.0:
                 break  # no cell that bisection can narrow: each is exact or too narrow to bisect
-            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
+            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm, t3u, t3m, t3v = heapq.heappop(heap)
             total_lo -= clo
             total_hi -= chi
-            for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm), _adaptive_cell(f, m, v, fm, fv, dpm, dmv)):
+            left = _adaptive_cell(f, u, m, fu, fm, dpu, dmm, t3u, t3m)
+            right = _adaptive_cell(f, m, v, fm, fv, dpm, dmv, left[16], t3v)
+            if right[14] is not left[16]:
+                left = left[:16] + right[14:15]  # f''' at m, read by the right cell alone
+            for cell in (left, right):
                 heapq.heappush(heap, cell)
                 total_lo += cell[4]
                 total_hi += cell[5]

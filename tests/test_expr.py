@@ -509,19 +509,19 @@ class TestD2Range:
         (f"x^{-(2.0 ** 52 - 2.5)!r}", 1.0, 1.0 + 2.0 ** -52),  # only p - 3 (and p - 4) round
     ])
     def test_third_derivative_fault_keeps_f2_range(self, src, u, v):
-        lo, hi, lo3, hi3, lo4, hi4 = to_convex_function(src, Interval(u, v))._d2range(u, v)
+        lo, hi, lo3, hi3, lo4, hi4, lo6, hi6 = to_convex_function(src, Interval(u, v))._d2range(u, v)
         assert 0.0 < lo <= hi < math.inf
-        assert (lo3, hi3) == (lo4, hi4) == (-math.inf, math.inf)
+        assert (lo3, hi3) == (lo4, hi4) == (lo6, hi6) == (-math.inf, math.inf)
 
     @pytest.mark.parametrize("src, u, v", [
         ("exp(exp(x))", math.log(690.0), math.log(690.0) + 1e-9),  # only f'''' overflows
         (f"x^{1.0 + 2.0 ** -52!r}", 1.0, 2.0),  # only p - 4 rounds
     ])
     def test_fourth_derivative_fault_keeps_f3_range(self, src, u, v):
-        lo, hi, lo3, hi3, lo4, hi4 = to_convex_function(src, Interval(u, v))._d2range(u, v)
+        lo, hi, lo3, hi3, lo4, hi4, lo6, hi6 = to_convex_function(src, Interval(u, v))._d2range(u, v)
         assert 0.0 < lo <= hi < math.inf
         assert -math.inf < lo3 <= hi3 < math.inf
-        assert (lo4, hi4) == (-math.inf, math.inf)
+        assert (lo4, hi4) == (lo6, hi6) == (-math.inf, math.inf)
 
     @pytest.mark.parametrize("src", ["-x^2", "-exp(x)", "x^2 - 3*x^2"])
     def test_negative_range_raises(self, src):

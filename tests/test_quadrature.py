@@ -275,9 +275,9 @@ class TestAdaptive:
         assert res.cells <= 10_000
 
     def test_exhausted_budget_still_encloses(self):
-        res = adaptive_integrate(EXP, eps=1e-12, max_cells=16)
+        res = adaptive_integrate(EXP, eps=1e-12, max_cells=4)
         assert not res.converged
-        assert res.cells == 16
+        assert res.cells == 4
         assert res.integral.contains(math.e - 1.0)
 
     def test_exact_function_stops_immediately(self):
@@ -292,8 +292,8 @@ class TestAdaptive:
         assert res.integral.contains(0.0)
 
     def test_tighter_eps_needs_more_cells(self):
-        loose = adaptive_integrate(EXP, eps=1e-4)
-        tight = adaptive_integrate(EXP, eps=1e-6)
+        loose = adaptive_integrate(EXP, eps=1e-6)
+        tight = adaptive_integrate(EXP, eps=1e-12)
         assert tight.cells > loose.cells
 
     def test_parameter_validation(self):
@@ -322,8 +322,9 @@ class TestAdaptive:
             assert calls["df"] == 4 * res.cells
 
     def test_f2_range_adds_one_call_per_cell(self):
-        # the same samples as above, and one f'' range per cell made
-        calls = {"f": 0, "df": 0, "d2": 0}
+        # the same samples as above, one range per cell made, and f''' read
+        # once at each end and midpoint of a cell (the range at (x, x))
+        calls = {"f": 0, "df": 0, "d2": 0, "d3": 0}
 
         def counted(key, fn):
             def wrapped(*args):
@@ -331,14 +332,46 @@ class TestAdaptive:
                 return fn(*args)
             return wrapped
 
+        def d2range(u, v):
+            calls["d2" if u < v else "d3"] += 1
+            return EXP._d2range(u, v)
+
         f = ConvexFunction(EXP.domain, counted("f", math.exp), counted("df", math.exp), counted("df", math.exp),
-                           "exp", _d2range=counted("d2", EXP._d2range))
-        for eps, max_cells in ((1e-8, 10_000), (1e-13, 100)):
-            calls.update(f=0, df=0, d2=0)
+                           "exp", _d2range=d2range)
+        for eps, max_cells in ((1e-8, 10_000), (1e-13, 100), (1e-14, 8)):
+            calls.update(f=0, df=0, d2=0, d3=0)
             res = adaptive_integrate(f, eps=eps, max_cells=max_cells)
             assert calls["f"] == 2 * res.cells + 1
             assert calls["df"] == 4 * res.cells
             assert calls["d2"] == 2 * res.cells - 1
+            assert calls["d3"] == 2 * res.cells + 1
+
+    @pytest.mark.parametrize("f, reads_a", [(catalog("power_p", (2.5,)), False), (catalog("xlogx"), False), (EXP, True)],
+                             ids=["power_p2.5", "xlogx", "exp"])
+    def test_third_derivative_read_once_per_point(self, f, reads_a):
+        # t^2.5 and t ln t have no f^(6) range on the cells that touch 0;
+        # f''' is read on the others, each point once, whichever of a parent
+        # and its two cells could read it
+        reads = []
+
+        def d2range(u, v, inner=f._d2range):
+            if u == v:
+                reads.append(u)
+            return inner(u, v)
+
+        res = adaptive_integrate(dataclasses.replace(f, _d2range=d2range), eps=1e-10)
+        assert res.converged
+        assert reads and len(reads) == len(set(reads)) <= 2 * res.cells + 1
+        assert (f.domain.a in reads) == reads_a
+
+    @pytest.mark.parametrize("f", [to_convex_function("exp(x)", Interval(0.0, 1.0)), catalog("kink", (1.0, 0.3)),
+                                   catalog("power_p", (3.0,))], ids=lambda f: f.label)
+    def test_no_third_derivative_read_without_the_cut(self, f):
+        # an expression has no f^(6) range, and where f'''' is 0 (a kink off
+        # its kink, t^3) the f'''' cut is exact already: no cell reads f'''
+        d2range = f._d2range
+        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v) if u < v else pytest.fail("f''' read"))
+        assert adaptive_integrate(f, eps=1e-10).converged
 
     @pytest.mark.parametrize("f, truth", [
         (EXP, math.e - 1.0),
@@ -390,7 +423,7 @@ class TestAdaptive:
         # bracketing each cell by h^3/12 [min f'', max f''] took 251 / 1,229,
         # 348 / 1,629, 449 / 1,942 and 434 / 2,034
         d2range = f._d2range
-        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:2] + (-math.inf, math.inf) * 2)
+        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:2] + (-math.inf, math.inf) * 3)
         res = adaptive_integrate(f, eps=eps, max_cells=200_000)
         assert res.converged
         assert res.cells <= most
@@ -406,7 +439,7 @@ class TestAdaptive:
         # takes 26 / 69, 37 / 118, 1 / 1 and 47 / 151 cells here; each bound
         # is about 15% above
         d2range = f._d2range
-        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:4] + (-math.inf, math.inf))
+        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v)[:4] + (-math.inf, math.inf) * 2)
         res = adaptive_integrate(f, eps=eps, max_cells=200_000)
         assert res.converged
         assert res.cells <= most
@@ -441,10 +474,12 @@ class TestAdaptive:
 
     def test_expression_takes_catalog_cells(self, monkeypatch):
         # exp(x) and -log(x) carry interval f'', f''' and f'''' ranges, so
-        # their cells match the catalog's exp and neg_log, whose ranges are
-        # closed form, in both passes and at eps 1e-12; the f'''' bound of
-        # the halves cut exp's from 26 and 69 (121 and 522 with the f''
-        # bound alone, 251 and 1,229 with h^3/12 [min f'', max f''] alone)
+        # their cells match the catalog's exp and neg_log cut to those
+        # orders, whose ranges are closed form, in both passes and at eps
+        # 1e-12; the f'''' bound of the halves cut exp's from 26 and 69 (121
+        # and 522 with the f'' bound alone, 251 and 1,229 with h^3/12
+        # [min f'', max f''] alone).  The whole catalog function, with f'''
+        # at the samples and an f^(6) range, takes fewer still
         runs = []
 
         def spy(*args, **kwargs):
@@ -452,8 +487,10 @@ class TestAdaptive:
             return runs[-1]
 
         monkeypatch.setattr("trapbound.quadrature.adaptive_integrate", spy)
-        for src, twin, cells in (("exp(x)", EXP, (8, 20, 55)),
+        for src, full, cells in (("exp(x)", EXP, (8, 20, 55)),
                                  ("-log(x)", catalog("neg_log", (), Interval(0.5, 2.0)), (20, 48, 124))):
+            twin = dataclasses.replace(full, _d2range=lambda u, v, d2range=full._d2range:
+                                       d2range(u, v)[:6] + (-math.inf, math.inf))
             a, b = twin.domain.a, twin.domain.b
             f = to_convex_function(src, Interval(a, b))
             res = adaptive_integrate(f, eps=1e-8)
@@ -463,6 +500,8 @@ class TestAdaptive:
             _reference_integral(f)
             assert [r.cells for r in runs] == [adaptive_integrate(twin, eps=1e-10, max_cells=200_000).cells] == [cells[1]]
             assert adaptive_integrate(f, eps=1e-12).cells == adaptive_integrate(twin, eps=1e-12).cells == cells[2]
+            for eps, most in zip((1e-8, 1e-10, 1e-12), cells):
+                assert adaptive_integrate(full, eps=eps).cells < most
 
     def test_inverted_bracket_raises(self):
         f = ConvexFunction(Interval(0.0, 1.0), lambda t: -t * t, lambda t: -2.0 * t, lambda t: -2.0 * t, "-t^2")

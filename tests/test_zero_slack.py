@@ -6,7 +6,9 @@ The references are the closed forms of ``catalog_oracles``.
 import dataclasses
 import json
 import math
+import random
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import pytest
 from catalog_oracles import (DEFAULT_SPECS, DIGITS, default_catalog, derivative, exact_integral, number_type,
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from trapbound.cli import main
 from trapbound.expr import to_convex_function
+from trapbound import funcs
 from trapbound.funcs import CATALOG_NAMES, Interval, catalog
 from trapbound.quadrature import _corrected_bracket, _cubic_term, adaptive_integrate
 
@@ -90,7 +93,7 @@ EXPRESSIONS = {
 
 
 def _range_contains_reference(k, family, data, p, q, samples):
-    # the f^(k) range of a cell, k = 3 or 4, holds the exact f^(k) at its
+    # the f^(k) range of a cell, k = 3, 4 or 6, holds the exact f^(k) at its
     # ends and at exact interior points: with the ulp per end that the
     # contract allows for a catalog family, and as returned for an
     # expression, whose interval ends are rounded outward
@@ -102,14 +105,14 @@ def _range_contains_reference(k, family, data, p, q, samples):
     else:
         name, params, a, b, _ = data.draw(catalog_cases(family))
         if name == "power_p":  # f^(k) changes sign at p = 2, ..., k - 1 and monotonicity at p = k
-            params = (data.draw(st.sampled_from((1.5, 2.5, 3.5, 4.5)[:k])) + data.draw(st.floats(-0.5, 0.5)),)
+            params = (data.draw(st.sampled_from((1.5, 2.5, 3.5, 4.5, 5.5, 6.5)[:k])) + data.draw(st.floats(-0.5, 0.5)),)
         num = number_type(name, params)
         f, dk, ulps = catalog(name, params, Interval(a, b)), derivative(name, params, num, k), 1
     u, v = sorted(a + (b - a) * s for s in (p, q))
     assume(u < v)
     rng = f._d2range(u, v)
     assume(rng is not None)  # a kink inside the cell
-    lo, hi = rng[2:4] if k == 3 else rng[4:6]
+    lo, hi = rng[{3: 2, 4: 4, 6: 6}[k]:][:2]
     for _ in range(ulps):
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     with localcontext() as ctx:
@@ -136,15 +139,56 @@ def test_fourth_derivative_range_contains_reference(family, data, p, q, samples)
     _range_contains_reference(4, family, data, p, q, samples)
 
 
+@pytest.mark.parametrize("family", CATALOG_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_sixth_derivative_range_contains_reference(family, data, p, q, samples):
+    _range_contains_reference(6, family, data, p, q, samples)
+
+
+@pytest.mark.parametrize("family", CATALOG_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_third_derivative_at_a_point_contains_reference(family, data, s):
+    # an adaptive cell reads f''' at its ends and midpoint as the range of
+    # the cell (x, x): it holds the exact f''' there with the ulp per end
+    # that the contract allows; at t = 0 that is -inf for -ln t and t ln t
+    name, params, a, b, _ = data.draw(catalog_cases(family))
+    x = min(a + (b - a) * s, b)
+    lo, hi = catalog(name, params, Interval(a, b))._d2range(x, x)[2:4]
+    num = number_type(name, params)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        assert math.nextafter(lo, -math.inf) <= derivative(name, params, num, 3)(num(x)) <= math.nextafter(hi, math.inf)
+
+
+@pytest.mark.parametrize("name, params, lo, hi", [
+    ("neg_log", (), 120.0 * 2.0 ** 6, math.inf),
+    ("xlogx", (), 24.0 * 2.0 ** 5, math.inf),
+    ("power_p", (2.5,), -math.inf, -3.515625 * 2.0 ** 3.5),
+])
+@pytest.mark.parametrize("u", [0.0, 1e-100])
+def test_sixth_derivative_range_at_zero_and_overflow(name, params, lo, hi, u):
+    # on [u, 1/2], at t = 0 and where 1/t^6 or t^(p - 6) overflows, the f^(6)
+    # range of -ln t, t ln t and t^2.5 is infinite at one end and holds the
+    # exact value at 1/2, within 2^-40 of it, at the other
+    rng = catalog(name, params, Interval(0.0, 1.0))._d2range(u, 0.5)[6:8]
+    assert rng[0] <= lo and hi <= rng[1]
+    end = rng[1] if lo == -math.inf else rng[0]
+    assert rng == ((-math.inf, end) if lo == -math.inf else (end, math.inf))
+    assert abs(end - (hi if lo == -math.inf else lo)) <= 2.0 ** -40 * abs(end)
+
+
 def _power_range_holds(p, u, v, samples):
-    # f'', f''' and f'''' of t^p on [u, v] hold (p)_k t^(p-k) at the cell's
-    # ends and at exact interior points, with no allowance; an order whose
-    # p - k rounds is (-inf, inf)
+    # f'', f''', f'''' and f^(6) of t^p on [u, v] hold (p)_k t^(p-k) at the
+    # cell's ends and at exact interior points, with no allowance; an order
+    # whose p - k rounds is (-inf, inf)
     rng = catalog("power_p", (p,), Interval(0.0, v))._d2range(u, v)
     assert rng[0] >= 0.0, rng
     num = number_type("power_p", (p,))
-    for k in (2, 3, 4):
-        lo, hi = rng[2 * k - 4:2 * k - 2]
+    for i, k in enumerate((2, 3, 4, 6)):
+        lo, hi = rng[2 * i:2 * i + 2]
         if math.fsum((p, -k, k - p)):
             assert (lo, hi) == (-math.inf, math.inf)
             continue
@@ -167,9 +211,54 @@ def test_power_range_contains_reference_at_zero_slack(p, u, w, samples):
 
 def test_power_range_bounds_rounded_exponent_and_overflow():
     # 1.7 - 4 rounds, so the f'''' range of t^1.7 is unbounded
-    assert _power_range_holds(1.7, 0.0, 0.5, ())[4:] == (-math.inf, math.inf)
+    assert _power_range_holds(1.7, 0.0, 0.5, ())[4:6] == (-math.inf, math.inf)
     # t^2.5 overflows at both ends of the cell: f'' takes its bound and does not raise
     assert _power_range_holds(4.5, 1e150, 1e200, ())[1] == math.inf
+    # 1 + 2^-51 - 6 rounds and 1 + 2^-51 - 4 does not: f^(6) alone is unbounded
+    rng = _power_range_holds(1.0 + 2.0 ** -51, 0.25, 0.5, ())
+    assert -math.inf < rng[4] <= rng[5] < math.inf and rng[6:] == (-math.inf, math.inf)
+
+
+def _faithful_pow(s):
+    """t^e for ``funcs._pow``, the float next to the exact value towards s
+    (0.0 or inf): faithful, and one ulp inward of the correctly rounded value
+    where that lies on the other side."""
+    correct = funcs._pow
+
+    def pow_(t, e):
+        r = correct(t, e)
+        if t == 0.0 or r == math.inf:
+            return r
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(t) ** Decimal(e)
+        return math.nextafter(r, s) if (Decimal(r) > x if s == 0.0 else Decimal(r) < x) else r
+
+    return pow_
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.sampled_from((0.0, math.inf)), p=st.one_of(st.floats(1.0, 7.0), st.integers(10, 70).map(lambda n: n / 10)),
+       u=st.floats(0.01, 2.0), w=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_power_range_contains_reference_under_faithful_pow(s, p, u, w, samples):
+    # with a power rounded the wrong way by its faithful libm the orders of
+    # t^p still hold (p)_k t^(p-k) with no allowance, on cells and at points
+    with mock.patch.object(funcs, "_pow", _faithful_pow(s)):
+        _power_range_holds(p, u, u + w, samples)
+
+
+@pytest.mark.parametrize("s, p, u, v", [
+    (0.0, 2.5, 0.6565493033084296, 0.6565493033084296),  # f'''' hi, without its last outward step
+    (math.inf, 7.0, 1.945712154168544, 1.945712154168544),  # f'' lo, without its last outward step
+    (0.0, 5.466176062671997, 1.934264244746164, 1.9528572165300808),  # f'' hi, with (p)_2 rounded to nearest
+    (math.inf, 4.7, 1.0385668726902733, 1.0385668726902733),  # f^(6), with (p)_6 rounded to nearest
+])
+def test_power_range_needs_each_outward_step(s, p, u, v):
+    # cells where the power range would miss (p)_k t^(p-k) under a faithful
+    # pow rounded the wrong way, without the step named
+    with mock.patch.object(funcs, "_pow", _faithful_pow(s)):
+        _power_range_holds(p, u, v, ())
 
 
 @pytest.mark.parametrize("name, params, a, b, eps", [
@@ -288,3 +377,26 @@ def test_cli_integral_contains_reference(capsys, command, src, name, params):
     assert "gap" not in report and "difference" not in report
     integral = report["integral"]
     assert integral["lo"] <= exact_integral(name, params, 0.5, 2.0) <= integral["hi"]
+
+
+#: the corpus, and powers whose f^(6) is unbounded at 0 (2.5) or not (6.5)
+EULER_MACLAURIN_SPECS = [*DEFAULT_SPECS, ("power_p", (2.5,), Interval(0.0, 1.0)),
+                         ("power_p", (6.5,), Interval(0.0, 1.0))]
+
+
+@pytest.mark.parametrize("name, params, domain", EULER_MACLAURIN_SPECS,
+                         ids=[catalog(*spec).label for spec in EULER_MACLAURIN_SPECS])
+def test_one_cell_euler_maclaurin_bracket_contains_integral(name, params, domain):
+    # one cell of width (b - a)/2^j at a multiple of it, j up to 40, its ends
+    # exact floats: where its f^(6) range is finite it is bracketed with
+    # f''' at its ends and midpoint, and that one-cell run must hold the
+    # integral with no slack
+    f = catalog(name, params, domain)
+    a, b = domain.a, domain.b
+    rng = random.Random(f"{name}{params}")
+    for _ in range(40):
+        j = rng.randrange(41)
+        h = (b - a) / 2 ** j
+        u = a + h * rng.randrange(2 ** j)
+        res = adaptive_integrate(dataclasses.replace(f, domain=Interval(u, u + h)), eps=1.0, max_cells=1)
+        assert res.integral.lo <= exact_integral(name, params, u, u + h) <= res.integral.hi, (u, u + h)
