@@ -40,6 +40,9 @@ _WEIGHT_TOL = 1e-9
 #: Relative threshold under which q(x) and p(x) are treated as equal and the
 #: HH term collapses to its removable limit p * f(1) = 0.
 _EQUAL_RATIO_TOL = 1e-14
+#: Width budget of the inner integrals of HH_f without an antiderivative,
+#: divided by the support size.
+_HH_EPS = 1e-9
 
 
 class UndefinedDivergenceError(ValueError):
@@ -130,12 +133,7 @@ class DivergenceReport(NamedTuple):
         return self.lin_wong <= self.hh.hi + 1e-9 and self.hh.lo <= self.half_csiszar + 1e-9
 
 
-def divergence_report(
-    g: GeneratorFunction,
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    eps: float = 1e-9,
-) -> DivergenceReport:
+def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceReport:
     """D_f, LW_f, an enclosure of HH_f and a certified bracket of D_f/2 - HH_f.
 
     Zero-mass conventions: a point with p = q = 0 adds nothing; one with
@@ -146,7 +144,7 @@ def divergence_report(
     HH term can be negative (for ``kl``, u log u has a negative mean over
     [q/p, 1] when q < p); only the sum is nonnegative.
     Without an antiderivative each inner integral of HH_f is certified by
-    adaptive quadrature with a budget of eps divided by the support size.
+    adaptive quadrature with a budget of ``_HH_EPS`` divided by the support size.
     The gap is one call to the kernel on the |q - p|-weighted slope sums,
     which is the sum of the per-term brackets of the module docstring; a
     point whose midpoint r_m rounds to 1 adds nothing to it.
@@ -189,7 +187,7 @@ def divergence_report(
 
                 # p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
                 piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), fn, dplus, dminus, g.label)
-                inner = adaptive_integrate(piece, eps=eps / n, max_cells=100_000).integral
+                inner = adaptive_integrate(piece, eps=_HH_EPS / n, max_cells=100_000).integral
                 weight = pi * pi / w
                 hh_lo += weight * inner.lo
                 hh_hi += weight * inner.hi

@@ -38,6 +38,11 @@ class NonConvexityError(RuntimeError):
     """A computation detected a violation of the convexity hypothesis."""
 
 
+def _midpoint(u: float, v: float) -> float:
+    """0.5 (u + v) for normal u, v, as halving is exact, but finite where u + v overflows."""
+    return 0.5 * u + 0.5 * v
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed bounded interval [a, b] with a < b."""
@@ -57,7 +62,7 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * self.a + 0.5 * self.b  # halving is exact: 0.5 (a + b) for normal a, b, but finite
+        return _midpoint(self.a, self.b)
 
     def contains(self, x: float) -> bool:
         return self.a <= x <= self.b
@@ -143,7 +148,9 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
     # each secant joins consecutive distinct grid points (on an interval
     # narrower than n ulps points repeat); last is the one before it
     for i in range(n):
-        t2 = a + (b - a) * i / (n - 1) if i < n - 1 else b
+        # past b - a = 1.8e306, (b - a) i overflows: over 2^7 and back, no rounding moves
+        s = (b - a) * i
+        t2 = a + (s / (n - 1) if s < math.inf else (b - a) / 128 * i / (n - 1) * 128) if i < n - 1 else b
         v2 = f(t2)
         scale = max(scale, abs(v2)) if math.isfinite(v2) else scale
         if i and t1 != t2:

@@ -20,7 +20,7 @@ outward is ROADMAP item 4.  Any bound touching an infinite endpoint
 derivative degenerates to a trivially true enclosure.  The integral of the
 CLI's ``gap``/``hh`` is the adaptive enclosure.  Here and in quadrature a
 split-point reading of the certificate is ``_split_bracket``; probability's
-``_bracket_at`` and ``_expectation_bracket`` scale its weights, round outward.
+``_expectation_bracket`` scales its weights and rounds outward.
 """
 
 from __future__ import annotations
@@ -103,10 +103,11 @@ def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
     """:func:`_gap_bracket` of the cell [u, v] split at any x in [u, v], from
     the one-sided slope oracles ``dplus`` and ``dminus``.  A zero-weighted
     slope is not read (at x = u or v it may not exist), f'+(u) is f'+(x) at
-    x = u and f'-(v) is f'-(x) at x = v: 2 reads at an end, 4 inside.
+    x = u and f'-(v) is f'-(x) at x = v: 2 reads at an end, 4 inside.  The
+    weights are products, which overflow to inf where a float ``**`` raises.
     """
-    wl = (v - x) ** 2
-    wr = (x - u) ** 2
+    wl = (v - x) * (v - x)
+    wr = (x - u) * (x - u)
     dpx = dplus(x) if wl else 0.0
     dmx = dminus(x) if wr else 0.0
     return _gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))

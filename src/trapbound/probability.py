@@ -10,8 +10,8 @@ limits taken inside [a, b], and at x = a or b the zero-weighted one not read.
 Each side of ``pointwise._gap_bracket`` applied to F is divided by the end of
 the mass bracket of :func:`validate_density` that moves it out, and shifted by
 x, each step rounded outward.  :func:`expectation_enclosure` is the one entry
-point for this bound (:func:`best_expectation_enclosure` searches a grid of x):
-at c = (a + b)/2 it is (1/8)[f(c+) - f(c-)](b-a)^2 <= m (E(X) - c) <= (1/8)[f(b-) - f(a+)](b-a)^2.
+point for this bound, and its corollaries are tests of it; at x = c = (a + b)/2,
+it is (1/8)[f(c+) - f(c-)](b-a)^2 <= m (E(X) - c) <= (1/8)[f(b-) - f(a+)](b-a)^2.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .pointwise import _gap_bracket
 #: slack of the checks of its reads.
 _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK = 256, 4096, 1 / 64, 1e-6
 _U = sys.float_info.epsilon / 2
-#: Split points tried by :func:`best_expectation_enclosure`.
-_EXPECTATION_GRIDPOINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -202,46 +200,16 @@ def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, f
             _up(math.ldexp(_up(hi / (m_hi if hi < 0 else m_lo)), -2 * k) + x))
 
 
-def _bracket_at(d: MonotoneDensity, x: float, fa: float, fb: float, mass: tuple) -> tuple:
-    """:func:`_expectation_bracket` at x in [a, b], given f(a+) and f(b-); at an
-    end the zero-weighted slope is not read, and the other is f(a+) or f(b-)."""
-    a, b = d.domain.a, d.domain.b
-    inner = a < x < b
-    dpx = d.right_limit(x) if inner else fa
-    dmx = d.left_limit(x) if inner else fb
-    return _expectation_bracket(a, b, x, dpx, dmx, fa, fb, mass)
-
-
-def _clip(d: MonotoneDensity, lo: float, hi: float, x_used: float) -> ExpectationEnclosure:
-    """The enclosure cut to the support: E(X) lies in [a, b] exactly, so the
-    cut needs no rounding allowance.  A NaN side stays NaN."""
-    return ExpectationEnclosure(max(lo, d.domain.a), min(hi, d.domain.b), x_used)
-
-
 def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = None) -> ExpectationEnclosure:
     """Two-sided bound on the mean of f/m at split point x in [a, b], within
-    [a, b]; ``mass`` brackets m, by default as :func:`validate_density` at x."""
+    [a, b]; ``mass`` brackets m, by default as :func:`validate_density` at x.
+    At an end the zero-weighted slope is not read, and the other is f(a+) or
+    f(b-).  E(X) lies in [a, b] exactly, so the cut to it needs no rounding
+    allowance; a NaN side stays NaN."""
+    a, b = d.domain.a, d.domain.b
     x = _split(d, x)
     mass = validate_density(d, x).normalization if mass is None else mass
-    return _clip(d, *_bracket_at(d, x, d.right_limit(d.domain.a), d.left_limit(d.domain.b), mass), x)
-
-
-def best_expectation_enclosure(d: MonotoneDensity) -> ExpectationEnclosure:
-    """Optimize each side of the expectation bound over ``_EXPECTATION_GRIDPOINTS``
-    equispaced split points, the ends included, m bracketed as by
-    :func:`validate_density` at the midpoint.  ``x_used`` reports the split
-    point attaining the best upper bound before the cut to the support."""
-    a, b = d.domain.a, d.domain.b
-    mass = validate_density(d).normalization
-    n = _EXPECTATION_GRIDPOINTS
-    ts = [a + (b - a) * i / (n - 1) for i in range(n)]
-    ts[-1] = b
     fa, fb = d.right_limit(a), d.left_limit(b)
-    best_lo, best_hi, x_used = -math.inf, math.inf, a
-    for x in ts:
-        lo, hi = _bracket_at(d, x, fa, fb, mass)
-        best_lo = max(best_lo, lo)
-        if hi < best_hi:
-            best_hi = hi
-            x_used = x
-    return _clip(d, best_lo, best_hi, x_used)
+    dpx, dmx = (d.right_limit(x), d.left_limit(x)) if a < x < b else (fa, fb)
+    lo, hi = _expectation_bracket(a, b, x, dpx, dmx, fa, fb, mass)
+    return ExpectationEnclosure(max(lo, a), min(hi, b), x)

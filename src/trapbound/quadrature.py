@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError
+from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError, _midpoint
 from .pointwise import Enclosure, _midpoint_bracket, _split_bracket
 
 
@@ -114,7 +114,7 @@ def uniform_partition(iv: Interval, n: int, xi_rule: str = "midpoint") -> Partit
     h = iv.width / n
     points = tuple(iv.a + i * h for i in range(n)) + (iv.b,)
     if xi_rule == "midpoint":
-        xi = tuple(0.5 * (points[i] + points[i + 1]) for i in range(n))
+        xi = tuple(map(_midpoint, points, points[1:]))
     elif xi_rule == "left":
         xi = points[:-1]
     elif xi_rule == "right":
@@ -375,7 +375,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     bisection cannot narrow it either.
     """
     h = v - u
-    m = 0.5 * (u + v)
+    m = _midpoint(u, v)
     t = 0.5 * (fu + fv) * h
     if u < m < v:
         fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)

@@ -1,11 +1,13 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from divergence_oracles import CLOSED_FORMS, chi_squared, reference_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapbound import divergence
 from trapbound.divergence import (
     _EQUAL_RATIO_TOL,
     GENERATOR_NAMES,
@@ -170,7 +172,7 @@ class TestHHDivergence:
                                  slope_at_infinity=1.0)
         for p, q in CORPUS[:3]:
             ref = divergence_report(exact, p, q).hh.lo
-            enc = divergence_report(bare, p, q, eps=1e-9).hh
+            enc = divergence_report(bare, p, q).hh
             assert enc.contains(ref, slack=1e-12), (p.weights, q.weights)
             assert enc.width <= 1e-9
 
@@ -343,7 +345,8 @@ class TestSinglePass:
         # generator cheap at ratios q/p up to 1e3
         cases = [(generator_catalog(name), 1e-9) for name in GENERATOR_NAMES]
         for g, eps in [*cases, (_bare_hellinger(), 1e-3)]:
-            got = _bits(lambda: divergence_report(g, p, q, eps))
+            with mock.patch.object(divergence, "_HH_EPS", eps):
+                got = _bits(lambda: divergence_report(g, p, q))
             assert got == _bits(lambda: reference_report(g, p, q, eps)), g.label
 
     def test_drawn_pairs_cover_every_point_kind(self):

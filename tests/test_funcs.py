@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 from finite_difference import finite_difference_derivative
 
+from trapbound.expr import to_convex_function
 from trapbound.funcs import (
+    _CONVEXITY_GRIDPOINTS,
     ConvexFunction,
     DomainError,
     Interval,
@@ -124,6 +127,20 @@ class TestCheckConvexity:
         # oracle: sin'' = -sin < 0 exactly where sin > 0
         _, t2, _ = report.witness
         assert math.sin(t2) > 0
+
+    def test_wide_interval_grid_stays_in_the_interval(self):
+        # (b - a) i overflows once b - a passes 1.8e306: the grid read f(inf),
+        # and every --fn command on such an interval exited 1
+        g = to_convex_function("exp(-1e-308*x)", Interval(1e308, 1.7e308))
+        calls = []
+        f = ConvexFunction(g.domain, lambda t: calls.append(t) or g(t), g.d_plus, g.d_minus, g.label)
+        assert check_convexity(f).passed
+        a, b, n = Fraction(1e308), Fraction(1.7e308), _CONVEXITY_GRIDPOINTS
+        assert len(calls) == n and calls[0] == 1e308 and calls[-1] == 1.7e308
+        for i, t in enumerate(calls):
+            # in [a, b], within the two roundings of the grid formula and that of the sum
+            assert 1e308 <= t <= 1.7e308
+            assert abs(Fraction(t) - (a + (b - a) * i / (n - 1))) <= 2 * Fraction(math.ulp(t)), (i, t)
 
 class TestCatalog:
     # the certified enclosure of each family's integral holds its closed form

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from catalog_oracles import DEFAULT_SPECS, corpus_integral, exact_integral, reference
 
+from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import Enclosure, _reference_integral, gap_enclosure, hh_bounds
 from trapbound.quadrature import remainder_enclosure, uniform_partition
@@ -121,6 +122,13 @@ class TestGap:
     def test_split_point_outside_domain(self):
         with pytest.raises(DomainError, match=r"split point 1.5 outside \[0.0, 1.0\]"):
             gap_enclosure(QUAD, 1.5)
+
+    def test_weights_of_a_wide_cell_overflow_to_an_enclosure(self):
+        # (v - x) ** 2 raised OverflowError on a cell 1e160 wide; the gap of
+        # exp(-x) at the midpoint is 5e159 - 1 + 5e159 exp(-1e160) + exp(-1e160)
+        f = to_convex_function("exp(-x)", Interval(0.0, 1e160))
+        for enc in (gap_enclosure(f, 5e159), remainder_enclosure(f, uniform_partition(f.domain, 1))):
+            assert isinstance(enc, Enclosure) and enc.lo <= 5e159 - 1 <= enc.hi, enc
 
 
 class TestGapBounds:

@@ -8,11 +8,9 @@ from trapbound.funcs import ConvexFunction, DomainError, Interval
 from trapbound.pointwise import Enclosure, gap_enclosure
 from trapbound.expr import to_function
 from trapbound.probability import (
-    _EXPECTATION_GRIDPOINTS,
     _MASS_CELLS,
     _MASS_CELLS_MAX,
     _expectation_bracket,
-    best_expectation_enclosure,
     MonotoneDensity,
     continuous_density,
     expectation_enclosure,
@@ -80,6 +78,14 @@ def assert_tight_enclosure(enc, d, x, mass=(1.0, 1.0)):
     fs = (d.right_limit(a), d.left_limit(b), d.right_limit(x), d.left_limit(x))
     scale = Fraction((b - a) ** 2 * max(map(abs, fs)) / mass[0] + abs(x))
     assert lo - Fraction(enc.lo) <= 5 * EPS * scale and Fraction(enc.hi) - hi <= 5 * EPS * scale, (d.label, x)
+
+
+def grid_enclosures(d, mass, n=1001):
+    """The enclosures at n equispaced splits, the ends included, each with
+    the mass bracket ``mass``: the best bound over the grid, [max lo, min hi],
+    holds the mean exactly when each of them does."""
+    a, b = d.domain.a, d.domain.b
+    return [expectation_enclosure(d, x, mass) for x in [a + (b - a) * i / (n - 1) for i in range(n - 1)] + [b]]
 
 
 def cdf_function(d):
@@ -169,7 +175,6 @@ class TestValidateDensity:
             "total mass bracket [%.9g, %.9g] does not exclude 0" % report.normalization,)
         # no division by such a bracket: any mean lies in the support
         assert expectation_enclosure(d, 0.5) == (0.0, 1.0, 0.5)
-        assert best_expectation_enclosure(d)[:2] == (0.0, 1.0)
 
     def test_infinite_mass_bracket_is_invalid(self):
         d = continuous_density(UNIT, lambda t: math.inf if t == 1.0 else 1.0, "inf at b")
@@ -269,8 +274,8 @@ class TestExpectationEnclosure:
             enc = expectation_enclosure(d, x, (1.0, 1.0))
             assert enc.lo <= 0.0 <= enc.hi, x
             assert_tight_enclosure(enc, d, x)
-        best = best_expectation_enclosure(d)
-        assert best.lo <= 0.0 <= best.hi
+        for enc in grid_enclosures(d, validate_density(d).normalization):
+            assert enc.lo <= 0.0 <= enc.hi, enc.x_used
 
     def test_step_jump_at_split_is_exact(self):
         # the density jump at 0.5 makes both sides collapse onto the mean;
@@ -295,8 +300,7 @@ class TestExpectationEnclosure:
         assert calls == []
 
     def test_split_at_an_end_is_the_grid_bracket_there(self):
-        # at x = a only f(a+) is weighted, at x = b only f(b-), as in the
-        # best-grid search, whose ends these are
+        # at x = a only f(a+) is weighted, at x = b only f(b-)
         for make in ALL:
             d = make()
             a, b = d.domain.a, d.domain.b
@@ -367,27 +371,24 @@ class TestExpectationEnclosure:
 
 
 class TestBestEnclosure:
-    def test_never_wider_than_midpoint(self):
-        for make in ALL:
-            d = make()
-            best = best_expectation_enclosure(d)
-            mid = expectation_enclosure(d, d.domain.midpoint)
-            assert best.lo >= mid.lo - 1e-12, d.label
-            assert best.hi <= mid.hi + 1e-12, d.label
+    """The best bound over the 1,001 equispaced splits, each enclosure taken
+    with the mass bracket sized for the midpoint."""
 
     def test_contains_mean(self):
         for make in ALL:
             d = make()
-            best = best_expectation_enclosure(d)
-            assert best.lo <= mean(d) + 1e-9 and mean(d) <= best.hi + 1e-9, d.label
-            assert d.domain.a <= best.x_used <= d.domain.b
+            encs = grid_enclosures(d, validate_density(d).normalization)
+            lo, hi = max(enc.lo for enc in encs), min(enc.hi for enc in encs)
+            assert lo <= mean(d) + 1e-9 and mean(d) <= hi + 1e-9, d.label
+            assert all(d.domain.a <= enc.x_used <= d.domain.b for enc in encs)
 
     def test_uniform_on_unit_interval_contains_its_mean(self):
         # rounded to nearest, the shift gave [0.5, 0.49999999999999994]; each
         # split of the grid with the exact mass 1 leaves that rounding alone
-        best = best_expectation_enclosure(uniform())
-        assert best.lo <= 0.5 <= best.hi
-        n = _EXPECTATION_GRIDPOINTS
+        d = uniform()
+        for enc in grid_enclosures(d, validate_density(d).normalization):
+            assert enc.lo <= 0.5 <= enc.hi, enc.x_used
+        n = 1001
         for x in [i / (n - 1) for i in range(n)]:
             lo, hi = _expectation_bracket(0.0, 1.0, x, 1.0, 1.0, 1.0, 1.0, (1.0, 1.0))
             assert lo <= 0.5 <= hi, x
@@ -396,51 +397,11 @@ class TestBestEnclosure:
         # the mean 1 + 2^-53 lies between two floats; both shifts rounded to 1.0
         a, b = 1.0, 1.0 + 2.0 ** -52
         d = continuous_density(Interval(a, b), lambda t: 2.0 ** 52, "one ulp")
-        best = best_expectation_enclosure(d)
-        assert Fraction(best.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(best.hi), best
+        encs = grid_enclosures(d, validate_density(d).normalization)
+        for enc in encs:
+            assert Fraction(enc.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(enc.hi), enc
         # cut to the support: the unclipped sides were 1 - 6.7e-16 and 1 + 6.7e-16
-        assert best == (a, b, a)
-
-    def test_is_the_best_bound_over_the_grid(self):
-        # the best lower and upper bounds over the whole module grid, the
-        # ends included, with the first minimizer of the upper as x_used,
-        # then cut to the support; the mass bracket is sized for the midpoint
-        for make in ALL:
-            d = make()
-            mass = validate_density(d).normalization
-            a, b = d.domain.a, d.domain.b
-            n = _EXPECTATION_GRIDPOINTS
-            ts = [a + (b - a) * i / (n - 1) for i in range(n)]
-            ts[-1] = b
-            fa, fb = d.right_limit(a), d.left_limit(b)
-            inner = [_expectation_bracket(a, b, x, d.right_limit(x), d.left_limit(x), fa, fb, mass)
-                     for x in ts[1:-1]]
-            # at x = a only f(a+) is weighted, at x = b only f(b-)
-            lo_a, hi_a = _expectation_bracket(a, b, a, fa, fb, fa, fb, mass)
-            lo_b, hi_b = _expectation_bracket(a, b, b, fa, fb, fa, fb, mass)
-            # the sides there, moved outward
-            assert lo_a < 0.5 * (b - a) ** 2 * fa / mass[1] + a and 0.5 * (b - a) ** 2 * fb / mass[0] + a < hi_a
-            los = [lo_a] + [lo for lo, _ in inner] + [lo_b]
-            his = [hi_a] + [hi for _, hi in inner] + [hi_b]
-            best_hi = min(his)
-            expected = (max(max(los), a), min(best_hi, b), ts[his.index(best_hi)])
-            assert best_expectation_enclosure(d) == expected, d.label
-
-    def test_evaluates_the_density_about_twice_per_grid_point(self):
-        calls = []
-
-        def pdf(t):
-            calls.append(t)
-            return 2.0 * t
-
-        # beyond the walk at the midpoint, f(x+) and f(x-) at the 999 interior
-        # points, f(a+) and f(b-) once
-        d = continuous_density(UNIT, pdf, "2t")
-        validate_density(d)
-        walk = len(calls)
-        best = best_expectation_enclosure(d)
-        assert best.lo <= 2 / 3 <= best.hi
-        assert len(calls) == 2 * walk + 2000
+        assert all(enc[:2] == (a, b) for enc in encs) and encs[0] == (a, b, a)
 
 
 def step_mass_and_mean(domain, breaks, values):
@@ -480,7 +441,7 @@ class TestNormalizedMean:
         report = validate_density(d)
         assert report.valid, report.messages
         assert Fraction(report.normalization[0]) <= mass <= Fraction(report.normalization[1])
-        encs = [expectation_enclosure(d, d.domain.midpoint), best_expectation_enclosure(d),
+        encs = [expectation_enclosure(d, d.domain.midpoint), *grid_enclosures(d, report.normalization),
                 *(expectation_enclosure(d, x) for x in (iv.a + 0.3 * iv.width, iv.a, iv.b))]
         for enc in encs:
             assert Fraction(enc.lo) <= mean <= Fraction(enc.hi), (label, enc)

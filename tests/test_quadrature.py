@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,12 @@ class TestPartition:
         for rule in ("center", (0.1, 0.9)):
             with pytest.raises(ValueError):
                 uniform_partition(iv, 2, rule)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_wide_interval_midpoints_lie_in_their_cells(self, n):
+        # u + v overflows above 9e307: the midpoint 0.5 (u + v) was inf
+        P = uniform_partition(Interval(1e308, 1.7e308), n)
+        assert all(u < x < v for u, v, x in P.cells())
 
 
 class TestGeneralizedTrapezoid:
@@ -279,6 +286,20 @@ class TestAdaptive:
         assert not res.converged
         assert res.cells == 4
         assert res.integral.contains(math.e - 1.0)
+
+    def test_wide_cells_are_bisected(self):
+        # u + v overflows above 9e307: the midpoint 0.5 (u + v) was inf, so such
+        # a cell had no float inside and was never bisected
+        f = to_convex_function("exp(-1e-308*x)", Interval(1e308, 1.7e308))
+        res = adaptive_integrate(f, eps=1e300)
+        assert res.converged and res.cells > 1
+        # the integral of exp(-c t) over [a, b] for the floats c, a and b, exact to 50 digits
+        with localcontext() as ctx:
+            ctx.prec = 50
+            c, a, b = Decimal(1e-308), Decimal(1e308), Decimal(1.7e308)
+            exact = ((-c * a).exp() - (-c * b).exp()) / c
+        assert abs(exact - Decimal("1.85195917118707678e307")) < Decimal("1e290")
+        assert Decimal(res.integral.lo) <= exact <= Decimal(res.integral.hi)
 
     def test_exact_function_stops_immediately(self):
         f = catalog("linear", (2.0, -1.0))
