@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage error (bad flags, unparseable input, a
 function that cannot be evaluated on the interval, ``--n`` above
 ``--max-cells``) or stdout closed early (``| head``), 2 hypothesis failure
-(non-convex function, invalid density or distribution); a closed stderr
-keeps the code of the error it could not show.
+(non-convex function, by the convexity check or an inverted bracket; invalid
+density or distribution); a closed stderr keeps the code of the error it
+could not show.  A distribution file is a JSON array where its first
+non-blank character is ``[``, else CSV (one weight per line).
 JSON reports are deterministic; no computation happens in the rendering
 layer.  Besides the inputs: ``integrate`` gives ``gn``, ``integral``,
 ``remainder``, ``width``, ``cells``, ``converged``, ``certified``; ``gap`` and
@@ -59,32 +61,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False):
-    """Read a :class:`~trapbound.divergence.DiscreteDistribution` from CSV
-    (one weight per line) or a JSON array.
+def load_distribution(path, normalize: bool = False):
+    """Read a :class:`~trapbound.divergence.DiscreteDistribution` from a JSON
+    array of numbers, where the file's first non-blank character is ``[``,
+    else from CSV (one weight per line).
 
-    ``fmt`` defaults to the file extension.  Weights must sum to 1 within
-    ``divergence._WEIGHT_TOL`` unless ``normalize`` is set, which rescales them.
+    Weights must sum to 1 within ``divergence._WEIGHT_TOL`` unless
+    ``normalize`` is set, which rescales them.
     """
     from . import divergence as div
 
     path = Path(path)
-    if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix == ".csv":
-            fmt = "csv"
-        elif suffix == ".json":
-            fmt = "json"
-        else:
-            raise DistributionLoadError(
-                f"{path}: cannot infer format from suffix {suffix!r}; pass csv or json"
-            )
     try:
         text = path.read_text()
     except OSError as exc:
         raise DistributionLoadError(f"{path}: {exc}") from exc
 
-    if fmt == "csv":
+    # re.match reads the text where it lies; lstrip would copy it
+    if not re.match(r"\s*\[", text):
         lines = text.splitlines()
         try:
             # float() ignores surrounding whitespace; blank lines and bad
@@ -102,20 +96,18 @@ def load_distribution(path, fmt: Optional[str] = None, normalize: bool = False):
                     raise DistributionLoadError(
                         f"{path}: line {lineno}: not a number: {line!r}"
                     ) from None
-    elif fmt == "json":
+    else:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DistributionLoadError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        # exact types: a bool is an int to isinstance, and not a weight
-        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        # a list, as the text starts with [; a bool is an int to isinstance, and not a weight
+        if not set(map(type, data)) <= {int, float}:
             raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
         try:
             weights = tuple(map(float, data))
         except OverflowError:
             raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
-    else:
-        raise DistributionLoadError(f"unknown distribution format {fmt!r}")
 
     if not weights:
         raise DistributionLoadError(f"{path}: no weights found")
@@ -232,34 +224,18 @@ def _cmd_integrate(args) -> dict:
     }
 
 
-def _cmd_gap(args) -> dict:
+def _cmd_bracket(args) -> dict:
+    """``gap`` at ``--x`` or ``hh``: the paper's bracket and the adaptive integral."""
     from . import pointwise
 
     f, convexity = _convex_function(args)
-    enclosure = pointwise.gap_enclosure(f, args.x)
-    a, b = f.domain.a, f.domain.b
+    gap = args.command == "gap"
+    enclosure = pointwise.gap_enclosure(f, args.x) if gap else pointwise.hh_bounds(f)
     return {
-        "command": "gap",
+        "command": args.command,
         "fn": args.fn,
-        "interval": [a, b],
-        "x": args.x,
-        "lower": enclosure.lo,
-        "upper": enclosure.hi,
-        "integral": _enclosure_dict(pointwise._reference_integral(f)),
-        "certified": convexity.passed,
-    }
-
-
-def _cmd_hh(args) -> dict:
-    from . import pointwise
-
-    f, convexity = _convex_function(args)
-    enclosure = pointwise.hh_bounds(f)
-    a, b = f.domain.a, f.domain.b
-    return {
-        "command": "hh",
-        "fn": args.fn,
-        "interval": [a, b],
+        "interval": [f.domain.a, f.domain.b],
+        **({"x": args.x} if gap else {}),
         "lower": enclosure.lo,
         "upper": enclosure.hi,
         "integral": _enclosure_dict(pointwise._reference_integral(f)),
@@ -305,8 +281,8 @@ def _cmd_divergence(args) -> dict:
     from . import divergence as div
 
     generator = div.generator_catalog(args.generator)
-    p = load_distribution(args.p, args.p_format, args.normalize)
-    q = load_distribution(args.q, args.q_format, args.normalize)
+    p = load_distribution(args.p, normalize=args.normalize)
+    q = load_distribution(args.q, normalize=args.normalize)
     report = div.divergence_report(generator, p, q)
     return {
         "command": "divergence",
@@ -365,11 +341,8 @@ def _cmd_check(args) -> dict:
 
 def _add_common(parser):
     parser.add_argument("--fn", required=True, help="function as expression text")
-    parser.add_argument(
-        "--interval", nargs=2, type=float, required=True, metavar=("A", "B")
-    )
+    parser.add_argument("--interval", nargs=2, type=float, required=True, metavar=("A", "B"))
     parser.add_argument("--var", default="x", help="name of the free variable")
-    parser.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
     parser.add_argument("--allow-nonconvex", action="store_true")
 
 
@@ -391,24 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_gap)
     p_gap.add_argument("--x", type=float, required=True)
 
-    p_hh = sub.add_parser("hh", help="Hermite-Hadamard defect bounds")
-    _add_common(p_hh)
+    _add_common(sub.add_parser("hh", help="Hermite-Hadamard defect bounds"))
 
     p_exp = sub.add_parser("expectation", help="expectation bounds for a monotone density")
     p_exp.add_argument("--density", required=True, help="density as expression text")
     p_exp.add_argument("--interval", nargs=2, type=float, required=True, metavar=("A", "B"))
     p_exp.add_argument("--x", type=float, default=None, help="split point (default midpoint)")
     p_exp.add_argument("--var", default="x")
-    p_exp.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
 
     p_div = sub.add_parser("divergence", help="Csiszar / Lin-Wong / HH divergences")
     p_div.add_argument("--generator", required=True, choices=("chi2", "chi_squared", "kl", "tv", "total_variation", "hellinger"))
     p_div.add_argument("--p", required=True, help="path to the first distribution")
     p_div.add_argument("--q", required=True, help="path to the second distribution")
-    p_div.add_argument("--p-format", choices=("csv", "json"), default=None)
-    p_div.add_argument("--q-format", choices=("csv", "json"), default=None)
     p_div.add_argument("--normalize", action="store_true")
-    p_div.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
 
     p_chk = sub.add_parser("check", help="validate hypotheses without computing bounds")
     p_chk.add_argument("--fn", default=None)
@@ -417,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--interval", nargs=2, type=float, default=None, metavar=("A", "B"))
     p_chk.add_argument("--var", default="x")
     p_chk.add_argument("--normalize", action="store_true")
-    p_chk.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
 
+    for p in sub.choices.values():
+        p.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
     return parser
 
 
@@ -431,8 +400,8 @@ def _parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "integrate": _cmd_integrate,
-    "gap": _cmd_gap,
-    "hh": _cmd_hh,
+    "gap": _cmd_bracket,
+    "hh": _cmd_bracket,
     "expectation": _cmd_expectation,
     "divergence": _cmd_divergence,
     "check": _cmd_check,

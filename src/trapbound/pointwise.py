@@ -15,8 +15,10 @@ together with its Hermite-Hadamard specialization, one entry point each:
 bound and optimal split point are readings of this one bracket, and its
 sliding-window form is ``quadrature.remainder_enclosure`` on one midpoint cell.
 
-``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding them
-outward is ROADMAP item 4.  Any bound touching an infinite endpoint
+A convex f never inverts the bracket; ``_ordered``, the one test of that,
+serves ``gap_enclosure``, ``hh_bounds`` and quadrature's fixed and adaptive
+cells.  ``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding
+them outward is ROADMAP item 4.  Any bound touching an infinite endpoint
 derivative degenerates to a trivially true enclosure.  The integral of the
 CLI's ``gap``/``hh`` is the adaptive enclosure.  Here and in quadrature a
 split-point reading of the certificate is ``_split_bracket``; probability's
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .funcs import ConvexFunction, DomainError
+from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, NonConvexityError
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class Enclosure:
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 def _gap_bracket(wl: float, wr: float, dpx: float, dmx: float, dpu: float, dmv: float) -> tuple:
@@ -113,6 +111,20 @@ def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
     return _gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))
 
 
+def _ordered(lo: float, hi: float, f: ConvexFunction, u: float, v: float, i=None) -> tuple:
+    """The bracket (lo, hi) of f's remainder on the cell [u, v] (number i), ordered:
+    lo > hi beyond ``DEFAULT_TOL`` means f is not convex there and raises
+    :class:`NonConvexityError`, and one within it is rounding: the hull (hi, lo)."""
+    if lo <= hi:
+        return lo, hi
+    if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
+        cell = "cell" if i is None else f"cell {i}"
+        raise NonConvexityError(
+            f"{cell} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; {f.label!r} is not convex there"
+        )
+    return hi, lo
+
+
 def _reference_integral(f: ConvexFunction) -> Enclosure:
     """Certified enclosure of the integral of f over its domain, width 1e-10 within 200k cells."""
     from . import quadrature  # deferred: quadrature depends on this module
@@ -124,12 +136,13 @@ def gap_enclosure(f: ConvexFunction, x: float) -> Enclosure:
     """The paper's bracket for the gap of f at a split point x in [a, b].
 
     At x = a or b the lower side is (1/2)(b-a)^2 f'+(a) or -(1/2)(b-a)^2 f'-(b);
-    an infinite endpoint slope makes a side infinite (trivially true).
+    an infinite endpoint slope makes a side infinite (trivially true).  It
+    is ``quadrature.remainder_enclosure`` of the one cell [a, b] at xi = x.
     """
     a, b = f.domain.a, f.domain.b
     if not f.domain.contains(x):
         raise DomainError(f"split point {x} outside [{a}, {b}]")
-    return Enclosure(*_split_bracket(f.d_plus, f.d_minus, a, b, x))
+    return Enclosure(*_ordered(*_split_bracket(f.d_plus, f.d_minus, a, b, x), f, a, b))
 
 
 def hh_bounds(f: ConvexFunction) -> Enclosure:
@@ -142,5 +155,5 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
     a, b = f.domain.a, f.domain.b
     m = f.domain.midpoint
     dpm, dmm = (f.d_plus(m), f.d_minus(m)) if a < m < b else (None, None)
-    lo, hi = _midpoint_bracket(b - a, dpm, dmm, f.d_plus(a), f.d_minus(b))
+    lo, hi = _ordered(*_midpoint_bracket(b - a, dpm, dmm, f.d_plus(a), f.d_minus(b)), f, a, b)
     return Enclosure(lo / (b - a), hi / (b - a))

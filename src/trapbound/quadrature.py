@@ -53,8 +53,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, Interval, NonConvexityError, _midpoint
-from .pointwise import Enclosure, _midpoint_bracket, _split_bracket
+from .funcs import ConvexFunction, DomainError, Interval, _midpoint
+from .pointwise import Enclosure, _midpoint_bracket, _ordered, _split_bracket
 
 
 @dataclass(frozen=True)
@@ -149,22 +149,17 @@ def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
     rounding of m_i, it is the paper's trapezoid corollary (1/8) sum
     [f'+(m_i) - f'-(m_i)] h_i^2 <= S_n <= (1/8) sum [f'-(x_{i+1}) - f'+(x_i)] h_i^2.
 
-    An inverted per-cell bracket (lo > hi beyond tolerance) is numerically
-    impossible for a convex integrand and raises
-    :class:`trapbound.funcs.NonConvexityError` naming the cell.
+    ``pointwise._ordered`` raises :class:`trapbound.funcs.NonConvexityError`
+    naming a cell whose bracket inverts beyond rounding, and orders the
+    rest; their sums stay ordered, as rounding is monotone.
     """
     _check_domain(f, P)
     lo_sum = hi_sum = 0.0
     for i, (u, v, x) in enumerate(P.cells()):
-        lo, hi = _split_bracket(f.d_plus, f.d_minus, u, v, x)
-        if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
-            raise NonConvexityError(
-                f"cell {i} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
-                f"{f.label!r} is not convex there"
-            )
+        lo, hi = _ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v, i)
         lo_sum += lo
         hi_sum += hi
-    return Enclosure(min(lo_sum, hi_sum), hi_sum)
+    return Enclosure(lo_sum, hi_sum)
 
 
 def _integral_enclosure(gn: float, rem: Enclosure) -> Enclosure:
@@ -404,12 +399,8 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
         wl, wr = m - u, v - m
         lo = max(lo_p, t - 0.5 * (wl * (fu + fm) + wr * (fm + fv)))
         hi = min(hi_p, t - (_envelope_area(wl, fu, dpu, fm, dmm) + _envelope_area(wr, fm, dpm, fv, dmv)))
-    # the tolerance is worked out only for an inverted bracket, which is rare
-    if lo > hi and lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
-        raise NonConvexityError(
-            f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; "
-            f"{f.label!r} is not convex there"
-        )
+    if lo > hi:
+        _ordered(lo, hi, f, u, v)  # raises for an inversion beyond rounding; the hull is not taken here
     if c2 is None:
         # an inversion by rounding alone collapses to a point inside [lo_p, hi_p]
         lo = min(lo, max(hi_p, lo_p))

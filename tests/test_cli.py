@@ -50,16 +50,21 @@ class TestLoadDistribution:
         f.write_text("[0.1, 0.9]")
         assert load_distribution(f).weights == (0.1, 0.9)
 
-    def test_explicit_format_overrides_suffix(self, tmp_path):
-        f = tmp_path / "w.dat"
-        f.write_text("[0.5, 0.5]")
-        assert load_distribution(f, fmt="json").weights == (0.5, 0.5)
+    @pytest.mark.parametrize("name, text", [
+        ("w.dat", "[0.5, 0.5]"),
+        ("w.csv", "[0.5, 0.5]"),
+        ("w.csv", "\n  [0.5,\n 0.5]\n"),
+    ], ids=["dat", "csv_suffix", "blank_first_line"])
+    def test_json_array_whatever_the_suffix(self, tmp_path, name, text):
+        # the first non-blank character, not the suffix, says JSON
+        f = tmp_path / name
+        f.write_text(text)
+        assert load_distribution(f).weights == (0.5, 0.5)
 
-    def test_unknown_suffix(self, tmp_path):
+    def test_csv_whatever_the_suffix(self, tmp_path):
         f = tmp_path / "w.dat"
         f.write_text("0.5\n0.5\n")
-        with pytest.raises(DistributionLoadError):
-            load_distribution(f)
+        assert load_distribution(f).weights == (0.5, 0.5)
 
     def test_csv_error_names_line(self, tmp_path):
         f = tmp_path / "w.csv"
@@ -200,6 +205,24 @@ class TestGapAndHH:
         code, _, err = run_cli(capsys, "gap", "--fn", "x^2",
                                "--interval", "0", "1", "--x", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["hh"], ["gap", "--x", "0.5"]], ids=["hh", "gap"])
+    def test_inverted_bracket_is_a_hypothesis_failure(self, capsys, argv):
+        # as for integrate: the bracket of -x^2 inverts, and the cell is named
+        code, out, err = run_cli(capsys, *argv, "--fn=-x^2", "--interval", "0", "1", "--allow-nonconvex")
+        assert (code, out) == (2, "")
+        assert err == ("trapbound: hypothesis failure: cell [0.0, 1.0] has inverted remainder bracket "
+                       "[0.0, -0.25]; '-x^2' is not convex there\n")
+
+    @pytest.mark.parametrize("argv, bracket", [
+        (["hh"], [-2.465190328815662e-32, 0.0]),
+        (["gap", "--x", "3.239168395452613"], [-2.145027806161181e-31, -2.1450278061611805e-31]),
+    ], ids=["hh", "gap"])
+    def test_bracket_inverted_by_rounding_is_its_hull(self, capsys, argv, bracket):
+        # x log x is convex and passes the check; on this 2-ulp interval the
+        # bracket's ends cross by rounding alone, and their hull is reported
+        rep = run_json(capsys, *argv, "--fn", "x*log(x)", "--interval", "3.2391683954526127", "3.239168395452613")
+        assert rep["certified"] and [rep["lower"], rep["upper"]] == bracket
 
     def test_gap_at_an_end(self, capsys):
         # at x = a the gap of x^2 on [0, 1] is f(1) - 1/3 = 2/3
@@ -557,11 +580,14 @@ class TestExitCodes:
         (["check", "--fn", "x +", "--interval", "0", "1"], "--fn: "),
         (["check", "--fn", "x^2"], "--fn requires --interval"),
         (["check", "--density", "2*x"], "--density requires --interval"),
+        # not an array, so read as CSV
+        (["check", "--dist", "{obj}"], "obj.json: line 1: not a number: '{\"p\": 1}'"),
     ])
     def test_input_errors_exit_1(self, capsys, tmp_path, argv, fragment):
         (tmp_path / "bad.json").write_text("[0.5,\n 0.5 0.5]")
         (tmp_path / "empty.csv").write_text("\n\n")
-        argv = [a.format(bad=tmp_path / "bad.json", empty=tmp_path / "empty.csv") for a in argv]
+        (tmp_path / "obj.json").write_text('{"p": 1}')
+        argv = [a.format(bad=tmp_path / "bad.json", empty=tmp_path / "empty.csv", obj=tmp_path / "obj.json") for a in argv]
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and fragment in err and "Traceback" not in err
 

@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from catalog_oracles import DEFAULT_SPECS, corpus_integral, exact_integral, reference
 
 from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import Enclosure, _reference_integral, gap_enclosure, hh_bounds
-from trapbound.quadrature import remainder_enclosure, uniform_partition
+from trapbound.quadrature import Partition, remainder_enclosure, uniform_partition
 
 KINK = catalog("kink", (1.0, 0.5))
 QUAD = catalog("quadratic")
@@ -363,6 +365,33 @@ class TestOptimalPoint:
             grid_min = min(gap_enclosure(f, a + (b - a) * i / 1000).hi for i in range(1001))
             # no grid point does better, and x0 is one of them
             assert grid_min == bound, f.label
+
+
+@st.composite
+def split_cells(draw):
+    """(a, b, x): a cell 1 to 40 ulps wide, or up to 8 wide, and a split point in it."""
+    a = draw(st.floats(0.5, 8.0))
+    if draw(st.booleans()):
+        b = a
+        for _ in range(draw(st.integers(1, 40))):
+            b = math.nextafter(b, math.inf)
+    else:
+        b = a + draw(st.floats(1e-6, 8.0))
+    x = draw(st.sampled_from([a, b, Interval(a, b).midpoint]) | st.floats(a, b))
+    return a, b, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=st.sampled_from(["x*log(x)", "sqrt(1 + x^2)", "log(1 + exp(x))", "x^2", "abs(x - 2)"]), cell=split_cells())
+# rounding inverts the bracket of each of these convex cells
+@example(fn="x*log(x)", cell=(3.2391683954526127, 3.239168395452613, 3.239168395452613))
+@example(fn="sqrt(1 + x^2)", cell=(-3.9923358642186746, -3.9923358642186715, -3.9923358642186733))
+@example(fn="log(1 + exp(x))", cell=(0.05791561232607201, 0.05791561232607215, 0.05791561232607208))
+def test_gap_is_the_remainder_of_one_cell(fn, cell):
+    a, b, x = cell
+    f = to_convex_function(fn, Interval(a, b))
+    enc = gap_enclosure(f, x)
+    assert enc == remainder_enclosure(f, Partition((a, b), (x,)))
 
 
 class TestSandwichProperties:
