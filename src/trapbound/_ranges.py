@@ -41,8 +41,10 @@ def _imul(x, y) -> tuple:
     (a, b), (c, d) = x, y
     if a >= 0.0 and c >= 0.0:
         return _out(a * c, b * d)
-    p = (a * c, b * d) if a == b or c == d else (a * c, a * d, b * c, b * d)
-    return _out(min(p), max(p))
+    lo = hi = a * c
+    for p in (b * d,) if a == b or c == d else (a * d, b * c, b * d):
+        lo, hi = (p if p < lo else lo), (p if p > hi else hi)
+    return _out(lo, hi)
 
 
 def _idiv(x, y) -> tuple:
@@ -62,7 +64,7 @@ def _ipow(x, p: float) -> tuple:
     if not (lo > 0.0 or p.is_integer() and (p >= 0.0 or hi < 0.0)):
         raise ArithmeticError("power not C^2 on the interval")
     a, b = lo ** p, hi ** p
-    return _out(0.0 if lo < 0.0 < hi and p % 2.0 == 0.0 else min(a, b), max(a, b))
+    return _out(0.0 if lo < 0.0 < hi and p % 2.0 == 0.0 else (b if b < a else a), b if b > a else a)
 
 
 def _isign(g, x) -> tuple:
@@ -230,7 +232,7 @@ def compile_range(tree: Expression, label: str) -> Callable:
         if hi < 0.0:
             raise NonConvexityError(
                 f"f'' of {label!r} lies in [{lo}, {hi}] on [{u}, {v}]; it is not convex there")
-        out = (max(lo, 0.0), hi)
+        out = (0.0 if 0.0 > lo else lo, hi)
         for top in tops:
             out += top or _WHOLE
         return out + _WHOLE

@@ -152,7 +152,7 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
         s = (b - a) * i
         t2 = a + (s / (n - 1) if s < math.inf else (b - a) / 128 * i / (n - 1) * 128) if i < n - 1 else b
         v2 = f(t2)
-        scale = max(scale, abs(v2)) if math.isfinite(v2) else scale
+        scale = abs(v2) if scale < abs(v2) < math.inf else scale
         if i and t1 != t2:
             s23 = (v2 - v1) / (t2 - t1)
             if last is not None:
@@ -330,7 +330,8 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
                     out += order
                     continue
                 e, neg, c_lo, c_hi = order
-                a, b = (_pow(u, e), _pow(v, e)) if e >= 0.0 else (_pow(v, e), _pow(u, e))
+                a = _pow(u, e)  # once at a point
+                a, b = (a, a) if v == u else (a, _pow(v, e)) if e >= 0.0 else (_pow(v, e), a)
                 lo = math.nextafter(c_lo * math.nextafter(a, 0.0), 0.0)
                 hi = math.nextafter(c_hi * math.nextafter(b, math.inf), math.inf)
                 out += (-hi, -lo) if neg else (lo, hi)

@@ -1,7 +1,8 @@
 """Test oracles for the per-cell kernels: the adaptive integrator's
 ``quadrature._corrected_bracket`` and ``quadrature._adaptive_cell`` and the
 interval rules ``_ranges._imul`` and ``_ranges._ipow``, as they were written
-with the builtin ``min`` and ``max``.
+with the builtin ``min`` and ``max``, and the catalog's ``power_p`` range as
+it was written with two powers of each order at a point.
 
 The library writes each two-argument ``max(a, b)`` as ``b if b > a else a``
 and ``min(a, b)`` as ``b if b < a else a``, the comparison CPython's builtins
@@ -15,7 +16,7 @@ import math
 from typing import Optional
 
 from trapbound._ranges import _out
-from trapbound.funcs import ConvexFunction, _midpoint
+from trapbound.funcs import ConvexFunction, _falling, _midpoint, _pow
 from trapbound.pointwise import _midpoint_bracket, _ordered
 from trapbound.quadrature import _BETA, _DELTA, _GAMMA, _cubic_term, _envelope_area
 
@@ -141,3 +142,27 @@ def _ipow(x, p: float) -> tuple:
         raise ArithmeticError("power not C^2 on the interval")
     a, b = lo ** p, hi ** p
     return _out(0.0 if lo < 0.0 < hi and p % 2.0 == 0.0 else min(a, b), max(a, b))
+
+
+def power_p_range(p: float):
+    """The parent's ``_d2range`` of ``catalog("power_p", (p,))``, which reads
+    both powers of each order at a point."""
+    orders = []  # those two ranges, else (p - k, sign, |(p)_k|)
+    for k in (2, 3, 4, 6):
+        c = (-math.inf, math.inf) if math.fsum((p, -k, k - p)) else _falling(p, k)
+        orders.append(c if not c[1] or c[1] == math.inf else (p - k, c[0] < 0.0, *sorted(map(abs, c))))
+
+    def _range(u: float, v: float) -> tuple:
+        out = ()
+        for order in orders:
+            if len(order) == 2:
+                out += order
+                continue
+            e, neg, c_lo, c_hi = order
+            a, b = (_pow(u, e), _pow(v, e)) if e >= 0.0 else (_pow(v, e), _pow(u, e))
+            lo = math.nextafter(c_lo * math.nextafter(a, 0.0), 0.0)
+            hi = math.nextafter(c_hi * math.nextafter(b, math.inf), math.inf)
+            out += (-hi, -lo) if neg else (lo, hi)
+        return out
+
+    return _range

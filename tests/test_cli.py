@@ -201,6 +201,17 @@ class TestGapAndHH:
         # the defect 1/2 - integral lies in the paper's bracket
         assert rep["lower"] <= 0.5 - integral["hi"] <= 0.5 - integral["lo"] <= rep["upper"]
 
+    @pytest.mark.parametrize("argv, converged", [
+        (["hh", "--fn", "x^2", "--interval", "0", "1"], True),
+        # a cell's width squared overflows: its bracket and integral.lo are infinite, after 2 cells
+        (["gap", "--fn", "exp(-x)", "--interval", "0", "1e160", "--x", "5e159"], False),
+    ], ids=["hh", "gap"])
+    def test_integral_says_whether_it_converged(self, capsys, argv, converged):
+        integral = run_json(capsys, *argv)["integral"]
+        assert integral["converged"] is converged
+        if not converged:
+            assert integral["lo"] == "-inf"
+
     def test_gap_outside_domain(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--fn", "x^2",
                                "--interval", "0", "1", "--x", "2")
