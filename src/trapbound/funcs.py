@@ -330,7 +330,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
                     out += order
                     continue
                 e, neg, c_lo, c_hi = order
-                a = _pow(u, e)  # once at a point
+                a = _pow(u, e)  # one power where u == v, as at a read of f''' at a point
                 a, b = (a, a) if v == u else (a, _pow(v, e)) if e >= 0.0 else (_pow(v, e), a)
                 lo = math.nextafter(c_lo * math.nextafter(a, 0.0), 0.0)
                 hi = math.nextafter(c_hi * math.nextafter(b, math.inf), math.inf)

@@ -398,7 +398,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
             t3v = t3v or f._d2range(v, v)[2:4]
             d3 = t3u + t3m + t3v
         c2 = _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3)
-    z, y = lo_p, hi_p
+    z, y = lo_p, hi_p  # the cell's own cuts below and above, then met with [lo_p, hi_p]
     if c2 is not None:
         z, y = c2
     elif m is None:
