@@ -218,45 +218,46 @@ def _smooth(fn, slope, label, antiderivative, slope_at_infinity) -> GeneratorFun
     return GeneratorFunction(fn, slope, slope, label, antiderivative, slope_at_infinity)
 
 
+#: The built-in generators by label, then the aliases chi2 and tv.
+_GENERATORS = {g.label: g for g in (
+    _smooth(
+        fn=lambda u: (u - 1.0) ** 2,
+        slope=lambda u: 2.0 * (u - 1.0),
+        label="chi_squared",
+        antiderivative=lambda u: (u - 1.0) ** 3 / 3.0,
+        slope_at_infinity=math.inf,
+    ),
+    _smooth(
+        fn=lambda u: u * math.log(u) if u > 0 else 0.0,
+        slope=lambda u: math.log(u) + 1.0,
+        label="kl",
+        antiderivative=lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u,
+        slope_at_infinity=math.inf,
+    ),
+    GeneratorFunction(
+        fn=lambda u: abs(u - 1.0),
+        dplus=lambda u: 1.0 if u >= 1.0 else -1.0,
+        dminus=lambda u: 1.0 if u > 1.0 else -1.0,
+        label="total_variation",
+        antiderivative=lambda u: 0.5 * (u - 1.0) * abs(u - 1.0),
+        slope_at_infinity=1.0,
+    ),
+    _smooth(
+        fn=lambda u: (math.sqrt(u) - 1.0) ** 2,
+        # the slope tends to -inf at 0, where q = 0 < p puts a term
+        slope=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
+        label="hellinger",
+        antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
+        slope_at_infinity=1.0,
+    ),
+)}
+GENERATOR_NAMES = tuple(_GENERATORS)
+_GENERATORS.update(chi2=_GENERATORS["chi_squared"], tv=_GENERATORS["total_variation"])
+
+
 def generator_catalog(name: str) -> GeneratorFunction:
-    """Built-in generators: chi_squared, kl, total_variation, hellinger."""
-    if name in ("chi_squared", "chi2"):
-        return _smooth(
-            fn=lambda u: (u - 1.0) ** 2,
-            slope=lambda u: 2.0 * (u - 1.0),
-            label="chi_squared",
-            antiderivative=lambda u: (u - 1.0) ** 3 / 3.0,
-            slope_at_infinity=math.inf,
-        )
-    if name == "kl":
-        return _smooth(
-            fn=lambda u: u * math.log(u) if u > 0 else 0.0,
-            slope=lambda u: math.log(u) + 1.0,
-            label="kl",
-            antiderivative=lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u,
-            slope_at_infinity=math.inf,
-        )
-    if name in ("total_variation", "tv"):
-        return GeneratorFunction(
-            fn=lambda u: abs(u - 1.0),
-            dplus=lambda u: 1.0 if u >= 1.0 else -1.0,
-            dminus=lambda u: 1.0 if u > 1.0 else -1.0,
-            label="total_variation",
-            antiderivative=lambda u: 0.5 * (u - 1.0) * abs(u - 1.0),
-            slope_at_infinity=1.0,
-        )
-    if name == "hellinger":
-        return _smooth(
-            fn=lambda u: (math.sqrt(u) - 1.0) ** 2,
-            # the slope tends to -inf at 0, where q = 0 < p puts a term
-            slope=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
-            label="hellinger",
-            antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
-            slope_at_infinity=1.0,
-        )
-    raise ValueError(
-        f"unknown generator {name!r}; known: chi_squared, kl, total_variation, hellinger"
-    )
-
-
-GENERATOR_NAMES = ("chi_squared", "kl", "total_variation", "hellinger")
+    """The built-in generator called ``name``: one of ``GENERATOR_NAMES``, or chi2 or tv."""
+    try:
+        return _GENERATORS[name]
+    except KeyError:
+        raise ValueError(f"unknown generator {name!r}; known: {', '.join(GENERATOR_NAMES)}") from None

@@ -4,8 +4,11 @@ Grammar (precedence high to low): ``^`` with a constant exponent (one that
 does not mention the variable; it is evaluated when parsed, and must be
 finite), unary minus,
 ``*`` ``/``, ``+`` ``-``; same-precedence binary operators associate left.
-Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable
-(default ``x``).  Evaluation reports singularities as errors.
+Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable, read
+from the text: the first identifier that does not call a function, so
+``t^2`` is a function of ``t``; a function name is never the variable, and
+a second name is an unknown identifier.  Evaluation reports singularities
+as errors, each operation through one table of checked float operations.
 
 :func:`to_convex_function` compiles a tree once into straight-line Python:
 f itself, and forward-mode slope functions that carry ``(value, slope)``
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 import types
 from collections import Counter
@@ -81,61 +85,35 @@ class Binary:
 Expression = Union[Const, Var, Unary, Binary]
 
 FUNCTIONS = ("exp", "log", "abs", "sqrt")
-_OPERATORS = "+-*/^"
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+# one token per match, spaces skipped between matches; an unnamed match is a
+# character no token starts with
+_SCANNER = re.compile(r"(?P<number>(?=\.?\d)[\d.]+(?:[eE][+-]?\d+)?)|(?P<identifier>[^\W\d]\w*)"
+                      r"|(?P<operator>[-+*/^])|(?P<paren>[()])|\S")
 
 
 def tokenize(src: str) -> list[Token]:
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    for m in _SCANNER.finditer(src):
+        kind, text, pos = m.lastgroup, m.group(), m.start() + 1
+        if kind is None:
+            raise ParseError(f"unexpected character {text!r}", pos)
+        if kind == "number":
             try:
                 float(text)
             except ValueError:
                 raise ParseError(f"malformed number {text!r}", pos) from None
-            tokens.append(Token("number", text, pos))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("identifier", src[i:j], pos))
-            i = j
-        elif ch in _OPERATORS:
-            tokens.append(Token("operator", ch, pos))
-            i += 1
-        elif ch in "()":
-            tokens.append(Token("paren", ch, pos))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
+        tokens.append(Token(kind, text, pos))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], variable: str, end: int):
+    def __init__(self, tokens: list[Token], end: int):
         self.tokens = tokens
-        self.variable = variable
         self.pos = 0
         self.end = end  # position just past the input, for EOF errors
+        self.variable = None  # the first identifier that does not call a function
         self.variables = 0  # occurrences of the variable parsed so far
 
     def peek(self):
@@ -148,75 +126,62 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str) -> Token:
+    def expect(self, text: str) -> Token:
         tok = self.next()
-        if tok.kind != kind or tok.text != text:
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.position)
         return tok
 
-    def parse_sum(self) -> Expression:
-        node = self.parse_product()
-        while (tok := self.peek()) and tok.kind == "operator" and tok.text in "+-":
-            self.next()
-            rhs = self.parse_product()
-            node = Binary(tok.text, node, rhs)
-        return node
-
-    def parse_product(self) -> Expression:
+    def parse_sum(self, floor: int = 1) -> Expression:
+        """Operands joined by the binary operators of precedence ``floor`` or
+        above; operators of one precedence associate left."""
         node = self.parse_unary()
-        while (tok := self.peek()) and tok.kind == "operator" and tok.text in "*/":
+        while (tok := self.peek()) and tok.kind == "operator" and (prec := _PRECEDENCE[tok.text]) >= floor:
             self.next()
-            rhs = self.parse_unary()
-            node = Binary(tok.text, node, rhs)
+            node = Binary(tok.text, node, self.parse_sum(prec + 1))
         return node
 
     def parse_unary(self) -> Expression:
-        tok = self.peek()
-        if tok and tok.kind == "operator" and tok.text == "-":
-            self.next()
+        tok = self.next()
+        if tok.text == "-":
             inner = self.parse_unary()
             # negative literals parse to constants so rendering round-trips
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Unary("neg", inner)
-        return self.parse_power()
+            return Const(-inner.value) if isinstance(inner, Const) else Unary("neg", inner)
+        base = self.parse_atom(tok)
+        if not ((tok := self.peek()) and tok.text == "^"):
+            return base
+        self.next()
+        exp_tok = self.peek()
+        seen = self.variables
+        exponent = self.parse_unary()
+        try:
+            if self.variables > seen:
+                raise EvalError("the exponent mentions the variable")
+            value = eval_expr(exponent, 0.0)
+            if not math.isfinite(value):
+                raise EvalError("the exponent is not finite")
+        except EvalError:
+            raise ParseError("exponent must be a constant", exp_tok.position) from None
+        return Binary("^", base, Const(value))
 
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok and tok.kind == "operator" and tok.text == "^":
-            self.next()
-            exp_tok = self.peek()
-            seen = self.variables
-            exponent = self.parse_unary()
-            try:
-                if self.variables > seen:
-                    raise EvalError("the exponent mentions the variable")
-                value = eval_expr(exponent, 0.0)
-                if not math.isfinite(value):
-                    raise EvalError("the exponent is not finite")
-            except EvalError:
-                raise ParseError("exponent must be a constant", exp_tok.position if exp_tok else self.end) from None
-            return Binary("^", base, Const(value))
-        return base
-
-    def parse_atom(self) -> Expression:
-        tok = self.next()
+    def parse_atom(self, tok: Token) -> Expression:
         if tok.kind == "number":
             return Const(float(tok.text))
-        if tok.kind == "paren" and tok.text == "(":
+        if tok.text == "(":
             inner = self.parse_sum()
-            self.expect("paren", ")")
+            self.expect(")")
             return inner
         if tok.kind == "identifier":
             nxt = self.peek()
-            if nxt and nxt.kind == "paren" and nxt.text == "(":
+            if nxt and nxt.text == "(":
                 if tok.text not in FUNCTIONS:
                     raise ParseError(f"unknown function {tok.text!r}", tok.position)
                 self.next()
                 arg = self.parse_sum()
-                self.expect("paren", ")")
+                self.expect(")")
                 return Unary(tok.text, arg)
+            if self.variable is None and tok.text not in FUNCTIONS:
+                self.variable = tok.text
             if tok.text == self.variable:
                 self.variables += 1
                 return Var(tok.text)
@@ -224,12 +189,13 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
 
-def parse(src: str, variable: str = "x") -> Expression:
-    """Parse ``src`` into an expression tree with one free variable."""
+def parse(src: str) -> Expression:
+    """Parse ``src`` into an expression tree; its one free variable is the
+    first identifier that does not call a function."""
     tokens = tokenize(src)
     if not tokens:
         raise ParseError("empty expression", 1)
-    parser = _Parser(tokens, variable, len(src) + 1)
+    parser = _Parser(tokens, len(src) + 1)
     tree = parser.parse_sum()
     tail = parser.peek()
     if tail is not None:
@@ -237,49 +203,29 @@ def parse(src: str, variable: str = "x") -> Expression:
     return tree
 
 
-def eval_expr(e: Expression, t: float) -> float:
-    """Evaluate at ``t``; singularities raise :class:`EvalError` naming the culprit."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Unary):
-        v = eval_expr(e.arg, t)
-        if e.op == "neg":
-            return -v
-        if e.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError as exc:
-                raise EvalError(f"exp overflow in {to_string(e)}") from exc
-        if e.op == "log":
-            if v <= 0:
-                raise EvalError(f"log of nonpositive value {v} in {to_string(e)}")
-            return math.log(v)
-        if e.op == "abs":
-            return abs(v)
-        if e.op == "sqrt":
-            if v < 0:
-                raise EvalError(f"sqrt of negative value {v} in {to_string(e)}")
-            return math.sqrt(v)
-        raise ValueError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        lv = eval_expr(e.left, t)
-        rv = eval_expr(e.right, t)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            if rv == 0:
-                raise EvalError(f"division by zero in {to_string(e)}")
-            return lv / rv
-        if e.op == "^":
-            return _power(lv, rv, e)
-        raise ValueError(f"unknown binary op {e.op!r}")
-    raise TypeError(f"not an expression node: {e!r}")
+def _exp(v: float, e: Unary) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError as exc:
+        raise EvalError(f"exp overflow in {to_string(e)}") from exc
+
+
+def _log(v: float, e: Unary) -> float:
+    if v <= 0:
+        raise EvalError(f"log of nonpositive value {v} in {to_string(e)}")
+    return math.log(v)
+
+
+def _sqrt(v: float, e: Unary) -> float:
+    if v < 0:
+        raise EvalError(f"sqrt of negative value {v} in {to_string(e)}")
+    return math.sqrt(v)
+
+
+def _divide(lv: float, rv: float, e: Binary) -> float:
+    if rv == 0:
+        raise EvalError(f"division by zero in {to_string(e)}")
+    return lv / rv
 
 
 def _power(lv: float, rv: float, e: Binary) -> float:
@@ -291,6 +237,26 @@ def _power(lv: float, rv: float, e: Binary) -> float:
         return lv ** rv
     except OverflowError as exc:
         raise EvalError(f"overflow in {to_string(e)}") from exc
+
+
+#: Each operation on floats, given its node last for the error message; a
+#: singularity raises :class:`EvalError`.
+_OPS = {"neg": lambda v, e: -v, "exp": _exp, "log": _log, "abs": lambda v, e: abs(v), "sqrt": _sqrt,
+        "+": lambda lv, rv, e: lv + rv, "-": lambda lv, rv, e: lv - rv,
+        "*": lambda lv, rv, e: lv * rv, "/": _divide, "^": _power}
+
+
+def eval_expr(e: Expression, t: float) -> float:
+    """Evaluate at ``t``; singularities raise :class:`EvalError` naming the culprit."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return t
+    if isinstance(e, Unary):
+        return _OPS[e.op](eval_expr(e.arg, t), e)
+    if isinstance(e, Binary):
+        return _OPS[e.op](eval_expr(e.left, t), eval_expr(e.right, t), e)
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _identity(op: str, left, right, known):
@@ -311,13 +277,10 @@ def _identity(op: str, left, right, known):
     return 1.0 if op == "^" and rv == 0 else None
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
 def _format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
-    return repr(v)
+    return repr(v).replace("inf", "1e999")  # a literal that parses back; inf would name the variable
 
 
 def to_string(e: Expression) -> str:
@@ -436,9 +399,8 @@ class _Body:
         :func:`_identity` applies, as to the old symbolic derivative."""
         known = [a for a in args if isinstance(a, float)]
         if len(known) == len(args):
-            consts = [Const(a) for a in args]
             try:
-                return eval_expr(Unary(op, *consts) if len(consts) == 1 else Binary(op, *consts), 0.0)
+                return _OPS[op](*args, node)
             except EvalError:
                 pass
         elif fold and known:
@@ -518,19 +480,19 @@ def _compile(tree: Expression, slopes: bool = True) -> tuple:
     return f, dplus, types.FunctionType(dplus.__code__, dict(names, _side=-1.0))
 
 
-def to_function(src: str, variable: str = "x") -> Callable[[float], float]:
+def to_function(src: str) -> Callable[[float], float]:
     """Compile expression text into a function of one float, as for a density."""
-    return _compile(parse(src, variable), slopes=False)[0]
+    return _compile(parse(src), slopes=False)[0]
 
 
-def to_convex_function(src: str, interval, variable: str = "x"):
+def to_convex_function(src: str, interval):
     """Build a :class:`trapbound.funcs.ConvexFunction` from expression text,
     compiled once per shape and process, with the exact one-sided slopes as
     derivative oracles and the interval f'', f''' and f'''' ranges of
     :func:`trapbound._ranges.compile_range`, compiled on first use, as its
     ``_d2range``.  Convexity is NOT inferred here; run
     ``funcs.check_convexity``."""
-    tree = parse(src, variable)
+    tree = parse(src)
     f, dplus, dminus = _compile(tree)
     r = None
 

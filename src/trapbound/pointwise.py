@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, NonConvexityError
 
-_REFERENCE_EPS = 1e-10  # the width of _reference_integral; a wider one did not converge
-
 
 @dataclass(frozen=True)
 class Enclosure:
@@ -127,11 +125,12 @@ def _ordered(lo: float, hi: float, f: ConvexFunction, u: float, v: float, i=None
     return hi, lo
 
 
-def _reference_integral(f: ConvexFunction) -> Enclosure:
-    """Certified enclosure of the integral of f over its domain, width ``_REFERENCE_EPS`` within 200k cells."""
+def _reference_integral(f: ConvexFunction):
+    """The adaptive integral of f over its domain, to width 1e-10 within 200k
+    cells: a ``quadrature.QuadratureResult``, whose ``converged`` says if it got there."""
     from . import quadrature  # deferred: quadrature depends on this module
 
-    return quadrature.adaptive_integrate(f, _REFERENCE_EPS, 200_000).integral
+    return quadrature.adaptive_integrate(f, 1e-10, 200_000)
 
 
 def gap_enclosure(f: ConvexFunction, x: float) -> Enclosure:

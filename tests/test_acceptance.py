@@ -63,7 +63,7 @@ def test_criterion_1_sharpness_equalities(rng):
         for value in (enc.lo, enc.hi):
             ok = ok and abs(value - expected) <= 1e-12 * max(1.0, expected)
         # the certified integral holds the kink's exact integral
-        enc = _reference_integral(f)
+        enc = _reference_integral(f).integral
         exact = Fraction(k) * ((Fraction(m) - Fraction(a)) ** 2 + (Fraction(b) - Fraction(m)) ** 2) / 2
         ok = ok and enc.lo <= exact <= enc.hi
     report(1, "sharpness equalities at the midpoint kink", ok)

@@ -621,6 +621,33 @@ class TestExitCodes:
         assert code == 1
         assert "--fn: exponent must be a constant (position 3)" in err
 
+    def test_unknown_generator_names_the_known_ones(self, capsys, dist_files):
+        # generator_catalog's own message: the command line lists no names of its own
+        code, out, err = run_cli(capsys, "divergence", "--generator", "js", "--p", dist_files[0], "--q", dist_files[1])
+        assert (code, out) == (1, "")
+        assert err == "trapbound: error: unknown generator 'js'; known: chi_squared, kl, total_variation, hellinger\n"
+
+    @pytest.mark.parametrize("fn, culprit", [
+        ("log(x - 1e400)", "log(x - 1e999)"),
+        # a constant the compiler folds: its failed fold rendered the tree too
+        ("log(-1e400) + x^2", "log(-1e999)"),
+    ])
+    def test_infinite_literal_in_an_evaluation_error(self, capsys, fn, culprit):
+        # rendering the tree for the message raised OverflowError at int(inf)
+        code, _, err = run_cli(capsys, "integrate", "--fn", fn, "--interval", "0", "1")
+        assert code == 1
+        assert err == f"trapbound: error: log of nonpositive value -inf in {culprit}\n"
+
+    def test_variable_is_read_from_the_text(self, capsys):
+        rep = run_json(capsys, "integrate", "--fn", "t^2", "--interval", "0", "1")
+        assert rep["integral"]["lo"] <= Fraction(1, 3) <= rep["integral"]["hi"]
+        rep = run_json(capsys, "expectation", "--density", "2*u", "--interval", "0", "1")
+        assert rep["expectation"]["lo"] <= Fraction(2, 3) <= rep["expectation"]["hi"]
+        code, _, err = run_cli(capsys, "integrate", "--fn", "x + t", "--interval", "0", "1")
+        assert code == 1
+        assert err == "trapbound: error: --fn: unknown identifier 't' (position 5)\n"
+        assert run_cli(capsys, "integrate", "--fn", "t^2", "--interval", "0", "1", "--var", "t")[0] == 1
+
     def test_evaluation_error(self):
         # x*log(x) cannot be evaluated at 0 by the expression evaluator
         argv = [sys.executable, "-m", "trapbound", "integrate",
