@@ -97,6 +97,8 @@ def tokenize(src: str) -> list[Token]:
     tokens = []
     for m in _SCANNER.finditer(src):
         kind, text, pos = m.lastgroup, m.group(), m.start() + 1
+        if kind == "identifier" and not (text[0].isalpha() or text[0] == "_"):  # \w takes ², ½ for letters
+            kind, text = ("number" if text[0].isdigit() else None), text[0]
         if kind is None:
             raise ParseError(f"unexpected character {text!r}", pos)
         if kind == "number":

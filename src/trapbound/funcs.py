@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
 #: Default relative tolerance for convexity / monotonicity checks.  Secant
 #: slopes of nearly-affine functions are noisy in floating point, so checks
@@ -73,8 +73,12 @@ class ConvexFunction:
     """A convex function on ``domain`` with one-sided derivative oracles.
 
     ``dplus`` is f'+ (right derivative, defined on [a, b)) and ``dminus`` is
-    f'- (left derivative, defined on (a, b]).  Either may return +-inf at the
-    endpoints (e.g. -log t at t=0).
+    f'- (left derivative, defined on (a, b]), by default ``dplus`` itself;
+    either may be +-inf at an end (e.g. -log t at t=0).  ``f(x)``, ``d_plus``
+    and ``d_minus`` check x; :func:`check_convexity` and the fixed partitions
+    (``quadrature.generalized_trapezoid``, ``remainder_enclosure``) call the
+    oracles directly, as their points lie in the domain by construction: the
+    convexity grid, and the nodes and xi of a partition matched to its ends.
 
     ``_d2range``, private and optional, maps a cell (u, v) to
     ``(lo, hi, lo3, hi3, lo4, hi4, lo6, hi6)`` with 0 <= lo <= f'' <= hi
@@ -98,19 +102,27 @@ class ConvexFunction:
     domain: Interval
     evaluate: Callable[[float], float]
     dplus: Callable[[float], float]
-    dminus: Callable[[float], float]
+    dminus: Optional[Callable[[float], float]] = None
     label: str = ""
     _d2range: Optional[Callable[[float, float], Optional[tuple]]] = None
+
+    def __post_init__(self) -> None:
+        if self.dminus is None:
+            object.__setattr__(self, "dminus", self.dplus)
 
     def __call__(self, x: float) -> float:
         if not self.domain.contains(x):
             raise DomainError(f"{x} outside domain [{self.domain.a}, {self.domain.b}] of {self.label!r}")
         try:
             return self.evaluate(x)
-        except DomainError:
-            raise
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvaluationError(f"cannot evaluate {self.label!r} at {x}: {exc}") from exc
+            self._failed(x, exc)
+
+    def _failed(self, x: float, exc: Exception) -> NoReturn:
+        """Raise what ``f(x)`` raises where ``evaluate(x)`` raised ``exc``: a DomainError as is."""
+        if isinstance(exc, DomainError):
+            raise exc
+        raise EvaluationError(f"cannot evaluate {self.label!r} at {x}: {exc}") from exc
 
     def d_plus(self, x: float) -> float:
         """Right derivative f'+(x), defined for x in [a, b)."""
@@ -137,32 +149,35 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
 
     ``passed`` iff the worst violation of slope(t1,t2) <= slope(t2,t3) over
     consecutive triples of distinct grid points stays within ``DEFAULT_TOL``
-    scaled by the sampled magnitude.  One pass reads each point once, in
-    order, and forms the secants and the worst violation as it goes.  The
-    check samples; it proves nothing between grid points.  Evaluation
-    failures surface as :class:`EvaluationError`, never as a convexity verdict.
+    scaled by the sampled magnitude.  One pass calls ``f.evaluate`` once per
+    point (101 calls), in order, and forms the secants and the worst violation
+    as it goes.  The check samples; it proves nothing between grid points.
+    Failures raise as ``f(t)`` does, never as a convexity verdict.
     """
     a, b = f.domain.a, f.domain.b
-    n = _CONVEXITY_GRIDPOINTS
+    n, ev = _CONVEXITY_GRIDPOINTS, f.evaluate
     scale, worst, witness, last = 1.0, -math.inf, None, None
     # each secant joins consecutive distinct grid points (on an interval
     # narrower than n ulps points repeat); last is the one before it
-    for i in range(n):
-        # past b - a = 1.8e306, (b - a) i overflows: over 2^7 and back, no rounding moves
-        s = (b - a) * i
-        t2 = a + (s / (n - 1) if s < math.inf else (b - a) / 128 * i / (n - 1) * 128) if i < n - 1 else b
-        v2 = f(t2)
-        scale = abs(v2) if scale < abs(v2) < math.inf else scale
-        if i and t1 != t2:
-            s23 = (v2 - v1) / (t2 - t1)
-            if last is not None:
-                violation = last[2] - s23
-                # a NaN (inf - inf at a singular endpoint) fails this: no evidence either way
-                if violation > worst:
-                    worst = violation
-                    witness = (last[0], last[1], t2)
-            last = (t1, t2, s23)
-        t1, v1 = t2, v2
+    try:
+        for i in range(n):
+            # past b - a = 1.8e306, (b - a) i overflows: over 2^7 and back, no rounding moves
+            s = (b - a) * i
+            t2 = a + (s / (n - 1) if s < math.inf else (b - a) / 128 * i / (n - 1) * 128) if i < n - 1 else b
+            v2 = ev(t2)
+            scale = abs(v2) if scale < abs(v2) < math.inf else scale
+            if i and t1 != t2:
+                s23 = (v2 - v1) / (t2 - t1)
+                if last is not None:
+                    violation = last[2] - s23
+                    # a NaN (inf - inf at a singular endpoint) fails this: no evidence either way
+                    if violation > worst:
+                        worst = violation
+                        witness = (last[0], last[1], t2)
+                last = (t1, t2, s23)
+            t1, v1 = t2, v2
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        f._failed(t2, exc)
     if worst == -math.inf:
         worst = 0.0  # no violation was a number above -inf
     return ConvexityReport(worst <= DEFAULT_TOL * scale, worst, witness)
@@ -232,7 +247,7 @@ def _pow(t: float, e: float) -> float:
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
     """Reference convex functions with exact slopes and f'', f''', f'''' and f^(6) ranges.
 
-    Names and parameters:
+    Names and parameters (every entry but ``kink`` has one slope oracle):
 
     - ``kink`` (k, c): k*|t - c| with k > 0; one-sided derivatives -k / +k.
     - ``quadratic``: t^2.
@@ -268,7 +283,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             domain=iv,
             evaluate=lambda t: t * t,
             dplus=lambda t: 2.0 * t,
-            dminus=lambda t: 2.0 * t,
             label="quadratic",
             _d2range=lambda u, v: (2.0, 2.0) + (0.0,) * 6,
         )
@@ -278,7 +292,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             domain=iv,
             evaluate=math.exp,
             dplus=math.exp,
-            dminus=math.exp,
             label="exp",
             _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 4,
         )
@@ -290,7 +303,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             domain=iv,
             evaluate=lambda t: math.inf if t == 0 else -math.log(t),
             dplus=lambda t: -math.inf if t == 0 else -1.0 / t,
-            dminus=lambda t: -1.0 / t,
             label="neg_log",
             _d2range=_neg_log_range,
         )
@@ -302,7 +314,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             domain=iv,
             evaluate=lambda t: 0.0 if t == 0 else t * math.log(t),
             dplus=lambda t: -math.inf if t == 0 else math.log(t) + 1.0,
-            dminus=lambda t: math.log(t) + 1.0,
             label="xlogx",
             _d2range=_xlogx_range,
         )
@@ -341,7 +352,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             domain=iv,
             evaluate=lambda t: t ** p,
             dplus=lambda t: p * t ** (p - 1.0),  # 0.0 ** 0.0 is 1.0: the slope of t at 0
-            dminus=lambda t: p * t ** (p - 1.0),
             label=f"power_p(p={p})",
             _d2range=None if orders[0][1] == math.inf else _range,  # where p - 2 rounds, no range
         )
@@ -357,7 +367,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             # one rounding: m*t + c in floats cancels near its root, far beyond an ulp
             evaluate=lambda t: float(mq * Fraction(t) + cq),
             dplus=lambda t: m,
-            dminus=lambda t: m,
             label=f"linear(m={m}, c={c})",
             _d2range=lambda u, v: (0.0,) * 8,
         )
@@ -370,7 +379,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             domain=iv,
             evaluate=lambda t: c,
             dplus=lambda t: 0.0,
-            dminus=lambda t: 0.0,
             label=f"constant({c})",
             _d2range=lambda u, v: (0.0,) * 8,
         )

@@ -83,10 +83,11 @@ def piecewise_constant_density(
     return MonotoneDensity(domain, left_limit, pdf, label)
 
 
-class ExpectationEnclosure(NamedTuple):
-    lo: float
-    hi: float
-    x_used: float
+class ExpectationEnclosure(NamedTuple("ExpectationEnclosure", [("lo", float), ("hi", float), ("x_used", float)])):
+    def __new__(cls, lo: float, hi: float, x_used: float):
+        if lo > hi:  # as Enclosure refuses it; a NaN side passes
+            raise ValueError(f"expectation enclosure requires lo <= hi, got [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi, x_used)
 
 
 class DensityReport(NamedTuple):
@@ -150,6 +151,7 @@ def validate_density(d: MonotoneDensity, x: Optional[float] = None) -> DensityRe
         lo, hi = sum(map(operator.mul, ys[::s], ws)), sum(map(operator.mul, ys[1::s], ws))
         r = (n + 2) * _U / (1 - (n + 2) * _U) * top * span
         lo, hi, riemann = _down(lo - r), _up(hi + r), hi - lo
+        nondecreasing = nondecreasing and lo <= hi  # a nondecreasing f cannot invert the bracket
         if not (nonnegative and nondecreasing and hi < math.inf) or n >= _MASS_CELLS_MAX:
             break
         k = (x - a) / span * n

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .funcs import ConvexFunction, DomainError, Interval, _midpoint
-from .pointwise import Enclosure, _midpoint_bracket, _ordered, _split_bracket
+from .pointwise import Enclosure, _gap_bracket, _midpoint_bracket, _ordered, _split_bracket
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,16 @@ def _check_domain(f: ConvexFunction, P: Partition) -> None:
 
 
 def generalized_trapezoid(f: ConvexFunction, P: Partition) -> float:
-    """Composite rule value G_n, the trapezoid rule for midpoint xi; n + 1 reads of f."""
+    """Composite rule value G_n, the trapezoid rule for midpoint xi; n + 1 calls to ``f.evaluate``."""
     _check_domain(f, P)
-    total = 0.0
-    fv = f(P.points[0])
-    for u, v, x in P.cells():
-        fu, fv = fv, f(v)
-        total += (x - u) * fu + (v - x) * fv
+    ev, total, v = f.evaluate, 0.0, P.points[0]
+    try:
+        fv = ev(v)
+        for u, v, x in P.cells():
+            fu, fv = fv, ev(v)
+            total += (x - u) * fu + (v - x) * fv
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        f._failed(v, exc)
     return total
 
 
@@ -154,12 +157,24 @@ def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
 
     ``pointwise._ordered`` raises :class:`trapbound.funcs.NonConvexityError`
     naming a cell whose bracket inverts beyond rounding, and orders the
-    rest; their sums stay ordered, as rounding is monotone.
+    rest; their sums stay ordered, as rounding is monotone.  Each (oracle,
+    point) is read once, in the order of ``pointwise._split_bracket``: where
+    ``f.dplus is f.dminus``, 2n + 1 slope calls for midpoint xi and n + 1 for
+    left or right xi, a node's slope carried on; else (a kink) 4n and 2n.
     """
     _check_domain(f, P)
     lo_sum = hi_sum = 0.0
+    d, sv = f.dplus, None  # sv: the one slope at the last cell's v
     for i, (u, v, x) in enumerate(P.cells()):
-        lo, hi = _ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v, i)
+        if d is f.dminus:
+            wl, wr = (v - x) * (v - x), (x - u) * (x - u)
+            sx = d(x) if x != u and (wl or wr) else 0.0
+            su, sv = (d(u) if sv is None else sv), (sx if x == v and wr else d(v))
+            lo, hi = _gap_bracket(wl, wr, su if x == u else sx, sx, su, sv)
+        else:
+            lo, hi = _split_bracket(d, f.dminus, u, v, x)
+        if not lo <= hi:
+            lo, hi = _ordered(lo, hi, f, u, v, i)
         lo_sum += lo
         hi_sum += hi
     return Enclosure(lo_sum, hi_sum)

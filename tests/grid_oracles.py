@@ -9,12 +9,17 @@ combines them.  The one-pass library walks take the same reads, less the
 repeats (the mass walk in the order its grid doubles), and the same
 floating-point operations, so they must agree with these bit for bit,
 witness included.
+
+:func:`remainder_enclosure` is the per-cell composite bracket as it was
+before the library read the slope oracles directly: each cell reads its
+slopes through the checked wrappers ``f.d_plus`` and ``f.d_minus``, a node's
+slope once for each cell it ends, and passes ``_ordered``.
 """
 
 import math
 
 from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport
-from trapbound.pointwise import _gap_bracket
+from trapbound.pointwise import Enclosure, _gap_bracket, _ordered, _split_bracket
 from trapbound.probability import _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK, _U
 from trapbound.quadrature import _check_domain
 
@@ -41,7 +46,8 @@ def mass_bracket(d, x=None) -> tuple:
         hi = sum(fv * w for fv, w in zip(left, ws))
         r = (n + 2) * _U / (1 - (n + 2) * _U) * top * (b - a)
         bracket = (math.nextafter(lo - r, -math.inf), math.nextafter(hi + r, math.inf))
-        if not (ok and bracket[1] < math.inf) or n >= _MASS_CELLS_MAX:
+        # an inverted bracket refutes monotonicity, as a read that falls does
+        if not (ok and bracket[0] <= bracket[1] < math.inf) or n >= _MASS_CELLS_MAX:
             return bracket
         k = (x - a) / (b - a) * n
         i = round(k) if 0 <= k <= n else (0 if k < 0 else n)
@@ -93,9 +99,23 @@ def generalized_trapezoid(f, P) -> float:
 
 
 def split_bracket(dplus, dminus, u, v, x) -> tuple:
-    """The paper's bracket of [u, v] split at x, f'+(u) and f'-(v) always read."""
-    wl = (v - x) ** 2
-    wr = (x - u) ** 2
+    """The paper's bracket of [u, v] split at x, f'+(u) and f'-(v) always read.
+    The weights are products, as in the library: ``** 2`` calls libm's pow,
+    which can round a square an ulp away from the product."""
+    wl = (v - x) * (v - x)
+    wr = (x - u) * (x - u)
     dpx = dplus(x) if wl else 0.0
     dmx = dminus(x) if wr else 0.0
     return _gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
+
+
+def remainder_enclosure(f, P) -> Enclosure:
+    """The paper's bracket of each cell at its xi, summed, each read through
+    the wrappers: 4 slope reads a cell, 2 at x = u or v."""
+    _check_domain(f, P)
+    lo_sum = hi_sum = 0.0
+    for i, (u, v, x) in enumerate(P.cells()):
+        lo, hi = _ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v, i)
+        lo_sum += lo
+        hi_sum += hi
+    return Enclosure(lo_sum, hi_sum)

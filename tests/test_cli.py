@@ -305,6 +305,13 @@ class TestExpectation:
         assert code == 2
         assert "monotone" in err
 
+    def test_slightly_decreasing_density_rejected(self, capsys):
+        # each read falls by less than the sample slack, but the mass bracket
+        # inverts: it printed the inverted expectation [0.4999999999999997, 0.4999749974991398]
+        code, out, err = run_cli(capsys, "expectation", "--density", "1 - 2e-4*x", "--interval", "0", "1")
+        assert code == 2 and out == ""
+        assert "monotone" in err
+
     def test_one_ulp_support_splits_at_an_end(self, capsys):
         # the float midpoint of adjacent floats rounds onto a
         rep = run_json(capsys, "expectation", "--density", "4503599627370496",
@@ -447,6 +454,14 @@ class TestCheck:
         code, _, err = run_cli(capsys, "integrate", f"--fn={fn}", "--interval", a, b)
         assert code == 2
         assert f"worst secant violation {conv['worst_violation']:.3e} at {tuple(conv['witness'])}" in err
+
+    def test_inverted_mass_bracket_is_not_monotone(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--density", "1 - 1e-7*x", "--interval", "0", "1")
+        assert code == 2 and out == ""
+        density = json.loads(err[err.index("{"):])["density"]
+        assert density["valid"] is False and density["nondecreasing"] is False
+        lo, hi = density["mass_bracket"]
+        assert lo > hi
 
     def test_needs_a_target(self, capsys):
         code, _, _ = run_cli(capsys, "check")

@@ -153,6 +153,37 @@ class TestCatalog:
     def test_constant_integral(self):
         assert adaptive_integrate(catalog("constant", (5.0,), Interval(2.0, 3.0)), 1e-12).integral.contains(5.0)
 
+    @pytest.mark.parametrize("name, params, iv", [
+        ("quadratic", (), Interval(-2.0, 1.0)), ("exp", (), Interval(-1.0, 2.0)),
+        ("neg_log", (), Interval(0.0, 2.0)), ("xlogx", (), Interval(0.0, 2.0)),
+        ("power_p", (2.5,), Interval(0.0, 2.0)), ("power_p", (1.0,), Interval(0.0, 2.0)),
+        ("linear", (2.0, -1.0), Interval(-1.0, 1.0)), ("constant", (5.0,), Interval(2.0, 3.0)),
+    ])
+    def test_one_slope_for_both_sides(self, name, params, iv):
+        # every entry but kink is differentiable: one oracle is f'+ and f'-,
+        # so fixed partitions read each node's slope once
+        f = catalog(name, params, iv)
+        assert f.dplus is f.dminus
+        # on (a, b] it gives the f'- each entry wrote apart before
+        old_dminus = {"neg_log": lambda t: -1.0 / t, "xlogx": lambda t: math.log(t) + 1.0}.get(name)
+        for i in range(1, 65):
+            t = iv.a + (iv.b - iv.a) * i / 64
+            assert repr(f.d_minus(t)) == repr(f.dplus(t)), (name, t)
+            if old_dminus is not None:
+                assert repr(f.d_minus(t)) == repr(old_dminus(t)), (name, t)
+        assert f.d_plus(iv.a) == (-math.inf if name in ("neg_log", "xlogx") else f.dplus(iv.a))
+
+    def test_a_kink_keeps_two_slopes(self):
+        f = catalog("kink", (1.0, 0.5))
+        assert f.dplus is not f.dminus
+        assert (f.d_minus(0.5), f.d_plus(0.5)) == (-1.0, 1.0)
+
+    def test_dminus_defaults_to_dplus(self):
+        f = ConvexFunction(Interval(0.0, 1.0), math.exp, math.exp)
+        assert f.dminus is f.dplus is math.exp
+        g = ConvexFunction(Interval(0.0, 1.0), abs, lambda t: 1.0, lambda t: -1.0)
+        assert g.dminus is not g.dplus
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             catalog("cubic_spline")

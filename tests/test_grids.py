@@ -16,7 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trapbound.expr import EvalError, to_convex_function, to_function
-from trapbound.funcs import ConvexFunction, Interval, catalog, check_convexity
+from trapbound.funcs import ConvexFunction, DomainError, EvaluationError, Interval, catalog, check_convexity
 from trapbound.pointwise import _split_bracket
 from trapbound.probability import (
     _MASS_CELLS,
@@ -24,7 +24,7 @@ from trapbound.probability import (
     piecewise_constant_density,
     validate_density,
 )
-from trapbound.quadrature import generalized_trapezoid, uniform_partition
+from trapbound.quadrature import generalized_trapezoid, remainder_enclosure, uniform_partition
 
 
 def assert_identical(new, old):
@@ -35,7 +35,7 @@ def outcome(fn, *args):
     """The value of ``fn(*args)``, or the type and message of what it raised."""
     try:
         return repr(fn(*args))
-    except (ArithmeticError, ValueError) as exc:
+    except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -52,8 +52,17 @@ class Counter:
 
 
 def counted(f: ConvexFunction) -> ConvexFunction:
-    """f with its value and slope oracles counted."""
-    return dataclasses.replace(f, evaluate=Counter(f.evaluate), dplus=Counter(f.dplus), dminus=Counter(f.dminus))
+    """f with its value and slope oracles counted; one slope oracle stays one."""
+    dplus = Counter(f.dplus)
+    dminus = dplus if f.dplus is f.dminus else Counter(f.dminus)
+    return dataclasses.replace(f, evaluate=Counter(f.evaluate), dplus=dplus, dminus=dminus)
+
+
+def checked(f: ConvexFunction) -> ConvexFunction:
+    """f whose oracles are its checked wrappers ``f(x)``, ``f.d_plus`` and
+    ``f.d_minus``: a pass over it reads as the passes did before they called
+    the oracles directly, each read checked, and two slope oracles."""
+    return dataclasses.replace(f, evaluate=f.__call__, dplus=f.d_plus, dminus=f.d_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +71,15 @@ def counted(f: ConvexFunction) -> ConvexFunction:
 
 
 @st.composite
-def intervals(draw, lo=-4.0):
+def intervals(draw, lo=-4.0, huge=False):
     """A random interval, one of two adjacent floats, or one under 100 ulps
-    wide (where grid points repeat), with a >= lo."""
+    wide (where grid points repeat), with a >= lo; with ``huge``, also one
+    over 1.8e306 wide, where (b - a) i overflows."""
     a = draw(st.floats(lo, 4.0))
-    kind = draw(st.sampled_from(("wide", "adjacent", "ulps")))
-    if kind == "wide":
+    kind = draw(st.sampled_from(("wide", "adjacent", "ulps") + (("huge",) if huge else ())))
+    if kind == "huge":
+        b = a + draw(st.floats(1.8e306, 1.7e308))
+    elif kind == "wide":
         b = a + draw(st.floats(1e-6, 8.0))
     elif kind == "adjacent":
         b = math.nextafter(a, math.inf)
@@ -99,12 +111,29 @@ FUNCTIONS = {
 
 
 @st.composite
-def functions(draw):
+def functions(draw, huge=False):
     name = draw(st.sampled_from(sorted(FUNCTIONS)))
     lo, build = FUNCTIONS[name]
     if lo == 0.0 and draw(st.booleans()):
         return build(Interval(0.0, draw(st.floats(1e-3, 4.0))))  # a singular end for neg_log, xlogx
-    return build(draw(intervals(lo)))
+    return build(draw(intervals(lo, huge)))
+
+
+def partition(f, n, rule, data):
+    """A uniform partition of f's domain into n cells, with a random xi in
+    each cell for the rule "random"; skips an interval too narrow for n cells."""
+    try:
+        P = uniform_partition(f.domain, n, "left" if rule == "random" else rule)
+    except ValueError:
+        assume(False)  # an interval of few ulps repeats points of n cells
+    if rule == "random":
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        xi = [min(v, max(u, u + (v - u) * s)) for (u, v, _), s in zip(P.cells(), fractions)]
+        P = dataclasses.replace(P, xi=tuple(xi))
+    return P
+
+
+RULES = st.sampled_from(("midpoint", "left", "right", "random"))
 
 
 #: neg_log and xlogx on [0, b]: f or its slope is infinite at 0
@@ -147,17 +176,9 @@ class TestConvexity:
 
 
 class TestGeneralizedTrapezoid:
-    @given(f=functions(), n=st.integers(1, 8), rule=st.sampled_from(("midpoint", "left", "right", "random")),
-           data=st.data())
+    @given(f=functions(), n=st.integers(1, 8), rule=RULES, data=st.data())
     def test_value_equals_the_list_walk(self, f, n, rule, data):
-        try:
-            P = uniform_partition(f.domain, n, "left" if rule == "random" else rule)
-        except ValueError:
-            assume(False)  # an interval of few ulps repeats points of n cells
-        if rule == "random":
-            fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-            xi = [min(v, max(u, u + (v - u) * s)) for (u, v, _), s in zip(P.cells(), fractions)]
-            P = dataclasses.replace(P, xi=tuple(xi))
+        P = partition(f, n, rule, data)
         assert_identical(generalized_trapezoid(f, P), grid_oracles.generalized_trapezoid(f, P))
 
     @pytest.mark.parametrize("f", AT_ZERO, ids=lambda f: f"{f.label} on [0, {f.domain.b}]")
@@ -228,6 +249,133 @@ class TestSplitBracket:
 
         args = (dplus, dminus, 0.0, 1.0, x)
         assert outcome(_split_bracket, *args) == outcome(grid_oracles.split_bracket, *args)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-grid passes call the oracles directly
+# ---------------------------------------------------------------------------
+
+
+def failing(fn, bad, exc_type):
+    """``fn``, raising ``exc_type`` naming the point wherever ``bad(t)``."""
+    def oracle(t):
+        if bad(t):
+            raise exc_type(f"fails at {t!r}")
+        return fn(t)
+    return oracle
+
+
+def logged(fn, name, log):
+    """``fn``, appending (name, t) to ``log`` at each call."""
+    return lambda t: log.append((name, t)) or fn(t)
+
+
+class TestDirectReads:
+    """``check_convexity``, ``generalized_trapezoid`` and ``remainder_enclosure``
+    call ``f.evaluate``, ``f.dplus`` and ``f.dminus`` directly.  They give, by
+    repr, what the same passes over the checked wrappers give (``checked``;
+    for the bracket, the per-cell oracle), failures included."""
+
+    @given(f=functions(huge=True))
+    def test_convexity_equals_the_checked_pass(self, f):
+        assert outcome(check_convexity, f) == outcome(check_convexity, checked(f))
+
+    @given(f=functions(huge=True), n=st.integers(1, 8), rule=RULES, data=st.data())
+    def test_trapezoid_equals_the_checked_pass(self, f, n, rule, data):
+        P = partition(f, n, rule, data)
+        assert outcome(generalized_trapezoid, f, P) == outcome(generalized_trapezoid, checked(f), P)
+
+    @given(f=functions(huge=True), n=st.integers(1, 8), rule=RULES, data=st.data())
+    def test_remainder_equals_the_per_cell_oracle(self, f, n, rule, data):
+        P = partition(f, n, rule, data)
+        assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
+
+    @given(f=functions(huge=True), n=st.integers(1, 8), rule=RULES, data=st.data())
+    def test_every_read_lies_in_the_domain(self, f, n, rule, data):
+        g = counted(f)
+        P = partition(g, n, rule, data)
+        outcome(check_convexity, g), outcome(generalized_trapezoid, g, P), outcome(remainder_enclosure, g, P)
+        a, b = f.domain.a, f.domain.b
+        assert all(a <= t <= b for t in g.evaluate.args)
+        if g.dplus is g.dminus:  # each read serves as f'+ on [a, b) or f'- on (a, b]
+            assert all(a <= t <= b for t in g.dplus.args)
+        else:
+            assert all(a <= t < b for t in g.dplus.args) and all(a < t <= b for t in g.dminus.args)
+
+    @given(f=functions(huge=True), n=st.integers(1, 6), rule=RULES, data=st.data())
+    def test_slopes_are_read_in_the_per_cell_order_less_repeats(self, f, n, rule, data):
+        P = partition(f, n, rule, data)
+        log = []
+        dplus = logged(f.dplus, "f'", log)
+        g = dataclasses.replace(f, dplus=dplus, dminus=dplus if f.dplus is f.dminus else logged(f.dminus, "f'-", log))
+        new = outcome(remainder_enclosure, g, P)
+        reads = log[:]
+        log.clear()
+        assert new == outcome(grid_oracles.remainder_enclosure, g, P)
+        assert reads == list(dict.fromkeys(log))
+
+    @given(f=functions(huge=True), n=st.integers(1, 8), rule=RULES, data=st.data(),
+           where=st.sampled_from(("evaluate", "dplus", "dminus")),
+           exc=st.sampled_from((ValueError, ZeroDivisionError, OverflowError, DomainError, EvalError, KeyError)),
+           s=st.floats(0.0, 1.0), above=st.booleans())
+    def test_first_failing_read(self, f, n, rule, data, where, exc, s, above):
+        """Each pass fails at the read where the checked one did, with its
+        exception: a value read's ValueError, ZeroDivisionError or OverflowError
+        as the EvaluationError of ``f(x)``, a DomainError as it is, a slope
+        read's as it is."""
+        P = partition(f, n, rule, data)
+        t0 = f.domain.a + (f.domain.b - f.domain.a) * s
+        oracle = failing(getattr(f, where), (lambda t: t >= t0) if above else (lambda t: t <= t0), exc)
+        shared = where != "evaluate" and f.dplus is f.dminus
+        g = dataclasses.replace(f, **({"dplus": oracle, "dminus": oracle} if shared else {where: oracle}))
+        assert outcome(check_convexity, g) == outcome(check_convexity, checked(g))
+        assert outcome(generalized_trapezoid, g, P) == outcome(generalized_trapezoid, checked(g), P)
+        assert outcome(remainder_enclosure, g, P) == outcome(grid_oracles.remainder_enclosure, g, P)
+
+    def test_a_failed_value_read_names_the_point(self):
+        f = ConvexFunction(Interval(-1.0, 1.0), lambda t: 1.0 / t, lambda t: -1.0 / (t * t), label="1/t")
+        P = uniform_partition(f.domain, 2)
+        for run in (lambda: check_convexity(f), lambda: generalized_trapezoid(f, P)):
+            with pytest.raises(EvaluationError, match=r"^cannot evaluate '1/t' at 0.0: float division by zero$") as info:
+                run()
+            assert type(info.value.__cause__) is ZeroDivisionError
+
+    def test_a_domain_error_of_a_value_read_passes_as_it_is(self):
+        def evaluate(t):
+            if t > 0.5:
+                raise DomainError(f"no value at {t}")
+            return t * t
+
+        f = ConvexFunction(Interval(0.0, 1.0), evaluate, lambda t: 2.0 * t)
+        P = uniform_partition(f.domain, 4)
+        for run in (lambda: f(0.75), lambda: check_convexity(f), lambda: generalized_trapezoid(f, P)):
+            with pytest.raises(DomainError, match=r"^no value at 0\.\d+$"):
+                run()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("rule", ["midpoint", "left", "right"])
+    @pytest.mark.parametrize("make, kinked", [
+        (lambda iv: catalog("exp", (), iv), False),
+        (lambda iv: to_convex_function("exp(x) + exp(-x)", iv), False),
+        (lambda iv: catalog("kink", (1.5, 0.3), iv), True),
+        (lambda iv: to_convex_function("abs(x - 0.3) + x^2", iv), True),
+    ], ids=["exp", "cosh expr", "kink", "abs expr"])
+    def test_read_counts(self, n, rule, make, kinked):
+        """n + 1 values; slopes 2n + 1 at midpoint xi and n + 1 at left or
+        right xi from one slope oracle, 4n and 2n from two; each (oracle,
+        point) read once.  The per-cell oracle read 4n and 2n slopes alike."""
+        f = counted(make(Interval(-1.0, 2.0)))
+        assert (f.dplus is not f.dminus) == kinked
+        P = uniform_partition(f.domain, n, rule)
+        generalized_trapezoid(f, P)
+        assert f.evaluate.args == list(P.points)
+        remainder_enclosure(f, P)
+        slopes = f.dplus.args + (f.dminus.args if kinked else [])
+        expected = (4 * n if rule == "midpoint" else 2 * n) if kinked else (2 * n + 1 if rule == "midpoint" else n + 1)
+        assert len(slopes) == expected
+        assert len(set(f.dplus.args)) == len(f.dplus.args) and len(set(f.dminus.args)) == len(f.dminus.args)
+        check_convexity(f)
+        assert len(f.evaluate.args) == (n + 1) + 101 and len(slopes) == expected
 
 
 def _mass_bracket(d, x=None):

@@ -11,6 +11,7 @@ from trapbound.probability import (
     _MASS_CELLS,
     _MASS_CELLS_MAX,
     _expectation_bracket,
+    ExpectationEnclosure,
     MonotoneDensity,
     continuous_density,
     expectation_enclosure,
@@ -147,6 +148,17 @@ class TestValidateDensity:
         assert not report.nondecreasing
         assert any("monotone" in m for m in report.messages)
 
+    @pytest.mark.parametrize("slope", [1e-7, 2e-4])
+    def test_inverted_mass_bracket_refutes_monotonicity(self, slope):
+        # each read falls below the one before by less than the sample slack;
+        # the Riemann bracket of a nondecreasing f cannot invert
+        d = continuous_density(UNIT, lambda t: 1.0 - slope * t, "falling")
+        report = validate_density(d)
+        lo, hi = report.normalization
+        assert lo > hi and report.nonnegative
+        assert not report.nondecreasing and not report.valid
+        assert report.messages == ("density is not monotone nondecreasing on the sampled grid",)
+
     def test_rejects_negative(self):
         d = continuous_density(UNIT, lambda t: t - 0.5, "t-0.5")
         report = validate_density(d)
@@ -252,6 +264,16 @@ class TestExpectationEnclosure:
         # with the exact mass, the paper's bracket [1/2, 3/4]
         exact = expectation_enclosure(d, 0.5, (1.0, 1.0))
         assert exact.lo == pytest.approx(0.5, abs=1e-15) and exact.hi == pytest.approx(0.75, abs=1e-15)
+
+    def test_refuses_an_inverted_enclosure(self):
+        # as Enclosure does; an inverted mass bracket made one (lo above hi)
+        with pytest.raises(ValueError, match="requires lo <= hi"):
+            ExpectationEnclosure(0.5, 0.4999, 0.5)
+        d = continuous_density(UNIT, lambda t: 1.0 - 2e-4 * t, "falling")
+        with pytest.raises(ValueError, match="requires lo <= hi"):
+            expectation_enclosure(d, 0.5, (0.99990002, 0.99989998))
+        assert ExpectationEnclosure(0.5, 0.5, 0.5) == (0.5, 0.5, 0.5)
+        assert math.isnan(ExpectationEnclosure(math.nan, 1.0, 0.5).lo)  # a NaN side stays NaN
 
     def test_uniform_is_pinned(self):
         # both sides of the bracket are exactly 0.5; the enclosure holds it

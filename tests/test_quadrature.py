@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from catalog_oracles import corpus_integral, default_catalog, exact_integral
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
@@ -710,3 +710,68 @@ def test_bisection_down_to_adjacent_floats(name, a, ulps, cells, lo, hi):
     res = adaptive_integrate(catalog(name, (), Interval(a, b)), eps=1e-300)
     assert (res.cells, res.converged) == (cells, False)
     assert (res.integral.lo, res.integral.hi) == (lo, hi)
+
+
+def reflected(f: ConvexFunction) -> ConvexFunction:
+    """g(x) = f(-x) on [-b, -a], with g'+(x) = -f'-(-x), g'-(x) = -f'+(-x) and
+    the f'' to f^(6) ranges of the mirrored cell, f''' negated: negation rounds
+    nothing, so g's oracles are as faithful as f's."""
+    r = f._d2range
+
+    def d2range(u, v):
+        d = r(-v, -u)
+        return None if d is None else d[:2] + (-d[3], -d[2]) + tuple(d[4:])
+
+    return ConvexFunction(Interval(-f.domain.b, -f.domain.a), lambda t: f.evaluate(-t),
+                          lambda t: -f.dminus(-t), lambda t: -f.dplus(-t), f"{f.label}(-x)",
+                          None if r is None else d2range)
+
+
+#: name -> (smallest a, build on an interval): catalog and expression families
+ADAPTIVE_FAMILIES = {
+    "kink": (-4.0, lambda iv: catalog("kink", (1.5, iv.a + 0.3 * iv.width), iv)),
+    "quadratic": (-4.0, lambda iv: catalog("quadratic", (), iv)),
+    "exp": (-4.0, lambda iv: catalog("exp", (), iv)),
+    "neg_log": (0.0, lambda iv: catalog("neg_log", (), iv)),
+    "xlogx": (0.0, lambda iv: catalog("xlogx", (), iv)),
+    "power_p": (0.0, lambda iv: catalog("power_p", (2.5,), iv)),
+    "linear": (-4.0, lambda iv: catalog("linear", (2.0, -1.0), iv)),
+    "constant": (-4.0, lambda iv: catalog("constant", (5.0,), iv)),
+    "exp expr": (-4.0, lambda iv: to_convex_function("exp(x)", iv)),
+    "sqrt expr": (-4.0, lambda iv: to_convex_function("sqrt(1 + x^2)", iv)),
+    "abs expr": (-4.0, lambda iv: to_convex_function("abs(x - 0.3) + x^2", iv)),
+    "softplus expr": (-4.0, lambda iv: to_convex_function("log(1 + exp(x))", iv)),
+    "quartic expr": (-4.0, lambda iv: to_convex_function("x^4", iv)),
+    "xlogx expr": (1e-3, lambda iv: to_convex_function("x*log(x)", iv)),
+    "recip expr": (1e-3, lambda iv: to_convex_function("1/x", iv)),
+}
+
+
+@st.composite
+def adaptive_cases(draw):
+    """A family on a wide interval, one 2^-40 of |a| wide, or one of a few ulps."""
+    lo, build = ADAPTIVE_FAMILIES[draw(st.sampled_from(sorted(ADAPTIVE_FAMILIES)))]
+    a = draw(st.floats(lo, 4.0))
+    kind = draw(st.sampled_from(("wide", "relative", "ulps")))
+    if kind == "wide":
+        b = a + draw(st.floats(1e-3, 8.0))
+    elif kind == "relative":
+        b = a + max(abs(a), 1.0) * 2.0 ** -40
+    else:
+        b = a
+        for _ in range(draw(st.integers(1, 64))):
+            b = math.nextafter(b, math.inf)
+    assume(a < b)
+    return build(Interval(a, b))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@seed(16)
+@given(f=adaptive_cases())
+def test_adaptive_enclosures_of_one_integral_intersect(f):
+    """ROADMAP item 16, adaptive half: every enclosure of one integral holds
+    it, so any two intersect: at eps 1e-3, 1e-6 and 1e-10, and that of f(-x)
+    on [-b, -a]."""
+    encs = [adaptive_integrate(g, eps, 2_000).integral for g in (f, reflected(f)) for eps in (1e-3, 1e-6, 1e-10)]
+    lo, hi = max(e.lo for e in encs), min(e.hi for e in encs)
+    assert lo <= hi, (f.label, f.domain, encs)
