@@ -1,6 +1,7 @@
 """Test oracles for the sampling grids: list-based walks for the mass walk of
 ``probability.validate_density``, ``funcs.check_convexity``,
-``quadrature.generalized_trapezoid`` and ``pointwise._split_bracket``.
+``quadrature.generalized_trapezoid`` and the paper's bracket at a split point
+(``pointwise.gap_enclosure``).
 
 Each builds the list of its grid points, reads every value it needs (the
 interior points of a partition twice, a slope at a split point equal to an
@@ -12,14 +13,15 @@ witness included.
 
 :func:`remainder_enclosure` is the per-cell composite bracket as it was
 before the library read the slope oracles directly: each cell reads its
-slopes through the checked wrappers ``f.d_plus`` and ``f.d_minus``, a node's
+slopes through the checked wrappers ``f.d_plus`` and ``f.d_minus`` with
+:func:`_split_bracket`, the library's per-cell reader of that time, a node's
 slope once for each cell it ends, and passes ``_ordered``.
 """
 
 import math
 
 from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport
-from trapbound.pointwise import Enclosure, _gap_bracket, _ordered, _split_bracket
+from trapbound.pointwise import Enclosure, _gap_bracket, _ordered
 from trapbound.probability import _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK, _U
 from trapbound.quadrature import _check_domain
 
@@ -107,6 +109,26 @@ def split_bracket(dplus, dminus, u, v, x) -> tuple:
     dpx = dplus(x) if wl else 0.0
     dmx = dminus(x) if wr else 0.0
     return _gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
+
+
+def gap_enclosure(f, x) -> Enclosure:
+    """The paper's bracket of f's domain [a, b] split at x, from the list walk."""
+    a, b = f.domain.a, f.domain.b
+    return Enclosure(*_ordered(*split_bracket(f.d_plus, f.d_minus, a, b, x), f, a, b))
+
+
+def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
+    """:func:`_gap_bracket` of the cell [u, v] split at any x in [u, v], from
+    the one-sided slope oracles ``dplus`` and ``dminus``.  A zero-weighted
+    slope is not read (at x = u or v it may not exist), f'+(u) is f'+(x) at
+    x = u and f'-(v) is f'-(x) at x = v: 2 reads at an end, 4 inside.  The
+    weights are products, which overflow to inf where a float ``**`` raises.
+    """
+    wl = (v - x) * (v - x)
+    wr = (x - u) * (x - u)
+    dpx = dplus(x) if wl else 0.0
+    dmx = dminus(x) if wr else 0.0
+    return _gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))
 
 
 def remainder_enclosure(f, P) -> Enclosure:

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 from trapbound.expr import EvalError, to_convex_function, to_function
 from trapbound.funcs import ConvexFunction, DomainError, EvaluationError, Interval, catalog, check_convexity
-from trapbound.pointwise import _split_bracket
+from trapbound.pointwise import gap_enclosure
 from trapbound.probability import (
     _MASS_CELLS,
     continuous_density,
     piecewise_constant_density,
     validate_density,
 )
-from trapbound.quadrature import generalized_trapezoid, remainder_enclosure, uniform_partition
+from trapbound.quadrature import Partition, generalized_trapezoid, remainder_enclosure, uniform_partition
 
 
 def assert_identical(new, old):
@@ -204,19 +204,45 @@ class TestGeneralizedTrapezoid:
         assert len(f.evaluate.args) == (n + 1) + 2 * n  # the list walk read 2n
 
 
+def one_cell(f, x):
+    """The partition of f's domain into one cell split at x."""
+    return Partition((f.domain.a, f.domain.b), (x,))
+
+
 class TestSplitBracket:
-    @given(f=functions(), where=st.sampled_from(("u", "v", "inside")), s=st.floats(0.0, 1.0))
-    def test_bracket_equals_the_list_walk(self, f, where, s):
+    """``gap_enclosure`` and ``remainder_enclosure`` read the paper's bracket
+    at a split point.  They give, by repr and failures included, what the
+    list walk gives at one split point and the per-cell pass gives on one
+    cell and on n cells, and read the slopes in the list walk's order less
+    its repeats."""
+
+    @given(f=functions(huge=True), where=st.sampled_from(("u", "v", "inside")), s=st.floats(0.0, 1.0),
+           n=st.integers(2, 6), rule=RULES, data=st.data())
+    def test_bracket_equals_the_list_walk(self, f, where, s, n, rule, data):
         u, v = f.domain.a, f.domain.b
         x = {"u": u, "v": v}.get(where, min(v, max(u, u + (v - u) * s)))
-        args = (f.d_plus, f.d_minus, u, v, x)
-        assert outcome(_split_bracket, *args) == outcome(grid_oracles.split_bracket, *args)
+        assert outcome(gap_enclosure, f, x) == outcome(grid_oracles.gap_enclosure, f, x)
+        P = one_cell(f, x)
+        assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
+        try:
+            P = uniform_partition(f.domain, n, "left" if rule == "random" else rule)
+        except ValueError:
+            return  # an interval of few ulps repeats points of n cells
+        if rule == "random":
+            fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            P = dataclasses.replace(P, xi=tuple(min(b, max(a, a + (b - a) * t))
+                                                for (a, b, _), t in zip(P.cells(), fractions)))
+        assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
 
     @pytest.mark.parametrize("f", AT_ZERO, ids=lambda f: f"{f.label} on [0, {f.domain.b}]")
     def test_infinite_slope_at_zero(self, f):
         for x in (f.domain.a, f.domain.midpoint, f.domain.b):
-            args = (f.d_plus, f.d_minus, f.domain.a, f.domain.b, x)
-            assert_identical(_split_bracket(*args), grid_oracles.split_bracket(*args))
+            assert outcome(gap_enclosure, f, x) == outcome(grid_oracles.gap_enclosure, f, x)
+            P = one_cell(f, x)
+            assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
+        for rule in ("midpoint", "left", "right"):
+            P = uniform_partition(f.domain, 4, rule)
+            assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
 
     @pytest.mark.parametrize("u, v, x, reads, listed", [
         (0.0, 1.0, 0.0, [("+", 0.0), ("-", 1.0)], 3),
@@ -228,16 +254,21 @@ class TestSplitBracket:
     ])
     def test_reads_in_order(self, u, v, x, reads, listed):
         """2 slope reads at x = u or v (the list walk read f'+(u) or f'-(v)
-        a second time: 3), 4 inside, in the list walk's order less its repeat."""
+        a second time: 3), 4 inside, in the list walk's order less its
+        repeat, from two slope oracles."""
         log = []
         dplus = lambda t: log.append(("+", t)) or 2.0 * t
         dminus = lambda t: log.append(("-", t)) or 2.0 * t
-        new = _split_bracket(dplus, dminus, u, v, x)
+        f = ConvexFunction(Interval(u, v), lambda t: t * t, dplus, dminus)
+        new = gap_enclosure(f, x)
         assert log == reads
         log.clear()
-        assert grid_oracles.split_bracket(dplus, dminus, u, v, x) == new
+        assert remainder_enclosure(f, one_cell(f, x)) == new
+        assert log == reads
+        log.clear()
+        assert grid_oracles.gap_enclosure(f, x) == new
         assert len(log) == listed
-        assert [r for i, r in enumerate(log) if r not in log[:i]] == reads
+        assert list(dict.fromkeys(log)) == reads
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
     def test_first_failing_read(self, x):
@@ -247,8 +278,23 @@ class TestSplitBracket:
         def dminus(t):
             raise EvalError(f"f'- fails at {t}")
 
-        args = (dplus, dminus, 0.0, 1.0, x)
-        assert outcome(_split_bracket, *args) == outcome(grid_oracles.split_bracket, *args)
+        for f in (ConvexFunction(Interval(0.0, 1.0), lambda t: t * t, dplus, dminus),
+                  ConvexFunction(Interval(0.0, 1.0), lambda t: t * t, dplus)):
+            assert outcome(gap_enclosure, f, x) == outcome(grid_oracles.gap_enclosure, f, x)
+            P = one_cell(f, x)
+            assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
+            P = uniform_partition(f.domain, 4, {0.0: "left", 0.5: "midpoint", 1.0: "right"}[x])
+            assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
+
+    def test_a_zero_side_keeps_its_sign(self):
+        """(1 - t)^2 on [1, 2] has f'+(1) = -2 (1 - 1) = -0.0, so the bracket
+        at x = 1 has the lower side -0.0: ``gap_enclosure`` reports the cell's
+        own bracket, and the composite sum, which starts from 0.0, reads 0.0."""
+        f = ConvexFunction(Interval(1.0, 2.0), lambda t: (1.0 - t) * (1.0 - t), lambda t: -2.0 * (1.0 - t))
+        assert repr(gap_enclosure(f, 1.0)) == repr(grid_oracles.gap_enclosure(f, 1.0)) == "Enclosure(lo=-0.0, hi=1.0)"
+        P = one_cell(f, 1.0)
+        assert repr(remainder_enclosure(f, P)) == repr(grid_oracles.remainder_enclosure(f, P))
+        assert repr(remainder_enclosure(f, P)) == "Enclosure(lo=0.0, hi=1.0)"
 
 
 # ---------------------------------------------------------------------------
