@@ -441,7 +441,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit(f"trapbound: hypothesis failure: {exc}", sys.stderr)
         return 2
     return 0 if _emit(_render(report, args.output_format), sys.stdout) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -75,10 +75,11 @@ class ConvexFunction:
     ``dplus`` is f'+ (right derivative, defined on [a, b)) and ``dminus`` is
     f'- (left derivative, defined on (a, b]), by default ``dplus`` itself;
     either may be +-inf at an end (e.g. -log t at t=0).  ``f(x)``, ``d_plus``
-    and ``d_minus`` check x; :func:`check_convexity` and the fixed partitions
-    (``quadrature.generalized_trapezoid``, ``remainder_enclosure``) call the
-    oracles directly, as their points lie in the domain by construction: the
-    convexity grid, and the nodes and xi of a partition matched to its ends.
+    and ``d_minus`` check x; :func:`check_convexity`, the fixed partitions
+    and ``pointwise.gap_enclosure`` read the raw oracles, as their points lie
+    in the domain by construction: the convexity grid, the nodes and xi of a
+    partition matched to its ends, a checked split point.  Where ``dplus is
+    dminus``, each pass reads a slope once a point.
 
     ``_d2range``, private and optional, maps a cell (u, v) to
     ``(lo, hi, lo3, hi3, lo4, hi4, lo6, hi6)`` with 0 <= lo <= f'' <= hi

@@ -20,9 +20,9 @@ serves ``gap_enclosure``, ``hh_bounds`` and quadrature's fixed and adaptive
 cells.  ``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding
 them outward is ROADMAP item 4.  Any bound touching an infinite endpoint
 derivative degenerates to a trivially true enclosure.  The integral of the
-CLI's ``gap``/``hh`` is the adaptive enclosure.  Here and in quadrature a
-split-point reading of the certificate is ``_split_bracket``; probability's
-``_expectation_bracket`` scales its weights and rounds outward.
+CLI's ``gap``/``hh`` is the adaptive enclosure.  ``_cells_bracket`` reads the
+certificate at split points, for ``gap_enclosure`` and fixed partitions;
+probability's ``_expectation_bracket`` scales its weights and rounds outward.
 """
 
 from __future__ import annotations
@@ -97,32 +97,42 @@ def _midpoint_bracket(h: float, dpm, dmm, dpu: float, dmv: float) -> tuple:
     return _gap_bracket(w, w, dpm, dmm, dpu, dmv)
 
 
-def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
-    """:func:`_gap_bracket` of the cell [u, v] split at any x in [u, v], from
-    the one-sided slope oracles ``dplus`` and ``dminus``.  A zero-weighted
-    slope is not read (at x = u or v it may not exist), f'+(u) is f'+(x) at
-    x = u and f'-(v) is f'-(x) at x = v: 2 reads at an end, 4 inside.  The
-    weights are products, which overflow to inf where a float ``**`` raises.
-    """
-    wl = (v - x) * (v - x)
-    wr = (x - u) * (x - u)
-    dpx = dplus(x) if wl else 0.0
-    dmx = dminus(x) if wr else 0.0
-    return _gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))
-
-
-def _ordered(lo: float, hi: float, f: ConvexFunction, u: float, v: float, i=None) -> tuple:
-    """The bracket (lo, hi) of f's remainder on the cell [u, v] (number i), ordered:
-    lo > hi beyond ``DEFAULT_TOL`` means f is not convex there and raises
+def _ordered(lo: float, hi: float, f: ConvexFunction, u: float, v: float) -> tuple:
+    """The bracket (lo, hi) of f's remainder on the cell [u, v], ordered: lo > hi
+    beyond ``DEFAULT_TOL`` means f is not convex there and raises
     :class:`NonConvexityError`, and one within it is rounding: the hull (hi, lo)."""
     if lo <= hi:
         return lo, hi
     if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
-        cell = "cell" if i is None else f"cell {i}"
         raise NonConvexityError(
-            f"{cell} [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; {f.label!r} is not convex there"
+            f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; {f.label!r} is not convex there"
         )
     return hi, lo
+
+
+def _cells_bracket(f: ConvexFunction, cells) -> tuple:
+    """:func:`_gap_bracket` of each cell (u, v, x), x in [u, v], from the raw
+    slope oracles, ordered by :func:`_ordered`, summed from -0.0 (one cell's
+    sum is its bracket).  A zero-weighted slope is not read (at x = u or v it
+    may not exist); f'+(u) is f'+(x) at x = u, f'-(v) is f'-(x) at x = v, and
+    where ``f.dplus is f.dminus`` one read at x is both and f'-(v) is the next
+    cell's f'+(u).  The weights are products, inf where a float ``**`` raises."""
+    dp, dm, su = f.dplus, f.dminus, None  # su: with one slope oracle, f' at the last cell's v
+    one = dp is dm
+    lo_sum = hi_sum = -0.0
+    for u, v, x in cells:
+        wl, wr = (v - x) * (v - x), (x - u) * (x - u)
+        dpx = (su if x == u and su is not None else dp(x)) if wl else 0.0
+        dmx = (dpx if one and wl else dm(x)) if wr else 0.0
+        dpu = dpx if wl and x == u else (dp(u) if su is None else su)
+        dmv = dmx if wr and x == v else dm(v)
+        su = dmv if one else None
+        lo, hi = _gap_bracket(wl, wr, dpx, dmx, dpu, dmv)
+        if not lo <= hi:
+            lo, hi = _ordered(lo, hi, f, u, v)
+        lo_sum += lo
+        hi_sum += hi
+    return lo_sum, hi_sum
 
 
 def _reference_integral(f: ConvexFunction):
@@ -143,7 +153,7 @@ def gap_enclosure(f: ConvexFunction, x: float) -> Enclosure:
     a, b = f.domain.a, f.domain.b
     if not f.domain.contains(x):
         raise DomainError(f"split point {x} outside [{a}, {b}]")
-    return Enclosure(*_ordered(*_split_bracket(f.d_plus, f.d_minus, a, b, x), f, a, b))
+    return Enclosure(*_cells_bracket(f, ((a, b, x),)))
 
 
 def hh_bounds(f: ConvexFunction) -> Enclosure:
@@ -151,10 +161,11 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
 
     lo = (1/8)[f'+(m) - f'-(m)](b-a) with m the midpoint,
     hi = (1/8)[f'-(b) - f'+(a)](b-a); both sharp (equality for the kink at m).
-    On [a, b] with no float strictly inside it, lo is 0.
+    On [a, b] with no float strictly inside it, lo is 0.  One oracle is read once at m.
     """
     a, b = f.domain.a, f.domain.b
     m = f.domain.midpoint
-    dpm, dmm = (f.d_plus(m), f.d_minus(m)) if a < m < b else (None, None)
+    dpm = f.d_plus(m) if a < m < b else None
+    dmm = dpm if dpm is None or f.dplus is f.dminus else f.d_minus(m)
     lo, hi = _ordered(*_midpoint_bracket(b - a, dpm, dmm, f.d_plus(a), f.d_minus(b)), f, a, b)
     return Enclosure(lo / (b - a), hi / (b - a))

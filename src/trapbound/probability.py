@@ -206,12 +206,14 @@ def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = 
     """Two-sided bound on the mean of f/m at split point x in [a, b], within
     [a, b]; ``mass`` brackets m, by default as :func:`validate_density` at x.
     At an end the zero-weighted slope is not read, and the other is f(a+) or
-    f(b-).  E(X) lies in [a, b] exactly, so the cut to it needs no rounding
+    f(b-); inside, a continuous density (``left_limit is right_limit``) is
+    read once at x.  E(X) lies in [a, b] exactly, so the cut to it needs no rounding
     allowance; a NaN side stays NaN."""
     a, b = d.domain.a, d.domain.b
     x = _split(d, x)
     mass = validate_density(d, x).normalization if mass is None else mass
     fa, fb = d.right_limit(a), d.left_limit(b)
-    dpx, dmx = (d.right_limit(x), d.left_limit(x)) if a < x < b else (fa, fb)
+    dpx = d.right_limit(x) if a < x < b else fa
+    dmx = fb if not a < x < b else dpx if d.left_limit is d.right_limit else d.left_limit(x)
     lo, hi = _expectation_bracket(a, b, x, dpx, dmx, fa, fb, mass)
     return ExpectationEnclosure(max(lo, a), min(hi, b), x)

@@ -16,9 +16,9 @@ the paper's trapezoid corollary, the 1/8 form: :func:`remainder_enclosure` is
 the one entry point for both, and fixed partitions report it.  The paper's
 bracket of every cell, adaptive cells included, comes from the one kernel
 that :mod:`trapbound.pointwise` and :mod:`trapbound.probability` also use,
-``pointwise._gap_bracket`` (read at a cell's xi by ``pointwise._split_bracket``;
-in its 1/8 form, ``pointwise._midpoint_bracket``).  A partition must start
-and end exactly at the ends of f's domain.
+``pointwise._gap_bracket`` (read at the cells' xi by ``_cells_bracket``; in
+its 1/8 form, ``_midpoint_bracket``).  A partition must start and end
+exactly at the ends of f's domain.
 
 The adaptive integrator bisects the cell with the widest bracket until the
 total enclosure width meets a tolerance.  Its cells carry their samples (f at
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .funcs import ConvexFunction, DomainError, Interval, _midpoint
-from .pointwise import Enclosure, _gap_bracket, _midpoint_bracket, _ordered, _split_bracket
+from .pointwise import Enclosure, _cells_bracket, _midpoint_bracket, _ordered
 
 
 @dataclass(frozen=True)
@@ -157,27 +157,14 @@ def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
 
     ``pointwise._ordered`` raises :class:`trapbound.funcs.NonConvexityError`
     naming a cell whose bracket inverts beyond rounding, and orders the
-    rest; their sums stay ordered, as rounding is monotone.  Each (oracle,
-    point) is read once, in the order of ``pointwise._split_bracket``: where
-    ``f.dplus is f.dminus``, 2n + 1 slope calls for midpoint xi and n + 1 for
-    left or right xi, a node's slope carried on; else (a kink) 4n and 2n.
+    rest; their sums stay ordered, as rounding is monotone.  The cells are
+    read by ``pointwise._cells_bracket``, each (oracle, point) once: where
+    ``f.dplus is f.dminus``, 2n + 1 slope calls for midpoint xi and n + 1
+    for left or right xi, else (a kink) 4n and 2n.
     """
     _check_domain(f, P)
-    lo_sum = hi_sum = 0.0
-    d, sv = f.dplus, None  # sv: the one slope at the last cell's v
-    for i, (u, v, x) in enumerate(P.cells()):
-        if d is f.dminus:
-            wl, wr = (v - x) * (v - x), (x - u) * (x - u)
-            sx = d(x) if x != u and (wl or wr) else 0.0
-            su, sv = (d(u) if sv is None else sv), (sx if x == v and wr else d(v))
-            lo, hi = _gap_bracket(wl, wr, su if x == u else sx, sx, su, sv)
-        else:
-            lo, hi = _split_bracket(d, f.dminus, u, v, x)
-        if not lo <= hi:
-            lo, hi = _ordered(lo, hi, f, u, v, i)
-        lo_sum += lo
-        hi_sum += hi
-    return Enclosure(lo_sum, hi_sum)
+    lo, hi = _cells_bracket(f, P.cells())
+    return Enclosure(lo + 0.0, hi + 0.0)  # a zero sum reads 0.0, as a sum from 0.0 did
 
 
 def _integral_enclosure(gn: float, rem: Enclosure) -> Enclosure:
@@ -398,7 +385,8 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     m = _midpoint(u, v)
     t = 0.5 * (fu + fv) * h
     if u < m < v:
-        fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)
+        fm, dpm = f(m), f.d_plus(m)
+        dmm = dpm if f.dplus is f.dminus else f.d_minus(m)
     else:
         m = fm = dpm = dmm = None
     lo_p, hi_p = _midpoint_bracket(h, dpm, dmm, dpu, dmv)
@@ -450,13 +438,14 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     cell's bracket (:func:`_adaptive_cell`) is the slope-corrected one where
     f is C^2 on it, else the tangent/chord sandwich of its samples, and is
     intersected with the paper's.  A run over n cells makes 2n + 1 calls to
-    f, 4n to its one-sided derivatives and 2n - 1 to its range oracle, which
-    gives the f'', f''', f'''' and f^(6) ranges in one call, fewer if some
-    cells are too narrow to bisect, plus at most 2n + 1 reads of f''' at a
-    point (the oracle at (x, x)), each point once, on the cells with a
-    finite f^(6) range and f'''' not 0; n grows like eps^-1/7 on those,
-    like eps^-1/5 on C^4 cells, like eps^-1/4 on C^3 cells, like eps^-1/3
-    with an f'' range alone, else like eps^-1/2.
+    f, 4n to its one-sided derivatives (2n + 1 if ``f.dplus is f.dminus``)
+    and 2n - 1 to its range oracle, which gives the f'', f''', f'''' and
+    f^(6) ranges in one call, fewer if some cells are too narrow to bisect,
+    plus at most 2n + 1 reads of f''' at a point (the oracle at (x, x)),
+    each point once, on the cells with a finite f^(6) range and f'''' not 0;
+    n grows like eps^-1/7 on those, like eps^-1/5 on C^4 cells, like
+    eps^-1/4 on C^3 cells, like eps^-1/3 with an f'' range alone, else like
+    eps^-1/2.
 
     The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
     remainder is widened by a bound on the rounding of gn and of each

@@ -136,8 +136,8 @@ def remainder_enclosure(f, P) -> Enclosure:
     the wrappers: 4 slope reads a cell, 2 at x = u or v."""
     _check_domain(f, P)
     lo_sum = hi_sum = 0.0
-    for i, (u, v, x) in enumerate(P.cells()):
-        lo, hi = _ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v, i)
+    for u, v, x in P.cells():
+        lo, hi = _ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v)
         lo_sum += lo
         hi_sum += hi
     return Enclosure(lo_sum, hi_sum)

@@ -7,17 +7,21 @@ NaN as a NaN), the same convexity witness, and the same first failing read;
 counting wrappers pin how many reads each makes.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 
 import grid_oracles
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from trapbound import pointwise
 from trapbound.expr import EvalError, to_convex_function, to_function
 from trapbound.funcs import ConvexFunction, DomainError, EvaluationError, Interval, catalog, check_convexity
-from trapbound.pointwise import gap_enclosure
+from trapbound.pointwise import Enclosure, gap_enclosure
 from trapbound.probability import (
     _MASS_CELLS,
     continuous_density,
@@ -255,20 +259,24 @@ class TestSplitBracket:
     def test_reads_in_order(self, u, v, x, reads, listed):
         """2 slope reads at x = u or v (the list walk read f'+(u) or f'-(v)
         a second time: 3), 4 inside, in the list walk's order less its
-        repeat, from two slope oracles."""
+        repeat, from two slope oracles; from one, each point once."""
         log = []
         dplus = lambda t: log.append(("+", t)) or 2.0 * t
         dminus = lambda t: log.append(("-", t)) or 2.0 * t
-        f = ConvexFunction(Interval(u, v), lambda t: t * t, dplus, dminus)
-        new = gap_enclosure(f, x)
-        assert log == reads
-        log.clear()
-        assert remainder_enclosure(f, one_cell(f, x)) == new
-        assert log == reads
-        log.clear()
-        assert grid_oracles.gap_enclosure(f, x) == new
-        assert len(log) == listed
-        assert list(dict.fromkeys(log)) == reads
+        one = lambda t: log.append(("'", t)) or 2.0 * t
+        for f, expected in ((ConvexFunction(Interval(u, v), lambda t: t * t, dplus, dminus), reads),
+                            (ConvexFunction(Interval(u, v), lambda t: t * t, one),
+                             [("'", t) for t in dict.fromkeys(t for _, t in reads)])):
+            log.clear()
+            new = gap_enclosure(f, x)
+            assert log == expected
+            log.clear()
+            assert remainder_enclosure(f, one_cell(f, x)) == new
+            assert log == expected
+            log.clear()
+            assert grid_oracles.gap_enclosure(f, x) == new
+            assert len(log) == listed
+            assert list(dict.fromkeys(log)) == expected
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
     def test_first_failing_read(self, x):
@@ -422,6 +430,36 @@ class TestDirectReads:
         assert len(set(f.dplus.args)) == len(f.dplus.args) and len(set(f.dminus.args)) == len(f.dminus.args)
         check_convexity(f)
         assert len(f.evaluate.args) == (n + 1) + 101 and len(slopes) == expected
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("rule", ["midpoint", "left", "right"])
+    @pytest.mark.parametrize("kinked", [False, True], ids=["one oracle", "two oracles"])
+    def test_read_counts_where_the_weights_underflow(self, n, rule, kinked):
+        """Cells 5e-324 wide, whose weights (v - x)^2 and (x - u)^2 are 0:
+        no slope at xi is read, so n + 1 slopes from one oracle and 2n from
+        two, each (oracle, point) once, whatever the rule."""
+        slope = Counter(lambda t: 2.0 * t)
+        f = ConvexFunction(Interval(0.0, n * 5e-324), lambda t: t * t, slope,
+                           Counter(lambda t: 2.0 * t) if kinked else None)
+        P = uniform_partition(f.domain, n, rule)
+        assert P.points == tuple(i * 5e-324 for i in range(n + 1))
+        assert remainder_enclosure(f, P) == Enclosure(0.0, 0.0)
+        if kinked:
+            assert f.dplus.args == list(P.points[:-1]) and f.dminus.args == list(P.points[1:])
+        else:
+            assert f.dplus.args == list(P.points)
+
+
+def test_cells_bracket_calls_only_the_oracles_and_the_kernels():
+    """The loop of ``pointwise._cells_bracket`` calls the two slope oracles,
+    ``_gap_bracket`` and ``_ordered``, and nothing else.  A helper called
+    per cell, as the former ``_split_bracket`` was for a kinked f, made the
+    400-cell bracket of ``abs(x - 0.3) + x^2`` 8-14% slower (CPython 3.11)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(pointwise._cells_bracket)))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    called = {ast.unparse(node.func) for node in ast.walk(loop) if isinstance(node, ast.Call)}
+    assert called == {"dp", "dm", "_gap_bracket", "_ordered"}, called
 
 
 def _mass_bracket(d, x=None):

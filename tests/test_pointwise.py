@@ -236,6 +236,24 @@ class TestHermiteHadamard:
             for side, ref in ((enc.lo, g.lo / h), (enc.hi, g.hi / h)):
                 assert abs(side - ref) <= 2 * math.ulp(ref), f.label
 
+    @pytest.mark.parametrize("iv, m_read", [(Interval(0.0, 1.0), True),
+                                            (Interval(1.0, math.nextafter(1.0, 2.0)), False)], ids=["unit", "adjacent"])
+    def test_reads_each_slope_oracle_once_a_point(self, iv, m_read):
+        """f'+(m), f'-(m), f'+(a) and f'-(b), in that order; one slope oracle
+        reads m once, and an interval with no float inside reads no m."""
+        log = []
+        dplus = lambda t: log.append(("+", t)) or 2.0 * t
+        dminus = lambda t: log.append(("-", t)) or 2.0 * t
+        one = lambda t: log.append(("'", t)) or 2.0 * t
+        a, b, m = iv.a, iv.b, iv.midpoint
+        two_reads = [("+", m), ("-", m)] * m_read + [("+", a), ("-", b)]
+        one_reads = [("'", m)] * m_read + [("'", a), ("'", b)]
+        for f, reads in ((ConvexFunction(iv, lambda t: t * t, dplus, dminus), two_reads),
+                         (ConvexFunction(iv, lambda t: t * t, one), one_reads)):
+            log.clear()
+            hh_bounds(f)
+            assert log == reads
+
 
 #: polynomials with dyadic coefficients on dyadic domains, each with its
 #: slope where it is differentiable: at dyadic x the slope, the bracket's

@@ -494,24 +494,27 @@ class TestNormalizedMean:
             assert Fraction(enc.hi) - Fraction(enc.lo) - (hi - lo) <= 32 * EPS * mean, (x, enc)
 
     def test_expectation_reads_four_times_beyond_its_walk(self):
-        # f(a+), f(b-) and, inside the support, f(x+) and f(x-)
+        # f(a+), f(b-) and, inside the support, f(x+) and f(x-): four reads
+        # for a step density, three for a continuous one, whose one read at
+        # x is both limits
         calls = []
 
-        def pdf(t):
-            calls.append(t)
-            return 2.0 * t
+        def logged(fn):
+            return lambda t: calls.append(t) or fn(t)
 
-        d = continuous_density(UNIT, pdf)
-        for x in (0.5, 0.3, 0.0):
-            calls.clear()
-            report = validate_density(d, x)
-            walk = len(calls)
-            expectation_enclosure(d, x, report.normalization)
-            beyond = 4 if x else 2
-            assert len(calls) - walk == beyond
-            calls.clear()
-            expectation_enclosure(d, x)
-            assert len(calls) == walk + beyond
+        s = step()
+        for d, inside in ((continuous_density(UNIT, logged(lambda t: 2.0 * t)), 3),
+                          (MonotoneDensity(UNIT, logged(s.left_limit), logged(s.right_limit)), 4)):
+            for x in (0.5, 0.3, 0.0):
+                calls.clear()
+                report = validate_density(d, x)
+                walk = len(calls)
+                expectation_enclosure(d, x, report.normalization)
+                beyond = inside if x else 2
+                assert len(calls) - walk == beyond
+                calls.clear()
+                expectation_enclosure(d, x)
+                assert len(calls) == walk + beyond
 
 
 class TestExpectationViaCdf:

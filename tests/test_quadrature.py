@@ -326,7 +326,8 @@ class TestAdaptive:
 
     def test_bisection_reuses_parent_samples(self):
         # one f and two one-sided derivative calls per new cell midpoint, plus
-        # f at both ends and f'+(a), f'-(b) for the first cell
+        # f at both ends and f'+(a), f'-(b) for the first cell, from two
+        # slope callables
         calls = {"f": 0, "df": 0}
 
         def counted(key):
@@ -341,6 +342,26 @@ class TestAdaptive:
             res = adaptive_integrate(f, eps=eps, max_cells=max_cells)
             assert calls["f"] == 2 * res.cells + 1
             assert calls["df"] == 4 * res.cells
+
+    def test_one_slope_oracle_is_read_once_a_point(self):
+        # f'(a), f'(b) and one read at each new cell midpoint, which serves
+        # as both one-sided slopes: 2n + 1 where two oracles take 4n
+        calls = {"f": 0, "df": 0}
+
+        def counted(key):
+            def fn(t):
+                calls[key] += 1
+                return math.exp(t)
+            return fn
+
+        f = ConvexFunction(EXP.domain, counted("f"), counted("df"), label="exp")
+        assert f.dplus is f.dminus
+        for eps, max_cells in ((1e-6, 10_000), (1e-12, 100)):
+            calls.update(f=0, df=0)
+            res = adaptive_integrate(f, eps=eps, max_cells=max_cells)
+            assert res.cells > 1
+            assert calls["f"] == 2 * res.cells + 1
+            assert calls["df"] == 2 * res.cells + 1
 
     def test_f2_range_adds_one_call_per_cell(self):
         # the same samples as above, one range per cell made, and f''' read
