@@ -750,3 +750,9 @@ def test_kept_parser_matches_fresh_parsers(capsys, monkeypatch, dist_files):
     fresh = [run_cli(capsys, *argv) for argv in calls]
     assert kept == fresh
     assert [code for code, _, _ in kept] == [0, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0]
+
+
+def test_non_finite_floats_are_written_as_strings():
+    # JSON has no inf or nan: the report writes them as strings, at any depth
+    report = {"lo": -math.inf, "hi": math.inf, "width": math.nan, "points": [0.5, (math.nan, 1.0)], "n": 3}
+    assert cli._jsonable(report) == {"lo": "-inf", "hi": "inf", "width": "nan", "points": [0.5, ["nan", 1.0]], "n": 3}

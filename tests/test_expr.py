@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from trapbound.expr import (
     Unary,
     Var,
     _code,
+    _compile,
     eval_expr,
     parse,
     to_convex_function,
@@ -711,3 +714,34 @@ def test_numeric_non_letters_are_refused_alike(src):
     parser refuses: both parsers give the same tree or both a ParseError."""
     (_, new), (_, old) = _outcomes(src)
     assert new == old or new[0] == old[0] == "ParseError", src
+
+
+@pytest.mark.parametrize("walk", [lambda e: eval_expr(e, 1.0), to_string, _compile],
+                         ids=["eval_expr", "to_string", "compile"])
+def test_text_in_place_of_a_tree_is_a_type_error(walk):
+    with pytest.raises(TypeError, match=r"^not an expression node: 'x'$"):
+        walk("x")
+
+
+def test_a_negative_divisor_is_divided_as_its_negation():
+    # -1/(x - 2) divides by a range below 0, which _idiv turns into 1/(2 - x):
+    # the same cells and the same enclosure of ln 2
+    iv = Interval(0.0, 1.0)
+    negative, positive = (adaptive_integrate(to_convex_function(src, iv), 1e-10)
+                          for src in ("-1/(x - 2)", "1/(2 - x)"))
+    assert negative.cells == positive.cells == 29
+    assert negative.integral == positive.integral
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Fraction(Decimal(2).ln())
+    assert Fraction(negative.integral.lo) <= ln2 <= Fraction(negative.integral.hi)
+
+
+def test_an_exponent_whose_p_minus_1_rounds_gives_no_f2_range():
+    # 1e16 - 1 rounds to 1e16, so x^1e16 gets no f'' range and its cells take
+    # the slopes-alone bracket; the integral is 1/(1e16 + 1)
+    f = to_convex_function("x^1e16", Interval(0.0, 1.0))
+    assert f._d2range(0.25, 0.5) is None
+    res = adaptive_integrate(f, 1e-6)
+    assert res.converged and res.cells == 19
+    assert Fraction(res.integral.lo) <= Fraction(1, 10 ** 16 + 1) <= Fraction(res.integral.hi)

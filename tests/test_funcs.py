@@ -55,6 +55,8 @@ class TestOneSidedDerivative:
         f = catalog("quadratic")
         with pytest.raises(DomainError):
             f.d_minus(1.5)
+        with pytest.raises(DomainError, match=r"^1\.5 outside domain \[0\.0, 1\.0\] of 'quadratic'$"):
+            f(1.5)
 
     def test_infinite_endpoint(self):
         f = catalog("neg_log")
@@ -193,6 +195,20 @@ class TestCatalog:
             catalog("power_p", (0.5,))
         with pytest.raises(ValueError):
             catalog("kink", (-1.0, 0.5))
+
+    @pytest.mark.parametrize("name, params, interval, message", [
+        ("kink", (1.0,), None, r"^kink expects params \(k, c\)$"),
+        ("kink", (1.0, 2.0), None, r"^kink point 2\.0 outside \[0\.0, 1\.0\]$"),
+        ("neg_log", (), Interval(-1.0, 1.0), r"^neg_log requires an interval with a >= 0$"),
+        ("xlogx", (), Interval(-1.0, 1.0), r"^xlogx requires an interval with a >= 0$"),
+        ("power_p", (), None, r"^power_p expects params \(p,\)$"),
+        ("power_p", (2.0,), Interval(-1.0, 1.0), r"^power_p requires an interval with a >= 0$"),
+        ("linear", (1.0,), None, r"^linear expects params \(m, c\)$"),
+        ("constant", (), None, r"^constant expects params \(c,\)$"),
+    ])
+    def test_each_parameter_refusal(self, name, params, interval, message):
+        with pytest.raises(ValueError, match=message):
+            catalog(name, params, interval)
 
 
 class TestCatalogProperties:

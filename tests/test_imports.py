@@ -5,7 +5,9 @@ imported counts; the child prints the sorted trapbound modules it holds as
 its last line of output.
 """
 
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -123,3 +125,22 @@ def test_unknown_attribute_raises_and_submodules_still_import():
     )
     assert loaded(code) == qualified("funcs", "pointwise", "divergence")
 
+
+
+def test_exports_resolve_in_this_process():
+    # the checks above in fresh interpreters, here in the test process itself
+    for name in trapbound.__all__:
+        home = importlib.import_module(f"trapbound.{trapbound._HOMES[name]}")
+        assert getattr(trapbound, name) is getattr(home, name)
+    assert set(trapbound.__all__) <= set(dir(trapbound))
+    with pytest.raises(AttributeError, match=r"^module 'trapbound' has no attribute 'no_such_name'$"):
+        trapbound.no_such_name
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    # python -m trapbound, run in this process: the module's exit code is main's
+    monkeypatch.setattr(sys, "argv", ["trapbound", "integrate", "--fn", "x^2", "--interval", "0", "1", "--n", "4"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("trapbound", run_name="__main__")
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["remainder"] == {"lo": 0.0, "hi": 0.015625}

@@ -796,3 +796,21 @@ def test_adaptive_enclosures_of_one_integral_intersect(f):
     encs = [adaptive_integrate(g, eps, 2_000).integral for g in (f, reflected(f)) for eps in (1e-3, 1e-6, 1e-10)]
     lo, hi = max(e.lo for e in encs), min(e.hi for e in encs)
     assert lo <= hi, (f.label, f.domain, encs)
+
+
+#: -sqrt(1 - t) has f'-(1) = +inf and -sqrt(t) has f'+(0) = -inf; both are
+#: convex on [0, 1] with integral -2/3
+SQRT_RIGHT = ConvexFunction(Interval(0.0, 1.0), lambda t: -math.sqrt(1.0 - t),
+                            lambda t: 0.5 / math.sqrt(1.0 - t) if t < 1.0 else math.inf, label="-sqrt(1 - t)")
+SQRT_LEFT = ConvexFunction(Interval(0.0, 1.0), lambda t: -math.sqrt(t),
+                           lambda t: -0.5 / math.sqrt(t) if t > 0.0 else -math.inf, label="-sqrt(t)")
+
+
+@pytest.mark.parametrize("f", [SQRT_RIGHT, SQRT_LEFT], ids=lambda f: f.label)
+@pytest.mark.parametrize("eps, cells", [(1e-3, 10), (1e-6, 267), (1e-9, 8383)])
+def test_an_infinite_end_slope_drops_its_supporting_line(f, eps, cells):
+    # the end cell's lower bound is the area under the one finite supporting
+    # line; the cells grow like eps^-1/2, as slopes alone allow
+    res = adaptive_integrate(f, eps, 200_000)
+    assert res.converged and res.cells == cells
+    assert Fraction(res.integral.lo) <= Fraction(-2, 3) <= Fraction(res.integral.hi)
