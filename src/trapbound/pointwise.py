@@ -161,7 +161,7 @@ def hh_bounds(f: ConvexFunction) -> Enclosure:
 
     lo = (1/8)[f'+(m) - f'-(m)](b-a) with m the midpoint,
     hi = (1/8)[f'-(b) - f'+(a)](b-a); both sharp (equality for the kink at m).
-    On [a, b] with no float strictly inside it, lo is 0.  One oracle is read once at m.
+    On [a, b] with no float strictly inside it, lo is 0.
     """
     a, b = f.domain.a, f.domain.b
     m = f.domain.midpoint

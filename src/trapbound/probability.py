@@ -207,8 +207,8 @@ def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = 
     [a, b]; ``mass`` brackets m, by default as :func:`validate_density` at x.
     At an end the zero-weighted slope is not read, and the other is f(a+) or
     f(b-); inside, a continuous density (``left_limit is right_limit``) is
-    read once at x.  E(X) lies in [a, b] exactly, so the cut to it needs no rounding
-    allowance; a NaN side stays NaN."""
+    read once at x.  E(X) lies in [a, b] exactly, so the cut to it needs no
+    rounding allowance; a NaN side stays NaN."""
     a, b = d.domain.a, d.domain.b
     x = _split(d, x)
     mass = validate_density(d, x).normalization if mass is None else mass

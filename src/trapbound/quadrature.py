@@ -164,7 +164,7 @@ def remainder_enclosure(f: ConvexFunction, P: Partition) -> Enclosure:
     """
     _check_domain(f, P)
     lo, hi = _cells_bracket(f, P.cells())
-    return Enclosure(lo + 0.0, hi + 0.0)  # a zero sum reads 0.0, as a sum from 0.0 did
+    return Enclosure(lo + 0.0, hi + 0.0)  # a composite sum of zeros is +0.0
 
 
 def _integral_enclosure(gn: float, rem: Enclosure) -> Enclosure:

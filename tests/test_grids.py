@@ -220,22 +220,13 @@ class TestSplitBracket:
     cell and on n cells, and read the slopes in the list walk's order less
     its repeats."""
 
-    @given(f=functions(huge=True), where=st.sampled_from(("u", "v", "inside")), s=st.floats(0.0, 1.0),
-           n=st.integers(2, 6), rule=RULES, data=st.data())
-    def test_bracket_equals_the_list_walk(self, f, where, s, n, rule, data):
+    @given(f=functions(huge=True), where=st.sampled_from(("u", "v", "inside")), s=st.floats(0.0, 1.0))
+    def test_bracket_equals_the_list_walk(self, f, where, s):
+        # n cells: TestDirectReads.test_remainder_equals_the_per_cell_oracle
         u, v = f.domain.a, f.domain.b
         x = {"u": u, "v": v}.get(where, min(v, max(u, u + (v - u) * s)))
         assert outcome(gap_enclosure, f, x) == outcome(grid_oracles.gap_enclosure, f, x)
         P = one_cell(f, x)
-        assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
-        try:
-            P = uniform_partition(f.domain, n, "left" if rule == "random" else rule)
-        except ValueError:
-            return  # an interval of few ulps repeats points of n cells
-        if rule == "random":
-            fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-            P = dataclasses.replace(P, xi=tuple(min(b, max(a, a + (b - a) * t))
-                                                for (a, b, _), t in zip(P.cells(), fractions)))
         assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
 
     @pytest.mark.parametrize("f", AT_ZERO, ids=lambda f: f"{f.label} on [0, {f.domain.b}]")
