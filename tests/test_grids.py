@@ -422,7 +422,6 @@ class TestDirectReads:
         check_convexity(f)
         assert len(f.evaluate.args) == (n + 1) + 101 and len(slopes) == expected
 
-
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("rule", ["midpoint", "left", "right"])
     @pytest.mark.parametrize("kinked", [False, True], ids=["one oracle", "two oracles"])

@@ -126,7 +126,6 @@ def test_unknown_attribute_raises_and_submodules_still_import():
     assert loaded(code) == qualified("funcs", "pointwise", "divergence")
 
 
-
 def test_exports_resolve_in_this_process():
     # the checks above in fresh interpreters, here in the test process itself
     for name in trapbound.__all__:

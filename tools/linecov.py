@@ -29,24 +29,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trapbound"
 
-#: filename as compiled -> the set of lines reached, or None for a file outside PACKAGE
-_files: dict = {}
-
-
-def _local(frame, event, arg):
-    if event == "line":
-        _files[frame.f_code.co_filename].add(frame.f_lineno)
-    return _local
-
-
-def _global(frame, event, arg):
-    name = frame.f_code.co_filename
-    lines = _files.get(name, _global)
-    if lines is _global:
-        inside = Path(os.path.realpath(name)).is_relative_to(PACKAGE)
-        lines = _files[name] = set() if inside else None
-    return None if lines is None else _local
-
 
 def executable_lines(path: Path) -> set:
     """The line numbers of every code object compiled from ``path``."""
@@ -58,11 +40,26 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def main(argv: list) -> int:
-    if "trapbound" in sys.modules:
-        raise SystemExit("trapbound was imported before the tracer started")
-    threading.settrace(_global)
-    sys.settrace(_global)
+def traced_run(argv: list) -> tuple:
+    """pytest's exit status on ``argv``, and the lines reached in each file
+    of PACKAGE, by real path."""
+    files = {}  # filename as compiled -> the set of lines reached, or None outside PACKAGE
+
+    def local(frame, event, arg):
+        if event == "line":
+            files[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def start(frame, event, arg):
+        name = frame.f_code.co_filename
+        lines = files.get(name, start)
+        if lines is start:
+            inside = Path(os.path.realpath(name)).is_relative_to(PACKAGE)
+            lines = files[name] = set() if inside else None
+        return None if lines is None else local
+
+    threading.settrace(start)
+    sys.settrace(start)
     try:
         import pytest
 
@@ -70,11 +67,17 @@ def main(argv: list) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-
     reached: dict = {}
-    for name, lines in _files.items():
+    for name, lines in files.items():
         if lines is not None:
             reached.setdefault(Path(os.path.realpath(name)), set()).update(lines)
+    return status, reached
+
+
+def main(argv: list) -> int:
+    if "trapbound" in sys.modules:
+        raise SystemExit("trapbound was imported before the tracer started")
+    status, reached = traced_run(argv)
     imported = sys.modules.get("trapbound")
     if imported is None or Path(imported.__file__).resolve().parent != PACKAGE:
         print(f"linecov: the run did not import trapbound from {PACKAGE}", file=sys.stderr)
