@@ -275,8 +275,8 @@ def _cmd_expectation(args) -> dict:
         "command": "expectation",
         "density": args.density,
         "interval": [d.domain.a, d.domain.b],
-        "expectation": {"lo": enclosure.lo, "hi": enclosure.hi},
-        "x_used": enclosure.x_used,
+        "expectation": _enclosure_dict(enclosure),
+        "x_used": x,
         "mass_bracket": list(report.normalization),
     }
 

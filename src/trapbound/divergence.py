@@ -20,11 +20,11 @@ each point's r = q/p and r_m are formed once and feed every sum, so a point
 costs two calls of f, one of the antiderivative and three of the slopes, two
 when f'+ and f'- are one function (the differentiable catalog generators).
 
-HH is returned as an enclosure.  With an antiderivative F each inner term is
-the point p^2/(q-p) (F(q/p) - F(1)), not rounded outward, and the difference
+Every generator brings its antiderivative F, and each inner term of HH is
+the point p^2/(q-p) (F(q/p) - F(1)).  HH is returned as an enclosure, but
+one of zero width that is not yet rounded outward: the difference
 F(q/p) - F(1) cancels when q/p is near 1, so that point can miss the true
-term there.  Without an antiderivative each inner integral is certified by
-adaptive quadrature.
+term there.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ import math
 from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .funcs import ConvexFunction, Interval
 from .pointwise import Enclosure, _gap_bracket
 
 _WEIGHT_TOL = 1e-9
 #: Relative threshold under which q(x) and p(x) are treated as equal and the
 #: HH term collapses to its removable limit p * f(1) = 0.
 _EQUAL_RATIO_TOL = 1e-14
-#: Width budget of the inner integrals of HH_f without an antiderivative,
-#: divided by the support size.
-_HH_EPS = 1e-9
 
 
 class UndefinedDivergenceError(ValueError):
@@ -83,19 +79,22 @@ class DiscreteDistribution:
 class GeneratorFunction:
     """Convex generator f on (0, inf), normalized so f(1) = 0.
 
-    ``antiderivative`` gives the HH divergence's inner integrals in closed form;
-    ``slope_at_infinity`` is lim f(u)/u as u -> inf (may be ``math.inf``) and
-    defines the convention for support points with p = 0 < q.
+    ``antiderivative`` F, which every generator must have, gives the HH
+    divergence's inner integrals as F(q/p) - F(1); ``slope_at_infinity`` is
+    lim f(u)/u as u -> inf (may be ``math.inf``) and defines the convention
+    for support points with p = 0 < q.
     """
 
     fn: Callable[[float], float]
     dplus: Callable[[float], float]
     dminus: Callable[[float], float]
+    antiderivative: Callable[[float], float]
     label: str = ""
-    antiderivative: Optional[Callable[[float], float]] = None
     slope_at_infinity: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not callable(self.antiderivative):
+            raise TypeError(f"generator {self.label!r} needs an antiderivative, got {self.antiderivative!r}")
         v1 = self.fn(1.0)
         if abs(v1) > 1e-12:
             raise ValueError(f"generator {self.label!r} is not normalized: f(1) = {v1}")
@@ -134,31 +133,27 @@ class DivergenceReport(NamedTuple):
 
 
 def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: DiscreteDistribution) -> DivergenceReport:
-    """D_f, LW_f, an enclosure of HH_f and a certified bracket of D_f/2 - HH_f.
+    """D_f, LW_f, HH_f as a point enclosure and a certified bracket of D_f/2 - HH_f.
 
     Zero-mass conventions: a point with p = q = 0 adds nothing; one with
     p = 0 < q adds its limit, q * slope_at_infinity to D_f and (halved) to
     LW_f and HH_f, and to the gap 0 if that slope is finite, else it makes
     ``gap.hi`` +inf (inf - inf, with limit q/4 for kl, +inf for chi2).  A
-    point with q = p (relative to ``_EQUAL_RATIO_TOL``) adds 0 to HH_f.  An
-    HH term can be negative (for ``kl``, u log u has a negative mean over
-    [q/p, 1] when q < p); only the sum is nonnegative.
-    Without an antiderivative each inner integral of HH_f is certified by
-    adaptive quadrature with a budget of ``_HH_EPS`` divided by the support size.
+    point with q = p (relative to ``_EQUAL_RATIO_TOL``) adds 0 to HH_f, any
+    other point p^2/(q - p) (F(q/p) - F(1)), not rounded outward.  That term
+    can be negative (for ``kl``, u log u has a negative mean over [q/p, 1]
+    when q < p); only the sum is nonnegative.
     The gap is one call to the kernel on the |q - p|-weighted slope sums,
     which is the sum of the per-term brackets of the module docstring; a
     point whose midpoint r_m rounds to 1 adds nothing to it.
     """
     fn, dplus, dminus, F = g.fn, g.dplus, g.dminus, g.antiderivative
     shared = dplus is dminus
-    F1 = F(1.0) if F is not None else None
-    d1p, d1m = dplus(1.0), dminus(1.0)
+    F1, d1p, d1m = F(1.0), dplus(1.0), dminus(1.0)
     tol = _EQUAL_RATIO_TOL
-    n = len(p.weights)
     cs = lw = 0.0
-    # HH: the sums of the lower and upper ends of the inner terms, and the
-    # limits of the points with p = 0 < q
-    hh_lo = hh_hi = tail = 0.0
+    # HH: the sum of the inner terms, and the limits of the points with p = 0 < q
+    hh = tail = 0.0
     # sums of w f'+(r_m), w f'-(r_m), w f'+(u) and w f'-(v), w = |q - p|
     sp = sm = su = sv = 0.0
     for pi, qi in _pairs(p, q):
@@ -180,17 +175,7 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
         d = qi - pi
         w = abs(d)
         if w > tol * pi:
-            if F is not None:
-                hh_lo += pi * pi / d * (F(r) - F1)
-            else:
-                from .quadrature import adaptive_integrate  # deferred: its only user
-
-                # p^2/|q-p| times the integral of f from min(r, 1) to max(r, 1)
-                piece = ConvexFunction(Interval(min(r, 1.0), max(r, 1.0)), fn, dplus, dminus, g.label)
-                inner = adaptive_integrate(piece, eps=_HH_EPS / n, max_cells=100_000).integral
-                weight = pi * pi / w
-                hh_lo += weight * inner.lo
-                hh_hi += weight * inner.hi
+            hh += pi * pi / d * (F(r) - F1)
         if rm != 1.0:  # else q = p, or too close for a float to split [1, q/p]
             sp += w * dplus(rm)
             if not shared:
@@ -203,9 +188,9 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
                 sv += w * d1m
     if shared:
         sm = sp  # the same terms in the same order
-    hh = Enclosure(hh_lo + tail, (hh_lo if F is not None else hh_hi) + tail)
+    hh += tail
     lo, hi = _gap_bracket(0.25, 0.25, sp, sm, su, sv)
-    return DivergenceReport(cs, lw, hh, Enclosure(lo, max(hi, lo)))
+    return DivergenceReport(cs, lw, Enclosure(hh, hh), Enclosure(lo, max(hi, lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +198,9 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
 # ---------------------------------------------------------------------------
 
 
-def _smooth(fn, slope, label, antiderivative, slope_at_infinity) -> GeneratorFunction:
+def _smooth(fn, slope, antiderivative, label, slope_at_infinity) -> GeneratorFunction:
     """A differentiable generator: one slope function serves as f'+ and f'-."""
-    return GeneratorFunction(fn, slope, slope, label, antiderivative, slope_at_infinity)
+    return GeneratorFunction(fn, slope, slope, antiderivative, label, slope_at_infinity)
 
 
 #: The built-in generators by label, then the aliases chi2 and tv.
@@ -223,31 +208,31 @@ _GENERATORS = {g.label: g for g in (
     _smooth(
         fn=lambda u: (u - 1.0) ** 2,
         slope=lambda u: 2.0 * (u - 1.0),
-        label="chi_squared",
         antiderivative=lambda u: (u - 1.0) ** 3 / 3.0,
+        label="chi_squared",
         slope_at_infinity=math.inf,
     ),
     _smooth(
         fn=lambda u: u * math.log(u) if u > 0 else 0.0,
         slope=lambda u: math.log(u) + 1.0,
-        label="kl",
         antiderivative=lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u,
+        label="kl",
         slope_at_infinity=math.inf,
     ),
     GeneratorFunction(
         fn=lambda u: abs(u - 1.0),
         dplus=lambda u: 1.0 if u >= 1.0 else -1.0,
         dminus=lambda u: 1.0 if u > 1.0 else -1.0,
-        label="total_variation",
         antiderivative=lambda u: 0.5 * (u - 1.0) * abs(u - 1.0),
+        label="total_variation",
         slope_at_infinity=1.0,
     ),
     _smooth(
         fn=lambda u: (math.sqrt(u) - 1.0) ** 2,
         # the slope tends to -inf at 0, where q = 0 < p puts a term
         slope=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
-        label="hellinger",
         antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
+        label="hellinger",
         slope_at_infinity=1.0,
     ),
 )}

@@ -7,8 +7,11 @@ finite), unary minus,
 Functions: ``exp``, ``log``, ``abs``, ``sqrt``.  One free variable, read
 from the text: the first identifier that does not call a function, so
 ``t^2`` is a function of ``t``; a function name is never the variable, and
-a second name is an unknown identifier.  Evaluation reports singularities
-as errors, each operation through one table of checked float operations.
+a second name is an unknown identifier.  A name is letters, ``_`` and
+decimal digits, not starting with a digit; any other character, such as
+the ² of ``x²``, refuses the text where it stands.  Evaluation reports
+singularities as errors, each operation through one table of checked float
+operations.
 
 :func:`to_convex_function` compiles a tree once into straight-line Python:
 f itself, and forward-mode slope functions that carry ``(value, slope)``
@@ -97,8 +100,12 @@ def tokenize(src: str) -> list[Token]:
     tokens = []
     for m in _SCANNER.finditer(src):
         kind, text, pos = m.lastgroup, m.group(), m.start() + 1
-        if kind == "identifier" and not (text[0].isalpha() or text[0] == "_"):  # \w takes ², ½ for letters
-            kind, text = ("number" if text[0].isdigit() else None), text[0]
+        if kind == "identifier" and not text.isalpha():
+            # \w also takes numeric characters that are not decimal digits (², ½, Ⅻ);
+            # one that starts a name is a malformed number if str.isdigit() (², ①)
+            i = next((i for i, c in enumerate(text) if not (c.isalpha() or c == "_" or c.isdecimal())), len(text))
+            if i < len(text):
+                kind, text, pos = ("number" if i == 0 and text[0].isdigit() else None), text[i], pos + i
         if kind is None:
             raise ParseError(f"unexpected character {text!r}", pos)
         if kind == "number":

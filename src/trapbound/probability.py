@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .funcs import DomainError, Interval
-from .pointwise import _gap_bracket
+from .pointwise import Enclosure, _gap_bracket
 
 #: The mass walk of :func:`validate_density`: its cell counts, the share of
 #: T_hi - T_lo its bracket may add to the enclosure of E(X), and the relative
@@ -81,13 +81,6 @@ def piecewise_constant_density(
         return values[0]
 
     return MonotoneDensity(domain, left_limit, pdf, label)
-
-
-class ExpectationEnclosure(NamedTuple("ExpectationEnclosure", [("lo", float), ("hi", float), ("x_used", float)])):
-    def __new__(cls, lo: float, hi: float, x_used: float):
-        if lo > hi:  # as Enclosure refuses it; a NaN side passes
-            raise ValueError(f"expectation enclosure requires lo <= hi, got [{lo}, {hi}]")
-        return super().__new__(cls, lo, hi, x_used)
 
 
 class DensityReport(NamedTuple):
@@ -202,13 +195,14 @@ def _expectation_bracket(a: float, b: float, x: float, dpx: float, dmx: float, f
             _up(math.ldexp(_up(hi / (m_hi if hi < 0 else m_lo)), -2 * k) + x))
 
 
-def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = None) -> ExpectationEnclosure:
+def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = None) -> Enclosure:
     """Two-sided bound on the mean of f/m at split point x in [a, b], within
     [a, b]; ``mass`` brackets m, by default as :func:`validate_density` at x.
     At an end the zero-weighted slope is not read, and the other is f(a+) or
     f(b-); inside, a continuous density (``left_limit is right_limit``) is
     read once at x.  E(X) lies in [a, b] exactly, so the cut to it needs no
-    rounding allowance; a NaN side stays NaN."""
+    rounding allowance.  ``Enclosure`` refuses a NaN side or lo > hi, which
+    an inverted ``mass`` bracket can give."""
     a, b = d.domain.a, d.domain.b
     x = _split(d, x)
     mass = validate_density(d, x).normalization if mass is None else mass
@@ -216,4 +210,4 @@ def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = 
     dpx = d.right_limit(x) if a < x < b else fa
     dmx = fb if not a < x < b else dpx if d.left_limit is d.right_limit else d.left_limit(x)
     lo, hi = _expectation_bracket(a, b, x, dpx, dmx, fa, fb, mass)
-    return ExpectationEnclosure(max(lo, a), min(hi, b), x)
+    return Enclosure(max(lo, a), min(hi, b))

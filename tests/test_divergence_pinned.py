@@ -2,9 +2,8 @@
 
 ``data/divergence_pinned.json`` holds the exact ``csiszar``, ``lin_wong``,
 ``hh_divergence`` and ``gap_enclosure`` results (floats as ``float.hex``, or
-the exception raised) of the four catalog generators and of one generator
-without an antiderivative, on pairs with p = 0 < q, p = q = 0, q = 0 < p,
-q = p and q within ``_EQUAL_RATIO_TOL`` of p.  The values were recorded from
+the exception raised) of the four catalog generators, on pairs with
+p = 0 < q, p = q = 0, q = 0 < p, q = p and q within ``_EQUAL_RATIO_TOL`` of p.  The values were recorded from
 the straightforward per-quantity loops (now ``divergence_oracles``), before
 they were tuned, and are read from the fields of one ``divergence_report``:
 where that raises, every field of the case records the exception.  Any
@@ -23,7 +22,6 @@ import pytest
 from trapbound.divergence import (
     GENERATOR_NAMES,
     DiscreteDistribution,
-    GeneratorFunction,
     divergence_report,
     generator_catalog,
 )
@@ -32,9 +30,6 @@ PINNED = Path(__file__).parent / "data" / "divergence_pinned.json"
 SEED = 20261018
 KINDS = ("plain", "p_zero", "both_zero", "q_zero", "equal")
 SIZES = (1, 3, 7, 50, 400)
-#: sizes on which the generator without an antiderivative (adaptive inner
-#: integrals) is also pinned
-BARE_SIZES = (1, 3)
 #: pinned name -> field of the report
 FUNCTIONS = {
     "csiszar": "csiszar",
@@ -47,17 +42,6 @@ FUNCTIONS = {
 def _normalized(raw):
     s = math.fsum(raw)
     return tuple(x / s for x in raw)
-
-
-def _bare_hellinger():
-    g = generator_catalog("hellinger")
-    return GeneratorFunction(g.fn, g.dplus, g.dminus, "hellinger_bare", slope_at_infinity=1.0)
-
-
-def generators():
-    gens = {name: generator_catalog(name) for name in GENERATOR_NAMES}
-    gens["hellinger_bare"] = _bare_hellinger()
-    return gens
 
 
 def corpus():
@@ -111,13 +95,10 @@ def outcomes(g, p, q):
 
 
 def record():
-    gens = generators()
     out = {}
     for case, p, q in corpus():
-        for gname, g in gens.items():
-            if gname == "hellinger_bare" and len(p) not in BARE_SIZES:
-                continue
-            for fname, value in outcomes(g, p, q).items():
+        for gname in GENERATOR_NAMES:
+            for fname, value in outcomes(generator_catalog(gname), p, q).items():
                 out[f"{case}/{gname}/{fname}"] = value
     return out
 
@@ -148,7 +129,7 @@ def test_corpus_covers_every_zero_mass_pattern():
 
 
 @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
-@pytest.mark.parametrize("gname", [*GENERATOR_NAMES, "hellinger_bare"])
+@pytest.mark.parametrize("gname", GENERATOR_NAMES)
 def test_outputs_match_pinned(pinned, current, gname, fname):
     keys = [k for k in pinned if k.endswith(f"/{gname}/{fname}")]
     assert keys

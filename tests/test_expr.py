@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trapbound.expr import (
+    _SCANNER,
     Binary,
     Const,
     EvalError,
@@ -689,7 +690,9 @@ def test_parser_agrees_with_the_old_ladder(src):
 # decimal digits to its \d, so they are kept out of the text above.  A name
 # that starts with one is refused as the old tokenizer refuses it: a digit
 # to str.isdigit() (², ①) as a malformed number, any other (½, Ⅻ) as an
-# unexpected character.  Inside a name both take them as letters.
+# unexpected character.  Inside a name the old tokenizer took them as
+# letters, so x² named the variable; a name is letters, _ and decimal
+# digits, and the library refuses such a character where it stands.
 @settings(max_examples=1000, deadline=None)
 @given(src=st.text(st.characters(blacklist_categories=("No", "Nl", "Cs")), max_size=16))
 def test_parser_agrees_with_the_old_ladder_on_any_text(src):
@@ -697,23 +700,46 @@ def test_parser_agrees_with_the_old_ladder_on_any_text(src):
     assert new == old, src
 
 
+NUMERIC_NON_LETTERS = "²³①½Ⅻ"
+
+
+def _numeric_inside_a_name(src):
+    """Whether one of ``NUMERIC_NON_LETTERS`` follows the first character of
+    a name as the scanner matches it."""
+    return any(m.lastgroup == "identifier" and any(c in NUMERIC_NON_LETTERS for c in m.group()[1:])
+               for m in _SCANNER.finditer(src))
+
+
 def test_numeric_non_letters_agree_with_the_old_tokenizer():
-    for src in ["x + ²", "²", "²x", "x + ①", "x + ½", "½x", "x+Ⅻ", "1 + ½", "x² + x½", "(x)^Ⅻ"]:
+    # where one starts a name, both refuse it alike
+    for src in ["x + ²", "²", "²x", "x + ①", "x + ½", "½x", "x+Ⅻ", "1 + ½", "(x)^Ⅻ"]:
+        assert not _numeric_inside_a_name(src)
         new, old = _outcomes(src)
         assert new == old, src
     assert _outcomes("x + ²")[0][0] == ("ParseError", "malformed number '²' (position 5)", 5)
     assert _outcomes("x + ½")[0][0] == ("ParseError", "unexpected character '½' (position 5)", 5)
+    # inside a name, where the old tokenizer took it for a letter: x² named
+    # the variable, and integrate reported the integral of x on [0, 1]
+    for src, char, pos in [("x²", "²", 2), ("x½ + 1", "½", 2), ("xⅫ", "Ⅻ", 2), ("2*x½", "½", 4),
+                           ("x² + x½", "²", 2), ("_k①", "①", 3), ("x2³", "³", 3)]:
+        assert _numeric_inside_a_name(src)
+        refused = ("ParseError", f"unexpected character {char!r} (position {pos})", pos)
+        assert _outcomes(src)[0] == (refused, refused), src
+        assert any(char in tok.text[1:] for tok in expr_oracles.tokenize(src) if tok.kind == "identifier")
 
 
 @settings(max_examples=1000, deadline=None)
-@given(src=st.lists(st.sampled_from(PIECES + ["²", "³", "①", "½", "Ⅻ"]), max_size=10).map("".join))
+@given(src=st.lists(st.sampled_from(PIECES + list(NUMERIC_NON_LETTERS)), max_size=10).map("".join))
 def test_numeric_non_letters_are_refused_alike(src):
-    """Where such characters run together or follow a number (``²³``, ``1²``,
-    ``3e²``) the old tokenizer takes them into one malformed number, and the
-    scanner refuses one of them or reads ``3`` and the name ``e²``, which the
-    parser refuses: both parsers give the same tree or both a ParseError."""
-    (_, new), (_, old) = _outcomes(src)
-    assert new == old or new[0] == old[0] == "ParseError", src
+    """Inside a name such a character is a ParseError.  Elsewhere, where such
+    characters run together or follow a number (``²³``, ``1²``), the old
+    tokenizer takes them into one malformed number and the scanner refuses
+    one of them: both parsers give the same tree or both a ParseError."""
+    (new_tokens, new), (_, old) = _outcomes(src)
+    if _numeric_inside_a_name(src):
+        assert new_tokens[0] == new[0] == "ParseError", src
+    else:
+        assert new == old or new[0] == old[0] == "ParseError", src
 
 
 @pytest.mark.parametrize("walk", [lambda e: eval_expr(e, 1.0), to_string, _compile],

@@ -11,7 +11,6 @@ from trapbound.probability import (
     _MASS_CELLS,
     _MASS_CELLS_MAX,
     _expectation_bracket,
-    ExpectationEnclosure,
     MonotoneDensity,
     continuous_density,
     expectation_enclosure,
@@ -186,7 +185,7 @@ class TestValidateDensity:
         assert report.messages == (
             "total mass bracket [%.9g, %.9g] does not exclude 0" % report.normalization,)
         # no division by such a bracket: any mean lies in the support
-        assert expectation_enclosure(d, 0.5) == (0.0, 1.0, 0.5)
+        assert expectation_enclosure(d, 0.5) == Enclosure(0.0, 1.0)
 
     def test_infinite_mass_bracket_is_invalid(self):
         d = continuous_density(UNIT, lambda t: math.inf if t == 1.0 else 1.0, "inf at b")
@@ -266,14 +265,15 @@ class TestExpectationEnclosure:
         assert exact.lo == pytest.approx(0.5, abs=1e-15) and exact.hi == pytest.approx(0.75, abs=1e-15)
 
     def test_refuses_an_inverted_enclosure(self):
-        # as Enclosure does; an inverted mass bracket made one (lo above hi)
-        with pytest.raises(ValueError, match="requires lo <= hi"):
-            ExpectationEnclosure(0.5, 0.4999, 0.5)
+        # it is an Enclosure, which refuses lo above hi, as an inverted mass
+        # bracket makes here, and a NaN side, as a NaN density value at x makes
         d = continuous_density(UNIT, lambda t: 1.0 - 2e-4 * t, "falling")
         with pytest.raises(ValueError, match="requires lo <= hi"):
             expectation_enclosure(d, 0.5, (0.99990002, 0.99989998))
-        assert ExpectationEnclosure(0.5, 0.5, 0.5) == (0.5, 0.5, 0.5)
-        assert math.isnan(ExpectationEnclosure(math.nan, 1.0, 0.5).lo)  # a NaN side stays NaN
+        d = continuous_density(UNIT, lambda t: math.nan if t == 0.5 else 1.0, "NaN at 1/2")
+        with pytest.raises(ValueError, match="must not be NaN"):
+            expectation_enclosure(d, 0.5, (1.0, 1.0))
+        assert isinstance(expectation_enclosure(uniform(), 0.5), Enclosure)
 
     def test_uniform_is_pinned(self):
         # both sides of the bracket are exactly 0.5; the enclosure holds it
@@ -297,7 +297,7 @@ class TestExpectationEnclosure:
             assert enc.lo <= 0.0 <= enc.hi, x
             assert_tight_enclosure(enc, d, x)
         for enc in grid_enclosures(d, validate_density(d).normalization):
-            assert enc.lo <= 0.0 <= enc.hi, enc.x_used
+            assert enc.lo <= 0.0 <= enc.hi, enc
 
     def test_step_jump_at_split_is_exact(self):
         # the density jump at 0.5 makes both sides collapse onto the mean;
@@ -331,23 +331,22 @@ class TestExpectationEnclosure:
                 enc = expectation_enclosure(d, x)
                 lo, hi = _expectation_bracket(a, b, x, fa, fb, fa, fb, validate_density(d, x).normalization)
                 assert (enc.lo, enc.hi) == (max(lo, a), min(hi, b)), (d.label, x)
-                assert enc.x_used == x
                 assert enc.lo <= mean(d) <= enc.hi, (d.label, x)
 
     def test_midpoint_of_a_one_ulp_support_is_an_end(self):
         # the float midpoint of adjacent floats rounds onto a
         a, b = 1.0, 1.0 + 2.0 ** -52
         d = continuous_density(Interval(a, b), lambda t: 2.0 ** 52, "one ulp")
+        assert d.domain.midpoint == a
         enc = expectation_enclosure(d, d.domain.midpoint)
-        assert enc.x_used == a
         assert Fraction(enc.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(enc.hi), enc
 
     def test_enclosure_is_cut_to_the_support(self):
         # E(X) lies in [a, b]: 2^52 on one ulp gave lo = 1 - 6.7e-16 at x = a,
         # and 3t^2 at x = 0 gave [-5e-324, 1.5000000000000016]
         one_ulp = continuous_density(Interval(1.0, 1.0 + 2.0 ** -52), lambda t: 2.0 ** 52, "one ulp")
-        assert expectation_enclosure(one_ulp, 1.0) == (1.0, 1.0 + 2.0 ** -52, 1.0)
-        assert expectation_enclosure(cubic_pull(), 0.0) == (0.0, 1.0, 0.0)
+        assert expectation_enclosure(one_ulp, 1.0) == Enclosure(1.0, 1.0 + 2.0 ** -52)
+        assert expectation_enclosure(cubic_pull(), 0.0) == Enclosure(0.0, 1.0)
         for make in ALL:
             d = make()
             for x in (0.0, 0.25, 0.5, 1.0):
@@ -402,14 +401,14 @@ class TestBestEnclosure:
             encs = grid_enclosures(d, validate_density(d).normalization)
             lo, hi = max(enc.lo for enc in encs), min(enc.hi for enc in encs)
             assert lo <= mean(d) + 1e-9 and mean(d) <= hi + 1e-9, d.label
-            assert all(d.domain.a <= enc.x_used <= d.domain.b for enc in encs)
+            assert all(d.domain.a <= enc.lo and enc.hi <= d.domain.b for enc in encs)
 
     def test_uniform_on_unit_interval_contains_its_mean(self):
         # rounded to nearest, the shift gave [0.5, 0.49999999999999994]; each
         # split of the grid with the exact mass 1 leaves that rounding alone
         d = uniform()
         for enc in grid_enclosures(d, validate_density(d).normalization):
-            assert enc.lo <= 0.5 <= enc.hi, enc.x_used
+            assert enc.lo <= 0.5 <= enc.hi, enc
         n = 1001
         for x in [i / (n - 1) for i in range(n)]:
             lo, hi = _expectation_bracket(0.0, 1.0, x, 1.0, 1.0, 1.0, 1.0, (1.0, 1.0))
@@ -423,7 +422,7 @@ class TestBestEnclosure:
         for enc in encs:
             assert Fraction(enc.lo) <= (Fraction(a) + Fraction(b)) / 2 <= Fraction(enc.hi), enc
         # cut to the support: the unclipped sides were 1 - 6.7e-16 and 1 + 6.7e-16
-        assert all(enc[:2] == (a, b) for enc in encs) and encs[0] == (a, b, a)
+        assert all(enc == Enclosure(a, b) for enc in encs)
 
 
 def step_mass_and_mean(domain, breaks, values):
