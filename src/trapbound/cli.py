@@ -69,8 +69,9 @@ def load_distribution(path, normalize: bool = False):
     array of numbers, where the file's first non-blank character is ``[``,
     else from CSV (one weight per line).
 
-    Weights must sum to 1 within ``divergence._WEIGHT_TOL`` unless
-    ``normalize`` is set, which rescales them.
+    The distribution checks the weights; a refusal is a
+    :class:`HypothesisError`.  ``normalize`` divides them by their sum first,
+    and refuses a negative weight or a sum that is 0 or not finite.
     """
     from . import divergence as div
 
@@ -114,26 +115,23 @@ def load_distribution(path, normalize: bool = False):
 
     if not weights:
         raise DistributionLoadError(f"{path}: no weights found")
-    try:
-        total = math.fsum(weights)
-    except OverflowError:
-        total = math.inf  # a partial sum passed the float range
-    # written so that a NaN sum fails too
-    if not abs(total - 1.0) <= div._WEIGHT_TOL:
-        if not normalize:
-            raise HypothesisError(
-                f"{path}: weights sum to {total!r}, not 1 (pass --normalize to rescale)"
-            )
-        if min(weights) < 0:
-            raise HypothesisError(f"{path}: negative weight {min(weights)!r}, cannot normalize")
-        if total == 0:
-            raise HypothesisError(f"{path}: weights sum to 0, cannot normalize")
+    if normalize:
+        lowest = min(weights)
+        if lowest < 0:
+            raise HypothesisError(f"{path}: negative weight {lowest!r}, cannot normalize")
+        try:
+            total = math.fsum(weights)
+        except OverflowError:
+            total = math.inf  # a partial sum passed the float range
+        # written so that a NaN sum fails too
+        if not 0 < total < math.inf:
+            raise HypothesisError(f"{path}: weights sum to {total!r}, cannot normalize")
         weights = [w / total for w in weights]
-        total = None  # the distribution sums the rescaled weights itself
     try:
-        return div.DiscreteDistribution(tuple(weights), total)
+        return div.DiscreteDistribution(weights)
     except ValueError as exc:
-        raise HypothesisError(f"{path}: {exc}") from exc
+        hint = "" if min(weights) < 0 else " (pass --normalize to rescale)"
+        raise HypothesisError(f"{path}: {exc}{hint}") from exc
 
 
 def _jsonable(obj):
@@ -378,15 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--generator", required=True, help="f-divergence generator; an unknown name is refused with the known ones")
     p_div.add_argument("--p", required=True, help="path to the first distribution")
     p_div.add_argument("--q", required=True, help="path to the second distribution")
-    p_div.add_argument("--normalize", action="store_true")
 
     p_chk = sub.add_parser("check", help="validate hypotheses without computing bounds")
     p_chk.add_argument("--fn", default=None)
     p_chk.add_argument("--density", default=None)
     p_chk.add_argument("--dist", default=None)
     p_chk.add_argument("--interval", nargs=2, type=float, default=None, metavar=("A", "B"))
-    p_chk.add_argument("--normalize", action="store_true")
 
+    for p in (p_div, p_chk):
+        p.add_argument("--normalize", action="store_true",
+                       help="divide the weights by their sum; a negative weight, or a sum that is 0 or not finite, is refused")
     for p in sub.choices.values():
         p.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
     return parser

@@ -30,7 +30,7 @@ term there.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .pointwise import Enclosure, _gap_bracket
@@ -47,29 +47,26 @@ class UndefinedDivergenceError(ValueError):
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite probability vector: nonnegative weights summing to 1.
-
-    ``total`` is for a caller that holds the weights as a tuple of floats
-    and has their ``math.fsum`` already: neither is computed again.
-    """
+    """Finite probability vector: at least one float weight, none negative,
+    whose ``math.fsum`` (inf where it overflows) is within ``_WEIGHT_TOL`` of 1."""
 
     weights: tuple
-    total: InitVar[Optional[float]] = None
 
-    def __post_init__(self, total: Optional[float]) -> None:
-        w = self.weights
-        if total is None:
-            w = tuple(map(float, w))
-            object.__setattr__(self, "weights", w)
+    def __post_init__(self) -> None:
+        w = tuple(map(float, self.weights))
+        object.__setattr__(self, "weights", w)
         if not w:
             raise ValueError("distribution needs at least one weight")
         lowest = min(w)
         if lowest < 0:
             raise ValueError(f"weights must be nonnegative, got {lowest}")
-        s = math.fsum(w) if total is None else total
+        try:
+            s = math.fsum(w)
+        except OverflowError:
+            s = math.inf
         # written so that a NaN sum fails too
         if not abs(s - 1.0) <= _WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {s!r}")
+            raise ValueError(f"weights sum to {s!r}, not 1")
 
     def __len__(self) -> int:
         return len(self.weights)

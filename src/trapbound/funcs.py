@@ -188,16 +188,18 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
 # Catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = (
-    "kink",
-    "quadratic",
-    "exp",
-    "neg_log",
-    "xlogx",
-    "power_p",
-    "linear",
-    "constant",
-)
+#: Each catalog entry's parameter names, in the order ``catalog`` takes them.
+_CATALOG_PARAMS = {
+    "kink": ("k", "c"),
+    "quadratic": (),
+    "exp": (),
+    "neg_log": (),
+    "xlogx": (),
+    "power_p": ("p",),
+    "linear": ("m", "c"),
+    "constant": ("c",),
+}
+CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 
 
 def _recip_pows(t: float, s: float) -> tuple:
@@ -248,7 +250,8 @@ def _pow(t: float, e: float) -> float:
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
     """Reference convex functions with exact slopes and f'', f''', f'''' and f^(6) ranges.
 
-    Names and parameters (every entry but ``kink`` has one slope oracle):
+    Names and parameters; each entry takes exactly its parameters, each
+    finite (every entry but ``kink`` has one slope oracle):
 
     - ``kink`` (k, c): k*|t - c| with k > 0; one-sided derivatives -k / +k.
     - ``quadratic``: t^2.
@@ -259,12 +262,17 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
     - ``linear`` (m, c): m*t + c.
     - ``constant`` (c): c.
     """
-    iv = interval if interval is not None else Interval(0.0, 1.0)
+    if name not in _CATALOG_PARAMS:
+        raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    names = _CATALOG_PARAMS[name]
     params = tuple(params)
+    if len(params) != len(names):
+        raise ValueError(f"{name} expects params ({', '.join(names)}{',' if len(names) == 1 else ''})")
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"{name} params must be finite, got {params}")
+    iv = interval if interval is not None else Interval(0.0, 1.0)
 
     if name == "kink":
-        if len(params) != 2:
-            raise ValueError("kink expects params (k, c)")
         k, c = params
         if k <= 0:
             raise ValueError(f"kink slope k must be positive, got {k}")
@@ -320,8 +328,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
         )
 
     if name == "power_p":
-        if len(params) != 1:
-            raise ValueError("power_p expects params (p,)")
         (p,) = params
         if p < 1:
             raise ValueError(f"power_p requires p >= 1, got {p}")
@@ -358,8 +364,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
         )
 
     if name == "linear":
-        if len(params) != 2:
-            raise ValueError("linear expects params (m, c)")
         m, c = params
         from fractions import Fraction  # deferred: only this family needs it
         mq, cq = Fraction(m), Fraction(c)
@@ -373,8 +377,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
         )
 
     if name == "constant":
-        if len(params) != 1:
-            raise ValueError("constant expects params (c,)")
         (c,) = params
         return ConvexFunction(
             domain=iv,
@@ -383,6 +385,3 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             label=f"constant({c})",
             _d2range=lambda u, v: (0.0,) * 8,
         )
-
-    raise ValueError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_NAMES)}")
-

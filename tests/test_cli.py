@@ -121,6 +121,23 @@ class TestLoadDistribution:
         with pytest.raises(HypothesisError):
             load_distribution(f)
 
+    def test_negative_weight_and_bad_sum_get_no_hint(self, tmp_path):
+        # rescaling cannot mend a negative weight, so --normalize is not offered
+        f = tmp_path / "w.csv"
+        f.write_text("0.7\n-0.5\n")
+        with pytest.raises(HypothesisError, match=r"^.*w\.csv: weights must be nonnegative, got -0\.5$"):
+            load_distribution(f)
+
+    def test_normalize_divides_by_the_sum(self, tmp_path):
+        # a sum within the tolerance of 1 is rescaled too
+        raw = (0.25, 0.75 + 5e-10)
+        f = tmp_path / "w.csv"
+        f.write_text("".join(f"{w!r}\n" for w in raw))
+        total = math.fsum(raw)
+        assert abs(total - 1.0) <= 1e-9
+        assert load_distribution(f).weights == raw
+        assert load_distribution(f, normalize=True).weights == tuple(w / total for w in raw)
+
 
 class TestIntegrate:
     def test_adaptive(self, capsys):
@@ -504,6 +521,10 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "--dist", str(bad))
         assert code == 2 and out == ""
         assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1 (pass --normalize to rescale)\n"
+        # nor is there a float sum to divide by
+        code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
+        assert code == 2 and out == ""
+        assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, cannot normalize\n"
 
     def test_integer_past_float_range_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "w.json"

@@ -205,6 +205,14 @@ class TestCatalog:
         ("power_p", (2.0,), Interval(-1.0, 1.0), r"^power_p requires an interval with a >= 0$"),
         ("linear", (1.0,), None, r"^linear expects params \(m, c\)$"),
         ("constant", (), None, r"^constant expects params \(c,\)$"),
+        # an entry without parameters takes none
+        ("exp", (2.0,), None, r"^exp expects params \(\)$"),
+        # every parameter is finite, checked before the entry's own rules
+        ("constant", (math.inf,), None, r"^constant params must be finite, got \(inf,\)$"),
+        ("constant", (math.nan,), None, r"^constant params must be finite, got \(nan,\)$"),
+        ("kink", (math.nan, 0.5), None, r"^kink params must be finite, got \(nan, 0\.5\)$"),
+        ("linear", (math.inf, 0.0), None, r"^linear params must be finite, got \(inf, 0\.0\)$"),
+        ("power_p", (math.inf,), None, r"^power_p params must be finite, got \(inf,\)$"),
     ])
     def test_each_parameter_refusal(self, name, params, interval, message):
         with pytest.raises(ValueError, match=message):

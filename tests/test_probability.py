@@ -521,7 +521,7 @@ class TestExpectationViaCdf:
         for make in ALL:
             d = make()
             enc = expectation_via_cdf(d)
-            assert enc.contains(mean(d), slack=1e-9), d.label
+            assert enc.contains(mean(d)), d.label
             assert enc.width <= 1e-7, d.label
 
     def test_consistent_with_pointwise_bounds(self):

@@ -142,7 +142,7 @@ class TestRemainderEnclosure:
                 P = uniform_partition(f.domain, n)
                 gn = generalized_trapezoid(f, P)
                 rem = remainder_enclosure(f, P)
-                assert rem.contains(gn - true, slack=1e-9), (f.label, n)
+                assert rem.contains(gn - true), (f.label, n)
 
     def test_containment_non_midpoint(self, test_catalog, rng):
         for i, f in enumerate(test_catalog):
@@ -152,6 +152,7 @@ class TestRemainderEnclosure:
             Q = Partition(P.points, xi)
             gn = generalized_trapezoid(f, Q)
             rem = remainder_enclosure(f, Q)
+            # slack until fixed-partition cells round outward (ROADMAP item 4)
             assert rem.contains(gn - true, slack=1e-9), f.label
 
     def test_zero_weight_skips_infinite_derivative(self):
@@ -573,6 +574,7 @@ def test_remainder_contains_truth_property(idx, n, frac):
     Q = Partition(P.points, xi)
     rem = remainder_enclosure(f, Q)
     s = generalized_trapezoid(f, Q) - corpus_integral(idx)
+    # slack until fixed-partition cells round outward (ROADMAP item 4)
     assert rem.contains(s, slack=1e-9)
 
 
