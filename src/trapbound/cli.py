@@ -108,29 +108,27 @@ def load_distribution(path, normalize: bool = False):
         # a list, as the text starts with [; a bool is an int to isinstance, and not a weight
         if not set(map(type, data)) <= {int, float}:
             raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
-        try:
-            weights = tuple(map(float, data))
-        except OverflowError:
-            raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
+        weights = data  # the distribution converts them to floats
 
     if not weights:
         raise DistributionLoadError(f"{path}: no weights found")
-    if normalize:
-        lowest = min(weights)
-        if lowest < 0:
-            raise HypothesisError(f"{path}: negative weight {lowest!r}, cannot normalize")
-        try:
-            total = math.fsum(weights)
-        except OverflowError:
-            total = math.inf  # a partial sum passed the float range
-        # written so that a NaN sum fails too
-        if not 0 < total < math.inf:
-            raise HypothesisError(f"{path}: weights sum to {total!r}, cannot normalize")
-        weights = [w / total for w in weights]
     try:
+        if normalize:
+            weights = tuple(map(float, weights))
+            total = div._weight_sum(weights)
+            if total == total:  # else a NaN weight, which the distribution refuses
+                lowest = min(weights)
+                if lowest < 0:
+                    raise HypothesisError(f"{path}: negative weight {lowest!r}, cannot normalize")
+                if not 0 < total < math.inf:
+                    raise HypothesisError(f"{path}: weights sum to {total!r}, cannot normalize")
+                weights = [w / total for w in weights]
         return div.DiscreteDistribution(weights)
+    except OverflowError:  # float() of an integer, which only JSON gives
+        raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
     except ValueError as exc:
-        hint = "" if min(weights) < 0 else " (pass --normalize to rescale)"
+        # rescaling mends neither a negative weight nor a NaN
+        hint = " (pass --normalize to rescale)" if all(w >= 0 for w in weights) else ""
         raise HypothesisError(f"{path}: {exc}{hint}") from exc
 
 

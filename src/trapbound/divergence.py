@@ -15,10 +15,13 @@ the paper's bracket (``pointwise._gap_bracket``) bounds; with w = |q - p|:
       <=  D_f/2 - HH  <=
     (1/8) sum_x w [f'-(v) - f'+(u)].
 
-:func:`divergence_report` makes one pass over the support for all of them:
-each point's r = q/p and r_m are formed once and feed every sum, so a point
-costs two calls of f, one of the antiderivative and three of the slopes, two
-when f'+ and f'- are one function (the differentiable catalog generators).
+:func:`divergence_report` makes one pass over the support for all of them,
+compiled per generator on first use: each point's r = q/p and r_m are formed
+once and feed every sum.  A built-in generator is written once, as text in u:
+its callables are that text, and its pass has the text inline, with kl's log
+and hellinger's sqrt taken once at r and once at r_m.  The pass of a generator
+built from callables calls them: per point, f twice, the antiderivative once and
+the slopes three times, twice when f'+ and f'- are one function.
 
 Every generator brings its antiderivative F, and each inner term of HH is
 the point p^2/(q-p) (F(q/p) - F(1)).  HH is returned as an enclosure, but
@@ -30,7 +33,9 @@ term there.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .pointwise import Enclosure, _gap_bracket
@@ -45,10 +50,18 @@ class UndefinedDivergenceError(ValueError):
     """Zero-mass configuration without a declared limit slope."""
 
 
+def _weight_sum(w) -> float:
+    """``math.fsum`` of the weights: NaN where one is NaN, else inf where it raises (overflow, or inf - inf)."""
+    try:
+        return math.fsum(w)
+    except (OverflowError, ValueError):
+        return math.nan if any(x != x for x in w) else math.inf
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite probability vector: at least one float weight, none negative,
-    whose ``math.fsum`` (inf where it overflows) is within ``_WEIGHT_TOL`` of 1."""
+    """Finite probability vector: at least one float weight, none NaN or
+    negative, whose :func:`_weight_sum` is within ``_WEIGHT_TOL`` of 1."""
 
     weights: tuple
 
@@ -57,14 +70,12 @@ class DiscreteDistribution:
         object.__setattr__(self, "weights", w)
         if not w:
             raise ValueError("distribution needs at least one weight")
+        s = _weight_sum(w)
+        if s != s:
+            raise ValueError("weights must be numbers, got nan")
         lowest = min(w)
         if lowest < 0:
             raise ValueError(f"weights must be nonnegative, got {lowest}")
-        try:
-            s = math.fsum(w)
-        except OverflowError:
-            s = math.inf
-        # written so that a NaN sum fails too
         if not abs(s - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"weights sum to {s!r}, not 1")
 
@@ -88,6 +99,8 @@ class GeneratorFunction:
     antiderivative: Callable[[float], float]
     label: str = ""
     slope_at_infinity: Optional[float] = None
+    #: ({name: text in u}, hoisted functions): a built-in generator's text; a call where absent
+    _text = ({}, ())
 
     def __post_init__(self) -> None:
         if not callable(self.antiderivative):
@@ -95,6 +108,71 @@ class GeneratorFunction:
         v1 = self.fn(1.0)
         if abs(v1) > 1e-12:
             raise ValueError(f"generator {self.label!r} is not normalized: f(1) = {v1}")
+
+    @cached_property
+    def _pass(self):
+        """``_PASS`` with each call at r or r_m written as this generator's text
+        there (a hoisted function taken once at each, by name), compiled on first use."""
+        texts, hoisted = self._text
+
+        def inline(call):
+            text = texts.get(call[1], call[1] + "(u)")
+            for h in hoisted:
+                text = text.replace(f"{h}(u)", f"{h}_{call[2]}")
+            return f"({_U.sub(call[2], text)})"
+
+        source = _CALL.sub(inline, _PASS.format(hoist="".join(f"\n        {h}_r, {h}_rm = {h}(r), {h}(rm)" for h in hoisted)))
+        ns = dict(_TEXT_NAMES, fn=self.fn, dplus=self.dplus, dminus=self.dminus, F=self.antiderivative, g=self,
+                  shared=self.dplus is self.dminus, tol=_EQUAL_RATIO_TOL, _slope_at_infinity=_slope_at_infinity)
+        exec(compile(source, f"<divergence pass of {self.label!r}>", "exec"), ns)
+        return ns["pass_"]
+
+
+#: What a generator's text may name besides u and the builtins; u; a call of the template at r or r_m.
+_TEXT_NAMES = {"log": math.log, "sqrt": math.sqrt, "inf": math.inf}
+_U, _CALL = re.compile(r"\bu\b"), re.compile(r"\b(fn|dplus|dminus|F)\((rm|r)\)")
+
+#: The per-point pass of :func:`divergence_report`, in calls of the generator.
+_PASS = """\
+def pass_(pairs):
+    F1, d1p, d1m = F(1.0), dplus(1.0), dminus(1.0)
+    cs = lw = 0.0
+    # HH: the sum of the inner terms, and the limits of the points with p = 0 < q
+    hh = tail = 0.0
+    # sums of w f'+(r_m), w f'-(r_m), w f'+(u) and w f'-(v), w = |q - p|
+    sp = sm = su = sv = 0.0
+    for pi, qi in pairs:
+        if pi == 0.0:
+            if qi != 0.0:
+                s = _slope_at_infinity(g, qi)
+                half = 0.5 * qi
+                cs += qi * s
+                if half != 0.0:  # LW drops a q that halves to 0
+                    lw += half * s
+                tail += half * s
+                if s == inf:
+                    sv = inf  # v = q/p = inf, where f'-(v) is the slope
+            continue
+        r = qi / pi
+        rm = 0.5 * (pi + qi) / pi{hoist}
+        cs += pi * fn(r)
+        lw += pi * fn(rm)
+        d = qi - pi
+        w = abs(d)
+        if w > tol * pi:
+            hh += pi * pi / d * (F(r) - F1)
+        if rm != 1.0:  # else q = p, or too close for a float to split [1, q/p]
+            sp += w * dplus(rm)
+            if not shared:
+                sm += w * dminus(rm)
+            if r > 1.0:
+                su += w * d1p
+                sv += w * dminus(r)
+            else:
+                su += w * dplus(r)
+                sv += w * d1m
+    return cs, lw, hh + tail, sp, sp if shared else sm, su, sv  # one slope: sm's terms are sp's
+"""
 
 
 def _pairs(p: DiscreteDistribution, q: DiscreteDistribution):
@@ -106,10 +184,8 @@ def _pairs(p: DiscreteDistribution, q: DiscreteDistribution):
 def _slope_at_infinity(g: GeneratorFunction, qi: float) -> float:
     """The slope that a term with p = 0 < q = ``qi`` needs, or the error for its absence."""
     if g.slope_at_infinity is None:
-        raise UndefinedDivergenceError(
-            f"generator {g.label!r} declares no slope at infinity; "
-            f"term with p=0, q={qi} is undefined"
-        )
+        raise UndefinedDivergenceError(f"generator {g.label!r} declares no slope at infinity; "
+                                       f"term with p=0, q={qi} is undefined")
     return g.slope_at_infinity
 
 
@@ -144,48 +220,7 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
     which is the sum of the per-term brackets of the module docstring; a
     point whose midpoint r_m rounds to 1 adds nothing to it.
     """
-    fn, dplus, dminus, F = g.fn, g.dplus, g.dminus, g.antiderivative
-    shared = dplus is dminus
-    F1, d1p, d1m = F(1.0), dplus(1.0), dminus(1.0)
-    tol = _EQUAL_RATIO_TOL
-    cs = lw = 0.0
-    # HH: the sum of the inner terms, and the limits of the points with p = 0 < q
-    hh = tail = 0.0
-    # sums of w f'+(r_m), w f'-(r_m), w f'+(u) and w f'-(v), w = |q - p|
-    sp = sm = su = sv = 0.0
-    for pi, qi in _pairs(p, q):
-        if pi == 0.0:
-            if qi != 0.0:
-                s = _slope_at_infinity(g, qi)
-                half = 0.5 * qi
-                cs += qi * s
-                if half != 0.0:  # LW drops a q that halves to 0
-                    lw += half * s
-                tail += half * s
-                if s == math.inf:
-                    sv = math.inf  # v = q/p = inf, where f'-(v) is the slope
-            continue
-        r = qi / pi
-        rm = 0.5 * (pi + qi) / pi
-        cs += pi * fn(r)
-        lw += pi * fn(rm)
-        d = qi - pi
-        w = abs(d)
-        if w > tol * pi:
-            hh += pi * pi / d * (F(r) - F1)
-        if rm != 1.0:  # else q = p, or too close for a float to split [1, q/p]
-            sp += w * dplus(rm)
-            if not shared:
-                sm += w * dminus(rm)
-            if r > 1.0:
-                su += w * d1p
-                sv += w * dminus(r)
-            else:
-                su += w * dplus(r)
-                sv += w * d1m
-    if shared:
-        sm = sp  # the same terms in the same order
-    hh += tail
+    cs, lw, hh, sp, sm, su, sv = g._pass(_pairs(p, q))
     lo, hi = _gap_bracket(0.25, 0.25, sp, sm, su, sv)
     return DivergenceReport(cs, lw, Enclosure(hh, hh), Enclosure(lo, max(hi, lo)))
 
@@ -195,43 +230,28 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
 # ---------------------------------------------------------------------------
 
 
-def _smooth(fn, slope, antiderivative, label, slope_at_infinity) -> GeneratorFunction:
-    """A differentiable generator: one slope function serves as f'+ and f'-."""
-    return GeneratorFunction(fn, slope, slope, antiderivative, label, slope_at_infinity)
+def _from_text(label, slope_at_infinity, hoisted=(), **text) -> GeneratorFunction:
+    """A built-in generator, written once: fn, dplus, F and dminus (dplus where
+    absent) as expressions in u, which are its callables and its pass's text."""
+    ns = dict(_TEXT_NAMES)
+    fn, dp, anti = (eval(f"lambda u: {text[k]}", ns) for k in ("fn", "dplus", "F"))
+    dm = eval(f"lambda u: {text['dminus']}", ns) if "dminus" in text else dp
+    g = GeneratorFunction(fn, dp, dm, anti, label, slope_at_infinity)
+    object.__setattr__(g, "_text", ({"dminus": text["dplus"], **text}, hoisted))
+    return g
 
 
 #: The built-in generators by label, then the aliases chi2 and tv.
 _GENERATORS = {g.label: g for g in (
-    _smooth(
-        fn=lambda u: (u - 1.0) ** 2,
-        slope=lambda u: 2.0 * (u - 1.0),
-        antiderivative=lambda u: (u - 1.0) ** 3 / 3.0,
-        label="chi_squared",
-        slope_at_infinity=math.inf,
-    ),
-    _smooth(
-        fn=lambda u: u * math.log(u) if u > 0 else 0.0,
-        slope=lambda u: math.log(u) + 1.0,
-        antiderivative=lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u,
-        label="kl",
-        slope_at_infinity=math.inf,
-    ),
-    GeneratorFunction(
-        fn=lambda u: abs(u - 1.0),
-        dplus=lambda u: 1.0 if u >= 1.0 else -1.0,
-        dminus=lambda u: 1.0 if u > 1.0 else -1.0,
-        antiderivative=lambda u: 0.5 * (u - 1.0) * abs(u - 1.0),
-        label="total_variation",
-        slope_at_infinity=1.0,
-    ),
-    _smooth(
-        fn=lambda u: (math.sqrt(u) - 1.0) ** 2,
-        # the slope tends to -inf at 0, where q = 0 < p puts a term
-        slope=lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf,
-        antiderivative=lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u,
-        label="hellinger",
-        slope_at_infinity=1.0,
-    ),
+    _from_text("chi_squared", math.inf, fn="(u - 1.0) ** 2", dplus="2.0 * (u - 1.0)", F="(u - 1.0) ** 3 / 3.0"),
+    # log(0) raises at q = 0 < p, where F(0) did before the pass took log(r) first
+    _from_text("kl", math.inf, ("log",), fn="u * log(u) if u > 0 else 0.0", dplus="log(u) + 1.0",
+               F="0.5 * u * u * log(u) - 0.25 * u * u"),
+    _from_text("total_variation", 1.0, fn="abs(u - 1.0)", dplus="1.0 if u >= 1.0 else -1.0",
+               dminus="1.0 if u > 1.0 else -1.0", F="0.5 * (u - 1.0) * abs(u - 1.0)"),
+    # the slope tends to -inf at 0, where q = 0 < p puts a term
+    _from_text("hellinger", 1.0, ("sqrt",), fn="(sqrt(u) - 1.0) ** 2", dplus="1.0 - 1.0 / sqrt(u) if u > 0 else -inf",
+               F="0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u"),
 )}
 GENERATOR_NAMES = tuple(_GENERATORS)
 _GENERATORS.update(chi2=_GENERATORS["chi_squared"], tv=_GENERATORS["total_variation"])

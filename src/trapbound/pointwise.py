@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, NonConvexityError
 
+_INF, _NEG_INF = math.inf, -math.inf  # read by _gap_bracket without an attribute lookup
+
 
 @dataclass(frozen=True)
 class Enclosure:
@@ -78,8 +80,8 @@ def _gap_bracket(wl: float, wr: float, dpx: float, dmx: float, dpu: float, dmv: 
     lo = 0.5 * ((wl * dpx if wl else 0.0) - (wr * dmx if wr else 0.0))
     tl = wl * dmv if wl else 0.0
     tr = wr * dpu if wr else 0.0
-    hi = math.inf if (tl == math.inf or tr == -math.inf) else 0.5 * (tl - tr)
-    return (-math.inf if math.isnan(lo) else lo), hi
+    hi = _INF if (tl == _INF or tr == _NEG_INF) else 0.5 * (tl - tr)
+    return (_NEG_INF if lo != lo else lo), hi
 
 
 def _midpoint_bracket(h: float, dpm, dmm, dpu: float, dmv: float) -> tuple:

@@ -103,6 +103,16 @@ class TestLoadDistribution:
         with pytest.raises(HypothesisError):
             load_distribution(f, normalize=True)
 
+    @pytest.mark.parametrize("text", ["nan\n-0.5\n1.5\n", "-0.5\nnan\n1.5\n"], ids=["nan_first", "negative_first"])
+    def test_nan_is_refused_as_nan_wherever_it_stands(self, tmp_path, text):
+        # one message with and without --normalize, and no hint: rescaling mends no NaN
+        f = tmp_path / "w.csv"
+        f.write_text(text)
+        for normalize in (False, True):
+            with pytest.raises(HypothesisError) as exc:
+                load_distribution(f, normalize=normalize)
+            assert str(exc.value) == f"{f}: weights must be numbers, got nan"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DistributionLoadError):
             load_distribution(tmp_path / "absent.csv")
@@ -532,6 +542,9 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "--dist", str(bad))
         assert code == 1 and out == ""
         assert err == f"trapbound: error: {bad}: a JSON integer is outside the float range\n"
+        # the distribution converts the weights, once, with --normalize too
+        code, out, err2 = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
+        assert (code, out, err2) == (1, "", err)
 
     @pytest.mark.parametrize("name, text", [
         ("zeros.csv", "0\n0\n0\n"),

@@ -52,8 +52,12 @@ class TestDiscreteDistribution:
             DiscreteDistribution((0.5, 0.5 + 5e-9))
 
     def test_nan_weight_rejected(self):
-        for weights in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (1.0, math.nan)):
-            with pytest.raises(ValueError, match="^weights sum to nan, not 1$"):
+        # a NaN is refused as a NaN wherever it stands, before a negative weight,
+        # a sum past the float range, or -inf meeting inf
+        for weights in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (1.0, math.nan),
+                        (math.nan, -0.5, 1.5), (-0.5, math.nan, 1.5),
+                        (1e308, 1e308, math.nan), (math.inf, -math.inf, math.nan)):
+            with pytest.raises(ValueError, match="^weights must be numbers, got nan$"):
                 DiscreteDistribution(weights)
 
     def test_sum_past_float_range(self):
@@ -391,3 +395,44 @@ class TestSinglePass:
         divergence_report(wrapped, p, q)
         per_point = 2 if shared else 3
         assert counts == {"f": 2 * n, "F": n + 1, "slope": per_point * n + 2}
+
+
+def call_form(name):
+    """``generator_catalog(name)`` built afresh from hand-written lambdas of its
+    formulas, one slope function where the catalog has one: its pass calls them
+    where the catalog generator's pass has its text inline."""
+    fn, dplus, dminus, anti = {
+        "chi_squared": (lambda u: (u - 1.0) ** 2, lambda u: 2.0 * (u - 1.0), None,
+                        lambda u: (u - 1.0) ** 3 / 3.0),
+        "kl": (lambda u: u * math.log(u) if u > 0 else 0.0, lambda u: math.log(u) + 1.0, None,
+               lambda u: 0.5 * u * u * math.log(u) - 0.25 * u * u),
+        "total_variation": (lambda u: abs(u - 1.0), lambda u: 1.0 if u >= 1.0 else -1.0,
+                            lambda u: 1.0 if u > 1.0 else -1.0, lambda u: 0.5 * (u - 1.0) * abs(u - 1.0)),
+        "hellinger": (lambda u: (math.sqrt(u) - 1.0) ** 2,
+                      lambda u: 1.0 - 1.0 / math.sqrt(u) if u > 0 else -math.inf, None,
+                      lambda u: 0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u),
+    }[name]
+    g = generator_catalog(name)
+    return GeneratorFunction(fn, dplus, dminus or dplus, anti, g.label, g.slope_at_infinity)
+
+
+class TestGeneratedPass:
+    """Each generator's pass is one template: a catalog generator's text inline,
+    a generator built from callables with calls of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_mass_pairs())
+    def test_call_form_matches_inline_text(self, pair):
+        p, q = pair
+        for name in GENERATOR_NAMES:
+            g, built = generator_catalog(name), call_form(name)
+            assert (built.dplus is built.dminus) == (g.dplus is g.dminus)
+            assert _bits(lambda: divergence_report(built, p, q)) == _bits(lambda: divergence_report(g, p, q)), name
+
+    def test_kl_q_zero_raises_in_both_forms(self):
+        # the inline pass takes log(q/p) once, first: at q = 0 < p it raises
+        # what F(0) = 0.5 * 0 * 0 * log(0) raises in the pass that calls F
+        p, q = DiscreteDistribution((0.5, 0.25, 0.25)), DiscreteDistribution((0.5, 0.5, 0.0))
+        for g in (generator_catalog("kl"), call_form("kl")):
+            with pytest.raises(ValueError, match="^math domain error$"):
+                divergence_report(g, p, q)

@@ -126,6 +126,24 @@ def test_unknown_attribute_raises_and_submodules_still_import():
     assert loaded(code) == qualified("funcs", "pointwise", "divergence")
 
 
+def test_divergence_import_compiles_no_pass():
+    # each generator's per-point pass is compiled when first used, then kept;
+    # imports and dataclasses compile too, under other names
+    code = (
+        "import builtins\ncompiled = []\nreal = builtins.compile\n"
+        "def spy(src, name, *args, **kwargs):\n"
+        "    if str(name).startswith('<divergence pass'):\n        compiled.append(name)\n"
+        "    return real(src, name, *args, **kwargs)\n"
+        "builtins.compile = spy\n"
+        "from trapbound import divergence as d\n"
+        "assert compiled == [], compiled\n"
+        "p, q = d.DiscreteDistribution((0.5, 0.5)), d.DiscreteDistribution((0.25, 0.75))\n"
+        "for name in ('kl', 'kl', 'tv'):\n    d.divergence_report(d.generator_catalog(name), p, q)\n"
+        "assert compiled == [\"<divergence pass of 'kl'>\", \"<divergence pass of 'total_variation'>\"], compiled"
+    )
+    assert loaded(code) == qualified("funcs", "pointwise", "divergence")
+
+
 def test_exports_resolve_in_this_process():
     # the checks above in fresh interpreters, here in the test process itself
     for name in trapbound.__all__:
