@@ -69,9 +69,10 @@ def load_distribution(path, normalize: bool = False):
     array of numbers, where the file's first non-blank character is ``[``,
     else from CSV (one weight per line).
 
-    The distribution checks the weights; a refusal is a
-    :class:`HypothesisError`.  ``normalize`` divides them by their sum first,
-    and refuses a negative weight or a sum that is 0 or not finite.
+    The distribution checks the weights, after
+    :meth:`~trapbound.divergence.DiscreteDistribution.normalized` divides
+    them by their sum where ``normalize``; a refusal is a
+    :class:`HypothesisError`, hinting at ``--normalize`` where it could help.
     """
     from . import divergence as div
 
@@ -113,22 +114,12 @@ def load_distribution(path, normalize: bool = False):
     if not weights:
         raise DistributionLoadError(f"{path}: no weights found")
     try:
-        if normalize:
-            weights = tuple(map(float, weights))
-            total = div._weight_sum(weights)
-            if total == total:  # else a NaN weight, which the distribution refuses
-                lowest = min(weights)
-                if lowest < 0:
-                    raise HypothesisError(f"{path}: negative weight {lowest!r}, cannot normalize")
-                if not 0 < total < math.inf:
-                    raise HypothesisError(f"{path}: weights sum to {total!r}, cannot normalize")
-                weights = [w / total for w in weights]
-        return div.DiscreteDistribution(weights)
+        return (div.DiscreteDistribution.normalized if normalize else div.DiscreteDistribution)(weights)
     except OverflowError:  # float() of an integer, which only JSON gives
         raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
     except ValueError as exc:
-        # rescaling mends neither a negative weight nor a NaN
-        hint = " (pass --normalize to rescale)" if all(w >= 0 for w in weights) else ""
+        # no hint where rescaling cannot mend the weights (a negative one, a NaN) or has been tried
+        hint = "" if normalize or not all(w >= 0 for w in weights) else " (pass --normalize to rescale)"
         raise HypothesisError(f"{path}: {exc}{hint}") from exc
 
 
@@ -162,19 +153,11 @@ def _render(report: dict, output_format: str) -> str:
     return "\n".join(lines)
 
 
-def _interval(args) -> Interval:
-    """``--interval``, refused where its width b - a overflows: no bound over it is finite."""
-    iv = Interval(*args.interval)
-    if math.isinf(iv.width):
-        raise UsageError(f"--interval [{iv.a}, {iv.b}]: its width b - a overflows to inf")
-    return iv
-
-
 def _function(args) -> tuple:
     """Parse ``--fn`` on ``--interval`` and check its convexity: ``(f, report)``."""
     from . import expr
 
-    iv = _interval(args)
+    iv = Interval(*args.interval)
     try:
         f = expr.to_convex_function(args.fn, iv)
     except expr.ParseError as exc:
@@ -247,7 +230,7 @@ def _density(args) -> tuple:
     """Parse ``--density`` on ``--interval`` and validate it: ``(d, report)``."""
     from . import expr, probability
 
-    iv = _interval(args)
+    iv = Interval(*args.interval)
     try:
         pdf = expr.to_function(args.density)
     except expr.ParseError as exc:

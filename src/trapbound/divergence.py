@@ -60,8 +60,8 @@ def _weight_sum(w) -> float:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite probability vector: at least one float weight, none NaN or
-    negative, whose :func:`_weight_sum` is within ``_WEIGHT_TOL`` of 1."""
+    """Finite probability vector: at least one float weight, none NaN or negative,
+    whose :func:`_weight_sum` is within ``_WEIGHT_TOL`` of 1 (:meth:`normalized` rescales)."""
 
     weights: tuple
 
@@ -78,6 +78,14 @@ class DiscreteDistribution:
             raise ValueError(f"weights must be nonnegative, got {lowest}")
         if not abs(s - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"weights sum to {s!r}, not 1")
+
+    @classmethod
+    def normalized(cls, weights) -> "DiscreteDistribution":
+        """Of ``weights`` over their :func:`_weight_sum` where none is negative and the
+        sum is positive and finite, else as they are, for the constructor to refuse."""
+        w = tuple(map(float, weights))
+        s = _weight_sum(w)
+        return cls(tuple(x / s for x in w) if 0 < s < math.inf and min(w) >= 0 else w)
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -45,7 +45,8 @@ def _midpoint(u: float, v: float) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed bounded interval [a, b] with a < b."""
+    """Closed bounded interval [a, b] with finite a < b and a finite width b - a, as
+    no bound over a wider one is finite; :meth:`split` checks a split point."""
 
     a: float
     b: float
@@ -55,6 +56,8 @@ class Interval:
             raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if math.isinf(self.b - self.a):
+            raise DomainError(f"interval width b - a overflows to inf, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:
@@ -66,6 +69,12 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.a <= x <= self.b
+
+    def split(self, x: float) -> float:
+        """``x``, raising :class:`DomainError` unless it lies in [a, b]."""
+        if not self.a <= x <= self.b:
+            raise DomainError(f"split point must lie in [{self.a}, {self.b}], got {x}")
+        return x
 
 
 @dataclass(frozen=True)

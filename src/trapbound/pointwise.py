@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .funcs import DEFAULT_TOL, ConvexFunction, DomainError, NonConvexityError
+from .funcs import DEFAULT_TOL, ConvexFunction, NonConvexityError
 
 _INF, _NEG_INF = math.inf, -math.inf  # read by _gap_bracket without an attribute lookup
 
@@ -152,10 +152,7 @@ def gap_enclosure(f: ConvexFunction, x: float) -> Enclosure:
     an infinite endpoint slope makes a side infinite (trivially true).  It
     is ``quadrature.remainder_enclosure`` of the one cell [a, b] at xi = x.
     """
-    a, b = f.domain.a, f.domain.b
-    if not f.domain.contains(x):
-        raise DomainError(f"split point {x} outside [{a}, {b}]")
-    return Enclosure(*_cells_bracket(f, ((a, b, x),)))
+    return Enclosure(*_cells_bracket(f, ((f.domain.a, f.domain.b, f.domain.split(x)),)))
 
 
 def hh_bounds(f: ConvexFunction) -> Enclosure:

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .funcs import DomainError, Interval
+from .funcs import Interval
 from .pointwise import Enclosure, _gap_bracket
 
 #: The mass walk of :func:`validate_density`: its cell counts, the share of
@@ -99,13 +99,6 @@ def _up(v: float) -> float:
     return math.nextafter(v, math.inf)
 
 
-def _split(d: MonotoneDensity, x: float) -> float:
-    """``x``, raising :class:`DomainError` unless it lies in [a, b]."""
-    if not d.domain.a <= x <= d.domain.b:
-        raise DomainError(f"split point must lie in [{d.domain.a}, {d.domain.b}], got {x}")
-    return x
-
-
 def _interleave(*parts) -> list:
     """The items of ``parts`` in turn: p0[0], p1[0], ..., p0[1], p1[1], ..."""
     out = [0.0] * sum(map(len, parts))
@@ -128,7 +121,7 @@ def validate_density(d: MonotoneDensity, x: Optional[float] = None) -> DensityRe
     is negative or below the one before by over ``_SAMPLE_SLACK`` max(1, max|f|).
     """
     a, b = d.domain.a, d.domain.b
-    x = d.domain.midpoint if x is None else _split(d, x)
+    x = d.domain.midpoint if x is None else d.domain.split(x)
     left, right = d.left_limit, d.right_limit
     # ys: the reads in the order of the points xs, f(x_i) for a continuous density, else
     # f(x_0+), f(x_i-) and f(x_i+) at inner points, f(x_n-); cell i reads ys[s i], ys[s i + 1]
@@ -204,7 +197,7 @@ def expectation_enclosure(d: MonotoneDensity, x: float, mass: Optional[tuple] = 
     rounding allowance.  ``Enclosure`` refuses a NaN side or lo > hi, which
     an inverted ``mass`` bracket can give."""
     a, b = d.domain.a, d.domain.b
-    x = _split(d, x)
+    x = d.domain.split(x)
     mass = validate_density(d, x).normalization if mass is None else mass
     fa, fb = d.right_limit(a), d.left_limit(b)
     dpx = d.right_limit(x) if a < x < b else fa

@@ -16,6 +16,7 @@ from trapbound.cli import (
     load_distribution,
     main,
 )
+from trapbound.divergence import DiscreteDistribution
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,7 @@ class TestLoadDistribution:
         assert abs(total - 1.0) <= 1e-9
         assert load_distribution(f).weights == raw
         assert load_distribution(f, normalize=True).weights == tuple(w / total for w in raw)
+        assert load_distribution(f, normalize=True) == DiscreteDistribution.normalized(raw)
 
 
 class TestIntegrate:
@@ -228,21 +230,27 @@ class TestGapAndHH:
         # the defect 1/2 - integral lies in the paper's bracket
         assert rep["lower"] <= 0.5 - integral["hi"] <= 0.5 - integral["lo"] <= rep["upper"]
 
-    @pytest.mark.parametrize("argv, converged", [
-        (["hh", "--fn", "x^2", "--interval", "0", "1"], True),
-        # a cell's width squared overflows: its bracket and integral.lo are infinite, after 2 cells
-        (["gap", "--fn", "exp(-x)", "--interval", "0", "1e160", "--x", "5e159"], False),
+    @pytest.mark.parametrize("argv, value, converged", [
+        (["hh", "--fn", "x^2", "--interval", "0", "1"], Fraction(1, 3), True),
+        # the integral is 1 - exp(-1e160); the run stops unconverged today (ROADMAP item 2, in
+        # tests/test_known_defects.py), and what is asserted here holds for any correct answer
+        (["gap", "--fn", "exp(-x)", "--interval", "0", "1e160", "--x", "5e159"], 1, None),
     ], ids=["hh", "gap"])
-    def test_integral_says_whether_it_converged(self, capsys, argv, converged):
+    def test_integral_says_whether_it_converged(self, capsys, argv, value, converged):
         integral = run_json(capsys, *argv)["integral"]
-        assert integral["converged"] is converged
-        if not converged:
-            assert integral["lo"] == "-inf"
+        lo, hi = float(integral["lo"]), float(integral["hi"])  # inf is printed as a string
+        assert lo <= value <= hi
+        assert integral["converged"] is (hi - lo <= 1e-10)
+        if converged is not None:
+            assert integral["converged"] is converged
 
     def test_gap_outside_domain(self, capsys):
+        # Interval.split's one message, for gap and expectation alike
         code, _, err = run_cli(capsys, "gap", "--fn", "x^2",
                                "--interval", "0", "1", "--x", "2")
-        assert code == 1
+        assert (code, err) == (1, "trapbound: error: split point must lie in [0.0, 1.0], got 2.0\n")
+        code, _, err2 = run_cli(capsys, "expectation", "--density", "2*x", "--interval", "0", "1", "--x", "2")
+        assert (code, err2) == (1, err)
 
     @pytest.mark.parametrize("argv", [["hh"], ["gap", "--x", "0.5"]], ids=["hh", "gap"])
     def test_inverted_bracket_is_a_hypothesis_failure(self, capsys, argv):
@@ -531,10 +539,10 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "--dist", str(bad))
         assert code == 2 and out == ""
         assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1 (pass --normalize to rescale)\n"
-        # nor is there a float sum to divide by
+        # nor is there a float sum to divide by: the distribution's own message, without the hint
         code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
         assert code == 2 and out == ""
-        assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, cannot normalize\n"
+        assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1\n"
 
     def test_integer_past_float_range_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "w.json"
@@ -566,14 +574,13 @@ class TestCheck:
         # dividing by the negative sum would flip the signs into a valid file
         bad = tmp_path / name
         bad.write_text(text)
+        message = f"trapbound: hypothesis failure: {bad}: weights must be nonnegative, got -0.5\n"
         code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
-        assert code == 2 and out == ""
-        assert "negative weight" in err
+        assert (code, out, err) == (2, "", message)
         p, _ = dist_files
         code, out, err = run_cli(capsys, "divergence", "--generator", "kl",
                                  "--p", p, "--q", str(bad), "--normalize")
-        assert code == 2 and out == ""
-        assert "negative weight" in err
+        assert (code, out, err) == (2, "", message)
 
 
 class TestNegativeNumbers:
@@ -659,10 +666,10 @@ class TestExitCodes:
     ])
     def test_interval_whose_width_overflows_refused(self, capsys, argv):
         # b - a = 3.4e308 is not a float: the mass bracket was [nan, nan] and
-        # the integrator read f at a NaN point
+        # the integrator read f at a NaN point; Interval refuses it
         code, _, err = run_cli(capsys, *argv, "--interval", "-1.7e308", "1.7e308")
         assert code == 1, err
-        assert "--interval [-1.7e+308, 1.7e+308]: its width b - a overflows to inf" in err
+        assert err == "trapbound: error: interval width b - a overflows to inf, got [-1.7e+308, 1.7e+308]\n"
 
     @pytest.mark.parametrize("command", ["integrate", "check"])
     def test_infinite_exponent_refused(self, capsys, command):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from divergence_oracles import CLOSED_FORMS, chi_squared, reference_report
@@ -64,6 +65,30 @@ class TestDiscreteDistribution:
         # math.fsum raises on the partial sum 2e308; the weights sum to inf, not 1
         with pytest.raises(ValueError, match="^weights sum to inf, not 1$"):
             DiscreteDistribution((1e308, 1e308))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(0.0, 1e6) | st.integers(0, 10 ** 6), min_size=1, max_size=12))
+    def test_normalized_divides_by_the_correctly_rounded_sum(self, weights):
+        # bit for bit what --normalize gave when the command line divided: each weight over fsum
+        total = float(sum(map(Fraction, weights)))
+        if total == 0:
+            with pytest.raises(ValueError, match=r"^weights sum to 0\.0, not 1$"):
+                DiscreteDistribution.normalized(weights)
+        else:
+            got = DiscreteDistribution.normalized(weights).weights
+            assert list(map(float.hex, got)) == [(w / total).hex() for w in map(float, weights)]
+
+    @pytest.mark.parametrize("weights", [(-0.5, -0.5), (1.5, -0.5), (0.0, 0.0), (1e308, 1e308),
+                                         (math.inf, 1.0), (0.5, math.nan), (math.nan, -0.5)],
+                             ids=["negative", "negative_in_sum_1", "zero_sum", "inf_sum", "inf_weight", "nan",
+                                  "nan_and_negative"])
+    def test_normalized_refuses_as_the_constructor(self, weights):
+        # the weights pass on unchanged, and the constructor gives its own message
+        with pytest.raises(ValueError) as plain:
+            DiscreteDistribution(weights)
+        with pytest.raises(ValueError) as normalized:
+            DiscreteDistribution.normalized(weights)
+        assert str(normalized.value) == str(plain.value)
 
     def test_weights_alone(self):
         # no second argument can skip the sum: the weights are always checked

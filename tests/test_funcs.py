@@ -24,6 +24,10 @@ def test_interval_validation():
         Interval(2.0, 1.0)
     with pytest.raises(DomainError):
         Interval(0.0, math.inf)
+    # no bound over a width past the float range is finite
+    with pytest.raises(DomainError, match=r"^interval width b - a overflows to inf, got \[-1e\+308, 1e\+308\]$"):
+        Interval(-1e308, 1e308)
+    assert Interval(-1e308, 7e307).width == 1.7e308
     iv = Interval(0.0, 2.0)
     assert iv.width == 2.0
     assert iv.midpoint == 1.0

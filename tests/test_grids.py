@@ -475,14 +475,12 @@ class TestMassBracket:
         x = data.draw(st.sampled_from([None, iv.a, iv.b, *breaks]))
         assert_identical(_mass_bracket(d, x), grid_oracles.mass_bracket(d, x))
 
-    @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-1e308, 1e308),
+    @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(-1.0, 1.0),
                                     Interval(-0.0, 1.0), Interval(1.0, math.nextafter(1.0, 2.0)),
                                     Interval(0.0, 7 * 2.0 ** -1074)],
-                             ids=["unit", "symmetric", "overflowing width", "negative zero", "adjacent",
-                                  "subnormal width"])
+                             ids=["unit", "symmetric", "negative zero", "adjacent", "subnormal width"])
     def test_edge_intervals(self, iv):
-        # a width that overflows makes every inner point inf; a subnormal one
-        # rounds (b - a)(i/n) at every grid size, alike for the same i/n
+        # a subnormal width rounds (b - a)(i/n) at every grid size, alike for the same i/n
         for pdf in (lambda t: 2.0 + t / 4.0, lambda t: math.inf if t >= iv.b else 0.5):
             new, old = Counter(pdf), Counter(pdf)
             assert_identical(_mass_bracket(continuous_density(iv, new)),

@@ -9,6 +9,7 @@ from catalog_oracles import DEFAULT_SPECS, corpus_integral, exact_integral, refe
 from trapbound.expr import to_convex_function
 from trapbound.funcs import ConvexFunction, DomainError, Interval, catalog
 from trapbound.pointwise import Enclosure, _reference_integral, gap_enclosure, hh_bounds
+from trapbound.probability import continuous_density, expectation_enclosure, validate_density
 from trapbound.quadrature import Partition, remainder_enclosure, uniform_partition
 
 KINK = catalog("kink", (1.0, 0.5))
@@ -122,8 +123,12 @@ class TestGap:
         assert enc.lo <= 3.5 <= enc.hi
 
     def test_split_point_outside_domain(self):
-        with pytest.raises(DomainError, match=r"split point 1.5 outside \[0.0, 1.0\]"):
-            gap_enclosure(QUAD, 1.5)
+        # Interval.split's one message, for the gap and the density's two readers alike
+        d = continuous_density(QUAD.domain, lambda t: 1.0)
+        for call in (lambda: gap_enclosure(QUAD, 1.5), lambda: validate_density(d, 1.5),
+                     lambda: expectation_enclosure(d, 1.5)):
+            with pytest.raises(DomainError, match=r"^split point must lie in \[0\.0, 1\.0\], got 1\.5$"):
+                call()
 
     def test_weights_of_a_wide_cell_overflow_to_an_enclosure(self):
         # (v - x) ** 2 raised OverflowError on a cell 1e160 wide; the gap of
