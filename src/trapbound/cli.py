@@ -72,7 +72,8 @@ def load_distribution(path, normalize: bool = False):
     The distribution checks the weights, after
     :meth:`~trapbound.divergence.DiscreteDistribution.normalized` divides
     them by their sum where ``normalize``; a refusal is a
-    :class:`HypothesisError`, hinting at ``--normalize`` where it could help.
+    :class:`HypothesisError`, hinting at ``--normalize`` where the rescaled
+    weights would be accepted.
     """
     from . import divergence as div
 
@@ -118,8 +119,14 @@ def load_distribution(path, normalize: bool = False):
     except OverflowError:  # float() of an integer, which only JSON gives
         raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
     except ValueError as exc:
-        # no hint where rescaling cannot mend the weights (a negative one, a NaN) or has been tried
-        hint = "" if normalize or not all(w >= 0 for w in weights) else " (pass --normalize to rescale)"
+        # the hint only where the distribution would take the rescaled weights, and not once tried
+        hint = ""
+        if not normalize:
+            try:
+                div.DiscreteDistribution.normalized(weights)
+                hint = " (pass --normalize to rescale)"
+            except ValueError:
+                pass
         raise HypothesisError(f"{path}: {exc}{hint}") from exc
 
 

@@ -107,8 +107,8 @@ class GeneratorFunction:
     antiderivative: Callable[[float], float]
     label: str = ""
     slope_at_infinity: Optional[float] = None
-    #: ({name: text in u}, hoisted functions): a built-in generator's text; a call where absent
-    _text = ({}, ())
+    #: {name: text in u}: a built-in generator's text; a call where absent
+    _text = {}
 
     def __post_init__(self) -> None:
         if not callable(self.antiderivative):
@@ -120,8 +120,10 @@ class GeneratorFunction:
     @cached_property
     def _pass(self):
         """``_PASS`` with each call at r or r_m written as this generator's text
-        there (a hoisted function taken once at each, by name), compiled on first use."""
-        texts, hoisted = self._text
+        there, compiled on first use; each name of ``_TEXT_NAMES`` that a
+        text calls at u is taken once at r and once at r_m, by name."""
+        texts = self._text
+        hoisted = [h for h in _TEXT_NAMES if any(f"{h}(u)" in t for t in texts.values())]
 
         def inline(call):
             text = texts.get(call[1], call[1] + "(u)")
@@ -238,14 +240,14 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
 # ---------------------------------------------------------------------------
 
 
-def _from_text(label, slope_at_infinity, hoisted=(), **text) -> GeneratorFunction:
+def _from_text(label, slope_at_infinity, **text) -> GeneratorFunction:
     """A built-in generator, written once: fn, dplus, F and dminus (dplus where
     absent) as expressions in u, which are its callables and its pass's text."""
     ns = dict(_TEXT_NAMES)
     fn, dp, anti = (eval(f"lambda u: {text[k]}", ns) for k in ("fn", "dplus", "F"))
     dm = eval(f"lambda u: {text['dminus']}", ns) if "dminus" in text else dp
     g = GeneratorFunction(fn, dp, dm, anti, label, slope_at_infinity)
-    object.__setattr__(g, "_text", ({"dminus": text["dplus"], **text}, hoisted))
+    object.__setattr__(g, "_text", {"dminus": text["dplus"], **text})
     return g
 
 
@@ -253,12 +255,12 @@ def _from_text(label, slope_at_infinity, hoisted=(), **text) -> GeneratorFunctio
 _GENERATORS = {g.label: g for g in (
     _from_text("chi_squared", math.inf, fn="(u - 1.0) ** 2", dplus="2.0 * (u - 1.0)", F="(u - 1.0) ** 3 / 3.0"),
     # log(0) raises at q = 0 < p, where F(0) did before the pass took log(r) first
-    _from_text("kl", math.inf, ("log",), fn="u * log(u) if u > 0 else 0.0", dplus="log(u) + 1.0",
+    _from_text("kl", math.inf, fn="u * log(u) if u > 0 else 0.0", dplus="log(u) + 1.0",
                F="0.5 * u * u * log(u) - 0.25 * u * u"),
     _from_text("total_variation", 1.0, fn="abs(u - 1.0)", dplus="1.0 if u >= 1.0 else -1.0",
                dminus="1.0 if u > 1.0 else -1.0", F="0.5 * (u - 1.0) * abs(u - 1.0)"),
     # the slope tends to -inf at 0, where q = 0 < p puts a term
-    _from_text("hellinger", 1.0, ("sqrt",), fn="(sqrt(u) - 1.0) ** 2", dplus="1.0 - 1.0 / sqrt(u) if u > 0 else -inf",
+    _from_text("hellinger", 1.0, fn="(sqrt(u) - 1.0) ** 2", dplus="1.0 - 1.0 / sqrt(u) if u > 0 else -inf",
                F="0.5 * u * u - (4.0 / 3.0) * u ** 1.5 + u"),
 )}
 GENERATOR_NAMES = tuple(_GENERATORS)

@@ -166,6 +166,19 @@ class TestIntegrate:
         rep = run_json(capsys, "integrate", "--fn", "x*log(x)", "--interval", "0.5", "2", "--eps", "1e-13")
         assert rep["converged"] and rep["width"] <= 1e-13
 
+    @pytest.mark.parametrize("fn, a, b, eps, cells, exact", [
+        ("exp(x)", "0", "1", "1e-8", 8, math.e - 1.0),
+        # the f''' and f'''' ranges make eps 1e-14 reachable within the default cell budget
+        ("exp(x)", "0", "1", "1e-14", 142, math.e - 1.0),
+        ("x*log(x)", "0.5", "2", "1e-10", 59, 2.125 * math.log(2.0) - 0.9375),
+    ], ids=["exp-1e-8", "exp-1e-14", "xlogx-1e-10"])
+    def test_expression_cells_and_width(self, capsys, fn, a, b, eps, cells, exact):
+        # converged means the reported width, rounding allowance included, is <= eps
+        rep = run_json(capsys, "integrate", "--fn", fn, "--interval", a, b, "--eps", eps)
+        assert (rep["cells"], rep["converged"]) == (cells, True)
+        assert rep["width"] <= float(eps)
+        assert rep["integral"]["lo"] <= exact <= rep["integral"]["hi"]
+
     def test_fixed_partition(self, capsys):
         rep = run_json(capsys, "integrate", "--fn", "exp(x)",
                        "--interval", "0", "1", "--n", "4")
@@ -185,6 +198,17 @@ class TestIntegrate:
                        "--n", "10001", "--max-cells", "10001")
         assert rep["cells"] == 10001
         assert rep["integral"]["lo"] <= 1 / 3.5 <= rep["integral"]["hi"]
+
+    @pytest.mark.parametrize("partition", [(), ("--n", "5", "--xi-rule", "midpoint"), ("--n", "5", "--xi-rule", "left"),
+                                           ("--n", "5", "--xi-rule", "right")],
+                             ids=["adaptive", "midpoint", "left", "right"])
+    def test_kink_keeps_two_slope_oracles(self, capsys, partition):
+        # the two slopes of abs(x - c) are read apart at each point; the integral is c^2/2 + (1 - c)^2/2 + 1/3
+        rep = run_json(capsys, "integrate", "--fn", "abs(x - 0.3) + x^2", "--interval", "0", "1", *partition)
+        assert rep["certified"] and (not partition or rep["cells"] == 5)
+        c = Fraction(0.3)
+        exact = c ** 2 / 2 + (1 - c) ** 2 / 2 + Fraction(1, 3)
+        assert Fraction(rep["integral"]["lo"]) <= exact <= Fraction(rep["integral"]["hi"])
 
     def test_nonconvex_rejected(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--fn=-(x^2)",
@@ -339,6 +363,10 @@ class TestExpectation:
                                "--interval", "0", "1")
         assert code == 2
         assert "monotone" in err
+        # check reads the same verdict
+        code, out, err = run_cli(capsys, "check", "--density", "2 - 2*x", "--interval", "0", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err[err.index("{"):])["density"]["nondecreasing"] is False
 
     def test_slightly_decreasing_density_rejected(self, capsys):
         # each read falls by less than the sample slack, but the mass bracket
@@ -402,12 +430,43 @@ class TestDivergence:
         bad.write_text("0.45\n0.45\n")
         code, _, err = run_cli(capsys, "divergence", "--generator", "kl",
                                "--p", str(bad), "--q", q)
-        assert code == 2
+        # the distribution refuses the sum with the CLI's hint, and --normalize rescales it
+        assert (code, err) == (2, f"trapbound: hypothesis failure: {bad}: weights sum to 0.9, not 1 (pass --normalize to rescale)\n")
         code, out, _ = run_cli(capsys, "divergence", "--generator", "kl",
                                "--p", str(bad), "--q", q, "--normalize")
         assert code == 0
         assert json.loads(out)["sandwich_holds"]
 
+
+    @pytest.mark.parametrize("generator, p, q", [
+        ("hellinger", "0.2\n0.3\n0.5\n", "[0.5, 0.25, 0.25]\n"),
+        *((g, "0.1\n0.2\n0.3\n0.4\n", "[0.25, 0.25, 0.3, 0.2]\n") for g in ("chi2", "kl", "hellinger", "tv")),
+    ], ids=["hellinger3", "chi2", "kl", "hellinger", "tv"])
+    def test_format_is_read_from_the_content(self, capsys, tmp_path, generator, p, q):
+        # JSON where the first non-blank character is [, else CSV, whatever the suffix:
+        # the same report, in which the sandwich holds
+        files = {"p.csv": p, "q.json": q, "p.txt": p, "q.dat": " " + q}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        by_suffix, by_content = (run_cli(capsys, "divergence", "--generator", generator,
+                                         "--p", str(tmp_path / a), "--q", str(tmp_path / b))
+                                 for a, b in (("p.csv", "q.json"), ("p.txt", "q.dat")))
+        assert by_suffix == by_content and by_suffix[0] == 0
+        rep = json.loads(by_suffix[1])
+        assert rep["sandwich_holds"] is True
+        if generator != "tv":
+            # HH is a point, not rounded outward, so D/2 - HH may leave the gap by
+            # rounding: tv's gap is [0, 0] here, and D/2 - HH comes out -3e-17
+            assert rep["gap"]["lo"] <= rep["half_csiszar"] - rep["hh"]["hi"] <= rep["gap"]["hi"]
+        assert run_json(capsys, "check", "--dist", str(tmp_path / "q.dat"))["passed"]
+
+    def test_kl_with_q_zero_exits_1(self, capsys, tmp_path):
+        # log(q/p) at q = 0 < p raises: known defect (d), in tests/test_known_defects.py
+        p, q = tmp_path / "p.csv", tmp_path / "q.json"
+        p.write_text("0.1\n0.2\n0.3\n0.4\n")
+        q.write_text("[0.5, 0.5, 0.0, 0.0]")
+        code, out, err = run_cli(capsys, "divergence", "--generator", "kl", "--p", str(p), "--q", str(q))
+        assert (code, out, err) == (1, "", "trapbound: error: math domain error\n")
 
     def test_hellinger_with_q_zero_has_infinite_gap_hi(self, tmp_path):
         # the hellinger slope tends to -inf at 0, so a point with q = 0 < p
@@ -536,13 +595,11 @@ class TestCheck:
         # math.fsum raises on the partial sum 2e308; the weights do not sum to 1
         bad = tmp_path / "w.json"
         bad.write_text("[1e308, 1e308]")
-        code, out, err = run_cli(capsys, "check", "--dist", str(bad))
-        assert code == 2 and out == ""
-        assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1 (pass --normalize to rescale)\n"
-        # nor is there a float sum to divide by: the distribution's own message, without the hint
-        code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
-        assert code == 2 and out == ""
-        assert err == f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1\n"
+        # nor is there a float sum to divide by: the distribution's own message, with no
+        # hint, as --normalize would be refused too
+        message = f"trapbound: hypothesis failure: {bad}: weights sum to inf, not 1\n"
+        assert run_cli(capsys, "check", "--dist", str(bad)) == (2, "", message)
+        assert run_cli(capsys, "check", "--dist", str(bad), "--normalize") == (2, "", message)
 
     def test_integer_past_float_range_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "w.json"
@@ -559,16 +616,20 @@ class TestCheck:
         ("zeros.json", "[0, 0.0, 0]"),
     ])
     def test_zero_sum_normalize_exits_2(self, capsys, tmp_path, name, text):
+        # there is no sum to divide by, so without --normalize it is not offered
         bad = tmp_path / name
         bad.write_text(text)
-        code, out, err = run_cli(capsys, "check", "--dist", str(bad), "--normalize")
-        assert code == 2 and out == ""
-        assert err.startswith("trapbound: hypothesis failure:")
-        assert "sum to 0" in err
+        for normalize in ((), ("--normalize",)):
+            code, out, err = run_cli(capsys, "check", "--dist", str(bad), *normalize)
+            assert code == 2 and out == ""
+            assert err.startswith("trapbound: hypothesis failure:")
+            assert "sum to 0" in err and "--normalize" not in err
 
     @pytest.mark.parametrize("name, text", [
         ("neg.csv", "-0.5\n-0.5\n"),
         ("neg.json", "[-0.5, -0.5]"),
+        # a sum of 1: --normalize leaves the weights for the distribution to refuse
+        ("mixed.csv", "-0.5\n1.5\n"),
     ])
     def test_negative_weights_normalize_exits_2(self, capsys, tmp_path, dist_files, name, text):
         # dividing by the negative sum would flip the signs into a valid file
@@ -649,6 +710,8 @@ class TestExitCodes:
         (["check", "--density", "2*x"], "--density requires --interval"),
         # not an array, so read as CSV
         (["check", "--dist", "{obj}"], "obj.json: line 1: not a number: '{\"p\": 1}'"),
+        # a name is letters, _ and decimal digits: x² is refused, not read as a variable
+        (["integrate", "--fn", "x²", "--interval", "0", "1"], "--fn: unexpected character '²' (position 2)"),
     ])
     def test_input_errors_exit_1(self, capsys, tmp_path, argv, fragment):
         (tmp_path / "bad.json").write_text("[0.5,\n 0.5 0.5]")

@@ -454,6 +454,14 @@ class TestGeneratedPass:
             assert (built.dplus is built.dminus) == (g.dplus is g.dminus)
             assert _bits(lambda: divergence_report(built, p, q)) == _bits(lambda: divergence_report(g, p, q)), name
 
+    @pytest.mark.parametrize("name, hoisted", [("kl", {"log_r", "log_rm"}), ("hellinger", {"sqrt_r", "sqrt_rm"}),
+                                               ("chi2", set()), ("tv", set())], ids=["kl", "hellinger", "chi2", "tv"])
+    def test_each_function_a_text_calls_is_hoisted(self, name, hoisted):
+        # log(u) and sqrt(u) are taken once at r and once at r_m, as locals of the
+        # pass, where the kl and hellinger texts call them; chi2 and tv call neither
+        names = set(generator_catalog(name)._pass.__code__.co_varnames)
+        assert names & {"log_r", "log_rm", "sqrt_r", "sqrt_rm"} == hoisted
+
     def test_kl_q_zero_raises_in_both_forms(self):
         # the inline pass takes log(q/p) once, first: at q = 0 < p it raises
         # what F(0) = 0.5 * 0 * 0 * log(0) raises in the pass that calls F

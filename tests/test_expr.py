@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapbound import cli
 from trapbound.expr import (
     _SCANNER,
     Binary,
@@ -636,6 +637,18 @@ class TestSharedCode:
             assert ranges[src] == [alone._d2range(u, v) for u, v in self.CELLS], src
         first, second = ranges.values()
         assert first != second  # each tree's constants reach its ranges
+
+    def test_report_equals_a_fresh_process(self, capsys, compiles):
+        # one interpreter prints for exp(2*x), run after exp(0.5*x), what an interpreter of its own prints
+        def report(fn):
+            assert cli.main(["integrate", "--fn", fn, "--interval", "0", "1", "--eps", "1e-8"]) == 0
+            return capsys.readouterr().out
+
+        report("exp(0.5*x)")
+        shared = report("exp(2*x)")
+        assert len(compiles) == 2  # f and its slopes, and the range, for both trees
+        _code.cache_clear()
+        assert report("exp(2*x)") == shared
 
     @pytest.mark.parametrize("pair", [
         # 0*x folds out of the slope, 2*x leaves 2 in it

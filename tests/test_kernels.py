@@ -246,6 +246,12 @@ def test_power_p_point_read_takes_one_power_per_order(monkeypatch, x):
     assert len(calls) == 8
 
 
+def test_power_p_range_at_zero():
+    # (p)_k t^(p-k) at t = 0: the f'' range starts at 0.0, and f''' is unbounded
+    rng = catalog("power_p", (2.5,))._d2range(0.0, 0.5)
+    assert rng[0] == 0.0 and rng[3] == math.inf
+
+
 # ---------------------------------------------------------------------------
 # No builtin min or max on the per-cell paths
 # ---------------------------------------------------------------------------

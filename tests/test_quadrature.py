@@ -503,6 +503,16 @@ class TestAdaptive:
         assert res.converged
         assert res.cells <= most
 
+    @pytest.mark.parametrize("name, params, domain, eps, cells", [
+        ("exp", (), Interval(0.0, 1.0), 1e-8, 2), ("exp", (), Interval(0.0, 1.0), 1e-12, 8),
+        ("neg_log", (), Interval(0.5, 2.0), 1e-12, 29), ("power_p", (2.5,), Interval(0.0, 1.0), 1e-10, 17),
+    ], ids=["exp-1e-8", "exp-1e-12", "neg_log-1e-12", "power_p2.5-1e-10"])
+    def test_euler_maclaurin_cells(self, name, params, domain, eps, cells):
+        # with f''' at the samples and an f^(6) range the cells grow like eps^-1/7
+        res = adaptive_integrate(catalog(name, params, domain), eps=eps)
+        assert (res.cells, res.converged) == (cells, True)
+        assert res.integral.lo <= exact_integral(name, params, domain.a, domain.b) <= res.integral.hi
+
     @pytest.mark.parametrize("f, truth", [
         (QUAD, 1.0 / 3.0), (catalog("linear", (2.0, -1.0)), 0.0), (catalog("constant", (5.0,)), 5.0),
         (catalog("power_p", (3.0,)), 0.25),
