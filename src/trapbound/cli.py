@@ -112,8 +112,6 @@ def load_distribution(path, normalize: bool = False):
             raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
         weights = data  # the distribution converts them to floats
 
-    if not weights:
-        raise DistributionLoadError(f"{path}: no weights found")
     try:
         return (div.DiscreteDistribution.normalized if normalize else div.DiscreteDistribution)(weights)
     except OverflowError:  # float() of an integer, which only JSON gives
@@ -290,9 +288,10 @@ def _cmd_divergence(args) -> dict:
 def _cmd_check(args) -> dict:
     report: dict = {"command": "check"}
     failed = False
+    for flag in ("fn", "density"):
+        if getattr(args, flag) is not None and args.interval is None:
+            raise UsageError(f"--{flag} requires --interval")
     if args.fn is not None:
-        if args.interval is None:
-            raise UsageError("--fn requires --interval")
         _, conv = _function(args)
         report["convexity"] = {
             "fn": args.fn,
@@ -302,8 +301,6 @@ def _cmd_check(args) -> dict:
         }
         failed = failed or not conv.passed
     if args.density is not None:
-        if args.interval is None:
-            raise UsageError("--density requires --interval")
         _, dens = _density(args)
         report["density"] = {
             "density": args.density,

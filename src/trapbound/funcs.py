@@ -24,6 +24,8 @@ from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 DEFAULT_TOL = 1e-9
 #: Grid size of :func:`check_convexity`.
 _CONVEXITY_GRIDPOINTS = 101
+#: What an oracle may raise at a point of its domain, reported as EvaluationError.
+_ORACLE_FAULTS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class DomainError(ValueError):
@@ -125,7 +127,7 @@ class ConvexFunction:
             raise DomainError(f"{x} outside domain [{self.domain.a}, {self.domain.b}] of {self.label!r}")
         try:
             return self.evaluate(x)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _ORACLE_FAULTS as exc:
             self._failed(x, exc)
 
     def _failed(self, x: float, exc: Exception) -> NoReturn:
@@ -186,7 +188,7 @@ def check_convexity(f: ConvexFunction) -> ConvexityReport:
                         witness = (last[0], last[1], t2)
                 last = (t1, t2, s23)
             t1, v1 = t2, v2
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _ORACLE_FAULTS as exc:
         f._failed(t2, exc)
     if worst == -math.inf:
         worst = 0.0  # no violation was a number above -inf
@@ -280,6 +282,8 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
     if not all(map(math.isfinite, params)):
         raise ValueError(f"{name} params must be finite, got {params}")
     iv = interval if interval is not None else Interval(0.0, 1.0)
+    if name in ("neg_log", "xlogx", "power_p") and iv.a < 0:
+        raise ValueError(f"{name} requires an interval with a >= 0")
 
     if name == "kink":
         k, c = params
@@ -315,8 +319,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
         )
 
     if name == "neg_log":
-        if iv.a < 0:
-            raise ValueError("neg_log requires an interval with a >= 0")
         return ConvexFunction(
             domain=iv,
             evaluate=lambda t: math.inf if t == 0 else -math.log(t),
@@ -326,8 +328,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
         )
 
     if name == "xlogx":
-        if iv.a < 0:
-            raise ValueError("xlogx requires an interval with a >= 0")
         return ConvexFunction(
             domain=iv,
             evaluate=lambda t: 0.0 if t == 0 else t * math.log(t),
@@ -340,8 +340,6 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
         (p,) = params
         if p < 1:
             raise ValueError(f"power_p requires p >= 1, got {p}")
-        if iv.a < 0:
-            raise ValueError("power_p requires an interval with a >= 0")
         # f^(k) = (p)_k t^(p-k), k = 2, 3, 4, 6, is (p)_k times the monotone power at the cell
         # ends, each magnitude rounded towards 0 at its lesser end and inf at its greater;
         # it is 0 where (p)_k is (p = 1, ..., k - 1) and (-inf, inf) where p - k rounds

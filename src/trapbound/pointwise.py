@@ -56,8 +56,8 @@ class Enclosure:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
+    def contains(self, value: float) -> bool:
+        return self.lo <= value <= self.hi
 
 
 def _gap_bracket(wl: float, wr: float, dpx: float, dmx: float, dpu: float, dmv: float) -> tuple:

@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .funcs import ConvexFunction, DomainError, Interval, _midpoint
+from .funcs import _ORACLE_FAULTS, ConvexFunction, DomainError, Interval, _midpoint
 from .pointwise import Enclosure, _cells_bracket, _midpoint_bracket, _ordered
 
 
@@ -144,7 +144,7 @@ def generalized_trapezoid(f: ConvexFunction, P: Partition) -> float:
         for u, v, x in P.cells():
             fu, fv = fv, ev(v)
             total += (x - u) * fu + (v - x) * fv
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _ORACLE_FAULTS as exc:
         f._failed(v, exc)
     return total
 

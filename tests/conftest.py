@@ -1,4 +1,5 @@
-import numpy as np
+import random
+
 import pytest
 from catalog_oracles import default_catalog
 from hypothesis import settings
@@ -10,7 +11,7 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20260823)
+    return random.Random(20260823)
 
 
 @pytest.fixture

@@ -625,6 +625,15 @@ class TestCheck:
             assert err.startswith("trapbound: hypothesis failure:")
             assert "sum to 0" in err and "--normalize" not in err
 
+    def test_empty_distribution_exits_2(self, capsys, tmp_path):
+        # the distribution refuses no weights; normalized(()) does too, so --normalize is not offered
+        for name, text in (("empty.csv", ""), ("blank.csv", "\n \n"), ("empty.json", "[]")):
+            bad = tmp_path / name
+            bad.write_text(text)
+            message = f"trapbound: hypothesis failure: {bad}: distribution needs at least one weight\n"
+            for normalize in ((), ("--normalize",)):
+                assert run_cli(capsys, "check", "--dist", str(bad), *normalize) == (2, "", message), name
+
     @pytest.mark.parametrize("name, text", [
         ("neg.csv", "-0.5\n-0.5\n"),
         ("neg.json", "[-0.5, -0.5]"),
@@ -702,8 +711,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, fragment", [
         (["integrate", "--fn", "exp(x)", "--interval", "0", "1", "--eps", "nan"], "eps must be positive, got nan"),
         (["check", "--dist", "{bad}"], "bad.json: line 2: Expecting ',' delimiter"),
-        (["check", "--dist", "{empty}"], "empty.csv: no weights found"),
-        (["check", "--dist", "{empty}", "--normalize"], "empty.csv: no weights found"),
+        # --interval is checked before any input is read, --fn's first
+        (["check", "--fn", "x +", "--density", "2*x"], "--fn requires --interval"),
+        (["check", "--density", "2*x", "--dist", "{bad}"], "--density requires --interval"),
         (["expectation", "--density", "2*", "--interval", "0", "1"], "--density: "),
         (["check", "--fn", "x +", "--interval", "0", "1"], "--fn: "),
         (["check", "--fn", "x^2"], "--fn requires --interval"),
@@ -715,9 +725,8 @@ class TestExitCodes:
     ])
     def test_input_errors_exit_1(self, capsys, tmp_path, argv, fragment):
         (tmp_path / "bad.json").write_text("[0.5,\n 0.5 0.5]")
-        (tmp_path / "empty.csv").write_text("\n\n")
         (tmp_path / "obj.json").write_text('{"p": 1}')
-        argv = [a.format(bad=tmp_path / "bad.json", empty=tmp_path / "empty.csv", obj=tmp_path / "obj.json") for a in argv]
+        argv = [a.format(bad=tmp_path / "bad.json", obj=tmp_path / "obj.json") for a in argv]
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and fragment in err and "Traceback" not in err
 

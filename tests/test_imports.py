@@ -1,8 +1,8 @@
 """Which trapbound modules each entry point loads.
 
 Every check runs in a fresh interpreter, so no module that another test
-imported counts; the child prints the sorted trapbound modules it holds as
-its last line of output.
+imported counts; the child prints the sorted modules it loaded past those of
+start-up as its last line of output.
 """
 
 import importlib
@@ -21,15 +21,21 @@ SRC = Path(trapbound.__file__).resolve().parent.parent
 EXPORT_HOMES = {"funcs", "pointwise", "quadrature"}
 
 
-def loaded(code: str) -> set:
-    """The trapbound modules loaded once ``code`` has run in a fresh interpreter."""
+def fresh_modules(code: str) -> set:
+    """The modules that running ``code`` in a fresh interpreter loads; site hooks
+    such as ``_distutils_hack`` load at start-up, before it, and do not count."""
     script = (
-        f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-        "print(__import__('json').dumps(sorted(m for m in sys.modules if m.startswith('trapbound'))))"
+        f"import sys\n_start = set(sys.modules)\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+        "_new = sorted(set(sys.modules) - _start)\nprint(__import__('json').dumps(_new))"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded(code: str) -> set:
+    """The trapbound modules loaded once ``code`` has run in a fresh interpreter."""
+    return {m for m in fresh_modules(code) if m.startswith("trapbound")}
 
 
 def qualified(*names) -> set:
@@ -50,6 +56,17 @@ def three_points(tmp_path):
     p.write_text("0.2\n0.3\n0.5\n")
     q.write_text("[0.5, 0.25, 0.25]\n")
     return str(p), str(q)
+
+
+def test_runtime_loads_only_the_standard_library():
+    # the runtime needs no third-party package; pytest and hypothesis are
+    # installed here, so a stray import of one would otherwise pass unseen
+    modules = sorted(path.stem for path in (SRC / "trapbound").glob("*.py") if not path.stem.startswith("__"))
+    imports = "".join(f"import trapbound.{m}\n" for m in modules)
+    got = fresh_modules(imports + run_main("integrate", "--fn", "exp(x)", "--interval", "0", "1"))
+    assert qualified(*modules) <= got
+    outside = sorted(m for m in got if m.partition(".")[0] not in sys.stdlib_module_names | {"trapbound"})
+    assert outside == [], outside
 
 
 def test_package_and_cli_load_only_funcs():

@@ -90,7 +90,6 @@ class TestEnclosure:
         assert e.width == 4.0
         assert e.contains(0.0)
         assert not e.contains(3.1)
-        assert e.contains(3.1, slack=0.2)
 
     def test_infinite_sides(self):
         e = Enclosure(0.0, math.inf)
@@ -421,7 +420,8 @@ class TestSandwichProperties:
     def test_sandwich_on_catalog(self, test_catalog, rng):
         for i, f in enumerate(test_catalog):
             a, b = f.domain.a, f.domain.b
-            for x in a + (b - a) * rng.uniform(1e-6, 1.0 - 1e-6, size=200):
+            for _ in range(200):
+                x = a + (b - a) * rng.uniform(1e-6, 1.0 - 1e-6)
                 g = reference_gap(f, x, corpus_integral(i))
                 enc = gap_enclosure(f, x)
                 assert enc.lo <= g + 1e-9, (f.label, x)

@@ -356,8 +356,9 @@ class TestExpectationEnclosure:
     def test_containment_at_random_splits(self, rng):
         for make in ALL:
             d = make()
-            for x in rng.uniform(1e-6, 1.0 - 1e-6, size=100):
-                enc = expectation_enclosure(d, float(x))
+            for _ in range(100):
+                x = rng.uniform(1e-6, 1.0 - 1e-6)
+                enc = expectation_enclosure(d, x)
                 assert enc.lo <= mean(d) + 1e-12, (d.label, x)
                 assert mean(d) <= enc.hi + 1e-12, (d.label, x)
 
@@ -382,7 +383,7 @@ class TestExpectationEnclosure:
         for make in ALL:
             d = make()
             F = cdf_function(d)
-            for x in (0.5, *(float(t) for t in rng.uniform(1e-6, 1.0 - 1e-6, size=20))):
+            for x in (0.5, *(rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(20))):
                 enc = expectation_enclosure(d, x)
                 g = gap_enclosure(F, x)
                 # outside it, unless cut to the support [0, 1]
