@@ -625,14 +625,14 @@ class TestCheck:
             assert err.startswith("trapbound: hypothesis failure:")
             assert "sum to 0" in err and "--normalize" not in err
 
-    def test_empty_distribution_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("normalize", [(), ("--normalize",)], ids=["plain", "normalize"])
+    def test_empty_distribution_exits_2(self, capsys, tmp_path, normalize):
         # the distribution refuses no weights; normalized(()) does too, so --normalize is not offered
         for name, text in (("empty.csv", ""), ("blank.csv", "\n \n"), ("empty.json", "[]")):
             bad = tmp_path / name
             bad.write_text(text)
             message = f"trapbound: hypothesis failure: {bad}: distribution needs at least one weight\n"
-            for normalize in ((), ("--normalize",)):
-                assert run_cli(capsys, "check", "--dist", str(bad), *normalize) == (2, "", message), name
+            assert run_cli(capsys, "check", "--dist", str(bad), *normalize) == (2, "", message), name
 
     @pytest.mark.parametrize("name, text", [
         ("neg.csv", "-0.5\n-0.5\n"),
