@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-from .pointwise import Enclosure, _gap_bracket
+from .pointwise import Enclosure, _gap_bracket, _ordered
 
 _WEIGHT_TOL = 1e-9
 #: Relative threshold under which q(x) and p(x) are treated as equal and the
@@ -226,13 +226,13 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
     other point p^2/(q - p) (F(q/p) - F(1)), not rounded outward.  That term
     can be negative (for ``kl``, u log u has a negative mean over [q/p, 1]
     when q < p); only the sum is nonnegative.
-    The gap is one call to the kernel on the |q - p|-weighted slope sums,
-    which is the sum of the per-term brackets of the module docstring; a
-    point whose midpoint r_m rounds to 1 adds nothing to it.
+    The gap is one call to the kernel on the |q - p|-weighted slope sums, the
+    sum of the per-term brackets of the module docstring, checked for inversion
+    by ``pointwise._ordered``; a point whose midpoint r_m rounds to 1 adds nothing to it.
     """
     cs, lw, hh, sp, sm, su, sv = g._pass(_pairs(p, q))
-    lo, hi = _gap_bracket(0.25, 0.25, sp, sm, su, sv)
-    return DivergenceReport(cs, lw, Enclosure(hh, hh), Enclosure(lo, max(hi, lo)))
+    lo, hi = _ordered(*_gap_bracket(0.25, 0.25, sp, sm, su, sv), g, 0.0, math.inf)
+    return DivergenceReport(cs, lw, Enclosure(hh, hh), Enclosure(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _from_text(label, slope_at_infinity, **text) -> GeneratorFunction:
 #: The built-in generators by label, then the aliases chi2 and tv.
 _GENERATORS = {g.label: g for g in (
     _from_text("chi_squared", math.inf, fn="(u - 1.0) ** 2", dplus="2.0 * (u - 1.0)", F="(u - 1.0) ** 3 / 3.0"),
-    # log(0) raises at q = 0 < p, where F(0) did before the pass took log(r) first
+    # the pass takes log(r) first, and log(0) raises at q = 0 < p: benchmark defect (d)
     _from_text("kl", math.inf, fn="u * log(u) if u > 0 else 0.0", dplus="log(u) + 1.0",
                F="0.5 * u * u * log(u) - 0.25 * u * u"),
     _from_text("total_variation", 1.0, fn="abs(u - 1.0)", dplus="1.0 if u >= 1.0 else -1.0",

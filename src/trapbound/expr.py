@@ -405,7 +405,7 @@ class _Body:
 
     def apply(self, op: str, node: Expression, *args, fold: bool = False):
         """``op`` on ``args``, evaluated now if all are known; with ``fold``,
-        :func:`_identity` applies, as to the old symbolic derivative."""
+        :func:`_identity` drops the terms a constant 0 or 1 makes trivial (2*x has slope 2.0)."""
         known = [a for a in args if isinstance(a, float)]
         if len(known) == len(args):
             try:

@@ -16,8 +16,8 @@ bound and optimal split point are readings of this one bracket, and its
 sliding-window form is ``quadrature.remainder_enclosure`` on one midpoint cell.
 
 A convex f never inverts the bracket; ``_ordered``, the one test of that,
-serves ``gap_enclosure``, ``hh_bounds`` and quadrature's fixed and adaptive
-cells.  ``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding
+serves ``gap_enclosure``, ``hh_bounds``, quadrature's fixed and adaptive
+cells and divergence's gap.  ``gap_enclosure`` and ``hh_bounds`` still round to nearest; rounding
 them outward is ROADMAP item 4.  Any bound touching an infinite endpoint
 derivative degenerates to a trivially true enclosure.  The integral of the
 CLI's ``gap``/``hh`` is the adaptive enclosure.  ``_cells_bracket`` reads the

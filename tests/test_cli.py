@@ -832,13 +832,26 @@ class TestExitCodes:
         assert "upper = 0.25" in out
 
 
-def test_deterministic_output():
-    argv = [sys.executable, "-m", "trapbound", "integrate",
-            "--fn", "exp(x)", "--interval", "0", "1", "--eps", "1e-5"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+def test_deterministic_output(dist_files):
+    # two fresh interpreters print the same report; the values of the gap
+    # and divergence reports are asserted in TestGapAndHH and TestDivergence
+    p, q = dist_files
+    examples = [
+        ["integrate", "--fn", "exp(x)", "--interval", "0", "1", "--eps", "1e-5"],
+        ["integrate", "--fn", "exp(x)", "--interval", "0", "1", "--eps", "1e-6"],
+        ["gap", "--fn", "abs(x - 0.5)", "--interval", "0", "1", "--x", "0.5"],
+        ["divergence", "--generator", "chi2", "--p", p, "--q", q],
+    ]
+    outputs = []
+    for argv in examples:
+        first, second = (subprocess.run([sys.executable, "-m", "trapbound", *argv], capture_output=True, text=True)
+                         for _ in range(2))
+        assert first.returncode == second.returncode == 0, argv
+        assert first.stdout == second.stdout, argv
+        outputs.append(first.stdout)
+    rep = json.loads(outputs[1])
+    assert rep["integral"]["lo"] <= math.e - 1.0 <= rep["integral"]["hi"]
+    assert rep["width"] <= 1e-6
 
 
 def test_kept_parser_matches_fresh_parsers(capsys, monkeypatch, dist_files):

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from trapbound.divergence import (
     divergence_report,
     generator_catalog,
 )
+from trapbound.funcs import NonConvexityError
 from trapbound.pointwise import Enclosure
 
 P2 = DiscreteDistribution((0.5, 0.5))
@@ -37,6 +39,12 @@ def random_pair(rng, n):
     s1, s2 = math.fsum(w1), math.fsum(w2)
     return (DiscreteDistribution(tuple(w / s1 for w in w1)),
             DiscreteDistribution(tuple(w / s2 for w in w2)))
+
+
+def wide_pairs():
+    """100 pairs of 2 to 50 points, of their own seed."""
+    rng = random.Random(4242)
+    return [random_pair(rng, rng.randrange(2, 51)) for _ in range(100)]
 
 
 class TestDiscreteDistribution:
@@ -196,10 +204,12 @@ class TestChiSquaredClosedForms:
         hh = rep.hh
         assert hh.lo == pytest.approx(0.25 / 3.0, abs=1e-14)
         assert hh.hi == pytest.approx(0.25 / 3.0, abs=1e-14)
+        assert rep.half_csiszar == pytest.approx(0.125, abs=1e-14)
+        assert rep.gap.contains(0.125 - 0.25 / 3.0)
 
     def test_closed_forms_across_corpus(self):
         g = generator_catalog("chi_squared")
-        for p, q in CORPUS:
+        for p, q in CORPUS + wide_pairs():
             x2 = chi_squared(p, q)
             rep = divergence_report(g, p, q)
             assert rep.csiszar == pytest.approx(x2, abs=1e-10)
@@ -260,7 +270,7 @@ class TestHHDivergence:
 class TestSandwichAndGap:
     def test_sandwich_holds_everywhere(self, rng):
         gens = [generator_catalog(n) for n in GENERATOR_NAMES]
-        pairs = list(CORPUS) + [random_pair(rng, rng.randrange(2, 12)) for _ in range(40)]
+        pairs = list(CORPUS) + [random_pair(rng, rng.randrange(2, 12)) for _ in range(40)] + wide_pairs()[:25]
         for g in gens:
             for p, q in pairs:
                 rep = divergence_report(g, p, q)
@@ -270,7 +280,7 @@ class TestSandwichAndGap:
 
     def test_gap_enclosure_contains_true_gap(self, rng):
         gens = [generator_catalog(n) for n in GENERATOR_NAMES]
-        pairs = list(CORPUS) + [random_pair(rng, rng.randrange(2, 12)) for _ in range(40)]
+        pairs = list(CORPUS) + [random_pair(rng, rng.randrange(2, 12)) for _ in range(40)] + wide_pairs()[:25]
         for g in gens:
             for p, q in pairs:
                 rep = divergence_report(g, p, q)
@@ -305,6 +315,15 @@ class TestSandwichAndGap:
         # an infinite one: inf - inf, with limit q/4 for kl and +inf for chi2
         for name in ("kl", "chi_squared"):
             assert divergence_report(generator_catalog(name), p, q).gap.hi == math.inf
+
+    def test_inverted_gap_bracket_raises(self):
+        # -(u - 1)^2 is concave: its slope sums invert the bracket to
+        # [0, -1/16], and no hull of that holds D/2 - HH = -1/24
+        g = GeneratorFunction(lambda u: -(u - 1.0) ** 2, lambda u: -2.0 * (u - 1.0), lambda u: -2.0 * (u - 1.0),
+                              lambda u: -(u - 1.0) ** 3 / 3.0, "concave")
+        with pytest.raises(NonConvexityError,
+                           match=r"^cell \[0\.0, inf\] has inverted remainder bracket \[0\.0, -0\.0625\]; 'concave'"):
+            divergence_report(g, P2, Q2)
 
     def test_chi_squared_gap_closed_form(self):
         g = generator_catalog("chi_squared")

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -336,6 +337,7 @@ class TestPowerFastPath:
 
 class TestRoundTrip:
     def test_corpus_round_trips(self):
+        assert len(CORPUS) == 30
         for src in CORPUS:
             tree = parse(src)
             assert parse(to_string(tree)) == tree, src
@@ -375,25 +377,21 @@ class TestDerivative:
                 assert side(t) == 0.0
 
     def test_matches_central_difference(self, rng):
+        # 25 points a source in [-1, 1] within 1e-5 relative, and 20 of their
+        # own seed in [-0.9, 0.9] within 1e-6; the abs entries after the
+        # smooth ones, skipping points within 1e-3 of their kinks
         h = 1e-6
-        for src in SMOOTH:
-            tree = parse(src)
-            dplus, dminus = slopes(src)
-            for _ in range(25):
-                t = rng.uniform(-1.0, 1.0)
-                fd = (eval_expr(tree, t + h) - eval_expr(tree, t - h)) / (2 * h)
-                for side in (dplus, dminus):
-                    assert side(t) == pytest.approx(fd, rel=1e-5, abs=1e-6), (src, t)
-        for src, kink in KINKS.items():
-            tree = parse(src)
-            dplus, dminus = slopes(src)
-            for _ in range(25):
-                t = rng.uniform(-1.0, 1.0)
-                if abs(t - kink) < 1e-3:
-                    continue
-                fd = (eval_expr(tree, t + h) - eval_expr(tree, t - h)) / (2 * h)
-                for side in (dplus, dminus):
-                    assert side(t) == pytest.approx(fd, rel=1e-5, abs=1e-6), (src, t)
+        for draws, count, span, rel in ((rng, 25, 1.0, 1e-5), (random.Random(4242), 20, 0.9, 1e-6)):
+            for src, kink in [(s, math.inf) for s in SMOOTH] + list(KINKS.items()):
+                tree = parse(src)
+                dplus, dminus = slopes(src)
+                for _ in range(count):
+                    t = draws.uniform(-span, span)
+                    if abs(t - kink) < 1e-3:
+                        continue
+                    fd = (eval_expr(tree, t + h) - eval_expr(tree, t - h)) / (2 * h)
+                    for side in (dplus, dminus):
+                        assert side(t) == pytest.approx(fd, rel=rel, abs=1e-6), (src, t)
 
     def test_zero_of_abs_argument(self):
         # d+|g| = |d+g| and d-|g| = -|d-g| where g = 0

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -225,8 +226,18 @@ class TestHermiteHadamard:
         assert enc.contains(true_diff)
 
     def test_linear_degenerates(self):
-        enc = hh_bounds(catalog("linear", (3.0, 1.0)))
-        assert (enc.lo, enc.hi) == (0.0, 0.0)
+        for params in ((3.0, 1.0), (2.0, -1.0)):
+            enc = hh_bounds(catalog("linear", params))
+            assert (enc.lo, enc.hi) == (0.0, 0.0), params
+
+    def test_contains_the_defect_on_catalog(self, test_catalog):
+        # (f(a) + f(b))/2 minus the mean of f, from the exact integral
+        for i, f in enumerate(test_catalog):
+            a, b = f.domain.a, f.domain.b
+            defect = 0.5 * (f(a) + f(b)) - corpus_integral(i) / (b - a)
+            enc = hh_bounds(f)
+            # slack until hh_bounds rounds outward (ROADMAP item 4)
+            assert enc.lo - 1e-9 <= defect <= enc.hi + 1e-9, f.label
 
     def test_lo_nonnegative_on_catalog(self, test_catalog):
         for f in test_catalog:
@@ -418,25 +429,33 @@ def test_gap_is_the_remainder_of_one_cell(fn, cell):
 
 class TestSandwichProperties:
     def test_sandwich_on_catalog(self, test_catalog, rng):
+        # 200 splits per function at least 1e-6 of the width from the ends,
+        # and 200 more, of their own seed, at least 1e-9 from them
+        near_ends = random.Random(4242)
         for i, f in enumerate(test_catalog):
             a, b = f.domain.a, f.domain.b
-            for _ in range(200):
-                x = a + (b - a) * rng.uniform(1e-6, 1.0 - 1e-6)
+            ts = [rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(200)]
+            ts += [1e-9 + (1 - 2e-9) * near_ends.uniform(0.0, 1.0) for _ in range(200)]
+            for t in ts:
+                x = a + (b - a) * t
                 g = reference_gap(f, x, corpus_integral(i))
                 enc = gap_enclosure(f, x)
                 assert enc.lo <= g + 1e-9, (f.label, x)
                 assert g <= enc.hi + 1e-9, (f.label, x)
 
     def test_sharpness_equalities(self, rng):
-        for _ in range(20):
-            k = rng.uniform(0.1, 10.0)
-            a = rng.uniform(-2.0, 2.0)
-            b = a + rng.uniform(0.1, 3.0)
-            m = 0.5 * (a + b)
-            f = catalog("kink", (k, m), Interval(a, b))
-            enc = gap_enclosure(f, m)
-            expected = 0.25 * k * (b - a) ** 2
-            for value in (enc.lo, enc.hi):
-                assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            enc = _reference_integral(f).integral
-            assert enc.lo <= kink_integral(k, m, a, b) <= enc.hi
+        # 20 kinks from the fixture, and 20 of their own seed with slopes k
+        # from 1e-6, a within 5 of 0 and widths up to 5
+        for draws, k_lo, a_span, w_hi in ((rng, 0.1, 2.0, 3.0), (random.Random(4242), 1e-6, 5.0, 5.0)):
+            for _ in range(20):
+                k = draws.uniform(k_lo, 10.0)
+                a = draws.uniform(-a_span, a_span)
+                b = a + draws.uniform(0.1, w_hi)
+                m = 0.5 * (a + b)
+                f = catalog("kink", (k, m), Interval(a, b))
+                enc = gap_enclosure(f, m)
+                expected = 0.25 * k * (b - a) ** 2
+                for value in (enc.lo, enc.hi):
+                    assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), (k, a, b)
+                enc = _reference_integral(f).integral
+                assert enc.lo <= kink_integral(k, m, a, b) <= enc.hi, (k, a, b)

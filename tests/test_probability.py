@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from trapbound.funcs import ConvexFunction, DomainError, Interval
 from trapbound.pointwise import Enclosure, gap_enclosure
@@ -263,6 +265,11 @@ class TestExpectationEnclosure:
         # with the exact mass, the paper's bracket [1/2, 3/4]
         exact = expectation_enclosure(d, 0.5, (1.0, 1.0))
         assert exact.lo == pytest.approx(0.5, abs=1e-15) and exact.hi == pytest.approx(0.75, abs=1e-15)
+        assert exact.lo <= 2.0 / 3.0 <= exact.hi
+        # 4t has the mean of 2t; its mass 2 is bracketed, which widens the
+        # paper's bracket by less than 1/64
+        double = expectation_enclosure(continuous_density(UNIT, lambda t: 4.0 * t, "4t"), 0.5)
+        assert double.lo <= 2.0 / 3.0 <= double.hi <= exact.hi + 1.0 / 64
 
     def test_refuses_an_inverted_enclosure(self):
         # it is an Enclosure, which refuses lo above hi, as an inverted mass
@@ -309,6 +316,11 @@ class TestExpectationEnclosure:
         enc = expectation_enclosure(step(), 0.5, (1.0, 1.0))
         assert enc.lo == pytest.approx(0.625, abs=1e-15)
         assert enc.hi == pytest.approx(0.625, abs=1e-15)
+        # all the mass above the jump: uniform on [1/2, 1]
+        upper = piecewise_constant_density(UNIT, (0.0, 0.5), (0.0, 2.0), "upper half")
+        enc = expectation_enclosure(upper, 0.5, (1.0, 1.0))
+        assert enc.lo == pytest.approx(0.75, abs=1e-12)
+        assert enc.hi == pytest.approx(0.75, abs=1e-12)
 
     def test_split_point_outside_the_support_raises(self):
         # before the walk reads the density, with or without a mass given
@@ -530,3 +542,38 @@ class TestExpectationViaCdf:
         enc = expectation_via_cdf(d)
         mid = expectation_enclosure(d, d.domain.midpoint)
         assert mid.lo <= enc.lo + 1e-9 and enc.hi <= mid.hi + 1e-9
+
+
+#: nondecreasing, nonnegative expression densities on [a, b], in a, k and c >= 0
+DENSITY_TEXTS = ("{c}", "{c} + {k}*(x - {a})", "(x - {a})^2", "sqrt(x - {a})", "exp({k}*(x - {a}))")
+
+
+@st.composite
+def monotone_densities(draw):
+    """An expression or step density on a support 1e-6 to 100 wide, starting
+    near 0 or around 1e5."""
+    a = draw(st.floats(-1.0, 1.0) | st.floats(1e5 - 1.0, 1e5 + 1.0))
+    b = a + draw(st.floats(1e-6, 100.0))
+    iv = Interval(a, b)
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(DENSITY_TEXTS)).format(
+            a=repr(a), k=repr(draw(st.floats(0.0, 20.0)) / iv.width), c=repr(draw(st.floats(1e-3, 10.0))))
+        return continuous_density(iv, to_function(text), text)
+    ts = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+    breaks = sorted({a, *(x for x in (a + t * iv.width for t in ts) if x < b)})
+    values = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=len(breaks), max_size=len(breaks))))
+    values[-1] += 1.0  # some mass
+    return piecewise_constant_density(iv, breaks, values, f"step {breaks} {values}")
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@seed(2020)
+@given(d=monotone_densities(), ts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_expectation_enclosures_at_different_splits_meet(d, ts):
+    """ROADMAP item 16, expectation half: each enclosure of a density's mean
+    holds it, so those at x = a, x = b, the midpoint and three other splits
+    meet, each with the mass bracket of its own walk."""
+    a, b = d.domain.a, d.domain.b
+    xs = [a, b, d.domain.midpoint, *(min(max(a + t * (b - a), a), b) for t in ts)]
+    encs = [expectation_enclosure(d, x, validate_density(d, x).normalization) for x in xs]
+    assert max(e.lo for e in encs) <= min(e.hi for e in encs), (d.label, d.domain, xs, encs)

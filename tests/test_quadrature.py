@@ -206,6 +206,24 @@ class TestTrapezoidSpecialization:
             prev = remainder_enclosure(f, uniform_partition(f.domain, 8)).width
             cur = remainder_enclosure(f, uniform_partition(f.domain, 16)).width
             assert cur / prev == pytest.approx(0.25, abs=0.05), f.label
+        # and so does the width of the integral, each holding e - 1
+        widths = {}
+        for n in (1, 2, 4, 8, 16, 32):
+            res = integrate(EXP, uniform_partition(EXP.domain, n))
+            assert res.integral.contains(math.e - 1.0), n
+            widths[n] = res.integral.width
+        for n in (8, 16):
+            assert widths[2 * n] / widths[n] == pytest.approx(0.25, abs=0.05), n
+
+    def test_is_the_one_eighth_form_on_catalog(self, test_catalog):
+        # (1/8) sum h_i^2 [f'+(m_i) - f'-(m_i)] <= S_n <= (1/8) sum h_i^2 [f'-(x_{i+1}) - f'+(x_i)]
+        for f in test_catalog:
+            for n in (1, 2, 3, 4, 8, 16, 32):
+                P = uniform_partition(f.domain, n)
+                rem = remainder_enclosure(f, P)
+                lo = sum((v - u) ** 2 * (f.d_plus(m) - f.d_minus(m)) for u, v, m in P.cells()) / 8
+                hi = sum((v - u) ** 2 * (f.d_minus(v) - f.d_plus(u)) for u, v, _ in P.cells()) / 8
+                assert abs(rem.lo - lo) <= 1e-12 and abs(rem.hi - hi) <= 1e-12, (f.label, n)
 
 
 def smooth_xi_lower(P, slope):
@@ -261,6 +279,7 @@ class TestIntegrate:
         assert res.integral.contains(math.e - 1.0)
         assert res.integral.lo == pytest.approx(res.gn - res.remainder.hi, abs=1e-15)
         assert res.integral.hi == pytest.approx(res.gn - res.remainder.lo, abs=1e-15)
+        assert 1.71379 <= res.integral.lo and res.integral.hi <= 1.72723
 
     def test_kink_single_cell_pins_integral(self):
         res = integrate(KINK, uniform_partition(KINK.domain, 1))
@@ -279,7 +298,15 @@ class TestAdaptive:
         f = catalog("xlogx", (), Interval(0.0, 1.0))  # f'+(0) = -inf
         res = adaptive_integrate(f, eps=1e-6)
         assert res.converged
+        assert res.integral.width <= 1e-6
         assert res.integral.contains(-0.25)
+        assert res.cells <= 10_000
+
+    def test_quadratic_converges(self):
+        res = adaptive_integrate(QUAD, eps=1e-6)
+        assert res.converged
+        assert res.integral.width <= 1e-6
+        assert res.integral.contains(1.0 / 3.0)
         assert res.cells <= 10_000
 
     def test_exhausted_budget_still_encloses(self):
