@@ -48,10 +48,6 @@ class HypothesisError(Exception):
     pass
 
 
-class DistributionLoadError(UsageError):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the CLI contract reserves 2
     # for hypothesis failures, so route usage problems through UsageError.
@@ -65,9 +61,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def load_distribution(path, normalize: bool = False):
-    """Read a :class:`~trapbound.divergence.DiscreteDistribution` from a JSON
-    array of numbers, where the file's first non-blank character is ``[``,
-    else from CSV (one weight per line).
+    """Read a :class:`~trapbound.divergence.DiscreteDistribution` from a UTF-8
+    file: a JSON array of numbers where its first non-blank character is
+    ``[``, else CSV (one weight per line).  Every refusal names the file.
 
     The distribution checks the weights, after
     :meth:`~trapbound.divergence.DiscreteDistribution.normalized` divides
@@ -79,9 +75,9 @@ def load_distribution(path, normalize: bool = False):
 
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DistributionLoadError(f"{path}: {exc}") from exc
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
     # re.match reads the text where it lies; lstrip would copy it
     if not re.match(r"\s*\[", text):
@@ -99,23 +95,21 @@ def load_distribution(path, normalize: bool = False):
                 try:
                     weights.append(float(line))
                 except ValueError:
-                    raise DistributionLoadError(
-                        f"{path}: line {lineno}: not a number: {line!r}"
-                    ) from None
+                    raise UsageError(f"{path}: line {lineno}: not a number: {line!r}") from None
     else:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise DistributionLoadError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+            raise UsageError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
         # a list, as the text starts with [; a bool is an int to isinstance, and not a weight
         if not set(map(type, data)) <= {int, float}:
-            raise DistributionLoadError(f"{path}: expected a JSON array of numbers")
+            raise UsageError(f"{path}: expected a JSON array of numbers")
         weights = data  # the distribution converts them to floats
 
     try:
         return (div.DiscreteDistribution.normalized if normalize else div.DiscreteDistribution)(weights)
     except OverflowError:  # float() of an integer, which only JSON gives
-        raise DistributionLoadError(f"{path}: a JSON integer is outside the float range") from None
+        raise UsageError(f"{path}: a JSON integer is outside the float range") from None
     except ValueError as exc:
         # the hint only where the distribution would take the rescaled weights, and not once tried
         hint = ""

@@ -14,13 +14,15 @@ line once did (LW, HH, D_f, then the gap), so the first error raised is theirs.
 
 import math
 
+from grid_oracles import gap_bracket
+
 from trapbound.divergence import (
     _EQUAL_RATIO_TOL,
     DivergenceReport,
     _pairs,
     _slope_at_infinity,
 )
-from trapbound.pointwise import Enclosure, _gap_bracket
+from trapbound.pointwise import Enclosure
 
 
 def chi_squared(p, q):
@@ -105,7 +107,7 @@ def gap_enclosure(g, p, q):
         else:
             su += w * dplus(r)
             sv += w * d1m
-    lo, hi = _gap_bracket(0.25, 0.25, sp, sm, su, sv)
+    lo, hi = gap_bracket(0.25, 0.25, sp, sm, su, sv)
     return Enclosure(lo, max(hi, lo))
 
 

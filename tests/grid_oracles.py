@@ -16,14 +16,29 @@ before the library read the slope oracles directly: each cell reads its
 slopes through the checked wrappers ``f.d_plus`` and ``f.d_minus`` with
 :func:`_split_bracket`, the library's per-cell reader of that time, a node's
 slope once for each cell it ends, and passes ``_ordered``.
+
+:func:`gap_bracket` is the library's kernel ``pointwise._gap_bracket`` as
+written, frozen here: these walks and ``divergence_oracles`` read the paper's
+bracket from it, so a change to the kernel that moves a bit shows against them.
 """
 
 import math
 
 from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport
-from trapbound.pointwise import Enclosure, _gap_bracket, _ordered
+from trapbound.pointwise import Enclosure, _ordered
 from trapbound.probability import _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK, _U
 from trapbound.quadrature import _check_domain
+
+
+def gap_bracket(wl, wr, dpx, dmx, dpu, dmv) -> tuple:
+    """(1/2)[wl f'+(x) - wr f'-(x)] <= gap <= (1/2)[wl f'-(v) - wr f'+(u)]: a
+    zero weight drops its term, an infinite upper term makes the upper side
+    +inf, and a NaN lower side is -inf."""
+    lo = 0.5 * ((wl * dpx if wl else 0.0) - (wr * dmx if wr else 0.0))
+    tl = wl * dmv if wl else 0.0
+    tr = wr * dpu if wr else 0.0
+    hi = math.inf if (tl == math.inf or tr == -math.inf) else 0.5 * (tl - tr)
+    return (-math.inf if lo != lo else lo), hi
 
 
 def mass_bracket(d, x=None) -> tuple:
@@ -56,7 +71,7 @@ def mass_bracket(d, x=None) -> tuple:
         dpx = right[i] if i < n else left[-1]
         dmx = left[i - 1] if i > 0 else right[0]
         wl, wr = ((b - x) / (b - a)) ** 2, ((x - a) / (b - a)) ** 2
-        t_lo, t_hi = _gap_bracket(wl, wr, dpx, dmx, right[0], left[-1])
+        t_lo, t_hi = gap_bracket(wl, wr, dpx, dmx, right[0], left[-1])
         if (abs(t_lo) + abs(t_hi)) * (hi - lo) <= (t_hi - t_lo) * bracket[0] * _MASS_SHARE:
             return bracket
         n *= 2
@@ -108,7 +123,7 @@ def split_bracket(dplus, dminus, u, v, x) -> tuple:
     wr = (x - u) * (x - u)
     dpx = dplus(x) if wl else 0.0
     dmx = dminus(x) if wr else 0.0
-    return _gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
+    return gap_bracket(wl, wr, dpx, dmx, dplus(u), dminus(v))
 
 
 def gap_enclosure(f, x) -> Enclosure:
@@ -118,7 +133,7 @@ def gap_enclosure(f, x) -> Enclosure:
 
 
 def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
-    """:func:`_gap_bracket` of the cell [u, v] split at any x in [u, v], from
+    """:func:`gap_bracket` of the cell [u, v] split at any x in [u, v], from
     the one-sided slope oracles ``dplus`` and ``dminus``.  A zero-weighted
     slope is not read (at x = u or v it may not exist), f'+(u) is f'+(x) at
     x = u and f'-(v) is f'-(x) at x = v: 2 reads at an end, 4 inside.  The
@@ -128,7 +143,7 @@ def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
     wr = (x - u) * (x - u)
     dpx = dplus(x) if wl else 0.0
     dmx = dminus(x) if wr else 0.0
-    return _gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))
+    return gap_bracket(wl, wr, dpx, dmx, dpx if wl and x == u else dplus(u), dmx if wr and x == v else dminus(v))
 
 
 def remainder_enclosure(f, P) -> Enclosure:

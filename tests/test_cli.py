@@ -11,8 +11,8 @@ import pytest
 
 from trapbound import cli
 from trapbound.cli import (
-    DistributionLoadError,
     HypothesisError,
+    UsageError,
     load_distribution,
     main,
 )
@@ -70,7 +70,7 @@ class TestLoadDistribution:
     def test_csv_error_names_line(self, tmp_path):
         f = tmp_path / "w.csv"
         f.write_text("0.5\nbogus\n")
-        with pytest.raises(DistributionLoadError) as exc:
+        with pytest.raises(UsageError) as exc:
             load_distribution(f)
         assert "line 2" in str(exc.value)
         assert str(exc.value) == f"{f}: line 2: not a number: 'bogus'"
@@ -78,7 +78,7 @@ class TestLoadDistribution:
     def test_csv_error_counts_blank_lines(self, tmp_path):
         f = tmp_path / "w.csv"
         f.write_text("0.5\n\n  bogus \n")
-        with pytest.raises(DistributionLoadError) as exc:
+        with pytest.raises(UsageError) as exc:
             load_distribution(f)
         assert str(exc.value) == f"{f}: line 3: not a number: 'bogus'"
 
@@ -115,8 +115,25 @@ class TestLoadDistribution:
             assert str(exc.value) == f"{f}: weights must be numbers, got nan"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DistributionLoadError):
+        with pytest.raises(UsageError):
             load_distribution(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("name, text", [("w.csv", "0.25\n0.75\n"), ("w.json", "[0.25, 0.75]")],
+                             ids=["csv", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name, text):
+        # read as a character, a UTF-8 BOM made line 1 '\ufeff0.25' and hid the JSON's [
+        f = tmp_path / name
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_distribution(f).weights == (0.25, 0.75)
+
+    def test_non_utf8_byte_exits_1_naming_the_file(self, capsys, tmp_path):
+        f = tmp_path / "w.csv"
+        f.write_bytes(b"0.5\n\xe9\n")
+        with pytest.raises(UsageError):
+            load_distribution(f)
+        assert run_cli(capsys, "check", "--dist", str(f)) == (
+            1, "", f"trapbound: error: {f}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
+                   "invalid continuation byte\n")
 
     def test_unnormalized_rejected_then_rescaled(self, tmp_path):
         f = tmp_path / "w.csv"

@@ -47,6 +47,51 @@ def wide_pairs():
     return [random_pair(rng, rng.randrange(2, 51)) for _ in range(100)]
 
 
+def _normalized(raw):
+    s = math.fsum(raw)
+    return tuple(x / s for x in raw)
+
+
+def seeded_corpus():
+    """21 (name, p, q) triples of their own seed: ``plain-1``, then the kinds
+    plain, p_zero (p = 0 < q), both_zero, q_zero (q = 0 < p) and equal (q = p)
+    at 3, 7, 50 and 400 points.  A kind marks every third point; equal also
+    puts q = p (1 + 4e-15), within ``_EQUAL_RATIO_TOL``, on the point after each."""
+    rng = random.Random(20261018)
+    cases = []
+    for n in (1, 3, 7, 50, 400):
+        for kind in ("plain", "p_zero", "both_zero", "q_zero", "equal") if n > 1 else ("plain",):
+            praw = [rng.random() ** 4 + 1e-6 for _ in range(n)]
+            qraw = [rng.random() ** 4 + 1e-6 for _ in range(n)]
+            marked = [i for i in range(n) if i % 3 == 1]
+            for i in marked:
+                if kind in ("p_zero", "both_zero"):
+                    praw[i] = 0.0
+                if kind in ("q_zero", "both_zero"):
+                    qraw[i] = 0.0
+            p = _normalized(praw)
+            if kind == "equal":
+                # q = p on the marked points, q = p (1 + 4e-15) on the next
+                # ones, the remaining mass spread over the rest
+                q = list(p)
+                for i in range(n):
+                    if i % 3 == 2:
+                        q[i] = p[i] * (1.0 + 4e-15)
+                rest = [i for i in range(n) if i % 3 == 0]
+                free = 1.0 - math.fsum(q[i] for i in range(n) if i % 3)
+                scale = free / math.fsum(qraw[i] for i in rest)
+                for i in rest:
+                    q[i] = qraw[i] * scale
+                q = tuple(q)
+            else:
+                q = _normalized(qraw)
+            cases.append((f"{kind}-{n}", DiscreteDistribution(p), DiscreteDistribution(q)))
+    return cases
+
+
+SEEDED = seeded_corpus()
+
+
 class TestDiscreteDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -413,6 +458,27 @@ class TestSinglePass:
         collect()
         assert seen == set(POINT_KINDS)
 
+    def test_corpus_covers_every_zero_mass_pattern(self):
+        assert len(SEEDED) == 21
+        seen = set()
+        for _, p, q in SEEDED:
+            for pi, qi in zip(p.weights, q.weights):
+                if pi == 0.0:
+                    seen.add("p=q=0" if qi == 0.0 else "p=0<q")
+                elif qi == 0.0:
+                    seen.add("q=0<p")
+                elif qi == pi:
+                    seen.add("q=p")
+                elif abs(qi - pi) <= 1e-14 * pi:
+                    seen.add("q~p")
+        assert seen == {"p=q=0", "p=0<q", "q=0<p", "q=p", "q~p"}
+
+    @pytest.mark.parametrize("name", GENERATOR_NAMES)
+    def test_seeded_corpus_matches_reference_loops(self, name):
+        g = generator_catalog(name)
+        for case, p, q in SEEDED:
+            assert _bits(lambda: divergence_report(g, p, q)) == _bits(lambda: reference_report(g, p, q)), case
+
     @pytest.mark.parametrize("name", GENERATOR_NAMES)
     def test_oracle_calls(self, name, rng):
         # n points with p > 0 and q != p: f at q/p and at the midpoint, the
@@ -473,6 +539,12 @@ class TestGeneratedPass:
             g, built = generator_catalog(name), call_form(name)
             assert (built.dplus is built.dminus) == (g.dplus is g.dminus)
             assert _bits(lambda: divergence_report(built, p, q)) == _bits(lambda: divergence_report(g, p, q)), name
+
+    @pytest.mark.parametrize("name", GENERATOR_NAMES)
+    def test_seeded_corpus_call_form_matches_inline_text(self, name):
+        g, built = generator_catalog(name), call_form(name)
+        for case, p, q in SEEDED:
+            assert _bits(lambda: divergence_report(built, p, q)) == _bits(lambda: divergence_report(g, p, q)), case
 
     @pytest.mark.parametrize("name, hoisted", [("kl", {"log_r", "log_rm"}), ("hellinger", {"sqrt_r", "sqrt_rm"}),
                                                ("chi2", set()), ("tv", set())], ids=["kl", "hellinger", "chi2", "tv"])

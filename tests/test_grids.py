@@ -15,6 +15,7 @@ import textwrap
 
 import grid_oracles
 import pytest
+from catalog_oracles import DEFAULT_SPECS
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -228,6 +229,16 @@ class TestSplitBracket:
         assert outcome(gap_enclosure, f, x) == outcome(grid_oracles.gap_enclosure, f, x)
         P = one_cell(f, x)
         assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P)
+
+    @pytest.mark.parametrize("name, params, iv", DEFAULT_SPECS, ids=[spec[0] for spec in DEFAULT_SPECS])
+    def test_catalog_at_interior_points(self, name, params, iv):
+        # x = a + (b - a) t: three split points inside each family's domain, every slope finite
+        f = catalog(name, params, iv)
+        for t in (0.1, 0.5, 0.7):
+            x = iv.a + (iv.b - iv.a) * t
+            assert outcome(gap_enclosure, f, x) == outcome(grid_oracles.gap_enclosure, f, x), t
+            P = one_cell(f, x)
+            assert outcome(remainder_enclosure, f, P) == outcome(grid_oracles.remainder_enclosure, f, P), t
 
     @pytest.mark.parametrize("f", AT_ZERO, ids=lambda f: f"{f.label} on [0, {f.domain.b}]")
     def test_infinite_slope_at_zero(self, f):

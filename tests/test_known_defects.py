@@ -71,6 +71,19 @@ def test_slightly_decreasing_density_is_refused(capsys):
     assert code == 2
 
 
+@defect("ROADMAP item 17")
+def test_steep_density_is_valid(capsys):
+    # the mass walk widens both sums by (n + 2)u/(1 - (n + 2)u) max|f| (b - a) = 4.5e-13,
+    # which takes the lower end below 0 from a lower sum of 6.1e-15
+    code, r, err = run(capsys, "check", "--density", "exp(100000*(x - 1))", "--interval", "0", "1")
+    assert code == 0, err
+    assert r["density"]["valid"] is True
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = (1 - Decimal(-100000).exp()) / 100000
+    assert encloses(*r["density"]["mass_bracket"], exact)
+
+
 @defect("ROADMAP item 2")
 def test_cancellation_is_enclosed(capsys):
     a, b = Fraction(0.99999), Fraction(1.00001)
