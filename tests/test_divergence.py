@@ -47,11 +47,6 @@ def wide_pairs():
     return [random_pair(rng, rng.randrange(2, 51)) for _ in range(100)]
 
 
-def _normalized(raw):
-    s = math.fsum(raw)
-    return tuple(x / s for x in raw)
-
-
 def seeded_corpus():
     """21 (name, p, q) triples of their own seed: ``plain-1``, then the kinds
     plain, p_zero (p = 0 < q), both_zero, q_zero (q = 0 < p) and equal (q = p)
@@ -69,23 +64,23 @@ def seeded_corpus():
                     praw[i] = 0.0
                 if kind in ("q_zero", "both_zero"):
                     qraw[i] = 0.0
-            p = _normalized(praw)
+            p = DiscreteDistribution.normalized(praw)
             if kind == "equal":
                 # q = p on the marked points, q = p (1 + 4e-15) on the next
                 # ones, the remaining mass spread over the rest
-                q = list(p)
+                q = list(p.weights)
                 for i in range(n):
                     if i % 3 == 2:
-                        q[i] = p[i] * (1.0 + 4e-15)
+                        q[i] *= 1.0 + 4e-15
                 rest = [i for i in range(n) if i % 3 == 0]
                 free = 1.0 - math.fsum(q[i] for i in range(n) if i % 3)
                 scale = free / math.fsum(qraw[i] for i in rest)
                 for i in rest:
                     q[i] = qraw[i] * scale
-                q = tuple(q)
+                q = DiscreteDistribution(q)
             else:
-                q = _normalized(qraw)
-            cases.append((f"{kind}-{n}", DiscreteDistribution(p), DiscreteDistribution(q)))
+                q = DiscreteDistribution.normalized(qraw)
+            cases.append((f"{kind}-{n}", p, q))
     return cases
 
 
