@@ -469,12 +469,6 @@ class TestSinglePass:
         assert seen == {"p=q=0", "p=0<q", "q=0<p", "q=p", "q~p"}
 
     @pytest.mark.parametrize("name", GENERATOR_NAMES)
-    def test_seeded_corpus_matches_reference_loops(self, name):
-        g = generator_catalog(name)
-        for case, p, q in SEEDED:
-            assert _bits(lambda: divergence_report(g, p, q)) == _bits(lambda: reference_report(g, p, q)), case
-
-    @pytest.mark.parametrize("name", GENERATOR_NAMES)
     def test_oracle_calls(self, name, rng):
         # n points with p > 0 and q != p: f at q/p and at the midpoint, the
         # antiderivative at q/p and once at 1, the slopes at the midpoint (once
@@ -534,12 +528,6 @@ class TestGeneratedPass:
             g, built = generator_catalog(name), call_form(name)
             assert (built.dplus is built.dminus) == (g.dplus is g.dminus)
             assert _bits(lambda: divergence_report(built, p, q)) == _bits(lambda: divergence_report(g, p, q)), name
-
-    @pytest.mark.parametrize("name", GENERATOR_NAMES)
-    def test_seeded_corpus_call_form_matches_inline_text(self, name):
-        g, built = generator_catalog(name), call_form(name)
-        for case, p, q in SEEDED:
-            assert _bits(lambda: divergence_report(built, p, q)) == _bits(lambda: divergence_report(g, p, q)), case
 
     @pytest.mark.parametrize("name, hoisted", [("kl", {"log_r", "log_rm"}), ("hellinger", {"sqrt_r", "sqrt_rm"}),
                                                ("chi2", set()), ("tv", set())], ids=["kl", "hellinger", "chi2", "tv"])
