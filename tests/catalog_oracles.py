@@ -70,21 +70,33 @@ def closed_form(name, params, num):
     return (lambda t: c), (lambda t: c * t)
 
 
-def derivative(name, params, num, k):
-    """The k-th derivative, k = 2, 3 or 4, of a catalog family on ``num``
-    arguments; -inf or inf at a singular t = 0."""
+def derivative(name, params, num, k, side=1):
+    """The k-th derivative, k = 1 to 6, of a catalog family on ``num``
+    arguments; for k = 1 the right derivative f'+ (``side`` 1) or the left
+    f'- (``side`` -1), which differ only at a kink.  -inf or inf at a
+    singular t = 0."""
+    d = [num(x) for x in params]
+    if name == "kink":
+        m, c = d
+        return (lambda t: m if t > c or t == c and side > 0 else -m) if k == 1 else (lambda t: num(0))
+    if name == "quadratic":
+        return (lambda t: 2 * t) if k == 1 else (lambda t: num(2 if k == 2 else 0))
     if name == "exp":
         return lambda t: t.exp()
     if name == "neg_log":  # (-1)^k (k-1)!/t^k
         c = (-1) ** k * math.factorial(k - 1)
         return lambda t: c * t ** -k
-    if name == "xlogx":  # (-1)^k (k-2)!/t^(k-1)
+    if name == "xlogx":  # ln t + 1, then (-1)^k (k-2)!/t^(k-1)
+        if k == 1:
+            return lambda t: t.ln() + 1
         c = (-1) ** k * math.factorial(k - 2)
         return lambda t: c * t ** (1 - k)
     if name == "power_p":  # p (p-1) ... (p-k+1) t^(p-k)
-        p = num(params[0])
+        (p,) = d
         c = math.prod(p - j for j in range(k))
         return lambda t: c * t ** (p - k) if c else c
+    if name == "linear":
+        return lambda t: d[0] if k == 1 else num(0)
     return lambda t: num(0)
 
 

@@ -15,17 +15,19 @@ witness included.
 before the library read the slope oracles directly: each cell reads its
 slopes through the checked wrappers ``f.d_plus`` and ``f.d_minus`` with
 :func:`_split_bracket`, the library's per-cell reader of that time, a node's
-slope once for each cell it ends, and passes ``_ordered``.
+slope once for each cell it ends, and passes :func:`ordered`.
 
 :func:`gap_bracket` is the library's kernel ``pointwise._gap_bracket`` as
-written, frozen here: these walks and ``divergence_oracles`` read the paper's
-bracket from it, so a change to the kernel that moves a bit shows against them.
+written, frozen here with its midpoint form :func:`midpoint_bracket` and the
+inversion check :func:`ordered`: these walks, ``divergence_oracles`` and
+``quadrature_oracles`` read the paper's bracket from them, so a change to the
+kernel that moves a bit shows against them.
 """
 
 import math
 
-from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport
-from trapbound.pointwise import Enclosure, _ordered
+from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport, NonConvexityError
+from trapbound.pointwise import Enclosure
 from trapbound.probability import _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK, _U
 from trapbound.quadrature import _check_domain
 
@@ -39,6 +41,27 @@ def gap_bracket(wl, wr, dpx, dmx, dpu, dmv) -> tuple:
     tr = wr * dpu if wr else 0.0
     hi = math.inf if (tl == math.inf or tr == -math.inf) else 0.5 * (tl - tr)
     return (-math.inf if lo != lo else lo), hi
+
+
+def midpoint_bracket(h, dpm, dmm, dpu, dmv) -> tuple:
+    """:func:`gap_bracket` at the midpoint of a cell of width h, weights h^2/4;
+    no midpoint slopes (None) give the lower side 0."""
+    w = 0.25 * h * h
+    if dpm is None:
+        dpm = dmm = 0.0
+    return gap_bracket(w, w, dpm, dmm, dpu, dmv)
+
+
+def ordered(lo, hi, f, u, v) -> tuple:
+    """(lo, hi) where lo <= hi; raises ``NonConvexityError`` for lo > hi beyond
+    ``DEFAULT_TOL``, and returns the hull (hi, lo) within it."""
+    if lo <= hi:
+        return lo, hi
+    if lo > hi + DEFAULT_TOL * max(1.0, abs(lo), abs(hi)):
+        raise NonConvexityError(
+            f"cell [{u}, {v}] has inverted remainder bracket [{lo}, {hi}]; {f.label!r} is not convex there"
+        )
+    return hi, lo
 
 
 def mass_bracket(d, x=None) -> tuple:
@@ -129,7 +152,7 @@ def split_bracket(dplus, dminus, u, v, x) -> tuple:
 def gap_enclosure(f, x) -> Enclosure:
     """The paper's bracket of f's domain [a, b] split at x, from the list walk."""
     a, b = f.domain.a, f.domain.b
-    return Enclosure(*_ordered(*split_bracket(f.d_plus, f.d_minus, a, b, x), f, a, b))
+    return Enclosure(*ordered(*split_bracket(f.d_plus, f.d_minus, a, b, x), f, a, b))
 
 
 def _split_bracket(dplus, dminus, u: float, v: float, x: float) -> tuple:
@@ -152,7 +175,7 @@ def remainder_enclosure(f, P) -> Enclosure:
     _check_domain(f, P)
     lo_sum = hi_sum = 0.0
     for u, v, x in P.cells():
-        lo, hi = _ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v)
+        lo, hi = ordered(*_split_bracket(f.d_plus, f.d_minus, u, v, x), f, u, v)
         lo_sum += lo
         hi_sum += hi
     return Enclosure(lo_sum, hi_sum)

@@ -9,15 +9,18 @@ and ``min(a, b)`` as ``b if b < a else a``, the comparison CPython's builtins
 make, so with the argument order kept both give the same float for every
 pair, -0.0 and NaN included; ``min``/``max`` of a tuple fold it in order the
 same way.  The code below is the parent's verbatim but for the docstrings,
-and the library must agree with it bit for bit.
+and the library must agree with it bit for bit.  The adaptive cell reads the
+paper's bracket and its inversion check from the frozen copies in
+``grid_oracles``, so a change to the library's kernel shows here too.
 """
 
 import math
 from typing import Optional
 
+from grid_oracles import midpoint_bracket, ordered
+
 from trapbound._ranges import _out
 from trapbound.funcs import ConvexFunction, _falling, _midpoint, _pow
-from trapbound.pointwise import _midpoint_bracket, _ordered
 from trapbound.quadrature import _BETA, _DELTA, _GAMMA, _cubic_term, _envelope_area
 
 
@@ -88,7 +91,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
         fm, dpm, dmm = f(m), f.d_plus(m), f.d_minus(m)
     else:
         m = fm = dpm = dmm = None
-    lo_p, hi_p = _midpoint_bracket(h, dpm, dmm, dpu, dmv)
+    lo_p, hi_p = midpoint_bracket(h, dpm, dmm, dpu, dmv)
     # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
     lo_p = max(lo_p, 0.0)
     d2 = f._d2range(u, v) if f._d2range is not None else None
@@ -112,7 +115,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
         lo = max(lo_p, t - 0.5 * (wl * (fu + fm) + wr * (fm + fv)))
         hi = min(hi_p, t - (_envelope_area(wl, fu, dpu, fm, dmm) + _envelope_area(wr, fm, dpm, fv, dmv)))
     if lo > hi:
-        _ordered(lo, hi, f, u, v)  # raises for an inversion beyond rounding; the hull is not taken here
+        ordered(lo, hi, f, u, v)  # raises for an inversion beyond rounding; the hull is not taken here
     if c2 is None:
         # an inversion by rounding alone collapses to a point inside [lo_p, hi_p]
         lo = min(lo, max(hi_p, lo_p))

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from finite_difference import finite_difference_derivative
 
 from trapbound.expr import to_convex_function
 from trapbound.funcs import (
@@ -10,7 +9,6 @@ from trapbound.funcs import (
     ConvexFunction,
     DomainError,
     Interval,
-    NonConvexityError,
     catalog,
     check_convexity,
 )
@@ -65,57 +63,6 @@ class TestOneSidedDerivative:
     def test_infinite_endpoint(self):
         f = catalog("neg_log")
         assert f.d_plus(0.0) == -math.inf
-
-
-class TestFiniteDifference:
-    def test_quadratic_right(self):
-        f = catalog("quadratic")
-        est = finite_difference_derivative(f, 0.5, "right", h0=0.1, levels=8)
-        # last one-sided quotient of t^2 is 2x + h; the bracket is h itself
-        assert abs(est.value - 1.0) <= est.uncertainty + 1e-12
-        assert est.method == "finite-difference"
-
-    def test_quadratic_more_levels_tightens(self):
-        f = catalog("quadratic")
-        est = finite_difference_derivative(f, 0.5, "right", h0=0.1, levels=24)
-        assert abs(est.value - 1.0) <= max(1e-6, est.uncertainty)
-
-    def test_kink_quotient_constant(self):
-        f = catalog("kink", (1.0, 0.5))
-        est = finite_difference_derivative(f, 0.5, "right", h0=0.1, levels=4)
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.uncertainty <= 1e-12
-
-    def test_kink_quotient_exact_with_binary_steps(self):
-        f = catalog("kink", (1.0, 0.5))
-        est = finite_difference_derivative(f, 0.5, "right", h0=0.125, levels=4)
-        assert est.value == 1.0
-        assert est.uncertainty == 0.0
-
-    def test_constant(self):
-        f = catalog("constant", (3.0,))
-        est = finite_difference_derivative(f, 0.5, "right", h0=0.1, levels=4)
-        assert est.value == 0.0
-        assert est.uncertainty == 0.0
-
-    def test_left_side(self):
-        f = catalog("quadratic")
-        est = finite_difference_derivative(f, 0.5, "left", h0=0.1, levels=20)
-        assert abs(est.value - 1.0) <= max(1e-5, est.uncertainty)
-
-    def test_nonconvex_detected(self):
-        f = ConvexFunction(Interval(0.0, 3.0), math.sin, math.cos, math.cos, "sin")
-        with pytest.raises(NonConvexityError):
-            finite_difference_derivative(f, 1.0, "right", h0=0.5, levels=6)
-
-    def test_bad_parameters(self):
-        f = catalog("quadratic")
-        with pytest.raises(ValueError):
-            finite_difference_derivative(f, 0.5, "right", h0=-1.0, levels=4)
-        with pytest.raises(ValueError):
-            finite_difference_derivative(f, 0.5, "right", h0=0.1, levels=1)
-        with pytest.raises(DomainError):
-            finite_difference_derivative(f, 0.99, "right", h0=0.1, levels=4)
 
 
 class TestCheckConvexity:
@@ -235,15 +182,3 @@ class TestCatalogProperties:
             for seq in (dplus, dminus):
                 for u, v in zip(seq, seq[1:]):
                     assert u <= v + 1e-12, f.label
-
-    def test_finite_difference_matches_oracle_on_smooth(self, rng):
-        smooth = [catalog("quadratic"), catalog("exp"), catalog("power_p", (3.0,)),
-                  catalog("neg_log", (), Interval(0.5, 2.0)),
-                  catalog("xlogx", (), Interval(0.5, 2.0))]
-        for f in smooth:
-            a, b = f.domain.a, f.domain.b
-            for _ in range(50):
-                x = a + (b - a) * rng.uniform(0.05, 0.95)
-                h0 = min(0.02 * (b - a), b - x, x - a)
-                est = finite_difference_derivative(f, x, "right", h0=h0, levels=24)
-                assert abs(est.value - f.d_plus(x)) <= max(1e-6, 2 * est.uncertainty), f.label

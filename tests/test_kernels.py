@@ -2,9 +2,11 @@
 
 ``quadrature_oracles`` keeps ``_corrected_bracket``, ``_adaptive_cell``,
 ``_ranges._imul`` and ``_ranges._ipow`` as they were written with the
-builtin ``min`` and ``max``.  The library's comparisons must give the same
-floats: ``repr`` tells -0.0 from 0.0 and takes a NaN as a NaN, and a raised
-error must be the same type with the same message.
+builtin ``min`` and ``max``, and ``grid_oracles`` the paper's bracket at the
+midpoint and its inversion check, which the adaptive cell reads.  The
+library's comparisons must give the same floats: ``repr`` tells -0.0 from
+0.0 and takes a NaN as a NaN, and a raised error must be the same type with
+the same message.
 """
 
 import ast
@@ -12,12 +14,13 @@ import inspect
 import math
 import textwrap
 
+import grid_oracles
 import pytest
 import quadrature_oracles as oracle
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from trapbound import _ranges, funcs, quadrature
+from trapbound import _ranges, funcs, pointwise, quadrature
 from trapbound.expr import to_convex_function
 from trapbound.funcs import Interval, catalog
 
@@ -150,6 +153,20 @@ def test_corrected_bracket_on_samples_matches_oracle(name, data, with_third):
     d3 = None if None in t3 else sum(t3, ())
     args = (u, m, v, f(u), f(m), f(v), f.d_plus(u), f.d_minus(m), f.d_plus(m), f.d_minus(v), d2, d3)
     assert outcome(quadrature._corrected_bracket, *args) == outcome(oracle._corrected_bracket, *args)
+
+
+@given(widths, st.one_of(st.none(), st.tuples(ends, ends)), ends, ends)
+def test_midpoint_bracket_matches_oracle(h, mid, dpu, dmv):
+    # the paper's bracket of a cell, slopes at its midpoint or none
+    args = (h, *(mid or (None, None)), dpu, dmv)
+    assert outcome(pointwise._midpoint_bracket, *args) == outcome(grid_oracles.midpoint_bracket, *args)
+
+
+@given(ends, ends)
+@example(1e-12, 0.0)  # an inversion by rounding: the hull
+def test_ordered_matches_oracle(lo, hi):
+    f = catalog("exp")
+    assert outcome(pointwise._ordered, lo, hi, f, 0.0, 1.0) == outcome(grid_oracles.ordered, lo, hi, f, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

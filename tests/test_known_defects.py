@@ -1,13 +1,15 @@
 """The ledger of known defects: one test per fast case under ROADMAP "Still wrong".
 
-Each test asserts the correct outcome, either an enclosure that holds an
-exact ``fractions`` or ``decimal`` reference of the float inputs at zero
-slack, or the right exit code, and carries ``xfail(strict=True)`` with the
-ROADMAP item that would mend it.  A mend makes its test pass, which strict
-mode reports as a failure until the mending change deletes the marker.  A
-marker is only ever removed: none is added to an existing test, and no case
-is narrowed until it passes.  ``raises=AssertionError`` keeps an error in a
-test itself from counting as the defect.
+Each test asserts the correct outcome: an enclosure that holds an exact
+``fractions`` or ``decimal`` reference of the float inputs at zero slack, a
+faithful slope (the float next to its exact ``catalog_oracles.derivative``
+on one side or the other), or the right exit code.  Each carries
+``xfail(strict=True)`` with the ROADMAP item that would mend it.  A mend
+makes its test pass, which strict mode reports as a failure until the
+mending change deletes the marker.  A marker is only ever removed: none is
+added to an existing test, and no case is narrowed until it passes.
+``raises=AssertionError`` keeps an error in a test itself from counting as
+the defect.
 
 Left out:
 - ``gap --fn "exp(x)" --interval 0 40 --x 20``, whose reference pass spends
@@ -27,6 +29,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from catalog_oracles import DIGITS, derivative, number_type
 
 from trapbound.cli import main
 from trapbound.divergence import DiscreteDistribution, divergence_report, generator_catalog
@@ -98,6 +101,21 @@ def test_decay_on_a_huge_interval_converges(capsys):
     e = cli_integral(capsys, "gap", "--fn", "exp(-x)", "--interval", "0", "1e160", "--x", "5e159")
     assert e["converged"] is True
     assert float(e["lo"]) < 1 <= float(e["hi"])
+
+
+@defect("ROADMAP item 2")
+@pytest.mark.parametrize("name, params, t", [
+    ("xlogx", (), 0.36787944117144233),  # ln t + 1 cancels to 0.0; the exact f' is 3.378e-17
+    ("power_p", (3.0,), 0.7837397964431156),  # 3 t^2 rounds in the power and the product: 1.249 ulps off
+], ids=["xlogx", "power_p"])
+def test_catalog_slope_is_faithful(name, params, t):
+    # the exact f'+ lies strictly between the float neighbours of the slope read, as ConvexFunction assumes
+    got = catalog(name, params).dplus(t)
+    num = number_type(name, params)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        exact = derivative(name, params, num, 1)(num(t))
+    assert num(math.nextafter(got, -math.inf)) < exact < num(math.nextafter(got, math.inf))
 
 
 @defect("ROADMAP item 4")

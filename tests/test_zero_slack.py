@@ -93,7 +93,7 @@ EXPRESSIONS = {
 
 
 def _range_contains_reference(k, family, data, p, q, samples):
-    # the f^(k) range of a cell, k = 3, 4 or 6, holds the exact f^(k) at its
+    # the f^(k) range of a cell, k = 2, 3, 4 or 6, holds the exact f^(k) at its
     # ends and at exact interior points: with the ulp per end that the
     # contract allows for a catalog family, and as returned for an
     # expression, whose interval ends are rounded outward
@@ -112,7 +112,7 @@ def _range_contains_reference(k, family, data, p, q, samples):
     assume(u < v)
     rng = f._d2range(u, v)
     assume(rng is not None)  # a kink inside the cell
-    lo, hi = rng[{3: 2, 4: 4, 6: 6}[k]:][:2]
+    lo, hi = rng[{2: 0, 3: 2, 4: 4, 6: 6}[k]:][:2]
     for _ in range(ulps):
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     with localcontext() as ctx:
@@ -121,6 +121,14 @@ def _range_contains_reference(k, family, data, p, q, samples):
             t = num(u) + (num(v) - num(u)) * num(s.numerator) / num(s.denominator)
             t = min(max(t, num(u)), num(v))  # rounded to DIGITS, t may leave the cell
             assert lo <= dk(t) <= hi, (f.label, u, v, t)
+
+
+@pytest.mark.parametrize("family", CATALOG_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       samples=st.lists(st.fractions(0, 1), max_size=4))
+def test_second_derivative_range_contains_reference(family, data, p, q, samples):
+    _range_contains_reference(2, family, data, p, q, samples)
 
 
 @pytest.mark.parametrize("family", [*CATALOG_NAMES, *EXPRESSIONS])
@@ -145,6 +153,37 @@ def test_fourth_derivative_range_contains_reference(family, data, p, q, samples)
        samples=st.lists(st.fractions(0, 1), max_size=4))
 def test_sixth_derivative_range_contains_reference(family, data, p, q, samples):
     _range_contains_reference(6, family, data, p, q, samples)
+
+
+@pytest.mark.parametrize("family", CATALOG_NAMES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), s=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_slopes_contain_reference(family, data, s):
+    # both raw slope oracles, f'+ on [a, b) and f'- on (a, b], at the ends,
+    # the kink, t = 0 where the domain holds it and drawn points, against the
+    # exact f'+ and f'-: within an ulp, two for t^p, whose power and product
+    # each round, and ulp(ln t) + ulp(f') for ln t + 1, which rounds twice;
+    # an infinite slope is the exact one rounded, as -1/t past the float range
+    name, params, a, b, _ = data.draw(catalog_cases(family))
+    f = catalog(name, params, Interval(a, b))
+    num = number_type(name, params)
+    ts = {a, b, *(min(a + (b - a) * x, b) for x in s), *(params[1:] if name == "kink" else ())}
+    if a <= 0.0 <= b:
+        ts.add(0.0)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for t in ts:
+            for side, oracle in ((1, f.dplus), (-1, f.dminus)):
+                if t == (b if side > 0 else a):
+                    continue
+                got, exact = oracle(t), derivative(name, params, num, 1, side)(num(t))
+                if math.isinf(got):
+                    assert got == float(exact), (f.label, t, side)
+                    continue
+                allowance = num(math.ulp(got)) * (2 if name == "power_p" else 1)
+                if name == "xlogx":
+                    allowance += num(math.ulp(math.log(t)))
+                assert abs(num(got) - exact) <= allowance, (f.label, t, side, got)
 
 
 @pytest.mark.parametrize("family", CATALOG_NAMES)
