@@ -1,19 +1,21 @@
 """f'', f''' and f'''' ranges of expressions, by interval arithmetic rounded outward
 (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, SIAM 2009).
 
-An interval is a tuple (lo, hi) of finite floats, and each operation of
+An interval is a tuple (lo, hi) of floats, and each operation of
 :data:`OPS` rounds its result one ulp outward, which covers a rounding to
-nearest or a faithful libm call.  A result that overflows or is NaN, and an
-argument outside the domain on which the operation is C^2, raise
-ArithmeticError.  :class:`_RangeBody` carries the ranges of f, f', ...,
-f^(K), K = 4, of each node of an expression tree through these operations
-by forward mode, with one rule per operation that gives order k from the
-orders up to k (Moore, *Methods and Applications of Interval Analysis*,
-SIAM 1979, ch. 3; Griewank & Walther, *Evaluating Derivatives*, 2008,
-ch. 13), compiled into one straight-line Python function as
-:class:`trapbound.expr._Body` compiles f, whose code object trees of one
-shape share (:func:`trapbound.expr._code`).  A fault in order k alone
-leaves the ranges of the orders below it and unbounded ones from k on.
+nearest or a faithful libm call.  Every operation is total: where it has no
+finite bound (an end that overflows or is NaN, an argument outside the
+domain on which the operation is C^2, a divisor that holds 0) it answers
+(-inf, inf), and each operation passes (-inf, inf) on.  :class:`_RangeBody`
+carries the ranges of f, f', ..., f^(K), K = 4, of each node of an
+expression tree through these operations by forward mode, with one rule per
+operation that gives order k from the orders up to k (Moore, *Methods and
+Applications of Interval Analysis*, SIAM 1979, ch. 3; Griewank & Walther,
+*Evaluating Derivatives*, 2008, ch. 13), compiled into one straight-line
+Python function as :class:`trapbound.expr._Body` compiles f, whose code
+object trees of one shape share (:func:`trapbound.expr._code`).  So an order
+with no bound is (-inf, inf) and keeps the orders below it; f'' with none
+is None, and nothing raises but :class:`trapbound.funcs.NonConvexityError`.
 
 :func:`trapbound.expr.to_convex_function` imports this module when it is
 first asked for an f'' range, so an interpreter that never integrates an
@@ -30,10 +32,15 @@ from .expr import Binary, Const, Expression, Unary, Var, _Body, _code, _identity
 from .funcs import NonConvexityError, _falling
 
 
+K = 4  # the highest derivative order that quadrature._corrected_bracket reads
+_ZERO, _ONE, _WHOLE = (0.0, 0.0), (1.0, 1.0), (-math.inf, math.inf)
+
+
 def _out(lo: float, hi: float) -> tuple:
-    if not -math.inf < lo <= hi < math.inf:
-        raise OverflowError("interval bound not finite")
-    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    """(lo, hi) one ulp outward, or (-inf, inf) where an end is not finite."""
+    if -math.inf < lo <= hi < math.inf:
+        return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return _WHOLE
 
 
 def _imul(x, y) -> tuple:
@@ -52,8 +59,8 @@ def _idiv(x, y) -> tuple:
     (a, b), (c, d) = x, y
     if d < 0.0:
         return _idiv((-b, -a), (-d, -c))
-    if not c > 0.0:
-        raise ArithmeticError("divisor interval holds 0")
+    if not c > 0.0:  # the divisor holds 0
+        return _WHOLE
     return _out(a / (d if a >= 0.0 else c), b / (c if b >= 0.0 else d))
 
 
@@ -62,24 +69,32 @@ def _ipow(x, p: float) -> tuple:
     p < 0; an even power of an x around 0 has its least value 0."""
     lo, hi = x
     if not (lo > 0.0 or p.is_integer() and (p >= 0.0 or hi < 0.0)):
-        raise ArithmeticError("power not C^2 on the interval")
-    a, b = lo ** p, hi ** p
+        return _WHOLE
+    try:
+        a, b = lo ** p, hi ** p
+    except OverflowError:
+        return _WHOLE
     return _out(0.0 if lo < 0.0 < hi and p % 2.0 == 0.0 else (b if b < a else a), b if b > a else a)
+
+
+def _increasing(fn: Callable) -> Callable:
+    """The interval form of an increasing libm function, (-inf, inf) where
+    it overflows or an end leaves its domain."""
+
+    def op(x) -> tuple:
+        try:
+            return _out(fn(x[0]), fn(x[1]))
+        except (OverflowError, ValueError):
+            return _WHOLE
+
+    return op
 
 
 def _isign(g, x) -> tuple:
     """x where g > 0 and -x where g < 0: the derivatives of |g| from those of g."""
     if g[0] > 0.0:
         return x
-    if g[1] < 0.0:
-        return -x[1], -x[0]
-    raise ArithmeticError("abs argument interval holds 0")
-
-
-def _ipos(x) -> tuple:
-    if not x[0] > 0.0:
-        raise ArithmeticError("log or sqrt argument interval reaches 0")
-    return x
+    return (-x[1], -x[0]) if g[1] < 0.0 else _WHOLE
 
 
 OPS = {
@@ -89,10 +104,10 @@ OPS = {
     "_imul": _imul,
     "_idiv": _idiv,
     "_ipow": _ipow,
-    "_iexp": lambda x: _out(math.exp(x[0]), math.exp(x[1])),
-    "_ilog": lambda x: _out(math.log(x[0]), math.log(x[1])),
-    "_isqrt": lambda x: _out(math.sqrt(x[0]), math.sqrt(x[1])),
-    "_ipos": _ipos,
+    "_iexp": _increasing(math.exp),
+    "_ilog": _increasing(math.log),
+    "_isqrt": _increasing(math.sqrt),
+    "_ipos": lambda x: x if x[0] > 0.0 else _WHOLE,  # the argument of log or sqrt
     "_isign": _isign,
 }
 _IDENTITY_OPS = {"_iadd": "+", "_isub": "-", "_imul": "*"}
@@ -103,10 +118,6 @@ def _point(a):
     return a[0] if isinstance(a, tuple) and a[0] == a[1] else None
 
 
-K = 4  # the highest derivative order that quadrature._corrected_bracket reads
-_ZERO, _ONE, _WHOLE = (0.0, 0.0), (1.0, 1.0), (-math.inf, math.inf)
-
-
 class _RangeBody(_Body):
     """:class:`trapbound.expr._Body` with one rule per operation for the
     ranges of f, f', ..., f^(K)."""
@@ -114,28 +125,26 @@ class _RangeBody(_Body):
     def iapply(self, helper: str, *args):
         """Interval ``helper`` of :data:`OPS` on ``args``: reduced by
         :func:`_identity` where an operand is the point 0 or 1, evaluated
-        now if all are known (a failure is left to the generated code)."""
+        now if all are known."""
         op = _IDENTITY_OPS.get(helper)
         if op is not None:
             simpler = _identity(op, *args, _point)
             if simpler is not None:
                 return (simpler, simpler) if isinstance(simpler, float) else simpler
         if str not in map(type, args):
-            try:
-                return OPS[helper](*args)
-            except ArithmeticError:
-                pass
+            return OPS[helper](*args)
         return self.emit(helper + "({})".format(", ".join(["{}"] * len(args))), *args)
 
     def inode(self, e: Expression) -> list:
         """``[f, f', ..., f^(K)]`` of ``e`` as intervals over the cell
         ``t = (u, v)``, order k of each node from orders up to k of its
-        operands.  A node that is not C^2 on the cell raises at run time:
-        ``abs`` of an argument holding 0, ``log`` or ``sqrt`` of one reaching
-        0, ``/`` by one holding 0, and ``^`` off :func:`_ipow`'s domain.
-        Order k shares the lines of the orders below it and raises alone
-        where only it fails: where it overflows, and for ``x^p`` where p - k
-        rounds, k > 2 (where p - 1 or p - 2 rounds the tree gets no range)."""
+        operands.  An order with no bound is (-inf, inf), which each later
+        operation passes on: every order of a node that is not C^2 on the
+        cell (``abs`` of an argument holding 0, ``log`` or ``sqrt`` of one
+        reaching 0, ``/`` by one holding 0, ``^`` off :func:`_ipow`'s
+        domain), and order k alone where only it overflows or, for ``x^p``,
+        where p - k rounds, k > 2.  Where p - 1 or p - 2 rounds it raises
+        ArithmeticError when compiled, so that the tree gets no range."""
         if isinstance(e, Const):
             return [(e.value, e.value)] + [_ZERO] * K
         if isinstance(e, Var):
@@ -186,7 +195,7 @@ class _RangeBody(_Body):
         if e.op == "/":  # q r = l: r q_k = l_k - sum_(0<i<=k) C(k, i) r_i q_(k-i)
             return solve([], l, r[0], lambda k, q: ((C(k, i), r[i], q[k - i]) for i in range(1, k + 1)))
         # l^p by Faa di Bruno: f_k = sum_j g_j B_(k,j), with g_j = p (p-1) ... (p-j+1) l^(p-j),
-        # a fault where p - j rounds, and the partial Bell polynomials of l_1, l_2, ...,
+        # unbounded where p - j rounds, and the partial Bell polynomials of l_1, l_2, ...,
         # B_(n,j) = sum_i C(n-1, i-1) l_i B_(n-i,j-1)
         p = e.right.value
         power = lambda k: _ONE if k == 0.0 else (l[0] if k == 1.0 else self.iapply("_ipow", l[0], k))
@@ -195,7 +204,7 @@ class _RangeBody(_Body):
             if not math.fsum((p, -j, j - p)):
                 g.append(mul(_falling(p, j), power(p - j)))
             elif j > 2:
-                g.append(self.iapply("_ipos", _ZERO))  # a line that always faults
+                g.append(_WHOLE)
             else:
                 raise ArithmeticError("p - 1 or p - 2 rounds")  # the tree gets no f'' range
         for n in range(1, K + 1):
@@ -208,14 +217,12 @@ def compile_range(tree: Expression, label: str) -> Callable:
     """The ``_d2range`` of ``tree``: (u, v) -> (lo, hi, lo3, hi3, lo4, hi4,
     -inf, inf) with 0 <= lo <= f'' <= hi, lo3 <= f''' <= hi3 and
     lo4 <= f'''' <= hi4 on [u, v] and no f^(6) range, from one generated
-    function of orders 2 to K of
-    :meth:`_RangeBody.inode`, or None where the tree is not C^2 there
-    (everywhere if p - 1 or p - 2 of an exponent p rounds); the ends of an
-    order are -inf, inf where it or an order below it fails alone.  A range
+    function of orders 2 to K of :meth:`_RangeBody.inode`.  An order with no
+    bound is (-inf, inf), and so is each order after it; f'' with none gives
+    None (everywhere if p - 1 or p - 2 of an exponent p rounds).  A range
     below 0 proves f is not convex on the cell and raises
-    :class:`trapbound.funcs.NonConvexityError`."""
-    names = {"__builtins__": {}, "_FAULTS": (ArithmeticError, ValueError),
-             "r_fault": lambda t: None, **OPS}
+    :class:`trapbound.funcs.NonConvexityError`, the one error it raises."""
+    names = {"__builtins__": {}, "_FAULTS": (), **OPS}  # every operation is total: nothing to catch
     body = _RangeBody(names)
     try:
         source = body.source("r", *body.inode(tree)[2:])
@@ -225,16 +232,16 @@ def compile_range(tree: Expression, label: str) -> Callable:
     r = names.pop("r")
 
     def d2range(u: float, v: float):
-        d = r((u, v))
-        if d is None:
+        d2, *tops = r((u, v))
+        if d2 == _WHOLE:
             return None
-        (lo, hi), *tops = d
+        lo, hi = d2
         if hi < 0.0:
             raise NonConvexityError(
                 f"f'' of {label!r} lies in [{lo}, {hi}] on [{u}, {v}]; it is not convex there")
         out = (0.0 if 0.0 > lo else lo, hi)
         for top in tops:
-            out += top or _WHOLE
+            out += _WHOLE if out[-2:] == _WHOLE else top
         return out + _WHOLE
 
     return d2range

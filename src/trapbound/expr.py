@@ -365,43 +365,32 @@ class _Body:
         self.lines.append((name, template, [self.ref(o) for o in operands]))
         return name
 
-    def source(self, name: str, result, *tails) -> str:
-        """``def name(t)`` returning ``result``: a value used once is written
-        into its user, one used more often gets a local, and an unused one
-        is dropped.  With ``tails`` it returns ``(result, *tails)``; where a
-        line that a tail needs and no earlier value does fails, that tail
-        and each after it are None."""
-        roots = [self.ref(r) for r in (result, *tails)]
-        blocks, seen = [], set()
-        for root in roots:
-            live = {root}
-            for line in reversed(self.lines):
-                if line[0] in live:
-                    live.update(line[2])
-            blocks.append([line for line in self.lines if line[0] in live and line[0] not in seen])
-            seen |= live
-        uses = Counter(roots + [r for block in blocks for line in block for r in line[2]])
+    def source(self, name: str, *roots) -> str:
+        """``def name(t)`` returning the one root, or the tuple of several: a
+        value used once is written into its user, one used more often gets a
+        local, and an unused one is dropped.  Where a line raises one of the
+        global ``_FAULTS``, it returns ``name_fault(t)``."""
+        roots = [self.ref(r) for r in roots]
+        live = set(roots)
+        for line in reversed(self.lines):
+            if line[0] in live:
+                live.update(line[2])
+        lines = [line for line in self.lines if line[0] in live]
+        uses = Counter(roots + [r for line in lines for r in line[2]])
         text: dict = {}
-        body = [""] * len(blocks)
-        for i, block in enumerate(blocks):
-            for target, template, refs in block:
-                rhs = template.format(*(text.get(r, r) for r in refs))
-                if uses[target] == 1:
-                    # a helper's call (its template starts with the helper's
-                    # name) is written in bare: redundant parentheses slow
-                    # compile() by about a tenth
-                    text[target] = rhs if template[0] == "_" else f"({rhs})"
-                else:
-                    body[i] += f"        {target} = {rhs}\n"
-        value = [text.get(r, r) for r in roots]
-        got = [f"d{i}" for i in range(len(roots))]
-        fault = f"{name}_fault(t)"
-        source = f"def {name}(t):\n"
-        for i, (lines, v) in enumerate(zip(body, value)):
-            step = f"return {', '.join(got[:i] + [v])}" if i == len(roots) - 1 else f"{got[i]} = {v}"
-            source += f"    try:\n{lines}        {step}\n    except _FAULTS:\n        return {fault}\n"
-            fault = ", ".join(got[:i + 1] + ["None"] * (len(roots) - i - 1))
-        return source
+        body = ""
+        for target, template, refs in lines:
+            rhs = template.format(*(text.get(r, r) for r in refs))
+            if uses[target] == 1:
+                # a helper's call (its template starts with the helper's
+                # name) is written in bare: redundant parentheses slow
+                # compile() by about a tenth
+                text[target] = rhs if template[0] == "_" else f"({rhs})"
+            else:
+                body += f"        {target} = {rhs}\n"
+        value = ", ".join(text.get(r, r) for r in roots)
+        return (f"def {name}(t):\n    try:\n{body}        return {value}\n"
+                f"    except _FAULTS:\n        return {name}_fault(t)\n")
 
     def apply(self, op: str, node: Expression, *args, fold: bool = False):
         """``op`` on ``args``, evaluated now if all are known; with ``fold``,

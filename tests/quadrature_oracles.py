@@ -2,7 +2,11 @@
 ``quadrature._corrected_bracket`` and ``quadrature._adaptive_cell`` and the
 interval rules ``_ranges._imul`` and ``_ranges._ipow``, as they were written
 with the builtin ``min`` and ``max``, and the catalog's ``power_p`` range as
-it was written with two powers of each order at a point.
+it was written with two powers of each order at a point.  The outward steps
+they take, ``_ranges._out`` and ``quadrature._cubic_term``, are frozen
+copies here, so a change to the library's shows too; ``_ipow`` answers
+(-inf, inf) where the parent's raised, as ``_out`` does where an end is not
+finite.
 
 The library writes each two-argument ``max(a, b)`` as ``b if b > a else a``
 and ``min(a, b)`` as ``b if b < a else a``, the comparison CPython's builtins
@@ -19,9 +23,24 @@ from typing import Optional
 
 from grid_oracles import midpoint_bracket, ordered
 
-from trapbound._ranges import _out
 from trapbound.funcs import ConvexFunction, _falling, _midpoint, _pow
-from trapbound.quadrature import _BETA, _DELTA, _GAMMA, _cubic_term, _envelope_area
+from trapbound.quadrature import _BETA, _DELTA, _GAMMA, _envelope_area
+
+_WHOLE = (-math.inf, math.inf)
+
+
+def _out(lo: float, hi: float) -> tuple:
+    """The library's ``_ranges._out``: (lo, hi) one ulp outward, or (-inf, inf) where an end is not finite."""
+    if -math.inf < lo <= hi < math.inf:
+        return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return _WHOLE
+
+
+def _cubic_term(h: float, d2: float, s: float) -> float:
+    """The library's ``quadrature._cubic_term``: (v - u)^3/12 * d2, each step rounded towards s."""
+    h = math.nextafter(h, s)
+    k = math.nextafter(math.nextafter(math.nextafter(h * h, s) * h, s) / 12.0, s)
+    return math.nextafter(k * math.nextafter(d2, s), s)
 
 
 def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> Optional[tuple]:
@@ -139,11 +158,15 @@ def _imul(x, y) -> tuple:
 
 
 def _ipow(x, p: float) -> tuple:
-    """The parent's ``_ranges._ipow``."""
+    """The parent's ``_ranges._ipow``, with (-inf, inf) where it raised: off
+    its domain, or where a power overflows."""
     lo, hi = x
     if not (lo > 0.0 or p.is_integer() and (p >= 0.0 or hi < 0.0)):
-        raise ArithmeticError("power not C^2 on the interval")
-    a, b = lo ** p, hi ** p
+        return _WHOLE
+    try:
+        a, b = lo ** p, hi ** p
+    except OverflowError:
+        return _WHOLE
     return _out(0.0 if lo < 0.0 < hi and p % 2.0 == 0.0 else min(a, b), max(a, b))
 
 

@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from catalog_oracles import DIGITS
 from divergence_oracles import CLOSED_FORMS, chi_squared, reference_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,13 +173,70 @@ class TestGenerators:
             GeneratorFunction(g.fn, g.dplus, g.dminus, None, "hellinger-bare", 1.0)
 
     def test_antiderivatives(self):
-        # oracle: central finite difference recovers the generator
-        h = 1e-6
+        # F(b) - F(a) against a 50-digit integral of f, within 8 ulps of |F(a)| + |F(b)|;
+        # hellinger's F, whose terms cancel, is the farthest off: 2.6 on [1.0, 1.7]
         for name in GENERATOR_NAMES:
-            g = generator_catalog(name)
-            for u in (0.3, 0.9, 1.7):
-                fd = (g.antiderivative(u + h) - g.antiderivative(u - h)) / (2 * h)
-                assert fd == pytest.approx(g.fn(u), rel=1e-6, abs=1e-6), name
+            errors = antiderivative_errors(generator_catalog(name).antiderivative, DECIMAL_GENERATORS[name])
+            assert max(errors) <= 8, (name, errors)
+
+    def test_antiderivative_check_sees_a_relative_error_of_1e_7(self):
+        # the central difference it replaced passed these at rel=1e-6
+        for name in GENERATOR_NAMES:
+            F = generator_catalog(name).antiderivative
+            errors = antiderivative_errors(lambda u: F(u) * (1.0 + 1e-7), DECIMAL_GENERATORS[name])
+            assert min(errors) > 8, (name, errors)
+
+
+#: Each built-in generator's f in Decimal, for the exact check of its antiderivative.
+DECIMAL_GENERATORS = {
+    "chi_squared": lambda u: (u - 1) ** 2,
+    "kl": lambda u: u * u.ln(),
+    "total_variation": lambda u: abs(u - 1),
+    "hellinger": lambda u: (u.sqrt() - 1) ** 2,
+}
+#: Cells on both sides of 1, two of them ending at 1 as HH's inner integrals do.
+ANTIDERIVATIVE_CELLS = [(0.3, 0.9), (0.3, 1.0), (0.9, 1.7), (1.0, 1.7), (1.7, 4.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple:
+    """The (x, w) pairs with x > 0 of the n-point Gauss-Legendre rule on [-1, 1], n even: each
+    root of the Legendre polynomial P_n by Newton's method from its float estimate."""
+    rule = []
+    for i in range(1, n // 2 + 1):
+        x, dx = Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5))), 1
+        while abs(dx) > Decimal(10) ** -(DIGITS + 15):
+            p0, p1 = Decimal(1), x  # P_(k-1), P_k by Bonnet's recursion
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            dx = p1 / dp
+            x -= dx
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+def antiderivative_errors(F, f) -> list:
+    """|F(b) - F(a) - the integral of f over [a, b]| on each of ``ANTIDERIVATIVE_CELLS``, in
+    units of 2^-52 (|F(a)| + |F(b)|).  The integral is split at 1, where total_variation has
+    its kink, and each piece is taken by the 48- and 64-point Gauss-Legendre rules, which
+    must agree to DIGITS digits (f is analytic on each piece and its singularities are at
+    least 0.3 away)."""
+    errors = []
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 20
+        for a, b in ANTIDERIVATIVE_CELLS:
+            ends = [Decimal(a)] + ([Decimal(1)] if a < 1 < b else []) + [Decimal(b)]
+            exact = 0
+            for u, v in zip(ends, ends[1:]):
+                c, r = (u + v) / 2, (v - u) / 2
+                coarse, fine = (r * sum(w * (f(c - r * x) + f(c + r * x)) for x, w in gauss_legendre(n))
+                                for n in (48, 64))
+                assert abs(fine - coarse) <= abs(fine).scaleb(-DIGITS), (u, v)
+                exact += fine
+            Fa, Fb = Decimal(F(a)), Decimal(F(b))
+            errors.append(float(abs(Fb - Fa - exact) / ((abs(Fa) + abs(Fb)) * Decimal(2) ** -52)))
+    return errors
 
 
 class TestCsiszar:

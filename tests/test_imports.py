@@ -2,10 +2,13 @@
 
 Every check runs in a fresh interpreter, so no module that another test
 imported counts; the child prints the sorted modules it loaded past those of
-start-up as its last line of output.
+start-up as its last line of output.  The last test reads the test oracles'
+imports, which trapbound helpers they share with the code they check.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import runpy
 import subprocess
@@ -19,6 +22,9 @@ import trapbound
 SRC = Path(trapbound.__file__).resolve().parent.parent
 #: The home modules of the package's exports.
 EXPORT_HOMES = {"funcs", "pointwise", "quadrature"}
+#: The private trapbound callables that ``tests/*_oracles.py`` still share
+#: with the code they check; freezing one into its oracle removes it here.
+SHARED_HELPERS = {"_check_domain", "_envelope_area", "_falling", "_midpoint", "_pow", "_pairs", "_slope_at_infinity"}
 
 
 def fresh_modules(code: str) -> set:
@@ -178,3 +184,30 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
         runpy.run_module("trapbound", run_name="__main__")
     assert info.value.code == 0
     assert json.loads(capsys.readouterr().out)["remainder"] == {"lo": 0.0, "hi": 0.015625}
+
+
+def test_oracles_share_only_the_listed_helpers():
+    # an oracle that imports a library helper moves with the code it checks,
+    # so a new shared helper fails here; public names and named constants are
+    # allowed, and a helper read off an imported trapbound module counts too
+    shared = set()
+    for path in sorted(Path(__file__).parent.glob("*_oracles.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}  # local name -> the trapbound module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name) for a in node.names if a.name.startswith("trapbound"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trapbound"):
+                home = importlib.import_module(node.module)
+                for a in node.names:
+                    obj = getattr(home, a.name)
+                    if inspect.ismodule(obj):
+                        modules[a.asname or a.name] = obj.__name__
+                    elif a.name.startswith("_") and callable(obj):
+                        shared.add(a.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and callable(getattr(importlib.import_module(modules[node.value.id]), node.attr, None))):
+                shared.add(node.attr)
+    assert shared == SHARED_HELPERS

@@ -2,11 +2,12 @@
 
 ``quadrature_oracles`` keeps ``_corrected_bracket``, ``_adaptive_cell``,
 ``_ranges._imul`` and ``_ranges._ipow`` as they were written with the
-builtin ``min`` and ``max``, and ``grid_oracles`` the paper's bracket at the
-midpoint and its inversion check, which the adaptive cell reads.  The
-library's comparisons must give the same floats: ``repr`` tells -0.0 from
-0.0 and takes a NaN as a NaN, and a raised error must be the same type with
-the same message.
+builtin ``min`` and ``max``, with frozen copies of the outward steps
+``_ranges._out`` and ``quadrature._cubic_term``, and ``grid_oracles`` the
+paper's bracket at the midpoint and its inversion check, which the adaptive
+cell reads.  The library's comparisons must give the same floats: ``repr``
+tells -0.0 from 0.0 and takes a NaN as a NaN, and a raised error must be
+the same type with the same message.
 """
 
 import ast

@@ -107,7 +107,9 @@ def test_decay_on_a_huge_interval_converges(capsys):
 @pytest.mark.parametrize("name, params, t", [
     ("xlogx", (), 0.36787944117144233),  # ln t + 1 cancels to 0.0; the exact f' is 3.378e-17
     ("power_p", (3.0,), 0.7837397964431156),  # 3 t^2 rounds in the power and the product: 1.249 ulps off
-], ids=["xlogx", "power_p"])
+    # t^(p - 1) is subnormal, so its error of up to one subnormal ulp is multiplied by p: 1.47 ulps off
+    ("power_p", (2.0384,), 2.2250738585072014e-308),
+], ids=["xlogx", "power_p", "power_p-subnormal"])
 def test_catalog_slope_is_faithful(name, params, t):
     # the exact f'+ lies strictly between the float neighbours of the slope read, as ConvexFunction assumes
     got = catalog(name, params).dplus(t)
