@@ -185,12 +185,6 @@ def pass_(pairs):
 """
 
 
-def _pairs(p: DiscreteDistribution, q: DiscreteDistribution):
-    if len(p) != len(q):
-        raise ValueError(f"supports differ: {len(p)} vs {len(q)} points")
-    return zip(p.weights, q.weights)
-
-
 def _slope_at_infinity(g: GeneratorFunction, qi: float) -> float:
     """The slope that a term with p = 0 < q = ``qi`` needs, or the error for its absence."""
     if g.slope_at_infinity is None:
@@ -230,7 +224,9 @@ def divergence_report(g: GeneratorFunction, p: DiscreteDistribution, q: Discrete
     sum of the per-term brackets of the module docstring, checked for inversion
     by ``pointwise._ordered``; a point whose midpoint r_m rounds to 1 adds nothing to it.
     """
-    cs, lw, hh, sp, sm, su, sv = g._pass(_pairs(p, q))
+    if len(p) != len(q):
+        raise ValueError(f"supports differ: {len(p)} vs {len(q)} points")
+    cs, lw, hh, sp, sm, su, sv = g._pass(zip(p.weights, q.weights))
     lo, hi = _ordered(*_gap_bracket(0.25, 0.25, sp, sm, su, sv), g, 0.0, math.inf)
     return DivergenceReport(cs, lw, Enclosure(hh, hh), Enclosure(lo, hi))
 

@@ -347,15 +347,13 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> 
     return (lo, hi) if lo <= hi else None
 
 
-def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float,
-                   t3u: Optional[tuple] = None, t3v: Optional[tuple] = None) -> tuple:
+def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float, third: dict) -> tuple:
     """Heap entry for one cell with midpoint xi, given the endpoint samples.
 
-    The endpoint values, the outward one-sided slopes and the f''' ranges
-    t3u and t3v at the ends (None where never read) come from the parent
-    cell; only the midpoint is evaluated here.  Where f is C^2 on the cell
-    (its f'' range (A, B) has B finite) and every sample is finite, the
-    remainder bracket is the slope-corrected one of
+    The endpoint values and the outward one-sided slopes come from the
+    parent cell; only the midpoint is evaluated here.  Where f is C^2 on
+    the cell (its f'' range (A, B) has B finite) and every sample is
+    finite, the remainder bracket is the slope-corrected one of
     :func:`_corrected_bracket`: T - C plus, on each half of width w, the
     corrected trapezoid error (w^2/12)(f'(x1) - f'(x0)) within
     (B - A) w^3/(36 sqrt 3), within 5 (D3 - C3) w^4/1152 where f is C^3
@@ -363,10 +361,11 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     with f'''' in [E4, F4], and by the next Euler-Maclaurin term where the
     f^(6) range is finite and f'''' not 0 (whose cut is exact already),
     whichever is tightest.  That range certifies f is C^6 on the closed
-    cell, so f''' is then read at the midpoint, and at an end not read yet,
-    as ``f._d2range(x, x)[2:4]``.  The bracket is intersected with the
-    paper's cut at 0; where rounding put the paper's bracket outside it, it
-    is kept whole.
+    cell, so f''' at u, m and v is then taken from ``third``, the run's
+    table from a point x to ``f._d2range(x, x)[2:4]``; a point not in it
+    yet is read and added.  The bracket is intersected with the paper's
+    cut at 0; where rounding put the paper's bracket outside it, it is
+    kept whole.
 
     Every other cell (a kink, an unbounded f'', a cell too narrow to bisect)
     takes the tangent/chord sandwich of its samples, [T - C, T - E] with E
@@ -393,13 +392,13 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
     lo_p = 0.0 if 0.0 > lo_p else lo_p
     d2 = f._d2range(u, v) if f._d2range is not None else None
-    c2 = t3m = d3 = None
+    c2 = d3 = None
     if m is not None and d2 is not None:
         if (d2[4] or d2[5]) and -math.inf < d2[6] and d2[7] < math.inf:
-            t3u = t3u or f._d2range(u, u)[2:4]
-            t3m = f._d2range(m, m)[2:4]
-            t3v = t3v or f._d2range(v, v)[2:4]
-            d3 = t3u + t3m + t3v
+            for x in (u, m, v):
+                if x not in third:
+                    third[x] = f._d2range(x, x)[2:4]
+            d3 = third[u] + third[m] + third[v]
         c2 = _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3)
     z, y = lo_p, hi_p  # the cell's own cuts below and above, then met with [lo_p, hi_p]
     if c2 is not None:
@@ -426,7 +425,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
             lo, hi = ((z if z > lo else lo), (y if y < hi else hi)) if z <= hi and lo <= y else (z, y)
     elif lo > hi:
         lo, hi = c2  # the paper's bracket, rounded to nearest, missed it
-    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm, t3u, t3m, t3v)
+    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
 
 
 def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -> QuadratureResult:
@@ -442,10 +441,10 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     and 2n - 1 to its range oracle, which gives the f'', f''', f'''' and
     f^(6) ranges in one call, fewer if some cells are too narrow to bisect,
     plus at most 2n + 1 reads of f''' at a point (the oracle at (x, x)),
-    each point once, on the cells with a finite f^(6) range and f'''' not 0;
-    n grows like eps^-1/7 on those, like eps^-1/5 on C^4 cells, like
-    eps^-1/4 on C^3 cells, like eps^-1/3 with an f'' range alone, else like
-    eps^-1/2.
+    each point once, as every cell reads them through one table per run,
+    on the cells with a finite f^(6) range and f'''' not 0; n grows like
+    eps^-1/7 on those, like eps^-1/5 on C^4 cells, like eps^-1/4 on C^3
+    cells, like eps^-1/3 with an f'' range alone, else like eps^-1/2.
 
     The final cells' t, lo and hi are summed exactly (``math.fsum``).  The
     remainder is widened by a bound on the rounding of gn and of each
@@ -468,7 +467,8 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
 
     a, b = f.domain.a, f.domain.b
-    cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b))
+    third = {}  # the run's f''' reads at a point, each point once
+    cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b), third)
     heap = [cell]
     total_lo, total_hi = cell[4:6]
     target = eps
@@ -478,14 +478,11 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
         while target < total_hi - total_lo < math.inf and len(heap) < max_cells:
             if heap[0][0] == 0.0:
                 break  # no cell that bisection can narrow: each is exact or too narrow to bisect
-            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm, t3u, t3m, t3v = heapq.heappop(heap)
+            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
             total_lo -= clo
             total_hi -= chi
-            left = _adaptive_cell(f, u, m, fu, fm, dpu, dmm, t3u, t3m)
-            right = _adaptive_cell(f, m, v, fm, fv, dpm, dmv, left[16], t3v)
-            if right[14] is not left[16]:
-                left = left[:16] + right[14:15]  # f''' at m, read by the right cell alone
-            for cell in (left, right):
+            for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm, third),
+                         _adaptive_cell(f, m, v, fm, fv, dpm, dmv, third)):
                 heapq.heappush(heap, cell)
                 total_lo += cell[4]
                 total_hi += cell[5]

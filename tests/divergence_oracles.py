@@ -10,19 +10,33 @@ over the support each, that ``divergence.divergence_report`` fuses into one:
 it must agree with them bit for bit, since every sum takes the same terms in
 the same order.  :func:`reference_report` runs them in the order the command
 line once did (LW, HH, D_f, then the gap), so the first error raised is theirs.
+The support check and the zero-mass slope rule they share are frozen copies
+here, :func:`_pairs` and :func:`_slope_at_infinity`, so a change to the
+library's shows too.
 """
 
 import math
 
 from grid_oracles import gap_bracket
 
-from trapbound.divergence import (
-    _EQUAL_RATIO_TOL,
-    DivergenceReport,
-    _pairs,
-    _slope_at_infinity,
-)
+from trapbound.divergence import _EQUAL_RATIO_TOL, DivergenceReport, UndefinedDivergenceError
 from trapbound.pointwise import Enclosure
+
+
+def _pairs(p, q):
+    """The (p, q) weight pairs, as ``divergence_report`` checks and zips them."""
+    if len(p) != len(q):
+        raise ValueError(f"supports differ: {len(p)} vs {len(q)} points")
+    return zip(p.weights, q.weights)
+
+
+def _slope_at_infinity(g, qi):
+    """The library's ``divergence._slope_at_infinity``: the slope that a term
+    with p = 0 < q = ``qi`` needs, or the error for its absence."""
+    if g.slope_at_infinity is None:
+        raise UndefinedDivergenceError(f"generator {g.label!r} declares no slope at infinity; "
+                                       f"term with p=0, q={qi} is undefined")
+    return g.slope_at_infinity
 
 
 def chi_squared(p, q):

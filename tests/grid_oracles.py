@@ -21,15 +21,15 @@ slope once for each cell it ends, and passes :func:`ordered`.
 written, frozen here with its midpoint form :func:`midpoint_bracket` and the
 inversion check :func:`ordered`: these walks, ``divergence_oracles`` and
 ``quadrature_oracles`` read the paper's bracket from them, so a change to the
-kernel that moves a bit shows against them.
+kernel that moves a bit shows against them.  The partition check
+:func:`_check_domain` is a frozen copy of the library's too.
 """
 
 import math
 
-from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport, NonConvexityError
+from trapbound.funcs import _CONVEXITY_GRIDPOINTS, DEFAULT_TOL, ConvexityReport, DomainError, NonConvexityError
 from trapbound.pointwise import Enclosure
 from trapbound.probability import _MASS_CELLS, _MASS_CELLS_MAX, _MASS_SHARE, _SAMPLE_SLACK, _U
-from trapbound.quadrature import _check_domain
 
 
 def gap_bracket(wl, wr, dpx, dmx, dpu, dmv) -> tuple:
@@ -127,6 +127,15 @@ def check_convexity(f) -> ConvexityReport:
         worst = 0.0
         witness = None
     return ConvexityReport(worst <= slack, worst, witness)
+
+
+def _check_domain(f, P) -> None:
+    """The library's ``quadrature._check_domain``: a partition must span f's domain exactly."""
+    if (P.points[0], P.points[-1]) != (f.domain.a, f.domain.b):
+        raise DomainError(
+            f"partition [{P.points[0]}, {P.points[-1]}] does not cover "
+            f"domain [{f.domain.a}, {f.domain.b}] of {f.label!r}"
+        )
 
 
 def generalized_trapezoid(f, P) -> float:

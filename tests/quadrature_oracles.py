@@ -4,9 +4,11 @@ interval rules ``_ranges._imul`` and ``_ranges._ipow``, as they were written
 with the builtin ``min`` and ``max``, and the catalog's ``power_p`` range as
 it was written with two powers of each order at a point.  The outward steps
 they take, ``_ranges._out`` and ``quadrature._cubic_term``, are frozen
-copies here, so a change to the library's shows too; ``_ipow`` answers
-(-inf, inf) where the parent's raised, as ``_out`` does where an end is not
-finite.
+copies here, so a change to the library's shows too, as are the catalog
+helpers ``funcs._midpoint``, ``funcs._falling`` and ``funcs._pow``;
+``_ipow`` answers (-inf, inf) where the parent's raised, as ``_out`` does
+where an end is not finite.  The adaptive cell reads f''' at a point
+through the run's table, as the library's does.
 
 The library writes each two-argument ``max(a, b)`` as ``b if b > a else a``
 and ``min(a, b)`` as ``b if b < a else a``, the comparison CPython's builtins
@@ -23,10 +25,33 @@ from typing import Optional
 
 from grid_oracles import midpoint_bracket, ordered
 
-from trapbound.funcs import ConvexFunction, _falling, _midpoint, _pow
+from trapbound.funcs import ConvexFunction
 from trapbound.quadrature import _BETA, _DELTA, _GAMMA, _envelope_area
 
 _WHOLE = (-math.inf, math.inf)
+
+
+def _midpoint(u: float, v: float) -> float:
+    """The library's ``funcs._midpoint``: 0.5 (u + v), finite where u + v overflows."""
+    return 0.5 * u + 0.5 * v
+
+
+def _falling(p: float, j: int) -> tuple:
+    """The library's ``funcs._falling``: p (p - 1) ... (p - j + 1) as an
+    interval rounded outward, a point where it is a float."""
+    n, d = p.as_integer_ratio()
+    num, den = math.prod(n - i * d for i in range(j)), d ** j
+    c = num / den
+    cn, cd = c.as_integer_ratio()
+    return (c, c) if cn * den == num * cd else (math.nextafter(c, -math.inf), math.nextafter(c, math.inf))
+
+
+def _pow(t: float, e: float) -> float:
+    """The library's ``funcs._pow``: t^e for t >= 0, inf where it overflows and for 0^e, e < 0."""
+    try:
+        return t ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _out(lo: float, hi: float) -> tuple:
@@ -101,8 +126,10 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> 
 
 
 def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, dpu: float, dmv: float,
-                   t3u: Optional[tuple] = None, t3v: Optional[tuple] = None) -> tuple:
-    """The parent's ``quadrature._adaptive_cell``; its corrected cells take the oracle above."""
+                   third: dict) -> tuple:
+    """The parent's ``quadrature._adaptive_cell``; its corrected cells take the oracle above.
+    Its f''' reads at u, m and v go through ``third``, the run's table from a point x to
+    ``f._d2range(x, x)[2:4]``; a point not in it yet is read and added."""
     h = v - u
     m = _midpoint(u, v)
     t = 0.5 * (fu + fv) * h
@@ -114,13 +141,13 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     # [lo_p, hi_p]: the paper's bracket cut by the Hermite-Hadamard one
     lo_p = max(lo_p, 0.0)
     d2 = f._d2range(u, v) if f._d2range is not None else None
-    c2 = t3m = d3 = None
+    c2 = d3 = None
     if m is not None and d2 is not None:
         if (d2[4] or d2[5]) and -math.inf < d2[6] and d2[7] < math.inf:
-            t3u = t3u or f._d2range(u, u)[2:4]
-            t3m = f._d2range(m, m)[2:4]
-            t3v = t3v or f._d2range(v, v)[2:4]
-            d3 = t3u + t3m + t3v
+            for x in (u, m, v):
+                if x not in third:
+                    third[x] = f._d2range(x, x)[2:4]
+            d3 = third[u] + third[m] + third[v]
         c2 = _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3)
     lo, hi = lo_p, hi_p
     if c2 is not None:
@@ -145,7 +172,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
             lo, hi = (max(lo, q_lo), min(hi, q_hi)) if q_lo <= hi and lo <= q_hi else (q_lo, q_hi)
     elif lo > hi:
         lo, hi = c2  # the paper's bracket, rounded to nearest, missed it
-    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm, t3u, t3m, t3v)
+    return (0.0 if m is None else -(hi - lo), u, v, t, lo, hi, fu, fv, dpu, dmv, m, fm, dpm, dmm)
 
 
 def _imul(x, y) -> tuple:

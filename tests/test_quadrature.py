@@ -46,7 +46,7 @@ def assert_rounded_outward(res):
 def first_cell(f):
     """The kernel's entry for the whole domain of f as one cell."""
     a, b = f.domain.a, f.domain.b
-    return _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b))
+    return _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b), {})
 
 
 def assert_one_cell_result(res, cell):
@@ -433,6 +433,24 @@ class TestAdaptive:
         assert res.converged
         assert reads and len(reads) == len(set(reads)) <= 2 * res.cells + 1
         assert (f.domain.a in reads) == reads_a
+
+    def test_third_derivative_table_lives_for_one_run(self):
+        # two runs on one function read the same points, each once a run:
+        # a table of f''' reads kept across runs would leave the second none
+        reads, runs = [], []
+
+        def d2range(u, v):
+            if u == v:
+                reads.append(u)
+            return EXP._d2range(u, v)
+
+        f = dataclasses.replace(EXP, _d2range=d2range)
+        for _ in range(2):
+            reads.clear()
+            assert adaptive_integrate(f, eps=1e-10).converged
+            runs.append(list(reads))
+        assert runs[0] and len(runs[0]) == len(set(runs[0]))
+        assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("f", [to_convex_function("exp(x)", Interval(0.0, 1.0)), catalog("kink", (1.0, 0.3)),
                                    catalog("power_p", (3.0,))], ids=lambda f: f.label)
