@@ -103,7 +103,11 @@ class ConvexFunction:
     but f^(6) in interval arithmetic, with one rule per operation for every
     order up to 4, in one call.  Each of the eight ends may be one ulp off,
     as one call to a faithful libm (within 1 ulp) is; a multi-step oracle
-    rounds its inner steps outward.
+    rounds its inner steps outward.  ``_d3``, private and optional too, maps
+    a point x to ``_d2range(x, x)[2:4]``, bit for bit, at less cost: the
+    catalog writes it for ``exp``, ``neg_log``, ``xlogx`` and ``power_p``
+    from the steps of their ranges.  :meth:`_third` reads f''' at a point
+    through it, or through ``_d2range(x, x)`` where it is None.
     Values and one-sided slopes are assumed faithful in the same sense:
     the adaptive integrator's rounding bounds (:mod:`trapbound.quadrature`)
     rest on it.
@@ -117,6 +121,7 @@ class ConvexFunction:
     dminus: Optional[Callable[[float], float]] = None
     label: str = ""
     _d2range: Optional[Callable[[float, float], Optional[tuple]]] = None
+    _d3: Optional[Callable[[float], tuple]] = None
 
     def __post_init__(self) -> None:
         if self.dminus is None:
@@ -135,6 +140,10 @@ class ConvexFunction:
         if isinstance(exc, DomainError):
             raise exc
         raise EvaluationError(f"cannot evaluate {self.label!r} at {x}: {exc}") from exc
+
+    def _third(self, x: float) -> tuple:
+        """f''' at x as ``(lo, hi)``, where ``_d2range(x, x)`` is a range."""
+        return self._d3(x) if self._d3 is not None else self._d2range(x, x)[2:4]
 
     def d_plus(self, x: float) -> float:
         """Right derivative f'+(x), defined for x in [a, b)."""
@@ -213,12 +222,15 @@ _CATALOG_PARAMS = {
 CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 
 
-def _recip_pows(t: float, s: float) -> tuple:
+def _recip_pows(t: float, s: float, n: int = 5) -> tuple:
     """1/t^2, 1/t^3, ..., 1/t^6 for t >= 0, each step but the last rounded
-    towards s (0.0 or inf); +inf at 0."""
+    towards s (0.0 or inf); +inf at 0.  With n = 2, the first two alone, all
+    that a read of f''' at a point needs."""
     r = math.nextafter(1.0 / t, s) if t else math.inf
     x2 = r * r
     x3 = math.nextafter(x2, s) * r
+    if n == 2:
+        return x2, x3
     x4 = math.nextafter(x3, s) * r
     x5 = math.nextafter(x4, s) * r
     return x2, x3, x4, x5, math.nextafter(x5, s) * r
@@ -256,6 +268,18 @@ def _pow(t: float, e: float) -> float:
         return t ** e
     except (OverflowError, ZeroDivisionError):
         return math.inf
+
+
+def _power_order(order: tuple, u: float, v: float) -> tuple:
+    """One order's range on [u, v] for ``power_p``: ``order`` itself, or from (p - k, sign, |(p)_k|)."""
+    if len(order) == 2:
+        return order
+    e, neg, c_lo, c_hi = order
+    a = _pow(u, e)  # one power where u == v, as at a read of f''' at a point
+    a, b = (a, a) if v == u else (a, _pow(v, e)) if e >= 0.0 else (_pow(v, e), a)
+    lo = math.nextafter(c_lo * math.nextafter(a, 0.0), 0.0)
+    hi = math.nextafter(c_hi * math.nextafter(b, math.inf), math.inf)
+    return (-hi, -lo) if neg else (lo, hi)
 
 
 def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval] = None) -> ConvexFunction:
@@ -316,6 +340,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=math.exp,
             label="exp",
             _d2range=lambda u, v: (math.exp(u), math.exp(v)) * 4,
+            _d3=lambda t: (math.exp(t),) * 2,
         )
 
     if name == "neg_log":
@@ -325,6 +350,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: -math.inf if t == 0 else -1.0 / t,
             label="neg_log",
             _d2range=_neg_log_range,
+            _d3=lambda t: (-2.0 * _recip_pows(t, math.inf, 2)[1], -2.0 * _recip_pows(t, 0.0, 2)[1]),
         )
 
     if name == "xlogx":
@@ -334,6 +360,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dplus=lambda t: -math.inf if t == 0 else math.log(t) + 1.0,
             label="xlogx",
             _d2range=_xlogx_range,
+            _d3=lambda t: (-_recip_pows(t, math.inf, 2)[0], -_recip_pows(t, 0.0, 2)[0]),
         )
 
     if name == "power_p":
@@ -348,26 +375,16 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             c = (-math.inf, math.inf) if math.fsum((p, -k, k - p)) else _falling(p, k)
             orders.append(c if not c[1] or c[1] == math.inf else (p - k, c[0] < 0.0, *sorted(map(abs, c))))
 
-        def _range(u: float, v: float) -> tuple:
-            out = ()
-            for order in orders:
-                if len(order) == 2:
-                    out += order
-                    continue
-                e, neg, c_lo, c_hi = order
-                a = _pow(u, e)  # one power where u == v, as at a read of f''' at a point
-                a, b = (a, a) if v == u else (a, _pow(v, e)) if e >= 0.0 else (_pow(v, e), a)
-                lo = math.nextafter(c_lo * math.nextafter(a, 0.0), 0.0)
-                hi = math.nextafter(c_hi * math.nextafter(b, math.inf), math.inf)
-                out += (-hi, -lo) if neg else (lo, hi)
-            return out
-
+        o2, o3, o4, o6 = orders
         return ConvexFunction(
             domain=iv,
             evaluate=lambda t: t ** p,
             dplus=lambda t: p * t ** (p - 1.0),  # 0.0 ** 0.0 is 1.0: the slope of t at 0
             label=f"power_p(p={p})",
-            _d2range=None if orders[0][1] == math.inf else _range,  # where p - 2 rounds, no range
+            # where p - 2 rounds, no range
+            _d2range=None if o2[1] == math.inf else lambda u, v: (
+                *_power_order(o2, u, v), *_power_order(o3, u, v), *_power_order(o4, u, v), *_power_order(o6, u, v)),
+            _d3=None if o2[1] == math.inf else lambda t: _power_order(o3, t, t),
         )
 
     if name == "linear":

@@ -210,9 +210,10 @@ def _cubic_term(h: float, d2: float, s: float) -> float:
     """(v - u)^3/12 * d2 for a cell whose width v - u rounded to h, each step
     rounded towards s (0.0 for a lower bound, +inf for an upper; all factors
     are >= 0): one ``math.nextafter`` covers a rounding or a faithful d2."""
-    h = math.nextafter(h, s)
-    k = math.nextafter(math.nextafter(math.nextafter(h * h, s) * h, s) / 12.0, s)
-    return math.nextafter(k * math.nextafter(d2, s), s)
+    nx = math.nextafter
+    h = nx(h, s)
+    k = nx(nx(nx(h * h, s) * h, s) / 12.0, s)
+    return nx(k * nx(d2, s), s)
 
 
 #: 1/(3 sqrt 3) rounded up: the Peano term of a half cell of width w lies
@@ -286,16 +287,17 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> 
     and where the result is inverted, which only a nonconvex f does.
     """
     a2, b2, a3, b3, a4, b4 = d2[:6]
+    nx, inf, ulp = math.nextafter, math.inf, math.ulp
     wl, wr = m - u, v - m
-    if not (b2 < math.inf and wl > 2.0 ** -200 and wr > 2.0 ** -200):
+    if not (b2 < inf and wl > 2.0 ** -200 and wr > 2.0 ** -200):
         return None
-    a2, b2 = math.nextafter(a2, 0.0), math.nextafter(b2, math.inf)
+    a2, b2 = nx(a2, 0.0), nx(b2, inf)
     kl, kr = wl * wl / 12.0, wr * wr / 12.0
     ql, qr = kl * wl, kr * wr
     bma = b2 - a2
     el, er = _BETA * ql * bma, _BETA * qr * bma
-    dmc = math.nextafter(b3, math.inf) - math.nextafter(a3, -math.inf)
-    if dmc < math.inf:
+    dmc = nx(b3, inf) - nx(a3, -inf)
+    if dmc < inf:
         zl, zr = _DELTA * kl * kl * dmc, _DELTA * kr * kr * dmc
         el, er = (zl if zl < el else el), (zr if zr < er else er)
     cl, cr = kl * (dmm - dpu), kr * (dmv - dpm)
@@ -306,21 +308,19 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> 
     pu, pv = wr * (fu - fm), wl * (fv - fm)
     tc = 0.5 * (pu + pv)
     h = v - u
-    ulp = math.ulp
     dat = h * (ulp(fu) + ulp(fm) + ulp(fv)) + kl * (ulp(dpu) + ulp(dmm)) + kr * (ulp(dpm) + ulp(dmv))
     mag = abs(pu) + abs(pv) + abs(cl) + abs(cr) + el + er + (ql + qr) * b2 + dat
-    a4, b4 = math.nextafter(a4, -math.inf), math.nextafter(b4, math.inf)
+    a4, b4 = nx(a4, -inf), nx(b4, inf)
     gl, gr = kl * kl * wl / 5.0, kr * kr * wr / 5.0
     # at least the f'''' terms' magnitudes; inf or NaN where f is not C^4
     # on the cell or a term overflows
     e4 = (gl + gr) * (abs(a4) + abs(b4))
-    if e4 < math.inf:
+    if e4 < inf:
         zl, yl, zr, yr = cl - gl * b4, cl - gl * a4, cr - gr * b4, cr - gr * a4
         lol, hil = (zl if zl > lol else lol), (yl if yl < hil else hil)
         lor, hir = (zr if zr > lor else lor), (yr if yr < hir else hir)
         mag += e4
     if d3 is not None and wl > 2.0 ** -140 and wr > 2.0 ** -140:
-        nx, inf = math.nextafter, math.inf
         lu, hu, lm, hm, lv, hv = d3
         lm, hm = nx(lm, -inf), nx(hm, inf)
         # f'''(m) - f'''(u) in [dl, ul] and f'''(v) - f'''(m) in [dr, ur]
@@ -331,18 +331,18 @@ def _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3=None) -> 
         # at least the new terms' magnitudes; inf or NaN where f''' at an end
         # or f^(6) on the cell is unknown or a term overflows
         e6 = sl * (abs(dl) + abs(ul)) + sr * (abs(dr) + abs(ur)) + (xl + xr) * (abs(a6) + abs(b6))
-        if e6 < math.inf:
+        if e6 < inf:
             zl, yl = cl - sl * ul + xl * a6, cl - sl * dl + xl * b6
             zr, yr = cr - sr * ur + xr * a6, cr - sr * dr + xr * b6
             lol, hil = (zl if zl > lol else lol), (yl if yl < hil else hil)
             lor, hir = (zr if zr > lor else lor), (yr if yr < hir else hir)
             mag += e6
     # an infinite or NaN sample or product makes mag inf or NaN
-    if not 2.0 ** -900 < mag < math.inf:
+    if not 2.0 ** -900 < mag < inf:
         return None
     r = dat + _GAMMA * mag
-    lo, zl = math.nextafter(tc + lol + lor - r, -math.inf), _cubic_term(h, d2[0], 0.0)
-    hi, yl = math.nextafter(tc + hil + hir + r, math.inf), _cubic_term(h, d2[1], math.inf)
+    lo, zl = nx(tc + lol + lor - r, -inf), _cubic_term(h, d2[0], 0.0)
+    hi, yl = nx(tc + hil + hir + r, inf), _cubic_term(h, d2[1], inf)
     lo, hi = (zl if zl > lo else lo), (yl if yl < hi else hi)
     return (lo, hi) if lo <= hi else None
 
@@ -351,7 +351,9 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     """Heap entry for one cell with midpoint xi, given the endpoint samples.
 
     The endpoint values and the outward one-sided slopes come from the
-    parent cell; only the midpoint is evaluated here.  Where f is C^2 on
+    parent cell; only the midpoint is read here, from the raw oracles, as it
+    lies inside the domain: a fault of ``f.evaluate`` raises what ``f(m)``
+    would, and one of a slope oracle passes unchanged.  Where f is C^2 on
     the cell (its f'' range (A, B) has B finite) and every sample is
     finite, the remainder bracket is the slope-corrected one of
     :func:`_corrected_bracket`: T - C plus, on each half of width w, the
@@ -362,8 +364,9 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     f^(6) range is finite and f'''' not 0 (whose cut is exact already),
     whichever is tightest.  That range certifies f is C^6 on the closed
     cell, so f''' at u, m and v is then taken from ``third``, the run's
-    table from a point x to ``f._d2range(x, x)[2:4]``; a point not in it
-    yet is read and added.  The bracket is intersected with the paper's
+    table from a point x to ``f._third(x)`` (the point oracle ``f._d3``,
+    else ``f._d2range(x, x)[2:4]``); a point not in it yet is read and
+    added.  The bracket is intersected with the paper's
     cut at 0; where rounding put the paper's bracket outside it, it is
     kept whole.
 
@@ -384,8 +387,12 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
     m = _midpoint(u, v)
     t = 0.5 * (fu + fv) * h
     if u < m < v:
-        fm, dpm = f(m), f.d_plus(m)
-        dmm = dpm if f.dplus is f.dminus else f.d_minus(m)
+        try:  # the raw oracles, as m lies inside the domain; a fault of the value is f(m)'s
+            fm = f.evaluate(m)
+        except _ORACLE_FAULTS as exc:
+            f._failed(m, exc)
+        dpm = f.dplus(m)
+        dmm = dpm if f.dplus is f.dminus else f.dminus(m)
     else:
         m = fm = dpm = dmm = None
     lo_p, hi_p = _midpoint_bracket(h, dpm, dmm, dpu, dmv)
@@ -397,7 +404,7 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
         if (d2[4] or d2[5]) and -math.inf < d2[6] and d2[7] < math.inf:
             for x in (u, m, v):
                 if x not in third:
-                    third[x] = f._d2range(x, x)[2:4]
+                    third[x] = f._third(x)
             d3 = third[u] + third[m] + third[v]
         c2 = _corrected_bracket(u, m, v, fu, fm, fv, dpu, dmm, dpm, dmv, d2, d3)
     z, y = lo_p, hi_p  # the cell's own cuts below and above, then met with [lo_p, hi_p]
@@ -440,8 +447,8 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     f, 4n to its one-sided derivatives (2n + 1 if ``f.dplus is f.dminus``)
     and 2n - 1 to its range oracle, which gives the f'', f''', f'''' and
     f^(6) ranges in one call, fewer if some cells are too narrow to bisect,
-    plus at most 2n + 1 reads of f''' at a point (the oracle at (x, x)),
-    each point once, as every cell reads them through one table per run,
+    plus at most 2n + 1 reads of f''' at a point (``f._third``: the point
+    oracle, else the range oracle at (x, x)), each point once, as every cell reads them through one table per run,
     on the cells with a finite f^(6) range and f'''' not 0; n grows like
     eps^-1/7 on those, like eps^-1/5 on C^4 cells, like eps^-1/4 on C^3
     cells, like eps^-1/3 with an f'' range alone, else like eps^-1/2.
@@ -467,6 +474,7 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
 
     a, b = f.domain.a, f.domain.b
+    nx, ulp, inf, pop, push = math.nextafter, math.ulp, math.inf, heapq.heappop, heapq.heappush
     third = {}  # the run's f''' reads at a point, each point once
     cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b), third)
     heap = [cell]
@@ -475,15 +483,15 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
 
     while True:
         # an infinite total means a cell is unbounded where f is infinite; bisection cannot help
-        while target < total_hi - total_lo < math.inf and len(heap) < max_cells:
+        while target < total_hi - total_lo < inf and len(heap) < max_cells:
             if heap[0][0] == 0.0:
                 break  # no cell that bisection can narrow: each is exact or too narrow to bisect
-            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = heapq.heappop(heap)
+            _, u, v, _, clo, chi, fu, fv, dpu, dmv, m, fm, dpm, dmm = pop(heap)
             total_lo -= clo
             total_hi -= chi
             for cell in (_adaptive_cell(f, u, m, fu, fm, dpu, dmm, third),
                          _adaptive_cell(f, m, v, fm, fv, dpm, dmv, third)):
-                heapq.heappush(heap, cell)
+                push(heap, cell)
                 total_lo += cell[4]
                 total_hi += cell[5]
 
@@ -494,15 +502,14 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
             return QuadratureResult(total_t, remainder, _integral_enclosure(total_t, remainder), len(heap), False)
         gn = math.fsum(c[3] for c in heap)
         # gn is within err of the exact sum of the cells' (f(u) + f(v))/2 (v - u)
-        err = math.nextafter(math.fsum([math.ulp(gn), *(
-            4.0 * math.ulp(c[3]) + (c[2] - c[1]) * (math.ulp(c[6]) + math.ulp(c[7])) for c in heap)]), math.inf)
-        remainder = Enclosure(math.nextafter(math.fsum([-err, *(c[4] for c in heap)]), -math.inf),
-                              math.nextafter(math.fsum([err, *(c[5] for c in heap)]), math.inf))
-        integral = Enclosure(math.nextafter(gn - remainder.hi, -math.inf), math.nextafter(gn - remainder.lo, math.inf))
+        err = nx(math.fsum([ulp(gn), *(4.0 * ulp(c[3]) + (c[2] - c[1]) * (ulp(c[6]) + ulp(c[7])) for c in heap)]), inf)
+        remainder = Enclosure(nx(math.fsum([-err, *(c[4] for c in heap)]), -inf),
+                              nx(math.fsum([err, *(c[5] for c in heap)]), inf))
+        integral = Enclosure(nx(gn - remainder.hi, -inf), nx(gn - remainder.lo, inf))
         excess = integral.width - eps
         # the running width met its target, but the allowance took the reported
         # width past eps: go on to a target lowered by the excess, if one is left
-        lowered = math.nextafter(width - excess, -math.inf)
+        lowered = nx(width - excess, -inf)
         if not (excess > 0 and width <= target and lowered > 0 and heap[0][0] != 0.0 and len(heap) < max_cells):
             return QuadratureResult(gn, remainder, integral, len(heap), excess <= 0)
         target = lowered

@@ -12,6 +12,7 @@ of one table of f''' point reads, and the copies must match after the call.
 """
 
 import ast
+import dataclasses
 import inspect
 import math
 import textwrap
@@ -130,6 +131,25 @@ def test_cell_touching_zero_matches_oracle(name, v):
     for with_third in (False, True):
         new, old = both_cells(*cell_args(f, 0.0, v, with_third, with_third))
         assert new == old
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.data(), st.sampled_from(("evaluate", "dplus", "dminus")),
+       st.sampled_from((ValueError, ZeroDivisionError, OverflowError, funcs.DomainError, ArithmeticError)))
+def test_failing_midpoint_read_matches_oracle(name, data, where, exc):
+    # the library reads the midpoint from the raw oracles and the oracle cell
+    # through f(m), f.d_plus(m) and f.d_minus(m): the same error either way
+    lo, make = FAMILIES[name]
+    u, v = data.draw(cells(lo))
+    f = make(Interval(u, v))
+    args, table = cell_args(f, u, v, True, True)
+
+    def fail(t):
+        raise exc(f"no {where} at {t}")
+
+    shared = where != "evaluate" and f.dplus is f.dminus
+    g = dataclasses.replace(f, **({"dplus": fail, "dminus": fail} if shared else {where: fail}))
+    new, old = both_cells((g, *args[1:]), table)
+    assert new == old
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +294,16 @@ def test_power_p_point_read_takes_one_power_per_order(monkeypatch, x):
     assert len(calls) == 8
 
 
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+def test_power_p_point_oracle_takes_one_power(monkeypatch, x):
+    # f''' alone at a point, as the adaptive integrator reads it: one power, where the range takes four
+    calls = []
+    pow_ = funcs._pow
+    monkeypatch.setattr(funcs, "_pow", lambda t, e: calls.append((t, e)) or pow_(t, e))
+    catalog("power_p", (2.5,))._third(x)
+    assert calls == [(x, -0.5)]
+
+
 def test_power_p_range_at_zero():
     # (p)_k t^(p-k) at t = 0: the f'' range starts at 0.0, and f''' is unbounded
     rng = catalog("power_p", (2.5,))._d2range(0.0, 0.5)
@@ -285,8 +315,12 @@ def test_power_p_range_at_zero():
 # ---------------------------------------------------------------------------
 
 
+# the catalog's range and point oracles run per cell too: catalog itself holds
+# every point oracle and power_p's range, written as lambdas
 @pytest.mark.parametrize("fn", [quadrature._corrected_bracket, quadrature._adaptive_cell, _ranges._imul,
-                                _ranges._ipow], ids=lambda fn: fn.__name__)
+                                _ranges._ipow, funcs._recip_pows, funcs._neg_log_range, funcs._xlogx_range,
+                                funcs._power_order, funcs.ConvexFunction._third,
+                                funcs.catalog], ids=lambda fn: fn.__name__)
 def test_no_builtin_min_or_max(fn):
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)

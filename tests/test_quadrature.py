@@ -43,6 +43,23 @@ def assert_rounded_outward(res):
     assert res.integral.hi == math.nextafter(res.gn - res.remainder.lo, math.inf)
 
 
+def with_third_reads(f, read):
+    """f with ``read(x)`` called at each read of f''' at a point x, whether
+    through the point oracle ``_d3`` or through the range oracle at (x, x)."""
+    d2range, d3 = f._d2range, f._d3
+
+    def counted_range(u, v):
+        if u == v:
+            read(u)
+        return d2range(u, v)
+
+    def counted_d3(x):
+        read(x)
+        return d3(x)
+
+    return dataclasses.replace(f, _d2range=d2range and counted_range, _d3=d3 and counted_d3)
+
+
 def first_cell(f):
     """The kernel's entry for the whole domain of f as one cell."""
     a, b = f.domain.a, f.domain.b
@@ -423,13 +440,7 @@ class TestAdaptive:
         # f''' is read on the others, each point once, whichever of a parent
         # and its two cells could read it
         reads = []
-
-        def d2range(u, v, inner=f._d2range):
-            if u == v:
-                reads.append(u)
-            return inner(u, v)
-
-        res = adaptive_integrate(dataclasses.replace(f, _d2range=d2range), eps=1e-10)
+        res = adaptive_integrate(with_third_reads(f, reads.append), eps=1e-10)
         assert res.converged
         assert reads and len(reads) == len(set(reads)) <= 2 * res.cells + 1
         assert (f.domain.a in reads) == reads_a
@@ -438,13 +449,7 @@ class TestAdaptive:
         # two runs on one function read the same points, each once a run:
         # a table of f''' reads kept across runs would leave the second none
         reads, runs = [], []
-
-        def d2range(u, v):
-            if u == v:
-                reads.append(u)
-            return EXP._d2range(u, v)
-
-        f = dataclasses.replace(EXP, _d2range=d2range)
+        f = with_third_reads(EXP, reads.append)
         for _ in range(2):
             reads.clear()
             assert adaptive_integrate(f, eps=1e-10).converged
@@ -457,8 +462,7 @@ class TestAdaptive:
     def test_no_third_derivative_read_without_the_cut(self, f):
         # an expression has no f^(6) range, and where f'''' is 0 (a kink off
         # its kink, t^3) the f'''' cut is exact already: no cell reads f'''
-        d2range = f._d2range
-        f = dataclasses.replace(f, _d2range=lambda u, v: d2range(u, v) if u < v else pytest.fail("f''' read"))
+        f = with_third_reads(f, lambda x: pytest.fail("f''' read"))
         assert adaptive_integrate(f, eps=1e-10).converged
 
     @pytest.mark.parametrize("f, truth", [

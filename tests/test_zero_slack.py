@@ -188,18 +188,25 @@ def test_slopes_contain_reference(family, data, s):
 
 @pytest.mark.parametrize("family", CATALOG_NAMES)
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+@given(data=st.data(), s=st.floats(0.0, 1.0))
 def test_third_derivative_at_a_point_contains_reference(family, data, s):
-    # an adaptive cell reads f''' at its ends and midpoint as the range of
-    # the cell (x, x): it holds the exact f''' there with the ulp per end
-    # that the contract allows; at t = 0 that is -inf for -ln t and t ln t
+    # an adaptive cell reads f''' at its ends and midpoint through the point
+    # oracle _d3 (exp, neg_log, xlogx and power_p), else as the range of the
+    # cell (x, x): the two give the same floats, and they hold the exact f'''
+    # with the ulp per end that the contract allows, at the ends, a drawn
+    # point, and at 0, 5e-324 and 2^-1000, where 1/t^2, 1/t^3 and t^(p - 3)
+    # overflow; at t = 0 that is -inf for -ln t and t ln t
     name, params, a, b, _ = data.draw(catalog_cases(family))
-    x = min(a + (b - a) * s, b)
-    lo, hi = catalog(name, params, Interval(a, b))._d2range(x, x)[2:4]
+    f = catalog(name, params, Interval(min(a, 0.0), max(b, 1.0)))
+    assert (f._d3 is not None) == (name in ("exp", "neg_log", "xlogx", "power_p"))
     num = number_type(name, params)
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        assert math.nextafter(lo, -math.inf) <= derivative(name, params, num, 3)(num(x)) <= math.nextafter(hi, math.inf)
+    exact = derivative(name, params, num, 3)
+    for x in {f.domain.a, f.domain.b, a, b, min(a + (b - a) * s, b), 0.0, 5e-324, 2.0 ** -1000}:
+        lo, hi = f._third(x)
+        assert repr((lo, hi)) == repr(f._d2range(x, x)[2:4]), (f.label, x)
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            assert math.nextafter(lo, -math.inf) <= exact(num(x)) <= math.nextafter(hi, math.inf), (f.label, x)
 
 
 @pytest.mark.parametrize("name, params, lo, hi", [
