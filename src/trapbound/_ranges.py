@@ -13,9 +13,10 @@ operation that gives order k from the orders up to k (Moore, *Methods and
 Applications of Interval Analysis*, SIAM 1979, ch. 3; Griewank & Walther,
 *Evaluating Derivatives*, 2008, ch. 13), compiled into one straight-line
 Python function as :class:`trapbound.expr._Body` compiles f, whose code
-object trees of one shape share (:func:`trapbound.expr._code`).  So an order
-with no bound is (-inf, inf) and keeps the orders below it; f'' with none
-is None, and nothing raises but :class:`trapbound.funcs.NonConvexityError`.
+object trees of one shape share (:func:`trapbound.expr._code`), generating
+only the orders that the root's f'' to f^(K) and the nonzero terms read.
+So an order with no bound is (-inf, inf) and keeps the orders below it; f''
+with none is None, and nothing raises but :class:`trapbound.funcs.NonConvexityError`.
 
 :func:`trapbound.expr.to_convex_function` imports this module when it is
 first asked for an f'' range, so an interpreter that never integrates an
@@ -24,11 +25,10 @@ expression adaptively does not compile it.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
-from .expr import Binary, Const, Expression, Unary, Var, _Body, _code, _identity
+from .expr import Const, Expression, Unary, Var, _Body, _code
 from .funcs import NonConvexityError, _falling
 
 
@@ -110,107 +110,117 @@ OPS = {
     "_ipos": lambda x: x if x[0] > 0.0 else _WHOLE,  # the argument of log or sqrt
     "_isign": _isign,
 }
-_IDENTITY_OPS = {"_iadd": "+", "_isub": "-", "_imul": "*"}
 
 
-def _point(a):
-    """The value of a known interval that is a point, else None."""
-    return a[0] if isinstance(a, tuple) and a[0] == a[1] else None
+class _Orders(dict):
+    """A node's orders (or its Bell polynomials), each made by ``rule(self, key)`` when first read: a rule
+    reads the orders it makes through ``self``, not a closure, so that rules and orders form no cycle."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable):
+        self.rule = rule
+
+    def __missing__(self, key):
+        self[key] = value = self.rule(self, key)
+        return value
 
 
 class _RangeBody(_Body):
-    """:class:`trapbound.expr._Body` with one rule per operation for the
-    ranges of f, f', ..., f^(K)."""
+    """:class:`trapbound.expr._Body` with one rule per operation for the ranges of f, f', ..., f^(K).
+    A known interval equal to (0.0, 0.0) or (1.0, 1.0) is the point 0 or 1; a local's name equals no tuple."""
 
-    def iapply(self, helper: str, *args):
-        """Interval ``helper`` of :data:`OPS` on ``args``: reduced by
-        :func:`_identity` where an operand is the point 0 or 1, evaluated
-        now if all are known."""
-        op = _IDENTITY_OPS.get(helper)
-        if op is not None:
-            simpler = _identity(op, *args, _point)
-            if simpler is not None:
-                return (simpler, simpler) if isinstance(simpler, float) else simpler
+    def iapply(self, helper: str, *args):  # helper of OPS on args, evaluated now if all are known
         if str not in map(type, args):
             return OPS[helper](*args)
-        return self.emit(helper + "({})".format(", ".join(["{}"] * len(args))), *args)
+        return self.emit(helper + ("({})" if len(args) == 1 else "({}, {})"), *args)
 
-    def inode(self, e: Expression) -> list:
-        """``[f, f', ..., f^(K)]`` of ``e`` as intervals over the cell
-        ``t = (u, v)``, order k of each node from orders up to k of its
-        operands.  An order with no bound is (-inf, inf), which each later
-        operation passes on: every order of a node that is not C^2 on the
-        cell (``abs`` of an argument holding 0, ``log`` or ``sqrt`` of one
-        reaching 0, ``/`` by one holding 0, ``^`` off :func:`_ipow`'s
-        domain), and order k alone where only it overflows or, for ``x^p``,
-        where p - k rounds, k > 2.  Where p - 1 or p - 2 rounds it raises
-        ArithmeticError when compiled, so that the tree gets no range."""
+    def add(self, x, y):  # 0 + y is y and x + 0 is x
+        return y if x == _ZERO else x if y == _ZERO else self.iapply("_iadd", x, y)
+
+    def sub(self, x, y):  # x - 0 is x
+        return x if y == _ZERO else self.iapply("_isub", x, y)
+
+    def mul(self, x, y):  # 0 where a factor is 0, the other factor where one is 1
+        if x == _ZERO or y == _ZERO:
+            return _ZERO
+        return y if x == _ONE else x if y == _ONE else self.iapply("_imul", x, y)
+
+    def inode(self, e: Expression):
+        """Orders 0 to K of ``e`` over the cell ``t = (u, v)``, each made on
+        first read from the orders up to k of the operands, a term's cheap
+        factor (a Bell polynomial, a falling coefficient, a Leibniz or
+        ``solve`` operand) first and the other only where that is not 0.  An
+        order with no bound is (-inf, inf), which later operations pass on:
+        every order of a node not C^2 on the cell (``abs`` of an argument
+        holding 0, ``log`` or ``sqrt`` of one reaching 0, ``/`` by one holding
+        0, ``^`` off :func:`_ipow`'s domain), and order k alone where only it
+        overflows or, for ``x^p``, where p - k rounds, k > 2."""
         if isinstance(e, Const):
             return [(e.value, e.value)] + [_ZERO] * K
         if isinstance(e, Var):
             return ["t", _ONE] + [_ZERO] * (K - 1)
-        add, sub, mul, div = (functools.partial(self.iapply, h) for h in ("_iadd", "_isub", "_imul", "_idiv"))
+        add, sub, mul, iapply, C = self.add, self.sub, self.mul, self.iapply, math.comb
 
         def fold(terms, step=add, start=_ZERO):
             # start step c_1 x_1 y_1 step c_2 x_2 y_2 ... over the (c, x, y) of terms, less those that are 0
             for c, x, y in terms:
-                if _point(x) != 0.0 != _point(y):
-                    xy = mul(x, y)
+                xy = mul(x, y)
+                if xy != _ZERO:
                     start = step(start, xy if c == 1 else mul((float(c),) * 2, xy))
             return start
 
-        def solve(f, rhs, d, terms):
-            # orders len(f) to K of f from d f_k = rhs_k - (the sum of terms(k, f)), each from those below
-            for k in range(len(f), K + 1):
-                f.append(div(fold(terms(k, f), sub, rhs[k]), d))
-            return f
+        def solve(rhs, d, first, terms):
+            # f[-1] = d(f), f_0 = first(f), and f_k from f[-1] f_k = rhs_k - (the sum of terms(f, k))
+            return _Orders(lambda f, k: iapply("_idiv", fold(terms(f, k), sub, rhs[k]), f[-1]) if k > 0
+                           else first(f) if k == 0 else d(f))
 
-        C = math.comb
         if isinstance(e, Unary):
             a = self.inode(e.arg)
             if e.op == "neg":
-                return [self.iapply("_ineg", x) for x in a]
+                return _Orders(lambda _, k: iapply("_ineg", a[k]))
             if e.op == "abs":
-                return [self.iapply("_isign", a[0], x) for x in a]
+                return _Orders(lambda _, k: iapply("_isign", a[0], a[k]))
             if e.op == "exp":
                 # f' = a' f, carried as h = f / e^a: h_k = sum_(i<k) C(k-1, i) a_(i+1) h_(k-1-i)
-                v, h = self.iapply("_iexp", a[0]), [_ONE]
-                for k in range(1, K + 1):
-                    h.append(fold((C(k - 1, i), a[i + 1], h[k - 1 - i]) for i in range(k)))
-                return [v] + [mul(v, x) for x in h[1:]]
-            a[0] = self.iapply("_ipos", a[0])
+                h = _Orders(lambda h, k: fold((C(k - 1, i), x, h[k - 1 - i]) for i in range(k)
+                                              if (x := a[i + 1]) != _ZERO) if k else _ONE)
+                return _Orders(lambda f, k: mul(f[0], h[k]) if k else iapply("_iexp", a[0]))
             if e.op == "log":  # a f' = a': a f_k = a_k - sum_(0<i<k) C(k-1, i) a_i f_(k-i)
-                return solve([self.iapply("_ilog", a[0])], a, a[0],
-                             lambda k, f: ((C(k - 1, i), a[i], f[k - i]) for i in range(1, k)))
+                return solve(a, lambda f: iapply("_ipos", a[0]), lambda f: iapply("_ilog", f[-1]), lambda f, k: (
+                    (C(k - 1, i), x, f[k - i]) for i in range(1, k) if (x := a[i]) != _ZERO))
             # f^2 = a: 2 f f_k = a_k - sum_(0<i<k) C(k, i) f_i f_(k-i), the terms i and k - i as one
-            v = self.iapply("_isqrt", a[0])
-            pairs = lambda k, f: (((2 - (2 * i == k)) * C(k, i), f[i], f[k - i])
-                                  for i in range(1, k // 2 + 1))
-            return solve([v], a, mul((2.0, 2.0), v), pairs)
+            f0 = lambda f: iapply("_isqrt", iapply("_ipos", a[0]))
+            return solve(a, lambda f: mul((2.0, 2.0), f[0]), f0, lambda f, k: (
+                ((2 - (2 * i == k)) * C(k, i), x, f[k - i]) for i in range(1, k // 2 + 1) if (x := f[i]) != _ZERO))
         l, r = self.inode(e.left), self.inode(e.right)
         if e.op in ("+", "-"):
-            return [(add if e.op == "+" else sub)(x, y) for x, y in zip(l, r)]
+            step = add if e.op == "+" else sub
+            return _Orders(lambda _, k: step(l[k], r[k]))
         if e.op == "*":  # Leibniz: (l r)_k = sum_(i<=k) C(k, i) l_(k-i) r_i
-            return [fold((C(k, i), l[k - i], r[i]) for i in range(k + 1)) for k in range(K + 1)]
+            return _Orders(lambda _, k: fold((C(k, i), x, r[i]) for i in range(k + 1) if (x := l[k - i]) != _ZERO))
         if e.op == "/":  # q r = l: r q_k = l_k - sum_(0<i<=k) C(k, i) r_i q_(k-i)
-            return solve([], l, r[0], lambda k, q: ((C(k, i), r[i], q[k - i]) for i in range(1, k + 1)))
+            return solve(l, lambda q: r[0], lambda q: iapply("_idiv", l[0], r[0]), lambda q, k: (
+                (C(k, i), x, q[k - i]) for i in range(1, k + 1) if (x := r[i]) != _ZERO))
         # l^p by Faa di Bruno: f_k = sum_j g_j B_(k,j), with g_j = p (p-1) ... (p-j+1) l^(p-j),
         # unbounded where p - j rounds, and the partial Bell polynomials of l_1, l_2, ...,
         # B_(n,j) = sum_i C(n-1, i-1) l_i B_(n-i,j-1)
         p = e.right.value
-        power = lambda k: _ONE if k == 0.0 else (l[0] if k == 1.0 else self.iapply("_ipow", l[0], k))
-        g, B = [None], [[_ONE]]
-        for j in range(1, K + 1):
-            if not math.fsum((p, -j, j - p)):
-                g.append(mul(_falling(p, j), power(p - j)))
-            elif j > 2:
-                g.append(_WHOLE)
-            else:
-                raise ArithmeticError("p - 1 or p - 2 rounds")  # the tree gets no f'' range
-        for n in range(1, K + 1):
-            B.append([_ZERO] + [fold((C(n - 1, i - 1), l[i], B[n - i][j - 1]) for i in range(1, n - j + 2))
-                                for j in range(1, n + 1)])
-        return [power(p)] + [fold((1, g[j], B[k][j]) for j in range(k, 0, -1)) for k in range(1, K + 1)]
+        if math.fsum((p, -1, 1 - p)) or math.fsum((p, -2, 2 - p)):
+            raise ArithmeticError("p - 1 or p - 2 rounds")  # the tree gets no f'' range
+        power = lambda k: _ONE if k == 0.0 else (l[0] if k == 1.0 else iapply("_ipow", l[0], k))
+        g = _Orders(lambda _, j: _WHOLE if math.fsum((p, -j, j - p)) else  # g_j
+                    _ZERO if (c := _falling(p, j)) == _ZERO else mul(c, power(p - j)))
+
+        @_Orders
+        def B(B, nj):  # B[n, j] is B_(n,j)
+            n, j = nj
+            if j == 0:
+                return _ZERO if n else _ONE
+            return fold((C(n - 1, i - 1), x, B[n - i, j - 1]) for i in range(1, n - j + 2) if (x := l[i]) != _ZERO)
+
+        return _Orders(lambda _, k: fold((1, g[j], b) for j in range(k, 0, -1) if (b := B[k, j]) != _ZERO)
+                       if k else power(p))
 
 
 def compile_range(tree: Expression, label: str) -> Callable:
@@ -225,10 +235,10 @@ def compile_range(tree: Expression, label: str) -> Callable:
     names = {"__builtins__": {}, "_FAULTS": (), **OPS}  # every operation is total: nothing to catch
     body = _RangeBody(names)
     try:
-        source = body.source("r", *body.inode(tree)[2:])
+        orders = body.inode(tree)
     except ArithmeticError:
         return lambda u, v: None
-    exec(_code(source), names)
+    exec(_code(body.source(r=[orders[k] for k in range(2, K + 1)])), names)
     r = names.pop("r")
 
     def d2range(u: float, v: float):

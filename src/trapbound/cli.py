@@ -367,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="divide the weights by their sum; a negative weight, or a sum that is 0 or not finite, is refused")
     for p in sub.choices.values():
         p.add_argument("--format", dest="output_format", choices=("json", "table"), default="json")
+    parser.subcommands = sub.choices  # name -> parser, for main's direct dispatch
     return parser
 
 
@@ -404,8 +405,11 @@ def _emit(text: str, stream) -> bool:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        # one pass: a subcommand's argv goes to its parser, as the top-level parser would hand it on
+        sub = _parser().subcommands.get(argv[0]) if argv else None
+        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else _parser().parse_args(argv)
         report = run(args)
     # expr.ParseError is a ValueError and expr.EvalError an EvaluationError
     except (UsageError, DomainError, EvaluationError, ValueError) as exc:

@@ -35,7 +35,6 @@ import math
 import re
 import sys
 import types
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -268,24 +267,6 @@ def eval_expr(e: Expression, t: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _identity(op: str, left, right, known):
-    """What ``left op right`` reduces to by 0 + a, a + 0, a - 0, 0 * a, a * 0,
-    1 * a, a * 1, a^1 and a^0 = 1, or None; ``known`` gives an operand's
-    constant value or None.  The constants 0 and 1 come back as floats."""
-    lv, rv = known(left), known(right)
-    if op == "+" and lv == 0:
-        return right
-    if op in ("+", "-") and rv == 0:
-        return left
-    if op == "*" and 0 in (lv, rv):
-        return 0.0
-    if op == "*" and lv == 1:
-        return right
-    if op in ("*", "^") and rv == 1:
-        return left
-    return 1.0 if op == "^" and rv == 0 else None
-
-
 def _format_number(v: float) -> str:
     if abs(v) < 1e16 and v == int(v):
         return str(int(v))
@@ -362,53 +343,63 @@ class _Body:
 
     def emit(self, template: str, *operands) -> str:
         name = _identifier("v", len(self.lines))
-        self.lines.append((name, template, [self.ref(o) for o in operands]))
+        self.lines.append((name, template, [o if type(o) is str else self.ref(o) for o in operands]))
         return name
 
-    def source(self, name: str, *roots) -> str:
-        """``def name(t)`` returning the one root, or the tuple of several: a
-        value used once is written into its user, one used more often gets a
-        local, and an unused one is dropped.  Where a line raises one of the
-        global ``_FAULTS``, it returns ``name_fault(t)``."""
-        roots = [self.ref(r) for r in roots]
-        live = set(roots)
-        for line in reversed(self.lines):
-            if line[0] in live:
-                live.update(line[2])
-        lines = [line for line in self.lines if line[0] in live]
-        uses = Counter(roots + [r for line in lines for r in line[2]])
-        text: dict = {}
-        body = ""
-        for target, template, refs in lines:
-            rhs = template.format(*(text.get(r, r) for r in refs))
-            if uses[target] == 1:
-                # a helper's call (its template starts with the helper's
-                # name) is written in bare: redundant parentheses slow
-                # compile() by about a tenth
-                text[target] = rhs if template[0] == "_" else f"({rhs})"
-            else:
-                body += f"        {target} = {rhs}\n"
-        value = ", ".join(text.get(r, r) for r in roots)
-        return (f"def {name}(t):\n    try:\n{body}        return {value}\n"
-                f"    except _FAULTS:\n        return {name}_fault(t)\n")
+    def source(self, **functions) -> str:
+        """``def name(t)`` for each ``name=roots``, returning the one root or the tuple of
+        several: a value the function uses once is written into its user, one used more
+        often gets a local, and one it does not use is dropped; one backward pass counts the
+        uses in every function.  Where a line raises a global ``_FAULTS``, it returns ``name_fault(t)``."""
+        ends = [(name, None, [self.ref(r) for r in roots]) for name, roots in functions.items()]
+        uses = [{name: 1} for name in functions]  # each function's uses, its return first
+        for target, _, refs in reversed(self.lines + ends):
+            for counts in uses:
+                if target in counts:
+                    for r in refs:
+                        counts[r] = counts.get(r, 0) + 1
+        source = ""
+        for (name, _, roots), counts in zip(ends, uses):
+            text, body = {}, ""
+            for target, template, refs in self.lines:
+                if target in counts:
+                    rhs = template.format(*map(text.get, refs, refs))
+                    if counts[target] == 1:
+                        # a helper's call (its template starts with the helper's
+                        # name) is written in bare: redundant parentheses slow
+                        # compile() by about a tenth
+                        text[target] = rhs if template[0] == "_" else f"({rhs})"
+                    else:
+                        body += f"        {target} = {rhs}\n"
+            source += (f"def {name}(t):\n    try:\n{body}        return {', '.join(map(text.get, roots, roots))}\n"
+                       f"    except _FAULTS:\n        return {name}_fault(t)\n")
+        return source
 
-    def apply(self, op: str, node: Expression, *args, fold: bool = False):
-        """``op`` on ``args``, evaluated now if all are known; with ``fold``,
-        :func:`_identity` drops the terms a constant 0 or 1 makes trivial (2*x has slope 2.0)."""
-        known = [a for a in args if isinstance(a, float)]
-        if len(known) == len(args):
+    def apply(self, op: str, node: Expression, *args):
+        """``op`` on ``args``, evaluated now if all are known."""
+        if str not in map(type, args):
             try:
                 return _OPS[op](*args, node)
             except EvalError:
                 pass
-        elif fold and known:
-            simpler = _identity(op, *args, lambda a: a if isinstance(a, float) else None)
-            if simpler is not None:
-                return simpler
         if op == "^" and not (isinstance(args[1], float) and args[1].is_integer()):
             b, p = self.ref(args[0]), self.ref(args[1])  # a positive base needs no check
             return self.emit("{} ** {} if {} > 0.0 else _power({}, {}, {})", b, p, b, b, p, node)
         return self.emit(_TEMPLATES[op], *args)
+
+    def arith(self, op: str, node: Expression, a, b):
+        """:meth:`apply`, less 0 + b, a + 0, a - 0, 0 * b, a * 0, 1 * b, a * 1,
+        a^1 and a^0 = 1 where one operand is known (2*x has slope 2.0)."""
+        if str in (type(a), type(b)):  # a local's name equals no number
+            if op == "*" and (a == 0 or b == 0):
+                return 0.0
+            if a == 1 and op == "*" or a == 0 and op == "+":
+                return b
+            if b == 1 and op in "*^" or b == 0 and op in "+-":
+                return a
+            if b == 0 and op == "^":
+                return 1.0
+        return self.apply(op, node, a, b)
 
     def node(self, e: Expression) -> tuple:
         """``(value, slope)`` of ``e`` by forward mode; the slope is f'+ where
@@ -419,33 +410,33 @@ class _Body:
             return e.value, 0.0
         if isinstance(e, Var):
             return "t", 1.0
-        arith = lambda op, a, b: self.apply(op, e, a, b, fold=True)
+        apply, arith = self.apply, self.arith
         if isinstance(e, Unary):
-            u, du = self.node(e.arg)
-            v = self.apply(e.op, e, u)
-            if e.op == "neg":
-                return v, self.apply("neg", e, du)
-            if e.op == "exp":
-                return v, arith("*", v, du)
-            if e.op == "log":
-                return v, arith("/", du, u)
-            if e.op == "sqrt":
-                return v, arith("/", du, arith("*", 2.0, v))
+            op, (u, du) = e.op, self.node(e.arg)
+            v = apply(op, e, u)
+            if op == "neg":
+                return v, apply(op, e, du)
+            if op == "exp":
+                return v, arith("*", e, v, du)
+            if op == "log":
+                return v, arith("/", e, du, u)
+            if op == "sqrt":
+                return v, arith("/", e, du, arith("*", e, 2.0, v))
             self.kinked = True
             return v, self.emit("{} if {} > 0 else (-{} if {} < 0 else _side * _abs({}))",
                                 du, u, du, u, du)
         if isinstance(e, Binary):
-            (l, dl), (r, dr) = self.node(e.left), self.node(e.right)
-            v = self.apply(e.op, e, l, r)
-            if e.op in ("+", "-"):
-                return v, arith(e.op, dl, dr)
-            if e.op == "*":
-                return v, arith("+", arith("*", dl, r), arith("*", l, dr))
-            if e.op == "/":
-                num = arith("-", arith("*", dl, r), arith("*", l, dr))
-                return v, arith("/", num, arith("^", r, 2.0))
+            op, (l, dl), (r, dr) = e.op, self.node(e.left), self.node(e.right)
+            v = apply(op, e, l, r)
+            if op in ("+", "-"):
+                return v, arith(op, e, dl, dr)
+            if op == "*":
+                return v, arith("+", e, arith("*", e, dl, r), arith("*", e, l, dr))
+            if op == "/":
+                num = arith("-", e, arith("*", e, dl, r), arith("*", e, l, dr))
+                return v, arith("/", e, num, arith("^", e, r, 2.0))
             assert isinstance(e.right, Const), "parser guarantees constant exponents"
-            return v, arith("*", arith("*", r, arith("^", l, r - 1.0)), dl)
+            return v, arith("*", e, arith("*", e, r, arith("^", e, l, r - 1.0)), dl)
         raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -470,7 +461,7 @@ def _compile(tree: Expression, slopes: bool = True) -> tuple:
              "f_fault": functools.partial(eval_expr, tree), "d_fault": d_fault}
     body = _Body(names)
     value, slope = body.node(tree)
-    exec(_code(body.source("f", value) + (body.source("d", slope) if slopes else "")), names)
+    exec(_code(body.source(f=[value], d=[slope]) if slopes else body.source(f=[value])), names)
     # popped, so that the functions and their globals form no reference cycle
     f, dplus = names.pop("f"), names.pop("d", None)
     if dplus is None or not body.kinked:

@@ -872,8 +872,10 @@ def test_deterministic_output(dist_files):
 
 
 def test_kept_parser_matches_fresh_parsers(capsys, monkeypatch, dist_files):
-    # main builds its parser once; a run of subcommands with usage errors
-    # between them must answer as if each call had a parser of its own
+    # main builds its parser once and hands an argv that starts with a
+    # subcommand to that subcommand's parser; a run of subcommands with usage
+    # errors between them must answer as if each call had a parser of its
+    # own, and as if the whole top-level parser had read each argv
     p, q = dist_files
     calls = [
         ["integrate", "--fn", "exp(x)", "--interval", "0", "1", "--eps", "1e-6"],
@@ -887,12 +889,43 @@ def test_kept_parser_matches_fresh_parsers(capsys, monkeypatch, dist_files):
         ["divergence", "--generator", "kl", "--p", p, "--q", q],
         [],
         ["hh", "--fn", "exp(x)", "--interval", "0", "1"],
+        ["--format", "json", "integrate", "--fn", "x^2", "--interval", "0", "1"],
+        ["--fn", "x^2", "hh", "--interval", "0", "1"],
+        ["gap", "--fn", "x^2", "--interval", "0", "1"],
+        ["divergence", "--generator", "kl", "--p", p],
+        ["integrate", "--interval", "0", "1", "--eps", "-1e-3", "--fn", "x^2", "--interval", "0", "2"],
+        ["integrate", "--fn", "x^2", "--interval", "0", "1", "--n", "2", "--", "extra"],
+        ["check", "--fn", "x^2", "--interval", "0", "1", "--format", "yaml"],
     ]
     kept = [run_cli(capsys, *argv) for argv in calls]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     fresh = [run_cli(capsys, *argv) for argv in calls]
+
+    def whole():
+        parser = cli.build_parser()
+        parser.subcommands = {}  # no direct dispatch: every argv goes through the top-level parser
+        return parser
+
+    monkeypatch.setattr(cli, "_parser", whole)
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
     assert kept == fresh
-    assert [code for code, _, _ in kept] == [0, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0]
+    assert [code for code, _, _ in kept] == [0, 1, 0, 1, 0, 1, 2, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["integrate", "--help"], ["check", "--he"], ["-h", "gap"]])
+def test_help_is_the_same_through_either_parser(capsys, monkeypatch, argv):
+    # help exits 0 through argparse, which prints the parser's usage
+    def exit_and_output():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    direct = exit_and_output()
+    whole = cli.build_parser()
+    whole.subcommands = {}
+    monkeypatch.setattr(cli, "_parser", lambda: whole)
+    assert exit_and_output() == direct
+    assert direct[0] == 0 and "usage: trapbound" in direct[1].out
 
 
 def test_non_finite_floats_are_written_as_strings():

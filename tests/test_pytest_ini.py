@@ -27,3 +27,12 @@ def test_failing_property_fails_one_test(tmp_path):
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out
     assert "INTERNALERROR" not in out and "1 failed in" in out, out
+
+
+def test_mutant_profile_keeps_ci_examples_and_skips_shrinking():
+    # a mutation run fails each broken property at its first failing example
+    from hypothesis import Phase, settings
+
+    mutant, ci = settings.get_profile("mutant"), settings.get_profile("ci")
+    assert (mutant.derandomize, mutant.deadline) == (ci.derandomize, ci.deadline) == (True, None)
+    assert set(ci.phases) - set(mutant.phases) == {Phase.shrink, Phase.explain}

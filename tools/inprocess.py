@@ -38,10 +38,58 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: Fresh interpreters per side.
 ROUNDS = 4
+#: The steps of ``--steps``: the name of each, with the module (or class) and attribute it wraps.
+STEPS = {
+    "argument parsing": ("argparse", "ArgumentParser", "parse_args"),
+    "expr.parse": ("trapbound.expr", None, "parse"),
+    "expr._compile": ("trapbound.expr", None, "_compile"),
+    "_ranges.compile_range": ("trapbound._ranges", None, "compile_range"),
+    "check_convexity": ("trapbound.cli", None, "check_convexity"),
+    "cli._render": ("trapbound.cli", None, "_render"),
+}
 
 
-def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Path) -> dict:
-    """One round in this interpreter: each request's fastest ms and its output, as JSON-ready lists."""
+class _StepClock:
+    """Time spent in each wrapped step during one request, less the time of
+    the wrapped steps that it calls."""
+
+    def __init__(self):
+        self.ns = dict.fromkeys(STEPS, 0)
+        self.inner = []  # per open step, the time of the steps it called
+
+    def install(self):
+        import importlib
+
+        for step, (module, cls, name) in STEPS.items():
+            owner = importlib.import_module(module)
+            owner = getattr(owner, cls) if cls else owner
+            setattr(owner, name, self._timed(step, getattr(owner, name)))
+
+    def _timed(self, step, fn):
+        def timed(*args, **kwargs):
+            self.inner.append(0)
+            t0 = time.perf_counter_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ns = time.perf_counter_ns() - t0
+                self.ns[step] += ns - self.inner.pop()
+                if self.inner:
+                    self.inner[-1] += ns
+
+        return timed
+
+    def take(self, total_ns: int) -> dict:
+        """Each step's ms since the last call, and the rest of ``total_ns`` as the numerics."""
+        ms = {step: ns / 1e6 for step, ns in self.ns.items()}
+        ms["numerics"] = total_ns / 1e6 - sum(ms.values())
+        self.ns = dict.fromkeys(STEPS, 0)
+        return ms
+
+
+def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Path, steps: bool) -> dict:
+    """One round in this interpreter: each request's fastest ms, its output
+    and, with ``steps``, the step times of its fastest pass, as JSON-ready lists."""
     sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
     import workloads
 
@@ -50,11 +98,14 @@ def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Pat
 
     if Path(trapbound.__file__).resolve().parent != checkout / "src" / "trapbound":
         raise SystemExit(f"imported trapbound from {trapbound.__file__}, not from {checkout / 'src'}")
+    clock = _StepClock() if steps else None
+    if clock:
+        clock.install()
     requests = [r for seed in seeds for r in workloads.make_requests(
         workload, seed, workloads.DEFAULT_REQUESTS[workload], workdir / str(seed))]
     functions = {id(r): catalog(r.call[1]["name"], r.call[1]["params"], Interval(r.call[1]["a"], r.call[1]["b"]))
                  for r in requests if r.call[0] == "lib"}
-    best, outputs = [float("inf")] * len(requests), [None] * len(requests)
+    best, outputs, step_ms = [float("inf")] * len(requests), [None] * len(requests), [None] * len(requests)
     for _ in range(passes):
         for i, r in enumerate(requests):
             out, err = io.StringIO(), io.StringIO()
@@ -69,6 +120,10 @@ def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Pat
                 except Exception as exc:  # an output like any other: the other side must raise it too
                     result = exc
                 ns = time.perf_counter_ns() - t0
+            if clock:
+                ms = clock.take(ns)
+                if ns / 1e6 < best[i]:
+                    step_ms[i] = ms
             best[i] = min(best[i], ns / 1e6)
             if isinstance(result, Exception):
                 output = f"raised {type(result).__name__}: {result}"
@@ -78,12 +133,13 @@ def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Pat
                 outputs[i] = output
             elif output != outputs[i]:
                 outputs[i] = f"differs between passes: {outputs[i]!r} then {output!r}"
-    return {"kinds": [r.kind for r in requests], "ms": best, "outputs": outputs}
+    return {"kinds": [r.kind for r in requests], "ms": best, "outputs": outputs, "steps": step_ms}
 
 
 def _round(checkout: Path, args, workdir: Path) -> dict:
     proc = subprocess.run([sys.executable, __file__, "--child", str(checkout), "--workload", args.workload,
-                           "--seeds", *map(str, args.seeds), "--passes", str(args.passes), "--workdir", str(workdir)],
+                           "--seeds", *map(str, args.seeds), "--passes", str(args.passes), "--workdir", str(workdir),
+                           *(["--steps"] if args.steps else [])],
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"round on {checkout} exited {proc.returncode}:\n{proc.stderr}")
@@ -96,11 +152,13 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--passes", type=int, default=20, help="passes over the requests per interpreter")
     ap.add_argument("--parent", type=Path, help="a checkout to alternate each round with")
+    ap.add_argument("--steps", action="store_true", help="also time each step of STEPS and the numerics")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--workdir", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child is not None:
-        json.dump(_child(args.child.resolve(), args.workload, args.seeds, args.passes, args.workdir), sys.stdout)
+        json.dump(_child(args.child.resolve(), args.workload, args.seeds, args.passes, args.workdir, args.steps),
+                  sys.stdout)
         return 0
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -149,10 +207,31 @@ def main() -> int:
         if len(sides) > 1:
             row += f" {totals['change'][kind] / totals['parent'][kind]:14.3f}"
         print(row)
+    if args.steps:
+        _print_steps(rounds, sides)
     print("round totals, ms: " + "; ".join(
         f"{side} {min(sum(run['ms']) for run in runs):.2f}-{max(sum(run['ms']) for run in runs):.2f}"
         for side, runs in rounds.items()))
     return status
+
+
+def _print_steps(rounds: dict, sides: dict) -> None:
+    """The step table: each step's ms, from each request's fastest pass over all rounds, summed."""
+    totals = {}
+    for side, runs in rounds.items():
+        totals[side] = dict.fromkeys([*STEPS, "numerics"], 0.0)
+        for j in range(len(runs[0]["ms"])):
+            fastest = min(runs, key=lambda run: run["ms"][j])
+            for step, ms in fastest["steps"][j].items():
+                totals[side][step] += ms
+    print(f"{'step':24s}" + "".join(f" {side + ' ms':>12s} {'share':>6s}" for side in sides)
+          + (f" {'change/parent':>14s}" if len(sides) > 1 else ""))
+    for step in [*STEPS, "numerics"]:
+        row = f"{step:24s}" + "".join(
+            f" {totals[side][step]:12.2f} {totals[side][step] / sum(totals[side].values()):6.1%}" for side in sides)
+        if len(sides) > 1:
+            row += f" {totals['change'][step] / totals['parent'][step]:14.3f}"
+        print(row)
 
 
 if __name__ == "__main__":
