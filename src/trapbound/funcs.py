@@ -108,6 +108,10 @@ class ConvexFunction:
     catalog writes it for ``exp``, ``neg_log``, ``xlogx`` and ``power_p``
     from the steps of their ranges.  :meth:`_third` reads f''' at a point
     through it, or through ``_d2range(x, x)`` where it is None.
+    ``_breaks``, private and optional too, is a strictly increasing tuple of
+    points where f may have a kink (the catalog's ``kink`` sets ``(c,)``):
+    :func:`trapbound.quadrature.adaptive_integrate` starts from the cells
+    between them, and ignores one at or outside an end of the domain.
     Values and one-sided slopes are assumed faithful in the same sense:
     the adaptive integrator's rounding bounds (:mod:`trapbound.quadrature`)
     rest on it.
@@ -122,6 +126,7 @@ class ConvexFunction:
     label: str = ""
     _d2range: Optional[Callable[[float, float], Optional[tuple]]] = None
     _d3: Optional[Callable[[float], tuple]] = None
+    _breaks: tuple = ()
 
     def __post_init__(self) -> None:
         if self.dminus is None:
@@ -288,7 +293,9 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
     Names and parameters; each entry takes exactly its parameters, each
     finite (every entry but ``kink`` has one slope oracle):
 
-    - ``kink`` (k, c): k*|t - c| with k > 0; one-sided derivatives -k / +k.
+    - ``kink`` (k, c): k*|t - c| with k > 0; one-sided derivatives -k / +k;
+      its break c, where it lies inside the interval, starts an adaptive
+      run from the two cells either side of it, on each of which f is affine.
     - ``quadratic``: t^2.
     - ``exp``: e^t.
     - ``neg_log``: -ln t, needs interval with a >= 0; f'+(0) = -inf.
@@ -322,6 +329,7 @@ def catalog(name: str, params: Sequence[float] = (), interval: Optional[Interval
             dminus=lambda t: k if t > c else -k,
             label=f"kink(k={k}, c={c})",
             _d2range=lambda u, v: None if u < c < v else (0.0,) * 8,
+            _breaks=(c,),
         )
 
     if name == "quadratic":

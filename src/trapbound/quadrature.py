@@ -438,14 +438,20 @@ def _adaptive_cell(f: ConvexFunction, u: float, v: float, fu: float, fv: float, 
 def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -> QuadratureResult:
     """Greedy adaptive integration to a target enclosure width.
 
-    Starts from one cell with midpoint xi and repeatedly bisects the cell
+    Starts from the cells with midpoint xi between a, the k breaks of f
+    (``f._breaks``) that lie strictly inside (a, b), and b, or from the one
+    cell [a, b] where there is no such break or the k + 1 cells would exceed
+    ``max_cells``.  A catalog ``kink`` is affine on each side of its break,
+    so its two cells give its integral to rounding, where bisection alone
+    would hunt the kink down.  The run then repeatedly bisects the cell
     whose remainder bracket is widest (ties broken by the leftmost cell)
     until the total width is <= ``eps`` or ``max_cells`` is reached.  Each
     cell's bracket (:func:`_adaptive_cell`) is the slope-corrected one where
     f is C^2 on it, else the tangent/chord sandwich of its samples, and is
     intersected with the paper's.  A run over n cells makes 2n + 1 calls to
-    f, 4n to its one-sided derivatives (2n + 1 if ``f.dplus is f.dminus``)
-    and 2n - 1 to its range oracle, which gives the f'', f''', f'''' and
+    f, 4n to its one-sided derivatives (2n + 1 if ``f.dplus is f.dminus``),
+    as a break is read once by each oracle, as a midpoint is, and 2n - 1 - k
+    to its range oracle, which gives the f'', f''', f'''' and
     f^(6) ranges in one call, fewer if some cells are too narrow to bisect,
     plus at most 2n + 1 reads of f''' at a point (``f._third``: the point
     oracle, else the range oracle at (x, x)), each point once, as every cell reads them through one table per run,
@@ -476,9 +482,27 @@ def adaptive_integrate(f: ConvexFunction, eps: float, max_cells: int = 10_000) -
     a, b = f.domain.a, f.domain.b
     nx, ulp, inf, pop, push = math.nextafter, math.ulp, math.inf, heapq.heappop, heapq.heappush
     third = {}  # the run's f''' reads at a point, each point once
-    cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b), third)
-    heap = [cell]
-    total_lo, total_hi = cell[4:6]
+    xs = [x for x in f._breaks if a < x < b] if f._breaks else None
+    if xs and len(xs) < max_cells:
+        # a cell between each two of a, the breaks and b; a break lies inside
+        # the domain, so it is read from the raw oracles, as a midpoint is
+        u, fu, dpu, heap = a, f(a), f.d_plus(a), []
+        for v in xs:
+            try:
+                fv = f.evaluate(v)
+            except _ORACLE_FAULTS as exc:
+                f._failed(v, exc)
+            dpv = f.dplus(v)
+            dmv = dpv if f.dplus is f.dminus else f.dminus(v)
+            heap.append(_adaptive_cell(f, u, v, fu, fv, dpu, dmv, third))
+            u, fu, dpu = v, fv, dpv
+        heap.append(_adaptive_cell(f, u, b, fu, f(b), dpu, f.d_minus(b), third))
+        total_lo, total_hi = sum(c[4] for c in heap), sum(c[5] for c in heap)
+        heapq.heapify(heap)
+    else:
+        cell = _adaptive_cell(f, a, b, f(a), f(b), f.d_plus(a), f.d_minus(b), third)
+        heap = [cell]
+        total_lo, total_hi = cell[4:6]
     target = eps
 
     while True:

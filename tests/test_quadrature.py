@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from trapbound.expr import to_convex_function
-from trapbound.funcs import ConvexFunction, DomainError, Interval, NonConvexityError, catalog
+from trapbound.funcs import ConvexFunction, DomainError, EvaluationError, Interval, NonConvexityError, catalog
 from trapbound.pointwise import Enclosure, _midpoint_bracket, _reference_integral
 from trapbound.quadrature import (
     _BETA,
@@ -27,6 +28,16 @@ from trapbound.quadrature import (
 EXP = catalog("exp")
 QUAD = catalog("quadratic")
 KINK = catalog("kink", (1.0, 0.5))
+
+
+#: e^t + |t - 0.3| + 2|t - 0.7|, curved between its breaks, so that a run
+#: bisects after its start; its f'' range is e^t's where no break lies inside
+TWO_BREAKS = ConvexFunction(
+    Interval(0.0, 1.0), lambda t: math.exp(t) + abs(t - 0.3) + 2.0 * abs(t - 0.7),
+    lambda t: math.exp(t) + (1.0 if t >= 0.3 else -1.0) + (2.0 if t >= 0.7 else -2.0),
+    lambda t: math.exp(t) + (1.0 if t > 0.3 else -1.0) + (2.0 if t > 0.7 else -2.0),
+    "e^t + |t - 0.3| + 2|t - 0.7|", _d2range=lambda u, v: None if u < 0.3 < v or u < 0.7 < v else EXP._d2range(u, v),
+    _d3=EXP._d3, _breaks=(0.3, 0.7))
 
 
 def trapezoid_oracle(f, n):
@@ -433,6 +444,83 @@ class TestAdaptive:
             assert calls["d2"] == 2 * res.cells - 1
             assert calls["d3"] == 2 * res.cells + 1
 
+    @pytest.mark.parametrize("f, eps, max_cells", [
+        (KINK, 1e-8, 10_000), (KINK, 1.0, 2),
+        (TWO_BREAKS, 1e-8, 10_000), (TWO_BREAKS, 1e-13, 100), (TWO_BREAKS, 1e-14, 8), (TWO_BREAKS, 1.0, 3),
+    ], ids=["kink", "kink-budget-2", "two-1e-8", "two-1e-13", "two-budget-8", "two-budget-3"])
+    def test_breaks_keep_the_read_counts(self, f, eps, max_cells):
+        # the start reads each break once by f, f'+ and f'- and makes k + 1
+        # cells with one range each: 2n + 1, 4n and 2n - 1 - k
+        reads = {"f": [], "dplus": [], "dminus": [], "d2": 0}
+
+        def counted(key, fn):
+            def wrapped(t):
+                reads[key].append(t)
+                return fn(t)
+            return wrapped
+
+        def d2range(u, v):
+            reads["d2"] += u < v  # f''' at a point x is the range at (x, x)
+            return f._d2range(u, v)
+
+        g = dataclasses.replace(f, evaluate=counted("f", f.evaluate), dplus=counted("dplus", f.dplus),
+                                dminus=counted("dminus", f.dminus), _d2range=d2range)
+        k = len(f._breaks)
+        res = adaptive_integrate(g, eps=eps, max_cells=max_cells)
+        assert res.cells >= k + 1
+        assert len(reads["f"]) == 2 * res.cells + 1
+        assert len(reads["dplus"]) + len(reads["dminus"]) == 4 * res.cells
+        assert reads["d2"] == 2 * res.cells - 1 - k
+        for x in f._breaks:
+            assert (reads["f"].count(x), reads["dplus"].count(x), reads["dminus"].count(x)) == (1, 1, 1)
+
+    def test_split_start_bisects_the_widest_piece_first(self):
+        # one bisection to spend: it splits [0.3, 0.7], whose bracket is
+        # about 7 and 14 times those of [0.7, 1] and [0, 0.3]
+        f, reads = TWO_BREAKS, []
+        g = dataclasses.replace(f, evaluate=lambda t: reads.append(t) or f.evaluate(t))
+        assert adaptive_integrate(g, eps=1e-14, max_cells=4).cells == 4
+        widths = [(lambda c: c[5] - c[4])(_adaptive_cell(f, u, v, f(u), f(v), f.d_plus(u), f.d_minus(v), {}))
+                  for u, v in ((0.0, 0.3), (0.3, 0.7), (0.7, 1.0))]
+        assert max(widths) == widths[1]
+        assert all(0.3 < x < 0.7 for x in reads[-2:])  # the two new midpoints
+
+    @pytest.mark.parametrize("f, max_cells", [
+        (catalog("kink", (1.0, 0.0)), 10_000),  # the break at a
+        (catalog("kink", (1.0, 1.0)), 10_000),  # at b
+        (dataclasses.replace(KINK, domain=Interval(0.6, 1.5)), 10_000),  # outside the domain
+        (dataclasses.replace(KINK, domain=Interval(-0.5, 0.5)), 10_000),  # at b after replace
+        (KINK, 1),  # two cells would spend more than the budget
+        (TWO_BREAKS, 2),
+        (dataclasses.replace(TWO_BREAKS, domain=Interval(0.3, 0.7)), 10_000),  # both at an end
+    ], ids=["at-a", "at-b", "outside", "at-b-replaced", "budget-1", "two-budget-2", "two-at-ends"])
+    def test_breaks_that_cannot_split_start_from_one_cell(self, f, max_cells):
+        # the run is the one without breaks, bit for bit, read for read
+        runs = []
+        for g in (f, dataclasses.replace(f, _breaks=())):
+            reads = []
+            g = dataclasses.replace(g, evaluate=lambda t, ev=g.evaluate: reads.append(t) or ev(t))
+            res = adaptive_integrate(g, eps=1e-10, max_cells=max_cells)
+            runs.append((repr(res), reads))
+        assert runs[0] == runs[1]
+        a, b = f.domain.a, f.domain.b
+        assert runs[0][1][:2] == [a, b]  # the one cell [a, b] reads its ends first
+
+    @pytest.mark.parametrize("exc, raised, message", [
+        (ZeroDivisionError, EvaluationError, "cannot evaluate 'kink(k=1.0, c=0.25)' at 0.25: no value at 0.25"),
+        (DomainError, DomainError, "no value at 0.25"),
+    ], ids=["ZeroDivisionError", "DomainError"])
+    def test_a_failed_value_read_at_a_break_raises_as_f_would(self, exc, raised, message):
+        def evaluate(t):
+            if t == 0.25:
+                raise exc(f"no value at {t}")
+            return abs(t - 0.25)
+
+        f = dataclasses.replace(catalog("kink", (1.0, 0.25)), evaluate=evaluate)
+        for run in (lambda: f(0.25), lambda: adaptive_integrate(f, eps=1e-8)):
+            with pytest.raises(raised, match=f"^{re.escape(message)}$"):
+                run()
+
     @pytest.mark.parametrize("f, reads_a", [(catalog("power_p", (2.5,)), False), (catalog("xlogx"), False), (EXP, True)],
                              ids=["power_p2.5", "xlogx", "exp"])
     def test_third_derivative_read_once_per_point(self, f, reads_a):
@@ -479,9 +567,10 @@ class TestAdaptive:
 
     def test_supporting_lines_meet_at_kink(self):
         # on [0, 0.5] the lines at 0 and 0.5 cross at the kink 0.3, so the
-        # first cell's lower bound is the integral itself
+        # first cell's lower bound is the integral itself; a one-cell budget
+        # keeps the run from starting split at the kink
         f = catalog("kink", (1.0, 0.3))
-        res = adaptive_integrate(f, eps=1.0)
+        res = adaptive_integrate(f, eps=1.0, max_cells=1)
         assert res.cells == 1
         assert res.integral.lo == pytest.approx(float(exact_integral("kink", (1.0, 0.3), 0.0, 1.0)), abs=1e-15)
 

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -49,6 +50,21 @@ def test_adaptive_enclosure_contains_reference(case):
     # a spent budget still has to enclose
     res = adaptive_integrate(f, eps, max_cells=5_000)
     assert res.integral.lo <= exact_integral(name, params, a, b) <= res.integral.hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(1e-3, 5.0), a=st.floats(-3.0, 3.0), w=st.floats(1e-6, 3.0), s=st.floats(0.0, 1.0),
+       eps=st.floats(1e-12, 1.0))
+def test_kink_split_at_its_break_holds_exact_integral(k, a, w, s, eps):
+    # the run starts from [a, c] and [c, b], on each of which k|t - c| is
+    # affine: a few ulps wide, where any slack would hide a miss
+    b = a + w
+    c = a + (b - a) * s
+    res = adaptive_integrate(catalog("kink", (k, c), Interval(a, b)), eps)
+    exact = Fraction(k) / 2 * ((Fraction(c) - Fraction(a)) ** 2 + (Fraction(b) - Fraction(c)) ** 2)
+    assert res.integral.lo <= exact <= res.integral.hi
+    if a < c < b:
+        assert (res.cells, res.converged) == (2, True)
 
 
 D = Decimal

@@ -13,12 +13,15 @@ runs them in ``ROUNDS`` fresh interpreters with its own ``src`` first on
 ``sys.path``; each interpreter makes ``--passes`` passes over every request
 and keeps each request's fastest.  With ``--parent DIR`` the side that starts
 each round alternates.  The table gives each side's total in ms per request
-kind, the fastest of all its rounds request by request, and the change's
-total over the parent's; the last line gives each side's range of whole-round
-totals.  An output is the repr of a library result (or of what it raised) or
-a CLI call's exit code, stdout and stderr; the exit code is 1 if any output
-differs between the sides, rounds or passes.  Only the standard library is
-used.
+kind, the fastest of all its rounds request by request, the change's total
+over the parent's, and each side's mean final cell count per request, a
+count that does not depend on the machine: a library result's ``cells``, or
+the ``cells`` of a CLI call's JSON report (``integrate``), over the requests
+that have one ("-" where none has); the last line gives each side's range of
+whole-round totals.  An output is the repr of a library result (or of what it
+raised) or a CLI call's exit code, stdout and stderr; the exit code is 1 if
+any output differs between the sides, rounds or passes.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Pat
     functions = {id(r): catalog(r.call[1]["name"], r.call[1]["params"], Interval(r.call[1]["a"], r.call[1]["b"]))
                  for r in requests if r.call[0] == "lib"}
     best, outputs, step_ms = [float("inf")] * len(requests), [None] * len(requests), [None] * len(requests)
+    cells = [None] * len(requests)
     for _ in range(passes):
         for i, r in enumerate(requests):
             out, err = io.StringIO(), io.StringIO()
@@ -131,9 +135,26 @@ def _child(checkout: Path, workload: str, seeds: list, passes: int, workdir: Pat
                 output = repr(result if r.call[0] == "lib" else (result, out.getvalue(), err.getvalue()))
             if outputs[i] is None:
                 outputs[i] = output
+                cells[i] = _cells(r.call[0], result, out.getvalue())
             elif output != outputs[i]:
                 outputs[i] = f"differs between passes: {outputs[i]!r} then {output!r}"
-    return {"kinds": [r.kind for r in requests], "ms": best, "outputs": outputs, "steps": step_ms}
+    return {"kinds": [r.kind for r in requests], "ms": best, "outputs": outputs, "steps": step_ms, "cells": cells}
+
+
+def _cells(call: str, result, stdout: str):
+    """The final cell count of one request: a library result's ``cells``, or
+    the ``cells`` of a CLI call's JSON report where it exited 0 with one; else None."""
+    if isinstance(result, Exception):
+        return None
+    if call == "lib":
+        return result.cells
+    if result != 0:
+        return None
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return None
+    return report.get("cells") if isinstance(report, dict) else None
 
 
 def _round(checkout: Path, args, workdir: Path) -> dict:
@@ -201,11 +222,15 @@ def main() -> int:
           f"{' '.join(map(str, args.seeds))}: {len(first['kinds'])} requests, {ROUNDS} rounds of "
           f"{args.passes} passes per side")
     print(f"{'kind':24s}" + "".join(f" {side + ' ms':>12s}" for side in sides)
-          + (f" {'change/parent':>14s}" if len(sides) > 1 else ""))
+          + (f" {'change/parent':>14s}" if len(sides) > 1 else "")
+          + "".join(f" {side + ' cells':>13s}" for side in sides))
     for kind in [*kinds, "total"]:
         row = f"{kind:24s}" + "".join(f" {totals[side][kind]:12.2f}" for side in sides)
         if len(sides) > 1:
             row += f" {totals['change'][kind] / totals['parent'][kind]:14.3f}"
+        for side, runs in rounds.items():
+            counts = [n for j, n in enumerate(runs[0]["cells"]) if n is not None and kind in ("total", first["kinds"][j])]
+            row += f" {sum(counts) / len(counts):13.1f}" if counts else f" {'-':>13s}"
         print(row)
     if args.steps:
         _print_steps(rounds, sides)
